@@ -14,10 +14,9 @@
 //!
 //! Cells:
 //!
-//! * `{fir, wren} × native × shards {1, 4}` — engine-invariant (native
-//!   runs execute no bytecode).
-//! * `{fir, wren} × ext × {interp, compiled} × shards {1, 4}` — the
-//!   use-case feature as extension bytecode on both engines.
+//! * `{fir, wren} × native × shards {1, 4}`.
+//! * `{fir, wren} × ext × shards {1, 4}` — the use-case feature as
+//!   extension bytecode.
 //! * `{fir, wren} × full_recompute × shards 1` — the ablation baseline:
 //!   the same storm with per-batch full decision recomputation instead
 //!   of dirty-prefix delta recomputation. The headline ratio is
@@ -29,7 +28,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::io::Write;
-use xbgp_core::Engine;
 use xbgp_harness::churn::{run, ChurnRunSpec};
 use xbgp_harness::fig3::{Dut, UseCase};
 
@@ -81,11 +79,10 @@ fn emit_json_line(name: &str, value: f64) {
     }
 }
 
-fn spec(dut: Dut, extension: bool, shards: usize, engine: Engine) -> ChurnRunSpec {
+fn spec(dut: Dut, extension: bool, shards: usize) -> ChurnRunSpec {
     let mut s = ChurnRunSpec::new(dut, UseCase::OriginValidation, routes(), 1);
     s.extension = extension;
     s.shards = shards;
-    s.engine = engine;
     s.churn.rounds = rounds();
     s
 }
@@ -123,16 +120,10 @@ fn bench(_c: &mut Criterion) {
     for dut in [Dut::Fir, Dut::Wren] {
         let d = dut_slug(dut);
         for &n in &counts {
-            cell(&format!("{d}_native/shards_{n}"), &spec(dut, false, n, Engine::Interp));
+            cell(&format!("{d}_native/shards_{n}"), &spec(dut, false, n));
         }
-        for engine in [Engine::Interp, Engine::Compiled] {
-            let e = match engine {
-                Engine::Interp => "interp",
-                Engine::Compiled => "compiled",
-            };
-            for &n in &counts {
-                cell(&format!("{d}_ext_{e}/shards_{n}"), &spec(dut, true, n, engine));
-            }
+        for &n in &counts {
+            cell(&format!("{d}_ext/shards_{n}"), &spec(dut, true, n));
         }
     }
 
@@ -140,9 +131,8 @@ fn bench(_c: &mut Criterion) {
     println!("# full-recompute baseline (the ablation the speedup ratio is against)");
     for dut in [Dut::Fir, Dut::Wren] {
         let d = dut_slug(dut);
-        let incremental =
-            cell(&format!("{d}_native/shards_1_again"), &spec(dut, false, 1, Engine::Interp));
-        let mut base = spec(dut, false, 1, Engine::Interp);
+        let incremental = cell(&format!("{d}_native/shards_1_again"), &spec(dut, false, 1));
+        let mut base = spec(dut, false, 1);
         base.full_recompute = true;
         let full = cell(&format!("{d}_full_recompute/shards_1"), &base);
         let ratio = incremental / full.max(1e-9);

@@ -50,7 +50,6 @@ fn spec(dut: Dut, extension: bool, routes: usize, shards: usize) -> Fig3Spec {
         rib_dump: false,
         trace_sample: 0,
         profile: false,
-        engine: xbgp_core::Engine::Interp,
     }
 }
 

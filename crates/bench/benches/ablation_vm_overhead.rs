@@ -10,7 +10,7 @@ use std::hint::black_box;
 use xbgp_asm::assemble_with_symbols;
 use xbgp_core::api::{abi_symbols, InsertionPoint, NextHopInfo};
 use xbgp_core::host::MockHost;
-use xbgp_core::{Engine, ExtensionSpec, Manifest, Vmm, VmmOutcome};
+use xbgp_core::{ExtensionSpec, Manifest, Vmm, VmmOutcome};
 
 fn vmm_with(src: &str, helpers: &[&str]) -> Vmm {
     let prog = assemble_with_symbols(src, &abi_symbols()).expect("assembles");
@@ -40,13 +40,9 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Minimal program: mov + exit (pure VMM + engine entry cost).
+    // Minimal program: mov + exit (pure VMM + interpreter entry cost).
     let mut minimal = vmm_with("mov r0, 1\nexit", &[]);
     c.bench_function("vm_overhead/minimal_program", |b| {
-        b.iter(|| black_box(minimal.run(InsertionPoint::BgpOutboundFilter, &mut host)))
-    });
-    minimal.set_engine(Engine::Compiled);
-    c.bench_function("vm_overhead/minimal_program/compiled", |b| {
         b.iter(|| black_box(minimal.run(InsertionPoint::BgpOutboundFilter, &mut host)))
     });
 
@@ -79,24 +75,11 @@ fn bench(c: &mut Criterion) {
     c.bench_function("vm_overhead/3000_instruction_loop/no_elide", |b| {
         b.iter(|| black_box(looper.run(InsertionPoint::BgpOutboundFilter, &mut host)))
     });
-    looper.set_check_elision(true);
-    // The same loop on the compiled engine: the interpretation-throughput
-    // headline the block lowering targets (fuel and dispatch hoisted to
-    // block entry).
-    looper.set_engine(Engine::Compiled);
-    c.bench_function("vm_overhead/3000_instruction_loop/compiled", |b| {
-        b.iter(|| black_box(looper.run(InsertionPoint::BgpOutboundFilter, &mut host)))
-    });
-    looper.set_check_elision(false);
-    c.bench_function("vm_overhead/3000_instruction_loop/compiled/no_elide", |b| {
-        b.iter(|| black_box(looper.run(InsertionPoint::BgpOutboundFilter, &mut host)))
-    });
 
     // Memory-bound loop: a cursor/end-pointer walk over 256 bytes of
     // frame. The abstract interpreter proves every `ldxb`/`stxb` in
     // bounds (DESIGN.md §4i), so the elision-on runs take the fast
-    // region-indexed path instead of the full address-range check — the
-    // cell where check elision, not block compilation, is the lever.
+    // region-indexed path instead of the full address-range check.
     let walk_src = r"
         mov r0, 0
         mov r1, r10
@@ -118,21 +101,11 @@ fn bench(c: &mut Criterion) {
     c.bench_function("vm_overhead/stack_walk_loop/no_elide", |b| {
         b.iter(|| black_box(walker.run(InsertionPoint::BgpOutboundFilter, &mut host)))
     });
-    walker.set_check_elision(true);
-    walker.set_engine(Engine::Compiled);
-    c.bench_function("vm_overhead/stack_walk_loop/compiled", |b| {
-        b.iter(|| black_box(walker.run(InsertionPoint::BgpOutboundFilter, &mut host)))
-    });
-    walker.set_check_elision(false);
-    c.bench_function("vm_overhead/stack_walk_loop/compiled/no_elide", |b| {
-        b.iter(|| black_box(walker.run(InsertionPoint::BgpOutboundFilter, &mut host)))
-    });
 
     // The same walk over a `ctx_malloc`'d heap buffer — the shape real
     // use cases have (attribute bytes live in heap windows, not on the
     // frame). The heap region sits behind the stack in the checked
-    // path's scan order, so this is where proof-carrying elision pays
-    // on the stepping interpreter.
+    // path's scan order, so this is where proof-carrying elision pays.
     let heap_walk_src = r"
         mov r6, 0
         mov r1, 256
@@ -157,15 +130,6 @@ fn bench(c: &mut Criterion) {
     });
     hwalker.set_check_elision(false);
     c.bench_function("vm_overhead/heap_walk_loop/no_elide", |b| {
-        b.iter(|| black_box(hwalker.run(InsertionPoint::BgpOutboundFilter, &mut host)))
-    });
-    hwalker.set_check_elision(true);
-    hwalker.set_engine(Engine::Compiled);
-    c.bench_function("vm_overhead/heap_walk_loop/compiled", |b| {
-        b.iter(|| black_box(hwalker.run(InsertionPoint::BgpOutboundFilter, &mut host)))
-    });
-    hwalker.set_check_elision(false);
-    c.bench_function("vm_overhead/heap_walk_loop/compiled/no_elide", |b| {
         b.iter(|| black_box(hwalker.run(InsertionPoint::BgpOutboundFilter, &mut host)))
     });
 
@@ -210,15 +174,6 @@ fn bench(c: &mut Criterion) {
     c.bench_function("vm_overhead/heap_rewrite_loop/no_elide", |b| {
         b.iter(|| black_box(rewriter.run(InsertionPoint::BgpOutboundFilter, &mut host)))
     });
-    rewriter.set_check_elision(true);
-    rewriter.set_engine(Engine::Compiled);
-    c.bench_function("vm_overhead/heap_rewrite_loop/compiled", |b| {
-        b.iter(|| black_box(rewriter.run(InsertionPoint::BgpOutboundFilter, &mut host)))
-    });
-    rewriter.set_check_elision(false);
-    c.bench_function("vm_overhead/heap_rewrite_loop/compiled/no_elide", |b| {
-        b.iter(|| black_box(rewriter.run(InsertionPoint::BgpOutboundFilter, &mut host)))
-    });
 
     // Load-time side of the split: verify + pre-decode + sandbox build for
     // the real §3.4 program. Pre-decoding moved per-step opcode parsing
@@ -243,15 +198,6 @@ fn bench(c: &mut Criterion) {
     });
     rov.set_check_elision(false);
     c.bench_function("vm_overhead/rov_check_per_route/no_elide", |b| {
-        b.iter(|| black_box(rov.run(xbgp_core::InsertionPoint::BgpInboundFilter, &mut rov_host)))
-    });
-    rov.set_check_elision(true);
-    rov.set_engine(Engine::Compiled);
-    c.bench_function("vm_overhead/rov_check_per_route/compiled", |b| {
-        b.iter(|| black_box(rov.run(xbgp_core::InsertionPoint::BgpInboundFilter, &mut rov_host)))
-    });
-    rov.set_check_elision(false);
-    c.bench_function("vm_overhead/rov_check_per_route/compiled/no_elide", |b| {
         b.iter(|| black_box(rov.run(xbgp_core::InsertionPoint::BgpInboundFilter, &mut rov_host)))
     });
 }

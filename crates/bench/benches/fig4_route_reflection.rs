@@ -31,7 +31,6 @@ fn bench(c: &mut Criterion) {
                         rib_dump: false,
                         trace_sample: 0,
                         profile: false,
-                        engine: xbgp_core::Engine::Interp,
                     });
                     assert_eq!(out.prefixes_delivered, ROUTES);
                     black_box(out.elapsed_ns)

@@ -39,4 +39,3 @@ pub use host::{HostApi, HostError, HostOp};
 pub use manifest::{ExtensionSpec, Manifest};
 pub use policy::{ExecPolicy, OnFault};
 pub use vmm::{Vmm, VmmError, VmmOutcome};
-pub use xbgp_vm::Engine;

@@ -41,9 +41,8 @@ use std::time::Instant;
 use xbgp_obs::trace::{TraceConfig, TraceDump, TraceKind, Tracer, NO_EXT};
 use xbgp_obs::{Histogram, NoopRecorder, Recorder, Snapshot};
 use xbgp_vm::{
-    interp::HelperOutcome, verify_and_load_with, CompiledProgram, Engine, ExecOutcome,
-    HelperDispatcher, LoadedProgram, MemoryMap, Region, RegionKind, VerifyError, VmConfig, VmError,
-    HEAP_BASE, SHARED_BASE,
+    interp::HelperOutcome, verify_and_load_with, ExecOutcome, HelperDispatcher, LoadedProgram,
+    MemoryMap, Region, RegionKind, VerifyError, VmConfig, VmError, HEAP_BASE, SHARED_BASE,
 };
 use xbgp_wire::Ipv4Prefix;
 
@@ -124,10 +123,6 @@ struct Extension {
     /// ([`verify_and_load_with`]); invocations execute it directly with no
     /// per-run decoding or jump-target resolution.
     prog: LoadedProgram,
-    /// Basic-block lowering of `prog`, built on the first switch to
-    /// [`Engine::Compiled`] and kept thereafter (engine switches are an
-    /// operational knob, not a per-run path). `None` until then.
-    compiled: Option<CompiledProgram>,
     /// Manifest-declared fuel budget; `None` uses the VMM's global
     /// default (see [`Vmm::set_fuel`]).
     fuel_override: Option<u64>,
@@ -340,10 +335,6 @@ pub struct Vmm {
     shared: Vec<SharedSpace>,
     xtra: HashMap<String, Vec<u8>>,
     vm_config: VmConfig,
-    /// Which execution engine runs extension bytecode. The engines are
-    /// bit-for-bit equivalent (same Loc-RIBs, same faults at the same slot
-    /// pcs), so this only moves the dispatch-cost needle.
-    engine: Engine,
     /// Most recent runtime fault, for host diagnostics. Cleared when a
     /// subsequent chain run completes without faulting.
     last_error: Option<(String, VmError)>,
@@ -385,7 +376,6 @@ impl Vmm {
             shared: Vec::new(),
             xtra: manifest.xtra.iter().map(|(k, v)| (k.clone(), v.0.clone())).collect(),
             vm_config: VmConfig::default(),
-            engine: Engine::default(),
             last_error: None,
             quarantines: 0,
             commit_faults: 0,
@@ -459,7 +449,6 @@ impl Vmm {
                     name: spec.name.clone(),
                     shared_idx,
                     prog: loaded,
-                    compiled: None,
                     fuel_override: spec.fuel,
                     mem_cap: HEAP_SIZE,
                     on_fault: spec.on_fault,
@@ -495,44 +484,16 @@ impl Vmm {
         self.vm_config = VmConfig { fuel };
     }
 
-    /// Select the execution engine for every attached extension. Switching
-    /// to [`Engine::Compiled`] lowers each pre-decoded program into basic
-    /// blocks once (the artifact is cached alongside the decoded form);
-    /// switching back keeps the compiled form for a later re-switch.
-    ///
-    /// The engines are contractually bit-for-bit equivalent — identical
-    /// outcomes, memory, metrics and typed faults at identical slot pcs —
-    /// so this is safe to flip on a live VMM between chain runs.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine;
-        if engine == Engine::Compiled {
-            for (_, e) in &mut self.exts {
-                if e.compiled.is_none() {
-                    e.compiled = Some(CompiledProgram::compile(&e.prog));
-                }
-            }
-        }
-    }
-
-    /// The currently selected execution engine.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Toggle proof-carrying runtime-check elision for every attached
     /// extension (on by default). Off forces every memory access through
     /// the fully checked path and re-arms the per-instruction fuel
     /// ledger. The two modes are contractually bit-for-bit identical —
     /// same outcomes, memory, metrics and faults at the same slot pcs
-    /// (the conformance and ablation suites assert it) — so this is an
-    /// experiment/diagnostics knob, not a safety valve.
+    /// (the `absint_soundness` and ablation suites assert it) — so this
+    /// is an experiment/diagnostics knob, not a safety valve.
     pub fn set_check_elision(&mut self, on: bool) {
         for (_, e) in &mut self.exts {
             e.prog.set_elide(on);
-            // The compiled form snapshots the flag at lowering time.
-            if e.compiled.is_some() {
-                e.compiled = Some(CompiledProgram::compile(&e.prog));
-            }
         }
     }
 
@@ -564,7 +525,6 @@ impl Vmm {
     /// execution context.
     pub fn run(&mut self, point: InsertionPoint, host: &mut dyn HostApi) -> VmmOutcome {
         let pi = point_index(point);
-        let engine = self.engine;
         // One predictable branch decides whether any accounting happens;
         // an untracked VMM pays nothing else on the hot path.
         let track = self.metrics_enabled || self.recorder_active;
@@ -625,17 +585,10 @@ impl Vmm {
                     pi,
                     ext_tid: ext.trace_ext,
                 };
-                // Split borrow: the program forms and the memory map are
-                // disjoint fields of the extension. The compiled form is
-                // used only when the engine selected it (set_engine builds
-                // it eagerly, so `None` under Compiled cannot happen; the
-                // interpreter fallback keeps the dispatch total).
-                let (outcome, metrics) = match &ext.compiled {
-                    Some(cp) if engine == Engine::Compiled => {
-                        cp.run_metered(cfg, &mut ext.mem, &mut dispatcher, &[])
-                    }
-                    _ => ext.prog.run_metered(cfg, &mut ext.mem, &mut dispatcher, &[]),
-                };
+                // Split borrow: the program and the memory map are
+                // disjoint fields of the extension.
+                let (outcome, metrics) =
+                    ext.prog.run_metered(cfg, &mut ext.mem, &mut dispatcher, &[]);
                 (outcome, dispatcher.heap_used, metrics)
             };
 
@@ -1369,6 +1322,7 @@ mod tests {
     use crate::api::{NextHopInfo, PeerType, EBGP_SESSION, FILTER_REJECT};
     use crate::host::MockHost;
     use crate::manifest::ExtensionSpec;
+    use std::sync::{PoisonError, RwLock};
     use xbgp_asm::assemble_with_symbols;
 
     fn spec(name: &str, point: InsertionPoint, helpers: &[&str], src: &str) -> ExtensionSpec {
@@ -1376,12 +1330,24 @@ mod tests {
         ExtensionSpec::from_program(name, "test_group", point, helpers, &prog)
     }
 
+    /// [`VERIFY_LOADS`] is process-wide and `cargo test` runs this
+    /// module's tests on parallel threads: every test loads its VMMs under
+    /// the shared side of this lock (via [`from_manifest`]) and the
+    /// counter test holds the exclusive side, so the deltas it asserts on
+    /// contain only its own loads.
+    static LOAD_LOCK: RwLock<()> = RwLock::new(());
+
+    fn from_manifest(m: &Manifest) -> Result<Vmm, VmmError> {
+        let _shared = LOAD_LOCK.read().unwrap_or_else(PoisonError::into_inner);
+        Vmm::from_manifest(m)
+    }
+
     fn load(specs: Vec<ExtensionSpec>) -> Vmm {
         let mut m = Manifest::new();
         for s in specs {
             m.push(s);
         }
-        Vmm::from_manifest(&m).expect("loads")
+        from_manifest(&m).expect("loads")
     }
 
     #[test]
@@ -1391,6 +1357,7 @@ mod tests {
         let mut m = Manifest::new();
         m.push(spec("a", InsertionPoint::BgpInboundFilter, &[], "mov r0, 1\nexit"));
         m.push(spec("b", InsertionPoint::BgpDecision, &[], "mov r0, 1\nexit"));
+        let _exclusive = LOAD_LOCK.write().unwrap_or_else(PoisonError::into_inner);
         let before = verify_load_count();
         let mut vmms: Vec<Vmm> = (0..4).map(|_| Vmm::from_manifest(&m).expect("loads")).collect();
         assert_eq!(verify_load_count() - before, 4 * 2);
@@ -1633,7 +1600,7 @@ mod tests {
             &["next"],
             &prog,
         ));
-        match Vmm::from_manifest(&m) {
+        match from_manifest(&m) {
             Err(VmmError::Rejected { extension, error }) => {
                 assert_eq!(extension, "sneaky");
                 assert!(matches!(error, VerifyError::UnknownHelper { .. }));
@@ -1654,7 +1621,7 @@ mod tests {
             &["frobnicate"],
             &prog,
         ));
-        assert!(matches!(Vmm::from_manifest(&m), Err(VmmError::UnknownHelperName { .. })));
+        assert!(matches!(from_manifest(&m), Err(VmmError::UnknownHelperName { .. })));
     }
 
     #[test]
@@ -2089,7 +2056,7 @@ mod tests {
             &prog,
         ));
         m.set_xtra("k", vec![9]);
-        let mut vmm = Vmm::from_manifest(&m).unwrap();
+        let mut vmm = from_manifest(&m).unwrap();
 
         // Manifest data is visible...
         let mut host = MockHost::default();
@@ -2454,7 +2421,7 @@ mod tests {
     /// A faulting counted-loop program with elidable stack traffic and a
     /// staged attribute write: toggling check elision must leave every
     /// observable — outcomes, staged host mutations, per-extension
-    /// metrics — byte-identical on both engines (DESIGN.md §4i).
+    /// metrics — byte-identical (DESIGN.md §4i).
     #[test]
     fn check_elision_ablation_is_invisible_through_the_vmm() {
         const LOOP_STAGE_TRAP: &str = "\
@@ -2485,28 +2452,24 @@ done:   mov r0, r6
                 LOOP_STAGE_TRAP,
             )])
         };
-        for engine in [Engine::Interp, Engine::Compiled] {
-            let mut on = make();
-            let mut off = make();
-            on.set_engine(engine);
-            off.set_engine(engine);
-            off.set_check_elision(false);
-            on.enable_metrics();
-            off.enable_metrics();
-            let mut host_on = MockHost::default();
-            let mut host_off = MockHost::default();
-            for _ in 0..5 {
-                let a = on.run(InsertionPoint::BgpInboundFilter, &mut host_on);
-                let b = off.run(InsertionPoint::BgpInboundFilter, &mut host_off);
-                assert_eq!(a, b, "outcome diverged under {engine:?}");
-            }
-            // The sum 8+7+..+1 = 36 trips the trap, so the staged write is
-            // rolled back every run: the host must have seen nothing.
-            assert_eq!(host_on.attrs, host_off.attrs);
-            assert!(host_on.attrs.is_empty(), "rollback erased the staged attr");
-            assert_eq!(on.stats(), off.stats(), "metrics diverged under {engine:?}");
-            assert!(on.stats()[0].insns_retired > 0, "metrics were actually recorded");
+        let mut on = make();
+        let mut off = make();
+        off.set_check_elision(false);
+        on.enable_metrics();
+        off.enable_metrics();
+        let mut host_on = MockHost::default();
+        let mut host_off = MockHost::default();
+        for _ in 0..5 {
+            let a = on.run(InsertionPoint::BgpInboundFilter, &mut host_on);
+            let b = off.run(InsertionPoint::BgpInboundFilter, &mut host_off);
+            assert_eq!(a, b, "outcome diverged");
         }
+        // The sum 8+7+..+1 = 36 trips the trap, so the staged write is
+        // rolled back every run: the host must have seen nothing.
+        assert_eq!(host_on.attrs, host_off.attrs);
+        assert!(host_on.attrs.is_empty(), "rollback erased the staged attr");
+        assert_eq!(on.stats(), off.stats(), "metrics diverged");
+        assert!(on.stats()[0].insns_retired > 0, "metrics were actually recorded");
     }
 
     #[test]

@@ -123,8 +123,6 @@ pub struct DaemonSpec {
     pub trace: Option<TraceConfig>,
     /// Enable the VM execution profiler.
     pub profile: bool,
-    /// Bytecode execution engine.
-    pub engine: xbgp_core::Engine,
     /// Run the full-recompute decision baseline instead of incremental
     /// delta recomputation.
     pub full_recompute: bool,
@@ -150,7 +148,6 @@ impl DaemonSpec {
             metrics: false,
             trace: None,
             profile: false,
-            engine: xbgp_core::Engine::default(),
             full_recompute: false,
         }
     }

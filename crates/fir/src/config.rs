@@ -3,7 +3,7 @@
 use igp::SharedIgp;
 use netsim::LinkId;
 use rpki::Roa;
-use xbgp_core::{Engine, Manifest};
+use xbgp_core::Manifest;
 use xbgp_obs::trace::TraceConfig;
 use xbgp_wire::Ipv4Prefix;
 
@@ -63,10 +63,6 @@ pub struct FirConfig {
     pub trace: Option<TraceConfig>,
     /// Enable the VM execution profiler (`xbgp_prof_*` metric series).
     pub profile: bool,
-    /// Execution engine for extension bytecode: the stepping interpreter
-    /// (default) or the block-compiled engine. Bit-for-bit identical
-    /// routing outcomes either way; only throughput differs.
-    pub engine: Engine,
     /// Disable delta recomputation: mark *every* net dirty at the end of
     /// each UPDATE batch, re-deciding the full table. Byte-identical
     /// outcomes to the incremental default — this exists as the ablation
@@ -94,7 +90,6 @@ impl FirConfig {
             metrics: false,
             trace: None,
             profile: false,
-            engine: Engine::default(),
             full_recompute: false,
         }
     }
@@ -114,12 +109,6 @@ impl FirConfig {
     /// Turn on the VM execution profiler (see the `profile` field).
     pub fn with_profile(mut self) -> Self {
         self.profile = true;
-        self
-    }
-
-    /// Select the bytecode execution engine (see the `engine` field).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -143,18 +132,6 @@ impl FirConfig {
         xbgp_obs::debug!("fir {}: rr-client {peer_addr} (AS{peer_asn})", self.router_id);
         self.peers.push(PeerCfg { link, peer_addr, peer_asn, rr_client: true });
         self
-    }
-
-    /// Add a neighbor.
-    #[deprecated(since = "0.1.0", note = "renamed to `neighbor()` (unified builder vocabulary)")]
-    pub fn peer(self, link: LinkId, peer_addr: u32, peer_asn: u32) -> Self {
-        self.neighbor(link, peer_addr, peer_asn)
-    }
-
-    /// Add a route-reflection client neighbor (iBGP).
-    #[deprecated(since = "0.1.0", note = "renamed to `rr_client()` (unified builder vocabulary)")]
-    pub fn rr_client_peer(self, link: LinkId, peer_addr: u32, peer_asn: u32) -> Self {
-        self.rr_client(link, peer_addr, peer_asn)
     }
 
     /// Build a FIR configuration from the unified driver-seam spec (see
@@ -182,7 +159,6 @@ impl FirConfig {
         cfg.metrics = spec.metrics;
         cfg.trace = spec.trace;
         cfg.profile = spec.profile;
-        cfg.engine = spec.engine;
         cfg.full_recompute = spec.full_recompute;
         cfg
     }

@@ -118,7 +118,6 @@ impl FirDaemon {
         if cfg.profile {
             vmm.enable_profile();
         }
-        vmm.set_engine(cfg.engine);
         let rov_trie = cfg.native_rov.as_ref().map(|roas| {
             let mut t = RoaTrie::new();
             for r in roas {

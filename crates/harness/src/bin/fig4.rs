@@ -4,7 +4,7 @@
 //! Usage: fig4 [--routes N] [--runs N] [--seed N] [--shards N]
 //!             [--use-case rr|ov|all] [--dut fir|wren|all]
 //!             [--metrics-out FILE] [--trace-out FILE] [--trace-sample N]
-//!             [--profile] [--engine interp|compiled]
+//!             [--profile]
 //!             [--churn-rounds N] [--churn-withdraw N‰] [--churn-reannounce N‰]
 //!             [--churn-flap N‰] [--churn-flap-period N]
 //!
@@ -14,9 +14,7 @@
 //! writes the merged per-cell trace timelines as JSONL; `--trace-sample N`
 //! traces 1 route in N (default 1 when `--trace-out` is given).
 //! `--profile` enables the per-extension VM profiler (`xbgp_prof_*`
-//! series in the metrics snapshot). `--engine` picks the bytecode
-//! execution engine for the extension runs (default: the interpreter);
-//! routing outcomes are engine-invariant, only the timing figures move.
+//! series in the metrics snapshot).
 //! `--churn-rounds N` switches every cell to steady-state churn mode
 //! (impact on churn-phase DUT CPU instead of one-shot transfer time; see
 //! `xbgp_harness::churn`); the other `--churn-*` flags tune the storm.
@@ -97,12 +95,6 @@ fn main() {
                 cfg.profile = true;
                 i += 1;
                 continue;
-            }
-            "--engine" => {
-                cfg.engine = need(i).parse().unwrap_or_else(|e| {
-                    xbgp_obs::error!("{e}");
-                    std::process::exit(2);
-                });
             }
             "--churn-rounds" => {
                 let n = parse_num(i) as usize;

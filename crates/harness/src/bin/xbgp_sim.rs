@@ -3,7 +3,6 @@
 //! Usage: xbgp-sim <scenario.json> [--shards N] [--metrics-out FILE]
 //!                 [--log-level LEVEL] [--fault-rate R]
 //!                 [--trace-out FILE] [--trace-sample N] [--profile]
-//!                 [--engine interp|compiled]
 //!                 [--churn-feed ROUTER] [--churn-routes N] [--churn-rounds N]
 //!                 [--churn-seed N] [--churn-withdraw N‰] [--churn-reannounce N‰]
 //!                 [--churn-flap N‰] [--churn-flap-period N] [--churn-roa-sweep N‰]
@@ -26,9 +25,7 @@
 //! per line) otherwise. `--trace-sample N` traces 1 route in N (default 1
 //! — every route — when `--trace-out` is given). `--profile` turns on the
 //! per-extension VM profiler; its `xbgp_prof_*` series land in the
-//! `--metrics-out` snapshot. `--engine` picks the bytecode execution
-//! engine for every router (default: the interpreter); routing outcomes
-//! are engine-invariant.
+//! `--metrics-out` snapshot.
 //!
 //! The `--churn-*` family overrides (or, with `--churn-feed`, creates)
 //! the scenario's `churn` section: a synthetic upstream blasts a
@@ -49,7 +46,6 @@ fn main() -> ExitCode {
     let mut trace_out: Option<String> = None;
     let mut trace_sample = 0u64;
     let mut profile = false;
-    let mut engine = xbgp_core::Engine::default();
     let mut shards = 1usize;
     let mut fault_rate: Option<f64> = None;
     let mut churn_feed: Option<String> = None;
@@ -141,21 +137,6 @@ fn main() -> ExitCode {
                 profile = true;
                 i += 1;
             }
-            "--engine" => {
-                let parsed = args.get(i + 1).map(|s| s.parse::<xbgp_core::Engine>());
-                match parsed {
-                    Some(Ok(e)) => engine = e,
-                    Some(Err(e)) => {
-                        xbgp_obs::error!("{e}");
-                        return ExitCode::from(2);
-                    }
-                    None => {
-                        xbgp_obs::error!("missing value after --engine");
-                        return ExitCode::from(2);
-                    }
-                }
-                i += 2;
-            }
             "--fault-rate" => {
                 let Some(r) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) else {
                     xbgp_obs::error!("--fault-rate needs a number in [0, 1]");
@@ -192,11 +173,10 @@ fn main() -> ExitCode {
         xbgp_obs::error!(
             "usage: xbgp-sim <scenario.json> [--shards N] [--metrics-out FILE] \
              [--fault-rate R] [--trace-out FILE] [--trace-sample N] [--profile] \
-             [--engine interp|compiled] [--churn-feed ROUTER] [--churn-routes N] \
-             [--churn-rounds N] [--churn-seed N] [--churn-withdraw N] \
-             [--churn-reannounce N] [--churn-flap N] [--churn-flap-period N] \
-             [--churn-roa-sweep N] [--churn-hunt-depth N] [--churn-interval-ms N] \
-             [--check-oracle]"
+             [--churn-feed ROUTER] [--churn-routes N] [--churn-rounds N] \
+             [--churn-seed N] [--churn-withdraw N] [--churn-reannounce N] \
+             [--churn-flap N] [--churn-flap-period N] [--churn-roa-sweep N] \
+             [--churn-hunt-depth N] [--churn-interval-ms N] [--check-oracle]"
         );
         return ExitCode::from(2);
     };
@@ -255,7 +235,7 @@ fn main() -> ExitCode {
             c.check_oracle = true;
         }
     }
-    let opts = RunOptions { trace_sample, profile, shard_base: 0, engine };
+    let opts = RunOptions { trace_sample, profile, shard_base: 0 };
     match xbgp_harness::scenario::run_sharded_with_options(&scenario, shards, &opts) {
         Ok(report) => {
             println!("scenario: {}", report.name);

@@ -30,7 +30,7 @@ use netsim::{Sim, SimConfig};
 use routegen::churn::{churn_rounds, total_updates, ChurnRound, ChurnSpec};
 use routegen::{to_updates, Route, TableSpec};
 use rpki::Roa;
-use xbgp_core::{Engine, Manifest};
+use xbgp_core::Manifest;
 use xbgp_obs::{MetricValue, Snapshot};
 use xbgp_progs::{origin_validation, route_reflect};
 use xbgp_wire::{Ipv4Prefix, Message};
@@ -48,8 +48,6 @@ pub struct ChurnRunSpec {
     pub seed: u64,
     /// Prefix-hash shards (see [`crate::shard`]). `0`/`1` = sequential.
     pub shards: usize,
-    /// Bytecode execution engine on the DUT.
-    pub engine: Engine,
     /// Run the full-recompute decision baseline instead of incremental
     /// delta recomputation (the ablation the speedup ratio is against).
     pub full_recompute: bool,
@@ -72,7 +70,6 @@ impl ChurnRunSpec {
             routes,
             seed,
             shards: 1,
-            engine: Engine::default(),
             full_recompute: false,
             check_oracle: true,
             churn: ChurnSpec::new(seed, 12),
@@ -274,7 +271,6 @@ fn run_one(
     dspec.native_rov = native_roas;
     dspec.xbgp_roas = ext_roas;
     dspec.xbgp = manifest;
-    dspec.engine = spec.engine;
     dspec.full_recompute = spec.full_recompute;
     sim.replace_node(d, Box::new(build(spec.dut, dspec)));
 

@@ -32,7 +32,7 @@ pub struct Feeder {
     /// the convergence-time baseline for that round.
     pub last_round_sent: Option<u64>,
     pub rounds_sent: usize,
-    /// `false` until the harness calls [`Feeder::arm_rounds`] (manual
+    /// `false` until the harness calls [`Feeder::load_rounds`] (manual
     /// mode) or the blast goes out (auto mode).
     armed: bool,
     auto_start: bool,
@@ -92,27 +92,6 @@ impl Feeder {
         self.round_interval_ns = interval_ns;
         self.next_round = 0;
         self.rounds_sent = 0;
-        self.armed = true;
-    }
-
-    /// Load churn `rounds` that wait for an explicit [`Feeder::arm_rounds`]
-    /// call instead of auto-starting after the blast.
-    #[deprecated(
-        since = "0.1.0",
-        note = "call `load_rounds()` at storm time instead of the two-step \
-                with_churn_manual + arm_rounds dance"
-    )]
-    pub fn with_churn_manual(mut self, rounds: Vec<Vec<Vec<u8>>>, interval_ns: u64) -> Feeder {
-        self.rounds = rounds;
-        self.round_interval_ns = interval_ns;
-        self.auto_start = false;
-        self
-    }
-
-    /// Arm manually-loaded churn rounds: the first round goes out on the
-    /// next keepalive tick (≤30 s of virtual time later).
-    #[deprecated(since = "0.1.0", note = "load_rounds() arms in the same call")]
-    pub fn arm_rounds(&mut self) {
         self.armed = true;
     }
 

@@ -8,7 +8,7 @@ use crate::sink::Sink;
 use netsim::{Sim, SimConfig};
 use routegen::{to_updates, Route, TableSpec};
 use rpki::Roa;
-use xbgp_core::{Engine, Manifest};
+use xbgp_core::Manifest;
 use xbgp_obs::trace::{TraceConfig, TraceDump};
 use xbgp_progs::{origin_validation, route_reflect};
 use xbgp_wire::{Ipv4Prefix, Message};
@@ -69,10 +69,6 @@ pub struct Fig3Spec {
     /// Enable the DUT's VM execution profiler (`xbgp_prof_*` series in
     /// the metrics snapshot).
     pub profile: bool,
-    /// Bytecode execution engine on the DUT (interpreter or the
-    /// block-compiled engine). Loc-RIBs are bit-for-bit identical across
-    /// engines; only the elapsed/CPU figures move.
-    pub engine: Engine,
 }
 
 /// Measured outcome of one run.
@@ -196,7 +192,6 @@ pub(crate) fn run_frames(
     dspec.metrics = spec.metrics;
     dspec.trace = trace_cfg;
     dspec.profile = spec.profile;
-    dspec.engine = spec.engine;
     sim.replace_node(d, Box::new(build(spec.dut, dspec)));
 
     // Run in bounded virtual-time chunks until the sink has the whole
@@ -268,7 +263,6 @@ mod tests {
                         rib_dump: false,
                         trace_sample: 0,
                         profile: false,
-                        engine: Engine::Interp,
                     });
                     assert_eq!(
                         out.prefixes_delivered,

@@ -8,7 +8,6 @@
 
 use crate::fig3::{self, Dut, Fig3Spec, UseCase};
 use crate::stats::{relative_impact_pct, summarize, Summary};
-use xbgp_core::Engine;
 use xbgp_obs::trace::TraceDump;
 use xbgp_obs::Snapshot;
 
@@ -33,9 +32,6 @@ pub struct Fig4Config {
     pub trace_sample: u64,
     /// Enable the DUT's VM execution profiler in both variants.
     pub profile: bool,
-    /// Bytecode execution engine for the extension runs (the native side
-    /// of each pair runs no bytecode, so it is unaffected).
-    pub engine: Engine,
     /// Churn mode: when set, each pair measures steady-state churn (see
     /// [`crate::churn`]) instead of one-shot table transfer. The impact
     /// becomes relative churn-phase DUT CPU (native vs extension), the
@@ -55,7 +51,6 @@ impl Default for Fig4Config {
             shards: 1,
             trace_sample: 0,
             profile: false,
-            engine: Engine::default(),
             churn: None,
         }
     }
@@ -107,7 +102,6 @@ pub fn fig4_cell(dut: Dut, use_case: UseCase, cfg: &Fig4Config) -> Fig4Cell {
                 routes: cfg.routes,
                 seed,
                 shards: cfg.shards,
-                engine: cfg.engine,
                 full_recompute: false,
                 check_oracle: true,
                 churn: routegen::churn::ChurnSpec { seed, ..churn },
@@ -137,7 +131,6 @@ pub fn fig4_cell(dut: Dut, use_case: UseCase, cfg: &Fig4Config) -> Fig4Cell {
             rib_dump: false,
             trace_sample: cfg.trace_sample,
             profile: cfg.profile,
-            engine: cfg.engine,
         });
         let ext = fig3::run(&Fig3Spec {
             dut,
@@ -150,7 +143,6 @@ pub fn fig4_cell(dut: Dut, use_case: UseCase, cfg: &Fig4Config) -> Fig4Cell {
             rib_dump: false,
             trace_sample: cfg.trace_sample,
             profile: cfg.profile,
-            engine: cfg.engine,
         });
         assert_eq!(
             native.prefixes_delivered, ext.prefixes_delivered,

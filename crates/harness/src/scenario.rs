@@ -585,9 +585,6 @@ pub struct RunOptions {
     /// `(shard_base << 8) | i`, so per-router timelines from sharded
     /// replicas stay attributable after the merge.
     pub shard_base: u32,
-    /// Bytecode execution engine for every router in the scenario
-    /// (`--engine` on `xbgp-sim`). Routing outcomes are engine-invariant.
-    pub engine: xbgp_core::Engine,
 }
 
 /// Outcome of a scenario run.
@@ -831,7 +828,6 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
         dspec.xtra = xtra;
         dspec.trace = trace_cfg(idx);
         dspec.profile = opts.profile;
-        dspec.engine = opts.engine;
         sim.replace_node(node, Box::new(build(dut, dspec)));
     }
 

@@ -262,7 +262,6 @@ mod tests {
             rib_dump: true,
             trace_sample: 0,
             profile: false,
-            engine: xbgp_core::Engine::Interp,
         };
         let threaded = run_fig3_sharded(&spec, ExecMode::Threads);
         let inline = run_fig3_sharded(&spec, ExecMode::Inline);
@@ -317,7 +316,6 @@ mod tests {
             rib_dump: false,
             trace_sample: 1,
             profile: false,
-            engine: xbgp_core::Engine::Interp,
         };
         let run = run_fig3_sharded(&spec, ExecMode::Inline);
         let dump = run.merged.trace.as_ref().expect("tracing on");

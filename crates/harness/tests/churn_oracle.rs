@@ -1,22 +1,20 @@
 //! The churn engine's correctness contract, end to end: after a full
 //! storm (withdraw waves, flaps, ROA sweeps, path hunting, restore
 //! round) the incremental Loc-RIB must be byte-identical to a
-//! from-scratch decision pass — on both daemons, both bytecode engines,
-//! sequential and sharded, native and extension, and with the
-//! fault-injection probe trapping mid-chain.
+//! from-scratch decision pass — on both daemons, sequential and sharded,
+//! native and extension, and with the fault-injection probe trapping
+//! mid-chain.
 
-use xbgp_core::Engine;
 use xbgp_harness::churn::{run, ChurnRunSpec};
 use xbgp_harness::fig3::{Dut, UseCase};
-use xbgp_harness::scenario::{parse, run_sharded_with_options, RunOptions};
+use xbgp_harness::scenario::{parse, run_sharded};
 
 const ROUTES: usize = 300;
 const SEED: u64 = 11;
 
-fn spec(dut: Dut, extension: bool, engine: Engine, shards: usize) -> ChurnRunSpec {
+fn spec(dut: Dut, extension: bool, shards: usize) -> ChurnRunSpec {
     let mut s = ChurnRunSpec::new(dut, UseCase::OriginValidation, ROUTES, SEED);
     s.extension = extension;
-    s.engine = engine;
     s.shards = shards;
     s.churn.rounds = 6;
     s
@@ -24,23 +22,20 @@ fn spec(dut: Dut, extension: bool, engine: Engine, shards: usize) -> ChurnRunSpe
 
 #[test]
 fn every_cell_matches_the_oracle_and_absorbs_the_same_stream() {
-    // {fir, wren} × {native, ext} × {interp, compiled} × {1, 4 shards}.
+    // {fir, wren} × {native, ext} × {1, 4 shards}.
     for dut in [Dut::Fir, Dut::Wren] {
         for extension in [false, true] {
             let mut absorbed = None;
-            for engine in [Engine::Interp, Engine::Compiled] {
-                for shards in [1, 4] {
-                    let ctx =
-                        format!("{} / ext={extension} / {engine:?} / shards={shards}", dut.name());
-                    let out = run(&spec(dut, extension, engine, shards));
-                    assert_eq!(out.oracle_mismatches, 0, "{ctx}: oracle diverged");
-                    assert!(out.best_changes > 0, "{ctx}: the storm moved no best path");
-                    // Engines and shard counts see the same logical
-                    // stream, so the absorbed-update count is invariant.
-                    match absorbed {
-                        None => absorbed = Some(out.updates_applied),
-                        Some(n) => assert_eq!(out.updates_applied, n, "{ctx}: stream differs"),
-                    }
+            for shards in [1, 4] {
+                let ctx = format!("{} / ext={extension} / shards={shards}", dut.name());
+                let out = run(&spec(dut, extension, shards));
+                assert_eq!(out.oracle_mismatches, 0, "{ctx}: oracle diverged");
+                assert!(out.best_changes > 0, "{ctx}: the storm moved no best path");
+                // Shard counts see the same logical stream, so the
+                // absorbed-update count is invariant.
+                match absorbed {
+                    None => absorbed = Some(out.updates_applied),
+                    Some(n) => assert_eq!(out.updates_applied, n, "{ctx}: stream differs"),
                 }
             }
         }
@@ -48,7 +43,7 @@ fn every_cell_matches_the_oracle_and_absorbs_the_same_stream() {
 }
 
 #[test]
-fn fault_injection_churn_stays_oracle_clean_on_both_engines() {
+fn fault_injection_churn_stays_oracle_clean() {
     // The committed fixture keeps `fault_rate` non-zero, so extension
     // chains trap and roll back mid-storm; the oracle checks the
     // scenario layer appends must still all pass.
@@ -62,15 +57,12 @@ fn fault_injection_churn_stays_oracle_clean_on_both_engines() {
     let churn = scenario.churn.as_mut().unwrap();
     churn.routes = 400;
     churn.rounds = 5;
-    for engine in [Engine::Interp, Engine::Compiled] {
-        for shards in [1, 4] {
-            let opts = RunOptions { engine, ..RunOptions::default() };
-            let report = run_sharded_with_options(&scenario, shards, &opts).expect("scenario runs");
-            assert!(report.all_passed(), "{engine:?} / shards={shards}: {:?}", report.checks);
-            let oracle_checks =
-                report.checks.iter().filter(|(d, _)| d.starts_with("churn oracle")).count();
-            assert_eq!(oracle_checks, 2, "one oracle verdict per router");
-            assert!(report.metrics.counter_sum("xbgp_rib_best_changes_total") > 0);
-        }
+    for shards in [1, 4] {
+        let report = run_sharded(&scenario, shards).expect("scenario runs");
+        assert!(report.all_passed(), "shards={shards}: {:?}", report.checks);
+        let oracle_checks =
+            report.checks.iter().filter(|(d, _)| d.starts_with("churn oracle")).count();
+        assert_eq!(oracle_checks, 2, "one oracle verdict per router");
+        assert!(report.metrics.counter_sum("xbgp_rib_best_changes_total") > 0);
     }
 }

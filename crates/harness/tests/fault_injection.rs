@@ -8,7 +8,7 @@ use bgp_fir::{FirConfig, FirDaemon};
 use bgp_wren::{WrenConfig, WrenDaemon};
 use netsim::{Sim, SimConfig};
 use xbgp_core::vmm::QUARANTINE_THRESHOLD;
-use xbgp_core::{Engine, Manifest};
+use xbgp_core::Manifest;
 use xbgp_progs::fault_inject;
 use xbgp_wire::Ipv4Prefix;
 
@@ -20,17 +20,6 @@ struct Placeholder;
 impl netsim::Node for Placeholder {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
-    }
-}
-
-/// Engine under test: CI runs this suite once per `XBGP_TEST_ENGINE`
-/// value (`interp`, `compiled`); unset means the default interpreter.
-/// The transactional contract (rollback, quarantine, byte-identical
-/// Loc-RIBs) must hold on both.
-fn engine() -> Engine {
-    match std::env::var("XBGP_TEST_ENGINE") {
-        Ok(s) => s.parse().expect("XBGP_TEST_ENGINE must be interp|compiled"),
-        Err(_) => Engine::default(),
     }
 }
 
@@ -65,14 +54,12 @@ fn run_dut(kind: DutKind, manifest: Option<Manifest>, metrics: bool) -> DutOutco
             let mut cfg = FirConfig::new(65002, 2).neighbor(link, 1, 65001);
             cfg.xbgp = manifest;
             cfg.metrics = metrics;
-            cfg.engine = engine();
             sim.replace_node(dut, Box::new(FirDaemon::new(cfg)));
         }
         DutKind::Wren => {
             let mut cfg = WrenConfig::new(65002, 2).neighbor(link, 1, 65001);
             cfg.xbgp = manifest;
             cfg.metrics = metrics;
-            cfg.engine = engine();
             sim.replace_node(dut, Box::new(WrenDaemon::new(cfg)));
         }
     }

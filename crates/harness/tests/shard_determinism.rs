@@ -4,7 +4,7 @@
 //! (origin validation exercises the shard-local ROA tables).
 
 use std::sync::Mutex;
-use xbgp_core::{vmm, Engine};
+use xbgp_core::vmm;
 use xbgp_harness::fig3::{run, Dut, Fig3Spec, UseCase};
 
 /// The verify-load counter is process-global; both tests take this lock
@@ -13,15 +13,6 @@ static VMM_COUNTER: Mutex<()> = Mutex::new(());
 
 const ROUTES: usize = 300;
 const SEED: u64 = 42;
-
-/// Engine under test: CI runs this suite once per `XBGP_TEST_ENGINE`
-/// value (`interp`, `compiled`); unset means the default interpreter.
-fn engine() -> Engine {
-    match std::env::var("XBGP_TEST_ENGINE") {
-        Ok(s) => s.parse().expect("XBGP_TEST_ENGINE must be interp|compiled"),
-        Err(_) => Engine::default(),
-    }
-}
 
 fn spec(dut: Dut, use_case: UseCase, extension: bool, shards: usize) -> Fig3Spec {
     Fig3Spec {
@@ -35,7 +26,6 @@ fn spec(dut: Dut, use_case: UseCase, extension: bool, shards: usize) -> Fig3Spec
         rib_dump: true,
         trace_sample: 0,
         profile: false,
-        engine: engine(),
     }
 }
 

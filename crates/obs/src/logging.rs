@@ -171,10 +171,13 @@ mod tests {
         }
     }
 
-    // One test owns the global sink/level state; parallel test runners
-    // would interleave otherwise.
+    /// The sink and level are process-wide and `cargo test` runs tests on
+    /// parallel threads: every test that sets or reads them holds this.
+    static GLOBAL_STATE: Mutex<()> = Mutex::new(());
+
     #[test]
     fn facade_filters_formats_and_routes() {
+        let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
         let records = Arc::new(Mutex::new(Vec::new()));
         set_sink(Box::new(CaptureSink(Arc::clone(&records))));
         set_level(Level::Info);
@@ -206,6 +209,7 @@ mod tests {
 
     #[test]
     fn filtered_records_never_evaluate_their_arguments() {
+        let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
         // `expensive` panics if called; the macro must short-circuit
         // before `format_args!` captures (and formats) the operand.
         fn expensive() -> String {

@@ -1,16 +1,16 @@
 //! Abstract interpretation over the pre-decoded [`DInsn`] stream.
 //!
 //! Runs after structural verification (see [`crate::verify`]) and derives
-//! load-time proofs that let the execution engines drop dynamic checks:
+//! load-time proofs that let the interpreter drop dynamic checks:
 //!
 //! * **Memory safety** — every `LDX`/`STX` whose address is provably inside
-//!   its region gets an [`elide::BOUNDS`] proof bit; the engines then read
-//!   the backing slice directly instead of walking the region table.
+//!   its region gets an [`elide::BOUNDS`] proof bit; the interpreter then
+//!   reads the backing slice directly instead of walking the region table.
 //! * **Loop bounds** — counted self-loops (induction-variable patterns over
 //!   the verifier-proven back-edge set) yield a static worst-case fuel cost
 //!   for the whole program ([`LoadedProgram::worst_fuel`]); when that bound
-//!   fits under the configured budget the engines may start from a saturated
-//!   fuel ledger, knowing exhaustion cannot fire.
+//!   fits under the configured budget the interpreter may start from a
+//!   saturated fuel ledger, knowing exhaustion cannot fire.
 //! * **Hard errors** — reads of never-written registers, structurally
 //!   unreachable code, and helper-contract violations (disallowed helper at
 //!   an insertion point, provably-bad pointer argument) become
@@ -1019,7 +1019,7 @@ fn step_call(st: &mut State, ins: &DInsn, pc: usize, opts: &AnalysisOptions) {
         }
     };
     st[0] = r0;
-    // Both engines zero r1-r5 after a successful helper return.
+    // The interpreter zeroes r1-r5 after a successful helper return.
     for r in st.iter_mut().take(6).skip(1) {
         *r = Av::Scalar(Iv::exact(0));
     }

@@ -34,9 +34,7 @@ pub enum VmError {
     /// The fuel budget was exhausted: the program ran too long. `pc` is
     /// the slot of the instruction where the check fired: the **branching
     /// instruction** of a taken back-edge (never the jump target) or the
-    /// `call` site. Both execution engines report the same slot for the
-    /// same exhaustion point — the compiled engine's conformance suite
-    /// asserts it.
+    /// `call` site.
     FuelExhausted { pc: usize },
     /// `call` referenced a helper id with no registered implementation.
     UnknownHelper { pc: usize, helper: u32 },

@@ -559,12 +559,6 @@ impl Vm {
         Vm { prog: LoadedProgram::load(prog), config }
     }
 
-    /// Wrap an already pre-decoded program (the VMM caches one per
-    /// extension and skips re-decoding entirely).
-    pub fn from_loaded(prog: LoadedProgram, config: VmConfig) -> Vm {
-        Vm { prog, config }
-    }
-
     /// Execute the program. See [`LoadedProgram::run`].
     pub fn run(
         &self,

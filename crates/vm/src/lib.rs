@@ -29,7 +29,6 @@
 //! conversions, exactly as xBGP extension code does in the paper.
 
 pub mod absint;
-pub mod compile;
 pub mod error;
 pub mod insn;
 pub mod interp;
@@ -38,7 +37,6 @@ pub mod prep;
 pub mod verify;
 
 pub use absint::{Analysis, AnalysisOptions, HelperContract, HelperRet, MemKind, Warning};
-pub use compile::{CompiledProgram, Engine};
 pub use error::VmError;
 pub use insn::{Insn, Program};
 pub use interp::{ExecOutcome, HelperDispatcher, NoHelpers, RunMetrics, Vm, VmConfig};

@@ -175,7 +175,7 @@ pub(crate) struct DInsn {
 }
 
 /// Proof-bit layout of [`DInsn::flags`], written by the abstract
-/// interpreter and consumed by both execution engines.
+/// interpreter and consumed by the execution loop in [`crate::interp`].
 pub(crate) mod elide {
     /// The access is proven in-region: the engine may skip the
     /// `MemoryMap` region scan and permission check.
@@ -209,9 +209,9 @@ pub struct LoadedProgram {
     /// the analysis has not run or could not bound every loop.
     pub(crate) worst_fuel: Option<u64>,
     /// Master switch for proof-based check elision. Proof bits stamped on
-    /// instructions are retained either way; turning this off makes both
-    /// engines take every dynamic check, which is how the bench ablation
-    /// and the soundness proptests compare the two modes.
+    /// instructions are retained either way; turning this off makes the
+    /// interpreter take every dynamic check, which is how the bench
+    /// ablation and the soundness proptests compare the two modes.
     pub(crate) elide: bool,
     /// True when the analysis proved at least one access elidable. Programs
     /// with nothing to elide skip the per-run region snapshot entirely.

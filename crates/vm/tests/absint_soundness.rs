@@ -2,10 +2,10 @@
 //! program, running with elision armed (the default) must be bit-for-bit
 //! identical to running with every dynamic check in place — same outcome
 //! or typed fault at the same slot pc, same `RunMetrics` ledger, same
-//! final stack bytes — on **both** engines. The generator is the
-//! conformance suite's (ALU/shift/byteswap bodies, guarded skips, counted
-//! loops, in-bounds stack traffic, wild faulting accesses), so elided
-//! stack loads sit next to accesses the analysis cannot prove.
+//! final stack bytes. The generator draws over the full lowered ISA —
+//! ALU/shift/neg/byteswap bodies, guarded skips in both JMP classes,
+//! counted loops, in-bounds stack traffic, wild faulting accesses — so
+//! elided stack loads sit next to accesses the analysis cannot prove.
 //!
 //! Also here: the must-reject corpus (uninitialized reads, constant
 //! out-of-bounds frame slots) and the loop-bound inference contracts
@@ -18,7 +18,7 @@ use xbgp_vm::insn::{build, op, Insn, Program};
 use xbgp_vm::interp::NoHelpers;
 use xbgp_vm::verify::VerifyError;
 use xbgp_vm::{
-    verify_and_load, CompiledProgram, ExecOutcome, MemoryMap, RunMetrics, VmConfig, VmError,
+    verify_and_load, ExecOutcome, LoadedProgram, MemoryMap, RunMetrics, VmConfig, VmError,
     STACK_BASE, STACK_SIZE,
 };
 
@@ -66,6 +66,23 @@ fn shift_insn() -> impl Strategy<Value = Insn> {
     )
 }
 
+fn neg_insn() -> impl Strategy<Value = Insn> {
+    (any::<bool>(), reg()).prop_map(|(is64, dst)| {
+        let cls = if is64 { op::CLS_ALU64 } else { op::CLS_ALU };
+        Insn::new(cls | op::ALU_NEG, dst, 0, 0, 0)
+    })
+}
+
+/// Byteswaps: `be16/32/64` (SRC bit set) and `le16/32/64`.
+fn end_insn() -> impl Strategy<Value = Insn> {
+    (prop_oneof![Just(16), Just(32), Just(64)], any::<bool>(), reg()).prop_map(
+        |(width, to_be, dst)| {
+            let srcbit = if to_be { op::SRC_X } else { op::SRC_K };
+            Insn::new(op::CLS_ALU | op::ALU_END | srcbit, dst, 0, 0, width)
+        },
+    )
+}
+
 /// In-bounds stack traffic through r10 — the accesses the analysis
 /// proves and elides.
 fn stack_insn() -> impl Strategy<Value = Insn> {
@@ -98,6 +115,8 @@ fn body_insn() -> impl Strategy<Value = Insn> {
         alu_insn(),
         alu_insn(),
         shift_insn(),
+        neg_insn(),
+        end_insn(),
         stack_insn(),
         stack_insn(),
         stack_insn(),
@@ -122,6 +141,8 @@ fn guard() -> impl Strategy<Value = Guard> {
         Just(op::JMP_JGE),
         Just(op::JMP_JSET),
         Just(op::JMP_JNE),
+        Just(op::JMP_JSGT),
+        Just(op::JMP_JSGE),
         Just(op::JMP_JLT),
         Just(op::JMP_JLE),
         Just(op::JMP_JSLT),
@@ -172,10 +193,9 @@ fn assemble(seeds: [u64; GEN_REGS as usize], segs: &[Segment], loop_iters: Optio
 }
 
 type RunResult = (Result<ExecOutcome, VmError>, RunMetrics, Vec<u8>);
-type RunFn<'a> = &'a dyn Fn(&mut MemoryMap) -> (Result<ExecOutcome, VmError>, RunMetrics);
 
-/// Run all four configurations (engine × elision) of the same program and
-/// assert they are byte-identical.
+/// Run the same program with elision off and on and assert the two runs
+/// are byte-identical.
 fn assert_elision_sound(prog: &Program, fuel: u64, args: &[u64]) -> Result<(), TestCaseError> {
     let helpers = HashSet::new();
     let lp_on = match verify_and_load(prog, &helpers) {
@@ -186,23 +206,13 @@ fn assert_elision_sound(prog: &Program, fuel: u64, args: &[u64]) -> Result<(), T
     };
     let mut lp_off = verify_and_load(prog, &helpers).expect("same program verified twice");
     lp_off.set_elide(false);
-    let cp_on = CompiledProgram::compile(&lp_on);
-    let cp_off = CompiledProgram::compile(&lp_off);
-    let cfg = VmConfig { fuel };
-
-    let run = |f: RunFn| -> RunResult {
+    let run = |lp: &LoadedProgram| -> RunResult {
         let mut mem = MemoryMap::new();
-        let (out, metrics) = f(&mut mem);
+        let (out, metrics) = lp.run_metered(VmConfig { fuel }, &mut mem, &mut NoHelpers, args);
         let stack = mem.read_bytes(STACK_BASE, STACK_SIZE).expect("stack mapped");
         (out, metrics, stack)
     };
-    let base = run(&|m| lp_off.run_metered(cfg, m, &mut NoHelpers, args));
-    let elided = run(&|m| lp_on.run_metered(cfg, m, &mut NoHelpers, args));
-    let comp_base = run(&|m| cp_off.run_metered(cfg, m, &mut NoHelpers, args));
-    let comp_elided = run(&|m| cp_on.run_metered(cfg, m, &mut NoHelpers, args));
-    prop_assert_eq!(&base, &elided, "interpreter diverged with elision on");
-    prop_assert_eq!(&base, &comp_base, "engines diverged with elision off");
-    prop_assert_eq!(&base, &comp_elided, "compiled engine diverged with elision on");
+    prop_assert_eq!(run(&lp_off), run(&lp_on), "interpreter diverged with elision on");
     Ok(())
 }
 
@@ -231,7 +241,7 @@ proptest! {
     }
 
     /// Tight budgets: `FuelExhausted` at arbitrary points must be
-    /// identical in all four configurations — the fuel-ledger elision may
+    /// identical with elision on and off — the fuel-ledger elision may
     /// only arm when exhaustion is provably impossible.
     #[test]
     fn fuel_exhaustion_is_identical_with_elision(

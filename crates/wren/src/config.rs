@@ -3,7 +3,7 @@
 use igp::SharedIgp;
 use netsim::LinkId;
 use rpki::Roa;
-use xbgp_core::{Engine, Manifest};
+use xbgp_core::Manifest;
 use xbgp_obs::trace::TraceConfig;
 use xbgp_wire::Ipv4Prefix;
 
@@ -49,10 +49,6 @@ pub struct WrenConfig {
     pub trace: Option<TraceConfig>,
     /// Enable the VM execution profiler (`xbgp_prof_*` metric series).
     pub profile: bool,
-    /// Execution engine for extension bytecode: the stepping interpreter
-    /// (default) or the block-compiled engine. Bit-for-bit identical
-    /// routing outcomes either way; only throughput differs.
-    pub engine: Engine,
     /// Disable delta recomputation: after every UPDATE batch, resort and
     /// re-propagate *every* net instead of only those the batch touched.
     /// Byte-identical outcomes to the incremental default — this exists
@@ -79,7 +75,6 @@ impl WrenConfig {
             metrics: false,
             trace: None,
             profile: false,
-            engine: Engine::default(),
             full_recompute: false,
         }
     }
@@ -102,12 +97,6 @@ impl WrenConfig {
         self
     }
 
-    /// Select the bytecode execution engine (see the `engine` field).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Run the full-recompute decision baseline (see the
     /// `full_recompute` field).
     pub fn with_full_recompute(mut self) -> Self {
@@ -126,18 +115,6 @@ impl WrenConfig {
     pub fn rr_client(mut self, link: LinkId, neighbor: u32, neighbor_as: u32) -> Self {
         self.channels.push(ChannelCfg { link, neighbor, neighbor_as, rr_client: true });
         self
-    }
-
-    /// Add a neighbor channel.
-    #[deprecated(since = "0.1.0", note = "renamed to `neighbor()` (unified builder vocabulary)")]
-    pub fn channel(self, link: LinkId, neighbor: u32, neighbor_as: u32) -> Self {
-        self.neighbor(link, neighbor, neighbor_as)
-    }
-
-    /// Add a route-reflection client channel (iBGP).
-    #[deprecated(since = "0.1.0", note = "renamed to `rr_client()` (unified builder vocabulary)")]
-    pub fn rr_client_channel(self, link: LinkId, neighbor: u32, neighbor_as: u32) -> Self {
-        self.rr_client(link, neighbor, neighbor_as)
     }
 
     /// Build a WREN configuration from the unified driver-seam spec (see
@@ -166,7 +143,6 @@ impl WrenConfig {
         cfg.metrics = spec.metrics;
         cfg.trace = spec.trace;
         cfg.profile = spec.profile;
-        cfg.engine = spec.engine;
         cfg.full_recompute = spec.full_recompute;
         cfg
     }

@@ -121,7 +121,6 @@ impl WrenDaemon {
         if cfg.profile {
             vmm.enable_profile();
         }
-        vmm.set_engine(cfg.engine);
         let mk_hash = |roas: &Vec<rpki::Roa>| {
             let mut t = RoaHashTable::new();
             for r in roas {

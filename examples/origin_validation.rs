@@ -26,7 +26,6 @@ fn main() {
             rib_dump: false,
             trace_sample: 0,
             profile: false,
-            engine: xbgp_core::Engine::Interp,
         });
         let ext = run(&Fig3Spec {
             dut,
@@ -39,7 +38,6 @@ fn main() {
             rib_dump: false,
             trace_sample: 0,
             profile: false,
-            engine: xbgp_core::Engine::Interp,
         });
         assert_eq!(native.prefixes_delivered, 5_000, "validation never discards");
         assert_eq!(ext.prefixes_delivered, 5_000);
