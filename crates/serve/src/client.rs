@@ -1,32 +1,38 @@
 //! Loopback BGP client used by the selftest and the peer-scaling bench.
 //!
-//! Each client owns one TCP connection and its own [`xbgp_wire::Session`]
-//! FSM (the handshake is symmetric, so edge-vs-edge works). After
-//! Established it pushes its assigned UPDATE frames — optionally paced —
-//! and then **stays connected** until told to stop: disconnecting early
-//! would make the daemon tear the slot down and flush the routes this
-//! client announced, destroying Loc-RIB parity.
+//! Each client owns one TCP connection, run on the same nonblocking pump
+//! as the server's sessions ([`crate::io::Conn`]: socket, its own
+//! [`xbgp_wire::Session`] FSM — the handshake is symmetric, so
+//! edge-vs-edge works — and outbound buffer) and sleeps only in `poll`.
+//! After Established it pushes its assigned UPDATE frames as fast as TCP
+//! takes them, round by round — optionally paced — and then **stays
+//! connected** until told to stop: disconnecting early would make the
+//! daemon tear the slot down and flush the routes this client announced,
+//! destroying Loc-RIB parity.
 //!
-//! Two rules keep hundreds of concurrent blasting sessions deadlock-free
-//! without nonblocking writes:
-//!
-//! 1. inbound is drained to empty before every write burst (the server
-//!    fans each best-path change to every established peer; a client that
-//!    stops reading eventually stalls TCP in both directions), and
-//! 2. write bursts are bounded ([`WRITE_BURST`] frames), so neither side
-//!    ever sits in a `write_all` larger than the loopback socket buffers
-//!    while the peer is doing the same.
+//! Neither side can deadlock the other: nobody blocks in `write`, so a
+//! client busy sending still finds its inbound drained the next time
+//! `poll` reports it, and the server buffers what a client has not read.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use xbgp_wire::{Session, SessionConfig, SessionEvent, SessionState};
+use xbgp_wire::{SessionConfig, SessionEvent};
 
-/// Maximum frames per write burst between inbound drains.
-const WRITE_BURST: usize = 32;
+use crate::io::{wait, Conn, ReadStatus, READ_CHUNK};
+
+/// The plan is copied into the connection's buffer this much at a time.
+const LOW_WATER: usize = 64 * 1024;
+
+/// Reads per turn, so a client drowning in exports still sends.
+const READ_BURST: usize = 16;
+
+/// The longest `poll` sleeps: `stop` is a flag the caller flips, not a
+/// descriptor, so it is looked at this often. Not on the data path —
+/// socket readiness and the next round's due time end the sleep sooner.
+const STOP_CHECK: Duration = Duration::from_millis(5);
 
 /// What one client pushes after establishing.
 pub struct ClientPlan {
@@ -59,101 +65,102 @@ pub fn run(
     plan: ClientPlan,
     stop: &AtomicBool,
 ) -> std::io::Result<ClientOutcome> {
-    let mut stream = connect_with_retry(addr, Duration::from_secs(10))?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(Duration::from_millis(1)))?;
-
+    let stream = connect_with_retry(addr, Duration::from_secs(10))?;
     let epoch = Instant::now();
     let now = move || epoch.elapsed().as_nanos() as u64;
-    let mut fsm = Session::new(SessionConfig {
+    let cfg = SessionConfig {
         local_asn: asn,
         router_id,
         hold_time_secs: 90,
         expect_asn: None,
-    });
+    };
+    // No cap: the buffer never holds more than LOW_WATER plus one frame.
+    let mut conn = Conn::start(stream, cfg, usize::MAX, now())?;
     let mut out = ClientOutcome::default();
 
-    for ev in fsm.start(now()) {
-        if let SessionEvent::Send(bytes) = ev {
-            stream.write_all(&bytes)?;
-        }
-    }
-
-    let mut buf = [0u8; 16 * 1024];
+    let mut scratch = vec![0u8; READ_CHUNK];
+    let mut events = Vec::new();
+    // Frames of the current round not yet handed to the connection.
     let mut pending: VecDeque<Vec<u8>> = VecDeque::new();
-    let mut loaded_initial = false;
-    let mut next_round = 0usize;
-    let mut next_round_at = Instant::now();
+    let mut initial = Some(plan.initial);
+    let mut rounds = plan.rounds.into_iter();
+    // When the next round may start, on the `now` clock.
+    let mut next_round_at = 0u64;
 
-    'conn: loop {
-        // Drain inbound to empty before doing anything else.
-        let mut events = Vec::new();
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) => {
-                    out.closed_early = !stop.load(Ordering::Relaxed);
-                    break 'conn;
-                }
-                Ok(n) => events.extend(fsm.on_bytes(now(), &buf[..n])),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        events.extend(fsm.tick(now()));
-
-        let mut closed = false;
-        for ev in events {
-            match ev {
-                SessionEvent::Send(bytes) => stream.write_all(&bytes)?,
-                SessionEvent::Established { .. } => out.established = true,
-                SessionEvent::Update(_) => out.frames_rx += 1,
-                SessionEvent::Closed(_) => closed = true,
-            }
-        }
-        if closed {
-            out.closed_early = !stop.load(Ordering::Relaxed);
+    loop {
+        if stop.load(Ordering::Relaxed) {
+            conn.shutdown();
+            let _ = conn.flush();
             break;
         }
 
-        if out.established && !loaded_initial {
-            pending.extend(plan.initial.iter().cloned());
-            loaded_initial = true;
-            next_round_at = Instant::now();
-        }
-        if loaded_initial
-            && pending.is_empty()
-            && next_round < plan.rounds.len()
-            && Instant::now() >= next_round_at
-        {
-            pending.extend(plan.rounds[next_round].iter().cloned());
-            next_round += 1;
-            if let Some(gap) = plan.round_gap {
-                next_round_at = Instant::now() + gap;
-            }
-        }
-
-        for _ in 0..WRITE_BURST {
-            let Some(frame) = pending.pop_front() else {
-                break;
-            };
-            stream.write_all(&frame)?;
-            out.frames_sent += 1;
-        }
-
-        if stop.load(Ordering::Relaxed) {
-            if !matches!(fsm.state(), SessionState::Closed) {
-                for ev in fsm.shutdown() {
-                    if let SessionEvent::Send(bytes) = ev {
-                        let _ = stream.write_all(&bytes);
+        if out.established && pending.is_empty() {
+            if let Some(frames) = initial.take() {
+                pending.extend(frames);
+                next_round_at = now();
+            } else if now() >= next_round_at {
+                if let Some(round) = rounds.next() {
+                    pending.extend(round);
+                    if let Some(gap) = plan.round_gap {
+                        next_round_at = now() + gap.as_nanos() as u64;
                     }
                 }
             }
+        }
+        while conn.backlog() < LOW_WATER {
+            let Some(frame) = pending.pop_front() else {
+                break;
+            };
+            conn.queue(&frame).expect("uncapped buffer");
+            out.frames_sent += 1;
+        }
+        conn.flush()?;
+
+        // Sleep until the socket is ready, the next round is due, the
+        // FSM's next timer, or the next look at `stop`.
+        let timeout = if !pending.is_empty() && conn.backlog() == 0 {
+            Duration::ZERO
+        } else {
+            let round_due = (pending.is_empty() && initial.is_none() && rounds.len() > 0)
+                .then_some(next_round_at);
+            let due = [round_due, conn.next_deadline()].into_iter().flatten().min();
+            due.map_or(STOP_CHECK, |d| {
+                Duration::from_nanos(d.saturating_sub(now())).min(STOP_CHECK)
+            })
+        };
+        let mut fds = [conn.pollfd(true)];
+        wait(&mut fds, Some(timeout))?;
+
+        if fds[0].writable() {
+            conn.writable()?;
+        }
+        let mut gone = false;
+        if fds[0].readable() {
+            for _ in 0..READ_BURST {
+                match conn.read(now(), &mut scratch, &mut events) {
+                    ReadStatus::Data(_) => {}
+                    ReadStatus::WouldBlock => break,
+                    ReadStatus::Gone => {
+                        gone = true;
+                        break;
+                    }
+                }
+            }
+        }
+        conn.tick(now(), &mut events);
+        for ev in events.drain(..) {
+            match ev {
+                SessionEvent::Established { .. } => out.established = true,
+                SessionEvent::Update(_) => out.frames_rx += 1,
+                SessionEvent::Send(_) | SessionEvent::Closed(_) => {}
+            }
+        }
+        if gone || conn.closed() {
+            let _ = conn.flush();
+            out.closed_early = !stop.load(Ordering::Relaxed);
             break;
         }
     }
-
-    let _ = stream.shutdown(std::net::Shutdown::Both);
     Ok(out)
 }
 

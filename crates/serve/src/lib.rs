@@ -8,14 +8,22 @@
 //! [`xbgp_driver::DaemonSpec`], and speaks wire frames over `LinkId`s
 //! that now mean session slots instead of simulated cables.
 //!
-//! Layer map (one thread per box, wire frames on every edge):
+//! Layer map (`1 + shards` threads, wire frames on every edge):
 //!
-//! * [`server`] — accept loop + per-session threads; each session runs a
-//!   real BGP FSM ([`xbgp_wire::Session`]: OPEN/KEEPALIVE/NOTIFICATION,
-//!   hold-timer enforcement, NOTIFY-and-close on malformed input).
-//! * [`daemon_core`] — one daemon per shard core on a `NodeDriver`,
-//!   owning a disjoint prefix slice; sessions fan validated UPDATE
-//!   frames in over mpsc channels, best-path changes fan back out.
+//! * [`server`] — one I/O thread that sleeps only in `poll(2)`: it owns
+//!   the listener and every nonblocking session socket, each with a real
+//!   BGP FSM ([`xbgp_wire::Session`]: OPEN/KEEPALIVE/NOTIFICATION,
+//!   hold-timer enforcement, NOTIFY-and-close on malformed input), a
+//!   capped outbound buffer and a paced inbound side
+//!   ([`server::INGRESS_RATE`]).
+//! * [`io`] — what that loop and the test client are built from: the
+//!   `poll` shim (the workspace's one `unsafe` block), the waker, the
+//!   outbound buffer, the per-session read budget, and the nonblocking
+//!   connection pump.
+//! * [`daemon_core`] — one daemon per shard core thread on a
+//!   `NodeDriver`, owning a disjoint prefix slice; the I/O thread fans
+//!   validated UPDATE frames in over mpsc channels, best-path changes
+//!   come back as one buffer per session per flush.
 //! * [`split`] — cuts UPDATE frames along prefix-hash shard boundaries
 //!   without re-encoding attribute bytes.
 //! * [`client`] — loopback test peers; [`selftest`] — end-to-end parity
@@ -25,6 +33,7 @@
 pub mod bench;
 pub mod client;
 pub mod daemon_core;
+pub mod io;
 pub mod selftest;
 pub mod server;
 pub mod split;

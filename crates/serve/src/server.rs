@@ -1,45 +1,85 @@
-//! The TCP runtime: accept loop, per-session threads, shard cores.
+//! The TCP runtime: one readiness-driven I/O thread, shard cores.
 //!
-//! Layering (one box per thread):
+//! Layering (one box per thread, `1 + shards` threads whatever the number
+//! of sessions):
 //!
 //! ```text
-//!   accept loop ── spawns ──▶ session thread (per TCP peer)
-//!                               │  xbgp_wire::Session — real BGP FSM,
-//!                               │  hold timer, NOTIFY-and-close
-//!                               │
-//!                               │ CoreMsg over mpsc (wire frames)
-//!                               ▼
-//!                             shard core(s) — daemon on a NodeDriver
-//!                               │
-//!                               │ outbox mpsc (UPDATE frames out)
-//!                               ▼
-//!                             session thread writes to the socket
+//!   I/O thread — sleeps only in poll(2) over
+//!     │            { waker, listener, every session socket }
+//!     │  owns every nonblocking socket with its xbgp_wire::Session
+//!     │  (real BGP FSM, hold timer, NOTIFY-and-close) and its
+//!     │  outbound byte buffer
+//!     │
+//!     │ CoreMsg over mpsc (validated wire frames, stamped per read)
+//!     ▼
+//!   shard core(s) — daemon on a NodeDriver
+//!     │
+//!     │ Outbound over one mpsc (one buffer per session per flush),
+//!     │ then one byte on the waker
+//!     ▼
+//!   I/O thread appends to the session's buffer and writes at once;
+//!   what TCP does not take waits for POLLOUT
 //! ```
 //!
 //! The daemon is never touched from more than one thread; sessions speak
 //! to it exclusively in wire frames. With `shards > 1` each UPDATE is cut
 //! along prefix-hash boundaries by [`crate::split::split_update`] and
 //! each piece goes to the core that owns those prefixes.
+//!
+//! A peer sending less than [`INGRESS_RATE`] never waits for a timer:
+//! the timeout `poll` is given is the nearest
+//! [`xbgp_wire::Session::next_deadline`] (hold expiry or KEEPALIVE
+//! cadence). A peer sending more is read at that rate — the rest waits
+//! in its own kernel, and the timeout is then the moment its
+//! [`ReadBudget`] allows the next read. Nothing blocks in `write`, so a
+//! peer that stops reading costs its own buffer — capped at [`OUT_CAP`]
+//! — and nothing else.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use xbgp_driver::{DaemonCounters, Dut};
 use xbgp_obs::{Histogram, HistogramSnapshot, Snapshot};
-use xbgp_wire::{Ipv4Prefix, Session, SessionConfig, SessionEvent};
+use xbgp_wire::{Ipv4Prefix, Message, NotificationMsg, SessionConfig, SessionEvent};
 
-use crate::daemon_core::{self, CoreConfig, CoreMsg, Query};
+use crate::daemon_core::{self, CoreConfig, CoreIo, CoreMsg, Outbound, Query, INBOUND_BOUND};
+use crate::io::{wait, Conn, PollFd, ReadBudget, ReadStatus, Waker, POLLIN, READ_CHUNK};
 use crate::split::split_update;
 
-/// Maximum frames per write burst between inbound drains (see the
-/// deadlock note in [`crate::client`]).
-const WRITE_BURST: usize = 32;
+/// Cap on one session's outbound backlog: room for a full-table dump to a
+/// peer that is slow to start reading (the paper-scale 724 000-route
+/// table is about 50 MB as single-prefix UPDATEs). A session that crosses
+/// it is closed with Cease instead of growing without bound.
+pub const OUT_CAP: usize = 64 << 20;
+
+/// Bytes per second the loop reads from one session once the session has
+/// used up [`INGRESS_BURST`] — 8.4 Mbit/s: about 52 000 routes a second
+/// of a table dump in packed UPDATEs (20 bytes a route), 17 000
+/// single-prefix UPDATEs, a quarter or less of what one core applies
+/// (~4 µs a route). A peer dumping a table is read at this pace and the
+/// rest is held by TCP flow control in its kernel, so the core's queue
+/// stays a few milliseconds deep and every other session's updates pass
+/// the dump instead of queueing behind it — and how long a dump takes is
+/// set by this constant, not by how the host happens to schedule the
+/// core, the I/O thread and the peer on its CPUs.
+pub const INGRESS_RATE: u64 = 1 << 20;
+
+/// What one session may be read at once, ahead of [`INGRESS_RATE`]: about
+/// 800 packed routes, 3 ms of core work. It is also how long (16 ms of
+/// the rate) the I/O thread can be away without the session losing
+/// credit.
+pub const INGRESS_BURST: usize = 16 << 10;
+const _: () = assert!(INGRESS_BURST <= READ_CHUNK, "one read takes the whole burst");
+
+/// The smallest allowance worth a `read`: below it the session waits for
+/// its budget instead of reading a few bytes per turn.
+const READ_QUANTUM: usize = 1024;
 
 /// Runtime configuration for one [`Server`].
 #[derive(Clone)]
@@ -50,7 +90,8 @@ pub struct ServeConfig {
     pub router_id: u32,
     /// ASN every peer must present in its OPEN.
     pub peer_asn: u32,
-    /// Maximum concurrent sessions; later connections are dropped.
+    /// Maximum concurrent sessions; later connections are refused with
+    /// NOTIFICATION Cease / Connection Rejected.
     pub max_sessions: usize,
     /// Shard cores. 1 = single daemon owning the whole table.
     pub shards: usize,
@@ -81,22 +122,23 @@ impl ServeConfig {
 struct Shared {
     cfg: ServeConfig,
     cores: Vec<Sender<CoreMsg>>,
-    free_slots: Mutex<Vec<usize>>,
+    /// Per core: frame bytes queued to it and not yet applied.
+    queued: Vec<Arc<AtomicUsize>>,
+    waker: Waker,
     stop: AtomicBool,
     epoch: Instant,
     latency: Arc<Histogram>,
     /// Peak concurrent edge-established sessions (for reporting).
     established_peak: AtomicU64,
-    established_now: AtomicU64,
     rejected: AtomicU64,
 }
 
-/// A running many-peer runtime: owns the listener, the accept thread,
-/// every session thread, and one core thread per shard.
+/// A running many-peer runtime: owns the I/O thread (listener and every
+/// session) and one core thread per shard.
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    io: Option<JoinHandle<()>>,
     cores: Vec<JoinHandle<()>>,
 }
 
@@ -106,10 +148,13 @@ impl Server {
         let listener = TcpListener::bind(("127.0.0.1", cfg.bind_port))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let waker = Waker::new()?;
 
         let epoch = Instant::now();
         let latency = Arc::new(Histogram::new());
+        let (out_tx, out_rx) = mpsc::channel();
         let mut cores = Vec::new();
+        let mut queued = Vec::new();
         let mut core_handles = Vec::new();
         for shard in 0..cfg.shards.max(1) {
             let (tx, rx) = mpsc::channel();
@@ -123,31 +168,36 @@ impl Server {
                 slots: cfg.max_sessions,
                 metrics: cfg.metrics,
             };
-            core_handles.push(daemon_core::spawn(core_cfg, rx, Arc::clone(&latency), epoch));
+            let backlog = Arc::new(AtomicUsize::new(0));
+            let io = CoreIo {
+                out: out_tx.clone(),
+                waker: waker.clone(),
+                queued: Arc::clone(&backlog),
+            };
+            core_handles.push(daemon_core::spawn(core_cfg, rx, io, Arc::clone(&latency), epoch));
             cores.push(tx);
+            queued.push(backlog);
         }
 
         let shared = Arc::new(Shared {
-            free_slots: Mutex::new((0..cfg.max_sessions).rev().collect()),
             cfg,
             cores,
+            queued,
+            waker,
             stop: AtomicBool::new(false),
             epoch,
             latency,
             established_peak: AtomicU64::new(0),
-            established_now: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         });
 
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("xbgp-accept".into())
-                .spawn(move || accept_loop(listener, shared))
-                .expect("spawn accept thread")
-        };
+        let io = IoLoop::new(Arc::clone(&shared), listener, out_rx);
+        let io = std::thread::Builder::new()
+            .name("xbgp-io".into())
+            .spawn(move || io.run())
+            .expect("spawn I/O thread");
 
-        Ok(Server { shared, addr, accept: Some(accept), cores: core_handles })
+        Ok(Server { shared, addr, io: Some(io), cores: core_handles })
     }
 
     /// Address peers connect to.
@@ -233,7 +283,7 @@ impl Server {
         self.shared.established_peak.load(Ordering::Relaxed)
     }
 
-    /// Connections dropped because all session slots were taken.
+    /// Connections refused because all session slots were taken.
     pub fn rejected(&self) -> u64 {
         self.shared.rejected.load(Ordering::Relaxed)
     }
@@ -243,19 +293,14 @@ impl Server {
         self.shared.latency.snapshot()
     }
 
-    /// Stop accepting, close cores, join all runtime threads. Session
-    /// threads exit on their own when peers disconnect or their reads
-    /// time out against the stop flag.
+    /// Stop the runtime and join its threads: the I/O thread sends Cease
+    /// on every open session, hands TCP what it takes, closes the sockets
+    /// and tells the cores each session is down; then the cores stop.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Give lingering sessions a moment to observe the stop flag and
-        // send their SessionDown before the cores go away.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while self.shared.established_now.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        self.shared.waker.wake();
+        if let Some(h) = self.io.take() {
+            h.join().expect("I/O thread panicked");
         }
         for core in &self.shared.cores {
             let _ = core.send(CoreMsg::Shutdown);
@@ -266,169 +311,310 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let slot = shared.free_slots.lock().expect("slot lock").pop();
-                match slot {
-                    Some(slot) => {
-                        let shared = Arc::clone(&shared);
-                        let _ = std::thread::Builder::new()
-                            .name(format!("xbgp-sess-{slot}"))
-                            .stack_size(256 * 1024)
-                            .spawn(move || session_thread(stream, slot, shared));
-                    }
-                    None => {
-                        shared.rejected.fetch_add(1, Ordering::Relaxed);
-                        drop(stream);
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
+/// One session slot in use.
+struct Peer {
+    conn: Conn,
+    /// Names this use of the slot to the cores (see [`CoreMsg::SessionUp`]).
+    session: u64,
+    /// The cores have been told the session is up.
+    up: bool,
+    /// What may still be read from it, at [`INGRESS_RATE`].
+    budget: ReadBudget,
 }
 
-/// One TCP peer: run the edge FSM against the socket, fan validated
-/// UPDATE frames into the shard cores, write core outbox frames back.
-fn session_thread(mut stream: TcpStream, slot: usize, shared: Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(2)));
+/// The I/O thread's state: the listener, every session, and the way back
+/// from the cores.
+struct IoLoop {
+    shared: Arc<Shared>,
+    listener: TcpListener,
+    out_rx: Receiver<Outbound>,
+    /// Indexed by session slot.
+    peers: Vec<Option<Peer>>,
+    free_slots: Vec<usize>,
+    next_session: u64,
+    established_now: u64,
+    scratch: Vec<u8>,
+    events: Vec<SessionEvent>,
+}
 
-    let now = |shared: &Shared| shared.epoch.elapsed().as_nanos() as u64;
-    let mut fsm = Session::new(SessionConfig {
-        local_asn: shared.cfg.asn,
-        router_id: shared.cfg.router_id,
-        hold_time_secs: shared.cfg.hold_time_secs,
-        expect_asn: Some(shared.cfg.peer_asn),
-    });
-    let (outbox_tx, outbox_rx) = mpsc::channel::<Vec<u8>>();
-    let mut up = false;
-    let mut buf = [0u8; 16 * 1024];
-    let mut alive = true;
-    // Frames validated by the FSM this wakeup, flushed to cores in batch.
-    let mut updates: Vec<Vec<u8>> = Vec::new();
-    let mut recv_ns = 0u64;
-    let mut write_backlog: VecDeque<Vec<u8>> = VecDeque::new();
-
-    for ev in fsm.start(now(&shared)) {
-        if let SessionEvent::Send(bytes) = ev {
-            if stream.write_all(&bytes).is_err() {
-                alive = false;
-            }
+impl IoLoop {
+    fn new(shared: Arc<Shared>, listener: TcpListener, out_rx: Receiver<Outbound>) -> IoLoop {
+        let slots = shared.cfg.max_sessions;
+        IoLoop {
+            shared,
+            listener,
+            out_rx,
+            peers: (0..slots).map(|_| None).collect(),
+            free_slots: (0..slots).rev().collect(),
+            next_session: 0,
+            established_now: 0,
+            scratch: vec![0u8; READ_CHUNK],
+            events: Vec::new(),
         }
     }
 
-    'session: while alive {
-        // Drain inbound to empty before writing — see the deadlock note
-        // in [`crate::client`]; the same two rules apply on this side.
-        let mut events = Vec::new();
+    fn now(&self) -> u64 {
+        self.shared.epoch.elapsed().as_nanos() as u64
+    }
+
+    fn run(mut self) {
+        let mut fds: Vec<PollFd> = Vec::new();
+        // Slot of `fds[2 + i]`.
+        let mut polled: Vec<usize> = Vec::new();
         loop {
-            match stream.read(&mut buf) {
-                Ok(0) => break 'session,
-                Ok(n) => {
-                    if events.is_empty() {
-                        recv_ns = now(&shared);
-                    }
-                    events.extend(fsm.on_bytes(recv_ns, &buf[..n]));
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break 'session,
-            }
-        }
-        events.extend(fsm.tick(now(&shared)));
-        if shared.stop.load(Ordering::Relaxed)
-            && !matches!(fsm.state(), xbgp_wire::SessionState::Closed)
-        {
-            events.extend(fsm.shutdown());
-        }
-
-        for ev in events {
-            match ev {
-                SessionEvent::Send(bytes) => {
-                    if stream.write_all(&bytes).is_err() {
-                        break 'session;
-                    }
-                }
-                SessionEvent::Established { .. } => {
-                    for core in &shared.cores {
-                        let _ = core.send(CoreMsg::SessionUp { slot, outbox: outbox_tx.clone() });
-                    }
-                    up = true;
-                    shared.established_now.fetch_add(1, Ordering::Relaxed);
-                    let n = shared.established_now.load(Ordering::Relaxed);
-                    shared.established_peak.fetch_max(n, Ordering::Relaxed);
-                }
-                SessionEvent::Update(frame) => updates.push(frame),
-                SessionEvent::Closed(_) => {
-                    // NOTIFICATION (if any) was already emitted as Send.
-                    alive = false;
+            fds.clear();
+            polled.clear();
+            fds.push(self.shared.waker.pollfd());
+            fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+            // Inbound bound: while a core is this far behind, leave what
+            // peers send in their kernels. The core wakes us when it has
+            // caught up.
+            let read = self.shared.queued.iter().all(|q| q.load(Ordering::SeqCst) <= INBOUND_BOUND);
+            let now = self.now();
+            // The nearest FSM timer, and the nearest moment a session
+            // that is over its ingress rate may be read again.
+            let mut deadline: Option<u64> = None;
+            let mut refill: Option<u64> = None;
+            for (slot, peer) in self.peers.iter_mut().enumerate() {
+                let Some(peer) = peer else { continue };
+                let funded = peer.budget.available(now) >= READ_QUANTUM;
+                fds.push(peer.conn.pollfd(read && funded));
+                polled.push(slot);
+                deadline = [deadline, peer.conn.next_deadline()].into_iter().flatten().min();
+                if read && !funded {
+                    refill =
+                        [refill, peer.budget.ready_at(READ_QUANTUM)].into_iter().flatten().min();
                 }
             }
-        }
-
-        if !updates.is_empty() && up {
-            fan_out(&shared, slot, std::mem::take(&mut updates), recv_ns);
-        }
-        updates.clear();
-
-        // Drain the core outbox into a local queue, then write a bounded
-        // burst — the same anti-deadlock rule the client follows.
-        while let Ok(frame) = outbox_rx.try_recv() {
-            write_backlog.push_back(frame);
-        }
-        for _ in 0..WRITE_BURST {
-            let Some(frame) = write_backlog.pop_front() else {
+            let wake = [deadline, refill].into_iter().flatten().min();
+            let timeout = wake.map(|d| Duration::from_nanos(d.saturating_sub(self.now())));
+            if wait(&mut fds, timeout).is_err() {
                 break;
-            };
-            if stream.write_all(&frame).is_err() {
-                break 'session;
             }
-        }
-    }
-
-    if up {
-        shared.established_now.fetch_sub(1, Ordering::Relaxed);
-        for core in &shared.cores {
-            let _ = core.send(CoreMsg::SessionDown { slot });
-        }
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    shared.free_slots.lock().expect("slot lock").push(slot);
-}
-
-/// Send a batch of validated UPDATE frames to the core(s) that own their
-/// prefixes, preserving per-prefix arrival order.
-fn fan_out(shared: &Shared, slot: usize, frames: Vec<Vec<u8>>, recv_ns: u64) {
-    let shards = shared.cores.len();
-    if shards == 1 {
-        let _ = shared.cores[0].send(CoreMsg::Frames { slot, frames, recv_ns });
-        return;
-    }
-    let mut per_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); shards];
-    for frame in &frames {
-        match split_update(frame, shards) {
-            Ok(parts) => {
-                for (k, part) in parts.into_iter().enumerate() {
-                    if let Some(p) = part {
-                        per_shard[k].push(p);
-                    }
+            // Swallow the wake-ups first, then look at what they announce
+            // (the stop flag, the cores' output, their backlog): whatever
+            // is published after this drain leaves its byte for the next
+            // `wait`.
+            self.shared.waker.drain();
+            if self.shared.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            self.route_outbound();
+            // A timer is due somewhere: every session gets its turn. Else
+            // only the ones `poll` reported.
+            let due = deadline.is_some_and(|d| d <= self.now());
+            for (i, &slot) in polled.iter().enumerate() {
+                if due || fds[2 + i].ready() {
+                    self.service(slot, fds[2 + i]);
                 }
             }
-            // The FSM already validated the frame; a split error here
-            // would be a codec bug — drop the frame rather than poison a
-            // shard with half an UPDATE.
-            Err(_) => continue,
+            if fds[1].readable() {
+                self.accept_all();
+            }
+        }
+        self.close_all();
+    }
+
+    /// Append what the cores emitted to the sessions it is for, and write
+    /// it at once.
+    fn route_outbound(&mut self) {
+        while let Ok(Outbound { slot, session, bytes }) = self.out_rx.try_recv() {
+            // Output for an earlier use of the slot is dropped.
+            let Some(mut peer) = self.peers[slot].take_if(|p| p.session == session) else {
+                continue;
+            };
+            if peer.conn.queue(&bytes).is_err() {
+                // Outbound cap: this peer is not taking its exports.
+                peer.conn.shutdown();
+            }
+            self.settle(slot, peer, false);
         }
     }
-    for (k, frames) in per_shard.into_iter().enumerate() {
+
+    /// One session's turn: what `poll` reported for it and its timers.
+    fn service(&mut self, slot: usize, fd: PollFd) {
+        // Retired earlier this turn (outbound cap).
+        let Some(mut peer) = self.peers[slot].take() else {
+            return;
+        };
+        let mut gone = fd.writable() && peer.conn.writable().is_err();
+        if fd.readable() {
+            // Read to `WouldBlock` or to the end of the session's budget.
+            // `poll` is level-triggered: what is left is reported again
+            // once the budget allows, after every other session and the
+            // cores' output have had their turn — which keeps exports
+            // flowing under a stream that never pauses.
+            loop {
+                // Every read is stamped on its own, and its UPDATEs go to
+                // the cores before the next read.
+                let recv_ns = self.now();
+                let allowed = peer.budget.available(recv_ns);
+                if allowed < READ_QUANTUM {
+                    break;
+                }
+                match peer.conn.read(recv_ns, &mut self.scratch[..allowed], &mut self.events) {
+                    ReadStatus::Data(n) => {
+                        peer.budget.spend(n);
+                        self.dispatch(slot, &mut peer, recv_ns);
+                    }
+                    ReadStatus::WouldBlock => break,
+                    ReadStatus::Gone => {
+                        gone = true;
+                        break;
+                    }
+                }
+                if peer.conn.closed() {
+                    break;
+                }
+            }
+        }
+        let now = self.now();
+        peer.conn.tick(now, &mut self.events);
+        self.dispatch(slot, &mut peer, now);
+        self.settle(slot, peer, gone);
+    }
+
+    /// Hand TCP what it takes of the session's pending output, then keep
+    /// the session or — if its socket or its FSM is finished — retire it.
+    fn settle(&mut self, slot: usize, mut peer: Peer, mut gone: bool) {
+        gone |= peer.conn.flush().is_err();
+        if gone || peer.conn.closed() {
+            self.retire(slot, peer);
+        } else {
+            self.peers[slot] = Some(peer);
+        }
+    }
+
+    /// Act on what the FSM reported (its own frames are already queued).
+    fn dispatch(&mut self, slot: usize, peer: &mut Peer, recv_ns: u64) {
+        let mut frames = Vec::new();
+        for ev in self.events.drain(..) {
+            match ev {
+                SessionEvent::Established { .. } => {
+                    for core in &self.shared.cores {
+                        let _ = core.send(CoreMsg::SessionUp { slot, session: peer.session });
+                    }
+                    peer.up = true;
+                    self.established_now += 1;
+                    self.shared.established_peak.fetch_max(self.established_now, Ordering::Relaxed);
+                }
+                SessionEvent::Update(frame) => frames.push(frame),
+                // `Conn` queued the frame; `Conn::closed` reports the end.
+                SessionEvent::Send(_) | SessionEvent::Closed(_) => {}
+            }
+        }
         if !frames.is_empty() {
-            let _ = shared.cores[k].send(CoreMsg::Frames { slot, frames, recv_ns });
+            self.fan_out(slot, frames, recv_ns);
+        }
+    }
+
+    /// Send a batch of validated UPDATE frames to the core(s) that own
+    /// their prefixes, preserving per-prefix arrival order.
+    fn fan_out(&self, slot: usize, frames: Vec<Vec<u8>>, recv_ns: u64) {
+        let shards = self.shared.cores.len();
+        if shards == 1 {
+            return self.send_frames(0, slot, frames, recv_ns);
+        }
+        let mut per_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); shards];
+        for frame in &frames {
+            match split_update(frame, shards) {
+                Ok(parts) => {
+                    for (k, part) in parts.into_iter().enumerate() {
+                        if let Some(p) = part {
+                            per_shard[k].push(p);
+                        }
+                    }
+                }
+                // The FSM already validated the frame; a split error here
+                // would be a codec bug — drop the frame rather than poison a
+                // shard with half an UPDATE.
+                Err(_) => continue,
+            }
+        }
+        for (k, frames) in per_shard.into_iter().enumerate() {
+            if !frames.is_empty() {
+                self.send_frames(k, slot, frames, recv_ns);
+            }
+        }
+    }
+
+    fn send_frames(&self, shard: usize, slot: usize, frames: Vec<Vec<u8>>, recv_ns: u64) {
+        let bytes: usize = frames.iter().map(Vec::len).sum();
+        self.shared.queued[shard].fetch_add(bytes, Ordering::SeqCst);
+        let _ = self.shared.cores[shard].send(CoreMsg::Frames { slot, frames, recv_ns });
+    }
+
+    fn accept_all(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => self.admit(stream),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+    }
+
+    fn admit(&mut self, mut stream: TcpStream) {
+        let Some(slot) = self.free_slots.pop() else {
+            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+            // RFC 4486: Cease / Connection Rejected, then close. A fresh
+            // socket takes 21 bytes without blocking. Reading the peer's
+            // OPEN first (if it is here already) keeps close() from
+            // answering unread data with a reset that could overtake the
+            // NOTIFICATION.
+            let cease = Message::Notification(NotificationMsg::new(6, 5))
+                .encode(4)
+                .expect("NOTIFICATION encodes");
+            if stream.set_nonblocking(true).is_ok() {
+                let _ = stream.read(&mut self.scratch);
+                let _ = stream.write(&cease);
+            }
+            return;
+        };
+        let cfg = SessionConfig {
+            local_asn: self.shared.cfg.asn,
+            router_id: self.shared.cfg.router_id,
+            hold_time_secs: self.shared.cfg.hold_time_secs,
+            expect_asn: Some(self.shared.cfg.peer_asn),
+        };
+        // Our OPEN goes out now: a passive peer waits for it.
+        let now = self.now();
+        let conn = Conn::start(stream, cfg, OUT_CAP, now).and_then(|mut conn| {
+            conn.flush()?;
+            Ok(conn)
+        });
+        match conn {
+            Ok(conn) => {
+                self.next_session += 1;
+                let budget = ReadBudget::full(INGRESS_RATE, INGRESS_BURST, now);
+                self.peers[slot] =
+                    Some(Peer { conn, session: self.next_session, up: false, budget });
+            }
+            Err(_) => self.free_slots.push(slot),
+        }
+    }
+
+    /// The session is over: tell the cores (which flush its routes and
+    /// withdraw them from everyone else), free the slot, close the socket.
+    fn retire(&mut self, slot: usize, peer: Peer) {
+        if peer.up {
+            self.established_now -= 1;
+            for core in &self.shared.cores {
+                let _ = core.send(CoreMsg::SessionDown { slot });
+            }
+        }
+        self.free_slots.push(slot);
+    }
+
+    /// Shutdown: Cease on every open session, whatever TCP takes of it
+    /// now, and the ordinary teardown.
+    fn close_all(&mut self) {
+        for slot in 0..self.peers.len() {
+            if let Some(mut peer) = self.peers[slot].take() {
+                peer.conn.shutdown();
+                let _ = peer.conn.flush();
+                self.retire(slot, peer);
+            }
         }
     }
 }
