@@ -1,0 +1,1017 @@
+//! One BGP host, two route engines.
+//!
+//! Everything a BGP speaker does that does not depend on how it stores
+//! routes lives here, once: the per-neighbor RFC 4271 handshake
+//! ([`Neighbor`]), keepalive and hold timers, message deframing and
+//! dispatch, NOTIFICATION-and-teardown on every error arm, the counters
+//! and the metrics snapshot ([`HostStats`]), the insertion-point runner
+//! with its filter-verdict mapping ([`Hooks`]), the marshalled peer /
+//! source / nexthop views extensions read, and the UPDATE framer. What
+//! differs between `bgp-fir` and `bgp-wren` — attribute representation,
+//! RIB organisation, ROA backend, outbound grouping, xBGP glue — sits
+//! behind [`RouteEngine`], and [`BgpDaemon<E>`] is the one
+//! [`netsim::Node`] and the one [`Daemon`] for both.
+//!
+//! The host calls the engine and then [`RouteEngine::flush`] after
+//! *every* event (start, session up, session down, UPDATE), so an engine
+//! can queue output wherever it is convenient and nothing it queued can
+//! stay unsent until some unrelated event.
+
+use crate::{Daemon, DaemonCounters, DaemonSpec, Dut, NeighborDecl};
+use netsim::{LinkId, Node, NodeCtx};
+use rpki::{RoaHashTable, RoaTable};
+use std::any::Any;
+use std::collections::HashMap;
+use std::time::Instant;
+use xbgp_core::api::{self, InsertionPoint, NextHopInfo, PeerInfo, PeerType, PEER_INFO_SIZE};
+use xbgp_core::vmm::ExtensionStats;
+use xbgp_core::{HostApi, Vmm, VmmOutcome};
+use xbgp_obs::trace::{pack_prefix, TraceConfig, TraceDump, TraceKind, NO_EXT, NO_POINT};
+use xbgp_obs::{Histogram, Snapshot};
+use xbgp_wire::{
+    Ipv4Prefix, Message, MsgReader, NotificationMsg, OpenMsg, PathAttr, UpdateMsg, WireError,
+};
+
+/// RFC 4271 session states. Connect/Active collapse into the link being
+/// up — netsim links (and `xbgp-serve` session slots) provide the
+/// established stream TCP would.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NeighborState {
+    /// Link down or session halted.
+    Idle,
+    /// OPEN sent, waiting for the peer's OPEN.
+    OpenSent,
+    /// OPEN received and accepted, waiting for KEEPALIVE.
+    OpenConfirm,
+    /// Session up; UPDATEs flow.
+    Established,
+}
+
+/// `to=` label values of `xbgp_daemon_fsm_transitions_total`, indexed by
+/// `NeighborState as usize`.
+const STATE_NAMES: [&str; 4] = ["idle", "open_sent", "open_confirm", "established"];
+
+/// One configured neighbor and its session state.
+pub struct Neighbor {
+    pub decl: NeighborDecl,
+    pub state: NeighborState,
+    reader: MsgReader,
+    /// Negotiated hold time in nanoseconds (0 = timers disabled).
+    pub hold_ns: u64,
+    /// Virtual time of the last message from the peer.
+    pub last_rx: u64,
+    /// Whether the peer advertised 4-octet-AS support (RFC 6793).
+    pub four_octet_as: bool,
+    /// Neighbor AS == local AS; fixed by configuration.
+    pub ibgp: bool,
+}
+
+impl Neighbor {
+    pub fn new(decl: NeighborDecl, local_asn: u32) -> Neighbor {
+        Neighbor {
+            decl,
+            state: NeighborState::Idle,
+            reader: MsgReader::new(),
+            hold_ns: 0,
+            last_rx: 0,
+            four_octet_as: true,
+            ibgp: decl.asn == local_asn,
+        }
+    }
+
+    pub fn is_established(&self) -> bool {
+        self.state == NeighborState::Established
+    }
+
+    pub fn peer_type(&self) -> PeerType {
+        if self.ibgp {
+            PeerType::Ibgp
+        } else {
+            PeerType::Ebgp
+        }
+    }
+
+    /// ASN width of the UPDATE codec on this session.
+    pub fn asn_width(&self) -> usize {
+        if self.four_octet_as {
+            4
+        } else {
+            2
+        }
+    }
+
+    /// Back to Idle, dropping any partial input.
+    fn reset(&mut self) {
+        self.state = NeighborState::Idle;
+        self.reader = MsgReader::new();
+        self.hold_ns = 0;
+    }
+
+    /// Validate and absorb the neighbor's OPEN: negotiate the hold time
+    /// and ASN width, move to OpenConfirm. The error names why the OPEN
+    /// is unacceptable (wrong ASN).
+    fn accept_open(&mut self, open: &OpenMsg, our_hold_secs: u16) -> Result<(), String> {
+        let claimed = open.negotiated_asn();
+        if claimed != self.decl.asn {
+            return Err(format!("peer claims AS{claimed}, configured AS{}", self.decl.asn));
+        }
+        self.four_octet_as = open.supports_four_octet_as();
+        self.hold_ns = u64::from(open.hold_time.min(our_hold_secs)) * 1_000_000_000;
+        self.state = NeighborState::OpenConfirm;
+        Ok(())
+    }
+}
+
+/// Where a route was learned, in the vocabulary the host marshals for
+/// extensions and evaluates the native export policy over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouteSource {
+    /// Neighbor address / BGP identifier, or the router's own id for
+    /// locally originated routes.
+    pub peer_addr: u32,
+    pub peer_asn: u32,
+    pub peer_type: PeerType,
+    /// The source peer is a route-reflection client.
+    pub rr_client: bool,
+    /// True for locally originated routes.
+    pub local: bool,
+}
+
+impl RouteSource {
+    pub fn local(router_id: u32, asn: u32) -> RouteSource {
+        RouteSource {
+            peer_addr: router_id,
+            peer_asn: asn,
+            peer_type: PeerType::Ibgp,
+            rr_client: false,
+            local: true,
+        }
+    }
+}
+
+/// Counters and timestamps front-ends and tests read off a daemon.
+#[derive(Debug, Default, Clone)]
+pub struct HostStats {
+    /// The cross-implementation set [`Daemon::counters`] returns.
+    pub counters: DaemonCounters,
+    pub rov_valid: u64,
+    pub rov_invalid: u64,
+    pub rov_not_found: u64,
+    /// Routes rejected by xBGP filters (a reject verdict or an aborted
+    /// filter).
+    pub xbgp_rejected: u64,
+    /// Filter-point runs where an extension accepted the route (a
+    /// `Value` other than reject).
+    pub xbgp_accepted: u64,
+    /// Decision-point runs resolved by an extension instead of the
+    /// native RFC 4271 comparison.
+    pub xbgp_decisions: u64,
+    /// Session FSM transitions, indexed by target `NeighborState`.
+    pub fsm_transitions: [u64; 4],
+}
+
+impl HostStats {
+    /// Count one native origin-validation verdict.
+    pub fn count_rov(&mut self, state: rpki::RovState) {
+        match state {
+            rpki::RovState::Valid => self.rov_valid += 1,
+            rpki::RovState::Invalid => self.rov_invalid += 1,
+            rpki::RovState::NotFound => self.rov_not_found += 1,
+        }
+    }
+}
+
+/// Dense index of an insertion point into the hook-latency table.
+fn pindex(p: InsertionPoint) -> usize {
+    InsertionPoint::ALL.iter().position(|q| *q == p).expect("point in ALL")
+}
+
+/// The insertion-point runner: the VMM plus the hook-site latency
+/// histograms. A field of its own inside [`Host`] so an engine can run a
+/// hook while its execution context borrows the host's other fields
+/// (`logs`, `ext_rib_adds`, `xbgp_rov`, `spec.xtra`).
+pub struct Hooks {
+    pub vmm: Vmm,
+    /// Wall-clock nanoseconds around each insertion-point run — a
+    /// superset of the VMM's own chain timing. Filled only when VMM
+    /// timing is on.
+    hook_ns: [Histogram; 5],
+}
+
+impl Hooks {
+    /// Run the chain attached to `point`, timing it when metrics are on.
+    pub fn run(&mut self, point: InsertionPoint, hctx: &mut dyn HostApi) -> VmmOutcome {
+        let t0 = self.vmm.metrics_enabled().then(Instant::now);
+        let outcome = self.vmm.run(point, hctx);
+        if let Some(t0) = t0 {
+            self.hook_ns[pindex(point)].observe(t0.elapsed().as_nanos() as u64);
+        }
+        outcome
+    }
+
+    /// Run a filter point and map its outcome to accept/reject: an
+    /// extension's verdict is final, no verdict defers to `native`, and a
+    /// filter that aborted fails closed rather than widen policy.
+    pub fn run_filter(
+        &mut self,
+        point: InsertionPoint,
+        hctx: &mut dyn HostApi,
+        stats: &mut HostStats,
+        native: impl FnOnce() -> bool,
+    ) -> bool {
+        match self.run(point, hctx) {
+            VmmOutcome::Value(v) if v != api::FILTER_REJECT => {
+                stats.xbgp_accepted += 1;
+                true
+            }
+            VmmOutcome::Value(_) | VmmOutcome::Aborted => {
+                stats.xbgp_rejected += 1;
+                false
+            }
+            VmmOutcome::Fallback => native(),
+        }
+    }
+
+    /// Trace one decision on `prefix` and whether it changed the best route.
+    pub fn trace_decision(&mut self, prefix: Ipv4Prefix, changed: bool) {
+        if let Some(t) = self.vmm.tracer_mut() {
+            let key = pack_prefix(prefix.addr(), prefix.len());
+            t.record(TraceKind::Decision, NO_POINT, NO_EXT, key, u64::from(changed));
+        }
+    }
+
+    /// Trace `prefix` being queued for neighbor `q`.
+    pub fn trace_propagate(&mut self, prefix: Ipv4Prefix, q: usize) {
+        if let Some(t) = self.vmm.tracer_mut() {
+            let key = pack_prefix(prefix.addr(), prefix.len());
+            t.record(TraceKind::Propagate, NO_POINT, NO_EXT, key, q as u64);
+        }
+    }
+
+    /// Run ③ `BGP_DECISION`: `Some(prefer_new)` when an extension decided.
+    /// The point has a sound native answer, so fallback and abort both
+    /// return `None` and the caller runs the RFC 4271 comparison.
+    pub fn run_decision(&mut self, hctx: &mut dyn HostApi, stats: &mut HostStats) -> Option<bool> {
+        match self.run(InsertionPoint::BgpDecision, hctx) {
+            VmmOutcome::Value(v) => {
+                stats.xbgp_decisions += 1;
+                Some(v == api::DECISION_PREFER_NEW)
+            }
+            VmmOutcome::Fallback | VmmOutcome::Aborted => None,
+        }
+    }
+}
+
+/// Everything a daemon owns except its routes.
+pub struct Host {
+    pub spec: DaemonSpec,
+    pub neighbors: Vec<Neighbor>,
+    link_to_neighbor: HashMap<LinkId, usize>,
+    pub hooks: Hooks,
+    /// The xBGP-layer ROA store (hash) behind `rpki_check_origin` —
+    /// distinct from either engine's native validation backend (§3.4).
+    pub xbgp_rov: Option<RoaHashTable>,
+    /// Routes added by extensions via `rib_add_route`, drained by the
+    /// engine at the end of each UPDATE.
+    pub ext_rib_adds: Vec<(Ipv4Prefix, u32)>,
+    pub stats: HostStats,
+    pub logs: Vec<String>,
+    /// Virtual time of the event being handled.
+    pub now: u64,
+}
+
+/// Timer token layout: `neighbor_index * 2 + kind`.
+const TIMER_KEEPALIVE: u64 = 0;
+const TIMER_HOLD: u64 = 1;
+
+impl Host {
+    /// Panics on a malformed xBGP manifest — configuration errors are
+    /// fatal at startup, like a daemon refusing a bad config file.
+    fn new(spec: DaemonSpec) -> Host {
+        let mut vmm = match &spec.xbgp {
+            Some(m) => Vmm::from_manifest(m).expect("invalid xBGP manifest"),
+            None => Vmm::empty(),
+        };
+        if spec.metrics {
+            vmm.enable_metrics();
+        }
+        if let Some(tc) = spec.trace {
+            vmm.enable_trace(tc);
+        }
+        if spec.profile {
+            vmm.enable_profile();
+        }
+        let xbgp_rov = spec.xbgp_roas.as_deref().map(roa_hash_table);
+        let neighbors: Vec<Neighbor> =
+            spec.neighbors.iter().map(|d| Neighbor::new(*d, spec.asn)).collect();
+        let link_to_neighbor =
+            neighbors.iter().enumerate().map(|(i, n)| (n.decl.link, i)).collect();
+        Host {
+            spec,
+            neighbors,
+            link_to_neighbor,
+            hooks: Hooks { vmm, hook_ns: Default::default() },
+            xbgp_rov,
+            ext_rib_adds: Vec::new(),
+            stats: HostStats::default(),
+            logs: Vec::new(),
+            now: 0,
+        }
+    }
+
+    pub fn cluster_id(&self) -> u32 {
+        self.spec.cluster_id.unwrap_or(self.spec.router_id)
+    }
+
+    /// The neighbor at `idx` as extensions see it.
+    pub fn peer_info(&self, idx: usize) -> PeerInfo {
+        let n = &self.neighbors[idx];
+        PeerInfo {
+            router_id: n.decl.addr,
+            asn: n.decl.asn,
+            peer_type: n.peer_type(),
+            local_router_id: self.spec.router_id,
+            local_asn: self.spec.asn,
+            flags: if n.decl.rr_client { api::PEER_FLAG_RR_CLIENT } else { 0 },
+        }
+    }
+
+    /// A route's *source* as a [`PeerInfo`] (the decision point's peer;
+    /// marshalled by [`Host::source_info_bytes`] for the outbound-filter
+    /// and encode points).
+    pub fn source_info(&self, src: &RouteSource) -> PeerInfo {
+        let mut flags = 0;
+        if src.rr_client {
+            flags |= api::PEER_FLAG_RR_CLIENT;
+        }
+        if src.local {
+            flags |= api::PEER_FLAG_LOCAL;
+        }
+        PeerInfo {
+            router_id: src.peer_addr,
+            asn: src.peer_asn,
+            peer_type: src.peer_type,
+            local_router_id: self.spec.router_id,
+            local_asn: self.spec.asn,
+            flags,
+        }
+    }
+
+    pub fn source_info_bytes(&self, src: &RouteSource) -> [u8; PEER_INFO_SIZE] {
+        self.source_info(src).to_bytes()
+    }
+
+    pub fn igp_metric(&self, nexthop: u32) -> u32 {
+        match &self.spec.igp {
+            Some(igp) => igp.borrow().metric(self.spec.router_id, nexthop),
+            None => 0,
+        }
+    }
+
+    pub fn nexthop_info(&self, nexthop: u32) -> NextHopInfo {
+        let metric = self.igp_metric(nexthop);
+        NextHopInfo {
+            addr: nexthop,
+            igp_metric: metric,
+            reachable: metric != u32::MAX,
+        }
+    }
+
+    fn send_msg(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, msg: &Message) {
+        let n = &self.neighbors[idx];
+        match msg.encode(n.asn_width()) {
+            Ok(frame) => ctx.send(n.decl.link, &frame),
+            Err(e) => self.logs.push(format!("encode error to neighbor {idx}: {e}")),
+        }
+    }
+
+    /// Frame and send withdrawals to neighbor `q`, at most 800 prefixes
+    /// per UPDATE.
+    pub fn send_withdrawals(&mut self, ctx: &mut NodeCtx<'_>, q: usize, prefixes: &[Ipv4Prefix]) {
+        for chunk in prefixes.chunks(800) {
+            self.stats.counters.updates_tx += 1;
+            self.stats.counters.withdrawals_tx += chunk.len() as u64;
+            self.send_msg(ctx, q, &Message::Update(UpdateMsg::withdraw(chunk.to_vec())));
+        }
+    }
+
+    /// Frame and send one attribute set's announcements to neighbor `q`,
+    /// at most 700 NLRI per UPDATE (under the 4096-byte frame). `extra`
+    /// is the raw attribute TLVs the ⑤ `BGP_ENCODE_MESSAGE` extensions
+    /// appended.
+    pub fn send_announce(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        q: usize,
+        attrs: &[PathAttr],
+        extra: &[u8],
+        prefixes: &[Ipv4Prefix],
+    ) {
+        let n = &self.neighbors[q];
+        for chunk in prefixes.chunks(700) {
+            let upd = UpdateMsg::announce(attrs.to_vec(), chunk.to_vec());
+            match upd.encode_with_extra(extra, n.asn_width()) {
+                Ok(frame) => {
+                    self.stats.counters.updates_tx += 1;
+                    self.stats.counters.prefixes_tx += chunk.len() as u64;
+                    ctx.send(n.decl.link, &frame);
+                }
+                Err(e) => self.logs.push(format!("encode to neighbor {q} failed: {e}")),
+            }
+        }
+    }
+
+    fn transition(&mut self, idx: usize, to: NeighborState) {
+        self.neighbors[idx].state = to;
+        self.stats.fsm_transitions[to as usize] += 1;
+    }
+}
+
+/// Native (no-extension) export policy: everything goes to eBGP
+/// neighbors; iBGP neighbors get local and eBGP-learned routes, and
+/// iBGP-learned ones only by reflection (RFC 4456). A free function over
+/// the two `Host` fields it reads, so it can be the fallback closure of
+/// [`Hooks::run_filter`] while an execution context borrows the others.
+pub fn native_export(spec: &DaemonSpec, dest: &Neighbor, src: &RouteSource) -> bool {
+    !dest.ibgp
+        || src.local
+        || src.peer_type == PeerType::Ebgp
+        || (spec.native_rr && (src.rr_client || dest.decl.rr_client))
+}
+
+/// Load ROAs into the hash-table backend.
+pub fn roa_hash_table(roas: &[rpki::Roa]) -> RoaHashTable {
+    let mut t = RoaHashTable::new();
+    for r in roas {
+        t.insert(*r);
+    }
+    t
+}
+
+/// What differs between the two BGP implementations: how routes and
+/// attributes are stored, decided and grouped for export. Every method
+/// that takes the [`Host`] is called by [`BgpDaemon`] with
+/// [`Host::now`] current and followed by [`RouteEngine::flush`].
+pub trait RouteEngine: Sized + 'static {
+    const KIND: Dut;
+
+    fn new(host: &Host) -> Self;
+
+    /// Install `host.spec.originate`. No session is up yet.
+    fn originate(&mut self, host: &mut Host);
+
+    /// Neighbor `idx` reached Established: queue the full table for it.
+    fn session_up(&mut self, host: &mut Host, idx: usize);
+
+    /// Neighbor `idx` left Established (or never got there): drop its
+    /// routes and export state, re-decide what it contributed to.
+    fn session_down(&mut self, host: &mut Host, idx: usize);
+
+    /// Apply one UPDATE from neighbor `idx`. `raw_body` is the message
+    /// body as received (argument 0 of ① `BGP_RECEIVE_MESSAGE`). An `Err`
+    /// makes the host send the matching NOTIFICATION and tear the
+    /// session down; whatever the engine queued first is still flushed.
+    fn update(
+        &mut self,
+        host: &mut Host,
+        idx: usize,
+        upd: UpdateMsg,
+        raw_body: &[u8],
+    ) -> Result<(), WireError>;
+
+    /// Send everything queued, through [`Host::send_withdrawals`] and
+    /// [`Host::send_announce`].
+    fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>);
+
+    fn loc_rib_len(&self) -> usize;
+    fn has_best_route(&self, prefix: &Ipv4Prefix) -> bool;
+    fn loc_rib_dump(&self) -> Vec<(Ipv4Prefix, Vec<u8>)>;
+    fn oracle_loc_rib_dump(&mut self, host: &mut Host) -> Vec<(Ipv4Prefix, Vec<u8>)>;
+
+    /// The engine's RIB series: `xbgp_rib_*`, Adj-RIB-Out size and any
+    /// engine-specific gauge.
+    fn push_gauges(&self, s: &mut Snapshot);
+}
+
+/// A BGP daemon: the shared [`Host`] driving one [`RouteEngine`].
+pub struct BgpDaemon<E> {
+    pub host: Host,
+    pub engine: E,
+}
+
+impl<E: RouteEngine> BgpDaemon<E> {
+    pub fn new(spec: DaemonSpec) -> BgpDaemon<E> {
+        let host = Host::new(spec);
+        let engine = E::new(&host);
+        BgpDaemon { host, engine }
+    }
+
+    /// Turn on timing instrumentation at runtime (same effect as
+    /// [`DaemonSpec::metrics`]).
+    pub fn enable_metrics(&mut self) {
+        self.host.hooks.vmm.enable_metrics();
+    }
+
+    /// Attach a route-scoped flight recorder at runtime (same effect as
+    /// [`DaemonSpec::trace`]).
+    pub fn enable_trace(&mut self, cfg: TraceConfig) {
+        self.host.hooks.vmm.enable_trace(cfg);
+    }
+
+    /// Turn on the VM execution profiler at runtime.
+    pub fn enable_profile(&mut self) {
+        self.host.hooks.vmm.enable_profile();
+    }
+
+    /// xBGP per-extension statistics.
+    pub fn xbgp_stats(&self) -> Vec<ExtensionStats> {
+        self.host.hooks.vmm.stats()
+    }
+
+    /// Read a block from an extension program's persistent memory.
+    pub fn xbgp_shared_read(&self, group: &str, key: u64) -> Option<Vec<u8>> {
+        self.host.hooks.vmm.shared_read(group, key)
+    }
+
+    /// The most recent extension fault, formatted, if any.
+    pub fn xbgp_last_error(&self) -> Option<String> {
+        self.host.hooks.vmm.last_error().map(|(n, e)| format!("{n}: {e}"))
+    }
+
+    fn flush(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.engine.flush(&mut self.host, ctx);
+    }
+
+    fn send_open(&mut self, ctx: &mut NodeCtx<'_>, idx: usize) {
+        let spec = &self.host.spec;
+        let open = OpenMsg::standard(spec.asn, spec.hold_time_secs, spec.router_id);
+        self.host.transition(idx, NeighborState::OpenSent);
+        self.host.send_msg(ctx, idx, &Message::Open(open));
+    }
+
+    fn establish(&mut self, ctx: &mut NodeCtx<'_>, idx: usize) {
+        self.host.transition(idx, NeighborState::Established);
+        self.host.neighbors[idx].last_rx = ctx.now();
+        self.host.stats.counters.sessions_established += 1;
+        let hold = self.host.neighbors[idx].hold_ns;
+        if hold > 0 {
+            ctx.set_timer(hold / 3, (idx as u64) * 2 + TIMER_KEEPALIVE);
+            ctx.set_timer(hold / 3, (idx as u64) * 2 + TIMER_HOLD);
+        }
+        self.engine.session_up(&mut self.host, idx);
+        self.flush(ctx);
+    }
+
+    fn teardown(&mut self, ctx: &mut NodeCtx<'_>, idx: usize) {
+        if self.host.neighbors[idx].state == NeighborState::Idle {
+            return;
+        }
+        self.host.neighbors[idx].reset();
+        self.host.transition(idx, NeighborState::Idle);
+        self.engine.session_down(&mut self.host, idx);
+        self.flush(ctx);
+    }
+
+    /// NOTIFICATION, then teardown: the one way a session ends on error.
+    fn fail(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, why: String, n: NotificationMsg) {
+        self.host.logs.push(format!("neighbor {idx}: {why}"));
+        self.host.send_msg(ctx, idx, &Message::Notification(n));
+        self.teardown(ctx, idx);
+    }
+
+    fn handle_update(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, upd: UpdateMsg, body: &[u8]) {
+        let host = &mut self.host;
+        host.stats.counters.updates_rx += 1;
+        host.stats.counters.first_update_rx.get_or_insert(host.now);
+        host.stats.counters.withdrawals_rx += upd.withdrawn.len() as u64;
+        // Trace-id allocation happens at UPDATE ingest, before any route
+        // is parsed, so every downstream event carries the same scope.
+        if let Some(t) = host.hooks.vmm.tracer_mut() {
+            t.set_now(host.now);
+            t.on_ingest(idx as u64, upd.nlri.len() as u64);
+        }
+        match self.engine.update(&mut self.host, idx, upd, body) {
+            Ok(()) => self.flush(ctx),
+            // The teardown's flush sends what the engine queued first.
+            Err(e) => {
+                let n = NotificationMsg::from_error(&e);
+                self.fail(ctx, idx, format!("malformed UPDATE: {e}"), n);
+            }
+        }
+    }
+
+    fn handle_message(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, frame: Vec<u8>) {
+        self.host.neighbors[idx].last_rx = ctx.now();
+        let width = self.host.neighbors[idx].asn_width();
+        let decoded = xbgp_wire::msg::deframe(&frame)
+            .and_then(|(ty, body)| Message::decode_body(ty, body, width).map(|m| (m, body)));
+        let (msg, body) = match decoded {
+            Ok(v) => v,
+            Err(e) => {
+                let n = NotificationMsg::from_error(&e);
+                return self.fail(ctx, idx, format!("bad message: {e}"), n);
+            }
+        };
+        match (self.host.neighbors[idx].state, msg) {
+            (NeighborState::OpenSent, Message::Open(open)) => {
+                let hold = self.host.spec.hold_time_secs;
+                match self.host.neighbors[idx].accept_open(&open, hold) {
+                    Ok(()) => {
+                        self.host.stats.fsm_transitions[NeighborState::OpenConfirm as usize] += 1;
+                        self.host.send_msg(ctx, idx, &Message::Keepalive);
+                    }
+                    Err(reason) => {
+                        let n = NotificationMsg::new(2, 2);
+                        self.fail(ctx, idx, format!("OPEN rejected: {reason}"), n);
+                    }
+                }
+            }
+            (NeighborState::OpenConfirm, Message::Keepalive) => self.establish(ctx, idx),
+            (NeighborState::Established, Message::Update(upd)) => {
+                self.handle_update(ctx, idx, upd, body)
+            }
+            (NeighborState::Established, Message::Keepalive) => {}
+            (_, Message::Notification(n)) => {
+                self.host
+                    .logs
+                    .push(format!("neighbor {idx}: NOTIFICATION {}/{}", n.code, n.subcode));
+                self.teardown(ctx, idx);
+            }
+            (state, msg) => {
+                let why = format!("unexpected {:?} in state {state:?}", msg.msg_type());
+                self.fail(ctx, idx, why, NotificationMsg::new(5, 0));
+            }
+        }
+    }
+}
+
+impl<E: RouteEngine> Node for BgpDaemon<E> {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        self.host.now = ctx.now();
+        self.engine.originate(&mut self.host);
+        self.flush(ctx);
+        for idx in 0..self.host.neighbors.len() {
+            self.send_open(ctx, idx);
+        }
+    }
+
+    fn on_data(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, data: &[u8]) {
+        let Some(&idx) = self.host.link_to_neighbor.get(&link) else {
+            return; // Data on an unconfigured link.
+        };
+        if self.host.neighbors[idx].state == NeighborState::Idle {
+            return;
+        }
+        self.host.now = ctx.now();
+        self.host.neighbors[idx].reader.push(data);
+        while self.host.neighbors[idx].state != NeighborState::Idle {
+            match self.host.neighbors[idx].reader.next_frame() {
+                Ok(Some(frame)) => self.handle_message(ctx, idx, frame),
+                Ok(None) => break,
+                Err(e) => {
+                    let n = NotificationMsg::from_error(&e);
+                    self.fail(ctx, idx, format!("framing error: {e}"), n);
+                }
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
+        let idx = (token / 2) as usize;
+        if !self.host.neighbors.get(idx).is_some_and(Neighbor::is_established) {
+            return;
+        }
+        self.host.now = ctx.now();
+        let (hold, last_rx) = (self.host.neighbors[idx].hold_ns, self.host.neighbors[idx].last_rx);
+        if token % 2 == TIMER_KEEPALIVE {
+            self.host.send_msg(ctx, idx, &Message::Keepalive);
+        } else if ctx.now().saturating_sub(last_rx) >= hold {
+            let why = "hold timer expired".to_string();
+            return self.fail(ctx, idx, why, NotificationMsg::new(4, 0));
+        }
+        ctx.set_timer(hold / 3, token);
+    }
+
+    fn on_link_event(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, up: bool) {
+        let Some(&idx) = self.host.link_to_neighbor.get(&link) else {
+            return;
+        };
+        self.host.now = ctx.now();
+        if !up {
+            self.teardown(ctx, idx);
+        } else if self.host.neighbors[idx].state == NeighborState::Idle {
+            self.send_open(ctx, idx);
+        }
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+impl<E: RouteEngine> Daemon for BgpDaemon<E> {
+    fn kind(&self) -> Dut {
+        E::KIND
+    }
+
+    fn loc_rib_len(&self) -> usize {
+        self.engine.loc_rib_len()
+    }
+
+    fn has_best_route(&self, prefix: &Ipv4Prefix) -> bool {
+        self.engine.has_best_route(prefix)
+    }
+
+    fn loc_rib_dump(&self) -> Vec<(Ipv4Prefix, Vec<u8>)> {
+        self.engine.loc_rib_dump()
+    }
+
+    /// Runs the same ③ `BGP_DECISION` extensions as the live path, so
+    /// collect metrics snapshots *before* calling this (it advances the
+    /// decision counters).
+    fn oracle_loc_rib_dump(&mut self) -> Vec<(Ipv4Prefix, Vec<u8>)> {
+        self.engine.oracle_loc_rib_dump(&mut self.host)
+    }
+
+    /// Daemon counters and gauges, hook-site latency histograms (when
+    /// instrumentation is on), the engine's RIB series and the VMM's
+    /// per-point / per-extension metrics, all labelled
+    /// `daemon="bgp-<slug>"`.
+    fn metrics_snapshot(&self) -> Snapshot {
+        let mut s = Snapshot::new();
+        let st = &self.host.stats;
+        let c = &st.counters;
+        s.push_counter("xbgp_daemon_updates_rx_total", &[], c.updates_rx);
+        s.push_counter("xbgp_daemon_updates_tx_total", &[], c.updates_tx);
+        s.push_counter("xbgp_daemon_prefixes_rx_total", &[], c.prefixes_rx);
+        s.push_counter("xbgp_daemon_prefixes_tx_total", &[], c.prefixes_tx);
+        s.push_counter("xbgp_daemon_withdrawals_rx_total", &[], c.withdrawals_rx);
+        s.push_counter("xbgp_daemon_withdrawals_tx_total", &[], c.withdrawals_tx);
+        s.push_counter("xbgp_daemon_sessions_established_total", &[], c.sessions_established);
+        for (state, n) in [
+            ("valid", st.rov_valid),
+            ("invalid", st.rov_invalid),
+            ("not_found", st.rov_not_found),
+        ] {
+            s.push_counter("xbgp_daemon_rov_total", &[("state", state)], n);
+        }
+        s.push_counter("xbgp_daemon_filter_rejects_total", &[], st.xbgp_rejected);
+        s.push_counter("xbgp_daemon_filter_accepts_total", &[], st.xbgp_accepted);
+        s.push_counter("xbgp_daemon_decision_overrides_total", &[], st.xbgp_decisions);
+        for (to, n) in STATE_NAMES.iter().zip(st.fsm_transitions) {
+            s.push_counter("xbgp_daemon_fsm_transitions_total", &[("to", to)], n);
+        }
+        let up = self.host.neighbors.iter().filter(|n| n.is_established()).count();
+        s.push_gauge("xbgp_daemon_sessions_up", &[], up as i64);
+        self.engine.push_gauges(&mut s);
+        if self.host.hooks.vmm.metrics_enabled() {
+            for p in InsertionPoint::ALL {
+                let h = self.host.hooks.hook_ns[pindex(p)].snapshot();
+                s.push_histogram("xbgp_daemon_hook_ns", &[("point", p.name())], h);
+            }
+        }
+        s.merge(self.host.hooks.vmm.metrics_snapshot())
+            .expect("daemon and VMM share the bucket layout");
+        s.with_labels(&[("daemon", &format!("bgp-{}", E::KIND.slug()))])
+    }
+
+    fn take_trace(&mut self) -> Option<TraceDump> {
+        self.host.hooks.vmm.take_trace()
+    }
+
+    fn session_established(&self, addr: u32) -> bool {
+        self.host.neighbors.iter().any(|n| n.decl.addr == addr && n.is_established())
+    }
+
+    fn counters(&self) -> DaemonCounters {
+        self.host.stats.counters
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::NodeDriver;
+    use xbgp_asm::assemble_with_symbols;
+    use xbgp_core::host::MockHost;
+    use xbgp_core::{ExtensionSpec, Manifest, OnFault};
+
+    fn neighbor(asn: u32) -> Neighbor {
+        let decl = NeighborDecl { link: LinkId(0), addr: 9, asn, rr_client: false };
+        Neighbor::new(decl, 65001)
+    }
+
+    #[test]
+    fn session_type_from_asns() {
+        assert_eq!(neighbor(65002).peer_type(), PeerType::Ebgp);
+        assert!(neighbor(65001).ibgp);
+        assert_eq!(neighbor(65001).peer_type(), PeerType::Ibgp);
+    }
+
+    #[test]
+    fn open_negotiates_minimum_hold_time() {
+        let mut n = neighbor(65002);
+        n.state = NeighborState::OpenSent;
+        n.accept_open(&OpenMsg::standard(65002, 30, 9), 90).unwrap();
+        assert_eq!(n.state, NeighborState::OpenConfirm);
+        assert_eq!(n.hold_ns, 30_000_000_000);
+    }
+
+    #[test]
+    fn open_with_wrong_asn_rejected() {
+        let mut n = neighbor(65002);
+        assert!(n.accept_open(&OpenMsg::standard(65099, 90, 9), 90).is_err());
+        assert_ne!(n.state, NeighborState::OpenConfirm);
+    }
+
+    #[test]
+    fn reset_clears_reader_and_state() {
+        let mut n = neighbor(65002);
+        n.state = NeighborState::Established;
+        n.reader.push(&[0xff; 10]);
+        n.reset();
+        assert_eq!(n.state, NeighborState::Idle);
+        assert_eq!(n.reader.buffered(), 0);
+    }
+
+    /// An engine with no routes: whatever the test put in its queues goes
+    /// to neighbor 0 at the next flush.
+    #[derive(Default)]
+    struct QueueEngine {
+        withdrawals: Vec<Ipv4Prefix>,
+        announcements: Vec<Ipv4Prefix>,
+        extra: Vec<u8>,
+    }
+
+    impl RouteEngine for QueueEngine {
+        const KIND: Dut = Dut::Fir;
+        fn new(_: &Host) -> Self {
+            QueueEngine::default()
+        }
+        fn originate(&mut self, _: &mut Host) {}
+        fn session_up(&mut self, _: &mut Host, _: usize) {}
+        fn session_down(&mut self, _: &mut Host, _: usize) {}
+        fn update(
+            &mut self,
+            _: &mut Host,
+            _: usize,
+            _: UpdateMsg,
+            _: &[u8],
+        ) -> Result<(), WireError> {
+            Ok(())
+        }
+        fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
+            host.send_withdrawals(ctx, 0, &std::mem::take(&mut self.withdrawals));
+            let nlri = std::mem::take(&mut self.announcements);
+            host.send_announce(ctx, 0, &[PathAttr::NextHop(1)], &self.extra, &nlri);
+        }
+        fn loc_rib_len(&self) -> usize {
+            0
+        }
+        fn has_best_route(&self, _: &Ipv4Prefix) -> bool {
+            false
+        }
+        fn loc_rib_dump(&self) -> Vec<(Ipv4Prefix, Vec<u8>)> {
+            Vec::new()
+        }
+        fn oracle_loc_rib_dump(&mut self, _: &mut Host) -> Vec<(Ipv4Prefix, Vec<u8>)> {
+            Vec::new()
+        }
+        fn push_gauges(&self, _: &mut Snapshot) {}
+    }
+
+    /// A daemon with one established neighbor, handshake frames drained.
+    fn established() -> NodeDriver {
+        let spec = DaemonSpec::new(65001, 1).neighbor(LinkId(0), 9, 65002);
+        let mut drv = NodeDriver::new(Box::new(BgpDaemon::<QueueEngine>::new(spec)), 1);
+        drv.start(0);
+        let open = Message::Open(OpenMsg::standard(65002, 90, 9));
+        drv.deliver(1, LinkId(0), &open.encode(4).unwrap());
+        drv.deliver(1, LinkId(0), &Message::Keepalive.encode(4).unwrap());
+        drv.drain_outbound();
+        drv
+    }
+
+    /// Queue `wd` withdrawals and `ann` announcements, trigger a flush
+    /// with an empty UPDATE, and return the decoded UPDATEs sent plus the
+    /// tx counters.
+    fn flush_counts(wd: u32, ann: u32) -> (Vec<UpdateMsg>, DaemonCounters) {
+        let prefixes = |n: u32| (0..n).map(|i| Ipv4Prefix::new(i << 8, 24)).collect();
+        let mut drv = established();
+        let d = drv.node_mut::<BgpDaemon<QueueEngine>>();
+        d.engine.withdrawals = prefixes(wd);
+        d.engine.announcements = prefixes(ann);
+        let empty = Message::Update(UpdateMsg::default()).encode(4).unwrap();
+        drv.deliver(2, LinkId(0), &empty);
+        let sent = drv
+            .drain_outbound()
+            .iter()
+            .map(|(_, frame)| match Message::decode(frame, 4).unwrap() {
+                Message::Update(u) => u,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        (sent, drv.node_ref::<BgpDaemon<QueueEngine>>().counters())
+    }
+
+    #[test]
+    fn framer_chunks_withdrawals_at_800() {
+        let (sent, c) = flush_counts(800, 0);
+        assert_eq!(sent.len(), 1);
+        assert_eq!((c.updates_tx, c.withdrawals_tx, c.prefixes_tx), (1, 800, 0));
+
+        let (sent, c) = flush_counts(801, 0);
+        let sizes: Vec<usize> = sent.iter().map(|u| u.withdrawn.len()).collect();
+        assert_eq!(sizes, [800, 1]);
+        assert_eq!((c.updates_tx, c.withdrawals_tx, c.prefixes_tx), (2, 801, 0));
+    }
+
+    #[test]
+    fn framer_chunks_announcements_at_700() {
+        let (sent, c) = flush_counts(0, 700);
+        assert_eq!(sent.len(), 1);
+        assert_eq!((c.updates_tx, c.prefixes_tx, c.withdrawals_tx), (1, 700, 0));
+
+        let (sent, c) = flush_counts(0, 701);
+        let sizes: Vec<usize> = sent.iter().map(|u| u.nlri.len()).collect();
+        assert_eq!(sizes, [700, 1]);
+        assert_eq!((c.updates_tx, c.prefixes_tx, c.withdrawals_tx), (2, 701, 0));
+    }
+
+    #[test]
+    fn encode_error_is_logged_not_sent_or_counted() {
+        let mut drv = established();
+        let d = drv.node_mut::<BgpDaemon<QueueEngine>>();
+        d.engine.announcements = vec![Ipv4Prefix::new(0, 24)];
+        d.engine.extra = vec![0; 5000]; // pushes the frame past 4096 bytes
+        let empty = Message::Update(UpdateMsg::default()).encode(4).unwrap();
+        drv.deliver(2, LinkId(0), &empty);
+        assert!(drv.drain_outbound().is_empty());
+        let d = drv.node_ref::<BgpDaemon<QueueEngine>>();
+        assert_eq!(d.counters().updates_tx, 0);
+        assert!(
+            d.host.logs.iter().any(|l| l.contains("encode to neighbor 0 failed")),
+            "{:?}",
+            d.host.logs
+        );
+    }
+
+    /// Hooks over one inbound-filter extension assembled from `src`.
+    fn filter_hooks(src: &str, on_fault: OnFault) -> Hooks {
+        let prog = assemble_with_symbols(src, &api::abi_symbols()).expect("assembles");
+        let point = InsertionPoint::BgpInboundFilter;
+        let mut ext = ExtensionSpec::from_program("f", "f", point, &["next"], &prog);
+        ext.on_fault = on_fault;
+        let mut manifest = Manifest::new();
+        manifest.push(ext);
+        Hooks {
+            vmm: Vmm::from_manifest(&manifest).unwrap(),
+            hook_ns: Default::default(),
+        }
+    }
+
+    /// `(accepted, native policy consultations, stats)` of one filter run.
+    fn filter_verdict(src: &str, on_fault: OnFault) -> (bool, u32, HostStats) {
+        let mut hooks = filter_hooks(src, on_fault);
+        let mut stats = HostStats::default();
+        let mut consulted = 0;
+        let accepted = hooks.run_filter(
+            InsertionPoint::BgpInboundFilter,
+            &mut MockHost::default(),
+            &mut stats,
+            || {
+                consulted += 1;
+                true
+            },
+        );
+        (accepted, consulted, stats)
+    }
+
+    #[test]
+    fn extension_verdicts_are_final_and_counted() {
+        let (accepted, consulted, st) =
+            filter_verdict("mov r0, FILTER_REJECT\nexit", OnFault::Fallback);
+        assert!(!accepted);
+        assert_eq!((consulted, st.xbgp_rejected, st.xbgp_accepted), (0, 1, 0));
+
+        let (accepted, consulted, st) =
+            filter_verdict("mov r0, FILTER_ACCEPT\nexit", OnFault::Fallback);
+        assert!(accepted);
+        assert_eq!((consulted, st.xbgp_rejected, st.xbgp_accepted), (0, 0, 1));
+    }
+
+    #[test]
+    fn fallback_consults_the_native_policy_exactly_once() {
+        let (accepted, consulted, st) = filter_verdict("call next\nexit", OnFault::Fallback);
+        assert!(accepted, "the native policy's answer");
+        assert_eq!((consulted, st.xbgp_rejected, st.xbgp_accepted), (1, 0, 0));
+    }
+
+    #[test]
+    fn aborted_filter_fails_closed() {
+        let wild = "lddw r1, 0x7777777777\nldxb r0, [r1]\nexit";
+        let (accepted, consulted, st) = filter_verdict(wild, OnFault::Abort);
+        assert!(!accepted);
+        assert_eq!((consulted, st.xbgp_rejected, st.xbgp_accepted), (0, 1, 0));
+    }
+}

@@ -1,29 +1,37 @@
-//! # xbgp-driver — the transport-agnostic daemon driver seam
+//! # xbgp-driver — the daemon driver seam and the one BGP host
 //!
 //! Both BGP implementations in this workspace (`bgp-fir` and `bgp-wren`)
 //! are single-threaded [`netsim::Node`]s: wire frames in, wire frames
 //! out, plus timers. Historically every front-end that drove them — the
 //! Fig. 3 harness, the shard workers, the scenario runner, the churn
-//! bench — carried its own pair of fir-vs-wren match arms and its own
-//! copy of the near-identical-but-differently-named config builders
-//! (`FirConfig::peer` vs `WrenConfig::channel`). This crate extracts the
-//! seam those front-ends share, so the deterministic sim feeder and the
-//! `xbgp-serve` socket runtime are two transports over one API:
+//! bench — carried its own pair of fir-vs-wren match arms, and the two
+//! daemons themselves each carried a copy of everything that does not
+//! depend on how routes are stored: a config struct, a neighbor FSM,
+//! timers, stats, hook timing, UPDATE framing, a `Node` impl and a
+//! `Daemon` impl. This crate is where all of that exists once, so the
+//! deterministic sim feeder and the `xbgp-serve` socket runtime are two
+//! transports over one API and the two daemons are two route engines
+//! under one host:
 //!
 //! * [`Dut`] — which implementation sits behind the seam.
-//! * [`DaemonSpec`] — the unified daemon configuration with one
+//! * [`DaemonSpec`] — *the* daemon configuration, with one
 //!   neighbor-declaration vocabulary ([`DaemonSpec::neighbor`] /
-//!   [`DaemonSpec::rr_client`]); each daemon crate converts it into its
-//!   native config type.
+//!   [`DaemonSpec::rr_client`]); both daemons are constructed from it
+//!   directly.
 //! * [`Daemon`] — the driver trait: everything a front-end needs from a
 //!   running daemon (Loc-RIB dumps, the full-recompute oracle, metrics,
 //!   traces, session state, counters) without knowing which one it is.
 //!   Frames are delivered and drained through the [`netsim::Node`]
 //!   supertrait — over a [`netsim::Sim`] link in the harness, or a
 //!   [`netsim::NodeDriver`] under a TCP session fan-in.
+//! * [`host`] — the shared BGP host: [`host::BgpDaemon<E>`] is the one
+//!   `Node` and the one `Daemon`, generic over the small
+//!   [`host::RouteEngine`] trait `bgp-fir` and `bgp-wren` implement.
 //! * [`DutNode`] — a newtype that lets a `Box<dyn Daemon>` live in the
 //!   simulator's node table (which downcasts to concrete types) while
 //!   still being reachable as a trait object.
+
+pub mod host;
 
 use netsim::{LinkId, Node, NodeCtx};
 use xbgp_obs::trace::{TraceConfig, TraceDump};
@@ -66,8 +74,7 @@ impl std::str::FromStr for Dut {
     }
 }
 
-/// One declared BGP neighbor, in the shared vocabulary both daemon
-/// configs translate from (`PeerCfg` in fir, `ChannelCfg` in wren).
+/// One declared BGP neighbor.
 #[derive(Debug, Clone, Copy)]
 pub struct NeighborDecl {
     /// The link this neighbor is reached over: a simulator link in the
@@ -81,11 +88,9 @@ pub struct NeighborDecl {
     pub rr_client: bool,
 }
 
-/// Unified daemon configuration: the union of the knobs `FirConfig` and
-/// `WrenConfig` expose, in one vocabulary. Front-ends build one of these
-/// and hand it to `FirConfig::from_spec` / `WrenConfig::from_spec` (via
-/// `xbgp_harness::dut::build`), instead of duplicating per-daemon
-/// builder chains.
+/// The daemon configuration. Front-ends build one of these and hand it
+/// to `FirDaemon::new` / `WrenDaemon::new` (or, not caring which, to
+/// `xbgp_harness::dut::build`).
 #[derive(Clone)]
 pub struct DaemonSpec {
     pub asn: u32,
@@ -97,8 +102,8 @@ pub struct DaemonSpec {
     /// liveness is owned by the per-session FSMs in front of them.
     pub hold_time_secs: u16,
     pub neighbors: Vec<NeighborDecl>,
-    /// Native RFC 4456 route reflection (fir `native_rr`, wren
-    /// `rr_enabled`).
+    /// Native RFC 4456 route reflection (ORIGINATOR_ID and CLUSTER_LIST
+    /// handling). Off when the §3.2 extension provides reflection.
     pub native_rr: bool,
     /// Cluster id for reflection; defaults to the router id.
     pub cluster_id: Option<u32>,
@@ -117,14 +122,18 @@ pub struct DaemonSpec {
     pub default_local_pref: u32,
     /// Static key → value data exposed to extensions via `get_xtra`.
     pub xtra: Vec<(String, Vec<u8>)>,
-    /// Enable timing instrumentation (latency histograms).
+    /// Enable timing instrumentation: hook-site and VMM latency
+    /// histograms fill in (two clock reads per hook). Counters are
+    /// collected regardless.
     pub metrics: bool,
     /// Route-scoped tracing configuration.
     pub trace: Option<TraceConfig>,
     /// Enable the VM execution profiler.
     pub profile: bool,
     /// Run the full-recompute decision baseline instead of incremental
-    /// delta recomputation.
+    /// delta recomputation: every net is re-decided after each UPDATE
+    /// batch. Byte-identical outcomes — it exists as the ablation
+    /// baseline of the churn benchmarks.
     pub full_recompute: bool,
 }
 
@@ -165,8 +174,7 @@ impl DaemonSpec {
     }
 }
 
-/// The cross-implementation counter set front-ends read (`DaemonStats`
-/// in fir, `WrenStats` in wren — same quantities, one shape).
+/// The cross-implementation counter set front-ends read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DaemonCounters {
     pub updates_rx: u64,

@@ -19,16 +19,15 @@
 //!   threaded into the xBGP insertion point explicitly (the "5 extra lines
 //!   of code" item of §2.1).
 //!
-//! The daemon implements the RFC 4271 session FSM over `netsim` links,
-//! the three RIBs, the decision process, native route reflection
-//! (RFC 4456) and all five xBGP insertion points.
+//! [`FirEngine`] implements the three RIBs, the decision process, native
+//! route reflection (RFC 4456) and all five xBGP insertion points; the
+//! RFC 4271 session FSM, timers, stats and UPDATE framing around it are
+//! the shared host's (`xbgp_driver::host`), and [`FirDaemon`] is that
+//! host driving this engine.
 
 pub mod attrs;
-pub mod config;
 pub mod daemon;
 pub mod rib;
-pub mod session;
 pub mod xbgp_glue;
 
-pub use config::{FirConfig, PeerCfg};
-pub use daemon::{DaemonStats, FirDaemon};
+pub use daemon::{FirDaemon, FirEngine};

@@ -14,34 +14,9 @@ use rpki::RovState;
 use std::collections::HashMap;
 use std::rc::Rc;
 use xbgp_core::api::PeerType;
+pub use xbgp_driver::host::RouteSource;
 use xbgp_rib::PrefixMap;
 use xbgp_wire::Ipv4Prefix;
-
-/// Where a route was learned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouteSource {
-    /// Neighbor address / BGP identifier, or the router's own id for
-    /// locally originated routes.
-    pub peer_addr: u32,
-    pub peer_asn: u32,
-    pub peer_type: PeerType,
-    /// The source peer is a route-reflection client.
-    pub rr_client: bool,
-    /// True for locally originated routes.
-    pub local: bool,
-}
-
-impl RouteSource {
-    pub fn local(router_id: u32, asn: u32) -> RouteSource {
-        RouteSource {
-            peer_addr: router_id,
-            peer_asn: asn,
-            peer_type: PeerType::Ibgp,
-            rr_client: false,
-            local: true,
-        }
-    }
-}
 
 /// One route in a RIB: shared attribute set plus provenance.
 #[derive(Debug, Clone)]

@@ -10,9 +10,10 @@
 //! every quiescent state to the from-scratch decision oracle
 //! (`oracle_loc_rib_dump`).
 
-use bgp_fir::{FirConfig, FirDaemon};
+use bgp_fir::FirDaemon;
 use netsim::{NodeCtx, Sim, SimConfig};
 use proptest::prelude::*;
+use xbgp_driver::{Daemon, DaemonSpec};
 use xbgp_wire::attr::Origin;
 use xbgp_wire::{AsPath, Ipv4Prefix, Message, MsgReader, MsgType, OpenMsg, PathAttr, UpdateMsg};
 
@@ -115,7 +116,7 @@ impl netsim::Node for Placeholder {
 fn dut_with_scripted(scripts: Vec<Vec<Vec<Vec<u8>>>>) -> (Sim, netsim::NodeId) {
     let mut sim = Sim::new(SimConfig::default());
     let dut = sim.add_node(Box::new(Placeholder));
-    let mut cfg = FirConfig::new(65001, 1);
+    let mut cfg = DaemonSpec::new(65001, 1);
     for (i, steps) in scripts.into_iter().enumerate() {
         let peer_addr = 9 + i as u32;
         let peer_asn = 65009 + i as u32;
@@ -147,14 +148,14 @@ fn last_route_withdraw_empties_the_net() {
     sim.run_until(3 * SEC);
     {
         let d: &FirDaemon = sim.node_ref(dut);
-        assert_eq!(d.loc_rib_prefixes(), vec![px]);
+        assert_eq!(d.engine.loc_rib_prefixes(), vec![px]);
     }
     assert_oracle_clean(&mut sim, dut);
 
     sim.run_until(5 * SEC + SEC / 2);
     let d: &FirDaemon = sim.node_ref(dut);
-    assert!(d.loc_rib_prefixes().is_empty(), "last-route withdraw must empty the net");
-    assert_eq!(d.stats.withdrawals_rx, 1);
+    assert!(d.engine.loc_rib_prefixes().is_empty(), "last-route withdraw must empty the net");
+    assert_eq!(d.host.stats.counters.withdrawals_rx, 1);
     assert_oracle_clean(&mut sim, dut);
 }
 
@@ -172,12 +173,15 @@ fn best_flap_away_and_back_settles_on_the_original() {
     let (mut sim, dut) = dut_with_scripted(vec![steps_a, steps_b]);
 
     sim.run_until(3 * SEC);
-    assert_eq!(sim.node_ref::<FirDaemon>(dut).best_route(&px).unwrap().source.peer_addr, 9);
+    assert_eq!(
+        sim.node_ref::<FirDaemon>(dut).engine.best_route(&px).unwrap().source.peer_addr,
+        9
+    );
     assert_oracle_clean(&mut sim, dut);
 
     sim.run_until(5 * SEC + SEC / 2);
     assert_eq!(
-        sim.node_ref::<FirDaemon>(dut).best_route(&px).unwrap().source.peer_addr,
+        sim.node_ref::<FirDaemon>(dut).engine.best_route(&px).unwrap().source.peer_addr,
         10,
         "shorter path must take over"
     );
@@ -186,11 +190,11 @@ fn best_flap_away_and_back_settles_on_the_original() {
     sim.run_until(9 * SEC);
     let d: &FirDaemon = sim.node_ref(dut);
     assert_eq!(
-        d.best_route(&px).unwrap().source.peer_addr,
+        d.engine.best_route(&px).unwrap().source.peer_addr,
         9,
         "after the flap the original best must return"
     );
-    assert_eq!(d.loc_rib_prefixes(), vec![px]);
+    assert_eq!(d.engine.loc_rib_prefixes(), vec![px]);
     assert_oracle_clean(&mut sim, dut);
 }
 
@@ -206,13 +210,16 @@ fn same_batch_withdraw_and_reannounce_keeps_the_new_route() {
     let (mut sim, dut) = dut_with_scripted(vec![steps]);
 
     sim.run_until(3 * SEC);
-    assert_eq!(sim.node_ref::<FirDaemon>(dut).best_route(&px).unwrap().attrs.med, Some(5));
+    assert_eq!(
+        sim.node_ref::<FirDaemon>(dut).engine.best_route(&px).unwrap().attrs.med,
+        Some(5)
+    );
 
     sim.run_until(5 * SEC + SEC / 2);
     let d: &FirDaemon = sim.node_ref(dut);
-    assert_eq!(d.loc_rib_prefixes(), vec![px], "the net must survive the batch");
+    assert_eq!(d.engine.loc_rib_prefixes(), vec![px], "the net must survive the batch");
     assert_eq!(
-        d.best_route(&px).unwrap().attrs.med,
+        d.engine.best_route(&px).unwrap().attrs.med,
         Some(9),
         "the re-announce inside the batch must win over the withdraw"
     );
@@ -232,8 +239,8 @@ fn re_announce_within_one_delivery_takes_the_last_frame() {
 
     sim.run_until(3 * SEC + SEC / 2);
     let d: &FirDaemon = sim.node_ref(dut);
-    assert_eq!(d.best_route(&px).unwrap().attrs.med, Some(7));
-    assert_eq!(d.stats.prefixes_rx, 2, "both announcements were absorbed");
+    assert_eq!(d.engine.best_route(&px).unwrap().attrs.med, Some(7));
+    assert_eq!(d.host.stats.counters.prefixes_rx, 2, "both announcements were absorbed");
     assert_oracle_clean(&mut sim, dut);
 }
 

@@ -1,8 +1,9 @@
 //! End-to-end tests: FIR daemons talking BGP to each other over netsim.
 
-use bgp_fir::{FirConfig, FirDaemon};
+use bgp_fir::FirDaemon;
 use netsim::{Sim, SimConfig};
 use rpki::Roa;
+use xbgp_driver::{Daemon, DaemonSpec};
 use xbgp_wire::Ipv4Prefix;
 
 fn p(s: &str) -> Ipv4Prefix {
@@ -14,16 +15,16 @@ const SEC: u64 = 1_000_000_000;
 
 /// Two routers, one eBGP session, one originated prefix.
 fn two_router_setup(
-    a_cfg: impl FnOnce(FirConfig) -> FirConfig,
-    b_cfg: impl FnOnce(FirConfig) -> FirConfig,
+    a_cfg: impl FnOnce(DaemonSpec) -> DaemonSpec,
+    b_cfg: impl FnOnce(DaemonSpec) -> DaemonSpec,
 ) -> (Sim, netsim::NodeId, netsim::NodeId) {
     let mut sim = Sim::new(SimConfig::default());
     // Reserve node ids first so link ids are known before configs.
     let a = sim.add_node(Box::new(Placeholder));
     let b = sim.add_node(Box::new(Placeholder));
     let link = sim.connect(a, b, MS);
-    let cfg_a = a_cfg(FirConfig::new(65001, 1).neighbor(link, 2, 65002));
-    let cfg_b = b_cfg(FirConfig::new(65002, 2).neighbor(link, 1, 65001));
+    let cfg_a = a_cfg(DaemonSpec::new(65001, 1).neighbor(link, 2, 65002));
+    let cfg_b = b_cfg(DaemonSpec::new(65002, 2).neighbor(link, 1, 65001));
     sim.replace_node(a, Box::new(FirDaemon::new(cfg_a)));
     sim.replace_node(b, Box::new(FirDaemon::new(cfg_b)));
     (sim, a, b)
@@ -51,8 +52,8 @@ fn ebgp_session_establishes_and_propagates_a_route() {
 
     let db: &FirDaemon = sim.node_ref(b);
     assert!(db.session_established(1));
-    assert_eq!(db.loc_rib_prefixes(), vec![p("10.1.0.0/16")]);
-    let best = db.best_route(&p("10.1.0.0/16")).unwrap();
+    assert_eq!(db.engine.loc_rib_prefixes(), vec![p("10.1.0.0/16")]);
+    let best = db.engine.best_route(&p("10.1.0.0/16")).unwrap();
     // eBGP export prepended the sender's ASN and rewrote the nexthop.
     assert_eq!(best.attrs.as_path.asns().collect::<Vec<_>>(), vec![65001]);
     assert_eq!(best.attrs.next_hop, 1);
@@ -71,10 +72,10 @@ fn withdrawal_propagates_on_link_failure_between_three_routers() {
     let c = sim.add_node(Box::new(Placeholder));
     let l1 = sim.connect(a, dut, MS);
     let l2 = sim.connect(dut, c, MS);
-    let mut cfg_a = FirConfig::new(65001, 1).neighbor(l1, 2, 65002);
+    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(l1, 2, 65002);
     cfg_a.originate = vec![(p("192.0.2.0/24"), 1)];
-    let cfg_dut = FirConfig::new(65002, 2).neighbor(l1, 1, 65001).neighbor(l2, 3, 65003);
-    let cfg_c = FirConfig::new(65003, 3).neighbor(l2, 2, 65002);
+    let cfg_dut = DaemonSpec::new(65002, 2).neighbor(l1, 1, 65001).neighbor(l2, 3, 65003);
+    let cfg_c = DaemonSpec::new(65003, 3).neighbor(l2, 2, 65002);
     sim.replace_node(a, Box::new(FirDaemon::new(cfg_a)));
     sim.replace_node(dut, Box::new(FirDaemon::new(cfg_dut)));
     sim.replace_node(c, Box::new(FirDaemon::new(cfg_c)));
@@ -82,9 +83,9 @@ fn withdrawal_propagates_on_link_failure_between_three_routers() {
     sim.run_until(5 * SEC);
     {
         let dc: &FirDaemon = sim.node_ref(c);
-        assert_eq!(dc.loc_rib_prefixes(), vec![p("192.0.2.0/24")]);
+        assert_eq!(dc.engine.loc_rib_prefixes(), vec![p("192.0.2.0/24")]);
         let path: Vec<u32> =
-            dc.best_route(&p("192.0.2.0/24")).unwrap().attrs.as_path.asns().collect();
+            dc.engine.best_route(&p("192.0.2.0/24")).unwrap().attrs.as_path.asns().collect();
         assert_eq!(path, vec![65002, 65001], "two eBGP hops prepended");
     }
 
@@ -92,7 +93,7 @@ fn withdrawal_propagates_on_link_failure_between_three_routers() {
     sim.run_until(10 * SEC);
     let dc: &FirDaemon = sim.node_ref(c);
     assert!(
-        dc.loc_rib_prefixes().is_empty(),
+        dc.engine.loc_rib_prefixes().is_empty(),
         "route must be withdrawn after the upstream link failed"
     );
 }
@@ -110,11 +111,11 @@ fn ibgp_routes_are_not_reflected_without_rr() {
     let l_x = sim.connect(dut, x, MS);
     let l_y = sim.connect(x, y, MS);
 
-    let mut cfg_up = FirConfig::new(65009, 9).neighbor(l_up, 2, 65000);
+    let mut cfg_up = DaemonSpec::new(65009, 9).neighbor(l_up, 2, 65000);
     cfg_up.originate = vec![(p("203.0.113.0/24"), 9)];
-    let cfg_dut = FirConfig::new(65000, 2).neighbor(l_up, 9, 65009).neighbor(l_x, 3, 65000);
-    let cfg_x = FirConfig::new(65000, 3).neighbor(l_x, 2, 65000).neighbor(l_y, 4, 65000);
-    let cfg_y = FirConfig::new(65000, 4).neighbor(l_y, 3, 65000);
+    let cfg_dut = DaemonSpec::new(65000, 2).neighbor(l_up, 9, 65009).neighbor(l_x, 3, 65000);
+    let cfg_x = DaemonSpec::new(65000, 3).neighbor(l_x, 2, 65000).neighbor(l_y, 4, 65000);
+    let cfg_y = DaemonSpec::new(65000, 4).neighbor(l_y, 3, 65000);
     sim.replace_node(up, Box::new(FirDaemon::new(cfg_up)));
     sim.replace_node(dut, Box::new(FirDaemon::new(cfg_dut)));
     sim.replace_node(x, Box::new(FirDaemon::new(cfg_x)));
@@ -122,12 +123,12 @@ fn ibgp_routes_are_not_reflected_without_rr() {
 
     sim.run_until(5 * SEC);
     assert_eq!(
-        sim.node_ref::<FirDaemon>(x).loc_rib_prefixes(),
+        sim.node_ref::<FirDaemon>(x).engine.loc_rib_prefixes(),
         vec![p("203.0.113.0/24")],
         "eBGP-learned route goes to iBGP peer x"
     );
     // x learned it over iBGP → not re-advertised to y.
-    assert!(sim.node_ref::<FirDaemon>(y).loc_rib_prefixes().is_empty());
+    assert!(sim.node_ref::<FirDaemon>(y).engine.loc_rib_prefixes().is_empty());
 }
 
 #[test]
@@ -140,19 +141,20 @@ fn native_route_reflection_reflects_with_originator_and_cluster_list() {
     let l_up = sim.connect(up, rr, MS);
     let l_down = sim.connect(rr, down, MS);
 
-    let mut cfg_up = FirConfig::new(65000, 1).neighbor(l_up, 2, 65000);
+    let mut cfg_up = DaemonSpec::new(65000, 1).neighbor(l_up, 2, 65000);
     cfg_up.originate = vec![(p("198.51.100.0/24"), 1)];
-    let mut cfg_rr = FirConfig::new(65000, 2).rr_client(l_up, 1, 65000).rr_client(l_down, 3, 65000);
+    let mut cfg_rr =
+        DaemonSpec::new(65000, 2).rr_client(l_up, 1, 65000).rr_client(l_down, 3, 65000);
     cfg_rr.native_rr = true;
-    let cfg_down = FirConfig::new(65000, 3).neighbor(l_down, 2, 65000);
+    let cfg_down = DaemonSpec::new(65000, 3).neighbor(l_down, 2, 65000);
     sim.replace_node(up, Box::new(FirDaemon::new(cfg_up)));
     sim.replace_node(rr, Box::new(FirDaemon::new(cfg_rr)));
     sim.replace_node(down, Box::new(FirDaemon::new(cfg_down)));
 
     sim.run_until(5 * SEC);
     let dd: &FirDaemon = sim.node_ref(down);
-    assert_eq!(dd.loc_rib_prefixes(), vec![p("198.51.100.0/24")]);
-    let best = dd.best_route(&p("198.51.100.0/24")).unwrap();
+    assert_eq!(dd.engine.loc_rib_prefixes(), vec![p("198.51.100.0/24")]);
+    let best = dd.engine.best_route(&p("198.51.100.0/24")).unwrap();
     assert_eq!(best.attrs.originator_id, Some(1), "ORIGINATOR_ID = learner's id");
     assert_eq!(best.attrs.cluster_list, vec![2], "reflector prepended its cluster id");
     assert_eq!(best.attrs.local_pref, Some(100));
@@ -172,11 +174,11 @@ fn reflection_loop_prevention_by_originator_id() {
     let l2 = sim.connect(rr1, rr2, MS);
     let l3 = sim.connect(rr2, client, MS);
 
-    let mut cfg_client = FirConfig::new(65000, 1).neighbor(l1, 2, 65000).neighbor(l3, 3, 65000);
+    let mut cfg_client = DaemonSpec::new(65000, 1).neighbor(l1, 2, 65000).neighbor(l3, 3, 65000);
     cfg_client.originate = vec![(p("10.9.9.0/24"), 1)];
-    let mut cfg_rr1 = FirConfig::new(65000, 2).rr_client(l1, 1, 65000).neighbor(l2, 3, 65000);
+    let mut cfg_rr1 = DaemonSpec::new(65000, 2).rr_client(l1, 1, 65000).neighbor(l2, 3, 65000);
     cfg_rr1.native_rr = true;
-    let mut cfg_rr2 = FirConfig::new(65000, 3).rr_client(l3, 1, 65000).neighbor(l2, 2, 65000);
+    let mut cfg_rr2 = DaemonSpec::new(65000, 3).rr_client(l3, 1, 65000).neighbor(l2, 2, 65000);
     cfg_rr2.native_rr = true;
     sim.replace_node(client, Box::new(FirDaemon::new(cfg_client)));
     sim.replace_node(rr1, Box::new(FirDaemon::new(cfg_rr1)));
@@ -185,11 +187,11 @@ fn reflection_loop_prevention_by_originator_id() {
     sim.run_until(10 * SEC);
     for node in [rr1, rr2] {
         let d: &FirDaemon = sim.node_ref(node);
-        assert_eq!(d.loc_rib_prefixes(), vec![p("10.9.9.0/24")]);
+        assert_eq!(d.engine.loc_rib_prefixes(), vec![p("10.9.9.0/24")]);
     }
     // The client's best route for its own prefix stays the local one.
     let dc: &FirDaemon = sim.node_ref(client);
-    assert!(dc.best_route(&p("10.9.9.0/24")).unwrap().source.local);
+    assert!(dc.engine.best_route(&p("10.9.9.0/24")).unwrap().source.local);
 }
 
 #[test]
@@ -216,15 +218,15 @@ fn native_origin_validation_tags_routes_with_the_trie() {
     );
     sim.run_until(5 * SEC);
     let db: &FirDaemon = sim.node_ref(b);
-    assert_eq!(db.stats.rov_valid, 1);
-    assert_eq!(db.stats.rov_invalid, 1);
-    assert_eq!(db.stats.rov_not_found, 1);
+    assert_eq!(db.host.stats.rov_valid, 1);
+    assert_eq!(db.host.stats.rov_invalid, 1);
+    assert_eq!(db.host.stats.rov_not_found, 1);
     // §3.4: validation never discards.
     assert_eq!(db.loc_rib_len(), 3);
     use rpki::RovState;
-    assert_eq!(db.best_route(&p("10.1.0.0/16")).unwrap().rov, Some(RovState::Valid));
-    assert_eq!(db.best_route(&p("10.2.0.0/16")).unwrap().rov, Some(RovState::Invalid));
-    assert_eq!(db.best_route(&p("10.3.0.0/16")).unwrap().rov, Some(RovState::NotFound));
+    assert_eq!(db.engine.best_route(&p("10.1.0.0/16")).unwrap().rov, Some(RovState::Valid));
+    assert_eq!(db.engine.best_route(&p("10.2.0.0/16")).unwrap().rov, Some(RovState::Invalid));
+    assert_eq!(db.engine.best_route(&p("10.3.0.0/16")).unwrap().rov, Some(RovState::NotFound));
 }
 
 #[test]
@@ -236,15 +238,15 @@ fn ebgp_loop_detection_drops_looping_paths() {
     let c = sim.add_node(Box::new(Placeholder));
     let l1 = sim.connect(a, dut, MS);
     let l2 = sim.connect(dut, c, MS);
-    let mut cfg_a = FirConfig::new(65001, 1).neighbor(l1, 2, 65002);
+    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(l1, 2, 65002);
     cfg_a.originate = vec![(p("10.0.0.0/8"), 1)];
-    let cfg_dut = FirConfig::new(65002, 2).neighbor(l1, 1, 65001).neighbor(l2, 3, 65001);
-    let cfg_c = FirConfig::new(65001, 3).neighbor(l2, 2, 65002);
+    let cfg_dut = DaemonSpec::new(65002, 2).neighbor(l1, 1, 65001).neighbor(l2, 3, 65001);
+    let cfg_c = DaemonSpec::new(65001, 3).neighbor(l2, 2, 65002);
     sim.replace_node(a, Box::new(FirDaemon::new(cfg_a)));
     sim.replace_node(dut, Box::new(FirDaemon::new(cfg_dut)));
     sim.replace_node(c, Box::new(FirDaemon::new(cfg_c)));
     sim.run_until(5 * SEC);
-    assert!(sim.node_ref::<FirDaemon>(c).loc_rib_prefixes().is_empty());
+    assert!(sim.node_ref::<FirDaemon>(c).engine.loc_rib_prefixes().is_empty());
 }
 
 #[test]
@@ -261,12 +263,19 @@ fn best_path_selection_prefers_shorter_as_path_across_peers() {
     let l_mid_b = sim.connect(mid, b, MS);
     let l_b_dut = sim.connect(b, dut, MS);
 
-    let mut cfg_a =
-        FirConfig::new(65001, 1).neighbor(l_a_dut, 4, 65004).neighbor(l_a_mid, 2, 65002);
+    let mut cfg_a = DaemonSpec::new(65001, 1)
+        .neighbor(l_a_dut, 4, 65004)
+        .neighbor(l_a_mid, 2, 65002);
     cfg_a.originate = vec![(p("10.0.0.0/8"), 1)];
-    let cfg_mid = FirConfig::new(65002, 2).neighbor(l_a_mid, 1, 65001).neighbor(l_mid_b, 3, 65003);
-    let cfg_b = FirConfig::new(65003, 3).neighbor(l_mid_b, 2, 65002).neighbor(l_b_dut, 4, 65004);
-    let cfg_dut = FirConfig::new(65004, 4).neighbor(l_a_dut, 1, 65001).neighbor(l_b_dut, 3, 65003);
+    let cfg_mid = DaemonSpec::new(65002, 2)
+        .neighbor(l_a_mid, 1, 65001)
+        .neighbor(l_mid_b, 3, 65003);
+    let cfg_b = DaemonSpec::new(65003, 3)
+        .neighbor(l_mid_b, 2, 65002)
+        .neighbor(l_b_dut, 4, 65004);
+    let cfg_dut = DaemonSpec::new(65004, 4)
+        .neighbor(l_a_dut, 1, 65001)
+        .neighbor(l_b_dut, 3, 65003);
     sim.replace_node(a, Box::new(FirDaemon::new(cfg_a)));
     sim.replace_node(mid, Box::new(FirDaemon::new(cfg_mid)));
     sim.replace_node(b, Box::new(FirDaemon::new(cfg_b)));
@@ -274,7 +283,7 @@ fn best_path_selection_prefers_shorter_as_path_across_peers() {
 
     sim.run_until(10 * SEC);
     let dd: &FirDaemon = sim.node_ref(dut);
-    let best = dd.best_route(&p("10.0.0.0/8")).unwrap();
+    let best = dd.engine.best_route(&p("10.0.0.0/8")).unwrap();
     assert_eq!(
         best.attrs.as_path.asns().collect::<Vec<_>>(),
         vec![65001],
@@ -299,9 +308,9 @@ fn attribute_interning_shares_sets_across_prefixes() {
     let db: &FirDaemon = sim.node_ref(b);
     assert_eq!(db.loc_rib_len(), 50);
     assert!(
-        db.interned_attr_sets() <= 3,
+        db.engine.interned_attr_sets() <= 3,
         "one shared attribute set expected, got {}",
-        db.interned_attr_sets()
+        db.engine.interned_attr_sets()
     );
 }
 
@@ -352,7 +361,7 @@ fn hold_timer_expiry_tears_down_a_silent_session() {
         sim.add_node(Box::new(Mute { reader: xbgp_wire::MsgReader::new(), sent_keepalive: false }));
     let dut = sim.add_node(Box::new(Placeholder));
     let link = sim.connect(mute, dut, MS);
-    let cfg = FirConfig::new(65001, 1).neighbor(link, 9, 65009);
+    let cfg = DaemonSpec::new(65001, 1).neighbor(link, 9, 65009);
     sim.replace_node(dut, Box::new(FirDaemon::new(cfg)));
 
     // Session up + route learned well before the hold timer can fire.
@@ -360,13 +369,13 @@ fn hold_timer_expiry_tears_down_a_silent_session() {
     {
         let d: &FirDaemon = sim.node_ref(dut);
         assert!(d.session_established(9));
-        assert_eq!(d.loc_rib_prefixes(), vec![p("198.18.0.0/16")]);
+        assert_eq!(d.engine.loc_rib_prefixes(), vec![p("198.18.0.0/16")]);
     }
     // 9s hold + checks every 3s: by t=15s the session must be gone and the
     // route flushed.
     sim.run_until(15 * SEC);
     let d: &FirDaemon = sim.node_ref(dut);
     assert!(!d.session_established(9), "silent peer dropped on hold expiry");
-    assert!(d.loc_rib_prefixes().is_empty(), "its routes withdrawn");
-    assert!(d.logs.iter().any(|l| l.contains("hold timer expired")));
+    assert!(d.engine.loc_rib_prefixes().is_empty(), "its routes withdrawn");
+    assert!(d.host.logs.iter().any(|l| l.contains("hold timer expired")));
 }

@@ -5,8 +5,9 @@
 //! This binary re-runs the four scenarios of tests/valley_free_e2e.rs and
 //! prints a table instead of asserting.
 
-use bgp_fir::{FirConfig, FirDaemon};
+use bgp_fir::FirDaemon;
 use netsim::{LinkId, NodeId, Sim, SimConfig};
+use xbgp_driver::DaemonSpec;
 use xbgp_progs::valley_free;
 use xbgp_wire::Ipv4Prefix;
 
@@ -50,7 +51,7 @@ fn build(asns: [u32; 6], xbgp: bool) -> (Sim, Vec<NodeId>, LinkId, LinkId) {
         .collect();
     let manifest = valley_free::manifest(&pairs, p("10.0.0.0/8"));
     for i in 0..6 {
-        let mut cfg = FirConfig::new(asns[i], ids[i]);
+        let mut cfg = DaemonSpec::new(asns[i], ids[i]);
         let nbs: Vec<usize> = if i < 2 { LEAVES.to_vec() } else { vec![S1, S2] };
         for nb in nbs {
             cfg = cfg.neighbor(link(i, nb), ids[nb], asns[nb]);
@@ -72,7 +73,7 @@ fn build(asns: [u32; 6], xbgp: bool) -> (Sim, Vec<NodeId>, LinkId, LinkId) {
 }
 
 fn reaches(sim: &mut Sim, node: NodeId, prefix: &str) -> &'static str {
-    if sim.node_ref::<FirDaemon>(node).best_route(&p(prefix)).is_some() {
+    if sim.node_ref::<FirDaemon>(node).engine.best_route(&p(prefix)).is_some() {
         "yes"
     } else {
         "NO"

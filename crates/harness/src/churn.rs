@@ -17,9 +17,9 @@
 //! Correctness is pinned by the full-recompute oracle: at the quiescent
 //! point after the final (restore) round, the DUT's incremental Loc-RIB
 //! must be byte-identical to a from-scratch decision pass over its
-//! Adj-RIB-In ([`bgp_fir::FirDaemon::oracle_loc_rib_dump`] /
-//! [`bgp_wren::WrenDaemon::oracle_loc_rib_dump`]). Sharded runs self-check
-//! each replica — the invariant is per-RIB, not per-deployment.
+//! Adj-RIB-In ([`xbgp_driver::Daemon::oracle_loc_rib_dump`]). Sharded
+//! runs self-check each replica — the invariant is per-RIB, not
+//! per-deployment.
 
 use crate::dut::{build, DaemonSpec, DutNode};
 use crate::feeder::Feeder;

@@ -3,21 +3,23 @@
 //! Every front-end in the workspace — the Fig. 3 chain, the shard
 //! workers, the scenario runner, the churn bench, and the `xbgp-serve`
 //! socket runtime — describes the daemon it wants as an
-//! [`xbgp_driver::DaemonSpec`] and calls [`build`]. The match below is
-//! the only place that names a concrete daemon type; adding a third
-//! implementation means adding one arm here and implementing
-//! [`xbgp_driver::Daemon`] in its crate.
+//! [`xbgp_driver::DaemonSpec`] and calls [`build`]. Both daemons are the
+//! shared host `xbgp_driver::host::BgpDaemon<E>` around their own route
+//! engine and take the spec as it is, so the match below only picks `E`:
+//! it is the one place that names a concrete daemon type, and a third
+//! implementation means one more arm here and one more
+//! `xbgp_driver::host::RouteEngine` in its crate.
 
-use bgp_fir::{FirConfig, FirDaemon};
-use bgp_wren::{WrenConfig, WrenDaemon};
+use bgp_fir::FirDaemon;
+use bgp_wren::WrenDaemon;
 
 pub use xbgp_driver::{Daemon, DaemonCounters, DaemonSpec, Dut, DutNode, NeighborDecl};
 
 /// Instantiate the requested implementation behind the driver seam.
 pub fn build(dut: Dut, spec: DaemonSpec) -> DutNode {
     match dut {
-        Dut::Fir => DutNode(Box::new(FirDaemon::new(FirConfig::from_spec(spec)))),
-        Dut::Wren => DutNode(Box::new(WrenDaemon::new(WrenConfig::from_spec(spec)))),
+        Dut::Fir => DutNode(Box::new(FirDaemon::new(spec))),
+        Dut::Wren => DutNode(Box::new(WrenDaemon::new(spec))),
     }
 }
 

@@ -4,11 +4,13 @@
 //! persistently faulting extension must be quarantined by the circuit
 //! breaker with the event visible in the metrics snapshot.
 
-use bgp_fir::{FirConfig, FirDaemon};
-use bgp_wren::{WrenConfig, WrenDaemon};
+use bgp_fir::{FirDaemon, FirEngine};
+use bgp_wren::WrenEngine;
 use netsim::{Sim, SimConfig};
 use xbgp_core::vmm::QUARANTINE_THRESHOLD;
 use xbgp_core::Manifest;
+use xbgp_driver::host::{BgpDaemon, RouteEngine};
+use xbgp_driver::{Daemon, DaemonSpec, Dut};
 use xbgp_progs::fault_inject;
 use xbgp_wire::Ipv4Prefix;
 
@@ -23,71 +25,51 @@ impl netsim::Node for Placeholder {
     }
 }
 
-#[derive(Clone, Copy)]
-enum DutKind {
-    Fir,
-    Wren,
-}
-
 struct DutOutcome {
     loc_rib: Vec<(Ipv4Prefix, Vec<u8>)>,
     stats: Vec<xbgp_core::vmm::ExtensionStats>,
     metrics: xbgp_obs::Snapshot,
 }
 
-/// Two-router chain: a FIR origin feeds `ROUTES` prefixes into the DUT,
-/// which optionally runs `manifest` at its insertion points.
-fn run_dut(kind: DutKind, manifest: Option<Manifest>, metrics: bool) -> DutOutcome {
+/// Two-router chain: a FIR origin feeds `ROUTES` prefixes into a DUT on
+/// engine `E`, which optionally runs `manifest` at its insertion points.
+fn run_engine<E: RouteEngine>(manifest: Option<Manifest>, metrics: bool) -> DutOutcome {
     let mut sim = Sim::new(SimConfig::default());
     let origin = sim.add_node(Box::new(Placeholder));
     let dut = sim.add_node(Box::new(Placeholder));
     let link = sim.connect(origin, dut, MS);
 
-    let mut cfg_origin = FirConfig::new(65001, 1).neighbor(link, 2, 65002);
+    let mut cfg_origin = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
     cfg_origin.originate = (0..ROUTES)
         .map(|i| (format!("10.{i}.0.0/16").parse::<Ipv4Prefix>().unwrap(), 1))
         .collect();
     sim.replace_node(origin, Box::new(FirDaemon::new(cfg_origin)));
 
-    match kind {
-        DutKind::Fir => {
-            let mut cfg = FirConfig::new(65002, 2).neighbor(link, 1, 65001);
-            cfg.xbgp = manifest;
-            cfg.metrics = metrics;
-            sim.replace_node(dut, Box::new(FirDaemon::new(cfg)));
-        }
-        DutKind::Wren => {
-            let mut cfg = WrenConfig::new(65002, 2).neighbor(link, 1, 65001);
-            cfg.xbgp = manifest;
-            cfg.metrics = metrics;
-            sim.replace_node(dut, Box::new(WrenDaemon::new(cfg)));
-        }
-    }
+    let mut cfg = DaemonSpec::new(65002, 2).neighbor(link, 1, 65001);
+    cfg.xbgp = manifest;
+    cfg.metrics = metrics;
+    sim.replace_node(dut, Box::new(BgpDaemon::<E>::new(cfg)));
     sim.run_until(5 * SEC);
 
-    match kind {
-        DutKind::Fir => {
-            let d: &FirDaemon = sim.node_ref(dut);
-            DutOutcome {
-                loc_rib: d.loc_rib_dump(),
-                stats: d.xbgp_stats(),
-                metrics: d.metrics_snapshot(),
-            }
-        }
-        DutKind::Wren => {
-            let d: &WrenDaemon = sim.node_ref(dut);
-            DutOutcome {
-                loc_rib: d.loc_rib_dump(),
-                stats: d.xbgp_stats(),
-                metrics: d.metrics_snapshot(),
-            }
-        }
+    let d: &BgpDaemon<E> = sim.node_ref(dut);
+    DutOutcome {
+        loc_rib: d.loc_rib_dump(),
+        stats: d.xbgp_stats(),
+        metrics: d.metrics_snapshot(),
+    }
+}
+
+fn run_dut(dut: Dut, manifest: Option<Manifest>, metrics: bool) -> DutOutcome {
+    match dut {
+        Dut::Fir => run_engine::<FirEngine>(manifest, metrics),
+        Dut::Wren => run_engine::<WrenEngine>(manifest, metrics),
     }
 }
 
 #[test]
 fn trap_after_staged_mutations_leaves_loc_rib_byte_identical() {
-    for (kind, name) in [(DutKind::Fir, "fir"), (DutKind::Wren, "wren")] {
+    for kind in [Dut::Fir, Dut::Wren] {
+        let name = kind.slug();
         let native = run_dut(kind, None, false);
         assert_eq!(native.loc_rib.len(), ROUTES, "{name}: native run converged");
 
@@ -109,7 +91,8 @@ fn trap_after_staged_mutations_leaves_loc_rib_byte_identical() {
 
 #[test]
 fn persistent_faults_trip_the_breaker_and_surface_in_metrics() {
-    for (kind, daemon) in [(DutKind::Fir, "bgp-fir"), (DutKind::Wren, "bgp-wren")] {
+    for kind in [Dut::Fir, Dut::Wren] {
+        let daemon = &format!("bgp-{}", kind.slug())[..];
         let out = run_dut(kind, Some(fault_inject::manifest(1)), true);
         assert_eq!(out.loc_rib.len(), ROUTES);
 

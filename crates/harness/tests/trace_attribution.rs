@@ -5,9 +5,8 @@
 //! both daemons' UPDATE loops — a leaked scope on the abort path would let
 //! the next route inherit the previous trace id.
 
-use bgp_fir::{FirConfig, FirDaemon};
-use bgp_wren::{WrenConfig, WrenDaemon};
 use netsim::{Sim, SimConfig};
+use xbgp_harness::dut::{build, DaemonSpec, Dut, DutNode};
 use xbgp_obs::trace::{pack_prefix, TraceConfig, TraceDump, TraceKind};
 use xbgp_progs::fault_inject;
 use xbgp_wire::attr::Origin;
@@ -75,38 +74,27 @@ impl netsim::Node for Placeholder {
     }
 }
 
-/// Run one DUT (fir or wren) behind `Origin3` with the period-2 fault
-/// probe and full route sampling; return its trace dump.
-fn run_dut(fir: bool) -> TraceDump {
+/// Run one DUT behind `Origin3` with the period-2 fault probe and full
+/// route sampling; return its trace dump.
+fn run_dut(dut_kind: Dut) -> TraceDump {
     let mut sim = Sim::new(SimConfig::default());
     let origin =
         sim.add_node(Box::new(Origin3 { reader: xbgp_wire::MsgReader::new(), sent: false }));
     let dut = sim.add_node(Box::new(Placeholder));
     let link = sim.connect(origin, dut, MS);
-    let trace = TraceConfig { sample_every: 1, ..TraceConfig::default() };
-    if fir {
-        let mut cfg = FirConfig::new(65001, 1).neighbor(link, 9, 65009).with_trace(trace);
-        cfg.xbgp = Some(fault_inject::manifest(2));
-        sim.replace_node(dut, Box::new(FirDaemon::new(cfg)));
-    } else {
-        let mut cfg = WrenConfig::new(65001, 1).neighbor(link, 9, 65009).with_trace(trace);
-        cfg.xbgp = Some(fault_inject::manifest(2));
-        sim.replace_node(dut, Box::new(WrenDaemon::new(cfg)));
-    }
+    let mut cfg = DaemonSpec::new(65001, 1).neighbor(link, 9, 65009);
+    cfg.trace = Some(TraceConfig { sample_every: 1, ..TraceConfig::default() });
+    cfg.xbgp = Some(fault_inject::manifest(2));
+    sim.replace_node(dut, Box::new(build(dut_kind, cfg)));
     sim.run_until(5 * SEC);
-    if fir {
-        let d: &mut FirDaemon = sim.node_mut(dut);
-        d.take_trace().expect("tracing enabled")
-    } else {
-        let d: &mut WrenDaemon = sim.node_mut(dut);
-        d.take_trace().expect("tracing enabled")
-    }
+    sim.node_mut::<DutNode>(dut).0.take_trace().expect("tracing enabled")
 }
 
 #[test]
 fn faulting_route_and_next_clean_route_do_not_share_a_trace_id() {
-    for (fir, name) in [(true, "fir"), (false, "wren")] {
-        let dump = run_dut(fir);
+    for dut in [Dut::Fir, Dut::Wren] {
+        let name = dut.slug();
+        let dump = run_dut(dut);
         let [r1, r2, r3] = routes();
 
         // One decode event per route, each under its own ingest scope.

@@ -18,18 +18,17 @@
 //!   preference-ordered list tagged with their source channel; there is no
 //!   materialized per-peer Adj-RIB-In.
 //!
-//! Protocol behaviour (FSM, decision outcomes, reflection rules) is
+//! The session FSM, timers, stats and UPDATE framing are not WREN's at
+//! all: [`WrenDaemon`] is the shared host (`xbgp_driver::host`) driving
+//! [`WrenEngine`]. Protocol behaviour (decision outcomes, reflection rules) is
 //! RFC-equivalent to FIR — the integration tests in the workspace root
 //! assert the two daemons compute identical Loc-RIBs on identical
 //! topologies — while the internals differ the way BIRD differs from
 //! FRRouting.
 
-pub mod config;
 pub mod daemon;
 pub mod ealist;
-pub mod proto;
 pub mod rtable;
 pub mod xbgp_glue;
 
-pub use config::{ChannelCfg, WrenConfig};
-pub use daemon::{WrenDaemon, WrenStats};
+pub use daemon::{WrenDaemon, WrenEngine};

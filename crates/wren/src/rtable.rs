@@ -11,6 +11,8 @@
 use crate::ealist::EaList;
 use rpki::RovState;
 use std::rc::Rc;
+use xbgp_core::api::PeerType;
+use xbgp_driver::host::RouteSource;
 use xbgp_rib::PrefixMap;
 use xbgp_wire::Ipv4Prefix;
 
@@ -37,6 +39,19 @@ pub struct Rte {
     pub eattrs: Rc<EaList>,
     /// Origin-validation verdict when validation is active.
     pub rov: Option<RovState>,
+}
+
+impl Rte {
+    /// The route's provenance in the shared host's vocabulary.
+    pub fn source(&self) -> RouteSource {
+        RouteSource {
+            peer_addr: self.src_addr,
+            peer_asn: self.src_asn,
+            peer_type: if self.src_ibgp { PeerType::Ibgp } else { PeerType::Ebgp },
+            rr_client: self.src_rr_client,
+            local: self.src == SrcId::Local,
+        }
+    }
 }
 
 /// The routing table.

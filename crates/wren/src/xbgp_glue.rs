@@ -100,13 +100,17 @@ impl HostApi for WrenXbgpCtx<'_> {
 
     fn check_op(&self, op: &HostOp<'_>) -> Result<(), HostError> {
         // An `ea_list` stores any payload verbatim, so the only stage-time
-        // conditions are point writability and buffer availability.
+        // conditions are point writability, buffer availability and the
+        // mandatory attributes (ORIGIN, AS_PATH, NEXT_HOP) staying put.
         match op {
             HostOp::SetAttr { .. } if !self.eattrs.writable() => {
                 Err(HostError::ReadOnlyPoint { op: "set_attr" })
             }
             HostOp::RemoveAttr { .. } if !self.eattrs.writable() => {
                 Err(HostError::ReadOnlyPoint { op: "remove_attr" })
+            }
+            HostOp::RemoveAttr { code } if (1..=3).contains(code) => {
+                Err(HostError::MandatoryAttr { code: *code })
             }
             HostOp::WriteBuf { .. } if self.out_buf.is_none() => Err(HostError::NoOutputBuffer),
             _ => Ok(()),
@@ -121,7 +125,9 @@ impl HostApi for WrenXbgpCtx<'_> {
 
     fn remove_attr(&mut self, code: u8) -> Result<(), HostError> {
         let list = self.eattrs.write().ok_or(HostError::ReadOnlyPoint { op: "remove_attr" })?;
-        if list.unset(code) {
+        if (1..=3).contains(&code) {
+            Err(HostError::MandatoryAttr { code })
+        } else if list.unset(code) {
             Ok(())
         } else {
             Err(HostError::AttrNotPresent { code })

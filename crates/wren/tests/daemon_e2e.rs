@@ -1,8 +1,9 @@
 //! End-to-end tests: WREN daemons over netsim.
 
-use bgp_wren::{WrenConfig, WrenDaemon};
+use bgp_wren::WrenDaemon;
 use netsim::{Sim, SimConfig};
 use rpki::Roa;
+use xbgp_driver::{Daemon, DaemonSpec};
 use xbgp_wire::Ipv4Prefix;
 
 fn p(s: &str) -> Ipv4Prefix {
@@ -25,17 +26,17 @@ fn ebgp_session_and_route_propagation() {
     let a = sim.add_node(Box::new(Placeholder));
     let b = sim.add_node(Box::new(Placeholder));
     let link = sim.connect(a, b, MS);
-    let mut cfg_a = WrenConfig::new(65001, 1).neighbor(link, 2, 65002);
+    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
     cfg_a.originate = vec![(p("10.1.0.0/16"), 1)];
-    let cfg_b = WrenConfig::new(65002, 2).neighbor(link, 1, 65001);
+    let cfg_b = DaemonSpec::new(65002, 2).neighbor(link, 1, 65001);
     sim.replace_node(a, Box::new(WrenDaemon::new(cfg_a)));
     sim.replace_node(b, Box::new(WrenDaemon::new(cfg_b)));
     sim.run_until(5 * SEC);
 
     let db: &WrenDaemon = sim.node_ref(b);
     assert!(db.session_established(1));
-    assert_eq!(db.nets(), vec![p("10.1.0.0/16")]);
-    let best = db.best_route(&p("10.1.0.0/16")).unwrap();
+    assert_eq!(db.engine.nets(), vec![p("10.1.0.0/16")]);
+    let best = db.engine.best_route(&p("10.1.0.0/16")).unwrap();
     assert_eq!(best.eattrs.as_path_hops(), 1);
     assert!(best.eattrs.as_path_contains(65001));
     assert_eq!(best.eattrs.next_hop(), Some(1));
@@ -50,20 +51,20 @@ fn withdrawal_on_upstream_failure() {
     let c = sim.add_node(Box::new(Placeholder));
     let l1 = sim.connect(a, dut, MS);
     let l2 = sim.connect(dut, c, MS);
-    let mut cfg_a = WrenConfig::new(65001, 1).neighbor(l1, 2, 65002);
+    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(l1, 2, 65002);
     cfg_a.originate = vec![(p("192.0.2.0/24"), 1)];
-    let cfg_dut = WrenConfig::new(65002, 2).neighbor(l1, 1, 65001).neighbor(l2, 3, 65003);
-    let cfg_c = WrenConfig::new(65003, 3).neighbor(l2, 2, 65002);
+    let cfg_dut = DaemonSpec::new(65002, 2).neighbor(l1, 1, 65001).neighbor(l2, 3, 65003);
+    let cfg_c = DaemonSpec::new(65003, 3).neighbor(l2, 2, 65002);
     sim.replace_node(a, Box::new(WrenDaemon::new(cfg_a)));
     sim.replace_node(dut, Box::new(WrenDaemon::new(cfg_dut)));
     sim.replace_node(c, Box::new(WrenDaemon::new(cfg_c)));
 
     sim.run_until(5 * SEC);
-    assert_eq!(sim.node_ref::<WrenDaemon>(c).nets(), vec![p("192.0.2.0/24")]);
+    assert_eq!(sim.node_ref::<WrenDaemon>(c).engine.nets(), vec![p("192.0.2.0/24")]);
 
     sim.set_link_up(l1, false);
     sim.run_until(10 * SEC);
-    assert!(sim.node_ref::<WrenDaemon>(c).nets().is_empty());
+    assert!(sim.node_ref::<WrenDaemon>(c).engine.nets().is_empty());
 }
 
 #[test]
@@ -75,20 +76,20 @@ fn native_route_reflection_with_hash_representation() {
     let l_up = sim.connect(up, rr, MS);
     let l_down = sim.connect(rr, down, MS);
 
-    let mut cfg_up = WrenConfig::new(65000, 1).neighbor(l_up, 2, 65000);
+    let mut cfg_up = DaemonSpec::new(65000, 1).neighbor(l_up, 2, 65000);
     cfg_up.originate = vec![(p("198.51.100.0/24"), 1)];
     let mut cfg_rr =
-        WrenConfig::new(65000, 2).rr_client(l_up, 1, 65000).rr_client(l_down, 3, 65000);
-    cfg_rr.rr_enabled = true;
-    let cfg_down = WrenConfig::new(65000, 3).neighbor(l_down, 2, 65000);
+        DaemonSpec::new(65000, 2).rr_client(l_up, 1, 65000).rr_client(l_down, 3, 65000);
+    cfg_rr.native_rr = true;
+    let cfg_down = DaemonSpec::new(65000, 3).neighbor(l_down, 2, 65000);
     sim.replace_node(up, Box::new(WrenDaemon::new(cfg_up)));
     sim.replace_node(rr, Box::new(WrenDaemon::new(cfg_rr)));
     sim.replace_node(down, Box::new(WrenDaemon::new(cfg_down)));
 
     sim.run_until(5 * SEC);
     let dd: &WrenDaemon = sim.node_ref(down);
-    assert_eq!(dd.nets(), vec![p("198.51.100.0/24")]);
-    let best = dd.best_route(&p("198.51.100.0/24")).unwrap();
+    assert_eq!(dd.engine.nets(), vec![p("198.51.100.0/24")]);
+    let best = dd.engine.best_route(&p("198.51.100.0/24")).unwrap();
     assert_eq!(best.eattrs.originator_id(), Some(1));
     assert_eq!(best.eattrs.cluster_list(), vec![2]);
     assert_eq!(best.eattrs.local_pref(), Some(100));
@@ -102,21 +103,22 @@ fn ibgp_routes_not_reflected_without_rr() {
     let down = sim.add_node(Box::new(Placeholder));
     let l1 = sim.connect(up, mid, MS);
     let l2 = sim.connect(mid, down, MS);
-    let mut cfg_up = WrenConfig::new(65009, 9).neighbor(l1, 2, 65000);
+    let mut cfg_up = DaemonSpec::new(65009, 9).neighbor(l1, 2, 65000);
     cfg_up.originate = vec![(p("203.0.113.0/24"), 9)];
     // mid's iBGP neighbor 'down' must not receive iBGP-learned... here the
     // route arrives over eBGP at mid, so down DOES get it; extend the chain
     // inside the AS instead.
-    let cfg_mid = WrenConfig::new(65000, 2).neighbor(l1, 9, 65009).neighbor(l2, 3, 65000);
-    let cfg_down = WrenConfig::new(65000, 3).neighbor(l2, 2, 65000);
+    let cfg_mid = DaemonSpec::new(65000, 2).neighbor(l1, 9, 65009).neighbor(l2, 3, 65000);
+    let cfg_down = DaemonSpec::new(65000, 3).neighbor(l2, 2, 65000);
     sim.replace_node(up, Box::new(WrenDaemon::new(cfg_up)));
     sim.replace_node(mid, Box::new(WrenDaemon::new(cfg_mid)));
     sim.replace_node(down, Box::new(WrenDaemon::new(cfg_down)));
     sim.run_until(5 * SEC);
     // eBGP-learned → iBGP peer: delivered.
-    assert_eq!(sim.node_ref::<WrenDaemon>(down).nets(), vec![p("203.0.113.0/24")]);
+    assert_eq!(sim.node_ref::<WrenDaemon>(down).engine.nets(), vec![p("203.0.113.0/24")]);
     let best = sim
         .node_mut::<WrenDaemon>(down)
+        .engine
         .best_route(&p("203.0.113.0/24"))
         .unwrap()
         .clone();
@@ -129,10 +131,10 @@ fn native_origin_validation_uses_hash_table_and_tags() {
     let a = sim.add_node(Box::new(Placeholder));
     let b = sim.add_node(Box::new(Placeholder));
     let link = sim.connect(a, b, MS);
-    let mut cfg_a = WrenConfig::new(65001, 1).neighbor(link, 2, 65002);
+    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
     cfg_a.originate = vec![(p("10.1.0.0/16"), 1), (p("10.2.0.0/16"), 1), (p("10.3.0.0/16"), 1)];
-    let mut cfg_b = WrenConfig::new(65002, 2).neighbor(link, 1, 65001);
-    cfg_b.roa_table = Some(vec![
+    let mut cfg_b = DaemonSpec::new(65002, 2).neighbor(link, 1, 65001);
+    cfg_b.native_rov = Some(vec![
         Roa::new(p("10.1.0.0/16"), 16, 65001),
         Roa::new(p("10.2.0.0/16"), 16, 64999),
     ]);
@@ -141,13 +143,13 @@ fn native_origin_validation_uses_hash_table_and_tags() {
     sim.run_until(5 * SEC);
 
     let db: &WrenDaemon = sim.node_ref(b);
-    assert_eq!(db.stats.rov_valid, 1);
-    assert_eq!(db.stats.rov_invalid, 1);
-    assert_eq!(db.stats.rov_not_found, 1);
-    assert_eq!(db.table_len(), 3, "validation tags but never discards");
+    assert_eq!(db.host.stats.rov_valid, 1);
+    assert_eq!(db.host.stats.rov_invalid, 1);
+    assert_eq!(db.host.stats.rov_not_found, 1);
+    assert_eq!(db.engine.table_len(), 3, "validation tags but never discards");
     use rpki::RovState;
-    assert_eq!(db.best_route(&p("10.1.0.0/16")).unwrap().rov, Some(RovState::Valid));
-    assert_eq!(db.best_route(&p("10.2.0.0/16")).unwrap().rov, Some(RovState::Invalid));
+    assert_eq!(db.engine.best_route(&p("10.1.0.0/16")).unwrap().rov, Some(RovState::Valid));
+    assert_eq!(db.engine.best_route(&p("10.2.0.0/16")).unwrap().rov, Some(RovState::Invalid));
 }
 
 #[test]
@@ -164,17 +166,17 @@ fn best_route_is_head_of_preference_ordered_list() {
     let l_mid_b = sim.connect(mid, b, MS);
     let l_b_dut = sim.connect(b, dut, MS);
 
-    let mut cfg_a = WrenConfig::new(65001, 1)
+    let mut cfg_a = DaemonSpec::new(65001, 1)
         .neighbor(l_a_dut, 4, 65004)
         .neighbor(l_a_mid, 2, 65002);
     cfg_a.originate = vec![(p("10.0.0.0/8"), 1)];
-    let cfg_mid = WrenConfig::new(65002, 2)
+    let cfg_mid = DaemonSpec::new(65002, 2)
         .neighbor(l_a_mid, 1, 65001)
         .neighbor(l_mid_b, 3, 65003);
-    let cfg_b = WrenConfig::new(65003, 3)
+    let cfg_b = DaemonSpec::new(65003, 3)
         .neighbor(l_mid_b, 2, 65002)
         .neighbor(l_b_dut, 4, 65004);
-    let cfg_dut = WrenConfig::new(65004, 4)
+    let cfg_dut = DaemonSpec::new(65004, 4)
         .neighbor(l_a_dut, 1, 65001)
         .neighbor(l_b_dut, 3, 65003);
     sim.replace_node(a, Box::new(WrenDaemon::new(cfg_a)));
@@ -184,7 +186,7 @@ fn best_route_is_head_of_preference_ordered_list() {
 
     sim.run_until(10 * SEC);
     let dd: &WrenDaemon = sim.node_ref(dut);
-    let best = dd.best_route(&p("10.0.0.0/8")).unwrap();
+    let best = dd.engine.best_route(&p("10.0.0.0/8")).unwrap();
     assert_eq!(best.eattrs.as_path_hops(), 1);
     assert_eq!(best.src_addr, 1);
 }
@@ -205,15 +207,15 @@ fn withdraw_triggered_reannouncement_is_flushed_immediately() {
     let ld = sim.connect(mid, down, MS);
 
     // a's path will be shorter (preferred); b is the backup.
-    let mut cfg_a = WrenConfig::new(65001, 1).neighbor(la, 3, 65003);
+    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(la, 3, 65003);
     cfg_a.originate = vec![(p("10.0.0.0/8"), 1)];
-    let mut cfg_b = WrenConfig::new(65002, 2).neighbor(lb, 3, 65003);
+    let mut cfg_b = DaemonSpec::new(65002, 2).neighbor(lb, 3, 65003);
     cfg_b.originate = vec![(p("10.0.0.0/8"), 2)];
-    let cfg_mid = WrenConfig::new(65003, 3)
+    let cfg_mid = DaemonSpec::new(65003, 3)
         .neighbor(la, 1, 65001)
         .neighbor(lb, 2, 65002)
         .neighbor(ld, 4, 65004);
-    let cfg_down = WrenConfig::new(65004, 4).neighbor(ld, 3, 65003);
+    let cfg_down = DaemonSpec::new(65004, 4).neighbor(ld, 3, 65003);
     sim.replace_node(a, Box::new(WrenDaemon::new(cfg_a)));
     sim.replace_node(b, Box::new(WrenDaemon::new(cfg_b)));
     sim.replace_node(mid, Box::new(WrenDaemon::new(cfg_mid)));
@@ -221,7 +223,7 @@ fn withdraw_triggered_reannouncement_is_flushed_immediately() {
     sim.run_until(5 * SEC);
     {
         let d: &WrenDaemon = sim.node_ref(down);
-        let best = d.best_route(&p("10.0.0.0/8")).unwrap();
+        let best = d.engine.best_route(&p("10.0.0.0/8")).unwrap();
         assert!(best.eattrs.as_path_contains(65001), "a preferred initially");
     }
 
@@ -229,6 +231,6 @@ fn withdraw_triggered_reannouncement_is_flushed_immediately() {
     sim.set_link_up(la, false);
     sim.run_until(10 * SEC);
     let d: &WrenDaemon = sim.node_ref(down);
-    let best = d.best_route(&p("10.0.0.0/8")).expect("failover to b");
+    let best = d.engine.best_route(&p("10.0.0.0/8")).expect("failover to b");
     assert!(best.eattrs.as_path_contains(65002));
 }

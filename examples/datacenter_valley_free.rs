@@ -12,8 +12,9 @@
 //!   the fabric connected for internal destinations while external
 //!   valleys stay blocked.
 
-use bgp_fir::{FirConfig, FirDaemon};
+use bgp_fir::FirDaemon;
 use netsim::{LinkId, NodeId, Sim, SimConfig};
+use xbgp_driver::DaemonSpec;
 use xbgp_progs::valley_free;
 use xbgp_wire::Ipv4Prefix;
 
@@ -59,7 +60,7 @@ fn build(asns: [u32; 6], xbgp: bool) -> (Sim, Vec<NodeId>, LinkId, LinkId) {
         .collect();
     let manifest = valley_free::manifest(&pairs, p("10.0.0.0/8"));
     for i in 0..6 {
-        let mut cfg = FirConfig::new(asns[i], ids[i]);
+        let mut cfg = DaemonSpec::new(asns[i], ids[i]);
         let nbs: Vec<usize> = if i < 2 { LEAVES.to_vec() } else { vec![S1, S2] };
         for nb in nbs {
             cfg = cfg.neighbor(link(i, nb), ids[nb], asns[nb]);
@@ -79,7 +80,10 @@ fn build(asns: [u32; 6], xbgp: bool) -> (Sim, Vec<NodeId>, LinkId, LinkId) {
 }
 
 fn l10_reaches_l13(sim: &mut Sim, nodes: &[NodeId]) -> bool {
-    sim.node_ref::<FirDaemon>(nodes[L10]).best_route(&p("10.13.0.0/16")).is_some()
+    sim.node_ref::<FirDaemon>(nodes[L10])
+        .engine
+        .best_route(&p("10.13.0.0/16"))
+        .is_some()
 }
 
 fn main() {
@@ -103,7 +107,11 @@ fn main() {
     // Scenario 2: distinct ASNs + the xBGP valley-free filter.
     let (mut sim, nodes, la, lb) = build([65201, 65202, 65101, 65102, 65103, 65104], true);
     sim.run_until(20 * SEC);
-    let ext_leak = sim.node_ref::<FirDaemon>(nodes[S2]).best_route(&p("192.0.2.0/24")).is_some();
+    let ext_leak = sim
+        .node_ref::<FirDaemon>(nodes[S2])
+        .engine
+        .best_route(&p("192.0.2.0/24"))
+        .is_some();
     println!(
         "\nxBGP filter, healthy fabric: external prefix leaks to S2 via a leaf valley: {ext_leak}"
     );
@@ -116,6 +124,7 @@ fn main() {
     assert!(connected);
     let path: Vec<u32> = sim
         .node_ref::<FirDaemon>(nodes[L10])
+        .engine
         .best_route(&p("10.13.0.0/16"))
         .unwrap()
         .attrs

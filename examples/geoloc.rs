@@ -8,8 +8,9 @@
 //! too far away. The same bytecode runs on FIR here and on WREN in the
 //! integration tests.
 
-use bgp_fir::{FirConfig, FirDaemon};
+use bgp_fir::FirDaemon;
 use netsim::{Sim, SimConfig};
+use xbgp_driver::DaemonSpec;
 use xbgp_progs::{geoloc, GEOLOC_ATTR};
 use xbgp_wire::Ipv4Prefix;
 
@@ -42,19 +43,19 @@ fn main() {
     let l_ext = sim.connect(external, london, 1_000_000);
     let l_ibgp = sim.connect(london, tokyo, 1_000_000);
 
-    let mut cfg_ext = FirConfig::new(65009, 9).neighbor(l_ext, 1, 65000);
+    let mut cfg_ext = DaemonSpec::new(65009, 9).neighbor(l_ext, 1, 65000);
     cfg_ext.originate = vec![(p("198.51.100.0/24"), 9)];
     sim.replace_node(external, Box::new(FirDaemon::new(cfg_ext)));
 
     let mut cfg_london =
-        FirConfig::new(65000, 1).neighbor(l_ext, 9, 65009).neighbor(l_ibgp, 2, 65000);
+        DaemonSpec::new(65000, 1).neighbor(l_ext, 9, 65009).neighbor(l_ibgp, 2, 65000);
     cfg_london.xbgp = Some(geoloc::manifest(None));
     cfg_london.xtra = vec![("geo".into(), geoloc::coords_bytes(51_507, -128))];
     sim.replace_node(london, Box::new(FirDaemon::new(cfg_london)));
 
     // Tokyo enforces a radius: 60 000 milli-degrees squared distance.
     let radius: u64 = 60_000;
-    let mut cfg_tokyo = FirConfig::new(65000, 2).neighbor(l_ibgp, 1, 65000);
+    let mut cfg_tokyo = DaemonSpec::new(65000, 2).neighbor(l_ibgp, 1, 65000);
     cfg_tokyo.xbgp = Some(geoloc::manifest(Some(radius * radius)));
     cfg_tokyo.xtra = vec![("geo".into(), geoloc::coords_bytes(35_676, 139_650))];
     sim.replace_node(tokyo, Box::new(FirDaemon::new(cfg_tokyo)));
@@ -63,7 +64,7 @@ fn main() {
 
     {
         let d: &FirDaemon = sim.node_ref(london);
-        let best = d.best_route(&p("198.51.100.0/24")).expect("learned");
+        let best = d.engine.best_route(&p("198.51.100.0/24")).expect("learned");
         let stamp = best
             .attrs
             .extra
@@ -83,11 +84,11 @@ fn main() {
     println!(
         "tokyo (radius {radius} milli-degrees): prefixes accepted = {:?}, \
          rejected by the distance filter = {}",
-        d.loc_rib_prefixes(),
-        d.stats.xbgp_rejected
+        d.engine.loc_rib_prefixes(),
+        d.host.stats.xbgp_rejected
     );
-    assert!(d.loc_rib_prefixes().is_empty(), "London is too far from Tokyo");
-    assert_eq!(d.stats.xbgp_rejected, 1);
+    assert!(d.engine.loc_rib_prefixes().is_empty(), "London is too far from Tokyo");
+    assert_eq!(d.host.stats.xbgp_rejected, 1);
 
     println!(
         "\nthe route crossed the iBGP hop carrying GeoLoc (bytecode ④ wrote it\n\

@@ -10,9 +10,10 @@
 //! Berlin border router stops advertising London-learned routes to its
 //! European peer.
 
-use bgp_fir::{FirConfig, FirDaemon};
+use bgp_fir::FirDaemon;
 use igp::IgpNetwork;
 use netsim::{Sim, SimConfig};
+use xbgp_driver::DaemonSpec;
 use xbgp_progs::igp_filter;
 use xbgp_wire::Ipv4Prefix;
 
@@ -57,18 +58,18 @@ fn main() {
     let l_ibgp = sim.connect(london, berlin, MS);
     let l_ebgp = sim.connect(berlin, peer, MS);
 
-    let mut cfg_london = FirConfig::new(65000, LONDON).neighbor(l_ibgp, BERLIN, 65000);
+    let mut cfg_london = DaemonSpec::new(65000, LONDON).neighbor(l_ibgp, BERLIN, 65000);
     cfg_london.originate = vec![(p("203.0.113.0/24"), LONDON)];
     sim.replace_node(london, Box::new(FirDaemon::new(cfg_london)));
 
-    let mut cfg_berlin = FirConfig::new(65000, BERLIN)
+    let mut cfg_berlin = DaemonSpec::new(65000, BERLIN)
         .neighbor(l_ibgp, LONDON, 65000)
         .neighbor(l_ebgp, 9, 65009);
     cfg_berlin.igp = Some(shared.clone());
     cfg_berlin.xbgp = Some(igp_filter::manifest());
     sim.replace_node(berlin, Box::new(FirDaemon::new(cfg_berlin)));
 
-    let cfg_peer = FirConfig::new(65009, 9).neighbor(l_ebgp, BERLIN, 65000);
+    let cfg_peer = DaemonSpec::new(65009, 9).neighbor(l_ebgp, BERLIN, 65000);
     sim.replace_node(peer, Box::new(FirDaemon::new(cfg_peer)));
 
     sim.run_until(5 * SEC);
@@ -77,9 +78,9 @@ fn main() {
         let d: &FirDaemon = sim.node_ref(peer);
         println!(
             "healthy: berlin→london IGP metric = {metric}; peer sees {:?}",
-            d.loc_rib_prefixes()
+            d.engine.loc_rib_prefixes()
         );
-        assert_eq!(d.loc_rib_prefixes(), vec![p("203.0.113.0/24")]);
+        assert_eq!(d.engine.loc_rib_prefixes(), vec![p("203.0.113.0/24")]);
     }
 
     // The UK's continental links fail; London is now only reachable via
@@ -97,13 +98,13 @@ fn main() {
     let metric = shared.borrow().metric(BERLIN, LONDON);
     let peer_sees = {
         let d: &FirDaemon = sim.node_ref(peer);
-        d.loc_rib_prefixes()
+        d.engine.loc_rib_prefixes()
     };
     println!(
         "after UK link failures: berlin→london IGP metric = {metric}; peer sees {peer_sees:?}"
     );
     let b: &FirDaemon = sim.node_ref(berlin);
-    println!("berlin's extension rejected {} export(s)", b.stats.xbgp_rejected);
+    println!("berlin's extension rejected {} export(s)", b.host.stats.xbgp_rejected);
     assert!(
         peer_sees.is_empty(),
         "routes with transatlantic-detour nexthops are no longer exported"

@@ -7,11 +7,12 @@
 //! a blackhole import filter an operator could deploy today, without
 //! waiting for the IETF or a vendor.
 
-use bgp_fir::{FirConfig, FirDaemon};
+use bgp_fir::FirDaemon;
 use netsim::{Sim, SimConfig};
 use xbgp_asm::assemble_with_symbols;
 use xbgp_core::api::abi_symbols;
 use xbgp_core::{ExtensionSpec, InsertionPoint, Manifest};
+use xbgp_driver::DaemonSpec;
 use xbgp_harness::Feeder;
 use xbgp_wire::attr::Origin;
 use xbgp_wire::{AsPath, Ipv4Prefix, Message, PathAttr, UpdateMsg};
@@ -110,7 +111,7 @@ fn main() {
     ];
     sim.replace_node(feeder, Box::new(Feeder::new(65001, 1, frames)));
 
-    let mut cfg = FirConfig::new(65002, 2).neighbor(link, 1, 65001);
+    let mut cfg = DaemonSpec::new(65002, 2).neighbor(link, 1, 65001);
     cfg.xbgp = Some(manifest);
     sim.replace_node(router, Box::new(FirDaemon::new(cfg)));
 
@@ -121,10 +122,10 @@ fn main() {
         "announced: 10.66.0.0/16 (tagged 65000:666) and 10.1.0.0/16 (clean)\n\
          accepted prefixes: {:?}\n\
          routes rejected by the extension: {}",
-        d.loc_rib_prefixes(),
-        d.stats.xbgp_rejected
+        d.engine.loc_rib_prefixes(),
+        d.host.stats.xbgp_rejected
     );
-    assert_eq!(d.loc_rib_prefixes(), vec![p("10.1.0.0/16")]);
-    assert_eq!(d.stats.xbgp_rejected, 1);
+    assert_eq!(d.engine.loc_rib_prefixes(), vec![p("10.1.0.0/16")]);
+    assert_eq!(d.host.stats.xbgp_rejected, 1);
     println!("\nthe tagged route was dropped by ~25 lines of assembly — no vendor involved.");
 }

@@ -20,6 +20,7 @@ pub use routegen;
 pub use rpki;
 pub use xbgp_asm as asm;
 pub use xbgp_core as core;
+pub use xbgp_driver as driver;
 pub use xbgp_harness as harness;
 pub use xbgp_progs as progs;
 pub use xbgp_vm as vm;

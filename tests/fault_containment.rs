@@ -4,11 +4,12 @@
 
 mod common;
 
-use bgp_fir::{FirConfig, FirDaemon};
+use bgp_fir::FirDaemon;
 use common::{p, sim_with_nodes, MS, SEC};
 use xbgp_asm::assemble_with_symbols;
 use xbgp_core::api::abi_symbols;
 use xbgp_core::{ExtensionSpec, InsertionPoint, Manifest};
+use xbgp_driver::{Daemon, DaemonSpec};
 
 fn ext(name: &str, point: InsertionPoint, helpers: &[&str], src: &str) -> ExtensionSpec {
     let prog = assemble_with_symbols(src, &abi_symbols()).expect("assembles");
@@ -22,15 +23,15 @@ fn run_with_manifest(
 ) -> (usize, Vec<String>, Vec<xbgp_core::vmm::ExtensionStats>) {
     let (mut sim, n) = sim_with_nodes(2);
     let link = sim.connect(n[0], n[1], MS);
-    let mut cfg_a = FirConfig::new(65001, 1).neighbor(link, 2, 65002);
+    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
     cfg_a.originate = (0..20).map(|i| (p(&format!("10.{i}.0.0/16")), 1)).collect();
-    let mut cfg_b = FirConfig::new(65002, 2).neighbor(link, 1, 65001);
+    let mut cfg_b = DaemonSpec::new(65002, 2).neighbor(link, 1, 65001);
     cfg_b.xbgp = Some(manifest);
     sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_a)));
     sim.replace_node(n[1], Box::new(FirDaemon::new(cfg_b)));
     sim.run_until(5 * SEC);
     let d: &FirDaemon = sim.node_ref(n[1]);
-    (d.loc_rib_len(), d.logs.clone(), d.xbgp_stats())
+    (d.loc_rib_len(), d.host.logs.clone(), d.xbgp_stats())
 }
 
 #[test]
@@ -74,9 +75,9 @@ fn faults_surface_in_the_daemon_metrics_snapshot() {
     ));
     let (mut sim, n) = sim_with_nodes(2);
     let link = sim.connect(n[0], n[1], MS);
-    let mut cfg_a = FirConfig::new(65001, 1).neighbor(link, 2, 65002);
+    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
     cfg_a.originate = (0..20).map(|i| (p(&format!("10.{i}.0.0/16")), 1)).collect();
-    let mut cfg_b = FirConfig::new(65002, 2).neighbor(link, 1, 65001);
+    let mut cfg_b = DaemonSpec::new(65002, 2).neighbor(link, 1, 65001);
     cfg_b.xbgp = Some(m);
     cfg_b.metrics = true;
     sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_a)));
@@ -237,9 +238,9 @@ fn decision_point_extension_can_override_best_path() {
     let l1 = sim.connect(n[0], n[2], MS);
     let l2 = sim.connect(n[1], n[2], MS);
     // Two origins announce the same prefix with different path lengths.
-    let mut cfg_short = FirConfig::new(65001, 1).neighbor(l1, 3, 65003);
+    let mut cfg_short = DaemonSpec::new(65001, 1).neighbor(l1, 3, 65003);
     cfg_short.originate = vec![(p("10.0.0.0/8"), 1)];
-    let mut cfg_long = FirConfig::new(65002, 2).neighbor(l2, 3, 65003);
+    let mut cfg_long = DaemonSpec::new(65002, 2).neighbor(l2, 3, 65003);
     cfg_long.originate = vec![(p("10.0.0.0/8"), 2)];
     let mut m = Manifest::new();
     m.push(ext(
@@ -248,7 +249,7 @@ fn decision_point_extension_can_override_best_path() {
         &[],
         "mov r0, DECISION_PREFER_NEW\nexit",
     ));
-    let mut cfg_dut = FirConfig::new(65003, 3).neighbor(l1, 1, 65001).neighbor(l2, 2, 65002);
+    let mut cfg_dut = DaemonSpec::new(65003, 3).neighbor(l1, 1, 65001).neighbor(l2, 2, 65002);
     cfg_dut.xbgp = Some(m);
     sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_short)));
     sim.replace_node(n[1], Box::new(FirDaemon::new(cfg_long)));
@@ -256,7 +257,7 @@ fn decision_point_extension_can_override_best_path() {
     sim.run_until(5 * SEC);
 
     let d: &FirDaemon = sim.node_ref(n[2]);
-    let best = d.best_route(&p("10.0.0.0/8")).unwrap();
+    let best = d.engine.best_route(&p("10.0.0.0/8")).unwrap();
     // With native tie-breaking, peer 1 (lower address) would win; the
     // always-prefer-new extension keeps whichever arrived last instead.
     // Determinism of the sim makes this stable: both arrive, candidate

@@ -8,10 +8,12 @@
 
 mod common;
 
-use bgp_fir::{FirConfig, FirDaemon};
-use bgp_wren::{WrenConfig, WrenDaemon};
+use bgp_fir::{FirDaemon, FirEngine};
+use bgp_wren::WrenEngine;
 use common::{p, sim_with_nodes, MS, SEC};
 use rpki::Roa;
+use xbgp_driver::host::{BgpDaemon, RouteEngine};
+use xbgp_driver::{Daemon, DaemonSpec};
 use xbgp_progs::origin_validation;
 
 fn roas() -> Vec<Roa> {
@@ -22,21 +24,22 @@ fn roas() -> Vec<Roa> {
     ]
 }
 
-#[test]
-fn ov_extension_counts_and_keeps_routes_on_fir() {
+/// The same check on either engine: three routes in, three kept, one
+/// verdict of each kind tallied in the extension's persistent memory.
+fn counts_and_keeps_routes<E: RouteEngine>() {
     let (mut sim, n) = sim_with_nodes(2);
     let link = sim.connect(n[0], n[1], MS);
-    let mut cfg_origin = FirConfig::new(65001, 1).neighbor(link, 2, 65002);
+    let mut cfg_origin = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
     cfg_origin.originate =
         vec![(p("10.1.0.0/16"), 1), (p("10.2.0.0/16"), 1), (p("10.3.0.0/16"), 1)];
-    let mut cfg_dut = FirConfig::new(65002, 2).neighbor(link, 1, 65001);
+    let mut cfg_dut = DaemonSpec::new(65002, 2).neighbor(link, 1, 65001);
     cfg_dut.xbgp = Some(origin_validation::manifest());
     cfg_dut.xbgp_roas = Some(roas());
-    sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_origin)));
-    sim.replace_node(n[1], Box::new(FirDaemon::new(cfg_dut)));
+    sim.replace_node(n[0], Box::new(BgpDaemon::<E>::new(cfg_origin)));
+    sim.replace_node(n[1], Box::new(BgpDaemon::<E>::new(cfg_dut)));
     sim.run_until(5 * SEC);
 
-    let dut: &FirDaemon = sim.node_ref(n[1]);
+    let dut: &BgpDaemon<E> = sim.node_ref(n[1]);
     assert_eq!(dut.loc_rib_len(), 3, "nothing discarded");
     let raw = dut
         .xbgp_shared_read(origin_validation::GROUP, origin_validation::COUNTERS_KEY)
@@ -45,25 +48,13 @@ fn ov_extension_counts_and_keeps_routes_on_fir() {
 }
 
 #[test]
-fn ov_extension_counts_and_keeps_routes_on_wren() {
-    let (mut sim, n) = sim_with_nodes(2);
-    let link = sim.connect(n[0], n[1], MS);
-    let mut cfg_origin = WrenConfig::new(65001, 1).neighbor(link, 2, 65002);
-    cfg_origin.originate =
-        vec![(p("10.1.0.0/16"), 1), (p("10.2.0.0/16"), 1), (p("10.3.0.0/16"), 1)];
-    let mut cfg_dut = WrenConfig::new(65002, 2).neighbor(link, 1, 65001);
-    cfg_dut.xbgp = Some(origin_validation::manifest());
-    cfg_dut.xbgp_roas = Some(roas());
-    sim.replace_node(n[0], Box::new(WrenDaemon::new(cfg_origin)));
-    sim.replace_node(n[1], Box::new(WrenDaemon::new(cfg_dut)));
-    sim.run_until(5 * SEC);
+fn ov_extension_counts_and_keeps_routes_on_fir() {
+    counts_and_keeps_routes::<FirEngine>();
+}
 
-    let dut: &WrenDaemon = sim.node_ref(n[1]);
-    assert_eq!(dut.table_len(), 3, "nothing discarded");
-    let raw = dut
-        .xbgp_shared_read(origin_validation::GROUP, origin_validation::COUNTERS_KEY)
-        .expect("counters persisted");
-    assert_eq!(origin_validation::decode_counters(&raw), (1, 1, 1));
+#[test]
+fn ov_extension_counts_and_keeps_routes_on_wren() {
+    counts_and_keeps_routes::<WrenEngine>();
 }
 
 #[test]
@@ -74,14 +65,14 @@ fn extension_and_native_validation_agree() {
     let (mut sim, n) = sim_with_nodes(3);
     let l1 = sim.connect(n[0], n[1], MS);
     let l2 = sim.connect(n[0], n[2], MS);
-    let mut cfg_origin = FirConfig::new(65001, 1).neighbor(l1, 2, 65002).neighbor(l2, 3, 65003);
+    let mut cfg_origin = DaemonSpec::new(65001, 1).neighbor(l1, 2, 65002).neighbor(l2, 3, 65003);
     cfg_origin.originate =
         vec![(p("10.1.0.0/16"), 1), (p("10.2.0.0/16"), 1), (p("10.3.0.0/16"), 1)];
     // DUT A: native trie validation.
-    let mut cfg_native = FirConfig::new(65002, 2).neighbor(l1, 1, 65001);
+    let mut cfg_native = DaemonSpec::new(65002, 2).neighbor(l1, 1, 65001);
     cfg_native.native_rov = Some(roas());
     // DUT B: extension validation.
-    let mut cfg_ext = FirConfig::new(65003, 3).neighbor(l2, 1, 65001);
+    let mut cfg_ext = DaemonSpec::new(65003, 3).neighbor(l2, 1, 65001);
     cfg_ext.xbgp = Some(origin_validation::manifest());
     cfg_ext.xbgp_roas = Some(roas());
     sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_origin)));
@@ -90,8 +81,11 @@ fn extension_and_native_validation_agree() {
     sim.run_until(5 * SEC);
 
     let native: &FirDaemon = sim.node_ref(n[1]);
-    let native_counts =
-        (native.stats.rov_valid, native.stats.rov_invalid, native.stats.rov_not_found);
+    let native_counts = (
+        native.host.stats.rov_valid,
+        native.host.stats.rov_invalid,
+        native.host.stats.rov_not_found,
+    );
     let ext: &FirDaemon = sim.node_ref(n[2]);
     let raw = ext
         .xbgp_shared_read(origin_validation::GROUP, origin_validation::COUNTERS_KEY)

@@ -7,94 +7,86 @@
 
 mod common;
 
-use bgp_fir::{FirConfig, FirDaemon};
-use bgp_wren::{WrenConfig, WrenDaemon};
+use bgp_fir::{FirDaemon, FirEngine};
+use bgp_wren::{WrenDaemon, WrenEngine};
 use common::{p, sim_with_nodes, MS, SEC};
+use netsim::{NodeId, Sim};
+use xbgp_driver::host::{BgpDaemon, RouteEngine};
+use xbgp_driver::{Daemon, DaemonSpec};
 use xbgp_progs::{geoloc, igp_filter, GEOLOC_ATTR};
 
+/// Origin —iBGP— DUT —eBGP— peer, all on engine `E`, with the IGP metric
+/// to the route's nexthop set by the origin—DUT link: did the §3.1
+/// filter on the DUT let the route through to the peer?
+fn igp_filter_exports<E: RouteEngine>(metric: u32) -> bool {
+    let (mut sim, n) = sim_with_nodes(3);
+    let l1 = sim.connect(n[0], n[1], MS);
+    let l2 = sim.connect(n[1], n[2], MS);
+    let shared_igp = igp::shared({
+        let mut net = igp::IgpNetwork::new();
+        net.add_link(1, 2, metric);
+        net
+    });
+    let mut cfg_origin = DaemonSpec::new(65000, 1).neighbor(l1, 2, 65000);
+    cfg_origin.originate = vec![(p("203.0.113.0/24"), 1)];
+    let mut cfg_dut = DaemonSpec::new(65000, 2).neighbor(l1, 1, 65000).neighbor(l2, 3, 65009);
+    cfg_dut.xbgp = Some(igp_filter::manifest());
+    cfg_dut.igp = Some(shared_igp.clone());
+    let cfg_peer = DaemonSpec::new(65009, 3).neighbor(l2, 2, 65000);
+    sim.replace_node(n[0], Box::new(BgpDaemon::<E>::new(cfg_origin)));
+    sim.replace_node(n[1], Box::new(BgpDaemon::<E>::new(cfg_dut)));
+    sim.replace_node(n[2], Box::new(BgpDaemon::<E>::new(cfg_peer)));
+    sim.run_until(5 * SEC);
+    sim.node_ref::<BgpDaemon<E>>(n[2]).loc_rib_len() > 0
+}
+
 /// The §3.1 filter loaded into both daemons rejects the same route for
-/// the same reason (nexthop IGP metric above 1000).
+/// the same reason (nexthop IGP metric above 1000): the DUT must not
+/// export the route when the metric exceeds 1000.
 #[test]
 fn igp_filter_same_bytecode_both_daemons() {
-    // Topology: origin —iBGP— DUT —eBGP— peer, IGP metric to the route's
-    // nexthop controlled by the link metric origin—DUT.
-    // The DUT must not export the route when the metric exceeds 1000.
     for metric in [10u32, 5000] {
         let expect_exported = metric <= 1000;
-
-        // ---- FIR as DUT ----
-        {
-            let (mut sim, n) = sim_with_nodes(3);
-            let l1 = sim.connect(n[0], n[1], MS);
-            let l2 = sim.connect(n[1], n[2], MS);
-            let shared_igp = igp::shared({
-                let mut net = igp::IgpNetwork::new();
-                net.add_link(1, 2, metric);
-                net
-            });
-            let mut cfg_origin = FirConfig::new(65000, 1).neighbor(l1, 2, 65000);
-            cfg_origin.originate = vec![(p("203.0.113.0/24"), 1)];
-            let mut cfg_dut =
-                FirConfig::new(65000, 2).neighbor(l1, 1, 65000).neighbor(l2, 3, 65009);
-            cfg_dut.xbgp = Some(igp_filter::manifest());
-            cfg_dut.igp = Some(shared_igp.clone());
-            let cfg_peer = FirConfig::new(65009, 3).neighbor(l2, 2, 65000);
-            sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_origin)));
-            sim.replace_node(n[1], Box::new(FirDaemon::new(cfg_dut)));
-            sim.replace_node(n[2], Box::new(FirDaemon::new(cfg_peer)));
-            sim.run_until(5 * SEC);
-            let got = !sim.node_ref::<FirDaemon>(n[2]).loc_rib_prefixes().is_empty();
-            assert_eq!(got, expect_exported, "FIR, metric {metric}");
-        }
-
-        // ---- WREN as DUT, identical bytecode ----
-        {
-            let (mut sim, n) = sim_with_nodes(3);
-            let l1 = sim.connect(n[0], n[1], MS);
-            let l2 = sim.connect(n[1], n[2], MS);
-            let shared_igp = igp::shared({
-                let mut net = igp::IgpNetwork::new();
-                net.add_link(1, 2, metric);
-                net
-            });
-            let mut cfg_origin = WrenConfig::new(65000, 1).neighbor(l1, 2, 65000);
-            cfg_origin.originate = vec![(p("203.0.113.0/24"), 1)];
-            let mut cfg_dut =
-                WrenConfig::new(65000, 2).neighbor(l1, 1, 65000).neighbor(l2, 3, 65009);
-            cfg_dut.xbgp = Some(igp_filter::manifest());
-            cfg_dut.igp = Some(shared_igp.clone());
-            let cfg_peer = WrenConfig::new(65009, 3).neighbor(l2, 2, 65000);
-            sim.replace_node(n[0], Box::new(WrenDaemon::new(cfg_origin)));
-            sim.replace_node(n[1], Box::new(WrenDaemon::new(cfg_dut)));
-            sim.replace_node(n[2], Box::new(WrenDaemon::new(cfg_peer)));
-            sim.run_until(5 * SEC);
-            let got = !sim.node_ref::<WrenDaemon>(n[2]).nets().is_empty();
-            assert_eq!(got, expect_exported, "WREN, metric {metric}");
-        }
+        assert_eq!(
+            igp_filter_exports::<FirEngine>(metric),
+            expect_exported,
+            "FIR, metric {metric}"
+        );
+        assert_eq!(
+            igp_filter_exports::<WrenEngine>(metric),
+            expect_exported,
+            "WREN, metric {metric}"
+        );
     }
 }
 
-/// GeoLoc end-to-end on FIR: stamped at eBGP ingress, carried over iBGP
-/// by the encode bytecode, visible downstream.
-#[test]
-fn geoloc_end_to_end_on_fir() {
+/// ext —eBGP— border —iBGP— inner on engine `E`: GeoLoc is stamped at
+/// eBGP ingress and carried over iBGP by the encode bytecode. Returns the
+/// simulation and the inner node, where it must be visible.
+fn geoloc_chain<E: RouteEngine>() -> (Sim, NodeId) {
     let (mut sim, n) = sim_with_nodes(3);
     let l1 = sim.connect(n[0], n[1], MS); // eBGP ingress
     let l2 = sim.connect(n[1], n[2], MS); // iBGP inside the AS
 
-    let mut cfg_ext = FirConfig::new(65009, 9).neighbor(l1, 1, 65000);
+    let mut cfg_ext = DaemonSpec::new(65009, 9).neighbor(l1, 1, 65000);
     cfg_ext.originate = vec![(p("198.51.100.0/24"), 9)];
-    let mut cfg_border = FirConfig::new(65000, 1).neighbor(l1, 9, 65009).neighbor(l2, 2, 65000);
+    let mut cfg_border = DaemonSpec::new(65000, 1).neighbor(l1, 9, 65009).neighbor(l2, 2, 65000);
     cfg_border.xbgp = Some(geoloc::manifest(None));
     cfg_border.xtra = vec![("geo".into(), geoloc::coords_bytes(50_846, 4_352))];
-    let cfg_inner = FirConfig::new(65000, 2).neighbor(l2, 1, 65000);
-    sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_ext)));
-    sim.replace_node(n[1], Box::new(FirDaemon::new(cfg_border)));
-    sim.replace_node(n[2], Box::new(FirDaemon::new(cfg_inner)));
+    let cfg_inner = DaemonSpec::new(65000, 2).neighbor(l2, 1, 65000);
+    sim.replace_node(n[0], Box::new(BgpDaemon::<E>::new(cfg_ext)));
+    sim.replace_node(n[1], Box::new(BgpDaemon::<E>::new(cfg_border)));
+    sim.replace_node(n[2], Box::new(BgpDaemon::<E>::new(cfg_inner)));
     sim.run_until(5 * SEC);
+    (sim, n[2])
+}
 
-    let inner: &FirDaemon = sim.node_ref(n[2]);
-    let best = inner.best_route(&p("198.51.100.0/24")).expect("route arrives");
+/// GeoLoc end-to-end on FIR: the attribute lands in FIR's `extra` list.
+#[test]
+fn geoloc_end_to_end_on_fir() {
+    let (mut sim, inner) = geoloc_chain::<FirEngine>();
+    let inner: &FirDaemon = sim.node_ref(inner);
+    let best = inner.engine.best_route(&p("198.51.100.0/24")).expect("route arrives");
     let geoloc_attr = best
         .attrs
         .extra
@@ -107,23 +99,9 @@ fn geoloc_end_to_end_on_fir() {
 /// The same GeoLoc bytecode on WREN produces the same wire behaviour.
 #[test]
 fn geoloc_end_to_end_on_wren() {
-    let (mut sim, n) = sim_with_nodes(3);
-    let l1 = sim.connect(n[0], n[1], MS);
-    let l2 = sim.connect(n[1], n[2], MS);
-
-    let mut cfg_ext = WrenConfig::new(65009, 9).neighbor(l1, 1, 65000);
-    cfg_ext.originate = vec![(p("198.51.100.0/24"), 9)];
-    let mut cfg_border = WrenConfig::new(65000, 1).neighbor(l1, 9, 65009).neighbor(l2, 2, 65000);
-    cfg_border.xbgp = Some(geoloc::manifest(None));
-    cfg_border.xtra = vec![("geo".into(), geoloc::coords_bytes(50_846, 4_352))];
-    let cfg_inner = WrenConfig::new(65000, 2).neighbor(l2, 1, 65000);
-    sim.replace_node(n[0], Box::new(WrenDaemon::new(cfg_ext)));
-    sim.replace_node(n[1], Box::new(WrenDaemon::new(cfg_border)));
-    sim.replace_node(n[2], Box::new(WrenDaemon::new(cfg_inner)));
-    sim.run_until(5 * SEC);
-
-    let inner: &WrenDaemon = sim.node_ref(n[2]);
-    let best = inner.best_route(&p("198.51.100.0/24")).expect("route arrives");
+    let (mut sim, inner) = geoloc_chain::<WrenEngine>();
+    let inner: &WrenDaemon = sim.node_ref(inner);
+    let best = inner.engine.best_route(&p("198.51.100.0/24")).expect("route arrives");
     let ea = best.eattrs.get(GEOLOC_ATTR).expect("GeoLoc crossed the iBGP hop");
     assert_eq!(ea.raw, geoloc::coords_bytes(50_846, 4_352));
 }
@@ -139,13 +117,13 @@ fn geoloc_distance_filter_drops_far_routes() {
         let l1 = sim.connect(n[0], n[1], MS);
         let l2 = sim.connect(n[1], n[2], MS);
 
-        let mut cfg_origin = FirConfig::new(65009, 9).neighbor(l1, 1, 65000);
+        let mut cfg_origin = DaemonSpec::new(65009, 9).neighbor(l1, 1, 65000);
         cfg_origin.originate = vec![(p("198.51.100.0/24"), 9)];
         let mut cfg_stamper =
-            FirConfig::new(65000, 1).neighbor(l1, 9, 65009).neighbor(l2, 2, 65000);
+            DaemonSpec::new(65000, 1).neighbor(l1, 9, 65009).neighbor(l2, 2, 65000);
         cfg_stamper.xbgp = Some(geoloc::manifest(None));
         cfg_stamper.xtra = vec![("geo".into(), geoloc::coords_bytes(10_000, 10_000))];
-        let mut cfg_filterer = FirConfig::new(65000, 2).neighbor(l2, 1, 65000);
+        let mut cfg_filterer = DaemonSpec::new(65000, 2).neighbor(l2, 1, 65000);
         cfg_filterer.xbgp = Some(geoloc::manifest(Some(threshold)));
         cfg_filterer.xtra = vec![("geo".into(), geoloc::coords_bytes(0, 0))];
         sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_origin)));
@@ -155,7 +133,7 @@ fn geoloc_distance_filter_drops_far_routes() {
 
         let filterer: &FirDaemon = sim.node_ref(n[2]);
         assert_eq!(
-            filterer.best_route(&p("198.51.100.0/24")).is_some(),
+            filterer.engine.best_route(&p("198.51.100.0/24")).is_some(),
             expect_kept,
             "threshold {threshold}"
         );
@@ -168,9 +146,9 @@ fn geoloc_distance_filter_drops_far_routes() {
 fn fir_and_wren_interoperate() {
     let (mut sim, n) = sim_with_nodes(2);
     let link = sim.connect(n[0], n[1], MS);
-    let mut cfg_fir = FirConfig::new(65001, 1).neighbor(link, 2, 65002);
+    let mut cfg_fir = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
     cfg_fir.originate = vec![(p("10.1.0.0/16"), 1)];
-    let mut cfg_wren = WrenConfig::new(65002, 2).neighbor(link, 1, 65001);
+    let mut cfg_wren = DaemonSpec::new(65002, 2).neighbor(link, 1, 65001);
     cfg_wren.originate = vec![(p("10.2.0.0/16"), 2)];
     sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_fir)));
     sim.replace_node(n[1], Box::new(WrenDaemon::new(cfg_wren)));
@@ -179,13 +157,13 @@ fn fir_and_wren_interoperate() {
     {
         let fir: &FirDaemon = sim.node_ref(n[0]);
         assert!(fir.session_established(2));
-        assert_eq!(fir.loc_rib_prefixes(), vec![p("10.1.0.0/16"), p("10.2.0.0/16")]);
-        let f = fir.best_route(&p("10.2.0.0/16")).unwrap();
+        assert_eq!(fir.engine.loc_rib_prefixes(), vec![p("10.1.0.0/16"), p("10.2.0.0/16")]);
+        let f = fir.engine.best_route(&p("10.2.0.0/16")).unwrap();
         assert_eq!(f.attrs.as_path.asns().collect::<Vec<_>>(), vec![65002]);
     }
     let wren: &WrenDaemon = sim.node_ref(n[1]);
-    assert_eq!(wren.nets(), vec![p("10.1.0.0/16"), p("10.2.0.0/16")]);
-    let w = wren.best_route(&p("10.1.0.0/16")).unwrap();
+    assert_eq!(wren.engine.nets(), vec![p("10.1.0.0/16"), p("10.2.0.0/16")]);
+    let w = wren.engine.best_route(&p("10.1.0.0/16")).unwrap();
     assert!(w.eattrs.as_path_contains(65001));
 }
 
@@ -212,13 +190,13 @@ fn mixed_topology_converges_to_identical_tables() {
         let right_asn = 65001 + ((i + 1) % 5) as u32;
         let prefix = p(&format!("10.{id}.0.0/16"));
         if i % 2 == 0 {
-            let mut cfg = FirConfig::new(asn, id)
+            let mut cfg = DaemonSpec::new(asn, id)
                 .neighbor(left, left_id, left_asn)
                 .neighbor(right, right_id, right_asn);
             cfg.originate = vec![(prefix, id)];
             sim.replace_node(n[i], Box::new(FirDaemon::new(cfg)));
         } else {
-            let mut cfg = WrenConfig::new(asn, id)
+            let mut cfg = DaemonSpec::new(asn, id)
                 .neighbor(left, left_id, left_asn)
                 .neighbor(right, right_id, right_asn);
             cfg.originate = vec![(prefix, id)];
@@ -230,9 +208,9 @@ fn mixed_topology_converges_to_identical_tables() {
     let want: Vec<_> = (1..=5).map(|i| p(&format!("10.{i}.0.0/16"))).collect();
     for (i, &node) in n.iter().enumerate().take(5) {
         let got = if i % 2 == 0 {
-            sim.node_ref::<FirDaemon>(node).loc_rib_prefixes()
+            sim.node_ref::<FirDaemon>(node).engine.loc_rib_prefixes()
         } else {
-            sim.node_ref::<WrenDaemon>(node).nets()
+            sim.node_ref::<WrenDaemon>(node).engine.nets()
         };
         assert_eq!(got, want, "router {i}");
     }

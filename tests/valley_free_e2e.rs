@@ -13,9 +13,10 @@
 
 mod common;
 
-use bgp_fir::{FirConfig, FirDaemon};
+use bgp_fir::FirDaemon;
 use common::{p, sim_with_nodes, MS, SEC};
 use netsim::{LinkId, NodeId, Sim};
+use xbgp_driver::DaemonSpec;
 use xbgp_progs::valley_free;
 
 /// Node indices in the Clos arrays.
@@ -65,7 +66,7 @@ fn build(asns: [u32; 6], xbgp: bool) -> Clos {
     let manifest = valley_free::manifest(&pairs, p("10.0.0.0/8"));
 
     for i in 0..6 {
-        let mut cfg = FirConfig::new(asns[i], ids[i]);
+        let mut cfg = DaemonSpec::new(asns[i], ids[i]);
         let neighbors: Vec<usize> = if i == S1 || i == S2 {
             vec![L10, L11, L12, L13]
         } else {
@@ -91,7 +92,7 @@ fn build(asns: [u32; 6], xbgp: bool) -> Clos {
 }
 
 fn has_prefix(sim: &mut Sim, node: NodeId, prefix: &str) -> bool {
-    sim.node_ref::<FirDaemon>(node).best_route(&p(prefix)).is_some()
+    sim.node_ref::<FirDaemon>(node).engine.best_route(&p(prefix)).is_some()
 }
 
 #[test]
@@ -135,7 +136,7 @@ fn xbgp_filter_keeps_connectivity_after_double_failure() {
     {
         let d: &FirDaemon = c.sim.node_ref(c.nodes[L10]);
         let path: Vec<u32> =
-            d.best_route(&p("10.13.0.0/16")).unwrap().attrs.as_path.asns().collect();
+            d.engine.best_route(&p("10.13.0.0/16")).unwrap().attrs.as_path.asns().collect();
         assert_eq!(path, vec![65202, 65102, 65201, 65104]);
     }
 }
