@@ -130,6 +130,10 @@ struct Extension {
     mem_cap: usize,
     /// What a fault at this extension means for the host.
     on_fault: OnFault,
+    /// Bytes of the destination's `PeerInfo` a run can depend on
+    /// ([`crate::contracts::peer_reads`]); every byte when its runs
+    /// cannot be shared between peers.
+    peer_mask: u32,
     /// Circuit-breaker state: faults since the last clean run.
     consecutive_faults: u32,
     /// Tripped breaker: the extension was evicted from its chain.
@@ -448,10 +452,12 @@ impl Vmm {
                 Extension {
                     name: spec.name.clone(),
                     shared_idx,
-                    prog: loaded,
                     fuel_override: spec.fuel,
                     mem_cap: HEAP_SIZE,
                     on_fault: spec.on_fault,
+                    peer_mask: crate::contracts::peer_reads(&ids, loaded.watched_reads())
+                        .unwrap_or(crate::contracts::PEER_INFO_ALL),
+                    prog: loaded,
                     consecutive_faults: 0,
                     quarantined: false,
                     runs: 0,
@@ -519,6 +525,19 @@ impl Vmm {
     /// building an execution context when nothing is attached.
     pub fn has_extensions(&self, point: InsertionPoint) -> bool {
         !self.attached[point_index(point)].is_empty()
+    }
+
+    /// The bytes of a peer's marshalled `PeerInfo` the chains loaded at
+    /// `points` can observe, one bit per byte offset; every byte
+    /// ([`crate::contracts::PEER_INFO_ALL`]) as soon as one program's runs
+    /// cannot be shared between peers. Peers that agree on these bytes get
+    /// identical runs. Taken over everything loaded: quarantine only
+    /// removes programs, so a mask read at load time stays sound.
+    pub fn peer_read_mask(&self, points: &[InsertionPoint]) -> u32 {
+        self.exts
+            .iter()
+            .filter(|(point, _)| points.contains(point))
+            .fold(0, |mask, (_, e)| mask | e.peer_mask)
     }
 
     /// Execute the extension chain for `point` with `host` as the

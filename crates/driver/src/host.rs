@@ -6,11 +6,12 @@
 //! dispatch, NOTIFICATION-and-teardown on every error arm, the counters
 //! and the metrics snapshot ([`HostStats`]), the insertion-point runner
 //! with its filter-verdict mapping ([`Hooks`]), the marshalled peer /
-//! source / nexthop views extensions read, and the UPDATE framer. What
-//! differs between `bgp-fir` and `bgp-wren` — attribute representation,
-//! RIB organisation, ROA backend, outbound grouping, xBGP glue — sits
-//! behind [`RouteEngine`], and [`BgpDaemon<E>`] is the one
-//! [`netsim::Node`] and the one [`Daemon`] for both.
+//! source / nexthop views extensions read, and the UPDATE framer; export
+//! (Adj-RIB-Out, outbound batching) is [`crate::export`]. What differs
+//! between `bgp-fir` and `bgp-wren` — attribute representation, RIB
+//! organisation, ROA backend, xBGP glue — sits behind [`RouteEngine`],
+//! and [`BgpDaemon<E>`] is the one [`netsim::Node`] and the one
+//! [`Daemon`] for both.
 //!
 //! The host calls the engine and then [`RouteEngine::flush`] after
 //! *every* event (start, session up, session down, UPDATE), so an engine
@@ -28,6 +29,7 @@ use xbgp_core::vmm::ExtensionStats;
 use xbgp_core::{HostApi, Vmm, VmmOutcome};
 use xbgp_obs::trace::{pack_prefix, TraceConfig, TraceDump, TraceKind, NO_EXT, NO_POINT};
 use xbgp_obs::{Histogram, Snapshot};
+use xbgp_wire::msg::encode_update;
 use xbgp_wire::{
     Ipv4Prefix, Message, MsgReader, NotificationMsg, OpenMsg, PathAttr, UpdateMsg, WireError,
 };
@@ -124,7 +126,7 @@ impl Neighbor {
 
 /// Where a route was learned, in the vocabulary the host marshals for
 /// extensions and evaluates the native export policy over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteSource {
     /// Neighbor address / BGP identifier, or the router's own id for
     /// locally originated routes.
@@ -385,39 +387,66 @@ impl Host {
         }
     }
 
-    /// Frame and send withdrawals to neighbor `q`, at most 800 prefixes
-    /// per UPDATE.
-    pub fn send_withdrawals(&mut self, ctx: &mut NodeCtx<'_>, q: usize, prefixes: &[Ipv4Prefix]) {
-        for chunk in prefixes.chunks(800) {
-            self.stats.counters.updates_tx += 1;
-            self.stats.counters.withdrawals_tx += chunk.len() as u64;
-            self.send_msg(ctx, q, &Message::Update(UpdateMsg::withdraw(chunk.to_vec())));
+    /// Encode one UPDATE and send it to every neighbor in `to`, which
+    /// share one ASN width (they are members of one update-group). A
+    /// frame that does not encode is logged per neighbor, not sent and
+    /// not counted.
+    fn send_update(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        to: &[usize],
+        withdrawn: &[Ipv4Prefix],
+        attrs: &[PathAttr],
+        extra: &[u8],
+        nlri: &[Ipv4Prefix],
+    ) {
+        let width = self.neighbors[to[0]].asn_width();
+        match encode_update(withdrawn, attrs, extra, nlri, width) {
+            Ok(frame) => {
+                let c = &mut self.stats.counters;
+                c.updates_encoded += 1;
+                c.updates_tx += to.len() as u64;
+                c.withdrawals_tx += (withdrawn.len() * to.len()) as u64;
+                c.prefixes_tx += (nlri.len() * to.len()) as u64;
+                for &q in to {
+                    ctx.send(self.neighbors[q].decl.link, &frame);
+                }
+            }
+            Err(e) => {
+                for q in to {
+                    self.logs.push(format!("encode to neighbor {q} failed: {e}"));
+                }
+            }
         }
     }
 
-    /// Frame and send one attribute set's announcements to neighbor `q`,
-    /// at most 700 NLRI per UPDATE (under the 4096-byte frame). `extra`
-    /// is the raw attribute TLVs the ⑤ `BGP_ENCODE_MESSAGE` extensions
-    /// appended.
+    /// Frame and send withdrawals to the neighbors `to`, at most 800
+    /// prefixes per UPDATE.
+    pub fn send_withdrawals(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        to: &[usize],
+        prefixes: &[Ipv4Prefix],
+    ) {
+        for chunk in prefixes.chunks(800) {
+            self.send_update(ctx, to, chunk, &[], &[], &[]);
+        }
+    }
+
+    /// Frame and send one attribute set's announcements to the neighbors
+    /// `to`, at most 700 NLRI per UPDATE (under the 4096-byte frame).
+    /// `extra` is the raw attribute TLVs the ⑤ `BGP_ENCODE_MESSAGE`
+    /// extensions appended.
     pub fn send_announce(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        q: usize,
+        to: &[usize],
         attrs: &[PathAttr],
         extra: &[u8],
         prefixes: &[Ipv4Prefix],
     ) {
-        let n = &self.neighbors[q];
         for chunk in prefixes.chunks(700) {
-            let upd = UpdateMsg::announce(attrs.to_vec(), chunk.to_vec());
-            match upd.encode_with_extra(extra, n.asn_width()) {
-                Ok(frame) => {
-                    self.stats.counters.updates_tx += 1;
-                    self.stats.counters.prefixes_tx += chunk.len() as u64;
-                    ctx.send(n.decl.link, &frame);
-                }
-                Err(e) => self.logs.push(format!("encode to neighbor {q} failed: {e}")),
-            }
+            self.send_update(ctx, to, &[], attrs, extra, chunk);
         }
     }
 
@@ -425,18 +454,6 @@ impl Host {
         self.neighbors[idx].state = to;
         self.stats.fsm_transitions[to as usize] += 1;
     }
-}
-
-/// Native (no-extension) export policy: everything goes to eBGP
-/// neighbors; iBGP neighbors get local and eBGP-learned routes, and
-/// iBGP-learned ones only by reflection (RFC 4456). A free function over
-/// the two `Host` fields it reads, so it can be the fallback closure of
-/// [`Hooks::run_filter`] while an execution context borrows the others.
-pub fn native_export(spec: &DaemonSpec, dest: &Neighbor, src: &RouteSource) -> bool {
-    !dest.ibgp
-        || src.local
-        || src.peer_type == PeerType::Ebgp
-        || (spec.native_rr && (src.rr_client || dest.decl.rr_client))
 }
 
 /// Load ROAs into the hash-table backend.
@@ -449,7 +466,9 @@ pub fn roa_hash_table(roas: &[rpki::Roa]) -> RoaHashTable {
 }
 
 /// What differs between the two BGP implementations: how routes and
-/// attributes are stored, decided and grouped for export. Every method
+/// attributes are stored and decided. An engine owns its neighbors'
+/// export state as a [`crate::export::UpdateGroups`] over its attribute
+/// type. Every method
 /// that takes the [`Host`] is called by [`BgpDaemon`] with
 /// [`Host::now`] current and followed by [`RouteEngine::flush`].
 pub trait RouteEngine: Sized + 'static {
@@ -460,7 +479,8 @@ pub trait RouteEngine: Sized + 'static {
     /// Install `host.spec.originate`. No session is up yet.
     fn originate(&mut self, host: &mut Host);
 
-    /// Neighbor `idx` reached Established: queue the full table for it.
+    /// Neighbor `idx` reached Established: queue the full table for it
+    /// ([`crate::export::UpdateGroups::join`]).
     fn session_up(&mut self, host: &mut Host, idx: usize);
 
     /// Neighbor `idx` left Established (or never got there): drop its
@@ -479,8 +499,8 @@ pub trait RouteEngine: Sized + 'static {
         raw_body: &[u8],
     ) -> Result<(), WireError>;
 
-    /// Send everything queued, through [`Host::send_withdrawals`] and
-    /// [`Host::send_announce`].
+    /// Send everything queued
+    /// ([`crate::export::UpdateGroups::flush`]).
     fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>);
 
     fn loc_rib_len(&self) -> usize;
@@ -488,8 +508,8 @@ pub trait RouteEngine: Sized + 'static {
     fn loc_rib_dump(&self) -> Vec<(Ipv4Prefix, Vec<u8>)>;
     fn oracle_loc_rib_dump(&mut self, host: &mut Host) -> Vec<(Ipv4Prefix, Vec<u8>)>;
 
-    /// The engine's RIB series: `xbgp_rib_*`, Adj-RIB-Out size and any
-    /// engine-specific gauge.
+    /// The engine's RIB series: `xbgp_rib_*`, the update-group gauges
+    /// and any engine-specific gauge.
     fn push_gauges(&self, s: &mut Snapshot);
 }
 
@@ -743,6 +763,7 @@ impl<E: RouteEngine> Daemon for BgpDaemon<E> {
         let c = &st.counters;
         s.push_counter("xbgp_daemon_updates_rx_total", &[], c.updates_rx);
         s.push_counter("xbgp_daemon_updates_tx_total", &[], c.updates_tx);
+        s.push_counter("xbgp_daemon_updates_encoded_total", &[], c.updates_encoded);
         s.push_counter("xbgp_daemon_prefixes_rx_total", &[], c.prefixes_rx);
         s.push_counter("xbgp_daemon_prefixes_tx_total", &[], c.prefixes_tx);
         s.push_counter("xbgp_daemon_withdrawals_rx_total", &[], c.withdrawals_rx);
@@ -861,9 +882,9 @@ mod tests {
             Ok(())
         }
         fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
-            host.send_withdrawals(ctx, 0, &std::mem::take(&mut self.withdrawals));
+            host.send_withdrawals(ctx, &[0], &std::mem::take(&mut self.withdrawals));
             let nlri = std::mem::take(&mut self.announcements);
-            host.send_announce(ctx, 0, &[PathAttr::NextHop(1)], &self.extra, &nlri);
+            host.send_announce(ctx, &[0], &[PathAttr::NextHop(1)], &self.extra, &nlri);
         }
         fn loc_rib_len(&self) -> usize {
             0

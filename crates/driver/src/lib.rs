@@ -27,10 +27,15 @@
 //! * [`host`] — the shared BGP host: [`host::BgpDaemon<E>`] is the one
 //!   `Node` and the one `Daemon`, generic over the small
 //!   [`host::RouteEngine`] trait `bgp-fir` and `bgp-wren` implement.
+//! * [`export`] — update-groups: the Adj-RIB-Out, the ④/⑤ runs and the
+//!   UPDATE batching, shared by every peer the export path cannot tell
+//!   apart ([`export::UpdateGroups`], over the [`export::Exporter`] hooks
+//!   an engine implements for its attribute type).
 //! * [`DutNode`] — a newtype that lets a `Box<dyn Daemon>` live in the
 //!   simulator's node table (which downcasts to concrete types) while
 //!   still being reachable as a trait object.
 
+pub mod export;
 pub mod host;
 
 use netsim::{LinkId, Node, NodeCtx};
@@ -181,7 +186,12 @@ pub struct DaemonCounters {
     /// Announced NLRI received.
     pub prefixes_rx: u64,
     pub withdrawals_rx: u64,
+    /// UPDATE frames written to peers; a frame sent to *n* members of an
+    /// update-group counts *n* times.
     pub updates_tx: u64,
+    /// UPDATE frames encoded. `updates_tx / updates_encoded` is how many
+    /// peers the average encoded frame went to.
+    pub updates_encoded: u64,
     pub prefixes_tx: u64,
     pub withdrawals_tx: u64,
     pub sessions_established: u64,

@@ -1,22 +1,23 @@
 //! The FIR route engine: interned host-order attributes, slot-indexed
-//! RIB store, delta decision process, per-peer outbound batches and the
-//! five xBGP insertion points. Sessions, timers, stats, hook timing and
-//! UPDATE framing are the shared host's ([`xbgp_driver::host`]).
+//! RIB store, delta decision process and the five xBGP insertion points.
+//! Sessions, timers, stats, hook timing and UPDATE framing are the shared
+//! host's ([`xbgp_driver::host`]); the Adj-RIB-Out and outbound batching
+//! are its update-groups ([`xbgp_driver::export`]).
 
 use crate::attrs::{AttrInternTable, FirAttrs};
-use crate::rib::{peer_slot, AdjRibOut, DecisionCtx, RibEntry, RibStore, RouteSource, LOCAL_SLOT};
+use crate::rib::{peer_slot, DecisionCtx, RibEntry, RibStore, RouteSource, LOCAL_SLOT};
 use crate::xbgp_glue::{AttrAccess, FirXbgpCtx};
 use netsim::NodeCtx;
 use rpki::{RoaTable, RoaTrie, RovState};
-use std::collections::HashMap;
 use std::rc::Rc;
 use xbgp_core::api::{InsertionPoint, NextHopInfo, PeerInfo, PeerType};
-use xbgp_driver::host::{native_export, BgpDaemon, Host, RouteEngine};
+use xbgp_driver::export::{native_export, Dest, Exporter, UpdateGroups};
+use xbgp_driver::host::{BgpDaemon, Host, RouteEngine};
 use xbgp_obs::trace::pack_prefix;
 use xbgp_obs::Snapshot;
 use xbgp_rib::{push_rib_gauges, DirtySet, RibCounters};
 use xbgp_wire::attr::encode_attrs;
-use xbgp_wire::{Ipv4Prefix, UpdateMsg, WireError};
+use xbgp_wire::{Ipv4Prefix, PathAttr, UpdateMsg, WireError};
 
 /// The FIR BGP daemon. See the crate documentation.
 pub type FirDaemon = BgpDaemon<FirEngine>;
@@ -33,10 +34,8 @@ pub struct FirEngine {
     dirty: DirtySet,
     /// Shared `xbgp_rib_*` churn counters.
     rib_counters: RibCounters,
-    adj_out: Vec<AdjRibOut>,
-    /// Per-peer advertisements and withdrawals queued since the last
-    /// flush.
-    pending: Vec<OutboundBatches>,
+    /// Every neighbor's export state.
+    out: UpdateGroups<Rc<FirAttrs>>,
     /// FIR's native origin validation: the trie (§3.4).
     rov_trie: Option<RoaTrie>,
 }
@@ -375,169 +374,112 @@ impl FirEngine {
         self.rib_counters.best_changes += 1;
         let entry = winner.as_ref().map(|(_, e)| e.clone());
         self.rib.commit_best(prefix, winner);
-        for q in 0..self.pending.len() {
-            match &entry {
-                Some(entry) => self.export_one(host, q, prefix, entry),
-                None if host.neighbors[q].is_established() => self.withdraw_one(q, prefix),
-                None => {}
-            }
-        }
+        let best = entry.as_ref().map(|e| (&e.attrs, &e.source));
+        let mut x = FirExport { intern: &mut self.intern };
+        self.out.route_changed(host, &mut x, prefix, best);
     }
+}
 
-    // -----------------------------------------------------------------
-    // Outbound pipeline
-    // -----------------------------------------------------------------
+// ---------------------------------------------------------------------
+// Outbound pipeline
+// ---------------------------------------------------------------------
 
-    /// Queue a withdrawal of `prefix` to peer `q` if it had been
-    /// advertised there.
-    fn withdraw_one(&mut self, q: usize, prefix: Ipv4Prefix) {
-        if self.adj_out[q].withdraw(&prefix) {
-            self.pending[q].withdrawals.push(prefix);
-        }
-    }
+/// FIR's half of export: ④/⑤ over interned host-order attributes.
+struct FirExport<'a> {
+    intern: &'a mut AttrInternTable,
+}
 
-    /// Export `entry` to peer `q` if policy allows, queueing into
-    /// `pending[q]`.
-    fn export_one(&mut self, host: &mut Host, q: usize, prefix: Ipv4Prefix, entry: &RibEntry) {
-        let dest = &host.neighbors[q];
-        if !dest.is_established() {
-            return;
-        }
-        let src = &entry.source;
-        // Split horizon: never advertise back to the route's source — and
-        // implicitly withdraw anything previously advertised there (the
-        // peer must not keep a stale copy once it became our best source).
-        if !src.local && src.peer_addr == dest.decl.addr {
-            return self.withdraw_one(q, prefix);
-        }
-        let dest_type = dest.peer_type();
+impl Exporter for FirExport<'_> {
+    type Attrs = Rc<FirAttrs>;
 
-        // ④ BGP_OUTBOUND_FILTER: policy. Value forces, Fallback → native.
-        let allowed = if host.hooks.vmm.has_extensions(InsertionPoint::BgpOutboundFilter) {
-            let src_bytes = host.source_info_bytes(src);
-            let mut hctx = FirXbgpCtx {
-                peer: host.peer_info(q),
-                args: &[&src_bytes[..]],
-                attrs: AttrAccess::Read(&entry.attrs),
-                prefix: Some(prefix),
-                nexthop: Some(host.nexthop_info(entry.attrs.next_hop)),
-                xtra: &host.spec.xtra,
-                out_buf: None,
-                rov: host.xbgp_rov.as_ref(),
-                rib_adds: &mut host.ext_rib_adds,
-                logs: &mut host.logs,
-            };
-            let (spec, neighbors) = (&host.spec, &host.neighbors);
-            let point = InsertionPoint::BgpOutboundFilter;
-            host.hooks.run_filter(point, &mut hctx, &mut host.stats, || {
-                native_export(spec, &neighbors[q], src)
-            })
-        } else {
-            native_export(&host.spec, &host.neighbors[q], src)
-        };
-        if !allowed {
-            // If previously advertised, it must now be withdrawn.
-            return self.withdraw_one(q, prefix);
-        }
-
-        // Mechanism: transform attributes for the session type.
-        let mut a = (*entry.attrs).clone();
-        match dest_type {
-            PeerType::Ebgp => {
-                a.as_path = a.as_path.prepend(host.spec.asn);
-                a.next_hop = host.spec.router_id;
-                a.local_pref = None;
-                a.med = None;
-                a.originator_id = None;
-                a.cluster_list.clear();
-            }
-            PeerType::Ibgp => {
-                if a.local_pref.is_none() {
-                    a.local_pref = Some(host.spec.default_local_pref);
-                }
-                // Native reflection bookkeeping (RFC 4456 §7): only when
-                // native RR owns the feature.
-                if host.spec.native_rr && !src.local && src.peer_type == PeerType::Ibgp {
-                    if a.originator_id.is_none() {
-                        a.originator_id = Some(src.peer_addr);
-                    }
-                    a.cluster_list.insert(0, host.cluster_id());
-                }
-            }
-        }
-        let transformed = self.intern.intern(a);
-        if self.adj_out[q].advertise(prefix, Rc::clone(&transformed)) {
-            host.hooks.trace_propagate(prefix, q);
-            self.pending[q].push(prefix, transformed, *src);
-        }
-    }
-
-    /// Send the queued batches for peer `q`.
-    fn flush_outbound(
+    /// ④ BGP_OUTBOUND_FILTER: policy. Value forces, Fallback → native.
+    fn outbound_filter(
         &mut self,
         host: &mut Host,
-        ctx: &mut NodeCtx<'_>,
-        q: usize,
-        pending: OutboundBatches,
+        dest: &Dest,
+        prefix: Ipv4Prefix,
+        attrs: &Rc<FirAttrs>,
+        src: &RouteSource,
+    ) -> bool {
+        let src_bytes = host.source_info_bytes(src);
+        let mut hctx = FirXbgpCtx {
+            peer: dest.peer,
+            args: &[&src_bytes[..]],
+            attrs: AttrAccess::Read(attrs),
+            prefix: Some(prefix),
+            nexthop: Some(host.nexthop_info(attrs.next_hop)),
+            xtra: &host.spec.xtra,
+            out_buf: None,
+            rov: host.xbgp_rov.as_ref(),
+            rib_adds: &mut host.ext_rib_adds,
+            logs: &mut host.logs,
+        };
+        let spec = &host.spec;
+        let point = InsertionPoint::BgpOutboundFilter;
+        host.hooks
+            .run_filter(point, &mut hctx, &mut host.stats, || native_export(spec, dest, src))
+    }
+
+    /// Mechanism: transform attributes for the session type.
+    fn transform(
+        &mut self,
+        host: &Host,
+        dest: &Dest,
+        attrs: &Rc<FirAttrs>,
+        src: &RouteSource,
+    ) -> Rc<FirAttrs> {
+        let mut a = (**attrs).clone();
+        if dest.ibgp {
+            if a.local_pref.is_none() {
+                a.local_pref = Some(host.spec.default_local_pref);
+            }
+            // Native reflection bookkeeping (RFC 4456 §7): only when
+            // native RR owns the feature.
+            if host.spec.native_rr && !src.local && src.peer_type == PeerType::Ibgp {
+                if a.originator_id.is_none() {
+                    a.originator_id = Some(src.peer_addr);
+                }
+                a.cluster_list.insert(0, host.cluster_id());
+            }
+        } else {
+            a.as_path = a.as_path.prepend(host.spec.asn);
+            a.next_hop = host.spec.router_id;
+            a.local_pref = None;
+            a.med = None;
+            a.originator_id = None;
+            a.cluster_list.clear();
+        }
+        self.intern.intern(a)
+    }
+
+    /// ⑤ BGP_ENCODE_MESSAGE: extensions append raw attribute TLVs.
+    fn encode_extra(
+        &mut self,
+        host: &mut Host,
+        dest: &Dest,
+        attrs: &Rc<FirAttrs>,
+        src: &RouteSource,
+        first: Ipv4Prefix,
+        extra: &mut Vec<u8>,
     ) {
-        if !host.neighbors[q].is_established() {
-            return;
-        }
-        host.send_withdrawals(ctx, q, &pending.withdrawals);
-        let encode_ext = host.hooks.vmm.has_extensions(InsertionPoint::BgpEncodeMessage);
-        for batch in pending.batches {
-            // ⑤ BGP_ENCODE_MESSAGE: extensions append raw attribute TLVs.
-            let mut extra = Vec::new();
-            if encode_ext {
-                let src_bytes = host.source_info_bytes(&batch.source);
-                let mut hctx = FirXbgpCtx {
-                    peer: host.peer_info(q),
-                    args: &[&src_bytes[..]],
-                    attrs: AttrAccess::Read(&batch.attrs),
-                    prefix: batch.prefixes.first().copied(),
-                    nexthop: None,
-                    xtra: &host.spec.xtra,
-                    out_buf: Some(&mut extra),
-                    rov: host.xbgp_rov.as_ref(),
-                    rib_adds: &mut host.ext_rib_adds,
-                    logs: &mut host.logs,
-                };
-                let _ = host.hooks.run(InsertionPoint::BgpEncodeMessage, &mut hctx);
-            }
-            host.send_announce(ctx, q, &batch.attrs.to_wire(), &extra, &batch.prefixes);
-        }
-    }
-}
-
-/// Outgoing routes grouped by (attribute set, route source) so each group
-/// becomes one UPDATE (modulo NLRI chunking).
-#[derive(Default)]
-struct OutboundBatches {
-    batches: Vec<Batch>,
-    index: HashMap<(usize, u32), usize>,
-    withdrawals: Vec<Ipv4Prefix>,
-}
-
-struct Batch {
-    attrs: Rc<FirAttrs>,
-    source: RouteSource,
-    prefixes: Vec<Ipv4Prefix>,
-}
-
-impl OutboundBatches {
-    fn push(&mut self, prefix: Ipv4Prefix, attrs: Rc<FirAttrs>, source: RouteSource) {
-        let key = (Rc::as_ptr(&attrs) as usize, source.peer_addr);
-        match self.index.get(&key) {
-            Some(&i) => self.batches[i].prefixes.push(prefix),
-            None => {
-                self.index.insert(key, self.batches.len());
-                self.batches.push(Batch { attrs, source, prefixes: vec![prefix] });
-            }
-        }
+        let src_bytes = host.source_info_bytes(src);
+        let mut hctx = FirXbgpCtx {
+            peer: dest.peer,
+            args: &[&src_bytes[..]],
+            attrs: AttrAccess::Read(attrs),
+            prefix: Some(first),
+            nexthop: None,
+            xtra: &host.spec.xtra,
+            out_buf: Some(extra),
+            rov: host.xbgp_rov.as_ref(),
+            rib_adds: &mut host.ext_rib_adds,
+            logs: &mut host.logs,
+        };
+        let _ = host.hooks.run(InsertionPoint::BgpEncodeMessage, &mut hctx);
     }
 
-    fn is_empty(&self) -> bool {
-        self.batches.is_empty() && self.withdrawals.is_empty()
+    fn to_wire(attrs: &Rc<FirAttrs>) -> Vec<PathAttr> {
+        attrs.to_wire()
     }
 }
 
@@ -552,14 +494,12 @@ impl RouteEngine for FirEngine {
             }
             t
         });
-        let n = host.neighbors.len();
         FirEngine {
             intern: AttrInternTable::new(),
-            rib: RibStore::new(n + 1),
+            rib: RibStore::new(host.neighbors.len() + 1),
             dirty: DirtySet::new(),
             rib_counters: RibCounters::new(),
-            adj_out: (0..n).map(|_| AdjRibOut::default()).collect(),
-            pending: (0..n).map(|_| OutboundBatches::default()).collect(),
+            out: UpdateGroups::new(host),
             rov_trie,
         }
     }
@@ -574,20 +514,18 @@ impl RouteEngine for FirEngine {
         }
     }
 
-    /// Initial route dump: advertise the whole Loc-RIB to this peer.
-    /// Trie iteration is already prefix-ordered, so the wire order (and
-    /// with it UPDATE batching and trace timelines) is deterministic
-    /// without a sort.
+    /// Initial route dump: the peer's update-group advertises it the
+    /// whole Loc-RIB (trie iteration is already prefix-ordered).
     fn session_up(&mut self, host: &mut Host, idx: usize) {
-        let routes: Vec<(Ipv4Prefix, RibEntry)> =
-            self.rib.iter_best().map(|(p, e)| (p, e.clone())).collect();
-        for (prefix, entry) in routes {
-            self.export_one(host, idx, prefix, &entry);
-        }
+        let rib = &self.rib;
+        let mut x = FirExport { intern: &mut self.intern };
+        self.out.join(host, &mut x, idx, |_| {
+            rib.iter_best().map(|(p, e)| (p, Rc::clone(&e.attrs), e.source)).collect()
+        });
     }
 
     fn session_down(&mut self, host: &mut Host, idx: usize) {
-        self.adj_out[idx] = AdjRibOut::default();
+        self.out.leave(idx);
         let slot = peer_slot(idx);
         self.rib_counters.withdrawals += self.rib.slot_len(slot) as u64;
         // Without the delta guarantees only best-affected nets need a
@@ -636,12 +574,7 @@ impl RouteEngine for FirEngine {
     }
 
     fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
-        for q in 0..self.pending.len() {
-            if !self.pending[q].is_empty() {
-                let batches = std::mem::take(&mut self.pending[q]);
-                self.flush_outbound(host, ctx, q, batches);
-            }
-        }
+        self.out.flush(host, &mut FirExport { intern: &mut self.intern }, ctx);
     }
 
     fn loc_rib_len(&self) -> usize {
@@ -681,8 +614,7 @@ impl RouteEngine for FirEngine {
     fn push_gauges(&self, s: &mut Snapshot) {
         self.rib_counters.push(s);
         push_rib_gauges(s, self.rib.adj_in_len(), self.rib.loc_len(), self.dirty.len());
-        let adj_out = self.adj_out.iter().map(AdjRibOut::len).sum::<usize>();
-        s.push_gauge("xbgp_daemon_adj_rib_out_size", &[], adj_out as i64);
+        self.out.push_gauges(s);
         s.push_gauge("xbgp_daemon_interned_attr_sets", &[], self.intern.len() as i64);
     }
 }

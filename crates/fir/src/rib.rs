@@ -11,7 +11,6 @@
 
 use crate::attrs::FirAttrs;
 use rpki::RovState;
-use std::collections::HashMap;
 use std::rc::Rc;
 use xbgp_core::api::PeerType;
 pub use xbgp_driver::host::RouteSource;
@@ -210,40 +209,6 @@ impl RibStore {
     }
 }
 
-/// Adj-RIB-Out: what has been advertised to one peer (prefix → attribute
-/// set actually sent). Used to emit withdraws and suppress duplicates.
-#[derive(Debug, Default)]
-pub struct AdjRibOut {
-    sent: HashMap<Ipv4Prefix, Rc<FirAttrs>>,
-}
-
-impl AdjRibOut {
-    /// Record an advertisement. Returns true if it differs from what was
-    /// previously sent (i.e. must actually go on the wire).
-    pub fn advertise(&mut self, prefix: Ipv4Prefix, attrs: Rc<FirAttrs>) -> bool {
-        match self.sent.get(&prefix) {
-            Some(prev) if Rc::ptr_eq(prev, &attrs) || **prev == *attrs => false,
-            _ => {
-                self.sent.insert(prefix, attrs);
-                true
-            }
-        }
-    }
-
-    /// Record a withdraw. Returns true if the prefix had been advertised.
-    pub fn withdraw(&mut self, prefix: &Ipv4Prefix) -> bool {
-        self.sent.remove(prefix).is_some()
-    }
-
-    pub fn len(&self) -> usize {
-        self.sent.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.sent.is_empty()
-    }
-}
-
 /// Context the native decision process needs beyond the two candidates.
 pub struct DecisionCtx<'a> {
     /// IGP metric to a nexthop (`u32::MAX` = unreachable/unknown).
@@ -394,19 +359,6 @@ mod tests {
         let a = entry(|a| a.med = Some(1), ebgp_src(5));
         let b = entry(|a| a.med = Some(2), ebgp_src(6));
         assert!(native_better(&a, &b, &ctx()) != native_better(&b, &a, &ctx()));
-    }
-
-    #[test]
-    fn adj_rib_out_suppresses_duplicates() {
-        let mut out = AdjRibOut::default();
-        let px = p("10.0.0.0/8");
-        let attrs = Rc::new(FirAttrs::default());
-        assert!(out.advertise(px, Rc::clone(&attrs)));
-        assert!(!out.advertise(px, Rc::clone(&attrs)), "same attrs: nothing to send");
-        let different = Rc::new(FirAttrs { med: Some(9), ..FirAttrs::default() });
-        assert!(out.advertise(px, different), "changed attrs must be re-sent");
-        assert!(out.withdraw(&px));
-        assert!(!out.withdraw(&px), "second withdraw is a no-op");
     }
 
     #[test]

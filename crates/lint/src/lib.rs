@@ -4,7 +4,9 @@
 //! structural verifier → abstract interpretation ([`xbgp_vm::absint`]) —
 //! over `.s` sources, and reports what the router would reject plus
 //! lint-grade warnings the router ignores (dead stores, branches the
-//! analysis proves constant). Because it is the *same* pipeline with the
+//! analysis proves constant). For a program at one of the two outbound
+//! points it also says whether the export path can share its runs
+//! between peers, and if not, which line of it is why. Because it is the *same* pipeline with the
 //! same per-insertion-point helper contracts, a clean lint run is a
 //! guarantee: the program loads on any conforming implementation.
 //!
@@ -17,7 +19,8 @@ use std::fmt;
 
 use xbgp_asm::assemble_with_symbols;
 use xbgp_core::api::{abi_symbols, helper, InsertionPoint};
-use xbgp_core::contracts::analysis_options;
+use xbgp_core::contracts::{analysis_options, peer_info_fields, peer_reads, PerPeer};
+use xbgp_vm::insn::op;
 use xbgp_vm::{absint, verify, Analysis, LoadedProgram};
 
 /// What to lint: one assembly source plus the load context the router
@@ -64,6 +67,11 @@ pub struct LintReport {
     pub warnings: Vec<String>,
     /// The analysis summary, when verification got that far.
     pub analysis: Option<Analysis>,
+    /// For a program at ④ `bgp_outbound_filter` or ⑤
+    /// `bgp_encode_message`: the `PeerInfo` bytes of the destination it
+    /// can read — peers that agree on them share one run of it in an
+    /// update-group — or why it must run once per peer.
+    pub grouping: Option<Result<u32, PerPeer>>,
 }
 
 impl LintReport {
@@ -95,6 +103,14 @@ impl fmt::Display for LintReport {
                 a.stack_high_water,
             )?;
         }
+        match &self.grouping {
+            Some(Ok(mask)) => {
+                let fields = peer_info_fields(*mask).join(", ");
+                writeln!(f, "{}: groupable: reads {{{fields}}}", self.name)?;
+            }
+            Some(Err(why)) => writeln!(f, "{}: per-peer: {why}", self.name)?,
+            None => {}
+        }
         Ok(())
     }
 }
@@ -111,6 +127,7 @@ pub fn lint(target: &LintTarget) -> LintReport {
         errors: Vec::new(),
         warnings: Vec::new(),
         analysis: None,
+        grouping: None,
     };
     let mut src = String::new();
     for (name, value) in &target.defines {
@@ -135,6 +152,18 @@ pub fn lint(target: &LintTarget) -> LintReport {
     match absint::analyze(&mut lp, &prog, &opts) {
         Ok(analysis) => {
             report.warnings.extend(analysis.warnings.iter().map(ToString::to_string));
+            let outbound = [InsertionPoint::BgpOutboundFilter, InsertionPoint::BgpEncodeMessage];
+            if outbound.contains(&target.point) {
+                // Without a manifest, assume the smallest grant that
+                // loads the program: the helpers it calls.
+                let call = op::CLS_JMP | op::JMP_CALL;
+                let called = || prog.insns.iter().filter(|i| i.opcode == call);
+                let granted = target
+                    .helpers
+                    .clone()
+                    .unwrap_or_else(|| called().map(|i| i.imm as u32).collect());
+                report.grouping = Some(peer_reads(&granted, analysis.watched));
+            }
             report.analysis = Some(analysis);
         }
         Err(e) => report.errors.push(e.to_string()),

@@ -9,12 +9,18 @@
 //!                         bgp_encode_message); default bgp_inbound_filter
 //!   --helpers <a,b,...>   helper whitelist by name; default: all helpers
 //!   --define NAME=VAL     prepend `.equ NAME, VAL` (repeatable)
-//!   --quiet               suppress the per-file ok summary
+//!   --quiet               warnings only: suppress the per-file ok summary
+//!                         and the update-group verdict
 //! ```
 //!
 //! Files whose stem matches a shipped program (`rov_check.s`, …) are
 //! linted under that program's manifest context — same insertion point,
 //! same helper whitelist — unless `--point`/`--helpers` override it.
+//! A program at `bgp_outbound_filter` or `bgp_encode_message` also gets
+//! one line saying whether its runs can be shared by an update-group
+//! (`groupable: reads {type, flags}`) or what defeats that (`per-peer:
+//! get_peer_info pointer escapes at pc 4`, `per-peer: declares
+//! ctx_shared_get`).
 //! Exit status: 0 when every file is error-free (warnings do not fail
 //! the run), 1 otherwise, 2 on usage errors.
 
@@ -23,7 +29,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use xbgp_core::api::{helper, InsertionPoint};
-use xbgp_lint::{all_helpers, lint, shipped_context, LintTarget};
+use xbgp_lint::{lint, shipped_context, LintTarget};
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("xbgp-lint: {msg}");
@@ -111,10 +117,7 @@ fn main() -> ExitCode {
             point: point
                 .or(ctx.as_ref().map(|c| c.point))
                 .unwrap_or(InsertionPoint::BgpInboundFilter),
-            helpers: helpers
-                .clone()
-                .or(ctx.as_ref().map(|c| c.helpers.clone()))
-                .or(Some(all_helpers())),
+            helpers: helpers.clone().or(ctx.as_ref().map(|c| c.helpers.clone())),
             defines: if defines.is_empty() {
                 ctx.map(|c| c.defines).unwrap_or_default()
             } else {
@@ -127,8 +130,7 @@ fn main() -> ExitCode {
         }
         let text = report.to_string();
         if report.clean() && quiet {
-            // Errors and warnings only.
-            for line in text.lines().filter(|l| !l.contains(": ok:")) {
+            for line in text.lines().filter(|l| l.contains(": warning: ")) {
                 println!("{line}");
             }
         } else {

@@ -2,6 +2,7 @@
 //! programs must pass it — the same invariants the CI step asserts with
 //! the `xbgp-lint` binary.
 
+use xbgp_core::api::{helper, InsertionPoint};
 use xbgp_lint::{lint, LintTarget};
 
 fn fixture(name: &str) -> String {
@@ -21,6 +22,37 @@ fn oob_stack_fixture_is_rejected() {
     let report = lint(&LintTarget::bare("oob_stack.s", fixture("oob_stack.s")));
     assert!(!report.clean());
     assert!(report.errors[0].contains("outside [r10-512, r10)"), "{:?}", report.errors);
+}
+
+/// The last line of the report for an outbound-filter fixture granted
+/// `helpers`: the update-group verdict.
+fn grouping_line(name: &str, helpers: &[&str]) -> String {
+    let report = lint(&LintTarget {
+        point: InsertionPoint::BgpOutboundFilter,
+        helpers: Some(helpers.iter().map(|h| helper::id_of(h).expect("API helper")).collect()),
+        ..LintTarget::bare(name, fixture(name))
+    });
+    assert!(report.clean(), "{name}: {:?}", report.errors);
+    report.to_string().lines().last().expect("a verdict line").to_string()
+}
+
+#[test]
+fn grouping_fixtures_say_why() {
+    assert_eq!(
+        grouping_line("groupable_flags.s", &["get_peer_info", "next"]),
+        "groupable_flags.s: groupable: reads {type, flags}"
+    );
+    assert_eq!(
+        grouping_line("per_peer_escape.s", &["get_peer_info", "ebpf_memcpy", "next"]),
+        "per_peer_escape.s: per-peer: get_peer_info pointer escapes at pc 5"
+    );
+    assert_eq!(
+        grouping_line("per_peer_shared.s", &["get_peer_info", "ctx_shared_get", "next"]),
+        "per_peer_shared.s: per-peer: declares ctx_shared_get"
+    );
+    // Not an outbound point: no verdict.
+    let inbound = lint(&LintTarget::bare("groupable_flags.s", fixture("groupable_flags.s")));
+    assert!(inbound.grouping.is_none());
 }
 
 #[test]

@@ -345,6 +345,31 @@ mod tests {
         }
     }
 
+    /// What each shipped ④/⑤ program can learn about the peer it exports
+    /// to. The export path shares one run between peers that agree on
+    /// these fields, so an edit that starts reading, say, the peer's
+    /// router id must show up here as a diff.
+    #[test]
+    fn shipped_export_programs_read_only_these_peer_fields() {
+        use xbgp_core::contracts::{peer_info_fields, PEER_INFO_ALL};
+        let fields = |m: &Manifest, point| {
+            let mut only = Manifest::new();
+            for e in m.extensions.iter().filter(|e| e.insertion_point == point) {
+                only.push(e.clone());
+            }
+            let mask = Vmm::from_manifest(&only).unwrap().peer_read_mask(&[point]);
+            assert_ne!(mask, PEER_INFO_ALL, "not groupable");
+            peer_info_fields(mask)
+        };
+        let outbound = xbgp_core::InsertionPoint::BgpOutboundFilter;
+        let encode = xbgp_core::InsertionPoint::BgpEncodeMessage;
+        assert_eq!(fields(&route_reflect::manifest(), outbound), ["type", "flags"]);
+        assert_eq!(fields(&route_reflect::manifest(), encode), ["type", "local_router_id"]);
+        assert_eq!(fields(&geoloc::manifest(None), outbound), ["type"]);
+        assert_eq!(fields(&geoloc::manifest(None), encode), ["type"]);
+        assert_eq!(fields(&igp_filter::manifest(), outbound), ["type"]);
+    }
+
     // ----- §3.1 Listing 1 -----
 
     #[test]

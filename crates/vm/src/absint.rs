@@ -102,6 +102,11 @@ pub struct HelperContract {
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisOptions {
     pub contracts: BTreeMap<u32, HelperContract>,
+    /// Helper whose returned window is *watched*: the analysis reports
+    /// which of its bytes the program may observe
+    /// ([`Analysis::watched`]). The host sets this to `get_peer_info` so
+    /// it can tell which peers a program cannot tell apart.
+    pub watch: Option<u32>,
 }
 
 /// Lint-grade diagnostics (never fatal).
@@ -138,6 +143,48 @@ impl fmt::Display for Warning {
     }
 }
 
+/// Why no bound on the watched window's observable bytes was proven.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unbounded {
+    /// The analysis did not run to a fixpoint (not run, or out of budget).
+    NotAnalyzed,
+    /// A load or store not proven to stay inside one tracked allocation
+    /// window: it may alias anything mapped, the watched window included.
+    UnprovenAccess,
+    /// A pointer into the watched window is passed to a helper, which may
+    /// read through it.
+    HelperArg,
+    /// A helper pointer argument that is not a tracked pointer, so it may
+    /// point into the watched window.
+    UnprovenHelperArg,
+    /// A pointer into the watched window is stored to memory.
+    Stored,
+    /// An access through a pointer that may point into the watched window
+    /// but lost its allocation root (merged, widened or re-allocated), so
+    /// its offset inside the window is unknown.
+    Anonymous,
+}
+
+/// What a program can observe of the window returned by the watched
+/// helper ([`AnalysisOptions::watch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WatchedReads {
+    /// Every reachable memory access provably stays inside one tracked
+    /// allocation window, no pointer into the watched window leaves the
+    /// registers, and bit `i` is set for every byte `i` of the watched
+    /// window some load may read. Two runs whose watched windows differ
+    /// only in unset bytes are indistinguishable to the program.
+    Bytes(u64),
+    /// No such bound; `pc` is the slot pc of the first reason found.
+    Unbounded { pc: usize, why: Unbounded },
+}
+
+impl Default for WatchedReads {
+    fn default() -> WatchedReads {
+        WatchedReads::Unbounded { pc: 0, why: Unbounded::NotAnalyzed }
+    }
+}
+
 /// Facts the fixpoint proved about one program.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
@@ -154,6 +201,8 @@ pub struct Analysis {
     pub bounded_loops: usize,
     /// Deepest proven frame access, in bytes below `r10` (0..=512).
     pub stack_high_water: i64,
+    /// Observable bytes of the watched helper's window.
+    pub watched: WatchedReads,
     pub warnings: Vec<Warning>,
 }
 
@@ -205,6 +254,10 @@ struct Pv {
     d_hi: i64,
     w_lo: i64,
     w_hi: i64,
+    /// May point into a window returned by the watched helper. Survives
+    /// anonymization, so a pointer that lost its root is still known to
+    /// (possibly) alias watched bytes.
+    watched: bool,
 }
 
 impl Pv {
@@ -216,6 +269,7 @@ impl Pv {
             d_hi: 0,
             w_lo: -(STACK_SIZE as i64),
             w_hi: 0,
+            watched: false,
         }
     }
 
@@ -232,6 +286,7 @@ impl Pv {
             d_hi: 0,
             w_lo,
             w_hi,
+            watched: self.watched,
         }
     }
 
@@ -241,6 +296,15 @@ impl Pv {
             d_hi: self.d_hi.checked_add(k)?,
             ..self
         })
+    }
+
+    /// The root-relative byte range `[lo, hi)` a `size`-byte access at
+    /// `self + off` may touch, when all of it provably lies inside the
+    /// allocation window.
+    fn range_in_window(&self, off: i64, size: i64) -> Option<(i64, i64)> {
+        let lo = self.d_lo.checked_add(off)?;
+        let hi = self.d_hi.checked_add(off)?.checked_add(size)?;
+        (lo >= self.w_lo && hi <= self.w_hi).then_some((lo, hi))
     }
 
     fn shift_iv(self, iv: Iv, negate: bool) -> Option<Pv> {
@@ -305,13 +369,22 @@ fn join_ptr(p: Pv, q: Pv) -> Av {
             d_hi: p.d_hi.max(q.d_hi),
             w_lo: p.w_lo.max(q.w_lo),
             w_hi: p.w_hi.min(q.w_hi),
+            watched: p.watched || q.watched,
         });
     }
     let (a, b) = (p.anonymize(), q.anonymize());
     let w_lo = a.w_lo.max(b.w_lo);
     let w_hi = a.w_hi.min(b.w_hi);
     let (w_lo, w_hi) = if w_lo <= w_hi { (w_lo, w_hi) } else { (0, 0) };
-    Av::Ptr(Pv { kind: p.kind, root: ANON_ROOT, d_lo: 0, d_hi: 0, w_lo, w_hi })
+    Av::Ptr(Pv {
+        kind: p.kind,
+        root: ANON_ROOT,
+        d_lo: 0,
+        d_hi: 0,
+        w_lo,
+        w_hi,
+        watched: p.watched || q.watched,
+    })
 }
 
 fn join_av(a: Av, b: Av) -> Av {
@@ -989,6 +1062,7 @@ fn step_call(st: &mut State, ins: &DInsn, pc: usize, opts: &AnalysisOptions) {
         Some(c) => c.ret,
         None => HelperRet::Scalar,
     };
+    let watched = opts.watch == Some(ins.target);
     let r0 = match ret {
         HelperRet::Scalar => Av::TOP,
         HelperRet::LenOrFail { cap_arg } => {
@@ -1002,6 +1076,7 @@ fn step_call(st: &mut State, ins: &DInsn, pc: usize, opts: &AnalysisOptions) {
             d_hi: 0,
             w_lo: 0,
             w_hi: size.map_or(0, |s| s.min(i64::MAX as u64) as i64),
+            watched,
         }),
         HelperRet::ZeroOrPtrSizedByArg { kind, size_arg } => {
             let min = match st[(1 + size_arg.min(4)) as usize] {
@@ -1015,6 +1090,7 @@ fn step_call(st: &mut State, ins: &DInsn, pc: usize, opts: &AnalysisOptions) {
                 d_hi: 0,
                 w_lo: 0,
                 w_hi: min,
+                watched,
             })
         }
     };
@@ -1106,6 +1182,67 @@ fn pure_def(op: DOp) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// Watched-window reads
+// ---------------------------------------------------------------------------
+
+/// Accumulates [`WatchedReads`] over the annotation pass: observed bytes
+/// until the first thing that defeats the bound, which then sticks.
+struct Watch(WatchedReads);
+
+impl Watch {
+    fn unbounded(&mut self, pc: usize, why: Unbounded) {
+        if let WatchedReads::Bytes(_) = self.0 {
+            self.0 = WatchedReads::Unbounded { pc, why };
+        }
+    }
+
+    /// A `size`-byte access at `addr + off`. It is accounted for only
+    /// when `addr` is a tracked pointer — nullable is fine, a null
+    /// dereference faults identically whatever the window holds — and
+    /// the whole range lies inside its allocation window.
+    fn access(&mut self, pc: usize, addr: Av, off: i64, size: i64, is_store: bool) {
+        let (Av::Ptr(p) | Av::ZeroOrPtr(p)) = addr else {
+            return self.unbounded(pc, Unbounded::UnprovenAccess);
+        };
+        let Some((lo, hi)) = p.range_in_window(off, size) else {
+            return self.unbounded(pc, Unbounded::UnprovenAccess);
+        };
+        if !p.watched {
+            return;
+        }
+        // An anonymous pointer's window is relative to itself, and a
+        // helper window starts at 0: only rooted offsets name bytes.
+        if p.root == ANON_ROOT || p.w_lo != 0 || p.w_hi > 64 {
+            return self.unbounded(pc, Unbounded::Anonymous);
+        }
+        if let (false, WatchedReads::Bytes(bits)) = (is_store, &mut self.0) {
+            for byte in lo..hi {
+                *bits |= 1 << byte;
+            }
+        }
+    }
+
+    /// The value a register store writes to memory.
+    fn stored(&mut self, pc: usize, value: Av) {
+        if let Av::Ptr(p) | Av::ZeroOrPtr(p) = value {
+            if p.watched {
+                self.unbounded(pc, Unbounded::Stored);
+            }
+        }
+    }
+
+    /// A helper argument the contract declares a pointer.
+    fn helper_ptr_arg(&mut self, pc: usize, arg: Av) {
+        match arg {
+            Av::Ptr(p) | Av::ZeroOrPtr(p) if p.watched => self.unbounded(pc, Unbounded::HelperArg),
+            Av::Ptr(_) | Av::ZeroOrPtr(_) => {}
+            Av::Scalar(iv) if iv == Iv::exact(0) => {}
+            _ => self.unbounded(pc, Unbounded::UnprovenHelperArg),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -1177,7 +1314,8 @@ pub fn analyze(
 ) -> Result<Analysis, VerifyError> {
     let n = lp.len();
     if n == 0 {
-        return Ok(Analysis::default());
+        lp.watched = WatchedReads::Bytes(0);
+        return Ok(Analysis { watched: lp.watched, ..Analysis::default() });
     }
     let code: Vec<DInsn> = lp.code[..n].to_vec();
     let (blocks, block_of) = build_blocks(&code, n);
@@ -1249,6 +1387,7 @@ pub fn analyze(
 
     // Final annotation pass: hard errors, proof bits, warnings.
     let mut analysis = Analysis::default();
+    let mut watch = Watch(WatchedReads::Bytes(0));
     for (b, blk) in blocks.iter().enumerate() {
         let Some(mut st) = entry[b] else { continue };
         for (i, &ins) in code.iter().enumerate().take(blk.end).skip(blk.start) {
@@ -1274,6 +1413,7 @@ pub fn analyze(
                             if a > 4 {
                                 continue;
                             }
+                            watch.helper_ptr_arg(slot_pc(i), st[(1 + a) as usize]);
                             // Only reject what is *provably* a bad pointer: a
                             // nonzero constant below every mapped region.
                             if let Av::Scalar(iv) = st[(1 + a) as usize] {
@@ -1288,6 +1428,9 @@ pub fn analyze(
                                 }
                             }
                         }
+                    } else {
+                        // An unknown helper may read through any argument.
+                        watch.unbounded(slot_pc(i), Unbounded::UnprovenHelperArg);
                     }
                     step_call(&mut st, &ins, i, opts);
                 }
@@ -1306,22 +1449,24 @@ pub fn analyze(
                     if let Some((size, is_store)) = mem_parts(ins.op) {
                         analysis.mem_accesses += 1;
                         let addr_reg = if is_store { ins.dst } else { ins.src } as usize;
+                        let off = ins.off as i64;
+                        watch.access(slot_pc(i), st[addr_reg], off, size, is_store);
+                        if is_store
+                            && matches!(ins.op, DOp::StxDw | DOp::StxW | DOp::StxH | DOp::StxB)
+                        {
+                            watch.stored(slot_pc(i), st[ins.src as usize]);
+                        }
                         if let Av::Ptr(p) = st[addr_reg] {
-                            let off = ins.off as i64;
                             if p.kind == elide::KIND_STACK && p.root == FRAME_ROOT {
                                 let depth = -(p.d_lo + off);
                                 analysis.stack_high_water = analysis.stack_high_water.max(depth);
                             }
-                            let lo = p.d_lo.checked_add(off);
-                            let hi = p.d_hi.checked_add(off).and_then(|v| v.checked_add(size));
-                            if let (Some(lo), Some(hi)) = (lo, hi) {
-                                if lo >= p.w_lo && hi <= p.w_hi {
-                                    lp.code[i].flags = elide::pack(p.kind);
-                                    if is_store {
-                                        analysis.elided_stores += 1;
-                                    } else {
-                                        analysis.elided_loads += 1;
-                                    }
+                            if p.range_in_window(off, size).is_some() {
+                                lp.code[i].flags = elide::pack(p.kind);
+                                if is_store {
+                                    analysis.elided_stores += 1;
+                                } else {
+                                    analysis.elided_loads += 1;
                                 }
                             }
                         }
@@ -1394,6 +1539,8 @@ pub fn analyze(
     // Loop bounds: counted self-loops, then a longest path over the DAG.
     analysis.worst_fuel = infer_worst_fuel(&cfg, &code, &entry, opts, &mut analysis.bounded_loops);
     lp.worst_fuel = analysis.worst_fuel;
+    analysis.watched = watch.0;
+    lp.watched = watch.0;
     lp.has_elided = analysis.elided_loads + analysis.elided_stores > 0;
     analysis.warnings.sort_by_key(|w| match w {
         Warning::DeadStore { pc, .. } | Warning::ConstBranch { pc, .. } => *pc,

@@ -36,7 +36,9 @@ pub mod mem;
 pub mod prep;
 pub mod verify;
 
-pub use absint::{Analysis, AnalysisOptions, HelperContract, HelperRet, MemKind, Warning};
+pub use absint::{
+    Analysis, AnalysisOptions, HelperContract, HelperRet, MemKind, Unbounded, Warning, WatchedReads,
+};
 pub use error::VmError;
 pub use insn::{Insn, Program};
 pub use interp::{ExecOutcome, HelperDispatcher, NoHelpers, RunMetrics, Vm, VmConfig};

@@ -216,6 +216,9 @@ pub struct LoadedProgram {
     /// True when the analysis proved at least one access elidable. Programs
     /// with nothing to elide skip the per-run region snapshot entirely.
     pub(crate) has_elided: bool,
+    /// What [`crate::absint`] proved the program can observe of the watched
+    /// helper's window; unbounded until the analysis has run.
+    pub(crate) watched: crate::absint::WatchedReads,
 }
 
 fn pick4(is64: bool, use_src: bool, i64v: DOp, r64v: DOp, i32v: DOp, r32v: DOp) -> DOp {
@@ -637,6 +640,7 @@ impl LoadedProgram {
             worst_fuel: None,
             elide: true,
             has_elided: false,
+            watched: Default::default(),
         }
     }
 
@@ -649,6 +653,12 @@ impl LoadedProgram {
     /// if every loop in the program was bounded.
     pub fn worst_fuel(&self) -> Option<u64> {
         self.worst_fuel
+    }
+
+    /// What the abstract interpreter proved this program can observe of
+    /// the watched helper's window ([`crate::AnalysisOptions::watch`]).
+    pub fn watched_reads(&self) -> crate::absint::WatchedReads {
+        self.watched
     }
 
     /// Enable or disable proof-based runtime check elision. Elision-on and

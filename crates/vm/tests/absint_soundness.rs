@@ -7,19 +7,26 @@
 //! counted loops, in-bounds stack traffic, wild faulting accesses — so
 //! elided stack loads sit next to accesses the analysis cannot prove.
 //!
+//! The same generator, extended with loads through a watched helper's
+//! pointer, checks the other thing the host relies on: when the analysis
+//! reports which bytes of that window a program can observe
+//! (`WatchedReads::Bytes`), two runs whose windows differ only in the
+//! other bytes are indistinguishable.
+//!
 //! Also here: the must-reject corpus (uninitialized reads, constant
 //! out-of-bounds frame slots) and the loop-bound inference contracts
 //! (counted loops get a static worst case, wrap-prone or data-dependent
 //! loops must stay `None`).
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use xbgp_vm::insn::{build, op, Insn, Program};
-use xbgp_vm::interp::NoHelpers;
-use xbgp_vm::verify::VerifyError;
+use xbgp_vm::interp::{HelperDispatcher, HelperOutcome, NoHelpers};
+use xbgp_vm::verify::{verify_and_load_with, VerifyError};
 use xbgp_vm::{
-    verify_and_load, ExecOutcome, LoadedProgram, MemoryMap, RunMetrics, VmConfig, VmError,
-    STACK_BASE, STACK_SIZE,
+    verify_and_load, AnalysisOptions, ExecOutcome, HelperContract, HelperRet, LoadedProgram,
+    MemKind, MemoryMap, Region, RegionKind, RunMetrics, Unbounded, VmConfig, VmError, WatchedReads,
+    HEAP_BASE, STACK_BASE, STACK_SIZE,
 };
 
 const GEN_REGS: u8 = 6;
@@ -253,6 +260,234 @@ proptest! {
         let prog = assemble(seeds, &segs, iters);
         assert_elision_sound(&prog, fuel, &[])?;
     }
+}
+
+// ----- what a program can observe of a watched helper's window -----
+
+/// `peer() -> ptr | 0` to a 24-byte block: the watched helper.
+const PEER: u32 = 40;
+/// `copy8(dst, src)`: a helper that reads through a pointer argument.
+const COPY8: u32 = 41;
+const WINDOW: usize = 24;
+const HEAP_LEN: usize = 256;
+/// Where the dispatcher places the block inside the heap.
+const BLOCK_AT: u64 = HEAP_BASE + 64;
+
+fn watch_opts() -> AnalysisOptions {
+    let mut contracts = BTreeMap::new();
+    contracts.insert(
+        PEER,
+        HelperContract {
+            allowed: true,
+            ptr_args: Vec::new(),
+            ret: HelperRet::ZeroOrPtr { kind: MemKind::Heap, size: Some(WINDOW as u64) },
+        },
+    );
+    contracts.insert(
+        COPY8,
+        HelperContract { allowed: true, ptr_args: vec![0, 1], ret: HelperRet::Scalar },
+    );
+    AnalysisOptions { contracts, watch: Some(PEER) }
+}
+
+fn load_watched(insns: Vec<Insn>) -> Result<LoadedProgram, VerifyError> {
+    let helpers: HashSet<u32> = [PEER, COPY8].into_iter().collect();
+    verify_and_load_with(&Program::new(insns), &helpers, &watch_opts())
+}
+
+/// Serves the two helpers out of a heap the run starts with.
+struct PeerBlock([u8; WINDOW]);
+
+impl HelperDispatcher for PeerBlock {
+    fn call(
+        &mut self,
+        id: u32,
+        args: [u64; 5],
+        mem: &mut MemoryMap,
+    ) -> Result<HelperOutcome, VmError> {
+        match id {
+            PEER => {
+                mem.write_bytes(BLOCK_AT, &self.0)?;
+                Ok(HelperOutcome::Value(BLOCK_AT))
+            }
+            COPY8 => {
+                mem.copy_within(args[0], args[1], 8)?;
+                Ok(HelperOutcome::Value(0))
+            }
+            other => Err(VmError::UnknownHelper { pc: 0, helper: other }),
+        }
+    }
+}
+
+/// Everything a run leaves observable: outcome, ledger, stack, and the
+/// heap around the block.
+fn observe(lp: &LoadedProgram, block: [u8; WINDOW]) -> (RunResult, Vec<u8>) {
+    let mut mem = MemoryMap::new();
+    mem.map(Region::new(RegionKind::Heap, HEAP_BASE, vec![0; HEAP_LEN], true));
+    let (out, metrics) =
+        lp.run_metered(VmConfig { fuel: 100_000 }, &mut mem, &mut PeerBlock(block), &[]);
+    let stack = mem.read_bytes(STACK_BASE, STACK_SIZE).expect("stack mapped");
+    let mut heap = mem.read_bytes(HEAP_BASE, HEAP_LEN).expect("heap mapped");
+    let at = (BLOCK_AT - HEAP_BASE) as usize;
+    heap.drain(at..at + WINDOW);
+    ((out, metrics, stack), heap)
+}
+
+/// An instruction that touches the watched pointer, which the prologue
+/// parks in r6 (outside the generator's register range): field loads of
+/// every width at offsets around the window, copies into data registers
+/// (where the ALU, the stack traffic and the guards then get at them),
+/// and loads through a data register that may hold such a copy.
+fn peer_insn() -> impl Strategy<Value = Insn> {
+    let load = |w: u8, dst: u8, src: u8, off: i16| match w {
+        0 => build::ldxb(dst, src, off),
+        1 => build::ldxw(dst, src, off),
+        _ => build::ldxdw(dst, src, off),
+    };
+    prop_oneof![
+        (0u8..3, reg(), 0i16..20).prop_map(move |(w, r, off)| load(w, r, 6, off)),
+        (0u8..3, reg(), 0i16..20).prop_map(move |(w, r, off)| load(w, r, 6, off)),
+        (0u8..3, reg(), 0i16..20).prop_map(move |(w, r, off)| load(w, r, 6, off)),
+        (0u8..3, reg(), 0i16..20).prop_map(move |(w, r, off)| load(w, r, 6, off)),
+        (0u8..3, reg(), 0i16..20).prop_map(move |(w, r, off)| load(w, r, 6, off)),
+        (0u8..3, reg(), 0i16..20).prop_map(move |(w, r, off)| load(w, r, 6, off)),
+        (0u8..3, reg(), -4i16..28).prop_map(move |(w, r, off)| load(w, r, 6, off)),
+        reg().prop_map(|r| build::mov_reg(r, 6)),
+        (reg(), -8i32..32).prop_map(|(r, k)| build::add_imm(r, k)),
+        (0u8..3, reg(), reg(), -4i16..28).prop_map(move |(w, a, b, off)| load(w, a, b, off)),
+    ]
+}
+
+fn watched_segments() -> impl Strategy<Value = Vec<Segment>> {
+    let body = prop_oneof![peer_insn(), peer_insn(), peer_insn(), alu_insn(), stack_insn()];
+    proptest::collection::vec(
+        (proptest::option::of(guard()), proptest::collection::vec(body, 1..6)),
+        1..4,
+    )
+}
+
+/// `r6 = peer()`, then the generated body over seeded data registers.
+fn assemble_watched(seeds: [u64; GEN_REGS as usize], segs: &[Segment]) -> Vec<Insn> {
+    let mut p = vec![build::call(PEER), build::mov_reg(6, 0)];
+    p.extend(assemble(seeds, segs, None).insns);
+    p
+}
+
+proptest! {
+    /// Bytes the analysis says a program cannot observe really are
+    /// invisible to it: randomize them and nothing the run leaves behind
+    /// changes.
+    #[test]
+    fn unobserved_watched_bytes_are_invisible(
+        seeds in any::<[u64; GEN_REGS as usize]>(),
+        segs in watched_segments(),
+        block in any::<[u8; WINDOW]>(),
+        noise in any::<[u8; WINDOW]>(),
+    ) {
+        let Ok(lp) = load_watched(assemble_watched(seeds, &segs)) else {
+            return Ok(()); // e.g. a constant out-of-frame slot
+        };
+        let WatchedReads::Bytes(mask) = lp.watched_reads() else {
+            return Ok(()); // no bound claimed, nothing to hold it to
+        };
+        let mut other = block;
+        for (i, b) in other.iter_mut().enumerate() {
+            if mask >> i & 1 == 0 {
+                *b = noise[i];
+            }
+        }
+        prop_assert_eq!(observe(&lp, block), observe(&lp, other), "mask {:#x}", mask);
+    }
+}
+
+/// The property above is not vacuous, and the mask is exact on the
+/// canonical shape: a field load names exactly its bytes, null-checked
+/// or not.
+#[test]
+fn field_loads_name_their_bytes() {
+    let lp = load_watched(vec![
+        build::call(PEER),
+        build::ldxw(1, 0, 8),
+        build::jeq_imm(0, 0, 1),
+        build::ldxb(2, 0, 20),
+        build::mov_imm(0, 0),
+        build::exit(),
+    ])
+    .unwrap();
+    assert_eq!(lp.watched_reads(), WatchedReads::Bytes(0xf << 8 | 1 << 20));
+    // A program that never asks observes nothing.
+    let lp = load_watched(vec![build::mov_imm(0, 0), build::exit()]).unwrap();
+    assert_eq!(lp.watched_reads(), WatchedReads::Bytes(0));
+    // A cursor walk over the whole window observes all of it.
+    let lp = load_watched(vec![
+        build::call(PEER),
+        build::jeq_imm(0, 0, 6),
+        build::mov_reg(6, 0),
+        build::mov_reg(7, 0),
+        build::add_imm(7, WINDOW as i32),
+        build::ldxb(1, 6, 0),
+        build::add_imm(6, 1),
+        Insn::new(op::CLS_JMP | op::JMP_JLT | op::SRC_X, 6, 7, -3, 0),
+        build::mov_imm(0, 0),
+        build::exit(),
+    ])
+    .unwrap();
+    assert_eq!(lp.watched_reads(), WatchedReads::Bytes((1 << WINDOW) - 1));
+}
+
+fn unbounded_why(insns: Vec<Insn>) -> Unbounded {
+    match load_watched(insns).unwrap().watched_reads() {
+        WatchedReads::Unbounded { why, .. } => why,
+        bytes => panic!("claimed a bound: {bytes:?}"),
+    }
+}
+
+/// Every way the pointer can get out of the analysis's sight must give
+/// up the bound rather than under-report.
+#[test]
+fn escaping_watched_pointers_give_up_the_bound() {
+    // Passed to a helper that reads through it.
+    let copy = vec![
+        build::call(PEER),
+        build::mov_reg(2, 0),
+        build::mov_reg(1, 10),
+        build::add_imm(1, -32),
+        build::call(COPY8),
+        build::exit(),
+    ];
+    assert_eq!(unbounded_why(copy), Unbounded::HelperArg);
+    // Spilled to the stack (and reloadable as a plain number).
+    let spill = vec![build::call(PEER), build::stxdw(10, 0, -8), build::exit()];
+    assert_eq!(unbounded_why(spill), Unbounded::Stored);
+    // Merged from two call sites: the pointer is still known to alias
+    // the window, its offset inside it no longer is.
+    let merged = vec![
+        build::call(PEER),
+        build::mov_reg(6, 0),
+        build::jne_imm(6, 0, 2),
+        build::call(PEER),
+        build::mov_reg(6, 0),
+        build::ldxb(0, 6, 0),
+        build::exit(),
+    ];
+    assert_eq!(unbounded_why(merged), Unbounded::Anonymous);
+    // Laundered through 32-bit arithmetic into a plain number.
+    let laundered = vec![
+        build::call(PEER),
+        Insn::new(op::CLS_ALU | op::ALU_MOV | op::SRC_X, 1, 0, 0, 0),
+        build::ldxb(0, 1, 0),
+        build::exit(),
+    ];
+    assert_eq!(unbounded_why(laundered), Unbounded::UnprovenAccess);
+    // A helper argument that is a pointer nobody tracked.
+    let wild_arg = vec![
+        build::mov_reg(2, 1),
+        build::mov_reg(1, 10),
+        build::add_imm(1, -32),
+        build::call(COPY8),
+        build::exit(),
+    ];
+    assert_eq!(unbounded_why(wild_arg), Unbounded::UnprovenHelperArg);
 }
 
 // ----- deterministic anchors -----

@@ -253,6 +253,53 @@ impl UpdateMsg {
     }
 }
 
+/// Encode a complete UPDATE frame from borrowed parts into one buffer:
+/// the header and the two section lengths are written as placeholders
+/// and patched once the bytes behind them are known, so nothing is
+/// staged in a temporary. Byte-identical to building an [`UpdateMsg`]
+/// and calling [`UpdateMsg::encode_with_extra`], the same
+/// [`WireError::TooLong`] included; this is the export path's encoder,
+/// which frames one attribute set for many chunks of NLRI.
+pub fn encode_update(
+    withdrawn: &[Ipv4Prefix],
+    attrs: &[PathAttr],
+    extra_attr_tlvs: &[u8],
+    nlri: &[Ipv4Prefix],
+    asn_width: usize,
+) -> Result<Vec<u8>, WireError> {
+    fn patch_len(out: &mut [u8], at: usize) {
+        let len = (out.len() - at - 2) as u16;
+        out[at..at + 2].copy_from_slice(&len.to_be_bytes());
+    }
+    let mut out = Vec::with_capacity(HEADER_LEN + 64 + extra_attr_tlvs.len() + 5 * nlri.len());
+    out.extend_from_slice(&[0xff; 16]);
+    out.extend_from_slice(&[0, 0, MsgType::Update as u8]);
+    let wd_at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    for p in withdrawn {
+        p.encode(&mut out);
+    }
+    patch_len(&mut out, wd_at);
+    let attrs_at = out.len();
+    out.extend_from_slice(&[0, 0]);
+    for a in attrs {
+        a.encode(&mut out, asn_width);
+    }
+    out.extend_from_slice(extra_attr_tlvs);
+    patch_len(&mut out, attrs_at);
+    for p in nlri {
+        p.encode(&mut out);
+    }
+    // A frame within the limit has sections well under 64 KiB, so the
+    // patched lengths above cannot have truncated.
+    if out.len() > MAX_MSG_LEN {
+        return Err(WireError::TooLong(out.len()));
+    }
+    let total = out.len() as u16;
+    out[16..18].copy_from_slice(&total.to_be_bytes());
+    Ok(out)
+}
+
 /// A NOTIFICATION message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NotificationMsg {
@@ -653,6 +700,38 @@ mod tests {
                 }
             }
             prop_assert_eq!(got, frames);
+        }
+
+        #[test]
+        fn prop_encode_update_equals_encode_with_extra(
+            wd in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..900),
+            nlri in proptest::collection::vec((any::<u32>(), 0u8..=32), 0..900),
+            path in proptest::collection::vec(any::<u32>(), 0..40),
+            med in proptest::option::of(any::<u32>()),
+            communities in proptest::collection::vec(any::<u32>(), 0..80),
+            extra in proptest::collection::vec(any::<u8>(), 0..600),
+            four_octet in any::<bool>(),
+        ) {
+            // Sizes straddle the 4096-byte limit, so both the frame and
+            // the `TooLong` arm (with the same length in it) are compared.
+            let prefixes = |v: &[(u32, u8)]| -> Vec<Ipv4Prefix> {
+                v.iter().map(|(a, l)| Ipv4Prefix::new(*a, *l)).collect()
+            };
+            let mut attrs = vec![
+                PathAttr::Origin(Origin::Igp),
+                PathAttr::AsPath(AsPath::sequence(path)),
+                PathAttr::NextHop(7),
+            ];
+            attrs.extend(med.map(PathAttr::Med));
+            if !communities.is_empty() {
+                attrs.push(PathAttr::Communities(communities));
+            }
+            let u = UpdateMsg { withdrawn: prefixes(&wd), attrs, nlri: prefixes(&nlri) };
+            let width = if four_octet { 4 } else { 2 };
+            prop_assert_eq!(
+                encode_update(&u.withdrawn, &u.attrs, &extra, &u.nlri, width),
+                u.encode_with_extra(&extra, width)
+            );
         }
 
         #[test]

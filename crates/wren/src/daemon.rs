@@ -1,28 +1,27 @@
 //! The WREN route engine: wire-order `ea_list` attributes, one routing
-//! table of per-net sorted route lists, per-channel tx queues and the
-//! five xBGP insertion points. Sessions, timers, stats, hook timing and
-//! UPDATE framing are the shared host's ([`xbgp_driver::host`]).
+//! table of per-net sorted route lists and the five xBGP insertion
+//! points. Sessions, timers, stats, hook timing and UPDATE framing are
+//! the shared host's ([`xbgp_driver::host`]); what each channel has been
+//! sent and its tx queue are its update-groups
+//! ([`xbgp_driver::export`]).
 
 use crate::ealist::EaList;
 use crate::rtable::{RTable, Rte, SrcId, TableChange};
 use crate::xbgp_glue::{EaAccess, WrenXbgpCtx};
 use netsim::NodeCtx;
 use rpki::{RoaHashTable, RoaTable, RovState};
-use std::collections::HashMap;
 use std::rc::Rc;
-use xbgp_core::api::{InsertionPoint, NextHopInfo, PeerInfo, PEER_INFO_SIZE};
-use xbgp_driver::host::{native_export, roa_hash_table, BgpDaemon, Host, RouteEngine};
+use xbgp_core::api::{InsertionPoint, NextHopInfo, PeerInfo, PeerType};
+use xbgp_driver::export::{native_export, Dest, Exporter, UpdateGroups};
+use xbgp_driver::host::{roa_hash_table, BgpDaemon, Host, RouteEngine, RouteSource};
 use xbgp_obs::trace::pack_prefix;
 use xbgp_obs::Snapshot;
 use xbgp_rib::{push_rib_gauges, DirtySet, RibCounters};
 use xbgp_wire::attr::encode_attrs;
-use xbgp_wire::{Ipv4Prefix, UpdateMsg, WireError};
+use xbgp_wire::{Ipv4Prefix, PathAttr, UpdateMsg, WireError};
 
 /// The WREN BGP daemon. See the crate documentation.
 pub type WrenDaemon = BgpDaemon<WrenEngine>;
-
-/// One queued announcement: net, attrs to advertise, marshalled source.
-type TxEntry = (Ipv4Prefix, Rc<EaList>, [u8; PEER_INFO_SIZE]);
 
 /// WREN's routes: everything [`WrenDaemon`] owns beyond the shared host.
 pub struct WrenEngine {
@@ -34,14 +33,11 @@ pub struct WrenEngine {
     dirty: DirtySet,
     /// Shared `xbgp_rib_*` churn accounting (same block as FIR).
     rib_counters: RibCounters,
-    /// What each channel has been sent: net → advertised attrs.
-    exported: Vec<HashMap<Ipv4Prefix, Rc<EaList>>>,
-    /// Per-channel pending announcements (BIRD's tx event queue): batched
-    /// into shared UPDATEs at flush points so the encode insertion point
-    /// and message framing amortize over routes sharing attributes.
-    txq: Vec<Vec<TxEntry>>,
-    /// Per-channel pending withdrawals.
-    txq_wd: Vec<Vec<Ipv4Prefix>>,
+    /// Every channel's export state. Announcements are batched into
+    /// shared UPDATEs at flush points (BIRD's tx event queue), so the
+    /// encode insertion point and message framing amortize over routes
+    /// sharing attributes.
+    out: UpdateGroups<Rc<EaList>>,
     /// WREN's native origin validation: the hash table (§3.4).
     roa: Option<RoaHashTable>,
 }
@@ -56,6 +52,17 @@ fn eligible(host: &Host, rte: &Rte) -> bool {
         || !rte.src_ibgp
         || rte.src == SrcId::Local
         || host.igp_metric(rte.eattrs.next_hop().unwrap_or(0)) != u32::MAX
+}
+
+/// What a net exports: the first eligible route of its
+/// preference-ordered list.
+fn best_eligible(
+    table: &RTable,
+    host: &Host,
+    net: &Ipv4Prefix,
+) -> Option<(Rc<EaList>, RouteSource)> {
+    let rte = table.routes(net).iter().find(|r| eligible(host, r))?;
+    Some((Rc::clone(&rte.eattrs), rte.source()))
 }
 
 fn local_rte(host: &Host, nexthop: u32) -> Rte {
@@ -134,11 +141,6 @@ impl WrenEngine {
         let dlp = host.spec.default_local_pref;
         let metric = |nh: u32| host.igp_metric(nh);
         self.table.update(net, rte, &mut |a, b| rte_better_native(a, b, dlp, &metric))
-    }
-
-    /// First eligible route of a net's preference-ordered list.
-    fn best_eligible(&self, host: &Host, net: &Ipv4Prefix) -> Option<Rte> {
-        self.table.routes(net).iter().find(|r| eligible(host, r)).cloned()
     }
 
     // -----------------------------------------------------------------
@@ -388,77 +390,63 @@ impl WrenEngine {
         }
         host.stats.counters.last_route_change = Some(host.now);
         self.rib_counters.best_changes += 1;
-        let best = self.best_eligible(host, &net);
-        for ch in 0..self.txq.len() {
-            match &best {
-                Some(rte) => self.announce_one(host, ch, net, rte),
-                None if host.neighbors[ch].is_established() => self.withdraw_one(ch, net),
-                None => {}
-            }
-        }
+        let best = best_eligible(&self.table, host, &net);
+        let best = best.as_ref().map(|(eattrs, src)| (eattrs, src));
+        self.out.route_changed(host, &mut WrenExport, net, best);
     }
+}
 
-    /// Queue a withdrawal of `net` on channel `ch` if it had been
-    /// advertised there.
-    fn withdraw_one(&mut self, ch: usize, net: Ipv4Prefix) {
-        if self.exported[ch].remove(&net).is_some() {
-            self.txq_wd[ch].push(net);
-        }
-    }
+/// WREN's half of export: ④/⑤ over wire-order `ea_list`s.
+struct WrenExport;
 
-    /// Export one route to one channel: policy and transform here, then
-    /// into the channel's tx queue; framing and the encode insertion point
-    /// happen at flush time over whole batches (BIRD's tx event queue).
-    fn announce_one(&mut self, host: &mut Host, ch: usize, net: Ipv4Prefix, rte: &Rte) {
-        let dest = &host.neighbors[ch];
-        if !dest.is_established() {
-            return;
-        }
-        // Split horizon, with implicit withdraw of a previously advertised
-        // copy (the neighbor became our best source for this net).
-        if rte.src != SrcId::Local && rte.src_addr == dest.decl.addr {
-            return self.withdraw_one(ch, net);
-        }
-        let ibgp_dest = dest.ibgp;
-        let src = rte.source();
+impl Exporter for WrenExport {
+    type Attrs = Rc<EaList>;
 
-        // ④ BGP_OUTBOUND_FILTER.
-        let allowed = if host.hooks.vmm.has_extensions(InsertionPoint::BgpOutboundFilter) {
-            let src_bytes = host.source_info_bytes(&src);
-            let mut hctx = WrenXbgpCtx {
-                peer: host.peer_info(ch),
-                args: &[&src_bytes[..]],
-                eattrs: EaAccess::Read(&rte.eattrs),
-                net: Some(net),
-                nexthop: Some(nexthop_info(host, &rte.eattrs)),
-                xtra: &host.spec.xtra,
-                out_buf: None,
-                rov: host.xbgp_rov.as_ref(),
-                rib_adds: &mut host.ext_rib_adds,
-                logs: &mut host.logs,
-            };
-            let (spec, neighbors) = (&host.spec, &host.neighbors);
-            let point = InsertionPoint::BgpOutboundFilter;
-            host.hooks.run_filter(point, &mut hctx, &mut host.stats, || {
-                native_export(spec, &neighbors[ch], &src)
-            })
-        } else {
-            native_export(&host.spec, &host.neighbors[ch], &src)
+    /// ④ BGP_OUTBOUND_FILTER.
+    fn outbound_filter(
+        &mut self,
+        host: &mut Host,
+        dest: &Dest,
+        net: Ipv4Prefix,
+        eattrs: &Rc<EaList>,
+        src: &RouteSource,
+    ) -> bool {
+        let src_bytes = host.source_info_bytes(src);
+        let mut hctx = WrenXbgpCtx {
+            peer: dest.peer,
+            args: &[&src_bytes[..]],
+            eattrs: EaAccess::Read(eattrs),
+            net: Some(net),
+            nexthop: Some(nexthop_info(host, eattrs)),
+            xtra: &host.spec.xtra,
+            out_buf: None,
+            rov: host.xbgp_rov.as_ref(),
+            rib_adds: &mut host.ext_rib_adds,
+            logs: &mut host.logs,
         };
-        if !allowed {
-            return self.withdraw_one(ch, net);
-        }
+        let spec = &host.spec;
+        let point = InsertionPoint::BgpOutboundFilter;
+        host.hooks
+            .run_filter(point, &mut hctx, &mut host.stats, || native_export(spec, dest, src))
+    }
 
-        // Transform for the session type (in-place on a copy of the raw
-        // list — BIRD's export path copies the ea_list too).
-        let mut out = (*rte.eattrs).clone();
-        if ibgp_dest {
+    /// Transform for the session type (in-place on a copy of the raw
+    /// list — BIRD's export path copies the ea_list too).
+    fn transform(
+        &mut self,
+        host: &Host,
+        dest: &Dest,
+        eattrs: &Rc<EaList>,
+        src: &RouteSource,
+    ) -> Rc<EaList> {
+        let mut out = (**eattrs).clone();
+        if dest.ibgp {
             if out.local_pref().is_none() {
                 out.set_local_pref(host.spec.default_local_pref);
             }
-            if host.spec.native_rr && rte.src != SrcId::Local && rte.src_ibgp {
+            if host.spec.native_rr && !src.local && src.peer_type == PeerType::Ibgp {
                 if out.originator_id().is_none() {
-                    out.set(9, 0x80, rte.src_addr.to_be_bytes().to_vec());
+                    out.set(9, 0x80, src.peer_addr.to_be_bytes().to_vec());
                 }
                 out.cluster_list_prepend(host.cluster_id());
             }
@@ -470,65 +458,37 @@ impl WrenEngine {
             out.unset(9);
             out.unset(10);
         }
-        let out = Rc::new(out);
-
-        // Suppress duplicates.
-        if self.exported[ch].get(&net).is_some_and(|prev| **prev == *out) {
-            return;
-        }
-        self.exported[ch].insert(net, Rc::clone(&out));
-        host.hooks.trace_propagate(net, ch);
-        self.txq[ch].push((net, out, host.source_info_bytes(&src)));
+        Rc::new(out)
     }
 
-    /// Drain one channel's tx queue: group by (attributes, source), run
-    /// the ⑤ BGP_ENCODE_MESSAGE point once per group, frame and send.
-    fn flush_channel(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>, ch: usize) {
-        if self.txq_wd[ch].is_empty() && self.txq[ch].is_empty() {
-            return;
-        }
-        let withdrawals = std::mem::take(&mut self.txq_wd[ch]);
-        let pending = std::mem::take(&mut self.txq[ch]);
-        if !host.neighbors[ch].is_established() {
-            return;
-        }
-        host.send_withdrawals(ctx, ch, &withdrawals);
+    /// ⑤ BGP_ENCODE_MESSAGE, once per (attributes, source) batch.
+    fn encode_extra(
+        &mut self,
+        host: &mut Host,
+        dest: &Dest,
+        eattrs: &Rc<EaList>,
+        src: &RouteSource,
+        first: Ipv4Prefix,
+        extra: &mut Vec<u8>,
+    ) {
+        let src_bytes = host.source_info_bytes(src);
+        let mut hctx = WrenXbgpCtx {
+            peer: dest.peer,
+            args: &[&src_bytes[..]],
+            eattrs: EaAccess::Read(eattrs),
+            net: Some(first),
+            nexthop: None,
+            xtra: &host.spec.xtra,
+            out_buf: Some(extra),
+            rov: host.xbgp_rov.as_ref(),
+            rib_adds: &mut host.ext_rib_adds,
+            logs: &mut host.logs,
+        };
+        let _ = host.hooks.run(InsertionPoint::BgpEncodeMessage, &mut hctx);
+    }
 
-        // Group by (attrs, source blob), preserving first-seen order.
-        type Group = (Rc<EaList>, [u8; PEER_INFO_SIZE], Vec<Ipv4Prefix>);
-        let mut order: Vec<Group> = Vec::new();
-        let mut index: HashMap<(Rc<EaList>, [u8; PEER_INFO_SIZE]), usize> = HashMap::new();
-        for (net, out, src) in pending {
-            let key = (Rc::clone(&out), src);
-            match index.get(&key) {
-                Some(&i) => order[i].2.push(net),
-                None => {
-                    index.insert(key, order.len());
-                    order.push((out, src, vec![net]));
-                }
-            }
-        }
-
-        let encode_ext = host.hooks.vmm.has_extensions(InsertionPoint::BgpEncodeMessage);
-        for (out, src, nets) in order {
-            let mut extra = Vec::new();
-            if encode_ext {
-                let mut hctx = WrenXbgpCtx {
-                    peer: host.peer_info(ch),
-                    args: &[&src[..]],
-                    eattrs: EaAccess::Read(&out),
-                    net: nets.first().copied(),
-                    nexthop: None,
-                    xtra: &host.spec.xtra,
-                    out_buf: Some(&mut extra),
-                    rov: host.xbgp_rov.as_ref(),
-                    rib_adds: &mut host.ext_rib_adds,
-                    logs: &mut host.logs,
-                };
-                let _ = host.hooks.run(InsertionPoint::BgpEncodeMessage, &mut hctx);
-            }
-            host.send_announce(ctx, ch, &out.to_wire(), &extra, &nets);
-        }
+    fn to_wire(eattrs: &Rc<EaList>) -> Vec<PathAttr> {
+        eattrs.to_wire()
     }
 }
 
@@ -536,14 +496,11 @@ impl RouteEngine for WrenEngine {
     const KIND: xbgp_driver::Dut = xbgp_driver::Dut::Wren;
 
     fn new(host: &Host) -> WrenEngine {
-        let n = host.neighbors.len();
         WrenEngine {
             table: RTable::new(),
             dirty: DirtySet::new(),
             rib_counters: RibCounters::new(),
-            exported: (0..n).map(|_| HashMap::new()).collect(),
-            txq: (0..n).map(|_| Vec::new()).collect(),
-            txq_wd: (0..n).map(|_| Vec::new()).collect(),
+            out: UpdateGroups::new(host),
             roa: host.spec.native_rov.as_deref().map(roa_hash_table),
         }
     }
@@ -555,18 +512,20 @@ impl RouteEngine for WrenEngine {
         }
     }
 
-    /// Full-table dump when a channel comes up, in prefix order straight
-    /// off the trie — deterministic wire batching without a sort.
+    /// Full-table dump when a channel comes up: its update-group
+    /// advertises it every net's best eligible route (prefix order
+    /// straight off the trie).
     fn session_up(&mut self, host: &mut Host, ch: usize) {
-        for net in self.table.net_keys() {
-            if let Some(rte) = self.best_eligible(host, &net) {
-                self.announce_one(host, ch, net, &rte);
-            }
-        }
+        let table = &self.table;
+        self.out.join(host, &mut WrenExport, ch, |host| {
+            let nets = table.net_keys().into_iter();
+            nets.filter_map(|net| best_eligible(table, host, &net).map(|(e, src)| (net, e, src)))
+                .collect()
+        });
     }
 
     fn session_down(&mut self, host: &mut Host, ch: usize) {
-        self.exported[ch].clear();
+        self.out.leave(ch);
         let before = self.table.route_len();
         let changes = self.table.flush_src(SrcId::Channel(ch));
         self.rib_counters.withdrawals += (before - self.table.route_len()) as u64;
@@ -607,9 +566,7 @@ impl RouteEngine for WrenEngine {
     }
 
     fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
-        for ch in 0..self.txq.len() {
-            self.flush_channel(host, ctx, ch);
-        }
+        self.out.flush(host, &mut WrenExport, ctx);
     }
 
     fn loc_rib_len(&self) -> usize {
@@ -657,8 +614,7 @@ impl RouteEngine for WrenEngine {
     fn push_gauges(&self, s: &mut Snapshot) {
         self.rib_counters.push(s);
         push_rib_gauges(s, self.table.route_len(), self.table.len(), self.dirty.len());
-        let exported = self.exported.iter().map(HashMap::len).sum::<usize>();
-        s.push_gauge("xbgp_daemon_adj_rib_out_size", &[], exported as i64);
+        self.out.push_gauges(s);
     }
 }
 
