@@ -1,10 +1,10 @@
 //! One BGP host, two route engines.
 //!
 //! Everything a BGP speaker does that does not depend on how it stores
-//! routes lives here, once: the per-neighbor RFC 4271 handshake
-//! ([`Neighbor`]), keepalive and hold timers, message deframing and
-//! dispatch, NOTIFICATION-and-teardown on every error arm, the counters
-//! and the metrics snapshot ([`HostStats`]), the insertion-point runner
+//! routes lives here, once: a [`Neighbor`] per declared peer, each
+//! driving an [`xbgp_wire::Session`] (the one RFC 4271 handshake,
+//! liveness and framing state machine) and acting on its events, the
+//! counters and the metrics snapshot ([`HostStats`]), the insertion-point runner
 //! with its filter-verdict mapping ([`Hooks`]), the marshalled peer /
 //! source / nexthop views extensions read, and the UPDATE framer; export
 //! (Adj-RIB-Out, outbound batching) is [`crate::export`]. What differs
@@ -31,58 +31,45 @@ use xbgp_obs::trace::{pack_prefix, TraceConfig, TraceDump, TraceKind, NO_EXT, NO
 use xbgp_obs::{Histogram, Snapshot};
 use xbgp_wire::msg::encode_update;
 use xbgp_wire::{
-    Ipv4Prefix, Message, MsgReader, NotificationMsg, OpenMsg, PathAttr, UpdateMsg, WireError,
+    Ipv4Prefix, PathAttr, Session, SessionConfig, SessionEvent, SessionState, UpdateMsg, WireError,
+    HEADER_LEN,
 };
 
-/// RFC 4271 session states. Connect/Active collapse into the link being
-/// up — netsim links (and `xbgp-serve` session slots) provide the
-/// established stream TCP would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NeighborState {
-    /// Link down or session halted.
-    Idle,
-    /// OPEN sent, waiting for the peer's OPEN.
-    OpenSent,
-    /// OPEN received and accepted, waiting for KEEPALIVE.
-    OpenConfirm,
-    /// Session up; UPDATEs flow.
-    Established,
-}
-
 /// `to=` label values of `xbgp_daemon_fsm_transitions_total`, indexed by
-/// `NeighborState as usize`.
+/// `SessionState as usize`. `Closed` has no label: a closed session is
+/// torn down on the spot and counted as the idle it becomes.
 const STATE_NAMES: [&str; 4] = ["idle", "open_sent", "open_confirm", "established"];
 
-/// One configured neighbor and its session state.
+/// One configured neighbor and its session.
 pub struct Neighbor {
     pub decl: NeighborDecl,
-    pub state: NeighborState,
-    reader: MsgReader,
-    /// Negotiated hold time in nanoseconds (0 = timers disabled).
-    pub hold_ns: u64,
-    /// Virtual time of the last message from the peer.
-    pub last_rx: u64,
-    /// Whether the peer advertised 4-octet-AS support (RFC 6793).
-    pub four_octet_as: bool,
+    /// Handshake, liveness, framing and UPDATE validation. Idle while the
+    /// link is down or the session halted.
+    pub(crate) session: Session,
     /// Neighbor AS == local AS; fixed by configuration.
     pub ibgp: bool,
+    /// The [`Session::next_deadline`] this neighbor's timer is set for.
+    armed: Option<u64>,
 }
 
 impl Neighbor {
-    pub fn new(decl: NeighborDecl, local_asn: u32) -> Neighbor {
+    pub fn new(decl: NeighborDecl, spec: &DaemonSpec) -> Neighbor {
+        let cfg = SessionConfig {
+            local_asn: spec.asn,
+            router_id: spec.router_id,
+            hold_time_secs: spec.hold_time_secs,
+            expect_asn: Some(decl.asn),
+        };
         Neighbor {
             decl,
-            state: NeighborState::Idle,
-            reader: MsgReader::new(),
-            hold_ns: 0,
-            last_rx: 0,
-            four_octet_as: true,
-            ibgp: decl.asn == local_asn,
+            session: Session::new(cfg),
+            ibgp: decl.asn == spec.asn,
+            armed: None,
         }
     }
 
     pub fn is_established(&self) -> bool {
-        self.state == NeighborState::Established
+        self.session.state() == SessionState::Established
     }
 
     pub fn peer_type(&self) -> PeerType {
@@ -95,32 +82,7 @@ impl Neighbor {
 
     /// ASN width of the UPDATE codec on this session.
     pub fn asn_width(&self) -> usize {
-        if self.four_octet_as {
-            4
-        } else {
-            2
-        }
-    }
-
-    /// Back to Idle, dropping any partial input.
-    fn reset(&mut self) {
-        self.state = NeighborState::Idle;
-        self.reader = MsgReader::new();
-        self.hold_ns = 0;
-    }
-
-    /// Validate and absorb the neighbor's OPEN: negotiate the hold time
-    /// and ASN width, move to OpenConfirm. The error names why the OPEN
-    /// is unacceptable (wrong ASN).
-    fn accept_open(&mut self, open: &OpenMsg, our_hold_secs: u16) -> Result<(), String> {
-        let claimed = open.negotiated_asn();
-        if claimed != self.decl.asn {
-            return Err(format!("peer claims AS{claimed}, configured AS{}", self.decl.asn));
-        }
-        self.four_octet_as = open.supports_four_octet_as();
-        self.hold_ns = u64::from(open.hold_time.min(our_hold_secs)) * 1_000_000_000;
-        self.state = NeighborState::OpenConfirm;
-        Ok(())
+        self.session.asn_width()
     }
 }
 
@@ -168,7 +130,7 @@ pub struct HostStats {
     /// Decision-point runs resolved by an extension instead of the
     /// native RFC 4271 comparison.
     pub xbgp_decisions: u64,
-    /// Session FSM transitions, indexed by target `NeighborState`.
+    /// Session FSM transitions, indexed by target `SessionState`.
     pub fsm_transitions: [u64; 4],
 }
 
@@ -282,10 +244,6 @@ pub struct Host {
     pub now: u64,
 }
 
-/// Timer token layout: `neighbor_index * 2 + kind`.
-const TIMER_KEEPALIVE: u64 = 0;
-const TIMER_HOLD: u64 = 1;
-
 impl Host {
     /// Panics on a malformed xBGP manifest — configuration errors are
     /// fatal at startup, like a daemon refusing a bad config file.
@@ -305,7 +263,7 @@ impl Host {
         }
         let xbgp_rov = spec.xbgp_roas.as_deref().map(roa_hash_table);
         let neighbors: Vec<Neighbor> =
-            spec.neighbors.iter().map(|d| Neighbor::new(*d, spec.asn)).collect();
+            spec.neighbors.iter().map(|d| Neighbor::new(*d, &spec)).collect();
         let link_to_neighbor =
             neighbors.iter().enumerate().map(|(i, n)| (n.decl.link, i)).collect();
         Host {
@@ -379,14 +337,6 @@ impl Host {
         }
     }
 
-    fn send_msg(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, msg: &Message) {
-        let n = &self.neighbors[idx];
-        match msg.encode(n.asn_width()) {
-            Ok(frame) => ctx.send(n.decl.link, &frame),
-            Err(e) => self.logs.push(format!("encode error to neighbor {idx}: {e}")),
-        }
-    }
-
     /// Encode one UPDATE and send it to every neighbor in `to`, which
     /// share one ASN width (they are members of one update-group). A
     /// frame that does not encode is logged per neighbor, not sent and
@@ -450,9 +400,17 @@ impl Host {
         }
     }
 
-    fn transition(&mut self, idx: usize, to: NeighborState) {
-        self.neighbors[idx].state = to;
-        self.stats.fsm_transitions[to as usize] += 1;
+    /// Run `f` on neighbor `idx`'s session and count the state it moved
+    /// to, if it moved.
+    fn with_session<R>(&mut self, idx: usize, f: impl FnOnce(&mut Session) -> R) -> R {
+        let session = &mut self.neighbors[idx].session;
+        let before = session.state();
+        let r = f(session);
+        let to = session.state();
+        if to != before && to != SessionState::Closed {
+            self.stats.fsm_transitions[to as usize] += 1;
+        }
+        r
     }
 }
 
@@ -562,41 +520,74 @@ impl<E: RouteEngine> BgpDaemon<E> {
         self.engine.flush(&mut self.host, ctx);
     }
 
-    fn send_open(&mut self, ctx: &mut NodeCtx<'_>, idx: usize) {
-        let spec = &self.host.spec;
-        let open = OpenMsg::standard(spec.asn, spec.hold_time_secs, spec.router_id);
-        self.host.transition(idx, NeighborState::OpenSent);
-        self.host.send_msg(ctx, idx, &Message::Open(open));
+    /// Start neighbor `idx`'s handshake: our OPEN goes out. A no-op on a
+    /// session that is already running.
+    fn open(&mut self, ctx: &mut NodeCtx<'_>, idx: usize) {
+        let now = ctx.now();
+        let events = self.host.with_session(idx, |s| s.start(now));
+        self.run_session(ctx, idx, events);
+    }
+
+    /// Act on `events`, then on everything neighbor `idx`'s buffered input
+    /// yields, and leave a timer set for the session's next deadline.
+    fn run_session(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, events: Vec<SessionEvent>) {
+        for event in events {
+            self.on_event(ctx, idx, event, None);
+        }
+        let now = ctx.now();
+        while let Some((event, update)) = self.host.with_session(idx, |s| s.step(now)) {
+            self.on_event(ctx, idx, event, update);
+        }
+        let n = &mut self.host.neighbors[idx];
+        if let Some(due) = n.session.next_deadline() {
+            // Only an earlier deadline needs a new timer: one that moved
+            // later is found again here when the timer set for it fires
+            // with nothing due.
+            if n.armed.is_none_or(|armed| due < armed) {
+                ctx.set_timer(due.saturating_sub(now), idx as u64);
+                n.armed = Some(due);
+            }
+        }
+    }
+
+    fn on_event(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        idx: usize,
+        event: SessionEvent,
+        update: Option<UpdateMsg>,
+    ) {
+        match event {
+            SessionEvent::Send(frame) => ctx.send(self.host.neighbors[idx].decl.link, &frame),
+            SessionEvent::Established { .. } => self.establish(ctx, idx),
+            SessionEvent::Update(frame) => {
+                let update = update.expect("a stepped UPDATE comes with its decode");
+                self.handle_update(ctx, idx, update, &frame[HEADER_LEN..]);
+            }
+            SessionEvent::Closed(reason) => {
+                self.host.logs.push(format!("neighbor {idx}: {reason}"));
+                self.teardown(ctx, idx);
+            }
+        }
     }
 
     fn establish(&mut self, ctx: &mut NodeCtx<'_>, idx: usize) {
-        self.host.transition(idx, NeighborState::Established);
-        self.host.neighbors[idx].last_rx = ctx.now();
         self.host.stats.counters.sessions_established += 1;
-        let hold = self.host.neighbors[idx].hold_ns;
-        if hold > 0 {
-            ctx.set_timer(hold / 3, (idx as u64) * 2 + TIMER_KEEPALIVE);
-            ctx.set_timer(hold / 3, (idx as u64) * 2 + TIMER_HOLD);
-        }
         self.engine.session_up(&mut self.host, idx);
         self.flush(ctx);
     }
 
+    /// Back to a fresh Idle session — whatever the old one had buffered
+    /// goes with it — and the engine drops the neighbor's routes.
     fn teardown(&mut self, ctx: &mut NodeCtx<'_>, idx: usize) {
-        if self.host.neighbors[idx].state == NeighborState::Idle {
+        let session = &mut self.host.neighbors[idx].session;
+        if session.state() == SessionState::Idle {
             return;
         }
-        self.host.neighbors[idx].reset();
-        self.host.transition(idx, NeighborState::Idle);
+        *session = Session::new(session.config().clone());
+        self.host.stats.fsm_transitions[SessionState::Idle as usize] += 1;
         self.engine.session_down(&mut self.host, idx);
         self.flush(ctx);
-    }
-
-    /// NOTIFICATION, then teardown: the one way a session ends on error.
-    fn fail(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, why: String, n: NotificationMsg) {
-        self.host.logs.push(format!("neighbor {idx}: {why}"));
-        self.host.send_msg(ctx, idx, &Message::Notification(n));
-        self.teardown(ctx, idx);
     }
 
     fn handle_update(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, upd: UpdateMsg, body: &[u8]) {
@@ -612,54 +603,14 @@ impl<E: RouteEngine> BgpDaemon<E> {
         }
         match self.engine.update(&mut self.host, idx, upd, body) {
             Ok(()) => self.flush(ctx),
-            // The teardown's flush sends what the engine queued first.
+            // The session decoded it, the engine cannot apply it: the
+            // NOTIFICATION goes out now, and the session's next step is
+            // the `Closed` whose teardown flushes what the engine queued
+            // first.
             Err(e) => {
-                let n = NotificationMsg::from_error(&e);
-                self.fail(ctx, idx, format!("malformed UPDATE: {e}"), n);
-            }
-        }
-    }
-
-    fn handle_message(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, frame: Vec<u8>) {
-        self.host.neighbors[idx].last_rx = ctx.now();
-        let width = self.host.neighbors[idx].asn_width();
-        let decoded = xbgp_wire::msg::deframe(&frame)
-            .and_then(|(ty, body)| Message::decode_body(ty, body, width).map(|m| (m, body)));
-        let (msg, body) = match decoded {
-            Ok(v) => v,
-            Err(e) => {
-                let n = NotificationMsg::from_error(&e);
-                return self.fail(ctx, idx, format!("bad message: {e}"), n);
-            }
-        };
-        match (self.host.neighbors[idx].state, msg) {
-            (NeighborState::OpenSent, Message::Open(open)) => {
-                let hold = self.host.spec.hold_time_secs;
-                match self.host.neighbors[idx].accept_open(&open, hold) {
-                    Ok(()) => {
-                        self.host.stats.fsm_transitions[NeighborState::OpenConfirm as usize] += 1;
-                        self.host.send_msg(ctx, idx, &Message::Keepalive);
-                    }
-                    Err(reason) => {
-                        let n = NotificationMsg::new(2, 2);
-                        self.fail(ctx, idx, format!("OPEN rejected: {reason}"), n);
-                    }
-                }
-            }
-            (NeighborState::OpenConfirm, Message::Keepalive) => self.establish(ctx, idx),
-            (NeighborState::Established, Message::Update(upd)) => {
-                self.handle_update(ctx, idx, upd, body)
-            }
-            (NeighborState::Established, Message::Keepalive) => {}
-            (_, Message::Notification(n)) => {
-                self.host
-                    .logs
-                    .push(format!("neighbor {idx}: NOTIFICATION {}/{}", n.code, n.subcode));
-                self.teardown(ctx, idx);
-            }
-            (state, msg) => {
-                let why = format!("unexpected {:?} in state {state:?}", msg.msg_type());
-                self.fail(ctx, idx, why, NotificationMsg::new(5, 0));
+                self.host.logs.push(format!("neighbor {idx}: malformed UPDATE: {e}"));
+                let notification = self.host.neighbors[idx].session.fail(&e);
+                self.on_event(ctx, idx, notification, None);
             }
         }
     }
@@ -671,7 +622,7 @@ impl<E: RouteEngine> Node for BgpDaemon<E> {
         self.engine.originate(&mut self.host);
         self.flush(ctx);
         for idx in 0..self.host.neighbors.len() {
-            self.send_open(ctx, idx);
+            self.open(ctx, idx);
         }
     }
 
@@ -679,37 +630,26 @@ impl<E: RouteEngine> Node for BgpDaemon<E> {
         let Some(&idx) = self.host.link_to_neighbor.get(&link) else {
             return; // Data on an unconfigured link.
         };
-        if self.host.neighbors[idx].state == NeighborState::Idle {
-            return;
-        }
         self.host.now = ctx.now();
-        self.host.neighbors[idx].reader.push(data);
-        while self.host.neighbors[idx].state != NeighborState::Idle {
-            match self.host.neighbors[idx].reader.next_frame() {
-                Ok(Some(frame)) => self.handle_message(ctx, idx, frame),
-                Ok(None) => break,
-                Err(e) => {
-                    let n = NotificationMsg::from_error(&e);
-                    self.fail(ctx, idx, format!("framing error: {e}"), n);
-                }
-            }
-        }
+        self.host.neighbors[idx].session.push(data);
+        self.run_session(ctx, idx, Vec::new());
     }
 
+    /// Token = neighbor index: each neighbor has one timer, set for its
+    /// session's next deadline (hold expiry or KEEPALIVE cadence).
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
-        let idx = (token / 2) as usize;
-        if !self.host.neighbors.get(idx).is_some_and(Neighbor::is_established) {
+        let (idx, now) = (token as usize, ctx.now());
+        // A timer that an earlier deadline superseded fires late, before
+        // the one set since: not this neighbor's timer any more.
+        let Some(n) =
+            self.host.neighbors.get_mut(idx).filter(|n| n.armed.is_some_and(|a| now >= a))
+        else {
             return;
-        }
-        self.host.now = ctx.now();
-        let (hold, last_rx) = (self.host.neighbors[idx].hold_ns, self.host.neighbors[idx].last_rx);
-        if token % 2 == TIMER_KEEPALIVE {
-            self.host.send_msg(ctx, idx, &Message::Keepalive);
-        } else if ctx.now().saturating_sub(last_rx) >= hold {
-            let why = "hold timer expired".to_string();
-            return self.fail(ctx, idx, why, NotificationMsg::new(4, 0));
-        }
-        ctx.set_timer(hold / 3, token);
+        };
+        n.armed = None;
+        let events = n.session.tick(now);
+        self.host.now = now;
+        self.run_session(ctx, idx, events);
     }
 
     fn on_link_event(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, up: bool) {
@@ -717,10 +657,10 @@ impl<E: RouteEngine> Node for BgpDaemon<E> {
             return;
         };
         self.host.now = ctx.now();
-        if !up {
+        if up {
+            self.open(ctx, idx);
+        } else {
             self.teardown(ctx, idx);
-        } else if self.host.neighbors[idx].state == NeighborState::Idle {
-            self.send_open(ctx, idx);
         }
     }
 
@@ -807,6 +747,19 @@ impl<E: RouteEngine> Daemon for BgpDaemon<E> {
     fn counters(&self) -> DaemonCounters {
         self.host.stats.counters
     }
+
+    fn adopt_session(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, four_octet_as: bool) {
+        let Some(&idx) = self.host.link_to_neighbor.get(&link) else {
+            return;
+        };
+        self.host.now = ctx.now();
+        self.teardown(ctx, idx);
+        let decl = self.host.neighbors[idx].decl;
+        self.host.with_session(idx, |s| {
+            *s = Session::adopted(s.config().clone(), decl.asn, decl.addr, four_octet_as);
+        });
+        self.establish(ctx, idx);
+    }
 }
 
 #[cfg(test)]
@@ -816,10 +769,11 @@ mod tests {
     use xbgp_asm::assemble_with_symbols;
     use xbgp_core::host::MockHost;
     use xbgp_core::{ExtensionSpec, Manifest, OnFault};
+    use xbgp_wire::{Message, NotificationMsg, OpenMsg};
 
     fn neighbor(asn: u32) -> Neighbor {
         let decl = NeighborDecl { link: LinkId(0), addr: 9, asn, rr_client: false };
-        Neighbor::new(decl, 65001)
+        Neighbor::new(decl, &DaemonSpec::new(65001, 1))
     }
 
     #[test]
@@ -827,32 +781,6 @@ mod tests {
         assert_eq!(neighbor(65002).peer_type(), PeerType::Ebgp);
         assert!(neighbor(65001).ibgp);
         assert_eq!(neighbor(65001).peer_type(), PeerType::Ibgp);
-    }
-
-    #[test]
-    fn open_negotiates_minimum_hold_time() {
-        let mut n = neighbor(65002);
-        n.state = NeighborState::OpenSent;
-        n.accept_open(&OpenMsg::standard(65002, 30, 9), 90).unwrap();
-        assert_eq!(n.state, NeighborState::OpenConfirm);
-        assert_eq!(n.hold_ns, 30_000_000_000);
-    }
-
-    #[test]
-    fn open_with_wrong_asn_rejected() {
-        let mut n = neighbor(65002);
-        assert!(n.accept_open(&OpenMsg::standard(65099, 90, 9), 90).is_err());
-        assert_ne!(n.state, NeighborState::OpenConfirm);
-    }
-
-    #[test]
-    fn reset_clears_reader_and_state() {
-        let mut n = neighbor(65002);
-        n.state = NeighborState::Established;
-        n.reader.push(&[0xff; 10]);
-        n.reset();
-        assert_eq!(n.state, NeighborState::Idle);
-        assert_eq!(n.reader.buffered(), 0);
     }
 
     /// An engine with no routes: whatever the test put in its queues goes
@@ -901,16 +829,148 @@ mod tests {
         fn push_gauges(&self, _: &mut Snapshot) {}
     }
 
-    /// A daemon with one established neighbor, handshake frames drained.
-    fn established() -> NodeDriver {
-        let spec = DaemonSpec::new(65001, 1).neighbor(LinkId(0), 9, 65002);
+    fn frame(msg: Message) -> Vec<u8> {
+        msg.encode(4).unwrap()
+    }
+
+    /// A started daemon (hold time `hold`) with one declared neighbor,
+    /// AS 65002 at address 9 on link 0.
+    fn started(hold: u16) -> NodeDriver {
+        let mut spec = DaemonSpec::new(65001, 1).neighbor(LinkId(0), 9, 65002);
+        spec.hold_time_secs = hold;
         let mut drv = NodeDriver::new(Box::new(BgpDaemon::<QueueEngine>::new(spec)), 1);
         drv.start(0);
-        let open = Message::Open(OpenMsg::standard(65002, 90, 9));
-        drv.deliver(1, LinkId(0), &open.encode(4).unwrap());
-        drv.deliver(1, LinkId(0), &Message::Keepalive.encode(4).unwrap());
+        drv
+    }
+
+    /// A daemon with one established neighbor, handshake frames drained.
+    fn established() -> NodeDriver {
+        let mut drv = started(90);
+        drv.deliver(1, LinkId(0), &frame(Message::Open(OpenMsg::standard(65002, 90, 9))));
+        drv.deliver(1, LinkId(0), &frame(Message::Keepalive));
         drv.drain_outbound();
         drv
+    }
+
+    fn session(drv: &mut NodeDriver) -> &Session {
+        &drv.node_ref::<BgpDaemon<QueueEngine>>().host.neighbors[0].session
+    }
+
+    /// What the daemon sent, decoded.
+    fn sent(drv: &mut NodeDriver) -> Vec<Message> {
+        let out = drv.drain_outbound();
+        out.iter().map(|(_, f)| Message::decode(f, 4).unwrap()).collect()
+    }
+
+    /// The frames a host emits during a standard handshake: its OPEN at
+    /// start, one KEEPALIVE for the peer's OPEN, nothing for the peer's
+    /// KEEPALIVE.
+    #[test]
+    fn handshake_frames_are_open_then_keepalive() {
+        let mut drv = started(90);
+        let open = frame(Message::Open(OpenMsg::standard(65001, 90, 1)));
+        assert_eq!(drv.drain_outbound(), vec![(LinkId(0), open)]);
+        drv.deliver(1, LinkId(0), &frame(Message::Open(OpenMsg::standard(65002, 90, 9))));
+        assert_eq!(drv.drain_outbound(), vec![(LinkId(0), frame(Message::Keepalive))]);
+        drv.deliver(1, LinkId(0), &frame(Message::Keepalive));
+        assert!(drv.drain_outbound().is_empty());
+        assert_eq!(session(&mut drv).state(), SessionState::Established);
+        let d = drv.node_ref::<BgpDaemon<QueueEngine>>();
+        assert_eq!(d.counters().sessions_established, 1);
+        assert_eq!(d.host.stats.fsm_transitions, [0, 1, 1, 1]);
+    }
+
+    /// The host hands its hold time to the session, which negotiates the
+    /// minimum (`session::tests::open_negotiates_minimum_hold_time`).
+    #[test]
+    fn open_negotiates_minimum_hold_time() {
+        let mut drv = started(90);
+        drv.deliver(1, LinkId(0), &frame(Message::Open(OpenMsg::standard(65002, 30, 9))));
+        assert_eq!(session(&mut drv).state(), SessionState::OpenConfirm);
+        assert_eq!(session(&mut drv).hold_ns(), 30_000_000_000);
+    }
+
+    /// The host expects the declared ASN of its neighbor
+    /// (`session::tests::expected_asn_mismatch_closes_with_bad_peer_as`).
+    #[test]
+    fn open_with_wrong_asn_rejected() {
+        let mut drv = started(90);
+        drv.drain_outbound();
+        drv.deliver(1, LinkId(0), &frame(Message::Open(OpenMsg::standard(65099, 90, 9))));
+        assert_eq!(sent(&mut drv), [Message::Notification(NotificationMsg::new(2, 2))]);
+        assert_eq!(session(&mut drv).state(), SessionState::Idle);
+        let d = drv.node_ref::<BgpDaemon<QueueEngine>>();
+        assert!(d.host.logs.iter().any(|l| l == "neighbor 0: closed with NOTIFICATION 2/2"));
+    }
+
+    /// A torn-down neighbor starts over with a fresh session: half a frame
+    /// the old one had buffered does not reach the next handshake.
+    #[test]
+    fn reset_clears_reader_and_state() {
+        let mut drv = established();
+        drv.deliver(2, LinkId(0), &[0xff; 10]);
+        drv.link_event(3, LinkId(0), false);
+        assert_eq!(session(&mut drv).state(), SessionState::Idle);
+        drv.link_event(4, LinkId(0), true);
+        assert!(matches!(sent(&mut drv)[..], [Message::Open(_)]));
+        drv.deliver(5, LinkId(0), &frame(Message::Open(OpenMsg::standard(65002, 90, 9))));
+        drv.deliver(5, LinkId(0), &frame(Message::Keepalive));
+        assert_eq!(session(&mut drv).state(), SessionState::Established);
+    }
+
+    /// A message that is wrong for the state closes with the FSM error
+    /// naming the state — 5/3 in Established.
+    #[test]
+    fn misplaced_message_closes_with_the_fsm_error_of_the_state() {
+        let mut drv = established();
+        drv.deliver(2, LinkId(0), &frame(Message::Open(OpenMsg::standard(65002, 90, 9))));
+        assert_eq!(sent(&mut drv), [Message::Notification(NotificationMsg::new(5, 3))]);
+        assert_eq!(session(&mut drv).state(), SessionState::Idle);
+    }
+
+    /// An adopted session is Established without a handshake, at the
+    /// width the edge negotiated, counted like any other, and arms no
+    /// timer.
+    #[test]
+    fn adopted_session_is_established_without_a_handshake() {
+        let mut drv = started(90);
+        drv.drain_outbound();
+        drv.with_node(1, |d: &mut BgpDaemon<QueueEngine>, ctx| {
+            d.adopt_session(ctx, LinkId(0), false);
+        });
+        assert!(drv.drain_outbound().is_empty(), "no OPEN, no KEEPALIVE");
+        let d = drv.node_ref::<BgpDaemon<QueueEngine>>();
+        assert!(d.host.neighbors[0].is_established());
+        assert_eq!(d.host.neighbors[0].asn_width(), 2);
+        assert_eq!(d.host.neighbors[0].session.next_deadline(), None);
+        assert_eq!(d.counters().sessions_established, 1);
+        assert_eq!(d.host.stats.fsm_transitions, [1, 1, 0, 1], "the OpenSent session was dropped");
+    }
+
+    /// Hold time and keepalive cadence under a driver clock: KEEPALIVEs go
+    /// out at a third of the negotiated hold while the peer keeps talking,
+    /// and silence past it closes with 4/0.
+    #[test]
+    fn one_timer_per_neighbor_drives_keepalives_and_hold_expiry() {
+        const SEC: u64 = 1_000_000_000;
+        let mut drv = started(9);
+        drv.deliver(0, LinkId(0), &frame(Message::Open(OpenMsg::standard(65002, 9, 9))));
+        drv.deliver(0, LinkId(0), &frame(Message::Keepalive));
+        drv.drain_outbound();
+        for t in [3, 6] {
+            drv.deliver(t * SEC, LinkId(0), &frame(Message::Keepalive));
+            assert_eq!(sent(&mut drv), [Message::Keepalive], "at {t} s");
+        }
+        drv.advance_to(15 * SEC);
+        assert_eq!(
+            sent(&mut drv),
+            [
+                Message::Keepalive,
+                Message::Keepalive,
+                Message::Notification(NotificationMsg::new(4, 0))
+            ],
+            "9 s and 12 s, then 15 s without a word since 6 s"
+        );
     }
 
     /// Queue `wd` withdrawals and `ann` announcements, trigger a flush
@@ -922,7 +982,7 @@ mod tests {
         let d = drv.node_mut::<BgpDaemon<QueueEngine>>();
         d.engine.withdrawals = prefixes(wd);
         d.engine.announcements = prefixes(ann);
-        let empty = Message::Update(UpdateMsg::default()).encode(4).unwrap();
+        let empty = frame(Message::Update(UpdateMsg::default()));
         drv.deliver(2, LinkId(0), &empty);
         let sent = drv
             .drain_outbound()
@@ -965,7 +1025,7 @@ mod tests {
         let d = drv.node_mut::<BgpDaemon<QueueEngine>>();
         d.engine.announcements = vec![Ipv4Prefix::new(0, 24)];
         d.engine.extra = vec![0; 5000]; // pushes the frame past 4096 bytes
-        let empty = Message::Update(UpdateMsg::default()).encode(4).unwrap();
+        let empty = frame(Message::Update(UpdateMsg::default()));
         drv.deliver(2, LinkId(0), &empty);
         assert!(drv.drain_outbound().is_empty());
         let d = drv.node_ref::<BgpDaemon<QueueEngine>>();

@@ -103,8 +103,9 @@ pub struct DaemonSpec {
     pub router_id: u32,
     /// Hold time proposed in OPEN (seconds); keepalives at a third of
     /// the negotiated value. `0` disables liveness timers entirely —
-    /// the socket runtime negotiates this for its shard cores, whose
-    /// liveness is owned by the per-session FSMs in front of them.
+    /// what the socket runtime sets for its shard cores, whose sessions
+    /// are adopted from the per-connection FSMs in front of them
+    /// ([`Daemon::adopt_session`]).
     pub hold_time_secs: u16,
     pub neighbors: Vec<NeighborDecl>,
     /// Native RFC 4456 route reflection (ORIGINATOR_ID and CLUSTER_LIST
@@ -207,6 +208,39 @@ impl DaemonCounters {
     pub fn routing_updates_rx(&self) -> u64 {
         self.prefixes_rx + self.withdrawals_rx
     }
+
+    /// The counters of two shards of one daemon as one: traffic adds up
+    /// (shards own disjoint prefixes), sessions do not (every shard sees
+    /// every session), the first UPDATE is the earliest and the last
+    /// route change the latest.
+    pub fn merge(self, shard: DaemonCounters) -> DaemonCounters {
+        // Destructured in full, so a new field is merged here or does not
+        // compile.
+        let DaemonCounters {
+            updates_rx,
+            prefixes_rx,
+            withdrawals_rx,
+            updates_tx,
+            updates_encoded,
+            prefixes_tx,
+            withdrawals_tx,
+            sessions_established,
+            first_update_rx,
+            last_route_change,
+        } = shard;
+        DaemonCounters {
+            updates_rx: self.updates_rx + updates_rx,
+            prefixes_rx: self.prefixes_rx + prefixes_rx,
+            withdrawals_rx: self.withdrawals_rx + withdrawals_rx,
+            updates_tx: self.updates_tx + updates_tx,
+            updates_encoded: self.updates_encoded + updates_encoded,
+            prefixes_tx: self.prefixes_tx + prefixes_tx,
+            withdrawals_tx: self.withdrawals_tx + withdrawals_tx,
+            sessions_established: self.sessions_established.max(sessions_established),
+            first_update_rx: [self.first_update_rx, first_update_rx].into_iter().flatten().min(),
+            last_route_change: self.last_route_change.max(last_route_change),
+        }
+    }
 }
 
 /// The driver seam: what every front-end needs from a running daemon,
@@ -247,6 +281,16 @@ pub trait Daemon: Node {
 
     /// The cross-implementation counter set.
     fn counters(&self) -> DaemonCounters;
+
+    /// The transport behind `link` ran the BGP handshake itself (the
+    /// `xbgp-serve` socket edge, with its own [`xbgp_wire::Session`]):
+    /// take the neighbor on `link` to Established as that session
+    /// negotiated it — `four_octet_as` from its
+    /// [`xbgp_wire::SessionEvent::Established`] — without a second
+    /// handshake. Liveness stays with the transport: the adopted session
+    /// has hold time 0. Whatever session the neighbor had is torn down
+    /// first.
+    fn adopt_session(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, four_octet_as: bool);
 }
 
 /// Adapter that lets a `Box<dyn Daemon>` live in the simulator's node
@@ -303,6 +347,29 @@ mod tests {
         assert!(!s.neighbors[1].rr_client);
         assert_eq!(s.neighbors[1].asn, 65001);
         assert_eq!(s.hold_time_secs, 90);
+    }
+
+    #[test]
+    fn merged_shard_counters_add_traffic_but_not_sessions() {
+        let a = DaemonCounters {
+            updates_rx: 3,
+            updates_encoded: 2,
+            sessions_established: 4,
+            first_update_rx: Some(50),
+            last_route_change: Some(70),
+            ..Default::default()
+        };
+        let b = DaemonCounters {
+            updates_rx: 5,
+            updates_encoded: 1,
+            sessions_established: 4,
+            first_update_rx: Some(40),
+            last_route_change: None,
+            ..Default::default()
+        };
+        let m = DaemonCounters::default().merge(a).merge(b);
+        assert_eq!((m.updates_rx, m.updates_encoded, m.sessions_established), (8, 3, 4));
+        assert_eq!((m.first_update_rx, m.last_route_change), (Some(40), Some(70)));
     }
 
     #[test]

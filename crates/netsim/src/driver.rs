@@ -106,6 +106,22 @@ impl NodeDriver {
         self.dispatch(|node, ctx| node.on_link_event(ctx, link, up));
     }
 
+    /// Run `call` on the hosted node, downcast to its concrete type, at
+    /// time `now_ns` with a live [`NodeCtx`] — for stimuli that are not
+    /// bytes, link events or timers. Timers due fire first; what `call`
+    /// sends and arms is applied like any handler's.
+    pub fn with_node<T: 'static>(
+        &mut self,
+        now_ns: u64,
+        call: impl FnOnce(&mut T, &mut NodeCtx<'_>),
+    ) {
+        debug_assert!(self.started, "with_node before start");
+        self.advance_to(now_ns);
+        self.dispatch(|node, ctx| {
+            call(node.as_any_mut().downcast_mut::<T>().expect("node type mismatch"), ctx)
+        });
+    }
+
     /// Advance the clock to `now_ns`, firing every timer due on the way
     /// in `(due, arm-order)` order. A stale `now_ns` (before the current
     /// clock) leaves the clock unchanged.

@@ -9,13 +9,16 @@
 //! one [`Outbound`] buffer per session per flush, followed by one wake-up
 //! of the I/O thread.
 //!
-//! Session liveness belongs to the edge FSMs ([`xbgp_wire::Session`]),
-//! not the daemon: when a session establishes, the core injects a
-//! synthetic OPEN carrying the configured neighbor ASN and **hold time
-//! 0**, so the daemon negotiates liveness off and never arms hold or
-//! keepalive timers. The daemon's own handshake frames (OPEN, KEEPALIVE)
-//! are consumed at the core boundary; only UPDATE and NOTIFICATION
-//! frames fan back out to the sockets.
+//! The BGP handshake and session liveness belong to the edge FSMs
+//! ([`xbgp_wire::Session`], one per connection, in the I/O thread), not
+//! to the daemon: when one establishes, the daemon *adopts* the session
+//! ([`xbgp_driver::Daemon::adopt_session`]) as the edge negotiated it —
+//! Established at once, at the edge's AS-number width, hold time 0 — so
+//! there is no second handshake and no timer in the core. Everything the
+//! daemon then emits on a slot is for that slot's socket. A session the
+//! *daemon* ends (an UPDATE it cannot apply: NOTIFICATION, then teardown)
+//! reaches the edge as the slot's last [`Outbound`], after which the I/O
+//! thread closes the connection.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -24,12 +27,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use netsim::{LinkId, NodeDriver};
-use xbgp_driver::{DaemonCounters, DaemonSpec, Dut, DutNode};
-use xbgp_obs::{Histogram, Snapshot};
-use xbgp_wire::msg::deframe;
-use xbgp_wire::{Ipv4Prefix, Message, MsgReader, MsgType, OpenMsg};
+use xbgp_driver::{Daemon, DaemonSpec, DutNode};
+use xbgp_obs::Histogram;
 
 use crate::io::Waker;
+use crate::server::ServeConfig;
 
 /// Neighbor address of session slot `slot` in the daemon's config — the
 /// identity [`xbgp_driver::Daemon::session_established`] is queried by.
@@ -47,13 +49,15 @@ pub const INBOUND_BOUND: usize = 4 << 20;
 
 /// What the I/O thread asks of a shard core.
 pub enum CoreMsg {
-    /// The edge FSM reached Established: bring the daemon's session slot
-    /// up. `session` names this use of the slot and comes back on every
-    /// [`Outbound`] for it, so output still in flight when a slot is
-    /// reused cannot reach the next session.
+    /// The edge FSM reached Established: the daemon adopts the session on
+    /// this slot. `session` names this use of the slot and comes back on
+    /// every [`Outbound`] for it, so output still in flight when a slot is
+    /// reused cannot reach the next session. `four_octet_as` is what the
+    /// edge negotiated ([`xbgp_wire::SessionEvent::Established`]).
     SessionUp {
         slot: usize,
         session: u64,
+        four_octet_as: bool,
     },
     /// Validated UPDATE frames from one session, in arrival order.
     /// `recv_ns` is the runtime clock when the bytes left the socket —
@@ -72,16 +76,10 @@ pub enum CoreMsg {
     Shutdown,
 }
 
-/// Synchronous inspection requests; the reply channel makes them act as
-/// barriers behind all previously queued frames.
-pub enum Query {
-    Counters(Sender<DaemonCounters>),
-    Snapshot(Sender<Snapshot>),
-    LocRib(Sender<Vec<(Ipv4Prefix, Vec<u8>)>>),
-    OracleLocRib(Sender<Vec<(Ipv4Prefix, Vec<u8>)>>),
-    /// How many session slots the *daemon* (not the edge) sees established.
-    EstablishedSlots(Sender<usize>),
-}
+/// A synchronous inspection request: run against the daemon on its core
+/// thread, behind everything queued to the core before it. The closure
+/// carries its own reply channel ([`crate::Server`]'s `ask`).
+pub type Query = Box<dyn FnOnce(&mut dyn Daemon) + Send>;
 
 /// Everything one flush emitted for one session: whole UPDATE and
 /// NOTIFICATION frames, back to back.
@@ -89,6 +87,9 @@ pub struct Outbound {
     pub slot: usize,
     pub session: u64,
     pub bytes: Vec<u8>,
+    /// The daemon ended the session: close the connection once `bytes`
+    /// (which end in its NOTIFICATION) are written.
+    pub last: bool,
 }
 
 /// A core's side of its link to the I/O thread.
@@ -103,84 +104,67 @@ pub struct CoreIo {
     pub queued: Arc<AtomicUsize>,
 }
 
-/// Static description of one shard core.
-#[derive(Clone)]
-pub struct CoreConfig {
-    pub dut: Dut,
-    pub asn: u32,
-    pub router_id: u32,
-    /// ASN every session's synthetic OPEN carries; all neighbor slots are
-    /// configured with it.
-    pub peer_asn: u32,
-    /// Session slots (= max concurrent sessions).
-    pub slots: usize,
-    /// Enable the daemon's timing instrumentation.
-    pub metrics: bool,
-}
-
-/// Spawn one shard core thread. `latency` receives one observation per
-/// delivered UPDATE frame: runtime-clock ns from socket read to the
-/// daemon having applied it (queue wait + decode + RIB work).
+/// Spawn the core thread of shard `shard`. `latency` receives one
+/// observation per delivered UPDATE frame: runtime-clock ns from socket
+/// read to the daemon having applied it (queue wait + decode + RIB work).
 pub fn spawn(
-    cfg: CoreConfig,
+    cfg: ServeConfig,
+    shard: usize,
     rx: Receiver<CoreMsg>,
     io: CoreIo,
     latency: Arc<Histogram>,
     epoch: Instant,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
-        .name(format!("xbgp-core-{}", cfg.router_id))
-        .spawn(move || run(cfg, rx, io, latency, epoch))
+        .name(format!("xbgp-core-{shard}"))
+        .spawn(move || run(cfg, shard, rx, io, latency, epoch))
         .expect("spawn core thread")
 }
 
 fn run(
-    cfg: CoreConfig,
+    cfg: ServeConfig,
+    shard: usize,
     rx: Receiver<CoreMsg>,
     io: CoreIo,
     latency: Arc<Histogram>,
     epoch: Instant,
 ) {
-    let mut spec = DaemonSpec::new(cfg.asn, cfg.router_id);
-    // The daemon proposes hold 0 too; either side's zero wins negotiation.
+    let slots = cfg.max_sessions;
+    // Distinct router ids keep shard daemons distinguishable in traces;
+    // parity checks never compare router ids.
+    let mut spec = DaemonSpec::new(cfg.asn, cfg.router_id + shard as u32);
+    // No liveness in the core: the OPENs the daemon sends into the void at
+    // start wait for no answer, and adopted sessions have none anyway.
     spec.hold_time_secs = 0;
     spec.metrics = cfg.metrics;
-    for slot in 0..cfg.slots {
+    for slot in 0..slots {
         spec = spec.neighbor(LinkId(slot), slot_addr(slot), cfg.peer_asn);
     }
     let node = xbgp_harness::dut::build(cfg.dut, spec);
-    let mut driver = NodeDriver::new(Box::new(node), cfg.slots);
+    let mut driver = NodeDriver::new(Box::new(node), slots);
 
     let now = move || epoch.elapsed().as_nanos() as u64;
     let mut egress = Egress {
-        readers: (0..cfg.slots).map(|_| MsgReader::new()).collect(),
-        sessions: vec![None; cfg.slots],
-        bufs: vec![Vec::new(); cfg.slots],
+        sessions: vec![None; slots],
+        bufs: vec![Vec::new(); slots],
         touched: Vec::new(),
     };
-    // Slots that have been through at least one session: a later reuse
-    // needs a link-up event to push the daemon's FSM out of Idle again.
-    let mut used = vec![false; cfg.slots];
 
     driver.start(now());
-    egress.flush(&mut driver, &io.out);
+    egress.flush(&mut driver, &io.out, None);
 
     while let Ok(msg) = rx.recv() {
         // The I/O thread may have stopped reading sockets on this core's
         // backlog; it must hear when the backlog is back under the bound.
         let mut resume = false;
+        // The slot whose session the daemon ended on this message.
+        let mut ended = None;
         match msg {
-            CoreMsg::SessionUp { slot, session } => {
+            CoreMsg::SessionUp { slot, session, four_octet_as } => {
                 egress.sessions[slot] = Some(session);
-                if used[slot] {
-                    driver.link_event(now(), LinkId(slot), true);
-                }
-                used[slot] = true;
-                let open = OpenMsg::standard(cfg.peer_asn, 0, slot_addr(slot));
-                let open = Message::Open(open).encode(4).expect("OPEN encodes");
-                driver.deliver(now(), LinkId(slot), &open);
-                let ka = Message::Keepalive.encode(4).expect("KEEPALIVE encodes");
-                driver.deliver(now(), LinkId(slot), &ka);
+                driver.with_node(now(), |d: &mut DutNode, ctx| {
+                    d.0.adopt_session(ctx, LinkId(slot), four_octet_as);
+                });
             }
             CoreMsg::Frames { slot, frames, recv_ns } => {
                 for f in &frames {
@@ -190,84 +174,72 @@ fn run(
                 let applied: usize = frames.iter().map(Vec::len).sum();
                 let before = io.queued.fetch_sub(applied, Ordering::SeqCst);
                 resume = before > INBOUND_BOUND && before - applied <= INBOUND_BOUND;
+                // Only its own input makes the daemon end a session.
+                let up = driver.node_mut::<DutNode>().0.session_established(slot_addr(slot));
+                ended = (!up && egress.sessions[slot].is_some()).then_some(slot);
             }
             CoreMsg::SessionDown { slot } => {
                 egress.sessions[slot] = None;
                 driver.link_event(now(), LinkId(slot), false);
             }
-            CoreMsg::Query(q) => {
-                // Replies may race a caller that gave up; ignore send errors.
-                match q {
-                    Query::Counters(tx) => {
-                        let _ = tx.send(driver.node_mut::<DutNode>().0.counters());
-                    }
-                    Query::Snapshot(tx) => {
-                        let _ = tx.send(driver.node_mut::<DutNode>().0.metrics_snapshot());
-                    }
-                    Query::LocRib(tx) => {
-                        let _ = tx.send(driver.node_mut::<DutNode>().0.loc_rib_dump());
-                    }
-                    Query::OracleLocRib(tx) => {
-                        let _ = tx.send(driver.node_mut::<DutNode>().0.oracle_loc_rib_dump());
-                    }
-                    Query::EstablishedSlots(tx) => {
-                        let d = driver.node_mut::<DutNode>();
-                        let n = (0..cfg.slots)
-                            .filter(|&s| d.0.session_established(slot_addr(s)))
-                            .count();
-                        let _ = tx.send(n);
-                    }
-                }
-            }
+            CoreMsg::Query(query) => query(driver.node_mut::<DutNode>().0.as_mut()),
             CoreMsg::Shutdown => break,
         }
-        if egress.flush(&mut driver, &io.out) || resume {
+        if egress.flush(&mut driver, &io.out, ended) || resume {
             io.waker.wake();
         }
     }
 }
 
-/// The way out of a core: per-slot frame readers over the daemon's
-/// output, which session (if any) holds each slot, and the buffers one
-/// flush gathers.
+/// The way out of a core: which session (if any) holds each slot, and the
+/// buffers one flush gathers.
 struct Egress {
-    readers: Vec<MsgReader>,
     sessions: Vec<Option<u64>>,
     bufs: Vec<Vec<u8>>,
-    /// Slots whose `bufs` entry is non-empty.
+    /// Slots whose `bufs` entry goes out at this flush.
     touched: Vec<usize>,
 }
 
 impl Egress {
-    /// Route everything the daemon emitted: UPDATE and NOTIFICATION frames
-    /// are gathered per session and sent as **one buffer per session**;
-    /// the daemon's own handshake frames are consumed here — the edge FSM
-    /// already ran the real handshake on the wire. Returns whether
-    /// anything was sent (the caller then wakes the I/O thread once).
-    fn flush(&mut self, driver: &mut NodeDriver, out: &Sender<Outbound>) -> bool {
+    /// Route everything the daemon emitted to the session holding the
+    /// slot it was sent on, as **one buffer per session**; what it sends
+    /// on a slot no session holds (its OPENs at start) goes nowhere.
+    /// `ended` is the slot whose session the daemon just closed: that
+    /// buffer is marked as its last and the slot is released. Returns
+    /// whether anything was sent (the caller then wakes the I/O thread
+    /// once).
+    fn flush(
+        &mut self,
+        driver: &mut NodeDriver,
+        out: &Sender<Outbound>,
+        ended: Option<usize>,
+    ) -> bool {
         for (link, bytes) in driver.drain_outbound() {
             let slot = link.0;
-            self.readers[slot].push(&bytes);
-            while let Ok(Some(frame)) = self.readers[slot].next_frame() {
-                let forward = matches!(
-                    deframe(&frame),
-                    Ok((MsgType::Update, _)) | Ok((MsgType::Notification, _))
-                );
-                if forward && self.sessions[slot].is_some() {
-                    if self.bufs[slot].is_empty() {
-                        self.touched.push(slot);
-                    }
-                    self.bufs[slot].extend_from_slice(&frame);
-                }
+            if self.sessions[slot].is_none() {
+                continue;
             }
+            if self.bufs[slot].is_empty() {
+                self.touched.push(slot);
+                self.bufs[slot] = bytes;
+            } else {
+                self.bufs[slot].extend_from_slice(&bytes);
+            }
+        }
+        if let Some(slot) = ended.filter(|&slot| self.bufs[slot].is_empty()) {
+            self.touched.push(slot);
         }
         let sent = !self.touched.is_empty();
         for slot in self.touched.drain(..) {
+            let last = ended == Some(slot);
             let session = self.sessions[slot].expect("only registered slots are buffered");
+            if last {
+                self.sessions[slot] = None;
+            }
             let bytes = std::mem::take(&mut self.bufs[slot]);
             // A dropped receiver means the I/O thread is already gone
             // (shutdown); nobody is left to write to.
-            let _ = out.send(Outbound { slot, session, bytes });
+            let _ = out.send(Outbound { slot, session, bytes, last });
         }
         sent
     }

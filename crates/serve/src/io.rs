@@ -346,6 +346,12 @@ impl Conn {
         self.absorb(events, &mut Vec::new());
     }
 
+    /// Whoever is behind this connection ended the session and its
+    /// NOTIFICATION is queued: close the FSM without a Cease of our own.
+    pub fn finish(&mut self) {
+        self.fsm.shutdown();
+    }
+
     /// The FSM reached Closed; flush what TCP takes and drop the socket.
     pub fn closed(&self) -> bool {
         self.fsm.state() == SessionState::Closed

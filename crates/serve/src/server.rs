@@ -12,10 +12,12 @@
 //!     │
 //!     │ CoreMsg over mpsc (validated wire frames, stamped per read)
 //!     ▼
-//!   shard core(s) — daemon on a NodeDriver
+//!   shard core(s) — daemon on a NodeDriver; it adopts each session
+//!     │               as the edge negotiated it, no second handshake
 //!     │
-//!     │ Outbound over one mpsc (one buffer per session per flush),
-//!     │ then one byte on the waker
+//!     │ Outbound over one mpsc (one buffer per session per flush, the
+//!     │ last one marked when the daemon ends a session), then one byte
+//!     │ on the waker
 //!     ▼
 //!   I/O thread appends to the session's buffer and writes at once;
 //!   what TCP does not take waits for POLLOUT
@@ -44,11 +46,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use xbgp_driver::{DaemonCounters, Dut};
+use xbgp_driver::{Daemon, DaemonCounters, Dut};
 use xbgp_obs::{Histogram, HistogramSnapshot, Snapshot};
 use xbgp_wire::{Ipv4Prefix, Message, NotificationMsg, SessionConfig, SessionEvent};
 
-use crate::daemon_core::{self, CoreConfig, CoreIo, CoreMsg, Outbound, Query, INBOUND_BOUND};
+use crate::daemon_core::{self, slot_addr, CoreIo, CoreMsg, Outbound, INBOUND_BOUND};
 use crate::io::{wait, Conn, PollFd, ReadBudget, ReadStatus, Waker, POLLIN, READ_CHUNK};
 use crate::split::split_update;
 
@@ -158,23 +160,14 @@ impl Server {
         let mut core_handles = Vec::new();
         for shard in 0..cfg.shards.max(1) {
             let (tx, rx) = mpsc::channel();
-            let core_cfg = CoreConfig {
-                dut: cfg.dut,
-                asn: cfg.asn,
-                // Distinct router ids keep shard daemons distinguishable
-                // in traces; parity checks never compare router ids.
-                router_id: cfg.router_id + shard as u32,
-                peer_asn: cfg.peer_asn,
-                slots: cfg.max_sessions,
-                metrics: cfg.metrics,
-            };
             let backlog = Arc::new(AtomicUsize::new(0));
             let io = CoreIo {
                 out: out_tx.clone(),
                 waker: waker.clone(),
                 queued: Arc::clone(&backlog),
             };
-            core_handles.push(daemon_core::spawn(core_cfg, rx, io, Arc::clone(&latency), epoch));
+            let latency = Arc::clone(&latency);
+            core_handles.push(daemon_core::spawn(cfg.clone(), shard, rx, io, latency, epoch));
             cores.push(tx);
             queued.push(backlog);
         }
@@ -205,34 +198,36 @@ impl Server {
         self.addr
     }
 
-    /// Sum of daemon counters across shard cores.
-    pub fn counters(&self) -> DaemonCounters {
-        let mut total = DaemonCounters::default();
+    /// What `query` returns on each shard core, run behind everything
+    /// queued to that core before it. A core that is gone does not reply.
+    fn ask<T: Send + 'static>(
+        &self,
+        query: impl Fn(&mut dyn Daemon) -> T + Clone + Send + 'static,
+    ) -> Vec<T> {
+        let mut replies = Vec::new();
         for core in &self.shared.cores {
             let (tx, rx) = mpsc::channel();
-            let _ = core.send(CoreMsg::Query(Query::Counters(tx)));
-            if let Ok(c) = rx.recv() {
-                total.updates_rx += c.updates_rx;
-                total.prefixes_rx += c.prefixes_rx;
-                total.withdrawals_rx += c.withdrawals_rx;
-                total.updates_tx += c.updates_tx;
-                total.prefixes_tx += c.prefixes_tx;
-                total.withdrawals_tx += c.withdrawals_tx;
-                total.sessions_established += c.sessions_established;
-            }
+            let query = query.clone();
+            // A reply may race a caller that gave up; ignore send errors.
+            let _ = core.send(CoreMsg::Query(Box::new(move |d| drop(tx.send(query(d))))));
+            replies.extend(rx.recv());
         }
-        total
+        replies
+    }
+
+    /// Daemon counters merged across shard cores
+    /// ([`DaemonCounters::merge`]).
+    pub fn counters(&self) -> DaemonCounters {
+        self.ask(|d| d.counters())
+            .into_iter()
+            .fold(DaemonCounters::default(), DaemonCounters::merge)
     }
 
     /// Merged metrics snapshot across shard cores.
     pub fn snapshot(&self) -> Snapshot {
         let mut merged = Snapshot::new();
-        for core in &self.shared.cores {
-            let (tx, rx) = mpsc::channel();
-            let _ = core.send(CoreMsg::Query(Query::Snapshot(tx)));
-            if let Ok(s) = rx.recv() {
-                let _ = merged.merge(s);
-            }
+        for s in self.ask(|d| d.metrics_snapshot()) {
+            let _ = merged.merge(s);
         }
         merged
     }
@@ -240,42 +235,22 @@ impl Server {
     /// Combined Loc-RIB across shards, sorted by prefix. Shards own
     /// disjoint prefix sets, so concatenation is exact.
     pub fn loc_rib(&self) -> Vec<(Ipv4Prefix, Vec<u8>)> {
-        self.rib_query(Query::LocRib)
+        sorted(self.ask(|d| d.loc_rib_dump()))
     }
 
     /// Combined oracle Loc-RIB across shards, sorted by prefix.
     pub fn oracle_loc_rib(&self) -> Vec<(Ipv4Prefix, Vec<u8>)> {
-        self.rib_query(Query::OracleLocRib)
-    }
-
-    fn rib_query(
-        &self,
-        make: impl Fn(Sender<Vec<(Ipv4Prefix, Vec<u8>)>>) -> Query,
-    ) -> Vec<(Ipv4Prefix, Vec<u8>)> {
-        let mut all = Vec::new();
-        for core in &self.shared.cores {
-            let (tx, rx) = mpsc::channel();
-            let _ = core.send(CoreMsg::Query(make(tx)));
-            if let Ok(mut rib) = rx.recv() {
-                all.append(&mut rib);
-            }
-        }
-        all.sort_by_key(|(p, _)| *p);
-        all
+        sorted(self.ask(|d| d.oracle_loc_rib_dump()))
     }
 
     /// Sessions the *daemons* consider established (max across shards —
     /// every shard sees the same session slots).
     pub fn established_sessions(&self) -> usize {
-        let mut most = 0;
-        for core in &self.shared.cores {
-            let (tx, rx) = mpsc::channel();
-            let _ = core.send(CoreMsg::Query(Query::EstablishedSlots(tx)));
-            if let Ok(n) = rx.recv() {
-                most = most.max(n);
-            }
-        }
-        most
+        let slots = self.shared.cfg.max_sessions;
+        let count = move |d: &mut dyn Daemon| {
+            (0..slots).filter(|&s| d.session_established(slot_addr(s))).count()
+        };
+        self.ask(count).into_iter().max().unwrap_or(0)
     }
 
     /// Peak concurrent sessions the edge FSMs reached Established.
@@ -309,6 +284,13 @@ impl Server {
             let _ = h.join();
         }
     }
+}
+
+/// The shards' RIB dumps as one, in prefix order.
+fn sorted(shards: Vec<Vec<(Ipv4Prefix, Vec<u8>)>>) -> Vec<(Ipv4Prefix, Vec<u8>)> {
+    let mut all: Vec<_> = shards.into_iter().flatten().collect();
+    all.sort_by_key(|(p, _)| *p);
+    all
 }
 
 /// One session slot in use.
@@ -418,7 +400,7 @@ impl IoLoop {
     /// Append what the cores emitted to the sessions it is for, and write
     /// it at once.
     fn route_outbound(&mut self) {
-        while let Ok(Outbound { slot, session, bytes }) = self.out_rx.try_recv() {
+        while let Ok(Outbound { slot, session, bytes, last }) = self.out_rx.try_recv() {
             // Output for an earlier use of the slot is dropped.
             let Some(mut peer) = self.peers[slot].take_if(|p| p.session == session) else {
                 continue;
@@ -426,6 +408,9 @@ impl IoLoop {
             if peer.conn.queue(&bytes).is_err() {
                 // Outbound cap: this peer is not taking its exports.
                 peer.conn.shutdown();
+            } else if last {
+                // The daemon ended the session; its NOTIFICATION is queued.
+                peer.conn.finish();
             }
             self.settle(slot, peer, false);
         }
@@ -490,9 +475,10 @@ impl IoLoop {
         let mut frames = Vec::new();
         for ev in self.events.drain(..) {
             match ev {
-                SessionEvent::Established { .. } => {
+                SessionEvent::Established { four_octet_as, .. } => {
+                    let session = peer.session;
                     for core in &self.shared.cores {
-                        let _ = core.send(CoreMsg::SessionUp { slot, session: peer.session });
+                        let _ = core.send(CoreMsg::SessionUp { slot, session, four_octet_as });
                     }
                     peer.up = true;
                     self.established_now += 1;

@@ -1,13 +1,16 @@
-//! Per-neighbor BGP session FSM for socket transports.
+//! The BGP session FSM: the one OPEN / KEEPALIVE / NOTIFICATION /
+//! hold-timer state machine in the workspace.
 //!
-//! The netsim daemons carry their own session handling, entangled with
-//! simulator links and timers. A real transport (the `xbgp-serve` TCP
-//! runtime) needs the same OPEN/KEEPALIVE/NOTIFICATION choreography at
-//! the socket edge, *before* frames reach a daemon core — so it lives
-//! here, next to the codec, as a pure state machine:
+//! Every session the repository terminates runs through it — at the
+//! socket edge of the `xbgp-serve` TCP runtime, and inside the daemon
+//! host (`xbgp_driver::host`) for each configured neighbor, under netsim
+//! and behind the runtime alike. It lives here, next to the codec, as a
+//! pure state machine:
 //!
-//! * no I/O — byte chunks go in via [`Session::on_bytes`], frames to
-//!   write come back as [`SessionEvent::Send`];
+//! * no I/O — byte chunks go in via [`Session::on_bytes`] (or
+//!   [`Session::push`] + [`Session::step`], which also hands over the
+//!   decoded UPDATE), frames to write come back as
+//!   [`SessionEvent::Send`];
 //! * no clock — every entry point takes `now_ns`, and the caller drives
 //!   liveness by calling [`Session::tick`] at (or after)
 //!   [`Session::next_deadline`]. Tests substitute a mock clock by just
@@ -36,8 +39,12 @@ pub struct SessionConfig {
     pub expect_asn: Option<u32>,
 }
 
-/// RFC 4271 session states (the subset a pre-established TCP transport
-/// needs: the Connect/Active dance belongs to the socket layer).
+/// RFC 4271 session states (the subset a pre-established stream needs:
+/// the Connect/Active dance belongs to the transport). The order is
+/// relied on: the discriminants of the three states a message can be
+/// misplaced in are the FSM-error subcodes of RFC 4271 §6.6, and the
+/// first four index the `to=` labels of
+/// `xbgp_daemon_fsm_transitions_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
     /// Created, OPEN not yet sent.
@@ -64,8 +71,23 @@ pub enum CloseReason {
     AdminShutdown,
 }
 
-/// What the FSM asks of its caller. Ordering within one returned batch is
-/// significant (e.g. a `Send` of a NOTIFICATION precedes its `Closed`).
+impl std::fmt::Display for CloseReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CloseReason::LocalError { code, subcode } => {
+                write!(f, "closed with NOTIFICATION {code}/{subcode}")
+            }
+            CloseReason::PeerNotification { code, subcode } => {
+                write!(f, "NOTIFICATION {code}/{subcode}")
+            }
+            CloseReason::HoldTimerExpired => f.write_str("hold timer expired"),
+            CloseReason::AdminShutdown => f.write_str("shut down"),
+        }
+    }
+}
+
+/// What the FSM asks of its caller. Ordering is significant (e.g. a
+/// `Send` of a NOTIFICATION precedes its `Closed`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionEvent {
     /// Write these bytes (one complete BGP frame) to the transport.
@@ -75,22 +97,15 @@ pub enum SessionEvent {
         peer_asn: u32,
         peer_router_id: u32,
         hold_ns: u64,
+        /// The peer confirmed the four-octet-AS capability: UPDATE bodies
+        /// carry 4-byte AS numbers in both directions, else 2-byte.
+        four_octet_as: bool,
     },
     /// A validated UPDATE frame (header + body, exactly as received) to
     /// forward into the daemon core.
     Update(Vec<u8>),
     /// The session is over; close the transport after flushing.
     Closed(CloseReason),
-}
-
-/// FSM-error subcode naming the state a misplaced message arrived in
-/// (RFC 4271 §6.6).
-fn fsm_subcode(state: SessionState) -> u8 {
-    match state {
-        SessionState::OpenSent => 1,
-        SessionState::OpenConfirm => 2,
-        _ => 3, // Established
-    }
 }
 
 const SEC: u64 = 1_000_000_000;
@@ -112,6 +127,8 @@ pub struct Session {
     next_keepalive_ns: u64,
     peer_asn: u32,
     peer_router_id: u32,
+    /// The `Closed` owed after the NOTIFICATION that was just handed out.
+    closing: Option<CloseReason>,
 }
 
 impl Session {
@@ -126,7 +143,32 @@ impl Session {
             next_keepalive_ns: u64::MAX,
             peer_asn: 0,
             peer_router_id: 0,
+            closing: None,
         }
+    }
+
+    /// A session that is Established from the first byte, as another
+    /// `Session` negotiated it (its [`SessionEvent::Established`]): the
+    /// daemon core's end of a connection whose handshake the socket edge
+    /// ran. Hold time 0 — liveness stays with the session that owns the
+    /// transport.
+    pub fn adopted(
+        cfg: SessionConfig,
+        peer_asn: u32,
+        peer_router_id: u32,
+        four_octet_as: bool,
+    ) -> Session {
+        Session {
+            state: SessionState::Established,
+            asn_width: if four_octet_as { 4 } else { 2 },
+            peer_asn,
+            peer_router_id,
+            ..Session::new(cfg)
+        }
+    }
+
+    pub fn config(&self) -> &SessionConfig {
+        &self.cfg
     }
 
     pub fn state(&self) -> SessionState {
@@ -144,6 +186,12 @@ impl Session {
         self.peer_asn
     }
 
+    /// AS-number width of UPDATE bodies on this session (2 until the
+    /// peer's OPEN says otherwise).
+    pub fn asn_width(&self) -> usize {
+        self.asn_width
+    }
+
     /// Begin the handshake: emit our OPEN. Idle → OpenSent.
     pub fn start(&mut self, now_ns: u64) -> Vec<SessionEvent> {
         if self.state != SessionState::Idle {
@@ -156,56 +204,58 @@ impl Session {
         self.hold_ns = u64::from(self.cfg.hold_time_secs) * SEC;
         let open =
             OpenMsg::standard(self.cfg.local_asn, self.cfg.hold_time_secs, self.cfg.router_id);
-        vec![SessionEvent::Send(Message::Open(open).encode(4).expect("OPEN encodes"))]
+        vec![self.send(&Message::Open(open))]
     }
 
     /// Feed raw bytes read from the transport.
     pub fn on_bytes(&mut self, now_ns: u64, data: &[u8]) -> Vec<SessionEvent> {
-        let mut out = Vec::new();
-        if matches!(self.state, SessionState::Idle | SessionState::Closed) {
-            return out;
+        self.push(data);
+        std::iter::from_fn(|| self.step(now_ns)).map(|(event, _)| event).collect()
+    }
+
+    /// Buffer raw bytes read from the transport for [`Session::step`].
+    /// A session that is not running drops them.
+    pub fn push(&mut self, data: &[u8]) {
+        if !matches!(self.state, SessionState::Idle | SessionState::Closed) {
+            self.reader.push(data);
         }
-        self.reader.push(data);
-        loop {
-            match self.reader.next_frame() {
-                Ok(Some(frame)) => self.handle_frame(now_ns, frame, &mut out),
-                Ok(None) => break,
-                Err(e) => {
-                    self.close_with_error(&e, &mut out);
-                    break;
-                }
-            }
-            if self.state == SessionState::Closed {
-                break;
+    }
+
+    /// The next event the buffered input produces, if any; call until
+    /// `None`. An [`SessionEvent::Update`] comes with the decode that
+    /// validated it, so a caller that applies the UPDATE need not decode
+    /// the frame again.
+    pub fn step(&mut self, now_ns: u64) -> Option<(SessionEvent, Option<UpdateMsg>)> {
+        if let Some(reason) = self.closing.take() {
+            return Some((SessionEvent::Closed(reason), None));
+        }
+        while !matches!(self.state, SessionState::Idle | SessionState::Closed) {
+            let out = match self.reader.next_frame() {
+                Ok(Some(frame)) => self.handle_frame(now_ns, frame),
+                Ok(None) => return None,
+                Err(e) => Some((self.fail(&e), None)),
+            };
+            if out.is_some() {
+                return out;
             }
         }
-        out
+        None
     }
 
     /// Drive timers: hold-timer enforcement and the KEEPALIVE cadence.
     /// Call at (or any time after) [`Session::next_deadline`].
     pub fn tick(&mut self, now_ns: u64) -> Vec<SessionEvent> {
-        let mut out = Vec::new();
         if matches!(self.state, SessionState::Idle | SessionState::Closed) || self.hold_ns == 0 {
-            return out;
+            return Vec::new();
         }
         if now_ns.saturating_sub(self.last_rx_ns) >= self.hold_ns {
-            out.push(SessionEvent::Send(
-                Message::Notification(NotificationMsg::new(4, 0))
-                    .encode(self.asn_width)
-                    .expect("NOTIFICATION encodes"),
-            ));
-            out.push(SessionEvent::Closed(CloseReason::HoldTimerExpired));
-            self.state = SessionState::Closed;
-            return out;
+            return self.close_now(NotificationMsg::new(4, 0), CloseReason::HoldTimerExpired);
         }
-        if now_ns >= self.next_keepalive_ns {
-            out.push(SessionEvent::Send(
-                Message::Keepalive.encode(self.asn_width).expect("KEEPALIVE encodes"),
-            ));
-            self.next_keepalive_ns = now_ns + self.hold_ns / 3;
+        if now_ns < self.next_keepalive_ns {
+            return Vec::new();
         }
-        out
+        self.next_keepalive_ns = now_ns + self.hold_ns / 3;
+        vec![self.send(&Message::Keepalive)]
     }
 
     /// The next clock value at which [`Session::tick`] has work to do,
@@ -223,54 +273,56 @@ impl Session {
             self.state = SessionState::Closed;
             return vec![SessionEvent::Closed(CloseReason::AdminShutdown)];
         }
-        self.state = SessionState::Closed;
-        vec![
-            SessionEvent::Send(
-                Message::Notification(NotificationMsg::cease())
-                    .encode(self.asn_width)
-                    .expect("NOTIFICATION encodes"),
-            ),
-            SessionEvent::Closed(CloseReason::AdminShutdown),
-        ]
+        self.close_now(NotificationMsg::cease(), CloseReason::AdminShutdown)
     }
 
-    fn close_with_error(&mut self, e: &WireError, out: &mut Vec<SessionEvent>) {
-        let n = NotificationMsg::from_error(e);
-        let (code, subcode) = (n.code, n.subcode);
-        out.push(SessionEvent::Send(
-            Message::Notification(n).encode(self.asn_width).expect("NOTIFICATION encodes"),
-        ));
-        out.push(SessionEvent::Closed(CloseReason::LocalError { code, subcode }));
-        self.state = SessionState::Closed;
+    /// The caller found `e` in a message the FSM let through (an UPDATE
+    /// that decodes but cannot be applied): the `Send` of the mapped
+    /// NOTIFICATION comes back, the session is closed, and the next
+    /// [`Session::step`] reports the `Closed`.
+    pub fn fail(&mut self, e: &WireError) -> SessionEvent {
+        self.notify(NotificationMsg::from_error(e))
     }
 
-    fn close_with_codes(&mut self, code: u8, subcode: u8, out: &mut Vec<SessionEvent>) {
-        out.push(SessionEvent::Send(
-            Message::Notification(NotificationMsg::new(code, subcode))
-                .encode(self.asn_width)
-                .expect("NOTIFICATION encodes"),
-        ));
-        out.push(SessionEvent::Closed(CloseReason::LocalError { code, subcode }));
-        self.state = SessionState::Closed;
+    fn send(&self, msg: &Message) -> SessionEvent {
+        SessionEvent::Send(msg.encode(self.asn_width).expect("session messages encode"))
     }
 
-    fn handle_frame(&mut self, now_ns: u64, frame: Vec<u8>, out: &mut Vec<SessionEvent>) {
+    /// Close on an error of ours: NOTIFICATION now, `Closed` next.
+    fn notify(&mut self, n: NotificationMsg) -> SessionEvent {
+        self.state = SessionState::Closed;
+        self.closing = Some(CloseReason::LocalError { code: n.code, subcode: n.subcode });
+        self.send(&Message::Notification(n))
+    }
+
+    /// Close outside [`Session::step`]: the NOTIFICATION and the `Closed`
+    /// in one batch.
+    fn close_now(&mut self, n: NotificationMsg, reason: CloseReason) -> Vec<SessionEvent> {
+        self.state = SessionState::Closed;
+        vec![self.send(&Message::Notification(n)), SessionEvent::Closed(reason)]
+    }
+
+    fn handle_frame(
+        &mut self,
+        now_ns: u64,
+        frame: Vec<u8>,
+    ) -> Option<(SessionEvent, Option<UpdateMsg>)> {
         let (ty, body) = match deframe(&frame) {
             Ok(x) => x,
-            Err(e) => return self.close_with_error(&e, out),
+            Err(e) => return Some((self.fail(&e), None)),
         };
         self.last_rx_ns = now_ns;
-        match (self.state, ty) {
+        let event = match (self.state, ty) {
             (SessionState::OpenSent, MsgType::Open) => {
                 let open = match Message::decode_body(MsgType::Open, body, self.asn_width) {
                     Ok(Message::Open(o)) => o,
                     Ok(_) => unreachable!("Open type decodes to Open"),
-                    Err(e) => return self.close_with_error(&e, out),
+                    Err(e) => return Some((self.fail(&e), None)),
                 };
                 let peer_asn = open.negotiated_asn();
                 if self.cfg.expect_asn.is_some_and(|a| a != peer_asn) {
                     // Bad Peer AS (RFC 4271 §6.2).
-                    return self.close_with_codes(2, 2, out);
+                    return Some((self.notify(NotificationMsg::new(2, 2)), None));
                 }
                 self.peer_asn = peer_asn;
                 self.peer_router_id = open.router_id;
@@ -282,38 +334,38 @@ impl Session {
                     u64::MAX
                 };
                 self.state = SessionState::OpenConfirm;
-                out.push(SessionEvent::Send(
-                    Message::Keepalive.encode(self.asn_width).expect("KEEPALIVE encodes"),
-                ));
+                self.send(&Message::Keepalive)
             }
             (SessionState::OpenConfirm, MsgType::Keepalive) => {
                 self.state = SessionState::Established;
-                out.push(SessionEvent::Established {
+                SessionEvent::Established {
                     peer_asn: self.peer_asn,
                     peer_router_id: self.peer_router_id,
                     hold_ns: self.hold_ns,
-                });
+                    four_octet_as: self.asn_width == 4,
+                }
             }
             (SessionState::Established, MsgType::Update) => {
-                // Full-body validation at the edge: the daemon core never
-                // sees an UPDATE this session could not decode.
-                if let Err(e) = UpdateMsg::decode_body(body, self.asn_width) {
-                    return self.close_with_error(&e, out);
-                }
-                out.push(SessionEvent::Update(frame));
+                // Full-body validation: nothing behind this session sees
+                // an UPDATE it could not decode.
+                return Some(match UpdateMsg::decode_body(body, self.asn_width) {
+                    Ok(update) => (SessionEvent::Update(frame), Some(update)),
+                    Err(e) => (self.fail(&e), None),
+                });
             }
-            (SessionState::Established, MsgType::Keepalive) => {} // liveness only
+            (SessionState::Established, MsgType::Keepalive) => return None, // liveness only
             (_, MsgType::Notification) => {
-                let (code, subcode) = if body.len() >= 2 { (body[0], body[1]) } else { (0, 0) };
-                out.push(SessionEvent::Closed(CloseReason::PeerNotification { code, subcode }));
                 self.state = SessionState::Closed;
+                SessionEvent::Closed(CloseReason::PeerNotification {
+                    code: body[0],
+                    subcode: body[1],
+                })
             }
-            (state, _) => {
-                // Well-formed but wrong for this state: FSM error, subcode
-                // naming the state (RFC 4271 §6.6).
-                self.close_with_codes(5, fsm_subcode(state), out);
-            }
-        }
+            // Well-formed but wrong for this state: FSM error, subcode
+            // naming the state (RFC 4271 §6.6).
+            (state, _) => self.notify(NotificationMsg::new(5, state as u8)),
+        };
+        Some((event, None))
     }
 }
 
@@ -395,6 +447,74 @@ mod tests {
         let (ev_a, _) = handshake(&mut a, &mut b);
         assert_eq!(a.state(), SessionState::Closed);
         assert_eq!(notification_codes(&ev_a), Some((2, 2)));
+    }
+
+    #[test]
+    fn open_negotiates_minimum_hold_time() {
+        for (ours, theirs, agreed) in [(90, 30, 30), (30, 90, 30), (90, 0, 0), (0, 90, 0)] {
+            let mut s = Session::new(SessionConfig { hold_time_secs: ours, ..cfg(65001, 1) });
+            s.start(0);
+            let open = Message::Open(OpenMsg::standard(65002, theirs, 2)).encode(4).unwrap();
+            s.on_bytes(1, &open);
+            assert_eq!(s.state(), SessionState::OpenConfirm);
+            assert_eq!(s.hold_ns(), agreed * SEC, "min({ours}, {theirs})");
+        }
+    }
+
+    /// AS_PATH [65001, 100, 200] announced for one prefix, encoded at
+    /// `width`.
+    fn announce(width: usize) -> Vec<u8> {
+        use crate::attr::{AsPath, Origin, PathAttr};
+        let attrs = vec![
+            PathAttr::Origin(Origin::Igp),
+            PathAttr::AsPath(AsPath::sequence(vec![65001, 100, 200])),
+            PathAttr::NextHop(1),
+        ];
+        Message::Update(UpdateMsg::announce(attrs, vec!["10.0.0.0/24".parse().unwrap()]))
+            .encode(width)
+            .unwrap()
+    }
+
+    #[test]
+    fn adopted_session_is_established_at_the_adopted_width_with_no_liveness() {
+        for (four_octet_as, good, bad) in [(true, 4, 2), (false, 2, 4)] {
+            let adopt = || Session::adopted(cfg(65002, 2), 65001, 1, four_octet_as);
+            let mut s = adopt();
+            assert_eq!(s.state(), SessionState::Established);
+            assert_eq!((s.peer_asn(), s.asn_width(), s.hold_ns()), (65001, good, 0));
+            assert_eq!(s.next_deadline(), None, "liveness stays with the adopting edge");
+            assert!(s.tick(1_000 * SEC).is_empty());
+
+            let upd = announce(good);
+            let ev = s.on_bytes(1, &upd);
+            assert!(matches!(&ev[..], [SessionEvent::Update(f)] if *f == upd), "{ev:?}");
+            let ev = s.on_bytes(2, &announce(bad));
+            assert_eq!(
+                notification_codes(&ev),
+                Some((3, 11)),
+                "width {bad} on a width-{good} session"
+            );
+
+            let open = Message::Open(OpenMsg::standard(65001, 90, 1)).encode(4).unwrap();
+            assert_eq!(notification_codes(&adopt().on_bytes(1, &open)), Some((5, 3)));
+        }
+    }
+
+    #[test]
+    fn fail_sends_the_mapped_notification_and_the_next_step_closes() {
+        let mut s = Session::adopted(cfg(65002, 2), 65001, 1, true);
+        let sent = s.fail(&WireError::MissingWellKnown("NEXT_HOP"));
+        let SessionEvent::Send(frame) = sent else {
+            panic!("expected a Send, got {sent:?}");
+        };
+        assert_eq!(
+            Message::decode(&frame, 4).unwrap(),
+            Message::Notification(NotificationMsg::new(3, 3))
+        );
+        assert_eq!(s.state(), SessionState::Closed);
+        let closed = SessionEvent::Closed(CloseReason::LocalError { code: 3, subcode: 3 });
+        assert_eq!(s.step(1), Some((closed, None)));
+        assert_eq!(s.step(1), None);
     }
 
     #[test]
@@ -588,6 +708,48 @@ mod tests {
             // Whatever happened, a closed session stays closed and silent.
             if s.state() == SessionState::Closed {
                 prop_assert!(s.on_bytes(2, &peer_handshake_bytes()).is_empty());
+            }
+        }
+
+        /// `on_bytes` is `push` + `step` with the decodes dropped: on any
+        /// stream the two report the same events in the same order, every
+        /// `Update` — and nothing else — comes with a decode, and that
+        /// decode is the frame's.
+        #[test]
+        fn on_bytes_and_step_agree_event_for_event(
+            pos in 0usize..200,
+            flip in 0u8..=255,
+            cut in 0usize..200,
+        ) {
+            let mut bytes = peer_handshake_bytes();
+            bytes.extend_from_slice(&announce(4));
+            bytes.extend_from_slice(&Message::Keepalive.encode(4).unwrap());
+            bytes.extend_from_slice(&announce(4));
+            let pos = pos % bytes.len();
+            bytes[pos] ^= flip; // flip 0: the stream as it is
+            let cut = cut % bytes.len();
+
+            let (mut a, mut b) = (Session::new(cfg(65001, 1)), Session::new(cfg(65001, 1)));
+            prop_assert_eq!(a.start(0), b.start(0));
+            for (now, chunk) in [(1, &bytes[..cut]), (2, &bytes[cut..])] {
+                let whole = a.on_bytes(now, chunk);
+                b.push(chunk);
+                let mut stepped = Vec::new();
+                while let Some((event, update)) = b.step(now) {
+                    match &event {
+                        SessionEvent::Update(frame) => {
+                            let body = &frame[crate::HEADER_LEN..];
+                            prop_assert_eq!(update, Some(UpdateMsg::decode_body(body, 4).unwrap()));
+                        }
+                        _ => prop_assert_eq!(update, None),
+                    }
+                    stepped.push(event);
+                }
+                prop_assert_eq!(whole, stepped);
+                prop_assert_eq!(a.state(), b.state());
+            }
+            if flip == 0 {
+                prop_assert_eq!(a.state(), SessionState::Established);
             }
         }
 
