@@ -37,5 +37,5 @@ pub use api::{helper, InsertionPoint, NextHopInfo, PeerInfo, PeerType};
 pub use contracts::analysis_options;
 pub use host::{HostApi, HostError, HostOp};
 pub use manifest::{ExtensionSpec, Manifest};
-pub use policy::{ExecPolicy, OnFault};
+pub use policy::OnFault;
 pub use vmm::{Vmm, VmmError, VmmOutcome};

@@ -35,8 +35,7 @@ pub struct ExtensionSpec {
     /// `Arc` so cloning a manifest for each shard's VMM shares one copy
     /// of the raw bytes instead of duplicating every program.
     pub bytecode: Arc<[u8]>,
-    /// Per-invocation fuel budget. `None` uses the VMM-wide default
-    /// ([`crate::vmm::Vmm::set_fuel`]).
+    /// Per-invocation fuel budget. `None` uses the VMM-wide default.
     pub fuel: Option<u64>,
     /// Disposition when this extension faults (trap, fuel exhaustion,
     /// contract violation); defaults to falling back to native behaviour.

@@ -1,10 +1,10 @@
-//! Per-invocation execution policy: what one extension run may consume
-//! and what happens when it faults.
+//! Per-invocation execution policy: what happens when one extension run
+//! faults.
 //!
 //! The policy is the operator-facing half of the execution contract
 //! (DESIGN.md §4d). Each manifest entry may carry a `fuel` budget and an
-//! `on_fault` disposition; the VMM assembles them — falling back to its
-//! global defaults — into one [`ExecPolicy`] per run.
+//! `on_fault` disposition; the VMM fills in its global default for a
+//! missing budget.
 
 /// What the VMM does when an extension faults (trap, fuel exhaustion, or
 /// a non-recoverable host error).
@@ -39,19 +39,4 @@ impl OnFault {
             other => Err(format!("unknown on_fault `{other}` (expected `fallback` or `abort`)")),
         }
     }
-}
-
-/// Resource and fault policy for one extension invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecPolicy {
-    /// Instruction budget. The interpreter charges one unit per
-    /// instruction and checks the balance at back-edges and helper
-    /// calls, so straight-line code cannot be stopped mid-basic-block
-    /// but no loop can outrun its budget by more than one block.
-    pub fuel: u64,
-    /// Upper bound, in bytes, on what `ebpf_memory_alloc` may hand out
-    /// across one run (clamped to the arena's heap size).
-    pub mem_cap: usize,
-    /// Disposition when this extension faults.
-    pub on_fault: OnFault,
 }

@@ -33,13 +33,13 @@
 use crate::api::{self, helper, InsertionPoint};
 use crate::host::{HostApi, HostError, HostOp};
 use crate::manifest::Manifest;
-use crate::policy::{ExecPolicy, OnFault};
+use crate::policy::OnFault;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use xbgp_obs::trace::{TraceConfig, TraceDump, TraceKind, Tracer, NO_EXT};
-use xbgp_obs::{Histogram, NoopRecorder, Recorder, Snapshot};
+use xbgp_obs::{Histogram, Snapshot};
 use xbgp_vm::{
     interp::HelperOutcome, verify_and_load_with, ExecOutcome, HelperDispatcher, LoadedProgram,
     MemoryMap, Region, RegionKind, VerifyError, VmConfig, VmError, HEAP_BASE, SHARED_BASE,
@@ -123,11 +123,8 @@ struct Extension {
     /// ([`verify_and_load_with`]); invocations execute it directly with no
     /// per-run decoding or jump-target resolution.
     prog: LoadedProgram,
-    /// Manifest-declared fuel budget; `None` uses the VMM's global
-    /// default (see [`Vmm::set_fuel`]).
+    /// Manifest-declared fuel budget; `None` uses the VMM's default.
     fuel_override: Option<u64>,
-    /// Cap on per-run `ctx_malloc` allocations, clamped to [`HEAP_SIZE`].
-    mem_cap: usize,
     /// What a fault at this extension means for the host.
     on_fault: OnFault,
     /// Bytes of the destination's `PeerInfo` a run can depend on
@@ -353,13 +350,6 @@ pub struct Vmm {
     /// and instruction counters accumulate, and the latency histograms
     /// fill in. Off by default so the hot path pays a single branch.
     metrics_enabled: bool,
-    /// Host-pluggable event sink; `NoopRecorder` (inlined no-ops) unless
-    /// the host installs one via [`Vmm::set_recorder`].
-    recorder: Box<dyn Recorder>,
-    /// Skips the virtual recorder dispatch entirely while the default
-    /// no-op recorder is installed, keeping the per-run cost to plain
-    /// integer increments.
-    recorder_active: bool,
     /// Reusable marshalling buffer lent to the helper dispatcher, so
     /// variable-length helper transfers (`get_attr` etc.) allocate at most
     /// once over the VMM's lifetime instead of once per call.
@@ -385,8 +375,6 @@ impl Vmm {
             commit_faults: 0,
             points: Default::default(),
             metrics_enabled: false,
-            recorder: Box::new(NoopRecorder),
-            recorder_active: false,
             scratch: Vec::new(),
             tracer: None,
             profiler: None,
@@ -453,7 +441,6 @@ impl Vmm {
                     name: spec.name.clone(),
                     shared_idx,
                     fuel_override: spec.fuel,
-                    mem_cap: HEAP_SIZE,
                     on_fault: spec.on_fault,
                     peer_mask: crate::contracts::peer_reads(&ids, loaded.watched_reads())
                         .unwrap_or(crate::contracts::PEER_INFO_ALL),
@@ -484,12 +471,6 @@ impl Vmm {
         Vmm::from_manifest(&Manifest::new()).expect("empty manifest always loads")
     }
 
-    /// Override the default per-run instruction budget. Extensions whose
-    /// manifest entry declares its own `fuel` keep that value.
-    pub fn set_fuel(&mut self, fuel: u64) {
-        self.vm_config = VmConfig { fuel };
-    }
-
     /// Toggle proof-carrying runtime-check elision for every attached
     /// extension (on by default). Off forces every memory access through
     /// the fully checked path and re-arms the per-instruction fuel
@@ -501,24 +482,6 @@ impl Vmm {
         for (_, e) in &mut self.exts {
             e.prog.set_elide(on);
         }
-    }
-
-    /// Cap what `ctx_malloc` may hand extension `name` per run, in bytes
-    /// (clamped to the arena's [`HEAP_SIZE`]).
-    pub fn set_mem_cap(&mut self, name: &str, cap: usize) {
-        for (_, e) in self.exts.iter_mut().filter(|(_, e)| e.name == name) {
-            e.mem_cap = cap.min(HEAP_SIZE);
-        }
-    }
-
-    /// The effective per-invocation policy for extension `name`, if
-    /// loaded: manifest-declared values with VMM defaults filled in.
-    pub fn policy_of(&self, name: &str) -> Option<ExecPolicy> {
-        self.exts.iter().find(|(_, e)| e.name == name).map(|(_, e)| ExecPolicy {
-            fuel: e.fuel_override.unwrap_or(self.vm_config.fuel),
-            mem_cap: e.mem_cap,
-            on_fault: e.on_fault,
-        })
     }
 
     /// Is any extension attached to `point`? Hosts use this to skip
@@ -546,7 +509,7 @@ impl Vmm {
         let pi = point_index(point);
         // One predictable branch decides whether any accounting happens;
         // an untracked VMM pays nothing else on the hot path.
-        let track = self.metrics_enabled || self.recorder_active;
+        let track = self.metrics_enabled;
         if track {
             self.points[pi].runs += 1;
         }
@@ -597,7 +560,6 @@ impl Vmm {
                     shared: &mut self.shared[shared_idx].meta,
                     scratch: &mut self.scratch,
                     txn: &mut txn,
-                    mem_cap: ext.mem_cap,
                     heap_used: 0,
                     tracer: self.tracer.as_deref_mut(),
                     prof: self.profiler.as_deref_mut(),
@@ -641,7 +603,7 @@ impl Vmm {
                     self.last_error = None;
                     if track {
                         self.points[pi].values += 1;
-                        self.finish_run(pi, point, chain_start, "value");
+                        self.finish_run(pi, chain_start);
                     }
                     self.commit(pi, name_idx, txn, host);
                     if let Some(t) = self.tracer.as_deref_mut() {
@@ -729,16 +691,9 @@ impl Vmm {
                             "xbgp: extension `{name}` quarantined after \
                              {QUARANTINE_THRESHOLD} consecutive faults"
                         ));
-                        if self.recorder_active {
-                            self.recorder.counter_add(
-                                "xbgp_vmm_quarantines_total",
-                                &[("extension", &name)],
-                                1,
-                            );
-                        }
                     }
                     if track {
-                        self.finish_run(pi, point, chain_start, "error");
+                        self.finish_run(pi, chain_start);
                     }
                     let out = match on_fault {
                         OnFault::Fallback => VmmOutcome::Fallback,
@@ -761,7 +716,7 @@ impl Vmm {
         self.last_error = None;
         if track {
             self.points[pi].fallbacks += 1;
-            self.finish_run(pi, point, chain_start, "fallback");
+            self.finish_run(pi, chain_start);
         }
         let last = *self.attached[pi].last().expect("chain non-empty");
         self.commit(pi, last, txn, host);
@@ -790,29 +745,10 @@ impl Vmm {
         }
     }
 
-    /// Per-chain bookkeeping when a run with attached extensions ends:
-    /// observe the end-to-end latency and forward the outcome to the
-    /// pluggable recorder (a no-op unless the host installed one).
-    fn finish_run(
-        &mut self,
-        pi: usize,
-        point: InsertionPoint,
-        start: Option<Instant>,
-        outcome: &'static str,
-    ) {
+    /// Observe the end-to-end latency of a run with attached extensions.
+    fn finish_run(&mut self, pi: usize, start: Option<Instant>) {
         if let Some(t0) = start {
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.points[pi].latency.observe(ns);
-            if self.recorder_active {
-                self.recorder.observe("xbgp_vmm_run_latency_ns", &[("point", point.name())], ns);
-            }
-        }
-        if self.recorder_active {
-            self.recorder.counter_add(
-                "xbgp_vmm_runs_total",
-                &[("point", point.name()), ("outcome", outcome)],
-                1,
-            );
+            self.points[pi].latency.observe(t0.elapsed().as_nanos() as u64);
         }
     }
 
@@ -861,14 +797,6 @@ impl Vmm {
         self.metrics_enabled
     }
 
-    /// Install a live event sink. Each finished chain run emits an
-    /// `xbgp_vmm_runs_total{point,outcome}` counter increment, plus an
-    /// `xbgp_vmm_run_latency_ns{point}` observation when timing is on.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.recorder = recorder;
-        self.recorder_active = true;
-    }
-
     /// Attach a route-scoped flight recorder. Every loaded extension's
     /// name is interned up front, so recording an event never allocates.
     /// The host drives the route scope through [`Vmm::tracer_mut`]
@@ -913,11 +841,6 @@ impl Vmm {
                 ..VmProfiler::default()
             }));
         }
-    }
-
-    /// Whether the execution profiler is on.
-    pub fn profile_enabled(&self) -> bool {
-        self.profiler.is_some()
     }
 
     /// Point-in-time snapshot of every VMM metric:
@@ -1012,8 +935,6 @@ struct Dispatcher<'a> {
     /// Chain-scoped transaction: every host mutation stages here and
     /// reaches the host only if the whole chain finishes cleanly.
     txn: &'a mut Txn,
-    /// Policy cap on what `ctx_malloc` may hand out this run.
-    mem_cap: usize,
     heap_used: usize,
     /// Flight recorder, present only while tracing is enabled: helper
     /// calls and staged mutations become route-scoped events.
@@ -1044,7 +965,7 @@ impl Dispatcher<'_> {
     /// Bump-allocate `size` bytes (8-aligned) in the ephemeral heap.
     fn heap_alloc(&mut self, size: usize) -> Option<u64> {
         let aligned = (size + 7) & !7;
-        if self.heap_used + aligned > self.mem_cap {
+        if self.heap_used + aligned > HEAP_SIZE {
             return None;
         }
         let addr = HEAP_BASE + self.heap_used as u64;
@@ -1344,6 +1265,14 @@ mod tests {
     use std::sync::{PoisonError, RwLock};
     use xbgp_asm::assemble_with_symbols;
 
+    impl Vmm {
+        /// Override the default per-run instruction budget. Extensions
+        /// whose manifest entry declares its own `fuel` keep that value.
+        fn set_fuel(&mut self, fuel: u64) {
+            self.vm_config = VmConfig { fuel };
+        }
+    }
+
     fn spec(name: &str, point: InsertionPoint, helpers: &[&str], src: &str) -> ExtensionSpec {
         let prog = assemble_with_symbols(src, &crate::api::abi_symbols()).expect("assembles");
         ExtensionSpec::from_program(name, "test_group", point, helpers, &prog)
@@ -1563,36 +1492,6 @@ mod tests {
                 .expect("per-extension latency")
                 .count,
             3
-        );
-    }
-
-    #[test]
-    fn installed_recorder_receives_run_events() {
-        use std::sync::Arc;
-        use xbgp_obs::{Registry, RegistryRecorder};
-
-        let registry = Arc::new(Registry::new());
-        let mut vmm =
-            load(vec![spec("ret7", InsertionPoint::BgpInboundFilter, &[], "mov r0, 7\nexit")]);
-        vmm.enable_metrics();
-        vmm.set_recorder(Box::new(RegistryRecorder::new(Arc::clone(&registry))));
-        let mut host = MockHost::default();
-        vmm.run(InsertionPoint::BgpInboundFilter, &mut host);
-        vmm.run(InsertionPoint::BgpInboundFilter, &mut host);
-
-        let s = registry.snapshot();
-        assert_eq!(
-            s.counter_value(
-                "xbgp_vmm_runs_total",
-                &[("point", "bgp_inbound_filter"), ("outcome", "value")]
-            ),
-            Some(2)
-        );
-        assert_eq!(
-            s.histogram_value("xbgp_vmm_run_latency_ns", &[("point", "bgp_inbound_filter")])
-                .expect("recorder saw latency observations")
-                .count,
-            2
         );
     }
 
@@ -1975,21 +1874,25 @@ mod tests {
         let mut host = MockHost::default();
         assert_eq!(vmm.run(InsertionPoint::BgpDecision, &mut host), VmmOutcome::Fallback);
         assert!(matches!(vmm.last_error(), Some((_, VmError::FuelExhausted { .. }))));
-        let policy = vmm.policy_of("spinner").unwrap();
-        assert_eq!(policy.fuel, 50);
-        assert_eq!(policy.on_fault, crate::policy::OnFault::Fallback);
     }
 
     #[test]
     fn mem_cap_limits_ephemeral_allocation() {
-        // ctx_malloc(64) twice; returns how many came back non-null.
-        let src = r"
+        // ctx_malloc(arena - 64), then ctx_malloc(64) twice; returns how
+        // many came back non-null.
+        let src = format!(
+            r"
             mov r6, 0
-            mov r1, 64
+            mov r1, {}
             call ctx_malloc
             jeq r0, 0, second
             add r6, 1
         second:
+            mov r1, 64
+            call ctx_malloc
+            jeq r0, 0, third
+            add r6, 1
+        third:
             mov r1, 64
             call ctx_malloc
             jeq r0, 0, done
@@ -1997,18 +1900,19 @@ mod tests {
         done:
             mov r0, r6
             exit
-        ";
-        let mut vmm =
-            load(vec![spec("allocator", InsertionPoint::BgpDecision, &["ctx_malloc"], src)]);
-        let mut host = MockHost::default();
-        assert_eq!(vmm.run(InsertionPoint::BgpDecision, &mut host), VmmOutcome::Value(2));
-        vmm.set_mem_cap("allocator", 64);
-        assert_eq!(
-            vmm.run(InsertionPoint::BgpDecision, &mut host),
-            VmmOutcome::Value(1),
-            "the second allocation exceeds the 64-byte cap"
+        ",
+            HEAP_SIZE - 64
         );
-        assert_eq!(vmm.policy_of("allocator").unwrap().mem_cap, 64);
+        let mut vmm =
+            load(vec![spec("allocator", InsertionPoint::BgpDecision, &["ctx_malloc"], &src)]);
+        let mut host = MockHost::default();
+        for _ in 0..2 {
+            assert_eq!(
+                vmm.run(InsertionPoint::BgpDecision, &mut host),
+                VmmOutcome::Value(2),
+                "the third allocation exceeds the arena; every run starts with all of it"
+            );
+        }
     }
 
     #[test]
@@ -2500,7 +2404,6 @@ done:   mov r0, r6
             STAGE_THEN_VALUE,
         )]);
         vmm.enable_profile();
-        assert!(vmm.profile_enabled());
         let mut host = MockHost::default();
         for _ in 0..4 {
             assert_eq!(vmm.run(InsertionPoint::BgpInboundFilter, &mut host), VmmOutcome::Value(1));

@@ -40,10 +40,12 @@
 //! prefix ⑤ sees first — is what a group of one would have sent it.
 
 use crate::host::{Host, RouteSource};
+use crate::xbgp_glue::AttrStore;
 use crate::DaemonSpec;
 use netsim::NodeCtx;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::Deref;
 use xbgp_core::api::{
     InsertionPoint, PeerInfo, PeerType, PEER_INFO_OFF_FLAGS, PEER_INFO_OFF_TYPE, PEER_INFO_SIZE,
 };
@@ -64,9 +66,9 @@ pub struct Dest {
 /// Native (no-extension) export policy: everything goes to eBGP
 /// neighbors; iBGP neighbors get local and eBGP-learned routes, and
 /// iBGP-learned ones only by reflection (RFC 4456). A free function over
-/// the one `Host` field it reads, so it can be the fallback closure of
-/// [`crate::host::Hooks::run_filter`] while an execution context borrows
-/// the others.
+/// the one `Host` field it reads, so it can be the fallback closure of ④
+/// ([`Host::outbound_filter`]) while an execution context borrows the
+/// others.
 pub fn native_export(spec: &DaemonSpec, dest: &Dest, src: &RouteSource) -> bool {
     !dest.ibgp
         || src.local
@@ -74,25 +76,14 @@ pub fn native_export(spec: &DaemonSpec, dest: &Dest, src: &RouteSource) -> bool 
         || (spec.native_rr && (src.rr_client || dest.rr_client))
 }
 
-/// The representation-specific half of export: how an engine runs the two
-/// outbound insertion points over its own attribute type, rewrites
-/// attributes for a session type, and puts them on the wire.
+/// The representation-specific half of export: how an engine rewrites
+/// its attributes for a session type and puts them on the wire. The two
+/// outbound insertion points run over [`AttrStore`], in the host.
 pub trait Exporter {
     /// The engine's shared attribute handle. Equality decides whether an
     /// advertisement changed; equality and hash group a flush's
     /// announcements into UPDATEs.
-    type Attrs: Clone + Eq + Hash;
-
-    /// ④ `BGP_OUTBOUND_FILTER` for one route towards `dest`, falling back
-    /// to [`native_export`]. Only called with an extension attached.
-    fn outbound_filter(
-        &mut self,
-        host: &mut Host,
-        dest: &Dest,
-        prefix: Ipv4Prefix,
-        attrs: &Self::Attrs,
-        src: &RouteSource,
-    ) -> bool;
+    type Attrs: Clone + Eq + Hash + Deref<Target: AttrStore>;
 
     /// The attributes to advertise to `dest` for a route with `attrs`
     /// learned from `src`.
@@ -103,18 +94,6 @@ pub trait Exporter {
         attrs: &Self::Attrs,
         src: &RouteSource,
     ) -> Self::Attrs;
-
-    /// ⑤ `BGP_ENCODE_MESSAGE` for one batch: extensions append raw
-    /// attribute TLVs to `extra`. Only called with an extension attached.
-    fn encode_extra(
-        &mut self,
-        host: &mut Host,
-        dest: &Dest,
-        attrs: &Self::Attrs,
-        src: &RouteSource,
-        first: Ipv4Prefix,
-        extra: &mut Vec<u8>,
-    );
 
     fn to_wire(attrs: &Self::Attrs) -> Vec<PathAttr>;
 }
@@ -239,7 +218,7 @@ struct Group<A> {
     dumps: Vec<(usize, Vec<Change<A>>)>,
 }
 
-impl<A: Clone + Eq + Hash> Group<A> {
+impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> Group<A> {
     /// The verdict of the export policy on one best route: what to
     /// advertise, or `None`.
     fn evaluate<X: Exporter<Attrs = A>>(
@@ -258,12 +237,8 @@ impl<A: Clone + Eq + Hash> Group<A> {
                 return None;
             }
         }
-        let allowed = if host.hooks.vmm.has_extensions(InsertionPoint::BgpOutboundFilter) {
-            x.outbound_filter(host, &self.dest, prefix, attrs, src)
-        } else {
-            native_export(&host.spec, &self.dest, src)
-        };
-        allowed.then(|| (x.transform(host, &self.dest, attrs, src), *src))
+        host.outbound_filter(&self.dest, prefix, &**attrs, src)
+            .then(|| (x.transform(host, &self.dest, attrs, src), *src))
     }
 
     /// Store a verdict and log what it changed.
@@ -298,7 +273,6 @@ impl<A: Clone + Eq + Hash> Group<A> {
     fn send<X: Exporter<Attrs = A>>(
         dest: &Dest,
         host: &mut Host,
-        x: &mut X,
         ctx: &mut NodeCtx<'_>,
         log: &[Change<A>],
         who: Option<u32>,
@@ -306,21 +280,18 @@ impl<A: Clone + Eq + Hash> Group<A> {
     ) {
         let (withdrawals, batches) = project(log, who);
         host.send_withdrawals(ctx, to, &withdrawals);
-        let encode_ext = host.hooks.vmm.has_extensions(InsertionPoint::BgpEncodeMessage);
         let mut extra = Vec::new();
         for b in batches {
             extra.clear();
-            if encode_ext {
-                x.encode_extra(host, dest, b.attrs, &b.source, b.prefixes[0], &mut extra);
-            }
+            host.encode_message(dest, &**b.attrs, &b.source, b.prefixes[0], &mut extra);
             host.send_announce(ctx, to, &X::to_wire(b.attrs), &extra, &b.prefixes);
         }
     }
 
-    fn flush<X: Exporter<Attrs = A>>(&mut self, host: &mut Host, x: &mut X, ctx: &mut NodeCtx<'_>) {
+    fn flush<X: Exporter<Attrs = A>>(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
         for (idx, dump) in std::mem::take(&mut self.dumps) {
             if let Some(m) = self.members.iter().find(|m| m.idx == idx) {
-                Self::send(&self.dest, host, x, ctx, &dump, Some(m.addr), &[idx]);
+                Self::send::<X>(&self.dest, host, ctx, &dump, Some(m.addr), &[idx]);
             }
         }
         if self.log.is_empty() {
@@ -337,13 +308,13 @@ impl<A: Clone + Eq + Hash> Group<A> {
         let mut rest = Vec::with_capacity(self.members.len());
         for m in &self.members {
             if named.binary_search(&m.addr).is_ok() {
-                Self::send(&self.dest, host, x, ctx, &log, Some(m.addr), &[m.idx]);
+                Self::send::<X>(&self.dest, host, ctx, &log, Some(m.addr), &[m.idx]);
             } else {
                 rest.push(m.idx);
             }
         }
         if !rest.is_empty() {
-            Self::send(&self.dest, host, x, ctx, &log, None, &rest);
+            Self::send::<X>(&self.dest, host, ctx, &log, None, &rest);
         }
     }
 
@@ -374,7 +345,7 @@ pub struct UpdateGroups<A> {
     groups: Vec<Group<A>>,
 }
 
-impl<A: Clone + Eq + Hash> UpdateGroups<A> {
+impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> UpdateGroups<A> {
     pub fn new(host: &Host) -> UpdateGroups<A> {
         let points = [InsertionPoint::BgpOutboundFilter, InsertionPoint::BgpEncodeMessage];
         UpdateGroups {
@@ -475,14 +446,9 @@ impl<A: Clone + Eq + Hash> UpdateGroups<A> {
     }
 
     /// Send everything queued since the last flush.
-    pub fn flush<X: Exporter<Attrs = A>>(
-        &mut self,
-        host: &mut Host,
-        x: &mut X,
-        ctx: &mut NodeCtx<'_>,
-    ) {
+    pub fn flush<X: Exporter<Attrs = A>>(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
         for g in &mut self.groups {
-            g.flush(host, x, ctx);
+            g.flush::<X>(host, ctx);
         }
     }
 

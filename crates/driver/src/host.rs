@@ -7,11 +7,13 @@
 //! counters and the metrics snapshot ([`HostStats`]), the insertion-point runner
 //! with its filter-verdict mapping ([`Hooks`]), the marshalled peer /
 //! source / nexthop views extensions read, and the UPDATE framer; export
-//! (Adj-RIB-Out, outbound batching) is [`crate::export`]. What differs
-//! between `bgp-fir` and `bgp-wren` — attribute representation, RIB
-//! organisation, ROA backend, xBGP glue — sits behind [`RouteEngine`],
-//! and [`BgpDaemon<E>`] is the one [`netsim::Node`] and the one
-//! [`Daemon`] for both.
+//! (Adj-RIB-Out, outbound batching) is [`crate::export`], the xBGP
+//! execution context and the five insertion-point calls are
+//! [`crate::xbgp_glue`]. What differs between `bgp-fir` and `bgp-wren` —
+//! attribute representation, RIB organisation, ROA backend — sits behind
+//! [`RouteEngine`] and [`crate::xbgp_glue::AttrStore`], and
+//! [`BgpDaemon<E>`] is the one [`netsim::Node`] and the one [`Daemon`]
+//! for both.
 //!
 //! The host calls the engine and then [`RouteEngine::flush`] after
 //! *every* event (start, session up, session down, UPDATE), so an engine
@@ -24,7 +26,7 @@ use rpki::{RoaHashTable, RoaTable};
 use std::any::Any;
 use std::collections::HashMap;
 use std::time::Instant;
-use xbgp_core::api::{self, InsertionPoint, NextHopInfo, PeerInfo, PeerType, PEER_INFO_SIZE};
+use xbgp_core::api::{self, InsertionPoint, NextHopInfo, PeerInfo, PeerType};
 use xbgp_core::vmm::ExtensionStats;
 use xbgp_core::{HostApi, Vmm, VmmOutcome};
 use xbgp_obs::trace::{pack_prefix, TraceConfig, TraceDump, TraceKind, NO_EXT, NO_POINT};
@@ -151,9 +153,9 @@ fn pindex(p: InsertionPoint) -> usize {
 }
 
 /// The insertion-point runner: the VMM plus the hook-site latency
-/// histograms. A field of its own inside [`Host`] so an engine can run a
-/// hook while its execution context borrows the host's other fields
-/// (`logs`, `ext_rib_adds`, `xbgp_rov`, `spec.xtra`).
+/// histograms. A field of its own inside [`Host`] so a point
+/// ([`crate::xbgp_glue`]) can run while its execution context borrows the
+/// host's other fields (`logs`, `ext_rib_adds`, `xbgp_rov`, `spec.xtra`).
 pub struct Hooks {
     pub vmm: Vmm,
     /// Wall-clock nanoseconds around each insertion-point run — a
@@ -297,8 +299,7 @@ impl Host {
     }
 
     /// A route's *source* as a [`PeerInfo`] (the decision point's peer;
-    /// marshalled by [`Host::source_info_bytes`] for the outbound-filter
-    /// and encode points).
+    /// marshalled as argument 0 of the outbound-filter and encode points).
     pub fn source_info(&self, src: &RouteSource) -> PeerInfo {
         let mut flags = 0;
         if src.rr_client {
@@ -315,10 +316,6 @@ impl Host {
             local_asn: self.spec.asn,
             flags,
         }
-    }
-
-    pub fn source_info_bytes(&self, src: &RouteSource) -> [u8; PEER_INFO_SIZE] {
-        self.source_info(src).to_bytes()
     }
 
     pub fn igp_metric(&self, nexthop: u32) -> u32 {

@@ -31,12 +31,17 @@
 //!   UPDATE batching, shared by every peer the export path cannot tell
 //!   apart ([`export::UpdateGroups`], over the [`export::Exporter`] hooks
 //!   an engine implements for its attribute type).
+//! * [`xbgp_glue`] — the xBGP execution context, its one `HostApi`
+//!   implementation and one [`host::Host`] method per insertion point,
+//!   over the [`xbgp_glue::AttrStore`] view an engine gives of its
+//!   attribute representation.
 //! * [`DutNode`] — a newtype that lets a `Box<dyn Daemon>` live in the
 //!   simulator's node table (which downcasts to concrete types) while
 //!   still being reachable as a trait object.
 
 pub mod export;
 pub mod host;
+pub mod xbgp_glue;
 
 use netsim::{LinkId, Node, NodeCtx};
 use xbgp_obs::trace::{TraceConfig, TraceDump};

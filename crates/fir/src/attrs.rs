@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
-use xbgp_wire::attr::{encode_attr_tlv, AttrCode, AttrFlags, Origin};
+use xbgp_wire::attr::{encode_attr_tlv, validate_neutral, AttrCode, AttrFlags, Origin};
 use xbgp_wire::{AsPath, PathAttr, WireError};
 
 /// One fully parsed, host-order attribute set.
@@ -197,83 +197,23 @@ impl FirAttrs {
         }
     }
 
-    /// Stage-time validation for [`FirAttrs::set_neutral`]: would this
-    /// neutral payload convert into the host representation? Pure — the
-    /// VMM calls it from `check_op` before buffering the mutation, so a
-    /// later commit cannot fail on a malformed payload. Reasons carry no
-    /// `attribute {code}:` prefix; the caller wraps them in a typed error.
-    pub fn validate_neutral(code: u8, value: &[u8]) -> Result<(), String> {
-        let need = |n: usize| -> Result<(), String> {
-            if value.len() == n {
-                Ok(())
-            } else {
-                Err(format!("expected {n} bytes, got {}", value.len()))
-            }
-        };
-        match code {
-            1 => {
-                need(1)?;
-                Origin::from_u8(value[0]).map_err(|e| e.to_string())?;
-            }
-            2 => {
-                AsPath::decode_body(value, 4).map_err(|e| e.to_string())?;
-            }
-            3..=5 | 9 => need(4)?,
-            8 | 10 if !value.len().is_multiple_of(4) => {
-                return Err("payload not a multiple of 4".into());
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
     /// xBGP `set_attr`: overwrite (or insert) attribute `code` from a
     /// network-byte-order payload, converting into the host representation.
+    /// A payload [`validate_neutral`] refuses changes nothing. The natively
+    /// modelled codes ignore `flags` (theirs are fixed); an empty
+    /// COMMUNITIES or CLUSTER_LIST is the attribute's absence.
     pub fn set_neutral(&mut self, code: u8, flags: u8, value: &[u8]) -> Result<(), String> {
+        validate_neutral(code, value)?;
         let be32 = |b: &[u8]| u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
-        let need = |n: usize| -> Result<(), String> {
-            if value.len() == n {
-                Ok(())
-            } else {
-                Err(format!("attribute {code}: expected {n} bytes, got {}", value.len()))
-            }
-        };
         match code {
-            1 => {
-                need(1)?;
-                self.origin = Origin::from_u8(value[0]).map_err(|e| e.to_string())?;
-            }
-            2 => {
-                self.as_path = AsPath::decode_body(value, 4).map_err(|e| e.to_string())?;
-            }
-            3 => {
-                need(4)?;
-                self.next_hop = be32(value);
-            }
-            4 => {
-                need(4)?;
-                self.med = Some(be32(value));
-            }
-            5 => {
-                need(4)?;
-                self.local_pref = Some(be32(value));
-            }
-            8 => {
-                if !value.len().is_multiple_of(4) {
-                    return Err("COMMUNITIES payload not a multiple of 4".into());
-                }
-                self.communities = value.chunks_exact(4).map(be32).collect();
-            }
-            9 => {
-                need(4)?;
-                self.originator_id = Some(be32(value));
-            }
-            10 => {
-                if !value.len().is_multiple_of(4) {
-                    return Err("CLUSTER_LIST payload not a multiple of 4".into());
-                }
-                self.cluster_list = value.chunks_exact(4).map(be32).collect();
-            }
+            1 => self.origin = Origin::from_u8(value[0]).map_err(|e| e.to_string())?,
+            2 => self.as_path = AsPath::decode_body(value, 4).map_err(|e| e.to_string())?,
+            3 => self.next_hop = be32(value),
+            4 => self.med = Some(be32(value)),
+            5 => self.local_pref = Some(be32(value)),
+            8 => self.communities = value.chunks_exact(4).map(be32).collect(),
+            9 => self.originator_id = Some(be32(value)),
+            10 => self.cluster_list = value.chunks_exact(4).map(be32).collect(),
             other => match self.extra.iter_mut().find(|(c, _, _)| *c == other) {
                 Some(slot) => {
                     slot.1 = flags;
@@ -285,24 +225,21 @@ impl FirAttrs {
         Ok(())
     }
 
-    /// xBGP `remove_attr`.
-    pub fn remove_neutral(&mut self, code: u8) -> Result<(), String> {
+    /// xBGP `remove_attr`: false when `code` was not there — or is one of
+    /// the mandatory ORIGIN, AS_PATH, NEXT_HOP, which stay.
+    pub fn remove_neutral(&mut self, code: u8) -> bool {
+        if (1..=3).contains(&code) || !self.has_neutral(code) {
+            return false;
+        }
         match code {
             4 => self.med = None,
             5 => self.local_pref = None,
             8 => self.communities.clear(),
             9 => self.originator_id = None,
             10 => self.cluster_list.clear(),
-            1..=3 => return Err(format!("attribute {code} is mandatory")),
-            other => {
-                let before = self.extra.len();
-                self.extra.retain(|(c, _, _)| *c != other);
-                if self.extra.len() == before {
-                    return Err(format!("attribute {other} not present"));
-                }
-            }
+            other => self.extra.retain(|(c, _, _)| *c != other),
         }
-        Ok(())
+        true
     }
 
     /// Encode the `extra` attributes as raw TLVs (what a native FRR cannot
@@ -434,20 +371,24 @@ mod tests {
         assert_eq!(a.cluster_list, vec![1, 2]);
         a.set_neutral(66, 0xc0, &[9, 9]).unwrap();
         assert_eq!(a.neutral_payload(66).unwrap().1, vec![9, 9]);
-        // Bad sizes are rejected.
+        // Bad sizes are rejected and change nothing.
+        let before = a.clone();
         assert!(a.set_neutral(3, 0x40, &[1, 2]).is_err());
         assert!(a.set_neutral(8, 0xc0, &[1, 2, 3]).is_err());
+        assert_eq!(a, before);
     }
 
     #[test]
     fn remove_neutral_semantics() {
         let mut a = FirAttrs::from_wire(&sample()).unwrap();
-        a.remove_neutral(4).unwrap();
+        assert!(a.remove_neutral(4));
         assert_eq!(a.med, None);
-        assert!(a.remove_neutral(3).is_err(), "mandatory attributes stay");
-        assert!(a.remove_neutral(77).is_err(), "absent attribute");
+        assert!(!a.remove_neutral(4), "already gone");
+        assert!(!a.remove_neutral(3), "mandatory attributes stay");
+        assert_eq!(a.next_hop, 0x0a00_0001);
+        assert!(!a.remove_neutral(77), "absent attribute");
         a.set_neutral(77, 0xc0, &[1]).unwrap();
-        a.remove_neutral(77).unwrap();
+        assert!(a.remove_neutral(77));
         assert_eq!(a.neutral_payload(77), None);
     }
 

@@ -1,18 +1,19 @@
 //! The FIR route engine: interned host-order attributes, slot-indexed
-//! RIB store, delta decision process and the five xBGP insertion points.
-//! Sessions, timers, stats, hook timing and UPDATE framing are the shared
-//! host's ([`xbgp_driver::host`]); the Adj-RIB-Out and outbound batching
-//! are its update-groups ([`xbgp_driver::export`]).
+//! RIB store and delta decision process. Sessions, timers, stats, hook
+//! timing and UPDATE framing are the shared host's
+//! ([`xbgp_driver::host`]); the Adj-RIB-Out and outbound batching are its
+//! update-groups ([`xbgp_driver::export`]); each of the five xBGP
+//! insertion points is one call into it ([`xbgp_driver::xbgp_glue`]).
 
 use crate::attrs::{AttrInternTable, FirAttrs};
 use crate::rib::{peer_slot, DecisionCtx, RibEntry, RibStore, RouteSource, LOCAL_SLOT};
-use crate::xbgp_glue::{AttrAccess, FirXbgpCtx};
 use netsim::NodeCtx;
 use rpki::{RoaTable, RoaTrie, RovState};
 use std::rc::Rc;
 use xbgp_core::api::{InsertionPoint, NextHopInfo, PeerInfo, PeerType};
-use xbgp_driver::export::{native_export, Dest, Exporter, UpdateGroups};
+use xbgp_driver::export::{Dest, Exporter, UpdateGroups};
 use xbgp_driver::host::{BgpDaemon, Host, RouteEngine};
+use xbgp_driver::xbgp_glue::Rejected;
 use xbgp_obs::trace::pack_prefix;
 use xbgp_obs::Snapshot;
 use xbgp_rib::{push_rib_gauges, DirtySet, RibCounters};
@@ -77,26 +78,8 @@ impl FirEngine {
         nlri: &[Ipv4Prefix],
         raw_body: &[u8],
     ) {
-        let peer_info = host.peer_info(idx);
+        host.receive_message(idx, raw_body, &mut attrs); // ①
         let peer_type = host.neighbors[idx].peer_type();
-
-        // ① BGP_RECEIVE_MESSAGE: the extension sees the raw message and
-        // may attach attributes to the routes being parsed.
-        if host.hooks.vmm.has_extensions(InsertionPoint::BgpReceiveMessage) {
-            let mut hctx = FirXbgpCtx {
-                peer: peer_info,
-                args: &[raw_body],
-                attrs: AttrAccess::Mut(&mut attrs),
-                prefix: None,
-                nexthop: None,
-                xtra: &host.spec.xtra,
-                out_buf: None,
-                rov: host.xbgp_rov.as_ref(),
-                rib_adds: &mut host.ext_rib_adds,
-                logs: &mut host.logs,
-            };
-            let _ = host.hooks.run(InsertionPoint::BgpReceiveMessage, &mut hctx);
-        }
 
         // Sender-side loop detection: drop silently (RFC 4271 §9.1.2,
         // RFC 4456 §8).
@@ -120,11 +103,7 @@ impl FirEngine {
             local: false,
         };
         let shared = self.intern.intern(attrs);
-        let filter = host
-            .hooks
-            .vmm
-            .has_extensions(InsertionPoint::BgpInboundFilter)
-            .then(|| (peer_info, host.nexthop_info(shared.next_hop)));
+        let filter = host.inbound_views(idx, &*shared);
         let slot = peer_slot(idx);
 
         for prefix in nlri {
@@ -166,27 +145,11 @@ impl FirEngine {
         filter: Option<(PeerInfo, NextHopInfo)>,
     ) {
         let mut entry_attrs = Rc::clone(shared);
-        if let Some((peer, nexthop)) = filter {
-            // Per route, copy-on-write attributes.
-            let mut modified = None;
-            let mut hctx = FirXbgpCtx {
-                peer,
-                args: &[],
-                attrs: AttrAccess::Cow { base: shared, modified: &mut modified },
-                prefix: Some(prefix),
-                nexthop: Some(nexthop),
-                xtra: &host.spec.xtra,
-                out_buf: None,
-                rov: host.xbgp_rov.as_ref(),
-                rib_adds: &mut host.ext_rib_adds,
-                logs: &mut host.logs,
-            };
-            let point = InsertionPoint::BgpInboundFilter;
-            if !host.hooks.run_filter(point, &mut hctx, &mut host.stats, || true) {
-                return self.remove_candidate_and_decide(host, prefix, slot);
-            }
-            if let Some(m) = modified {
-                entry_attrs = self.intern.intern(m);
+        if let Some(views) = filter {
+            match host.inbound_filter(views, prefix, &**shared) {
+                Ok(Some(modified)) => entry_attrs = self.intern.intern(modified),
+                Ok(None) => {}
+                Err(Rejected) => return self.remove_candidate_and_decide(host, prefix, slot),
             }
         }
 
@@ -220,25 +183,8 @@ impl FirEngine {
     /// Is `candidate` preferred over `best`? Consults the ③ BGP_DECISION
     /// insertion point before the native RFC 4271 comparison.
     fn better(host: &mut Host, candidate: &RibEntry, best: &RibEntry) -> bool {
-        if host.hooks.vmm.has_extensions(InsertionPoint::BgpDecision) {
-            let best_wire = encode_attrs(&best.attrs.to_wire(), 4);
-            let mut hctx = FirXbgpCtx {
-                peer: PeerInfo { flags: 0, ..host.source_info(&candidate.source) },
-                args: &[best_wire.as_slice()],
-                attrs: AttrAccess::Read(&candidate.attrs),
-                prefix: None,
-                nexthop: Some(host.nexthop_info(candidate.attrs.next_hop)),
-                xtra: &host.spec.xtra,
-                out_buf: None,
-                rov: host.xbgp_rov.as_ref(),
-                rib_adds: &mut host.ext_rib_adds,
-                logs: &mut host.logs,
-            };
-            if let Some(prefer_new) = host.hooks.run_decision(&mut hctx, &mut host.stats) {
-                return prefer_new;
-            }
-        }
-        Self::native_better(host, candidate, best)
+        host.decision(&*candidate.attrs, &candidate.source, || best.attrs.to_wire())
+            .unwrap_or_else(|| Self::native_better(host, candidate, best))
     }
 
     /// Can the incremental engine trust pairwise comparisons against the
@@ -384,41 +330,14 @@ impl FirEngine {
 // Outbound pipeline
 // ---------------------------------------------------------------------
 
-/// FIR's half of export: ④/⑤ over interned host-order attributes.
+/// FIR's half of export: attributes are rewritten on a copy and
+/// interned again.
 struct FirExport<'a> {
     intern: &'a mut AttrInternTable,
 }
 
 impl Exporter for FirExport<'_> {
     type Attrs = Rc<FirAttrs>;
-
-    /// ④ BGP_OUTBOUND_FILTER: policy. Value forces, Fallback → native.
-    fn outbound_filter(
-        &mut self,
-        host: &mut Host,
-        dest: &Dest,
-        prefix: Ipv4Prefix,
-        attrs: &Rc<FirAttrs>,
-        src: &RouteSource,
-    ) -> bool {
-        let src_bytes = host.source_info_bytes(src);
-        let mut hctx = FirXbgpCtx {
-            peer: dest.peer,
-            args: &[&src_bytes[..]],
-            attrs: AttrAccess::Read(attrs),
-            prefix: Some(prefix),
-            nexthop: Some(host.nexthop_info(attrs.next_hop)),
-            xtra: &host.spec.xtra,
-            out_buf: None,
-            rov: host.xbgp_rov.as_ref(),
-            rib_adds: &mut host.ext_rib_adds,
-            logs: &mut host.logs,
-        };
-        let spec = &host.spec;
-        let point = InsertionPoint::BgpOutboundFilter;
-        host.hooks
-            .run_filter(point, &mut hctx, &mut host.stats, || native_export(spec, dest, src))
-    }
 
     /// Mechanism: transform attributes for the session type.
     fn transform(
@@ -450,32 +369,6 @@ impl Exporter for FirExport<'_> {
             a.cluster_list.clear();
         }
         self.intern.intern(a)
-    }
-
-    /// ⑤ BGP_ENCODE_MESSAGE: extensions append raw attribute TLVs.
-    fn encode_extra(
-        &mut self,
-        host: &mut Host,
-        dest: &Dest,
-        attrs: &Rc<FirAttrs>,
-        src: &RouteSource,
-        first: Ipv4Prefix,
-        extra: &mut Vec<u8>,
-    ) {
-        let src_bytes = host.source_info_bytes(src);
-        let mut hctx = FirXbgpCtx {
-            peer: dest.peer,
-            args: &[&src_bytes[..]],
-            attrs: AttrAccess::Read(attrs),
-            prefix: Some(first),
-            nexthop: None,
-            xtra: &host.spec.xtra,
-            out_buf: Some(extra),
-            rov: host.xbgp_rov.as_ref(),
-            rib_adds: &mut host.ext_rib_adds,
-            logs: &mut host.logs,
-        };
-        let _ = host.hooks.run(InsertionPoint::BgpEncodeMessage, &mut hctx);
     }
 
     fn to_wire(attrs: &Rc<FirAttrs>) -> Vec<PathAttr> {
@@ -574,7 +467,7 @@ impl RouteEngine for FirEngine {
     }
 
     fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
-        self.out.flush(host, &mut FirExport { intern: &mut self.intern }, ctx);
+        self.out.flush::<FirExport>(host, ctx);
     }
 
     fn loc_rib_len(&self) -> usize {

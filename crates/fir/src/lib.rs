@@ -19,10 +19,11 @@
 //!   threaded into the xBGP insertion point explicitly (the "5 extra lines
 //!   of code" item of §2.1).
 //!
-//! [`FirEngine`] implements the three RIBs, the decision process, native
-//! route reflection (RFC 4456) and all five xBGP insertion points; the
-//! RFC 4271 session FSM, timers, stats and UPDATE framing around it are
-//! the shared host's (`xbgp_driver::host`), and [`FirDaemon`] is that
+//! [`FirEngine`] implements the three RIBs, the decision process and
+//! native route reflection (RFC 4456), and calls the host at each of the
+//! five xBGP insertion points; the RFC 4271 session FSM, timers, stats,
+//! UPDATE framing and the xBGP execution context around it are the shared
+//! host's (`xbgp_driver::{host, xbgp_glue}`), and [`FirDaemon`] is that
 //! host driving this engine.
 
 pub mod attrs;

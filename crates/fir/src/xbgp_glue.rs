@@ -1,315 +1,35 @@
-//! xBGP execution contexts for FIR.
+//! FIR's side of xBGP: the attribute store.
 //!
-//! Each insertion-point invocation builds a [`FirXbgpCtx`] over the
-//! daemon's state relevant to that point; the VMM's helpers reach the
-//! host through the `HostApi` methods implemented here. Because FIR
-//! stores attributes parsed and host-ordered, `get_attr`/`set_attr` calls
-//! run the conversion in [`crate::attrs::FirAttrs::neutral_payload`] /
-//! [`crate::attrs::FirAttrs::set_neutral`] — FIR pays a representation
-//! tax on every attribute access, exactly like FRRouting in the paper.
-//!
-//! Attribute mutation at per-route points is copy-on-write: routes share
-//! interned attribute sets, so the context clones the set only when an
-//! extension actually writes.
+//! The execution context, its `HostApi` implementation and the five
+//! insertion-point calls are the shared host's
+//! ([`xbgp_driver::xbgp_glue`]); what FIR adds is how one route's
+//! attributes answer the neutral API. Because FIR stores attributes
+//! parsed and host-ordered, every access runs a conversion in
+//! [`crate::attrs`] (`neutral_payload_into` / `set_neutral` /
+//! `remove_neutral`) — FIR pays a representation tax on every `get_attr`
+//! and `set_attr`, exactly like FRRouting in the paper.
 
 use crate::attrs::FirAttrs;
-use rpki::{RoaHashTable, RoaTable};
-use xbgp_core::api::{NextHopInfo, PeerInfo};
-use xbgp_core::{HostApi, HostError, HostOp};
-use xbgp_wire::Ipv4Prefix;
+use xbgp_driver::xbgp_glue::AttrStore;
 
-/// How the current insertion point exposes route attributes.
-pub enum AttrAccess<'a> {
-    /// No route in scope.
-    None,
-    /// Read-only attribute set (encode-message point).
-    Read(&'a FirAttrs),
-    /// Copy-on-write: reads come from `modified` if an extension has
-    /// written, else from `base`; the first write clones `base`.
-    Cow {
-        base: &'a FirAttrs,
-        modified: &'a mut Option<FirAttrs>,
-    },
-    /// Direct mutation (receive-message point: the pending attribute set
-    /// for all routes of the UPDATE being parsed).
-    Mut(&'a mut FirAttrs),
-}
-
-impl AttrAccess<'_> {
-    /// Non-mutating probe used by `check_op`: can this point write
-    /// attributes at all? (A `write()` call would clone on a Cow point.)
-    fn writable(&self) -> bool {
-        !matches!(self, AttrAccess::None | AttrAccess::Read(_))
-    }
-
-    fn read(&self) -> Option<&FirAttrs> {
-        match self {
-            AttrAccess::None => None,
-            AttrAccess::Read(a) => Some(a),
-            AttrAccess::Cow { base, modified } => Some(modified.as_ref().unwrap_or(base)),
-            AttrAccess::Mut(a) => Some(a),
-        }
-    }
-
-    fn write(&mut self) -> Option<&mut FirAttrs> {
-        match self {
-            AttrAccess::None | AttrAccess::Read(_) => None,
-            AttrAccess::Cow { base, modified } => {
-                if modified.is_none() {
-                    **modified = Some((*base).clone());
-                }
-                modified.as_mut()
-            }
-            AttrAccess::Mut(a) => Some(a),
-        }
-    }
-}
-
-/// The execution context handed to the VMM at a FIR insertion point.
-pub struct FirXbgpCtx<'a> {
-    pub peer: PeerInfo,
-    /// Insertion-point arguments (raw message body, source peer info, …),
-    /// borrowed from the daemon — building a context copies nothing.
-    pub args: &'a [&'a [u8]],
-    pub attrs: AttrAccess<'a>,
-    pub prefix: Option<Ipv4Prefix>,
-    pub nexthop: Option<NextHopInfo>,
-    /// Router configuration for `get_xtra` (manifest data is layered in by
-    /// the VMM itself).
-    pub xtra: &'a [(String, Vec<u8>)],
-    /// Output buffer (encode-message point): raw attribute TLVs appended
-    /// to the outgoing UPDATE.
-    pub out_buf: Option<&'a mut Vec<u8>>,
-    /// The xBGP-layer ROA store backing `rpki_check_origin` (hash table,
-    /// per §3.4 — not FIR's native trie).
-    pub rov: Option<&'a RoaHashTable>,
-    /// Routes installed by `rib_add_route` via hidden context arguments.
-    pub rib_adds: &'a mut Vec<(Ipv4Prefix, u32)>,
-    /// Debug output sink.
-    pub logs: &'a mut Vec<String>,
-}
-
-impl HostApi for FirXbgpCtx<'_> {
-    fn peer_info(&self) -> PeerInfo {
-        self.peer
-    }
-
-    fn nexthop_info(&self) -> Option<NextHopInfo> {
-        self.nexthop
-    }
-
-    fn prefix(&self) -> Option<Ipv4Prefix> {
-        self.prefix
-    }
-
-    fn arg(&self, idx: u32) -> Option<&[u8]> {
-        self.args.get(idx as usize).copied()
-    }
-
-    fn get_attr_into(&self, code: u8, out: &mut Vec<u8>) -> Option<u8> {
-        self.attrs.read()?.neutral_payload_into(code, out)
+impl AttrStore for FirAttrs {
+    fn attr_into(&self, code: u8, out: &mut Vec<u8>) -> Option<u8> {
+        self.neutral_payload_into(code, out)
     }
 
     fn has_attr(&self, code: u8) -> bool {
-        self.attrs.read().is_some_and(|a| a.has_neutral(code))
+        self.has_neutral(code)
     }
 
-    fn check_op(&self, op: &HostOp<'_>) -> Result<(), HostError> {
-        match op {
-            HostOp::SetAttr { code, value, .. } => {
-                if !self.attrs.writable() {
-                    return Err(HostError::ReadOnlyPoint { op: "set_attr" });
-                }
-                FirAttrs::validate_neutral(*code, value)
-                    .map_err(|reason| HostError::BadAttrValue { code: *code, reason })
-            }
-            HostOp::RemoveAttr { code } => {
-                if !self.attrs.writable() {
-                    Err(HostError::ReadOnlyPoint { op: "remove_attr" })
-                } else if (1..=3).contains(code) {
-                    Err(HostError::MandatoryAttr { code: *code })
-                } else {
-                    Ok(())
-                }
-            }
-            HostOp::WriteBuf { .. } => {
-                if self.out_buf.is_some() {
-                    Ok(())
-                } else {
-                    Err(HostError::NoOutputBuffer)
-                }
-            }
-            HostOp::RibAddRoute { .. } => Ok(()),
-        }
+    fn store_attr(&mut self, code: u8, flags: u8, value: &[u8]) -> Result<(), String> {
+        self.set_neutral(code, flags, value)
     }
 
-    fn set_attr(&mut self, code: u8, flags: u8, value: &[u8]) -> Result<(), HostError> {
-        self.attrs
-            .write()
-            .ok_or(HostError::ReadOnlyPoint { op: "set_attr" })?
-            .set_neutral(code, flags, value)
-            .map_err(|reason| HostError::BadAttrValue { code, reason })
+    fn drop_attr(&mut self, code: u8) -> bool {
+        self.remove_neutral(code)
     }
 
-    fn remove_attr(&mut self, code: u8) -> Result<(), HostError> {
-        self.attrs
-            .write()
-            .ok_or(HostError::ReadOnlyPoint { op: "remove_attr" })?
-            .remove_neutral(code)
-            .map_err(|_| {
-                if (1..=3).contains(&code) {
-                    HostError::MandatoryAttr { code }
-                } else {
-                    HostError::AttrNotPresent { code }
-                }
-            })
-    }
-
-    fn get_xtra(&self, key: &str) -> Option<Vec<u8>> {
-        self.xtra.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-    }
-
-    fn write_buf(&mut self, data: &[u8]) -> Result<(), HostError> {
-        match self.out_buf.as_deref_mut() {
-            Some(buf) => {
-                buf.extend_from_slice(data);
-                Ok(())
-            }
-            None => Err(HostError::NoOutputBuffer),
-        }
-    }
-
-    fn check_origin(&self, prefix: Ipv4Prefix, origin_asn: u32) -> u64 {
-        match self.rov {
-            Some(table) => table.validate(prefix, origin_asn) as u8 as u64,
-            None => xbgp_core::api::ROV_NOT_FOUND,
-        }
-    }
-
-    fn rib_add_route(&mut self, prefix: Ipv4Prefix, nexthop: u32) -> Result<(), HostError> {
-        self.rib_adds.push((prefix, nexthop));
-        Ok(())
-    }
-
-    fn log(&mut self, msg: &str) {
-        self.logs.push(msg.to_string());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use xbgp_core::api::PeerType;
-    use xbgp_wire::attr::AttrFlags;
-
-    fn peer() -> PeerInfo {
-        PeerInfo {
-            router_id: 1,
-            asn: 65002,
-            peer_type: PeerType::Ebgp,
-            local_router_id: 2,
-            local_asn: 65001,
-            flags: 0,
-        }
-    }
-
-    #[test]
-    fn cow_clones_only_on_write() {
-        let base = FirAttrs { med: Some(5), next_hop: 9, ..FirAttrs::default() };
-        let mut modified = None;
-        let mut rib_adds = Vec::new();
-        let mut logs = Vec::new();
-        let mut ctx = FirXbgpCtx {
-            peer: peer(),
-            args: &[],
-            attrs: AttrAccess::Cow { base: &base, modified: &mut modified },
-            prefix: None,
-            nexthop: None,
-            xtra: &[],
-            out_buf: None,
-            rov: None,
-            rib_adds: &mut rib_adds,
-            logs: &mut logs,
-        };
-        // Reads do not clone.
-        assert_eq!(ctx.get_attr(4).unwrap().1, 5u32.to_be_bytes());
-        assert!(matches!(&ctx.attrs, AttrAccess::Cow { modified, .. } if modified.is_none()));
-        // First write clones, then mutates the copy.
-        ctx.set_attr(4, AttrFlags::OPT_NON_TRANS.0, &7u32.to_be_bytes()).unwrap();
-        assert_eq!(ctx.get_attr(4).unwrap().1, 7u32.to_be_bytes());
-        assert_eq!(base.med, Some(5), "base untouched");
-        assert_eq!(modified.unwrap().med, Some(7));
-    }
-
-    #[test]
-    fn read_only_contexts_reject_writes() {
-        let base = FirAttrs::default();
-        let mut rib_adds = Vec::new();
-        let mut logs = Vec::new();
-        let mut ctx = FirXbgpCtx {
-            peer: peer(),
-            args: &[],
-            attrs: AttrAccess::Read(&base),
-            prefix: None,
-            nexthop: None,
-            xtra: &[],
-            out_buf: None,
-            rov: None,
-            rib_adds: &mut rib_adds,
-            logs: &mut logs,
-        };
-        assert!(ctx.set_attr(4, 0x80, &7u32.to_be_bytes()).is_err());
-        assert!(ctx.remove_attr(4).is_err());
-    }
-
-    #[test]
-    fn write_buf_requires_encode_context() {
-        let mut rib_adds = Vec::new();
-        let mut logs = Vec::new();
-        let mut out = Vec::new();
-        let mut ctx = FirXbgpCtx {
-            peer: peer(),
-            args: &[],
-            attrs: AttrAccess::None,
-            prefix: None,
-            nexthop: None,
-            xtra: &[],
-            out_buf: Some(&mut out),
-            rov: None,
-            rib_adds: &mut rib_adds,
-            logs: &mut logs,
-        };
-        ctx.write_buf(&[1, 2]).unwrap();
-        ctx.write_buf(&[3]).unwrap();
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn rov_helper_uses_hash_table() {
-        use rpki::Roa;
-        let mut table = RoaHashTable::new();
-        table.insert(Roa::new("10.0.0.0/8".parse().unwrap(), 24, 65001));
-        let mut rib_adds = Vec::new();
-        let mut logs = Vec::new();
-        let ctx = FirXbgpCtx {
-            peer: peer(),
-            args: &[],
-            attrs: AttrAccess::None,
-            prefix: None,
-            nexthop: None,
-            xtra: &[],
-            out_buf: None,
-            rov: Some(&table),
-            rib_adds: &mut rib_adds,
-            logs: &mut logs,
-        };
-        assert_eq!(
-            ctx.check_origin("10.1.0.0/16".parse().unwrap(), 65001),
-            xbgp_core::api::ROV_VALID
-        );
-        assert_eq!(
-            ctx.check_origin("10.1.0.0/16".parse().unwrap(), 65002),
-            xbgp_core::api::ROV_INVALID
-        );
+    fn nexthop(&self) -> u32 {
+        self.next_hop
     }
 }

@@ -17,8 +17,6 @@
 //! * **Exporters** ([`export::to_prometheus`], [`export::to_json`]): the
 //!   Prometheus text exposition format (with a line parser for round-trip
 //!   tests) and a JSON document.
-//! * **Recorder** ([`Recorder`]): the host-pluggable event interface with a
-//!   zero-cost no-op default ([`NoopRecorder`]).
 //! * **Span timers** ([`SpanTimer`]): scoped RAII timers feeding histograms.
 //! * **Logging facade** ([`logging`], [`error!`], [`warn!`], [`info!`],
 //!   [`debug!`], [`trace!`]): level-filtered, host-pluggable sink replacing
@@ -35,13 +33,11 @@ pub mod export;
 pub mod json;
 pub mod logging;
 pub mod metrics;
-pub mod recorder;
 pub mod registry;
 pub mod span;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MergeError, HISTOGRAM_BUCKETS};
-pub use recorder::{NoopRecorder, Recorder, RegistryRecorder};
 pub use registry::{Metric, MetricValue, Registry, Snapshot};
 pub use span::SpanTimer;
 pub use trace::{Postmortem, TraceConfig, TraceDump, TraceEvent, TraceKind, Tracer};

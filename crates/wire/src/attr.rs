@@ -558,6 +558,57 @@ pub fn encode_attrs(attrs: &[PathAttr], asn_width: usize) -> Vec<u8> {
     out
 }
 
+/// Would `value`, a network-byte-order payload, convert into attribute
+/// `code`? The stage-time check behind xBGP `set_attr`: the VMM's host
+/// context calls it before buffering the write, and every attribute store
+/// refuses what it refuses, so a later commit cannot fail on a malformed
+/// payload and no two hosts disagree on what they accept. Codes the
+/// daemons do not model natively carry any payload. Reasons have no
+/// `attribute {code}:` prefix; the caller wraps them in a typed error.
+pub fn validate_neutral(code: u8, value: &[u8]) -> Result<(), String> {
+    let need = |n: usize| -> Result<(), String> {
+        if value.len() == n {
+            Ok(())
+        } else {
+            Err(format!("expected {n} bytes, got {}", value.len()))
+        }
+    };
+    match code {
+        1 => {
+            need(1)?;
+            Origin::from_u8(value[0]).map_err(|e| e.to_string())?;
+        }
+        2 => {
+            AsPath::decode_body(value, 4).map_err(|e| e.to_string())?;
+        }
+        3..=5 | 9 => need(4)?,
+        8 | 10 if !value.len().is_multiple_of(4) => {
+            return Err("payload not a multiple of 4".into());
+        }
+        _ => {}
+    }
+    Ok(())
+}
+
+/// The flag octet a route keeps for `code` when a caller hands it
+/// `flags`: RFC 4271 and RFC 1997/4456 fix the flags of the attributes
+/// both daemons model (1–5, 8–10), so those are canonical whatever was
+/// passed; any other code keeps `flags`.
+pub fn stored_flags(code: u8, flags: u8) -> u8 {
+    let code = match code {
+        1 => AttrCode::Origin,
+        2 => AttrCode::AsPath,
+        3 => AttrCode::NextHop,
+        4 => AttrCode::Med,
+        5 => AttrCode::LocalPref,
+        8 => AttrCode::Communities,
+        9 => AttrCode::OriginatorId,
+        10 => AttrCode::ClusterList,
+        _ => return flags,
+    };
+    code.canonical_flags().0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

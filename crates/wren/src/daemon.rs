@@ -1,19 +1,20 @@
 //! The WREN route engine: wire-order `ea_list` attributes, one routing
-//! table of per-net sorted route lists and the five xBGP insertion
-//! points. Sessions, timers, stats, hook timing and UPDATE framing are
-//! the shared host's ([`xbgp_driver::host`]); what each channel has been
-//! sent and its tx queue are its update-groups
-//! ([`xbgp_driver::export`]).
+//! table of per-net sorted route lists. Sessions, timers, stats, hook
+//! timing and UPDATE framing are the shared host's
+//! ([`xbgp_driver::host`]); what each channel has been sent and its tx
+//! queue are its update-groups ([`xbgp_driver::export`]); each of the
+//! five xBGP insertion points is one call into it
+//! ([`xbgp_driver::xbgp_glue`]).
 
 use crate::ealist::EaList;
 use crate::rtable::{RTable, Rte, SrcId, TableChange};
-use crate::xbgp_glue::{EaAccess, WrenXbgpCtx};
 use netsim::NodeCtx;
 use rpki::{RoaHashTable, RoaTable, RovState};
 use std::rc::Rc;
 use xbgp_core::api::{InsertionPoint, NextHopInfo, PeerInfo, PeerType};
-use xbgp_driver::export::{native_export, Dest, Exporter, UpdateGroups};
+use xbgp_driver::export::{Dest, Exporter, UpdateGroups};
 use xbgp_driver::host::{roa_hash_table, BgpDaemon, Host, RouteEngine, RouteSource};
+use xbgp_driver::xbgp_glue::Rejected;
 use xbgp_obs::trace::pack_prefix;
 use xbgp_obs::Snapshot;
 use xbgp_rib::{push_rib_gauges, DirtySet, RibCounters};
@@ -40,10 +41,6 @@ pub struct WrenEngine {
     out: UpdateGroups<Rc<EaList>>,
     /// WREN's native origin validation: the hash table (§3.4).
     roa: Option<RoaHashTable>,
-}
-
-fn nexthop_info(host: &Host, ea: &EaList) -> NextHopInfo {
-    host.nexthop_info(ea.next_hop().unwrap_or(0))
 }
 
 /// Is this route usable as best (nexthop reachable for iBGP routes)?
@@ -85,25 +82,10 @@ fn local_rte(host: &Host, nexthop: u32) -> Rte {
 
 /// Preference with the ③ BGP_DECISION point consulted first.
 fn rte_better(host: &mut Host, a: &Rte, b: &Rte) -> bool {
-    if host.hooks.vmm.has_extensions(InsertionPoint::BgpDecision) {
-        let best_wire = encode_attrs(&b.eattrs.to_wire(), 4);
-        let mut hctx = WrenXbgpCtx {
-            peer: PeerInfo { flags: 0, ..host.source_info(&a.source()) },
-            args: &[best_wire.as_slice()],
-            eattrs: EaAccess::Read(&a.eattrs),
-            net: None,
-            nexthop: Some(nexthop_info(host, &a.eattrs)),
-            xtra: &host.spec.xtra,
-            out_buf: None,
-            rov: host.xbgp_rov.as_ref(),
-            rib_adds: &mut host.ext_rib_adds,
-            logs: &mut host.logs,
-        };
-        if let Some(prefer_new) = host.hooks.run_decision(&mut hctx, &mut host.stats) {
-            return prefer_new;
-        }
-    }
-    rte_better_native(a, b, host.spec.default_local_pref, &|nh| host.igp_metric(nh))
+    host.decision(&*a.eattrs, &a.source(), || b.eattrs.to_wire())
+        .unwrap_or_else(|| {
+            rte_better_native(a, b, host.spec.default_local_pref, &|nh| host.igp_metric(nh))
+        })
 }
 
 /// `routes` stably re-sorted by [`rte_better`] (the slow path: the
@@ -156,23 +138,7 @@ impl WrenEngine {
         raw_body: &[u8],
     ) -> Result<(), WireError> {
         let mut eattrs = EaList::from_wire(&upd.attrs)?;
-        let peer_info = host.peer_info(ch);
-        // ① BGP_RECEIVE_MESSAGE.
-        if host.hooks.vmm.has_extensions(InsertionPoint::BgpReceiveMessage) {
-            let mut hctx = WrenXbgpCtx {
-                peer: peer_info,
-                args: &[raw_body],
-                eattrs: EaAccess::Mut(&mut eattrs),
-                net: None,
-                nexthop: None,
-                xtra: &host.spec.xtra,
-                out_buf: None,
-                rov: host.xbgp_rov.as_ref(),
-                rib_adds: &mut host.ext_rib_adds,
-                logs: &mut host.logs,
-            };
-            let _ = host.hooks.run(InsertionPoint::BgpReceiveMessage, &mut hctx);
-        }
+        host.receive_message(ch, raw_body, &mut eattrs); // ①
 
         // Loop prevention: drop silently.
         let ibgp = host.neighbors[ch].ibgp;
@@ -188,11 +154,7 @@ impl WrenEngine {
         }
 
         let shared = Rc::new(eattrs);
-        let filter = host
-            .hooks
-            .vmm
-            .has_extensions(InsertionPoint::BgpInboundFilter)
-            .then(|| (peer_info, nexthop_info(host, &shared)));
+        let filter = host.inbound_views(ch, &*shared);
         for net in &upd.nlri {
             host.stats.counters.prefixes_rx += 1;
             if let Some(t) = host.hooks.vmm.tracer_mut() {
@@ -229,31 +191,18 @@ impl WrenEngine {
         filter: Option<(PeerInfo, NextHopInfo)>,
     ) {
         let mut route_attrs = Rc::clone(shared);
-        if let Some((peer, nexthop)) = filter {
-            let mut modified = None;
-            let mut hctx = WrenXbgpCtx {
-                peer,
-                args: &[],
-                eattrs: EaAccess::Cow { base: shared, modified: &mut modified },
-                net: Some(net),
-                nexthop: Some(nexthop),
-                xtra: &host.spec.xtra,
-                out_buf: None,
-                rov: host.xbgp_rov.as_ref(),
-                rib_adds: &mut host.ext_rib_adds,
-                logs: &mut host.logs,
-            };
-            let point = InsertionPoint::BgpInboundFilter;
-            if !host.hooks.run_filter(point, &mut hctx, &mut host.stats, || true) {
-                // Drop any previously accepted route from this channel
-                // and re-export inline (inside the route's trace scope,
-                // so the decision is attributed).
-                let (change, removed) = self.table.withdraw(net, SrcId::Channel(ch));
-                self.rib_counters.withdrawals += u64::from(removed);
-                return self.propagate_inline(host, net, change);
-            }
-            if let Some(m) = modified {
-                route_attrs = Rc::new(m);
+        if let Some(views) = filter {
+            match host.inbound_filter(views, net, &**shared) {
+                Ok(Some(modified)) => route_attrs = Rc::new(modified),
+                Ok(None) => {}
+                Err(Rejected) => {
+                    // Drop any previously accepted route from this channel
+                    // and re-export inline (inside the route's trace scope,
+                    // so the decision is attributed).
+                    let (change, removed) = self.table.withdraw(net, SrcId::Channel(ch));
+                    self.rib_counters.withdrawals += u64::from(removed);
+                    return self.propagate_inline(host, net, change);
+                }
             }
         }
 
@@ -396,39 +345,12 @@ impl WrenEngine {
     }
 }
 
-/// WREN's half of export: ④/⑤ over wire-order `ea_list`s.
+/// WREN's half of export: attributes are rewritten in place on a copy
+/// of the raw list.
 struct WrenExport;
 
 impl Exporter for WrenExport {
     type Attrs = Rc<EaList>;
-
-    /// ④ BGP_OUTBOUND_FILTER.
-    fn outbound_filter(
-        &mut self,
-        host: &mut Host,
-        dest: &Dest,
-        net: Ipv4Prefix,
-        eattrs: &Rc<EaList>,
-        src: &RouteSource,
-    ) -> bool {
-        let src_bytes = host.source_info_bytes(src);
-        let mut hctx = WrenXbgpCtx {
-            peer: dest.peer,
-            args: &[&src_bytes[..]],
-            eattrs: EaAccess::Read(eattrs),
-            net: Some(net),
-            nexthop: Some(nexthop_info(host, eattrs)),
-            xtra: &host.spec.xtra,
-            out_buf: None,
-            rov: host.xbgp_rov.as_ref(),
-            rib_adds: &mut host.ext_rib_adds,
-            logs: &mut host.logs,
-        };
-        let spec = &host.spec;
-        let point = InsertionPoint::BgpOutboundFilter;
-        host.hooks
-            .run_filter(point, &mut hctx, &mut host.stats, || native_export(spec, dest, src))
-    }
 
     /// Transform for the session type (in-place on a copy of the raw
     /// list — BIRD's export path copies the ea_list too).
@@ -459,32 +381,6 @@ impl Exporter for WrenExport {
             out.unset(10);
         }
         Rc::new(out)
-    }
-
-    /// ⑤ BGP_ENCODE_MESSAGE, once per (attributes, source) batch.
-    fn encode_extra(
-        &mut self,
-        host: &mut Host,
-        dest: &Dest,
-        eattrs: &Rc<EaList>,
-        src: &RouteSource,
-        first: Ipv4Prefix,
-        extra: &mut Vec<u8>,
-    ) {
-        let src_bytes = host.source_info_bytes(src);
-        let mut hctx = WrenXbgpCtx {
-            peer: dest.peer,
-            args: &[&src_bytes[..]],
-            eattrs: EaAccess::Read(eattrs),
-            net: Some(first),
-            nexthop: None,
-            xtra: &host.spec.xtra,
-            out_buf: Some(extra),
-            rov: host.xbgp_rov.as_ref(),
-            rib_adds: &mut host.ext_rib_adds,
-            logs: &mut host.logs,
-        };
-        let _ = host.hooks.run(InsertionPoint::BgpEncodeMessage, &mut hctx);
     }
 
     fn to_wire(eattrs: &Rc<EaList>) -> Vec<PathAttr> {
@@ -566,7 +462,7 @@ impl RouteEngine for WrenEngine {
     }
 
     fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
-        self.out.flush(host, &mut WrenExport, ctx);
+        self.out.flush::<WrenExport>(host, ctx);
     }
 
     fn loc_rib_len(&self) -> usize {

@@ -18,9 +18,9 @@
 //!   preference-ordered list tagged with their source channel; there is no
 //!   materialized per-peer Adj-RIB-In.
 //!
-//! The session FSM, timers, stats and UPDATE framing are not WREN's at
-//! all: [`WrenDaemon`] is the shared host (`xbgp_driver::host`) driving
-//! [`WrenEngine`]. Protocol behaviour (decision outcomes, reflection rules) is
+//! The session FSM, timers, stats, UPDATE framing and the xBGP execution
+//! context are not WREN's at all: [`WrenDaemon`] is the shared host
+//! (`xbgp_driver::{host, xbgp_glue}`) driving [`WrenEngine`]. Protocol behaviour (decision outcomes, reflection rules) is
 //! RFC-equivalent to FIR — the integration tests in the workspace root
 //! assert the two daemons compute identical Loc-RIBs on identical
 //! topologies — while the internals differ the way BIRD differs from

@@ -4,12 +4,16 @@
 
 mod common;
 
-use bgp_fir::FirDaemon;
+use bgp_fir::{FirDaemon, FirEngine};
+use bgp_wren::WrenEngine;
 use common::{p, sim_with_nodes, MS, SEC};
 use xbgp_asm::assemble_with_symbols;
 use xbgp_core::api::abi_symbols;
 use xbgp_core::{ExtensionSpec, InsertionPoint, Manifest};
+use xbgp_driver::host::{BgpDaemon, RouteEngine};
 use xbgp_driver::{Daemon, DaemonSpec};
+use xbgp_wire::attr::Origin;
+use xbgp_wire::{AsPath, PathAttr};
 
 fn ext(name: &str, point: InsertionPoint, helpers: &[&str], src: &str) -> ExtensionSpec {
     let prog = assemble_with_symbols(src, &abi_symbols()).expect("assembles");
@@ -229,41 +233,72 @@ fn helper_misuse_is_contained() {
     assert_eq!(stats[0].errors, 0, "recoverable conditions are not faults");
 }
 
-#[test]
-fn decision_point_extension_can_override_best_path() {
-    // A decision extension that always prefers the candidate: the last
-    // announcement wins regardless of native preference. Checks the ③
-    // insertion point end to end.
+type Dump = Vec<(xbgp_wire::Ipv4Prefix, Vec<u8>)>;
+
+/// Two eBGP peers — 1 (AS 65001) over a `lat1` link, 2 (AS 65002) over a
+/// `lat2` link — announce 10.0.0.0/8 to a DUT on engine `E` whose ③
+/// `BGP_DECISION` program prefers whatever AS 65002 sent. Returns the
+/// DUT's Loc-RIB dump, its full-recompute oracle dump and how many
+/// decisions the extension made.
+fn decision_override<E: RouteEngine>(lat1: u64, lat2: u64) -> (Dump, Dump, u64) {
     let (mut sim, n) = sim_with_nodes(3);
-    let l1 = sim.connect(n[0], n[2], MS);
-    let l2 = sim.connect(n[1], n[2], MS);
-    // Two origins announce the same prefix with different path lengths.
-    let mut cfg_short = DaemonSpec::new(65001, 1).neighbor(l1, 3, 65003);
-    cfg_short.originate = vec![(p("10.0.0.0/8"), 1)];
-    let mut cfg_long = DaemonSpec::new(65002, 2).neighbor(l2, 3, 65003);
-    cfg_long.originate = vec![(p("10.0.0.0/8"), 2)];
+    let l1 = sim.connect(n[0], n[2], lat1);
+    let l2 = sim.connect(n[1], n[2], lat2);
+    let mut cfg_1 = DaemonSpec::new(65001, 1).neighbor(l1, 3, 65003);
+    cfg_1.originate = vec![(p("10.0.0.0/8"), 1)];
+    let mut cfg_2 = DaemonSpec::new(65002, 2).neighbor(l2, 3, 65003);
+    cfg_2.originate = vec![(p("10.0.0.0/8"), 2)];
     let mut m = Manifest::new();
     m.push(ext(
-        "prefer_new",
+        "prefer_as_65002",
         InsertionPoint::BgpDecision,
-        &[],
-        "mov r0, DECISION_PREFER_NEW\nexit",
+        &["get_peer_info"],
+        r"
+            call get_peer_info          ; the candidate's source
+            ldxw r1, [r0+PEER_INFO_OFF_ASN]
+            jeq r1, 65002, new
+            mov r0, DECISION_PREFER_OLD
+            exit
+        new:
+            mov r0, DECISION_PREFER_NEW
+            exit
+        ",
     ));
     let mut cfg_dut = DaemonSpec::new(65003, 3).neighbor(l1, 1, 65001).neighbor(l2, 2, 65002);
     cfg_dut.xbgp = Some(m);
-    sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_short)));
-    sim.replace_node(n[1], Box::new(FirDaemon::new(cfg_long)));
-    sim.replace_node(n[2], Box::new(FirDaemon::new(cfg_dut)));
+    sim.replace_node(n[0], Box::new(BgpDaemon::<E>::new(cfg_1)));
+    sim.replace_node(n[1], Box::new(BgpDaemon::<E>::new(cfg_2)));
+    sim.replace_node(n[2], Box::new(BgpDaemon::<E>::new(cfg_dut)));
     sim.run_until(5 * SEC);
 
-    let d: &FirDaemon = sim.node_ref(n[2]);
-    let best = d.engine.best_route(&p("10.0.0.0/8")).unwrap();
-    // With native tie-breaking, peer 1 (lower address) would win; the
-    // always-prefer-new extension keeps whichever arrived last instead.
-    // Determinism of the sim makes this stable: both arrive, candidate
-    // replaces best on the second install.
-    assert!(best.source.peer_addr == 1 || best.source.peer_addr == 2);
-    let stats = d.xbgp_stats();
-    assert!(stats[0].runs >= 1, "decision extension consulted");
-    assert_eq!(stats[0].errors, 0);
+    let d: &mut BgpDaemon<E> = sim.node_mut(n[2]);
+    assert_eq!(d.xbgp_stats()[0].errors, 0);
+    let decisions = d.host.stats.xbgp_decisions;
+    (d.loc_rib_dump(), d.oracle_loc_rib_dump(), decisions)
+}
+
+/// ③ end to end on both engines. Natively the two routes tie down to the
+/// last step and peer 1 (lower address) wins; the extension picks peer 2.
+/// Either peer's announcement may arrive last — unequal link latencies
+/// fix the order — so neither the native comparison nor "the last
+/// arrival stays" explains the winner, only the program does.
+#[test]
+fn decision_point_extension_can_override_best_path() {
+    for (lat1, lat2) in [(MS, 5 * MS), (5 * MS, MS)] {
+        let fir = decision_override::<FirEngine>(lat1, lat2);
+        let wren = decision_override::<WrenEngine>(lat1, lat2);
+        for (name, (dump, oracle, decisions)) in [("fir", &fir), ("wren", &wren)] {
+            assert_eq!(dump.len(), 1, "{name}");
+            let attrs = xbgp_wire::attr::decode_attrs(&dump[0].1, 4).unwrap();
+            let learned_from_peer_2 = [
+                PathAttr::Origin(Origin::Igp),
+                PathAttr::AsPath(AsPath::sequence(vec![65002])),
+                PathAttr::NextHop(2),
+            ];
+            assert_eq!(attrs, learned_from_peer_2, "{name}, latencies {lat1}/{lat2}");
+            assert!(*decisions > 0, "{name}: the extension decided");
+            assert_eq!(dump, oracle, "{name}: incremental ≡ full re-decide");
+        }
+        assert_eq!(fir.0, wren.0, "fir ≡ wren");
+    }
 }

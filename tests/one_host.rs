@@ -160,3 +160,66 @@ fn both_daemons_speak_one_metrics_vocabulary() {
     assert_eq!(names[0], names[1]);
     assert!(names[0].contains("xbgp_daemon_adj_rib_out_size"));
 }
+
+/// The Loc-RIB dump and the VMM fault count of `dut` after one UPDATE
+/// (10.1.0.0/16 from neighbor 1) went through `src` at ② `BGP_INBOUND_FILTER`.
+fn inbound_filter_outcome(
+    dut: Dut,
+    src: &str,
+    helpers: &[&str],
+) -> (Vec<(Ipv4Prefix, Vec<u8>)>, u64) {
+    let prog = assemble_with_symbols(src, &abi_symbols()).expect("assembles");
+    let mut manifest = Manifest::new();
+    let point = InsertionPoint::BgpInboundFilter;
+    manifest.push(ExtensionSpec::from_program("probe", "probe", point, helpers, &prog));
+    let mut drv = two_peer_dut(dut, |spec| spec.xbgp = Some(manifest));
+    drv.deliver(3, LinkId(0), &update(&[], vec![65001], &["10.1.0.0/16"]));
+    let node = drv.node_ref::<DutNode>();
+    let errors = node.0.metrics_snapshot().counter_sum("xbgp_vmm_errors_total");
+    (node.0.loc_rib_dump(), errors)
+}
+
+/// `set_attr` with a payload that is malformed for its code (a 3-byte
+/// MED) is refused at stage time by both daemons — `BadAttrValue`, a
+/// recoverable helper failure the program sees as `XBGP_FAIL`, not a
+/// fault — so the write staged before it commits, the bad one never
+/// reaches the route, and the Loc-RIB is the same bytes on fir and wren.
+/// The program rejects the route if the host *stored* the bad payload.
+#[test]
+fn malformed_set_attr_is_refused_by_both_daemons() {
+    let src = r"
+        stb [r10-8], 0
+        stb [r10-7], 0
+        stb [r10-6], 0
+        stb [r10-5], 200
+        mov r1, ATTR_LOCAL_PREF
+        mov r2, ATTR_FLAGS_WELL_KNOWN
+        mov r3, r10
+        sub r3, 8
+        mov r4, 4
+        call set_attr           ; well-formed: staged
+        mov r1, ATTR_MED
+        mov r2, ATTR_FLAGS_OPT_NON_TRANS
+        mov r3, r10
+        sub r3, 8
+        mov r4, 3
+        call set_attr           ; three bytes of MED
+        jeq r0, 0, stored
+        mov r0, FILTER_ACCEPT
+        exit
+    stored:
+        mov r0, FILTER_REJECT
+        exit
+    ";
+    let mut dumps = Vec::new();
+    for dut in [Dut::Fir, Dut::Wren] {
+        let (dump, errors) = inbound_filter_outcome(dut, src, &["set_attr"]);
+        assert_eq!(dump.len(), 1, "{dut:?}: the host refused the 3-byte MED");
+        let attrs = xbgp_wire::attr::decode_attrs(&dump[0].1, 4).unwrap();
+        assert!(attrs.contains(&PathAttr::LocalPref(200)), "{dut:?}: staged write: {attrs:?}");
+        assert!(!attrs.iter().any(|a| a.code() == 4), "{dut:?}: no MED: {attrs:?}");
+        assert_eq!(errors, 0, "{dut:?}: recoverable, no fault");
+        dumps.push(dump);
+    }
+    assert_eq!(dumps[0], dumps[1], "fir ≡ wren on identical bytecode");
+}
