@@ -176,22 +176,46 @@ struct Batch<'a, A> {
     prefixes: Vec<Ipv4Prefix>,
 }
 
+/// How many batches a projection finds by comparing before it builds a
+/// hash index. The log of one UPDATE holds a batch or two; only a table
+/// dump or a session flush holds thousands.
+const PROBE: usize = 8;
+
 /// What `log` owes one class of members (see [`Change::owed`]):
 /// withdrawals in log order, then batches in first-seen order.
+///
+/// An announcement finds its batch by handle equality: the NLRI of one
+/// UPDATE share a transformed handle ([`Group::evaluate`]), and `==` on a
+/// shared pointer is one pointer comparison when they do. Up to [`PROBE`]
+/// batches are searched that way; the content hash is only paid past
+/// that.
 fn project<A: Eq + Hash>(
     log: &[Change<A>],
     who: Option<u32>,
 ) -> (Vec<Ipv4Prefix>, Vec<Batch<'_, A>>) {
     let mut withdrawals = Vec::new();
     let mut batches: Vec<Batch<'_, A>> = Vec::new();
+    // Holds every batch once there are more than `PROBE`, none before.
     let mut index: HashMap<(&A, RouteSource), usize> = HashMap::new();
     for c in log {
         match (c.owed(who), &c.new) {
             (Owed::Announce, Some((attrs, src))) => {
-                let at = *index.entry((attrs, *src)).or_insert(batches.len());
-                if at == batches.len() {
+                let found = if batches.len() <= PROBE {
+                    batches.iter().position(|b| b.source == *src && b.attrs == attrs)
+                } else {
+                    if index.is_empty() {
+                        let all = batches.iter().enumerate();
+                        index.extend(all.map(|(i, b)| ((b.attrs, b.source), i)));
+                    }
+                    index.get(&(attrs, *src)).copied()
+                };
+                let at = found.unwrap_or_else(|| {
+                    if !index.is_empty() {
+                        index.insert((attrs, *src), batches.len());
+                    }
                     batches.push(Batch { attrs, source: *src, prefixes: Vec::new() });
-                }
+                    batches.len() - 1
+                });
                 batches[at].prefixes.push(c.prefix);
             }
             (Owed::Withdraw, _) => withdrawals.push(c.prefix),
@@ -216,11 +240,24 @@ struct Group<A> {
     log: Vec<Change<A>>,
     /// Table dumps owed to members that joined since the last flush.
     dumps: Vec<(usize, Vec<Change<A>>)>,
+    /// The last transform run for this group: `(attributes in, source,
+    /// attributes out)`. See [`Group::evaluate`].
+    memo: Option<(A, RouteSource, A)>,
 }
 
 impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> Group<A> {
     /// The verdict of the export policy on one best route: what to
     /// advertise, or `None`.
+    ///
+    /// ④ runs for every route. The transform behind it is remembered for
+    /// the last `(attribute handle, source)` it ran on, so the NLRI of one
+    /// UPDATE — one handle, one source — are transformed once and share
+    /// the result. That is sound because [`Exporter::transform`] is a
+    /// function of the daemon's configuration, `dest` (fixed for the
+    /// group's life), the attribute *contents* and the source, and a
+    /// handle's contents never change; the memo keeps its input handle
+    /// alive, so the allocator cannot hand the same address to another
+    /// attribute set while the memo could still match it.
     fn evaluate<X: Exporter<Attrs = A>>(
         &mut self,
         host: &mut Host,
@@ -237,8 +274,21 @@ impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> Group<A> {
                 return None;
             }
         }
-        host.outbound_filter(&self.dest, prefix, &**attrs, src)
-            .then(|| (x.transform(host, &self.dest, attrs, src), *src))
+        if !host.outbound_filter(&self.dest, prefix, &**attrs, src) {
+            return None;
+        }
+        let out = match &self.memo {
+            Some((a, s, out)) if std::ptr::eq::<A::Target>(&**a, &**attrs) && s == src => {
+                out.clone()
+            }
+            _ => {
+                let out = x.transform(host, &self.dest, attrs, src);
+                host.stats.export_transforms += 1;
+                self.memo = Some((attrs.clone(), *src, out.clone()));
+                out
+            }
+        };
+        Some((out, *src))
     }
 
     /// Store a verdict and log what it changed.
@@ -381,6 +431,7 @@ impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> UpdateGroups<A> {
                     partial: true,
                     log: Vec::new(),
                     dumps: Vec::new(),
+                    memo: None,
                 });
                 self.groups.len() - 1
             }
@@ -565,6 +616,32 @@ mod tests {
         assert_eq!(owed(&log, Some(5)), (vec![], vec![("a", 6, vec![1, 2])]));
         // The new source loses 1 (implicit withdraw), never gets 2.
         assert_eq!(owed(&log, Some(6)), (vec![1, 3], vec![]));
+    }
+
+    #[test]
+    fn batches_past_the_probe_are_found_by_content_too() {
+        // Three rounds over more attribute sets than the probe covers,
+        // then the first set from another source: still one batch per
+        // (attributes, source), in first-seen order, prefixes in log order.
+        const NAMES: [&str; 12] = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"];
+        assert!(NAMES.len() > PROBE + 2);
+        let mut log = Vec::new();
+        for round in 0..3 {
+            for (i, name) in NAMES.iter().enumerate() {
+                let prefix = (round * NAMES.len() + i) as u32;
+                log.push(change(prefix, None, Some((name, 5)), false));
+            }
+        }
+        log.push(change(99, None, Some(("a", 6)), false));
+        let (wd, batches) = owed(&log, None);
+        assert!(wd.is_empty());
+        let mut want: Vec<(&str, u32, Vec<u32>)> = NAMES
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (*name, 5, (0..3).map(|r| (r * NAMES.len() + i) as u32).collect()))
+            .collect();
+        want.push(("a", 6, vec![99]));
+        assert_eq!(batches, want);
     }
 
     #[test]

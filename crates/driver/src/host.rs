@@ -24,7 +24,6 @@ use crate::{Daemon, DaemonCounters, DaemonSpec, Dut, NeighborDecl};
 use netsim::{LinkId, Node, NodeCtx};
 use rpki::{RoaHashTable, RoaTable};
 use std::any::Any;
-use std::collections::HashMap;
 use std::time::Instant;
 use xbgp_core::api::{self, InsertionPoint, NextHopInfo, PeerInfo, PeerType};
 use xbgp_core::vmm::ExtensionStats;
@@ -132,6 +131,9 @@ pub struct HostStats {
     /// Decision-point runs resolved by an extension instead of the
     /// native RFC 4271 comparison.
     pub xbgp_decisions: u64,
+    /// [`crate::export::Exporter::transform`] runs: one per `(attribute
+    /// handle, source)` an update-group had not just transformed.
+    pub export_transforms: u64,
     /// Session FSM transitions, indexed by target `SessionState`.
     pub fsm_transitions: [u64; 4],
 }
@@ -232,7 +234,6 @@ impl Hooks {
 pub struct Host {
     pub spec: DaemonSpec,
     pub neighbors: Vec<Neighbor>,
-    link_to_neighbor: HashMap<LinkId, usize>,
     pub hooks: Hooks,
     /// The xBGP-layer ROA store (hash) behind `rpki_check_origin` —
     /// distinct from either engine's native validation backend (§3.4).
@@ -266,12 +267,9 @@ impl Host {
         let xbgp_rov = spec.xbgp_roas.as_deref().map(roa_hash_table);
         let neighbors: Vec<Neighbor> =
             spec.neighbors.iter().map(|d| Neighbor::new(*d, &spec)).collect();
-        let link_to_neighbor =
-            neighbors.iter().enumerate().map(|(i, n)| (n.decl.link, i)).collect();
         Host {
             spec,
             neighbors,
-            link_to_neighbor,
             hooks: Hooks { vmm, hook_ns: Default::default() },
             xbgp_rov,
             ext_rib_adds: Vec::new(),
@@ -283,6 +281,16 @@ impl Host {
 
     pub fn cluster_id(&self) -> u32 {
         self.spec.cluster_id.unwrap_or(self.spec.router_id)
+    }
+
+    /// The neighbor configured on `link`. Hosts that number links by
+    /// neighbor (`xbgp-serve`'s slots) are answered by the first test; a
+    /// simulation's global link ids by the search.
+    fn neighbor_on(&self, link: LinkId) -> Option<usize> {
+        match self.neighbors.get(link.0) {
+            Some(n) if n.decl.link == link => Some(link.0),
+            _ => self.neighbors.iter().position(|n| n.decl.link == link),
+        }
     }
 
     /// The neighbor at `idx` as extensions see it.
@@ -624,7 +632,7 @@ impl<E: RouteEngine> Node for BgpDaemon<E> {
     }
 
     fn on_data(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, data: &[u8]) {
-        let Some(&idx) = self.host.link_to_neighbor.get(&link) else {
+        let Some(idx) = self.host.neighbor_on(link) else {
             return; // Data on an unconfigured link.
         };
         self.host.now = ctx.now();
@@ -650,7 +658,7 @@ impl<E: RouteEngine> Node for BgpDaemon<E> {
     }
 
     fn on_link_event(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, up: bool) {
-        let Some(&idx) = self.host.link_to_neighbor.get(&link) else {
+        let Some(idx) = self.host.neighbor_on(link) else {
             return;
         };
         self.host.now = ctx.now();
@@ -716,6 +724,7 @@ impl<E: RouteEngine> Daemon for BgpDaemon<E> {
         s.push_counter("xbgp_daemon_filter_rejects_total", &[], st.xbgp_rejected);
         s.push_counter("xbgp_daemon_filter_accepts_total", &[], st.xbgp_accepted);
         s.push_counter("xbgp_daemon_decision_overrides_total", &[], st.xbgp_decisions);
+        s.push_counter("xbgp_daemon_export_transforms_total", &[], st.export_transforms);
         for (to, n) in STATE_NAMES.iter().zip(st.fsm_transitions) {
             s.push_counter("xbgp_daemon_fsm_transitions_total", &[("to", to)], n);
         }
@@ -746,7 +755,7 @@ impl<E: RouteEngine> Daemon for BgpDaemon<E> {
     }
 
     fn adopt_session(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, four_octet_as: bool) {
-        let Some(&idx) = self.host.link_to_neighbor.get(&link) else {
+        let Some(idx) = self.host.neighbor_on(link) else {
             return;
         };
         self.host.now = ctx.now();

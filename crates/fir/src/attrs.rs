@@ -8,7 +8,7 @@
 //! is therefore *work* — the representational gap the paper calls out for
 //! FRRouting.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::rc::Rc;
 use xbgp_wire::attr::{encode_attr_tlv, validate_neutral, AttrCode, AttrFlags, Origin};
 use xbgp_wire::{AsPath, PathAttr, WireError};
@@ -269,13 +269,14 @@ impl AttrInternTable {
         AttrInternTable::default()
     }
 
-    /// Intern a set, returning the canonical shared copy.
+    /// Intern a set, returning the canonical shared copy. The set is
+    /// hashed once, hit or miss.
     pub fn intern(&mut self, attrs: FirAttrs) -> Rc<FirAttrs> {
-        let rc = Rc::new(attrs);
-        match self.table.get_key_value(&rc) {
-            Some((existing, ())) => Rc::clone(existing),
-            None => {
-                self.table.insert(Rc::clone(&rc), ());
+        match self.table.entry(Rc::new(attrs)) {
+            Entry::Occupied(e) => Rc::clone(e.key()),
+            Entry::Vacant(e) => {
+                let rc = Rc::clone(e.key());
+                e.insert(());
                 rc
             }
         }

@@ -6,7 +6,7 @@
 //! insertion points is one call into it ([`xbgp_driver::xbgp_glue`]).
 
 use crate::attrs::{AttrInternTable, FirAttrs};
-use crate::rib::{peer_slot, DecisionCtx, RibEntry, RibStore, RouteSource, LOCAL_SLOT};
+use crate::rib::{peer_slot, DecisionCtx, NetEntry, RibEntry, RibStore, RouteSource, LOCAL_SLOT};
 use netsim::NodeCtx;
 use rpki::{RoaTable, RoaTrie, RovState};
 use std::rc::Rc;
@@ -16,7 +16,7 @@ use xbgp_driver::host::{BgpDaemon, Host, RouteEngine};
 use xbgp_driver::xbgp_glue::Rejected;
 use xbgp_obs::trace::pack_prefix;
 use xbgp_obs::Snapshot;
-use xbgp_rib::{push_rib_gauges, DirtySet, RibCounters};
+use xbgp_rib::{push_rib_gauges, DirtySet, NodeId, RibCounters};
 use xbgp_wire::attr::encode_attrs;
 use xbgp_wire::{Ipv4Prefix, PathAttr, UpdateMsg, WireError};
 
@@ -126,9 +126,9 @@ impl FirEngine {
         let adds: Vec<(Ipv4Prefix, u32)> = host.ext_rib_adds.drain(..).collect();
         for (prefix, nexthop) in adds {
             let entry = self.local_entry(host, nexthop);
-            self.rib.insert(prefix, LOCAL_SLOT, entry);
+            let (net, _) = self.rib.insert(prefix, LOCAL_SLOT, entry);
             self.rib_counters.updates_applied += 1;
-            self.decide_after_announce(host, prefix, LOCAL_SLOT);
+            self.decide_after_announce(host, prefix, net, LOCAL_SLOT);
         }
     }
 
@@ -163,9 +163,9 @@ impl FirEngine {
             state
         });
 
-        self.rib.insert(prefix, slot, RibEntry { attrs: entry_attrs, source, rov });
+        let (net, _) = self.rib.insert(prefix, slot, RibEntry { attrs: entry_attrs, source, rov });
         self.rib_counters.updates_applied += 1;
-        self.decide_after_announce(host, prefix, slot);
+        self.decide_after_announce(host, prefix, net, slot);
     }
 
     // -----------------------------------------------------------------
@@ -208,45 +208,55 @@ impl FirEngine {
                 && host.igp_metric(entry.attrs.next_hop) == u32::MAX)
     }
 
-    /// The best eligible candidate of `prefix`, scanned in slot order:
-    /// the local route first, then each peer.
-    fn scan_best(&self, host: &mut Host, prefix: &Ipv4Prefix) -> Option<(usize, RibEntry)> {
-        let mut best: Option<(usize, RibEntry)> = None;
-        for cand in self.rib.candidates_cloned(prefix) {
-            if !Self::eligible(host, &cand.1) {
+    /// The best eligible candidate of `net` — its index in
+    /// [`NetEntry::candidates`] — scanned in slot order: the local route
+    /// first, then each peer.
+    fn scan_best(host: &mut Host, net: &NetEntry) -> Option<usize> {
+        let cands = net.candidates();
+        let mut best: Option<usize> = None;
+        for (i, (_, cand)) in cands.iter().enumerate() {
+            if !Self::eligible(host, cand) {
                 continue;
             }
-            best = match best {
-                Some(cur) if !Self::better(host, &cand.1, &cur.1) => Some(cur),
-                _ => Some(cand),
-            };
+            if best.is_none_or(|cur| Self::better(host, cand, &cands[cur].1)) {
+                best = Some(i);
+            }
         }
         best
     }
 
-    /// Decide `prefix` after its candidate at `slot` was just announced
-    /// or replaced. The fast path — the common case under churn — is a
-    /// single pairwise comparison against the committed best; anything
-    /// that invalidates it (the prefix is already dirty, the announce
-    /// replaced the best's own route, there is no committed best yet, or
-    /// `delta_safe` is off) falls back to a full scan.
-    fn decide_after_announce(&mut self, host: &mut Host, prefix: Ipv4Prefix, slot: usize) {
+    /// Decide `prefix`, whose net is at `net`, after its candidate at
+    /// `slot` was just announced or replaced. The fast path — the common
+    /// case under churn — is a single pairwise comparison against the
+    /// committed best; anything that invalidates it (the prefix is
+    /// already dirty, the announce replaced the best's own route, there is
+    /// no committed best yet, or `delta_safe` is off) falls back to a full
+    /// scan.
+    fn decide_after_announce(
+        &mut self,
+        host: &mut Host,
+        prefix: Ipv4Prefix,
+        net: NodeId,
+        slot: usize,
+    ) {
         // An inline decision supersedes a pending deferred one: a
         // withdraw + re-announce of the same prefix within one batch is
         // decided exactly once, here.
         let was_dirty = self.dirty.unmark(&prefix);
-        let incumbent = match self.rib.best_pair_cloned(&prefix) {
+        let entry = self.rib.net(net);
+        let incumbent = match entry.best() {
             _ if was_dirty || !Self::delta_safe(host) => None,
             // The best route's own source re-announced: the replacement
             // may be worse, so the whole list competes again.
             pair => pair.filter(|(best_slot, _)| *best_slot != slot),
         };
         let Some((_, incumbent)) = incumbent else {
-            return self.run_decision(host, prefix);
+            return self.run_decision(host, prefix, net);
         };
-        let cand = self.rib.candidate(&prefix, slot).expect("candidate just inserted").clone();
-        if Self::native_better(host, &cand, &incumbent) {
-            self.commit(host, prefix, Some((slot, cand)));
+        let cands = entry.candidates();
+        let at = cands.iter().position(|(s, _)| *s == slot).expect("candidate just inserted");
+        if Self::native_better(host, &cands[at].1, incumbent) {
+            self.commit(host, prefix, net, Some(at));
         } else {
             // The candidate lost to the incumbent: no state change, but
             // the decision still happened for trace purposes.
@@ -257,11 +267,10 @@ impl FirEngine {
     /// Remove the candidate at `slot` (inbound-filter reject/abort) and
     /// re-decide if the removal could have mattered.
     fn remove_candidate_and_decide(&mut self, host: &mut Host, prefix: Ipv4Prefix, slot: usize) {
-        if self.rib.remove(&prefix, slot).is_none() {
+        let Some((_, best_slot)) = self.rib.remove(&prefix, slot) else {
             return;
-        }
+        };
         self.rib_counters.withdrawals += 1;
-        let best_slot = self.rib.best_slot(&prefix);
         if self.dirty.contains(&prefix)
             || !Self::delta_safe(host)
             || best_slot.is_none()
@@ -271,7 +280,7 @@ impl FirEngine {
             // trace scope, where the pre-incremental engine recorded its
             // decision too.
             self.dirty.unmark(&prefix);
-            self.run_decision(host, prefix);
+            self.decide(host, prefix);
         } else {
             host.hooks.trace_decision(prefix, false);
         }
@@ -282,7 +291,7 @@ impl FirEngine {
     /// in the store is re-decided instead.
     fn drain_dirty(&mut self, host: &mut Host) {
         if host.spec.full_recompute {
-            for prefix in self.rib.net_prefixes() {
+            for (prefix, _) in self.rib.iter_nets() {
                 self.dirty.mark(prefix);
             }
         }
@@ -292,24 +301,36 @@ impl FirEngine {
         let batch = self.dirty.drain_ordered();
         self.rib_counters.delta_batch_size.observe(batch.len() as u64);
         for prefix in batch {
-            self.run_decision(host, prefix);
+            self.decide(host, prefix);
+        }
+    }
+
+    /// Re-decide a prefix known by name only. One whose net is gone (its
+    /// last candidate was withdrawn and it had no best) has nothing to
+    /// change.
+    fn decide(&mut self, host: &mut Host, prefix: Ipv4Prefix) {
+        match self.rib.find(&prefix) {
+            Some(net) => self.run_decision(host, prefix, net),
+            None => host.hooks.trace_decision(prefix, false),
         }
     }
 
     /// Recompute the best route for `prefix` from the full candidate
     /// list and commit the outcome.
-    fn run_decision(&mut self, host: &mut Host, prefix: Ipv4Prefix) {
-        let best = self.scan_best(host, &prefix);
-        self.commit(host, prefix, best);
+    fn run_decision(&mut self, host: &mut Host, prefix: Ipv4Prefix, net: NodeId) {
+        let best = Self::scan_best(host, self.rib.net(net));
+        self.commit(host, prefix, net, best);
     }
 
-    /// Compare a decision outcome against the committed best; when it
-    /// changed, store the new best and queue the resulting
-    /// advertisements/withdrawals.
-    fn commit(&mut self, host: &mut Host, prefix: Ipv4Prefix, winner: Option<(usize, RibEntry)>) {
-        let changed = match (self.rib.best(&prefix), &winner) {
+    /// Compare a decision outcome — the candidate at index `winner`, or
+    /// no route — against the committed best; when it changed, store the
+    /// new best and queue the resulting advertisements/withdrawals.
+    fn commit(&mut self, host: &mut Host, prefix: Ipv4Prefix, net: NodeId, winner: Option<usize>) {
+        let entry = self.rib.net(net);
+        let new = winner.map(|i| &entry.candidates()[i].1);
+        let changed = match (entry.best(), new) {
             (None, None) => false,
-            (Some(o), Some((_, n))) => !Rc::ptr_eq(&o.attrs, &n.attrs) || o.source != n.source,
+            (Some((_, o)), Some(n)) => !Rc::ptr_eq(&o.attrs, &n.attrs) || o.source != n.source,
             _ => true,
         };
         host.hooks.trace_decision(prefix, changed);
@@ -318,9 +339,7 @@ impl FirEngine {
         }
         host.stats.counters.last_route_change = Some(host.now);
         self.rib_counters.best_changes += 1;
-        let entry = winner.as_ref().map(|(_, e)| e.clone());
-        self.rib.commit_best(prefix, winner);
-        let best = entry.as_ref().map(|e| (&e.attrs, &e.source));
+        let best = self.rib.commit_best(prefix, net, winner).map(|e| (&e.attrs, &e.source));
         let mut x = FirExport { intern: &mut self.intern };
         self.out.route_changed(host, &mut x, prefix, best);
     }
@@ -400,10 +419,11 @@ impl RouteEngine for FirEngine {
     fn originate(&mut self, host: &mut Host) {
         for (prefix, nexthop) in host.spec.originate.clone() {
             let entry = self.local_entry(host, nexthop);
-            self.rib.insert(prefix, LOCAL_SLOT, entry.clone());
+            let (net, _) = self.rib.insert(prefix, LOCAL_SLOT, entry);
             // Committed directly: no sessions are up yet, so there is
-            // nothing to export and no competition to decide against.
-            self.rib.commit_best(prefix, Some((LOCAL_SLOT, entry)));
+            // nothing to export and no competition to decide against
+            // (the local slot sorts first).
+            self.rib.commit_best(prefix, net, Some(0));
         }
     }
 
@@ -446,9 +466,8 @@ impl RouteEngine for FirEngine {
         let slot = peer_slot(idx);
         let delta_safe = Self::delta_safe(host);
         for prefix in &upd.withdrawn {
-            if self.rib.remove(prefix, slot).is_some() {
+            if let Some((_, best_slot)) = self.rib.remove(prefix, slot) {
                 self.rib_counters.withdrawals += 1;
-                let best_slot = self.rib.best_slot(prefix);
                 if !delta_safe || best_slot.is_none() || best_slot == Some(slot) {
                     self.dirty.mark(*prefix);
                 }
@@ -496,8 +515,9 @@ impl RouteEngine for FirEngine {
     /// pins the incremental engine's correctness.
     fn oracle_loc_rib_dump(&mut self, host: &mut Host) -> Vec<(Ipv4Prefix, Vec<u8>)> {
         let mut out = Vec::new();
-        for prefix in self.rib.net_prefixes() {
-            if let Some((_, e)) = self.scan_best(host, &prefix) {
+        for (prefix, net) in self.rib.iter_nets() {
+            if let Some(i) = Self::scan_best(host, net) {
+                let (_, e) = &net.candidates()[i];
                 out.push((prefix, encode_attrs(&e.attrs.to_wire(), 4)));
             }
         }
@@ -505,7 +525,7 @@ impl RouteEngine for FirEngine {
     }
 
     fn push_gauges(&self, s: &mut Snapshot) {
-        self.rib_counters.push(s);
+        self.rib_counters.push(s, self.rib.descents());
         push_rib_gauges(s, self.rib.adj_in_len(), self.rib.loc_len(), self.dirty.len());
         self.out.push_gauges(s);
         s.push_gauge("xbgp_daemon_interned_attr_sets", &[], self.intern.len() as i64);

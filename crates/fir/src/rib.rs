@@ -14,7 +14,7 @@ use rpki::RovState;
 use std::rc::Rc;
 use xbgp_core::api::PeerType;
 pub use xbgp_driver::host::RouteSource;
-use xbgp_rib::PrefixMap;
+use xbgp_rib::{NodeId, PrefixMap};
 use xbgp_wire::Ipv4Prefix;
 
 /// One route in a RIB: shared attribute set plus provenance.
@@ -53,9 +53,21 @@ impl NetEntry {
     pub fn best(&self) -> Option<&(usize, RibEntry)> {
         self.best.as_ref()
     }
+
+    fn is_empty(&self) -> bool {
+        self.cands.is_empty() && self.best.is_none()
+    }
 }
 
 /// The merged Adj-RIB-In + Loc-RIB store, keyed by a prefix trie.
+///
+/// A net is reached by prefix once — [`RibStore::insert`] and
+/// [`RibStore::find`] hand back its [`NodeId`] — and announce, decide and
+/// commit then work at the handle. A handle dies with its net: when
+/// [`RibStore::remove`], [`RibStore::commit_best`] or
+/// [`RibStore::flush_slot`] leave a net with neither candidates nor a
+/// committed best, the net is dropped, and that trie removal ends every
+/// handle taken before it.
 ///
 /// `slot_counts` and `loc_len` are maintained incrementally so the
 /// occupancy gauges are O(1) reads.
@@ -76,11 +88,17 @@ impl RibStore {
         }
     }
 
-    /// Insert/replace the candidate at `slot`; returns the previous
-    /// entry if any.
-    pub fn insert(&mut self, prefix: Ipv4Prefix, slot: usize, entry: RibEntry) -> Option<RibEntry> {
-        let net = self.nets.get_or_insert_with(prefix, NetEntry::default);
-        match net.cands.iter_mut().find(|(s, _)| *s == slot) {
+    /// Insert/replace the candidate at `slot`; returns the net's handle
+    /// and the previous entry if any.
+    pub fn insert(
+        &mut self,
+        prefix: Ipv4Prefix,
+        slot: usize,
+        entry: RibEntry,
+    ) -> (NodeId, Option<RibEntry>) {
+        let id = self.nets.entry(prefix);
+        let net = self.nets.at_or_insert_with(id, NetEntry::default);
+        let old = match net.cands.iter_mut().find(|(s, _)| *s == slot) {
             Some((_, old)) => Some(std::mem::replace(old, entry)),
             None => {
                 let pos = net.cands.partition_point(|(s, _)| *s < slot);
@@ -88,68 +106,75 @@ impl RibStore {
                 self.slot_counts[slot] += 1;
                 None
             }
-        }
+        };
+        (id, old)
     }
 
     /// Remove the candidate at `slot`; drops the net when nothing —
-    /// neither candidates nor a committed best — remains.
-    pub fn remove(&mut self, prefix: &Ipv4Prefix, slot: usize) -> Option<RibEntry> {
-        let net = self.nets.get_mut(prefix)?;
+    /// neither candidates nor a committed best — remains. Returns the
+    /// removed entry and which slot the net's committed best came from,
+    /// if it has one.
+    pub fn remove(
+        &mut self,
+        prefix: &Ipv4Prefix,
+        slot: usize,
+    ) -> Option<(RibEntry, Option<usize>)> {
+        let id = self.nets.find(prefix)?;
+        let net = self.nets.at_mut(id)?;
         let pos = net.cands.iter().position(|(s, _)| *s == slot)?;
         let (_, entry) = net.cands.remove(pos);
+        let best_slot = net.best.as_ref().map(|(s, _)| *s);
         self.slot_counts[slot] -= 1;
-        if net.cands.is_empty() && net.best.is_none() {
+        if net.is_empty() {
             self.nets.remove(prefix);
         }
-        Some(entry)
+        Some((entry, best_slot))
     }
 
-    pub fn candidate(&self, prefix: &Ipv4Prefix, slot: usize) -> Option<&RibEntry> {
-        self.nets.get(prefix)?.cands.iter().find(|(s, _)| *s == slot).map(|(_, e)| e)
+    /// The handle of a net that holds any state.
+    pub fn find(&self, prefix: &Ipv4Prefix) -> Option<NodeId> {
+        self.nets.find(prefix)
     }
 
-    /// Clone the candidate list (slot order) for a decision pass.
-    pub fn candidates_cloned(&self, prefix: &Ipv4Prefix) -> Vec<(usize, RibEntry)> {
-        self.nets.get(prefix).map(|n| n.cands.clone()).unwrap_or_default()
+    /// The net at a live handle.
+    pub fn net(&self, id: NodeId) -> &NetEntry {
+        self.nets.at(id).expect("a net's handle outlives the net")
     }
 
-    /// The committed best route, if any (O(1)).
+    /// The committed best route, if any.
     pub fn best(&self, prefix: &Ipv4Prefix) -> Option<&RibEntry> {
         self.nets.get(prefix)?.best.as_ref().map(|(_, e)| e)
     }
 
-    /// Which slot the committed best came from.
-    pub fn best_slot(&self, prefix: &Ipv4Prefix) -> Option<usize> {
-        self.nets.get(prefix)?.best.as_ref().map(|(s, _)| *s)
-    }
-
-    pub fn best_pair_cloned(&self, prefix: &Ipv4Prefix) -> Option<(usize, RibEntry)> {
-        self.nets.get(prefix)?.best.clone()
-    }
-
-    /// Commit a decision outcome; drops the net once it is fully empty.
-    pub fn commit_best(&mut self, prefix: Ipv4Prefix, winner: Option<(usize, RibEntry)>) {
-        let Some(net) = self.nets.get_mut(&prefix) else {
-            // Nothing stored and nothing to store: a None commit on a
-            // missing net is a no-op; a Some commit creates the node.
-            if let Some(w) = winner {
-                let entry = self.nets.get_or_insert_with(prefix, NetEntry::default);
-                entry.best = Some(w);
-                self.loc_len += 1;
-            }
-            return;
-        };
+    /// Commit a decision outcome at a net's handle — the candidate at
+    /// `winner`, an index into [`NetEntry::candidates`], or no route —
+    /// and return the committed best. Drops the net once it is fully
+    /// empty.
+    pub fn commit_best(
+        &mut self,
+        prefix: Ipv4Prefix,
+        id: NodeId,
+        winner: Option<usize>,
+    ) -> Option<&RibEntry> {
+        let net = self.nets.at_mut(id).expect("a net's handle outlives the net");
         let had = net.best.is_some();
-        net.best = winner;
-        let has = net.best.is_some();
-        match (had, has) {
+        net.best = winner.map(|i| net.cands[i].clone());
+        match (had, net.best.is_some()) {
             (false, true) => self.loc_len += 1,
             (true, false) => self.loc_len -= 1,
             _ => {}
         }
-        if net.cands.is_empty() && net.best.is_none() {
+        if net.is_empty() {
             self.nets.remove(&prefix);
+            return None;
         }
+        self.nets.at(id)?.best.as_ref().map(|(_, e)| e)
+    }
+
+    /// Trie descents of the route table so far
+    /// (`xbgp_rib_descents_total`).
+    pub fn descents(&self) -> u64 {
+        self.nets.descents()
     }
 
     /// Number of nets with a committed best (Loc-RIB size).
@@ -175,8 +200,8 @@ impl RibStore {
 
     /// Every net with any state at all, in prefix order (oracle and
     /// full-recompute sweeps).
-    pub fn net_prefixes(&self) -> Vec<Ipv4Prefix> {
-        self.nets.keys().collect()
+    pub fn iter_nets(&self) -> impl Iterator<Item = (Ipv4Prefix, &NetEntry)> {
+        self.nets.iter()
     }
 
     /// Drop every candidate held at `slot` (session teardown).
@@ -197,7 +222,7 @@ impl RibStore {
             if all || net.best.as_ref().is_some_and(|(s, _)| *s == slot) {
                 affected.push(prefix);
             }
-            if net.cands.is_empty() && net.best.is_none() {
+            if net.is_empty() {
                 emptied.push(prefix);
             }
         });
@@ -365,21 +390,23 @@ mod tests {
     fn rib_store_insert_replace_remove_and_counts() {
         let mut rib = RibStore::new(3);
         let px = p("10.0.0.0/8");
-        assert!(rib.insert(px, peer_slot(0), entry(|_| {}, ebgp_src(5))).is_none());
-        assert!(
-            rib.insert(px, peer_slot(0), entry(|a| a.med = Some(1), ebgp_src(5))).is_some(),
-            "same slot replaces"
-        );
-        assert!(rib.insert(px, peer_slot(1), entry(|_| {}, ebgp_src(6))).is_none());
+        let (net, old) = rib.insert(px, peer_slot(0), entry(|_| {}, ebgp_src(5)));
+        assert!(old.is_none());
+        let (again, old) = rib.insert(px, peer_slot(0), entry(|a| a.med = Some(1), ebgp_src(5)));
+        assert!(old.is_some(), "same slot replaces");
+        assert_eq!(again, net, "one net, one handle");
+        assert!(rib.insert(px, peer_slot(1), entry(|_| {}, ebgp_src(6))).1.is_none());
+        assert_eq!(rib.find(&px), Some(net));
         assert_eq!(rib.adj_in_len(), 2);
         assert_eq!(rib.slot_len(peer_slot(0)), 1);
-        assert_eq!(rib.candidates_cloned(&px).len(), 2);
-        assert_eq!(rib.candidate(&px, peer_slot(0)).unwrap().attrs.med, Some(1));
+        assert_eq!(rib.net(net).candidates().len(), 2);
+        assert_eq!(rib.net(net).candidates()[0].1.attrs.med, Some(1));
         assert!(rib.remove(&px, peer_slot(0)).is_some());
         assert!(rib.remove(&px, peer_slot(0)).is_none(), "second remove is a no-op");
         assert_eq!(rib.adj_in_len(), 1);
         assert!(rib.remove(&px, peer_slot(1)).is_some());
-        assert!(rib.net_prefixes().is_empty(), "empty net is dropped");
+        assert_eq!(rib.iter_nets().count(), 0, "empty net is dropped");
+        assert_eq!(rib.find(&px), None);
     }
 
     #[test]
@@ -390,8 +417,8 @@ mod tests {
         // (local first, then peers) like the old full-pass loop.
         rib.insert(px, peer_slot(2), entry(|_| {}, ebgp_src(8)));
         rib.insert(px, LOCAL_SLOT, entry(|_| {}, RouteSource::local(1, 65000)));
-        rib.insert(px, peer_slot(0), entry(|_| {}, ebgp_src(6)));
-        let slots: Vec<usize> = rib.candidates_cloned(&px).iter().map(|(s, _)| *s).collect();
+        let (net, _) = rib.insert(px, peer_slot(0), entry(|_| {}, ebgp_src(6)));
+        let slots: Vec<usize> = rib.net(net).candidates().iter().map(|(s, _)| *s).collect();
         assert_eq!(slots, vec![LOCAL_SLOT, peer_slot(0), peer_slot(2)]);
     }
 
@@ -399,19 +426,20 @@ mod tests {
     fn rib_store_committed_best_survives_candidate_removal() {
         let mut rib = RibStore::new(2);
         let px = p("192.0.2.0/24");
-        let e = entry(|_| {}, ebgp_src(5));
-        rib.insert(px, peer_slot(0), e.clone());
-        rib.commit_best(px, Some((peer_slot(0), e)));
+        let (net, _) = rib.insert(px, peer_slot(0), entry(|_| {}, ebgp_src(5)));
+        assert!(rib.commit_best(px, net, Some(0)).is_some());
         assert_eq!(rib.loc_len(), 1);
-        assert_eq!(rib.best_slot(&px), Some(peer_slot(0)));
         // Withdraw the candidate: the committed best stays visible until
-        // the next decision commits None (the old LocRib held clones).
-        assert!(rib.remove(&px, peer_slot(0)).is_some());
+        // the next decision commits None (the old LocRib held clones),
+        // and so does the net's handle.
+        let (_, best_slot) = rib.remove(&px, peer_slot(0)).expect("candidate removed");
+        assert_eq!(best_slot, Some(peer_slot(0)));
         assert!(rib.best(&px).is_some());
+        assert_eq!(rib.find(&px), Some(net));
         assert_eq!(rib.loc_len(), 1);
-        rib.commit_best(px, None);
+        assert!(rib.commit_best(px, net, None).is_none());
         assert_eq!(rib.loc_len(), 0);
-        assert!(rib.net_prefixes().is_empty());
+        assert_eq!(rib.iter_nets().count(), 0);
     }
 
     #[test]
@@ -419,9 +447,8 @@ mod tests {
         let mut rib = RibStore::new(2);
         for s in ["192.0.2.0/24", "10.0.0.0/8", "10.0.0.0/16", "172.16.0.0/12"] {
             let px = p(s);
-            let e = entry(|_| {}, ebgp_src(5));
-            rib.insert(px, peer_slot(0), e.clone());
-            rib.commit_best(px, Some((peer_slot(0), e)));
+            let (net, _) = rib.insert(px, peer_slot(0), entry(|_| {}, ebgp_src(5)));
+            rib.commit_best(px, net, Some(0));
         }
         let got: Vec<Ipv4Prefix> = rib.iter_best().map(|(px, _)| px).collect();
         let mut want = got.clone();
@@ -434,13 +461,12 @@ mod tests {
         let mut rib = RibStore::new(3);
         let a = p("10.0.0.0/8");
         let b = p("192.0.2.0/24");
-        for px in [a, b] {
-            rib.insert(px, peer_slot(0), entry(|_| {}, ebgp_src(5)));
-            rib.insert(px, peer_slot(1), entry(|_| {}, ebgp_src(6)));
-        }
         // Best for `a` from slot 1, for `b` from slot 2.
-        rib.commit_best(a, rib.candidates_cloned(&a).first().cloned());
-        rib.commit_best(b, rib.candidates_cloned(&b).last().cloned());
+        for (px, winner) in [(a, 0), (b, 1)] {
+            rib.insert(px, peer_slot(0), entry(|_| {}, ebgp_src(5)));
+            let (net, _) = rib.insert(px, peer_slot(1), entry(|_| {}, ebgp_src(6)));
+            rib.commit_best(px, net, Some(winner));
+        }
 
         let affected = rib.flush_slot(peer_slot(0), false);
         assert_eq!(affected, vec![a], "only the net whose best came from the slot");

@@ -8,6 +8,8 @@
 //!   *exactly* `(addr, len)`-lexicographic order — the same order a
 //!   collect-and-sort over `Ipv4Prefix`'s derived `Ord` produces. Dump
 //!   paths therefore never sort; determinism comes from the structure.
+//!   A descent can be kept as a [`NodeId`], so an engine reaches a net
+//!   once per route and works at the handle from there.
 //! * [`DirtySet`] — an ordered set of prefixes touched by an UPDATE
 //!   batch, drained in prefix order for batched *delta* best-path
 //!   recomputation: only prefixes actually touched get re-decided.
@@ -20,5 +22,5 @@ pub mod map;
 pub mod metrics;
 
 pub use dirty::DirtySet;
-pub use map::PrefixMap;
+pub use map::{NodeId, PrefixMap};
 pub use metrics::{push_rib_gauges, RibCounters};

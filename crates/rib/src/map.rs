@@ -17,10 +17,20 @@
 //! collect-and-sort, and the withdrawal order after a session flush is
 //! deterministic by construction.
 
+use std::cell::Cell;
 use xbgp_wire::Ipv4Prefix;
 
 /// Sentinel child index: no child.
 const NONE: u32 = u32::MAX;
+
+/// A handle on one key's node, from [`PrefixMap::entry`] or
+/// [`PrefixMap::find`]: the work of a descent, kept. It stays valid
+/// across inserts and across value changes through the handle — the
+/// arena never moves a live node — and until the next
+/// [`PrefixMap::remove`] or [`PrefixMap::clear`], either of which may
+/// free the node and hand its index to a later insert.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeId(u32);
 
 #[derive(Debug, Clone)]
 struct Node<V> {
@@ -57,6 +67,10 @@ pub struct PrefixMap<V> {
     nodes: Vec<Node<V>>,
     free: Vec<u32>,
     len: usize,
+    /// Walks from the root so far: the exact work counter behind
+    /// `xbgp_rib_descents_total`. Counted here, where the loops are, so
+    /// no caller can forget one; a `Cell` because lookups take `&self`.
+    descents: Cell<u64>,
 }
 
 impl<V> Default for PrefixMap<V> {
@@ -65,6 +79,7 @@ impl<V> Default for PrefixMap<V> {
             nodes: vec![Node::leaf(Ipv4Prefix::DEFAULT, None)],
             free: Vec::new(),
             len: 0,
+            descents: Cell::new(0),
         }
     }
 }
@@ -81,6 +96,20 @@ impl<V> PrefixMap<V> {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Descents from the root since construction: one per [`entry`],
+    /// [`find`] and [`remove`], and per call of the by-key methods built
+    /// on them. Handle accesses ([`at`], [`at_mut`]) and iteration cost
+    /// none.
+    ///
+    /// [`entry`]: PrefixMap::entry
+    /// [`find`]: PrefixMap::find
+    /// [`remove`]: PrefixMap::remove
+    /// [`at`]: PrefixMap::at
+    /// [`at_mut`]: PrefixMap::at_mut
+    pub fn descents(&self) -> u64 {
+        self.descents.get()
     }
 
     /// Drop every entry, keeping the allocation.
@@ -101,26 +130,26 @@ impl<V> PrefixMap<V> {
         }
     }
 
-    /// Insert or replace; returns the previous value if any.
-    pub fn insert(&mut self, key: Ipv4Prefix, value: V) -> Option<V> {
+    /// The node of `key`, created without a value if the trie has none:
+    /// one descent, after which [`PrefixMap::at`], [`PrefixMap::at_mut`]
+    /// and [`PrefixMap::at_or_insert_with`] reach the value directly. A
+    /// node left without a value is not an entry ([`PrefixMap::len`],
+    /// iteration and [`PrefixMap::find`] skip it); `remove(key)` prunes it.
+    pub fn entry(&mut self, key: Ipv4Prefix) -> NodeId {
+        self.descents.set(self.descents.get() + 1);
         let mut cur = 0u32;
         loop {
             let node_key = self.nodes[cur as usize].key;
             if node_key == key {
-                let old = self.nodes[cur as usize].value.replace(value);
-                if old.is_none() {
-                    self.len += 1;
-                }
-                return old;
+                return NodeId(cur);
             }
             debug_assert!(node_key.covers(&key));
             let b = bit(key.addr(), node_key.len());
             let c = self.nodes[cur as usize].child[b];
             if c == NONE {
-                let leaf = self.alloc(Node::leaf(key, Some(value)));
+                let leaf = self.alloc(Node::leaf(key, None));
                 self.nodes[cur as usize].child[b] = leaf;
-                self.len += 1;
-                return None;
+                return NodeId(leaf);
             }
             let child_key = self.nodes[c as usize].key;
             if child_key.covers(&key) {
@@ -129,11 +158,10 @@ impl<V> PrefixMap<V> {
             }
             if key.covers(&child_key) {
                 // `key` sits between `cur` and its child: splice it in.
-                let n = self.alloc(Node::leaf(key, Some(value)));
+                let n = self.alloc(Node::leaf(key, None));
                 self.nodes[n as usize].child[bit(child_key.addr(), key.len())] = c;
                 self.nodes[cur as usize].child[b] = n;
-                self.len += 1;
-                return None;
+                return NodeId(n);
             }
             // Diverging prefixes: branch at their longest common prefix.
             let common = ((key.addr() ^ child_key.addr()).leading_zeros() as u8)
@@ -141,61 +169,91 @@ impl<V> PrefixMap<V> {
                 .min(child_key.len());
             debug_assert!(common > node_key.len());
             let branch = self.alloc(Node::leaf(Ipv4Prefix::new(key.addr(), common), None));
-            let leaf = self.alloc(Node::leaf(key, Some(value)));
+            let leaf = self.alloc(Node::leaf(key, None));
             self.nodes[branch as usize].child[bit(key.addr(), common)] = leaf;
             self.nodes[branch as usize].child[bit(child_key.addr(), common)] = c;
             self.nodes[cur as usize].child[b] = branch;
-            self.len += 1;
-            return None;
+            return NodeId(leaf);
         }
     }
 
-    /// Index of the node holding exactly `key`, if present.
-    fn find(&self, key: &Ipv4Prefix) -> Option<u32> {
+    /// Insert or replace; returns the previous value if any.
+    pub fn insert(&mut self, key: Ipv4Prefix, value: V) -> Option<V> {
+        let NodeId(i) = self.entry(key);
+        let old = self.nodes[i as usize].value.replace(value);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
+    }
+
+    /// The handle of `key`'s entry, if it has one (a node that holds a
+    /// value): one descent.
+    pub fn find(&self, key: &Ipv4Prefix) -> Option<NodeId> {
+        self.descents.set(self.descents.get() + 1);
         let mut cur = 0u32;
         loop {
-            let node_key = self.nodes[cur as usize].key;
-            if node_key == *key {
-                return Some(cur);
+            let node = &self.nodes[cur as usize];
+            if node.key == *key {
+                return node.value.is_some().then_some(NodeId(cur));
             }
-            if !node_key.covers(key) {
+            if !node.key.covers(key) {
                 return None;
             }
-            let c = self.nodes[cur as usize].child[bit(key.addr(), node_key.len())];
-            if c == NONE {
+            cur = node.child[bit(key.addr(), node.key.len())];
+            if cur == NONE {
                 return None;
             }
-            cur = c;
         }
+    }
+
+    /// The value at a live handle; `None` for an [`PrefixMap::entry`]
+    /// node nothing was stored at yet.
+    pub fn at(&self, id: NodeId) -> Option<&V> {
+        self.nodes[id.0 as usize].value.as_ref()
+    }
+
+    pub fn at_mut(&mut self, id: NodeId) -> Option<&mut V> {
+        self.nodes[id.0 as usize].value.as_mut()
+    }
+
+    /// The value at a live handle, storing `default()` first if there is
+    /// none.
+    pub fn at_or_insert_with(&mut self, id: NodeId, default: impl FnOnce() -> V) -> &mut V {
+        let value = &mut self.nodes[id.0 as usize].value;
+        if value.is_none() {
+            self.len += 1;
+        }
+        value.get_or_insert_with(default)
     }
 
     pub fn get(&self, key: &Ipv4Prefix) -> Option<&V> {
-        self.find(key).and_then(|i| self.nodes[i as usize].value.as_ref())
+        self.find(key).and_then(|id| self.at(id))
     }
 
     pub fn get_mut(&mut self, key: &Ipv4Prefix) -> Option<&mut V> {
-        self.find(key).and_then(|i| self.nodes[i as usize].value.as_mut())
+        self.find(key).and_then(|id| self.at_mut(id))
     }
 
     pub fn contains_key(&self, key: &Ipv4Prefix) -> bool {
-        self.get(key).is_some()
+        self.find(key).is_some()
     }
 
     /// Get the value for `key`, inserting `default()` first if absent.
     pub fn get_or_insert_with(&mut self, key: Ipv4Prefix, default: impl FnOnce() -> V) -> &mut V {
-        if self.find(&key).and_then(|i| self.nodes[i as usize].value.as_ref()).is_none() {
-            self.insert(key, default());
-        }
-        let i = self.find(&key).expect("just inserted");
-        self.nodes[i as usize].value.as_mut().expect("just inserted")
+        let id = self.entry(key);
+        self.at_or_insert_with(id, default)
     }
 
     /// Remove `key`, returning its value. Structural nodes left without a
     /// purpose (no value, fewer than two children) are spliced out so the
     /// trie never accumulates dead branches under churn.
     pub fn remove(&mut self, key: &Ipv4Prefix) -> Option<V> {
-        // Descend, remembering the path for post-removal cleanup.
-        let mut path: Vec<u32> = Vec::new();
+        self.descents.set(self.descents.get() + 1);
+        // Descend, remembering the path for post-removal cleanup. Key
+        // lengths grow strictly along a path, so 33 nodes bound it.
+        let mut path = [0u32; 33];
+        let mut depth = 0;
         let mut cur = 0u32;
         loop {
             let node_key = self.nodes[cur as usize].key;
@@ -209,11 +267,14 @@ impl<V> PrefixMap<V> {
             if c == NONE {
                 return None;
             }
-            path.push(cur);
+            path[depth] = cur;
+            depth += 1;
             cur = c;
         }
-        let old = self.nodes[cur as usize].value.take()?;
-        self.len -= 1;
+        let old = self.nodes[cur as usize].value.take();
+        if old.is_some() {
+            self.len -= 1;
+        }
         // Cleanup pass: at most two structural fixes (the removed node,
         // then a parent branch left with a single child).
         let mut target = cur;
@@ -222,20 +283,12 @@ impl<V> PrefixMap<V> {
             if node.value.is_some() || node.child_count() == 2 {
                 break;
             }
-            let parent = path.pop().expect("non-root node has a parent");
+            depth -= 1;
+            let parent = path[depth];
             let slot = bit(node.key.addr(), self.nodes[parent as usize].key.len());
             debug_assert_eq!(self.nodes[parent as usize].child[slot], target);
-            let replacement = match self.nodes[target as usize].child_count() {
-                0 => NONE,
-                _ => {
-                    let c = &self.nodes[target as usize].child;
-                    if c[0] != NONE {
-                        c[0]
-                    } else {
-                        c[1]
-                    }
-                }
-            };
+            let [c0, c1] = node.child;
+            let replacement = if c0 != NONE { c0 } else { c1 };
             self.nodes[parent as usize].child[slot] = replacement;
             self.free.push(target);
             if replacement != NONE {
@@ -244,7 +297,7 @@ impl<V> PrefixMap<V> {
             }
             target = parent;
         }
-        Some(old)
+        old
     }
 
     /// Iterate `(prefix, value)` in `(addr, len)` lexicographic order.
@@ -438,26 +491,104 @@ mod tests {
         assert!(m.values().all(|&v| v == 1));
     }
 
+    #[test]
+    fn entry_reaches_every_kind_of_node_in_one_descent() {
+        let mut m: PrefixMap<u32> = PrefixMap::new();
+        m.insert(p("10.1.0.0/16"), 1);
+        let before = m.descents();
+        let existing = m.entry(p("10.1.0.0/16"));
+        let leaf = m.entry(p("10.1.2.0/24")); // below an entry
+        let splice = m.entry(p("10.0.0.0/8")); // between the root and one
+        let branch = m.entry(p("10.2.0.0/16")); // diverges from 10.1/16 at /14
+        assert_eq!(m.descents() - before, 4);
+        assert_eq!(m.at(existing), Some(&1));
+        assert_eq!(m.len(), 1, "a node without a value is not an entry");
+        for id in [leaf, splice, branch] {
+            assert_eq!(m.at(id), None);
+        }
+        assert_eq!(m.find(&p("10.0.0.0/8")), None);
+        assert_eq!(m.keys().collect::<Vec<_>>(), vec![p("10.1.0.0/16")]);
+        // Values go in through the handles, in any order, after other
+        // inserts moved the arena.
+        for i in 0..64u32 {
+            m.insert(Ipv4Prefix::new(0xc000_0000 | i << 8, 24), i);
+        }
+        *m.at_or_insert_with(branch, || 4) += 10;
+        m.at_or_insert_with(splice, || 3);
+        m.at_or_insert_with(leaf, || 2);
+        assert_eq!(m.len(), 68);
+        assert_eq!(m.get(&p("10.2.0.0/16")), Some(&14));
+        assert_eq!(m.find(&p("10.0.0.0/8")), Some(splice));
+        assert_eq!(m.get(&p("10.1.2.0/24")), Some(&2));
+        assert_eq!(m.get(&p("10.0.0.0/14")), None, "the branch node itself stays structural");
+        // An entry never given a value is pruned by `remove`.
+        let dead = m.entry(p("172.16.0.0/12"));
+        assert_eq!(m.at(dead), None);
+        let live = m.nodes.len() - m.free.len();
+        assert_eq!(m.remove(&p("172.16.0.0/12")), None);
+        assert!(m.nodes.len() - m.free.len() < live);
+        assert_eq!(m.len(), 68);
+    }
+
     proptest! {
         /// The trie must behave exactly like a `BTreeMap<Ipv4Prefix, u32>`
-        /// over any interleaving of inserts and removes — same contents,
-        /// same iteration order (BTreeMap iterates in derived-`Ord` order,
-        /// which is what the pre-order walk claims to reproduce).
+        /// over any interleaving of inserts, removes and handle
+        /// operations — same contents, same iteration order (BTreeMap
+        /// iterates in derived-`Ord` order, which is what the pre-order
+        /// walk claims to reproduce). The biased key space makes `entry`
+        /// land on existing nodes, new leaves, splices and branches alike.
         #[test]
         fn prop_matches_btreemap_model(ops in proptest::collection::vec(
-            (any::<bool>(), any::<u32>(), 0u8..=32, any::<u32>()), 1..120))
+            (0u8..5, any::<u32>(), 0u8..=32, any::<u32>()), 1..120))
         {
             let mut m = PrefixMap::new();
             let mut model: BTreeMap<Ipv4Prefix, u32> = BTreeMap::new();
-            for (is_insert, addr, len, val) in ops {
+            // The last handle taken, good until the next `remove`.
+            let mut held: Option<(Ipv4Prefix, NodeId)> = None;
+            for (op, addr, len, val) in ops {
                 // Bias the key space so collisions/nesting actually occur.
                 let key = Ipv4Prefix::new(addr & 0x0f0f_ffff, len);
-                if is_insert {
-                    prop_assert_eq!(m.insert(key, val), model.insert(key, val));
-                } else {
-                    prop_assert_eq!(m.remove(&key), model.remove(&key));
+                let before = m.descents();
+                let mut defaults = 0;
+                match op {
+                    0 => prop_assert_eq!(m.insert(key, val), model.insert(key, val)),
+                    1 => {
+                        prop_assert_eq!(m.remove(&key), model.remove(&key));
+                        held = None;
+                    }
+                    // A bare entry: a node, not a value.
+                    2 => {
+                        let id = m.entry(key);
+                        prop_assert_eq!(m.at(id), model.get(&key));
+                        held = Some((key, id));
+                    }
+                    3 => {
+                        let absent = !model.contains_key(&key);
+                        let id = m.entry(key);
+                        let got = *m.at_or_insert_with(id, || {
+                            defaults += 1;
+                            val
+                        });
+                        prop_assert_eq!(got, *model.entry(key).or_insert(val));
+                        prop_assert_eq!(defaults, u32::from(absent));
+                        held = Some((key, id));
+                    }
+                    _ => {
+                        let absent = !model.contains_key(&key);
+                        let got = *m.get_or_insert_with(key, || {
+                            defaults += 1;
+                            val
+                        });
+                        prop_assert_eq!(got, *model.entry(key).or_insert(val));
+                        prop_assert_eq!(defaults, u32::from(absent), "default runs at most once");
+                    }
                 }
-                prop_assert_eq!(m.len(), model.len());
+                prop_assert_eq!(m.descents() - before, 1, "every by-key operation is one descent");
+                prop_assert_eq!(m.len(), model.len(), "len counts values, not nodes");
+                if let Some((k, id)) = held {
+                    prop_assert_eq!(m.at(id), model.get(&k), "a handle survives inserts");
+                    prop_assert_eq!(m.find(&k), model.contains_key(&k).then_some(id));
+                }
             }
             let got: Vec<(Ipv4Prefix, u32)> = m.iter().map(|(k, v)| (k, *v)).collect();
             let want: Vec<(Ipv4Prefix, u32)> = model.iter().map(|(k, v)| (*k, *v)).collect();

@@ -9,7 +9,9 @@
 //!   (prefixes awaiting delta re-decision at snapshot time; 0 at any
 //!   quiescent point);
 //! * counters — `xbgp_rib_updates_applied_total`,
-//!   `xbgp_rib_withdrawals_total`, `xbgp_rib_best_changes_total`;
+//!   `xbgp_rib_withdrawals_total`, `xbgp_rib_best_changes_total`,
+//!   `xbgp_rib_descents_total` (walks from the root of the engine's route
+//!   table — the exact count behind "one descent per route");
 //! * histogram — `xbgp_rib_delta_batch_size`, one observation per
 //!   drained dirty batch (how many prefixes each UPDATE batch actually
 //!   re-decided — the quantity the incremental engine keeps small).
@@ -40,11 +42,14 @@ impl RibCounters {
 
     /// Append the counter block to a snapshot (gauges are pushed
     /// separately via [`push_rib_gauges`] — they read live sizes the
-    /// counters don't know).
-    pub fn push(&self, snap: &mut Snapshot) {
+    /// counters don't know). `descents` is the route table's
+    /// [`crate::PrefixMap::descents`]: the trie counts its own walks, so
+    /// no call site can miss one.
+    pub fn push(&self, snap: &mut Snapshot, descents: u64) {
         snap.push_counter("xbgp_rib_updates_applied_total", &[], self.updates_applied);
         snap.push_counter("xbgp_rib_withdrawals_total", &[], self.withdrawals);
         snap.push_counter("xbgp_rib_best_changes_total", &[], self.best_changes);
+        snap.push_counter("xbgp_rib_descents_total", &[], descents);
         snap.push_histogram("xbgp_rib_delta_batch_size", &[], self.delta_batch_size.snapshot());
     }
 }
@@ -70,12 +75,13 @@ mod tests {
         c.delta_batch_size.observe(5);
 
         let mut snap = Snapshot::new();
-        c.push(&mut snap);
+        c.push(&mut snap, 12);
         push_rib_gauges(&mut snap, 42, 40, 0);
 
         assert_eq!(snap.counter_value("xbgp_rib_updates_applied_total", &[]), Some(10));
         assert_eq!(snap.counter_value("xbgp_rib_withdrawals_total", &[]), Some(3));
         assert_eq!(snap.counter_value("xbgp_rib_best_changes_total", &[]), Some(7));
+        assert_eq!(snap.counter_value("xbgp_rib_descents_total", &[]), Some(12));
         assert_eq!(snap.histogram_value("xbgp_rib_delta_batch_size", &[]).unwrap().count, 2);
         assert_eq!(snap.gauge_value("xbgp_rib_adj_in", &[]), Some(42));
         assert_eq!(snap.gauge_value("xbgp_rib_loc", &[]), Some(40));
@@ -83,7 +89,7 @@ mod tests {
 
         // Shard merge must combine, not duplicate, these keys.
         let mut other = Snapshot::new();
-        c.push(&mut other);
+        c.push(&mut other, 12);
         push_rib_gauges(&mut other, 1, 1, 1);
         snap.merge(other).unwrap();
         assert_eq!(snap.counter_value("xbgp_rib_updates_applied_total", &[]), Some(20));

@@ -11,13 +11,13 @@ use crate::rtable::{RTable, Rte, SrcId, TableChange};
 use netsim::NodeCtx;
 use rpki::{RoaHashTable, RoaTable, RovState};
 use std::rc::Rc;
-use xbgp_core::api::{InsertionPoint, NextHopInfo, PeerInfo, PeerType};
+use xbgp_core::api::{NextHopInfo, PeerInfo, PeerType};
 use xbgp_driver::export::{Dest, Exporter, UpdateGroups};
 use xbgp_driver::host::{roa_hash_table, BgpDaemon, Host, RouteEngine, RouteSource};
 use xbgp_driver::xbgp_glue::Rejected;
 use xbgp_obs::trace::pack_prefix;
 use xbgp_obs::Snapshot;
-use xbgp_rib::{push_rib_gauges, DirtySet, RibCounters};
+use xbgp_rib::{push_rib_gauges, DirtySet, NodeId, RibCounters};
 use xbgp_wire::attr::encode_attrs;
 use xbgp_wire::{Ipv4Prefix, PathAttr, UpdateMsg, WireError};
 
@@ -53,13 +53,9 @@ fn eligible(host: &Host, rte: &Rte) -> bool {
 
 /// What a net exports: the first eligible route of its
 /// preference-ordered list.
-fn best_eligible(
-    table: &RTable,
-    host: &Host,
-    net: &Ipv4Prefix,
-) -> Option<(Rc<EaList>, RouteSource)> {
-    let rte = table.routes(net).iter().find(|r| eligible(host, r))?;
-    Some((Rc::clone(&rte.eattrs), rte.source()))
+fn best_eligible<'a>(host: &Host, routes: &'a [Rte]) -> Option<(&'a Rc<EaList>, RouteSource)> {
+    let rte = routes.iter().find(|r| eligible(host, r))?;
+    Some((&rte.eattrs, rte.source()))
 }
 
 fn local_rte(host: &Host, nexthop: u32) -> Rte {
@@ -88,18 +84,6 @@ fn rte_better(host: &mut Host, a: &Rte, b: &Rte) -> bool {
         })
 }
 
-/// `routes` stably re-sorted by [`rte_better`] (the slow path: the
-/// comparator may run extension code, so a list is pulled out of the
-/// table, sorted, and put back).
-fn sorted_by_preference(host: &mut Host, routes: Vec<Rte>) -> Vec<Rte> {
-    let mut sorted: Vec<Rte> = Vec::with_capacity(routes.len());
-    for rte in routes {
-        let pos = sorted.iter().position(|s| rte_better(host, &rte, s)).unwrap_or(sorted.len());
-        sorted.insert(pos, rte);
-    }
-    sorted
-}
-
 impl WrenEngine {
     /// Number of nets in the table.
     pub fn table_len(&self) -> usize {
@@ -117,12 +101,20 @@ impl WrenEngine {
         self.table.iter_best().map(|(n, _)| n).collect()
     }
 
-    /// Table update using the native comparator (fast path; no extension
-    /// code runs, so the comparator only reads the host).
-    fn table_update_fast(&mut self, host: &Host, net: Ipv4Prefix, rte: Rte) -> TableChange {
+    /// Put a local route into its net's list by the native comparator
+    /// (③ is only asked about routes learned from a channel); the net's
+    /// handle comes back with the outcome.
+    fn update_local(
+        &mut self,
+        host: &Host,
+        net: Ipv4Prefix,
+        nexthop: u32,
+    ) -> (NodeId, TableChange) {
         let dlp = host.spec.default_local_pref;
         let metric = |nh: u32| host.igp_metric(nh);
-        self.table.update(net, rte, &mut |a, b| rte_better_native(a, b, dlp, &metric))
+        self.table.update(net, local_rte(host, nexthop), &mut |a, b| {
+            rte_better_native(a, b, dlp, &metric)
+        })
     }
 
     // -----------------------------------------------------------------
@@ -172,9 +164,9 @@ impl WrenEngine {
         // Extension-installed routes.
         let adds: Vec<(Ipv4Prefix, u32)> = host.ext_rib_adds.drain(..).collect();
         for (net, nexthop) in adds {
-            let change = self.table_update_fast(host, net, local_rte(host, nexthop));
+            let (at, change) = self.update_local(host, net, nexthop);
             self.rib_counters.updates_applied += 1;
-            self.propagate_inline(host, net, change);
+            self.propagate_inline(host, net, Some(at), change);
         }
         Ok(())
     }
@@ -201,7 +193,8 @@ impl WrenEngine {
                     // so the decision is attributed).
                     let (change, removed) = self.table.withdraw(net, SrcId::Channel(ch));
                     self.rib_counters.withdrawals += u64::from(removed);
-                    return self.propagate_inline(host, net, change);
+                    let at = self.changed_at(&net, change);
+                    return self.propagate_inline(host, net, at, change);
                 }
             }
         }
@@ -226,23 +219,26 @@ impl WrenEngine {
             eattrs: route_attrs,
             rov,
         };
-        let change = if host.hooks.vmm.has_extensions(InsertionPoint::BgpDecision) {
-            self.update_with_decision_ext(host, net, rte)
-        } else {
-            self.table_update_fast(host, net, rte)
-        };
+        // The comparator asks ③ first; it borrows the host, not the table.
+        let (at, change) = self.table.update(net, rte, &mut |a, b| rte_better(host, a, b));
         self.rib_counters.updates_applied += 1;
-        self.propagate_inline(host, net, change);
+        self.propagate_inline(host, net, Some(at), change);
     }
 
     /// Propagate a change made while processing NLRI. It re-exports the
     /// net from its current best, which already reflects any earlier
     /// withdraw-loop removal — the deferred propagation is subsumed.
-    fn propagate_inline(&mut self, host: &mut Host, net: Ipv4Prefix, change: TableChange) {
+    fn propagate_inline(
+        &mut self,
+        host: &mut Host,
+        net: Ipv4Prefix,
+        at: Option<NodeId>,
+        change: TableChange,
+    ) {
         if change != TableChange::NoBestChange {
             self.dirty.unmark(&net);
         }
-        self.propagate(host, net, change);
+        self.propagate(host, net, at, change);
     }
 
     /// Propagate the deferred withdraw-path changes: every net still
@@ -261,12 +257,12 @@ impl WrenEngine {
                 // re-announce or a withdrawal falls out of the current
                 // table state (propagation reads only the current best,
                 // so `BestChanged` vs `NetGone` steer the same arm).
-                let change = if self.table.routes(&net).is_empty() {
-                    TableChange::NetGone
-                } else {
-                    TableChange::BestChanged
+                let at = self.table.find(&net);
+                let change = match at {
+                    None => TableChange::NetGone,
+                    Some(_) => TableChange::BestChanged,
                 };
-                self.propagate(host, net, change);
+                self.propagate(host, net, at, change);
             }
         }
         if host.spec.full_recompute {
@@ -280,48 +276,9 @@ impl WrenEngine {
     /// byte-identical to the incremental path — it exists only to
     /// measure what the delta engine saves.
     fn full_resort_sweep(&mut self, host: &mut Host) {
-        let decision_ext = host.hooks.vmm.has_extensions(InsertionPoint::BgpDecision);
         for net in self.table.net_keys() {
-            let change = if decision_ext {
-                let routes = self.table.routes(&net).to_vec();
-                let old_best = routes.first().map(|r| r.src);
-                let sorted = sorted_by_preference(host, routes);
-                let new_best = sorted.first().map(|r| r.src);
-                self.table.replace_net(net, sorted);
-                if new_best == old_best {
-                    TableChange::NoBestChange
-                } else {
-                    TableChange::BestChanged
-                }
-            } else {
-                let dlp = host.spec.default_local_pref;
-                let metric = |nh: u32| host.igp_metric(nh);
-                self.table.resort(&net, &mut |a, b| rte_better_native(a, b, dlp, &metric))
-            };
-            self.propagate(host, net, change);
-        }
-    }
-
-    fn update_with_decision_ext(
-        &mut self,
-        host: &mut Host,
-        net: Ipv4Prefix,
-        rte: Rte,
-    ) -> TableChange {
-        // Slow path: the comparator may run extension code, so the list is
-        // pulled out, compared, and reinserted.
-        let mut routes: Vec<Rte> = self.table.routes(&net).to_vec();
-        routes.retain(|r| r.src != rte.src);
-        let pos = routes.iter().position(|r| rte_better(host, &rte, r)).unwrap_or(routes.len());
-        let src = rte.src;
-        routes.insert(pos, rte);
-        let old_best_src = self.table.best(&net).map(|r| r.src);
-        self.table.replace_net(net, routes);
-        let new_best_src = self.table.best(&net).map(|r| r.src);
-        if old_best_src != new_best_src || new_best_src == Some(src) {
-            TableChange::BestChanged
-        } else {
-            TableChange::NoBestChange
+            let change = self.table.resort(&net, &mut |a, b| rte_better(host, a, b));
+            self.propagate(host, net, self.changed_at(&net, change), change);
         }
     }
 
@@ -329,9 +286,22 @@ impl WrenEngine {
     // Outbound
     // -----------------------------------------------------------------
 
-    /// React to a table change on `net`: re-announce or withdraw on every
+    /// The handle [`WrenEngine::propagate`] wants for a net known by name
+    /// only: looked up when there is something to re-export.
+    fn changed_at(&self, net: &Ipv4Prefix, change: TableChange) -> Option<NodeId> {
+        (change != TableChange::NoBestChange).then(|| self.table.find(net)).flatten()
+    }
+
+    /// React to a table change on `net`, whose route list is at `at`
+    /// (`None`: the net is gone): re-announce or withdraw on every
     /// channel.
-    fn propagate(&mut self, host: &mut Host, net: Ipv4Prefix, change: TableChange) {
+    fn propagate(
+        &mut self,
+        host: &mut Host,
+        net: Ipv4Prefix,
+        at: Option<NodeId>,
+        change: TableChange,
+    ) {
         let best_changed = change != TableChange::NoBestChange;
         host.hooks.trace_decision(net, best_changed);
         if !best_changed {
@@ -339,8 +309,8 @@ impl WrenEngine {
         }
         host.stats.counters.last_route_change = Some(host.now);
         self.rib_counters.best_changes += 1;
-        let best = best_eligible(&self.table, host, &net);
-        let best = best.as_ref().map(|(eattrs, src)| (eattrs, src));
+        let best = at.and_then(|at| best_eligible(host, self.table.routes_at(at)));
+        let best = best.as_ref().map(|(eattrs, src)| (*eattrs, src));
         self.out.route_changed(host, &mut WrenExport, net, best);
     }
 }
@@ -403,8 +373,8 @@ impl RouteEngine for WrenEngine {
 
     fn originate(&mut self, host: &mut Host) {
         for (net, nexthop) in host.spec.originate.clone() {
-            let change = self.table_update_fast(host, net, local_rte(host, nexthop));
-            self.propagate(host, net, change);
+            let (at, change) = self.update_local(host, net, nexthop);
+            self.propagate(host, net, Some(at), change);
         }
     }
 
@@ -414,8 +384,11 @@ impl RouteEngine for WrenEngine {
     fn session_up(&mut self, host: &mut Host, ch: usize) {
         let table = &self.table;
         self.out.join(host, &mut WrenExport, ch, |host| {
-            let nets = table.net_keys().into_iter();
-            nets.filter_map(|net| best_eligible(table, host, &net).map(|(e, src)| (net, e, src)))
+            table
+                .iter_nets()
+                .filter_map(|(net, routes)| {
+                    best_eligible(host, routes).map(|(e, src)| (net, Rc::clone(e), src))
+                })
                 .collect()
         });
     }
@@ -426,7 +399,7 @@ impl RouteEngine for WrenEngine {
         let changes = self.table.flush_src(SrcId::Channel(ch));
         self.rib_counters.withdrawals += (before - self.table.route_len()) as u64;
         for (net, change) in changes {
-            self.propagate(host, net, change);
+            self.propagate(host, net, self.changed_at(&net, change), change);
         }
     }
 
@@ -491,9 +464,9 @@ impl RouteEngine for WrenEngine {
     /// incremental engine is correct.
     fn oracle_loc_rib_dump(&mut self, host: &mut Host) -> Vec<(Ipv4Prefix, Vec<u8>)> {
         let mut out = Vec::new();
-        for net in self.table.net_keys() {
+        for (net, routes) in self.table.iter_nets() {
             let mut best: Option<&Rte> = None;
-            for rte in self.table.routes(&net) {
+            for rte in routes {
                 // Folding in list order keeps ties on the earlier entry,
                 // matching the stable insertion order the head reflects.
                 if best.is_none_or(|b| rte_better(host, rte, b)) {
@@ -508,7 +481,7 @@ impl RouteEngine for WrenEngine {
     }
 
     fn push_gauges(&self, s: &mut Snapshot) {
-        self.rib_counters.push(s);
+        self.rib_counters.push(s, self.table.descents());
         push_rib_gauges(s, self.table.route_len(), self.table.len(), self.dirty.len());
         self.out.push_gauges(s);
     }

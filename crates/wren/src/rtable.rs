@@ -13,7 +13,7 @@ use rpki::RovState;
 use std::rc::Rc;
 use xbgp_core::api::PeerType;
 use xbgp_driver::host::RouteSource;
-use xbgp_rib::PrefixMap;
+use xbgp_rib::{NodeId, PrefixMap};
 use xbgp_wire::Ipv4Prefix;
 
 /// Identifies where a route entered the table.
@@ -80,14 +80,16 @@ impl RTable {
 
     /// Insert or replace the route from `src` for `net`, keeping the list
     /// preference-ordered via `better` (a strict "candidate beats
-    /// incumbent" predicate).
+    /// incumbent" predicate). One descent; the net's handle comes back
+    /// with the outcome so that re-export reads the list without another.
     pub fn update(
         &mut self,
         net: Ipv4Prefix,
         rte: Rte,
         better: &mut dyn FnMut(&Rte, &Rte) -> bool,
-    ) -> TableChange {
-        let list = self.nets.get_or_insert_with(net, Vec::new);
+    ) -> (NodeId, TableChange) {
+        let id = self.nets.entry(net);
+        let list = self.nets.at_or_insert_with(id, Vec::new);
         let old_len = list.len();
         let old_best_was_src = list.first().map(|r| r.src == rte.src).unwrap_or(false);
         list.retain(|r| r.src != rte.src);
@@ -95,11 +97,12 @@ impl RTable {
         let pos = list.iter().position(|incumbent| better(&rte, incumbent)).unwrap_or(list.len());
         list.insert(pos, rte);
         self.route_count += list.len() - old_len;
-        if pos == 0 || old_best_was_src {
+        let change = if pos == 0 || old_best_was_src {
             TableChange::BestChanged
         } else {
             TableChange::NoBestChange
-        }
+        };
+        (id, change)
     }
 
     /// Remove the route from `src` for `net`, if any. The second element
@@ -160,9 +163,21 @@ impl RTable {
         self.nets.get(net).and_then(|l| l.first())
     }
 
-    /// All routes for a net, best first.
-    pub fn routes(&self, net: &Ipv4Prefix) -> &[Rte] {
-        self.nets.get(net).map(Vec::as_slice).unwrap_or(&[])
+    /// The handle of a net that has routes. It lives until a
+    /// [`RTable::withdraw`] or [`RTable::flush_src`] empties a net (any
+    /// net: the trie removal may recycle the node).
+    pub fn find(&self, net: &Ipv4Prefix) -> Option<NodeId> {
+        self.nets.find(net)
+    }
+
+    /// All routes of the net at a live handle, best first.
+    pub fn routes_at(&self, id: NodeId) -> &[Rte] {
+        self.nets.at(id).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Trie descents of the table so far (`xbgp_rib_descents_total`).
+    pub fn descents(&self) -> u64 {
+        self.nets.descents()
     }
 
     /// Iterate `(net, best route)` in prefix order.
@@ -170,9 +185,15 @@ impl RTable {
         self.nets.iter().filter_map(|(net, list)| list.first().map(|r| (net, r)))
     }
 
-    /// All nets, in prefix order (oracle and full-recompute sweeps).
+    /// All nets, in prefix order (the full-recompute sweep, which
+    /// changes lists as it goes).
     pub fn net_keys(&self) -> Vec<Ipv4Prefix> {
         self.nets.keys().collect()
+    }
+
+    /// Iterate `(net, routes best first)` in prefix order.
+    pub fn iter_nets(&self) -> impl Iterator<Item = (Ipv4Prefix, &[Rte])> {
+        self.nets.iter().map(|(net, list)| (net, list.as_slice()))
     }
 
     /// Number of nets with at least one route.
@@ -187,18 +208,6 @@ impl RTable {
 
     pub fn is_empty(&self) -> bool {
         self.nets.is_empty()
-    }
-
-    /// Replace a net's whole route list (used by the slow path where the
-    /// comparator may run extension code and thus cannot borrow the table).
-    pub fn replace_net(&mut self, net: Ipv4Prefix, routes: Vec<Rte>) {
-        let old_len = self.nets.get(&net).map(Vec::len).unwrap_or(0);
-        self.route_count = self.route_count - old_len + routes.len();
-        if routes.is_empty() {
-            self.nets.remove(&net);
-        } else {
-            self.nets.insert(net, routes);
-        }
     }
 
     /// Re-sort one net after preference inputs changed (e.g. IGP metrics).
@@ -263,16 +272,16 @@ mod tests {
     fn best_is_head_and_updates_report_changes() {
         let mut t = RTable::new();
         let net: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
-        assert_eq!(t.update(net, rte(0, 3), &mut shorter), TableChange::BestChanged);
+        assert_eq!(t.update(net, rte(0, 3), &mut shorter).1, TableChange::BestChanged);
         // Worse route from another channel: no best change.
-        assert_eq!(t.update(net, rte(1, 5), &mut shorter), TableChange::NoBestChange);
-        assert_eq!(t.routes(&net).len(), 2);
+        assert_eq!(t.update(net, rte(1, 5), &mut shorter).1, TableChange::NoBestChange);
+        assert_eq!(t.routes_at(t.find(&net).unwrap()).len(), 2);
         assert_eq!(t.route_len(), 2);
         // Better route: takes the head.
-        assert_eq!(t.update(net, rte(2, 1), &mut shorter), TableChange::BestChanged);
+        assert_eq!(t.update(net, rte(2, 1), &mut shorter).1, TableChange::BestChanged);
         assert_eq!(t.best(&net).unwrap().src, SrcId::Channel(2));
         // Replacement from a known channel keeps the count stable.
-        assert_eq!(t.update(net, rte(1, 4), &mut shorter), TableChange::NoBestChange);
+        assert_eq!(t.update(net, rte(1, 4), &mut shorter).1, TableChange::NoBestChange);
         assert_eq!(t.route_len(), 3);
     }
 
@@ -283,7 +292,7 @@ mod tests {
         t.update(net, rte(0, 1), &mut shorter);
         t.update(net, rte(1, 5), &mut shorter);
         // Channel 0 re-announces with a worse path: best flips to ch 1...
-        assert_eq!(t.update(net, rte(0, 9), &mut shorter), TableChange::BestChanged);
+        assert_eq!(t.update(net, rte(0, 9), &mut shorter).1, TableChange::BestChanged);
         assert_eq!(t.best(&net).unwrap().src, SrcId::Channel(1));
     }
 
@@ -386,20 +395,5 @@ mod tests {
         let mut want = got.clone();
         want.sort();
         assert_eq!(got, want, "trie pre-order is (addr, len) order — no sort needed");
-    }
-
-    #[test]
-    fn replace_net_keeps_route_count() {
-        let mut t = RTable::new();
-        let net: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
-        t.update(net, rte(0, 1), &mut shorter);
-        t.update(net, rte(1, 2), &mut shorter);
-        let mut routes = t.routes(&net).to_vec();
-        routes.push(rte(2, 3));
-        t.replace_net(net, routes);
-        assert_eq!(t.route_len(), 3);
-        t.replace_net(net, Vec::new());
-        assert!(t.is_empty());
-        assert_eq!(t.route_len(), 0);
     }
 }

@@ -11,6 +11,11 @@
 //! The reflection programs are also held against native reflection the
 //! way `tests/rr_extension.rs` does it: what each peer ends up holding is
 //! equal per prefix as a set of attributes, and the Loc-RIB byte for byte.
+//!
+//! The per-route work counters live here too: a route costs one descent
+//! of the engine's trie and a group transforms an UPDATE's attributes
+//! once. The forced-singleton daemon shares that code, so the memo's
+//! edge cases are also held against what the peers must end up holding.
 
 use std::collections::BTreeMap;
 
@@ -89,7 +94,7 @@ fn router_id_probe() -> ExtensionSpec {
     )
 }
 
-fn spec(peers: &[Peer], policy: Policy, singletons: bool) -> DaemonSpec {
+fn spec(peers: &[Peer], policy: Policy, singletons: bool, extra: &[ExtensionSpec]) -> DaemonSpec {
     let mut spec = DaemonSpec::new(DUT_AS, DUT_ID);
     spec.hold_time_secs = 0;
     spec.metrics = true;
@@ -104,6 +109,9 @@ fn spec(peers: &[Peer], policy: Policy, singletons: bool) -> DaemonSpec {
     // decide.
     if singletons {
         manifest.push(router_id_probe());
+    }
+    for e in extra {
+        manifest.push(e.clone());
     }
     match policy {
         Policy::Native => spec.native_rr = true,
@@ -140,8 +148,20 @@ impl Outcome {
 }
 
 fn run(dut: Dut, peers: &[Peer], policy: Policy, singletons: bool, steps: &[Step]) -> Outcome {
-    let mut drv =
-        NodeDriver::new(Box::new(build(dut, spec(peers, policy, singletons))), peers.len());
+    run_with(dut, peers, policy, singletons, steps, &[])
+}
+
+/// [`run`] with `extra` programs loaded ahead of the policy's own.
+fn run_with(
+    dut: Dut,
+    peers: &[Peer],
+    policy: Policy,
+    singletons: bool,
+    steps: &[Step],
+    extra: &[ExtensionSpec],
+) -> Outcome {
+    let spec = spec(peers, policy, singletons, extra);
+    let mut drv = NodeDriver::new(Box::new(build(dut, spec)), peers.len());
     drv.start(0);
     let mut now = 1_000;
     for step in steps {
@@ -218,6 +238,17 @@ fn held(frames: &[Vec<u8>], width: usize) -> BTreeMap<Ipv4Prefix, Vec<Vec<u8>>> 
 /// native reflection per prefix, fir ≡ wren per byte. Hands back the
 /// grouped native fir run for scenario-specific assertions.
 fn check(name: &str, peers: &[Peer], steps: &[Step], native_groups: i64) -> Outcome {
+    check_with(name, peers, steps, native_groups, &[])
+}
+
+/// [`check`] with `extra` programs loaded in all four daemons.
+fn check_with(
+    name: &str,
+    peers: &[Peer],
+    steps: &[Step],
+    native_groups: i64,
+    extra: &[ExtensionSpec],
+) -> Outcome {
     let up = steps.iter().fold(vec![false; peers.len()], |mut up, s| {
         match s {
             Step::Up(i) => up[*i] = true,
@@ -232,8 +263,8 @@ fn check(name: &str, peers: &[Peer], steps: &[Step], native_groups: i64) -> Outc
     for dut in [Dut::Fir, Dut::Wren] {
         let mut per_policy = Vec::new();
         for policy in [Policy::Native, Policy::RrExtension] {
-            let grouped = run(dut, peers, policy, false, steps);
-            let single = run(dut, peers, policy, true, steps);
+            let grouped = run_with(dut, peers, policy, false, steps, extra);
+            let single = run_with(dut, peers, policy, true, steps, extra);
             let what = format!("{name} {dut:?} {policy:?}");
             assert_eq!(
                 single.gauge("xbgp_daemon_update_groups"),
@@ -489,4 +520,160 @@ fn work_counters_do_not_scale_with_peers() {
             }
         }
     }
+}
+
+/// The other half of the work gate: what a route costs *inside* a group.
+/// A table transfer of N NLRI in F UPDATEs is N descents of the engine's
+/// trie — announce, decide and commit share one — and F attribute
+/// transforms per group that is owed the routes, because the NLRI of one
+/// UPDATE share an attribute handle and a source.
+#[test]
+fn a_route_is_one_descent_and_an_update_one_transform_per_group() {
+    // The feeder's own group has nobody else in it (no verdict, no
+    // transform); the clients and the eBGP peers are owed every route.
+    let mut peers = vec![Peer::ibgp(1, false)];
+    peers.extend((0..4).map(|i| Peer::ibgp(10 + i, true)));
+    peers.extend((0..2).map(|i| Peer::ebgp(30 + i, 65010 + i)));
+    let updates = to_updates(&table(300, 17), 1, Some(100));
+    assert!(
+        updates.windows(2).all(|w| w[0].attrs != w[1].attrs),
+        "no two UPDATEs in a row share attributes, so none is answered by the memo of the last"
+    );
+    let (n, f) = (300, updates.len() as u64);
+    assert!(f < n, "UPDATEs carry several NLRI each");
+    let mut steps: Vec<Step> = (0..peers.len()).map(Step::Up).collect();
+    steps.extend(send_all(0, updates));
+    for dut in [Dut::Fir, Dut::Wren] {
+        for policy in [Policy::Native, Policy::RrExtension] {
+            let out = run(dut, &peers, policy, false, &steps);
+            let what = format!("{dut:?} {policy:?}");
+            let counter = |name: &str| out.snapshot.counter_sum(name);
+            assert_eq!(out.gauge("xbgp_daemon_update_groups"), 3, "{what}");
+            assert_eq!(counter("xbgp_rib_best_changes_total"), n, "{what}");
+            assert_eq!(counter("xbgp_rib_descents_total"), n, "{what}: descents");
+            assert_eq!(counter("xbgp_daemon_export_transforms_total"), 2 * f, "{what}: transforms");
+            if policy == Policy::RrExtension {
+                // ④ is not memoised: it still sees every route, per group.
+                assert_eq!(out.runs(InsertionPoint::BgpOutboundFilter), 2 * n, "{what}");
+            }
+        }
+    }
+}
+
+/// A ② program that tags every prefix with an odd third octet with the
+/// community 65000:1 and leaves the verdict to whatever runs next.
+fn odd_prefix_tagger() -> ExtensionSpec {
+    let src = r"
+        call get_prefix
+        jeq r0, 0, pass
+        ldxw r6, [r0+PREFIX_OFF_ADDR]
+        rsh r6, 8
+        and r6, 1
+        jeq r6, 0, pass
+        stb [r10-8], 0xfd
+        stb [r10-7], 0xe8
+        stb [r10-6], 0
+        stb [r10-5], 1
+        mov r1, ATTR_COMMUNITIES
+        mov r2, ATTR_FLAGS_OPT_TRANS
+        mov r3, r10
+        sub r3, 8
+        mov r4, 4
+        call set_attr
+    pass:
+        call next
+        exit";
+    let prog = assemble_with_symbols(src, &abi_symbols()).expect("tagger assembles");
+    ExtensionSpec::from_program(
+        "odd_prefix_tagger",
+        "odd_prefix_tagger",
+        InsertionPoint::BgpInboundFilter,
+        &["get_prefix", "set_attr", "next"],
+        &prog,
+    )
+}
+
+/// What the peer on a link holds after its stream, attributes decoded.
+fn advertised(frames: &[Vec<u8>]) -> BTreeMap<Ipv4Prefix, Vec<PathAttr>> {
+    let mut held = BTreeMap::new();
+    for u in updates(frames) {
+        for p in &u.withdrawn {
+            held.remove(p);
+        }
+        for p in u.nlri {
+            held.insert(p, u.attrs.clone());
+        }
+    }
+    held
+}
+
+/// Where the transform memo could go wrong. The forced-singleton daemon
+/// runs the same memo, so beside the oracle every case states what the
+/// peers must hold.
+#[test]
+fn transform_memo_edge_cases() {
+    let peers = [
+        Peer::ibgp(1, true),  // 0: source A
+        Peer::ibgp(2, true),  // 1: source B
+        Peer::ibgp(3, true),  // 2: source C, best at first
+        Peer::ibgp(10, true), // 3: a client that only listens
+        Peer::ibgp(20, false),
+        Peer::ebgp(30, 65010),
+        Peer::ebgp(31, 65020),
+    ];
+    let (client, non_client, ebgp) = (3, 4, 5);
+    let quad = ["10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16", "10.4.0.0/16"];
+    let mut steps: Vec<Step> = (0..peers.len()).map(Step::Up).collect();
+    // Equal attributes from A and B behind C's better routes; C's one
+    // withdrawal then re-decides the four prefixes in one flush, A, B, A,
+    // B: one attribute set (one handle, in fir), two sources.
+    steps.push(Step::Send(2, announce(vec![64900], 9, &quad)));
+    steps.push(Step::Send(0, announce(vec![64901, 64902], 9, &[quad[0], quad[2]])));
+    steps.push(Step::Send(1, announce(vec![64901, 64902], 9, &[quad[1], quad[3]])));
+    steps.push(Step::Send(2, withdraw(&quad)));
+    // ② rewrites the second and fourth NLRI of one UPDATE: the handle
+    // changes mid-frame and back.
+    let tagged = ["10.20.0.0/24", "10.20.1.0/24", "10.20.2.0/24", "10.20.3.0/24"];
+    steps.push(Step::Send(0, announce(vec![64903], 9, &tagged)));
+    // A route comes and goes, and the next UPDATE's attributes are new
+    // and of the same size: in wren the first handle would be free for
+    // reuse by the second if the memo did not hold it.
+    steps.push(Step::Send(0, announce(vec![64910, 1], 9, &["10.30.0.0/24"])));
+    steps.push(Step::Send(0, withdraw(&["10.30.0.0/24"])));
+    steps.push(Step::Send(0, announce(vec![64910, 2], 9, &["10.30.2.0/24"])));
+    // Clients, the non-client, the eBGP peers: iBGP and eBGP transforms
+    // of the same routes side by side.
+    let fir = check_with("memo", &peers, &steps, 3, &[odd_prefix_tagger()]);
+
+    let p = |s: &str| s.parse::<Ipv4Prefix>().unwrap();
+    let path = |attrs: &[PathAttr]| {
+        attrs.iter().find_map(|a| match a {
+            PathAttr::AsPath(path) => Some(path.clone()),
+            _ => None,
+        })
+    };
+    for link in [client, non_client] {
+        let held = advertised(&fir.streams[link]);
+        assert_eq!(held.len(), 9, "peer {link}");
+        for (i, prefix) in quad.iter().enumerate() {
+            let from = if i % 2 == 0 { 1 } else { 2 };
+            assert!(
+                held[&p(prefix)].contains(&PathAttr::OriginatorId(from)),
+                "peer {link}: {prefix} was reflected from {from}: the source is part of the key"
+            );
+        }
+        for (i, prefix) in tagged.iter().enumerate() {
+            let has = held[&p(prefix)].contains(&PathAttr::Communities(vec![0xfde8_0001]));
+            assert_eq!(has, i % 2 == 1, "peer {link}: {prefix} tagged by ②");
+        }
+        assert_eq!(path(&held[&p("10.30.2.0/24")]), Some(AsPath::sequence(vec![64910, 2])));
+    }
+    let held = advertised(&fir.streams[ebgp]);
+    assert_eq!(held.len(), 9);
+    for prefix in quad {
+        let attrs = &held[&p(prefix)];
+        assert_eq!(path(attrs), Some(AsPath::sequence(vec![DUT_AS, 64901, 64902])));
+        assert!(!attrs.iter().any(|a| matches!(a, PathAttr::OriginatorId(_))));
+    }
+    assert_eq!(path(&held[&p("10.30.2.0/24")]), Some(AsPath::sequence(vec![DUT_AS, 64910, 2])));
 }
