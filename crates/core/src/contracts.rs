@@ -19,7 +19,10 @@
 //! The other direction — what the host may conclude from what the
 //! verifier proved — is [`peer_reads`]: the bytes of `get_peer_info`'s
 //! result a program can observe, which is what lets the export path run
-//! an outbound chain once for every peer the chain cannot tell apart.
+//! an outbound chain once for every peer the chain cannot tell apart; and
+//! [`prefix_free`]: whether a program can tell two routes of one UPDATE
+//! apart at all, which is what lets the filter points run a chain once for
+//! routes that share everything but the prefix.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -133,8 +136,8 @@ pub const PEER_INFO_ALL: u32 = (1 << PEER_INFO_SIZE) - 1;
 
 /// Helpers whose effect outlives the run or leaves the sandbox, in
 /// reporting order. A program granted one of them must run once per
-/// destination peer: running it once for a group of peers would change
-/// how often the effect happens.
+/// destination peer and once per route: running it once for a group of
+/// peers or routes would change how often the effect happens.
 const SIDE_EFFECTS: [u32; 4] = [
     helper::CTX_SHARED_GET,
     helper::CTX_SHARED_MALLOC,
@@ -180,6 +183,21 @@ pub fn peer_reads(helpers: &HashSet<u32>, watched: WatchedReads) -> Result<u32, 
     match watched {
         WatchedReads::Bytes(bits) => Ok(bits as u32 & PEER_INFO_ALL),
         WatchedReads::Unbounded { pc, why } => Err(PerPeer::Unbounded { pc, why }),
+    }
+}
+
+/// Whether a program granted `helpers` is *prefix-free*: granted neither
+/// `get_prefix` nor a helper with an effect outside the run. Its runs at a
+/// filter point are then a function of what the routes of one UPDATE
+/// share (attributes, peer, nexthop, configuration), so one run answers
+/// for all of them. The grant is a load-time proof: the verifier refuses a
+/// `call` to a helper that was not granted. `Err` names the helper that
+/// defeats it.
+pub fn prefix_free(helpers: &HashSet<u32>) -> Result<(), &'static str> {
+    let mut per_route = std::iter::once(helper::GET_PREFIX).chain(SIDE_EFFECTS);
+    match per_route.find(|id| helpers.contains(id)) {
+        Some(id) => Err(helper::name_of(id).expect("API helper")),
+        None => Ok(()),
     }
 }
 
@@ -304,6 +322,38 @@ mod tests {
         assert_eq!(encode_mask(&["get_peer_info"], walk), PEER_INFO_ALL);
         // And a chain's mask is the union over its programs.
         assert_eq!(peer_info_fields(0x0000_0f0f), ["router_id", "type"]);
+    }
+
+    /// Prefix-freedom is read off the grant, and the grant binds: a
+    /// program that calls `get_prefix` without it does not load.
+    #[test]
+    fn prefix_free_is_the_grant_and_the_verifier_enforces_it() {
+        let ids = |names: &[&str]| -> HashSet<u32> {
+            names.iter().map(|n| helper::id_of(n).expect("API helper")).collect()
+        };
+        let rr = ["get_peer_info", "get_attr", "get_nexthop", "ctx_malloc", "set_attr", "next"];
+        assert_eq!(prefix_free(&ids(&rr)), Ok(()));
+        assert_eq!(prefix_free(&ids(&["ctx_shared_get", "get_prefix"])), Err("get_prefix"));
+        for name in ["ctx_shared_get", "ctx_shared_malloc", "ebpf_print", "rib_add_route"] {
+            assert_eq!(prefix_free(&ids(&[name, "next"])), Err(name));
+        }
+
+        let prog = xbgp_asm::assemble_with_symbols("call get_prefix\nexit", &abi_symbols())
+            .expect("assembles");
+        let point = InsertionPoint::BgpInboundFilter;
+        let mut m = Manifest::new();
+        m.push(ExtensionSpec::from_program("t", "t", point, &["next"], &prog));
+        let err = Vmm::from_manifest(&m).err().expect("an ungranted call does not load");
+        assert!(
+            matches!(
+                err,
+                crate::VmmError::Rejected {
+                    error: xbgp_vm::VerifyError::UnknownHelper { helper: helper::GET_PREFIX, .. },
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * it owns the extension memory spaces: a fresh ephemeral heap per
 //!   invocation (`ctx_malloc`, freed automatically on return) and one
 //!   persistent space per *program group* shared by the bytecodes of the
-//!   same xBGP program (`ctx_shared_malloc` / `ctx_shared_get`) but
+//!   same xBGP program (`ctx_shared_malloc` / `ctx_shared_get`, and
+//!   mapped only into runs of a bytecode granted one of them) but
 //!   unreachable from any other program — eBPF-VM-enforced isolation;
 //! * execution is **transactional** (DESIGN.md §4d): host mutations
 //!   (`set_attr` / `add_attr` / `remove_attr` / `write_buf` /
@@ -131,6 +132,14 @@ struct Extension {
     /// ([`crate::contracts::peer_reads`]); every byte when its runs
     /// cannot be shared between peers.
     peer_mask: u32,
+    /// Granted neither `get_prefix` nor a side-effecting helper
+    /// ([`crate::contracts::prefix_free`]).
+    prefix_free: bool,
+    /// Granted `ctx_shared_get` or `ctx_shared_malloc`. Only then is the
+    /// program group's persistent space mapped into a run, so a program
+    /// without the grant keeps no state between runs there, whatever
+    /// address it forges.
+    shared_access: bool,
     /// Circuit-breaker state: faults since the last clean run.
     consecutive_faults: u32,
     /// Tripped breaker: the extension was evicted from its chain.
@@ -333,6 +342,10 @@ pub struct Vmm {
     /// Ordered extension indices per insertion point (indexed by
     /// [`point_index`]).
     attached: [Vec<usize>; 5],
+    /// Per point (indexed by [`point_index`]): every extension in the
+    /// attached chain is prefix-free. Cached at load and whenever the
+    /// circuit breaker changes a chain.
+    prefix_free: [bool; 5],
     shared: Vec<SharedSpace>,
     xtra: HashMap<String, Vec<u8>>,
     vm_config: VmConfig,
@@ -367,6 +380,7 @@ impl Vmm {
         let mut vmm = Vmm {
             exts: Vec::new(),
             attached: Default::default(),
+            prefix_free: [true; 5],
             shared: Vec::new(),
             xtra: manifest.xtra.iter().map(|(k, v)| (k.clone(), v.0.clone())).collect(),
             vm_config: VmConfig::default(),
@@ -444,6 +458,9 @@ impl Vmm {
                     on_fault: spec.on_fault,
                     peer_mask: crate::contracts::peer_reads(&ids, loaded.watched_reads())
                         .unwrap_or(crate::contracts::PEER_INFO_ALL),
+                    prefix_free: crate::contracts::prefix_free(&ids).is_ok(),
+                    shared_access: ids.contains(&helper::CTX_SHARED_GET)
+                        || ids.contains(&helper::CTX_SHARED_MALLOC),
                     prog: loaded,
                     consecutive_faults: 0,
                     quarantined: false,
@@ -463,7 +480,14 @@ impl Vmm {
             ));
             vmm.attached[point_index(spec.insertion_point)].push(idx);
         }
+        for pi in 0..vmm.attached.len() {
+            vmm.cache_prefix_free(pi);
+        }
         Ok(vmm)
+    }
+
+    fn cache_prefix_free(&mut self, pi: usize) {
+        self.prefix_free[pi] = self.attached[pi].iter().all(|&i| self.exts[i].1.prefix_free);
     }
 
     /// An empty VMM: every insertion point falls back to native code.
@@ -503,6 +527,24 @@ impl Vmm {
             .fold(0, |mask, (_, e)| mask | e.peer_mask)
     }
 
+    /// Can one clean run at `point` answer for every route of an UPDATE?
+    /// True when every extension attached there is prefix-free
+    /// ([`crate::contracts::prefix_free`]), vacuously so for an empty
+    /// chain. Unlike [`Vmm::peer_read_mask`] this follows quarantine: it
+    /// is re-cached when the circuit breaker removes a program, which can
+    /// only make it true.
+    pub fn prefix_free(&self, point: InsertionPoint) -> bool {
+        self.prefix_free[point_index(point)]
+    }
+
+    /// Runs at `point` that faulted so far, counted whether or not metrics
+    /// are on. A host reads it around a run to tell a clean
+    /// [`VmmOutcome::Fallback`] from the one a faulting extension's
+    /// `on_fault: fallback` produces.
+    pub fn faults(&self, point: InsertionPoint) -> u64 {
+        self.points[point_index(point)].errors
+    }
+
     /// Execute the extension chain for `point` with `host` as the
     /// execution context.
     pub fn run(&mut self, point: InsertionPoint, host: &mut dyn HostApi) -> VmmOutcome {
@@ -540,15 +582,19 @@ impl Vmm {
 
             // Refresh the pooled sandbox in place: zero the stack fully,
             // the heap up to the previous allocation watermark, and swap
-            // the program group's persistent space in. Region indices were
-            // cached at load time, so no region-table scans happen here.
+            // the program group's persistent space in if the program was
+            // granted it. Region indices were cached at load time, so no
+            // region-table scans happen here.
             let watermark = ext.heap_watermark;
+            let shared_access = ext.shared_access;
             ext.mem.region_at_mut(ext.ri_stack).data.fill(0);
             ext.mem.region_at_mut(ext.ri_heap).data[..watermark].fill(0);
-            std::mem::swap(
-                &mut ext.mem.region_at_mut(ext.ri_shared).data,
-                &mut self.shared[shared_idx].data,
-            );
+            if shared_access {
+                std::mem::swap(
+                    &mut ext.mem.region_at_mut(ext.ri_shared).data,
+                    &mut self.shared[shared_idx].data,
+                );
+            }
 
             // The per-invocation policy: manifest overrides, VMM defaults.
             let cfg = VmConfig { fuel: ext.fuel_override.unwrap_or(self.vm_config.fuel) };
@@ -574,10 +620,12 @@ impl Vmm {
             };
 
             // Swap the shared space back regardless of outcome.
-            std::mem::swap(
-                &mut ext.mem.region_at_mut(ext.ri_shared).data,
-                &mut self.shared[shared_idx].data,
-            );
+            if shared_access {
+                std::mem::swap(
+                    &mut ext.mem.region_at_mut(ext.ri_shared).data,
+                    &mut self.shared[shared_idx].data,
+                );
+            }
             ext.heap_watermark = heap_used;
             ext.runs += 1;
             if track {
@@ -686,6 +734,7 @@ impl Vmm {
                         // Re-cache the chain without the quarantined
                         // extension; subsequent runs never dispatch it.
                         self.attached[pi].retain(|&i| i != idx);
+                        self.cache_prefix_free(pi);
                         self.quarantines += 1;
                         host.log(&format!(
                             "xbgp: extension `{name}` quarantined after \
@@ -1815,6 +1864,62 @@ mod tests {
             s.counter_value("xbgp_vmm_extension_quarantined", &[("extension", "crasher")]),
             Some(1)
         );
+    }
+
+    /// The per-point answer is cached at load, follows the chain through
+    /// quarantine, and a faulting run is visible in `faults` although its
+    /// outcome is the same `Fallback` a clean delegation returns.
+    #[test]
+    fn prefix_freedom_is_cached_per_point_and_follows_quarantine() {
+        let point = InsertionPoint::BgpInboundFilter;
+        let reader =
+            spec("reader", point, &["get_prefix", "next"], "call get_prefix\ncall next\nexit");
+        let crasher =
+            spec("crasher", point, &["get_prefix"], "lddw r1, 0x999999999\nldxb r0, [r1]\nexit");
+        let free = spec("free", InsertionPoint::BgpOutboundFilter, &["next"], "call next\nexit");
+        let vmm = load(vec![reader, free]);
+        assert!(!vmm.prefix_free(point));
+        assert!(vmm.prefix_free(InsertionPoint::BgpOutboundFilter));
+        assert!(vmm.prefix_free(InsertionPoint::BgpDecision), "an empty chain");
+
+        let mut vmm = load(vec![crasher]);
+        let mut host = MockHost::default();
+        for k in 1..=u64::from(QUARANTINE_THRESHOLD) {
+            assert!(!vmm.prefix_free(point));
+            assert_eq!(vmm.run(point, &mut host), VmmOutcome::Fallback);
+            assert_eq!(vmm.faults(point), k);
+        }
+        assert!(vmm.prefix_free(point), "re-cached without the quarantined program");
+        assert_eq!(vmm.run(point, &mut host), VmmOutcome::Fallback);
+        assert_eq!(vmm.faults(point), u64::from(QUARANTINE_THRESHOLD));
+    }
+
+    /// A program group's persistent space is mapped only into runs of a
+    /// program granted `ctx_shared_*`: a forged address reaches nothing
+    /// without the grant, so such a program keeps no state there.
+    #[test]
+    fn shared_space_is_mapped_only_with_the_grant() {
+        let point = InsertionPoint::BgpInboundFilter;
+        let owner = spec(
+            "owner",
+            point,
+            &["ctx_shared_malloc", "next"],
+            "mov r1, 1\nmov r2, 8\ncall ctx_shared_malloc\njeq r0, 0, +1\nstdw [r0+0], 7
+             call next\nexit",
+        );
+        let forger = spec(
+            "forger",
+            point,
+            &["next"],
+            "lddw r1, 0x40000000\nldxdw r6, [r1+0]\ncall next\nexit",
+        );
+        let mut vmm = load(vec![owner, forger]);
+        let mut host = MockHost::default();
+        assert_eq!(vmm.run(point, &mut host), VmmOutcome::Fallback);
+        assert_eq!(vmm.shared_read("test_group", 1), Some(7u64.to_le_bytes().to_vec()));
+        let stats = vmm.stats();
+        assert_eq!((stats[0].errors, stats[1].errors), (0, 1), "the forged load faulted");
+        assert!(matches!(vmm.last_error(), Some(("forger", VmError::MemFault { .. }))));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Established neighbors with the same *export view* form a group that
 //! shares one Adj-RIB-Out and one pending change log. A best-path change
-//! costs one ④ `BGP_OUTBOUND_FILTER` run, one attribute transform and one
-//! Adj-RIB-Out operation per group; a flush costs one ⑤
+//! costs at most one ④ `BGP_OUTBOUND_FILTER` run and one attribute
+//! transform (the routes of one UPDATE share both, see [`Group::evaluate`])
+//! and one Adj-RIB-Out operation per group; a flush costs one ⑤
 //! `BGP_ENCODE_MESSAGE` run and one frame encode per batch, and the
 //! finished frame is copied to every member that is owed it.
 //!
@@ -240,24 +241,46 @@ struct Group<A> {
     log: Vec<Change<A>>,
     /// Table dumps owed to members that joined since the last flush.
     dumps: Vec<(usize, Vec<Change<A>>)>,
+    /// The last shareable ④ verdict of this flush: `(attributes, source,
+    /// accept)`. Cleared at every flush. See [`Group::evaluate`].
+    verdict: Option<(A, RouteSource, bool)>,
     /// The last transform run for this group: `(attributes in, source,
     /// attributes out)`. See [`Group::evaluate`].
     memo: Option<(A, RouteSource, A)>,
+}
+
+/// What `memo` holds for the attribute handle `attrs` (by identity) and
+/// `src`, if it is about them.
+fn recall<'m, A: Deref, T>(
+    memo: &'m Option<(A, RouteSource, T)>,
+    attrs: &A,
+    src: &RouteSource,
+) -> Option<&'m T> {
+    let (a, s, held) = memo.as_ref()?;
+    (std::ptr::eq::<A::Target>(&**a, &**attrs) && s == src).then_some(held)
 }
 
 impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> Group<A> {
     /// The verdict of the export policy on one best route: what to
     /// advertise, or `None`.
     ///
-    /// ④ runs for every route. The transform behind it is remembered for
-    /// the last `(attribute handle, source)` it ran on, so the NLRI of one
-    /// UPDATE — one handle, one source — are transformed once and share
-    /// the result. That is sound because [`Exporter::transform`] is a
-    /// function of the daemon's configuration, `dest` (fixed for the
-    /// group's life), the attribute *contents* and the source, and a
-    /// handle's contents never change; the memo keeps its input handle
-    /// alive, so the allocator cannot hand the same address to another
-    /// attribute set while the memo could still match it.
+    /// Both halves are remembered for the last `(attribute handle,
+    /// source)` they ran on, so the NLRI of one UPDATE — one handle, one
+    /// source — cost one ④ run and one transform and share the result.
+    /// Each memo keeps its input handle alive, so the allocator cannot
+    /// hand the same address to another attribute set while the memo
+    /// could still match it.
+    ///
+    /// * ④'s verdict is remembered only when the run says it may be
+    ///   ([`crate::host::Verdict::shareable`]: every program at ④ is
+    ///   prefix-free and none faulted), and only until the flush: a
+    ///   prefix-free program still reads the nexthop's IGP metric and the
+    ///   ROA table, which may change between events. The rest of what it
+    ///   sees is the key (attributes, and the source as `get_arg`) or
+    ///   fixed for the group's life (`dest`).
+    /// * The transform is a function of the daemon's configuration,
+    ///   `dest`, the attribute *contents* and the source, and a handle's
+    ///   contents never change, so its memo outlives flushes.
     fn evaluate<X: Exporter<Attrs = A>>(
         &mut self,
         host: &mut Host,
@@ -274,14 +297,25 @@ impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> Group<A> {
                 return None;
             }
         }
-        if !host.outbound_filter(&self.dest, prefix, &**attrs, src) {
+        let accept = match recall(&self.verdict, attrs, src) {
+            Some(&accept) => {
+                host.stats.shared_outbound += 1;
+                accept
+            }
+            None => {
+                let verdict = host.outbound_filter(&self.dest, prefix, &**attrs, src);
+                if verdict.shareable {
+                    self.verdict = Some((attrs.clone(), *src, verdict.accept));
+                }
+                verdict.accept
+            }
+        };
+        if !accept {
             return None;
         }
-        let out = match &self.memo {
-            Some((a, s, out)) if std::ptr::eq::<A::Target>(&**a, &**attrs) && s == src => {
-                out.clone()
-            }
-            _ => {
+        let out = match recall(&self.memo, attrs, src) {
+            Some(out) => out.clone(),
+            None => {
                 let out = x.transform(host, &self.dest, attrs, src);
                 host.stats.export_transforms += 1;
                 self.memo = Some((attrs.clone(), *src, out.clone()));
@@ -339,6 +373,7 @@ impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> Group<A> {
     }
 
     fn flush<X: Exporter<Attrs = A>>(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
+        self.verdict = None;
         for (idx, dump) in std::mem::take(&mut self.dumps) {
             if let Some(m) = self.members.iter().find(|m| m.idx == idx) {
                 Self::send::<X>(&self.dest, host, ctx, &dump, Some(m.addr), &[idx]);
@@ -431,6 +466,7 @@ impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> UpdateGroups<A> {
                     partial: true,
                     log: Vec::new(),
                     dumps: Vec::new(),
+                    verdict: None,
                     memo: None,
                 });
                 self.groups.len() - 1

@@ -122,12 +122,19 @@ pub struct HostStats {
     pub rov_valid: u64,
     pub rov_invalid: u64,
     pub rov_not_found: u64,
-    /// Routes rejected by xBGP filters (a reject verdict or an aborted
+    /// Filter-point runs that rejected (a reject verdict or an aborted
     /// filter).
     pub xbgp_rejected: u64,
     /// Filter-point runs where an extension accepted the route (a
     /// `Value` other than reject).
     pub xbgp_accepted: u64,
+    /// NLRI answered by a ② verdict shared from an earlier run on the same
+    /// UPDATE ([`crate::xbgp_glue::InboundFilter`]) instead of a run.
+    pub shared_inbound: u64,
+    /// Routes answered by a ④ verdict shared from an earlier run on the
+    /// same `(attribute handle, source)` in the same group and flush
+    /// instead of a run.
+    pub shared_outbound: u64,
     /// Decision-point runs resolved by an extension instead of the
     /// native RFC 4271 comparison.
     pub xbgp_decisions: u64,
@@ -152,6 +159,16 @@ impl HostStats {
 /// Dense index of an insertion point into the hook-latency table.
 fn pindex(p: InsertionPoint) -> usize {
     InsertionPoint::ALL.iter().position(|q| *q == p).expect("point in ALL")
+}
+
+/// A filter point's answer on one route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verdict {
+    pub accept: bool,
+    /// The answer holds for every route that differs from this one only
+    /// in its prefix: a chain ran, every program in it is prefix-free
+    /// ([`Vmm::prefix_free`]), and no program faulted.
+    pub shareable: bool,
 }
 
 /// The insertion-point runner: the VMM plus the hook-site latency
@@ -179,15 +196,19 @@ impl Hooks {
 
     /// Run a filter point and map its outcome to accept/reject: an
     /// extension's verdict is final, no verdict defers to `native`, and a
-    /// filter that aborted fails closed rather than widen policy.
+    /// filter that aborted fails closed rather than widen policy. A run in
+    /// which a program faulted is never shareable, whatever it returned:
+    /// the fault and the circuit breaker count runs, and those happen
+    /// per route until the breaker trips.
     pub fn run_filter(
         &mut self,
         point: InsertionPoint,
         hctx: &mut dyn HostApi,
         stats: &mut HostStats,
         native: impl FnOnce() -> bool,
-    ) -> bool {
-        match self.run(point, hctx) {
+    ) -> Verdict {
+        let faults = self.vmm.faults(point);
+        let accept = match self.run(point, hctx) {
             VmmOutcome::Value(v) if v != api::FILTER_REJECT => {
                 stats.xbgp_accepted += 1;
                 true
@@ -197,7 +218,9 @@ impl Hooks {
                 false
             }
             VmmOutcome::Fallback => native(),
-        }
+        };
+        let shareable = self.vmm.prefix_free(point) && self.vmm.faults(point) == faults;
+        Verdict { accept, shareable }
     }
 
     /// Trace one decision on `prefix` and whether it changed the best route.
@@ -725,6 +748,12 @@ impl<E: RouteEngine> Daemon for BgpDaemon<E> {
         s.push_counter("xbgp_daemon_filter_accepts_total", &[], st.xbgp_accepted);
         s.push_counter("xbgp_daemon_decision_overrides_total", &[], st.xbgp_decisions);
         s.push_counter("xbgp_daemon_export_transforms_total", &[], st.export_transforms);
+        for (point, n) in [
+            (InsertionPoint::BgpInboundFilter, st.shared_inbound),
+            (InsertionPoint::BgpOutboundFilter, st.shared_outbound),
+        ] {
+            s.push_counter("xbgp_daemon_shared_verdicts_total", &[("point", point.name())], n);
+        }
         for (to, n) in STATE_NAMES.iter().zip(st.fsm_transitions) {
             s.push_counter("xbgp_daemon_fsm_transitions_total", &[("to", to)], n);
         }
@@ -1057,12 +1086,12 @@ mod tests {
         }
     }
 
-    /// `(accepted, native policy consultations, stats)` of one filter run.
-    fn filter_verdict(src: &str, on_fault: OnFault) -> (bool, u32, HostStats) {
+    /// `(verdict, native policy consultations, stats)` of one filter run.
+    fn filter_verdict(src: &str, on_fault: OnFault) -> (Verdict, u32, HostStats) {
         let mut hooks = filter_hooks(src, on_fault);
         let mut stats = HostStats::default();
         let mut consulted = 0;
-        let accepted = hooks.run_filter(
+        let verdict = hooks.run_filter(
             InsertionPoint::BgpInboundFilter,
             &mut MockHost::default(),
             &mut stats,
@@ -1071,34 +1100,37 @@ mod tests {
                 true
             },
         );
-        (accepted, consulted, stats)
+        (verdict, consulted, stats)
     }
 
     #[test]
     fn extension_verdicts_are_final_and_counted() {
-        let (accepted, consulted, st) =
-            filter_verdict("mov r0, FILTER_REJECT\nexit", OnFault::Fallback);
-        assert!(!accepted);
+        let (v, consulted, st) = filter_verdict("mov r0, FILTER_REJECT\nexit", OnFault::Fallback);
+        assert_eq!(v, Verdict { accept: false, shareable: true });
         assert_eq!((consulted, st.xbgp_rejected, st.xbgp_accepted), (0, 1, 0));
 
-        let (accepted, consulted, st) =
-            filter_verdict("mov r0, FILTER_ACCEPT\nexit", OnFault::Fallback);
-        assert!(accepted);
+        let (v, consulted, st) = filter_verdict("mov r0, FILTER_ACCEPT\nexit", OnFault::Fallback);
+        assert_eq!(v, Verdict { accept: true, shareable: true });
         assert_eq!((consulted, st.xbgp_rejected, st.xbgp_accepted), (0, 0, 1));
     }
 
     #[test]
     fn fallback_consults_the_native_policy_exactly_once() {
-        let (accepted, consulted, st) = filter_verdict("call next\nexit", OnFault::Fallback);
-        assert!(accepted, "the native policy's answer");
+        let (v, consulted, st) = filter_verdict("call next\nexit", OnFault::Fallback);
+        assert_eq!(v, Verdict { accept: true, shareable: true }, "the native policy's answer");
         assert_eq!((consulted, st.xbgp_rejected, st.xbgp_accepted), (1, 0, 0));
     }
 
+    /// A fault is never shared, whether it fails closed or falls back to
+    /// the same answer a clean delegation gives.
     #[test]
     fn aborted_filter_fails_closed() {
         let wild = "lddw r1, 0x7777777777\nldxb r0, [r1]\nexit";
-        let (accepted, consulted, st) = filter_verdict(wild, OnFault::Abort);
-        assert!(!accepted);
+        let (v, consulted, st) = filter_verdict(wild, OnFault::Abort);
+        assert_eq!(v, Verdict { accept: false, shareable: false });
         assert_eq!((consulted, st.xbgp_rejected, st.xbgp_accepted), (0, 1, 0));
+        let (v, consulted, _) = filter_verdict(wild, OnFault::Fallback);
+        assert_eq!(v, Verdict { accept: true, shareable: false });
+        assert_eq!(consulted, 1);
     }
 }

@@ -22,9 +22,10 @@
 //! only when an extension actually writes.
 
 use crate::export::{native_export, Dest};
-use crate::host::{Hooks, Host, HostStats, RouteSource};
+use crate::host::{Hooks, Host, HostStats, RouteSource, Verdict};
 use crate::DaemonSpec;
 use rpki::{RoaHashTable, RoaTable};
+use std::ops::Deref;
 use xbgp_core::api::{self, InsertionPoint, NextHopInfo, PeerInfo};
 use xbgp_core::{HostApi, HostError, HostOp};
 use xbgp_wire::attr::{encode_attrs, validate_neutral};
@@ -214,8 +215,60 @@ impl<A: AttrStore> HostApi for XbgpCtx<'_, A> {
 }
 
 /// ② refused the route (a reject verdict, or a filter that aborted).
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct Rejected;
+
+/// ② `BGP_INBOUND_FILTER` over the NLRI of one UPDATE, which share its
+/// attribute handle, its peer and its nexthop ([`Host::inbound_filter`]).
+///
+/// A chain of prefix-free programs ([`xbgp_core::Vmm::prefix_free`])
+/// cannot tell those NLRI apart, so the first clean run answers for the
+/// rest: its verdict and, when the chain rewrote the attributes, the one
+/// handle made of the rewrite. A chain that can read the prefix, or a run
+/// in which a program faulted, leaves nothing to share, and the next NLRI
+/// runs the chain again.
+pub struct InboundFilter<H> {
+    peer: PeerInfo,
+    nexthop: NextHopInfo,
+    attrs: H,
+    /// The answer of a clean run of a prefix-free chain.
+    shared: Option<Result<H, Rejected>>,
+}
+
+impl<H: Clone + Deref<Target: AttrStore>> InboundFilter<H> {
+    /// The attributes to install `prefix` with, or [`Rejected`]. `alloc`
+    /// makes the engine's handle of attributes the chain rewrote; with a
+    /// prefix-free chain it is called at most once per UPDATE.
+    pub fn admit(
+        &mut self,
+        host: &mut Host,
+        prefix: Ipv4Prefix,
+        alloc: impl FnOnce(H::Target) -> H,
+    ) -> Result<H, Rejected> {
+        if let Some(answer) = &self.shared {
+            host.stats.shared_inbound += 1;
+            return answer.clone();
+        }
+        let mut modified = None;
+        let (base, hooks, stats, _) = host.enter(self.peer);
+        let mut hctx = XbgpCtx {
+            attrs: Access::Cow { base: &*self.attrs, modified: &mut modified },
+            prefix: Some(prefix),
+            nexthop: Some(self.nexthop),
+            ..base
+        };
+        let verdict = hooks.run_filter(InsertionPoint::BgpInboundFilter, &mut hctx, stats, || true);
+        let answer = if verdict.accept {
+            Ok(modified.map_or_else(|| self.attrs.clone(), alloc))
+        } else {
+            Err(Rejected)
+        };
+        if verdict.shareable {
+            self.shared = Some(answer.clone());
+        }
+        answer
+    }
+}
 
 impl Host {
     /// A context for `peer` with no route in scope, over this host's
@@ -258,39 +311,19 @@ impl Host {
         let _ = hooks.run(point, &mut hctx);
     }
 
-    /// What ② sees of an UPDATE from neighbor `idx` carrying `attrs` —
-    /// the same for every NLRI of it, so taken once — or `None` when no
-    /// extension is attached there.
-    pub fn inbound_views<A: AttrStore>(
-        &self,
-        idx: usize,
-        attrs: &A,
-    ) -> Option<(PeerInfo, NextHopInfo)> {
-        self.attached(InsertionPoint::BgpInboundFilter)
-            .then(|| (self.peer_info(idx), self.nexthop_info(attrs.nexthop())))
-    }
-
-    /// ② `BGP_INBOUND_FILTER` for one route, over copy-on-write
-    /// attributes: `Ok(Some(attrs))` when an extension rewrote them.
-    pub fn inbound_filter<A: AttrStore>(
-        &mut self,
-        (peer, nexthop): (PeerInfo, NextHopInfo),
-        prefix: Ipv4Prefix,
-        attrs: &A,
-    ) -> Result<Option<A>, Rejected> {
-        let mut modified = None;
-        let (base, hooks, stats, _) = self.enter(peer);
-        let mut hctx = XbgpCtx {
-            attrs: Access::Cow { base: attrs, modified: &mut modified },
-            prefix: Some(prefix),
-            nexthop: Some(nexthop),
-            ..base
-        };
-        if hooks.run_filter(InsertionPoint::BgpInboundFilter, &mut hctx, stats, || true) {
-            Ok(modified)
-        } else {
-            Err(Rejected)
-        }
+    /// ② for the NLRI of one UPDATE from neighbor `idx` whose attributes
+    /// (after ①) are `attrs`, or `None` when no extension is attached
+    /// there.
+    pub fn inbound_filter<H>(&self, idx: usize, attrs: &H) -> Option<InboundFilter<H>>
+    where
+        H: Clone + Deref<Target: AttrStore>,
+    {
+        self.attached(InsertionPoint::BgpInboundFilter).then(|| InboundFilter {
+            peer: self.peer_info(idx),
+            nexthop: self.nexthop_info(attrs.nexthop()),
+            attrs: attrs.clone(),
+            shared: None,
+        })
     }
 
     /// ③ `BGP_DECISION`: `Some(prefer_new)` when an extension chose
@@ -322,17 +355,19 @@ impl Host {
 
     /// ④ `BGP_OUTBOUND_FILTER` for one route towards `dest`: an
     /// extension's verdict is final, no verdict (or no extension) is
-    /// [`native_export`].
+    /// [`native_export`]. With no extension attached nothing ran, so
+    /// there is nothing to share.
     pub fn outbound_filter<A: AttrStore>(
         &mut self,
         dest: &Dest,
         prefix: Ipv4Prefix,
         attrs: &A,
         src: &RouteSource,
-    ) -> bool {
+    ) -> Verdict {
         let point = InsertionPoint::BgpOutboundFilter;
         if !self.attached(point) {
-            return native_export(&self.spec, dest, src);
+            let accept = native_export(&self.spec, dest, src);
+            return Verdict { accept, shareable: false };
         }
         let src_bytes = self.source_info(src).to_bytes();
         let nexthop = Some(self.nexthop_info(attrs.nexthop()));

@@ -10,10 +10,10 @@ use crate::rib::{peer_slot, DecisionCtx, NetEntry, RibEntry, RibStore, RouteSour
 use netsim::NodeCtx;
 use rpki::{RoaTable, RoaTrie, RovState};
 use std::rc::Rc;
-use xbgp_core::api::{InsertionPoint, NextHopInfo, PeerInfo, PeerType};
+use xbgp_core::api::{InsertionPoint, PeerType};
 use xbgp_driver::export::{Dest, Exporter, UpdateGroups};
 use xbgp_driver::host::{BgpDaemon, Host, RouteEngine};
-use xbgp_driver::xbgp_glue::Rejected;
+use xbgp_driver::xbgp_glue::{InboundFilter, Rejected};
 use xbgp_obs::trace::pack_prefix;
 use xbgp_obs::Snapshot;
 use xbgp_rib::{push_rib_gauges, DirtySet, NodeId, RibCounters};
@@ -103,7 +103,7 @@ impl FirEngine {
             local: false,
         };
         let shared = self.intern.intern(attrs);
-        let filter = host.inbound_views(idx, &*shared);
+        let mut filter = host.inbound_filter(idx, &shared);
         let slot = peer_slot(idx);
 
         for prefix in nlri {
@@ -113,7 +113,7 @@ impl FirEngine {
             if let Some(t) = host.hooks.vmm.tracer_mut() {
                 t.begin_route(pack_prefix(prefix.addr(), prefix.len()));
             }
-            self.install_one(host, slot, *prefix, &shared, source, filter);
+            self.install_one(host, slot, *prefix, &shared, source, filter.as_mut());
             // Every `begin_route` is matched here, whichever way the
             // route left `install_one`: a leaked scope would let the next
             // route's events inherit this route's attribution.
@@ -132,9 +132,9 @@ impl FirEngine {
         }
     }
 
-    /// One NLRI into `slot` through ② `BGP_INBOUND_FILTER` (when `filter`
-    /// carries the peer and nexthop views, i.e. an extension is attached),
-    /// native origin validation, the RIB and the decision process.
+    /// One NLRI into `slot` through ② `BGP_INBOUND_FILTER` (when an
+    /// extension is attached there), native origin validation, the RIB
+    /// and the decision process.
     fn install_one(
         &mut self,
         host: &mut Host,
@@ -142,16 +142,14 @@ impl FirEngine {
         prefix: Ipv4Prefix,
         shared: &Rc<FirAttrs>,
         source: RouteSource,
-        filter: Option<(PeerInfo, NextHopInfo)>,
+        filter: Option<&mut InboundFilter<Rc<FirAttrs>>>,
     ) {
-        let mut entry_attrs = Rc::clone(shared);
-        if let Some(views) = filter {
-            match host.inbound_filter(views, prefix, &**shared) {
-                Ok(Some(modified)) => entry_attrs = self.intern.intern(modified),
-                Ok(None) => {}
-                Err(Rejected) => return self.remove_candidate_and_decide(host, prefix, slot),
-            }
-        }
+        let intern = &mut self.intern;
+        let entry_attrs = match filter.map(|f| f.admit(host, prefix, |a| intern.intern(a))) {
+            None => Rc::clone(shared),
+            Some(Ok(attrs)) => attrs,
+            Some(Err(Rejected)) => return self.remove_candidate_and_decide(host, prefix, slot),
+        };
 
         // Native import policy: origin validation tags (never drops).
         let rov = self.rov_trie.as_ref().map(|trie| {

@@ -4,8 +4,10 @@
 //! structural verifier → abstract interpretation ([`xbgp_vm::absint`]) —
 //! over `.s` sources, and reports what the router would reject plus
 //! lint-grade warnings the router ignores (dead stores, branches the
-//! analysis proves constant). For a program at one of the two outbound
-//! points it also says whether the export path can share its runs
+//! analysis proves constant). For a program at one of the two filter
+//! points it also says whether one run can answer for every route of an
+//! UPDATE, and if not, which granted helper is why; for one at one of the
+//! two outbound points, whether the export path can share its runs
 //! between peers, and if not, which line of it is why. Because it is the *same* pipeline with the
 //! same per-insertion-point helper contracts, a clean lint run is a
 //! guarantee: the program loads on any conforming implementation.
@@ -19,7 +21,7 @@ use std::fmt;
 
 use xbgp_asm::assemble_with_symbols;
 use xbgp_core::api::{abi_symbols, helper, InsertionPoint};
-use xbgp_core::contracts::{analysis_options, peer_info_fields, peer_reads, PerPeer};
+use xbgp_core::contracts::{analysis_options, peer_info_fields, peer_reads, prefix_free, PerPeer};
 use xbgp_vm::insn::op;
 use xbgp_vm::{absint, verify, Analysis, LoadedProgram};
 
@@ -67,6 +69,11 @@ pub struct LintReport {
     pub warnings: Vec<String>,
     /// The analysis summary, when verification got that far.
     pub analysis: Option<Analysis>,
+    /// For a program at ② `bgp_inbound_filter` or ④
+    /// `bgp_outbound_filter`: whether it is prefix-free — one run of its
+    /// chain answers for every route of an UPDATE — or the granted helper
+    /// that makes it run once per route.
+    pub sharing: Option<Result<(), &'static str>>,
     /// For a program at ④ `bgp_outbound_filter` or ⑤
     /// `bgp_encode_message`: the `PeerInfo` bytes of the destination it
     /// can read — peers that agree on them share one run of it in an
@@ -103,6 +110,15 @@ impl fmt::Display for LintReport {
                 a.stack_high_water,
             )?;
         }
+        match &self.sharing {
+            Some(Ok(())) => writeln!(
+                f,
+                "{}: per-update: grants neither get_prefix nor a side effect",
+                self.name
+            )?,
+            Some(Err(helper)) => writeln!(f, "{}: per-route: grants {helper}", self.name)?,
+            None => {}
+        }
         match &self.grouping {
             Some(Ok(mask)) => {
                 let fields = peer_info_fields(*mask).join(", ");
@@ -127,6 +143,7 @@ pub fn lint(target: &LintTarget) -> LintReport {
         errors: Vec::new(),
         warnings: Vec::new(),
         analysis: None,
+        sharing: None,
         grouping: None,
     };
     let mut src = String::new();
@@ -152,16 +169,17 @@ pub fn lint(target: &LintTarget) -> LintReport {
     match absint::analyze(&mut lp, &prog, &opts) {
         Ok(analysis) => {
             report.warnings.extend(analysis.warnings.iter().map(ToString::to_string));
-            let outbound = [InsertionPoint::BgpOutboundFilter, InsertionPoint::BgpEncodeMessage];
-            if outbound.contains(&target.point) {
-                // Without a manifest, assume the smallest grant that
-                // loads the program: the helpers it calls.
-                let call = op::CLS_JMP | op::JMP_CALL;
-                let called = || prog.insns.iter().filter(|i| i.opcode == call);
-                let granted = target
-                    .helpers
-                    .clone()
-                    .unwrap_or_else(|| called().map(|i| i.imm as u32).collect());
+            // Without a manifest, assume the smallest grant that loads the
+            // program: the helpers it calls.
+            let call = op::CLS_JMP | op::JMP_CALL;
+            let granted = target.helpers.clone().unwrap_or_else(|| {
+                prog.insns.iter().filter(|i| i.opcode == call).map(|i| i.imm as u32).collect()
+            });
+            use InsertionPoint::{BgpEncodeMessage, BgpInboundFilter, BgpOutboundFilter};
+            if [BgpInboundFilter, BgpOutboundFilter].contains(&target.point) {
+                report.sharing = Some(prefix_free(&granted));
+            }
+            if [BgpOutboundFilter, BgpEncodeMessage].contains(&target.point) {
                 report.grouping = Some(peer_reads(&granted, analysis.watched));
             }
             report.analysis = Some(analysis);

@@ -10,12 +10,16 @@
 //!   --helpers <a,b,...>   helper whitelist by name; default: all helpers
 //!   --define NAME=VAL     prepend `.equ NAME, VAL` (repeatable)
 //!   --quiet               warnings only: suppress the per-file ok summary
-//!                         and the update-group verdict
+//!                         and the per-update and update-group verdicts
 //! ```
 //!
 //! Files whose stem matches a shipped program (`rov_check.s`, …) are
 //! linted under that program's manifest context — same insertion point,
 //! same helper whitelist — unless `--point`/`--helpers` override it.
+//! A program at `bgp_inbound_filter` or `bgp_outbound_filter` gets one
+//! line saying whether one run of it can answer for every route of an
+//! UPDATE (`per-update: …`) or which granted helper prevents that
+//! (`per-route: grants get_prefix`).
 //! A program at `bgp_outbound_filter` or `bgp_encode_message` also gets
 //! one line saying whether its runs can be shared by an update-group
 //! (`groupable: reads {type, flags}`) or what defeats that (`per-peer:

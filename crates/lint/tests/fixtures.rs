@@ -24,16 +24,43 @@ fn oob_stack_fixture_is_rejected() {
     assert!(report.errors[0].contains("outside [r10-512, r10)"), "{:?}", report.errors);
 }
 
-/// The last line of the report for an outbound-filter fixture granted
-/// `helpers`: the update-group verdict.
-fn grouping_line(name: &str, helpers: &[&str]) -> String {
+/// The report lines, last first, for a fixture at `point` granted
+/// `helpers`.
+fn verdict_lines(name: &str, point: InsertionPoint, helpers: &[&str]) -> Vec<String> {
     let report = lint(&LintTarget {
-        point: InsertionPoint::BgpOutboundFilter,
+        point,
         helpers: Some(helpers.iter().map(|h| helper::id_of(h).expect("API helper")).collect()),
         ..LintTarget::bare(name, fixture(name))
     });
     assert!(report.clean(), "{name}: {:?}", report.errors);
-    report.to_string().lines().last().expect("a verdict line").to_string()
+    report.to_string().lines().rev().map(str::to_string).collect()
+}
+
+/// The last line of the report for an outbound-filter fixture granted
+/// `helpers`: the update-group verdict.
+fn grouping_line(name: &str, helpers: &[&str]) -> String {
+    verdict_lines(name, InsertionPoint::BgpOutboundFilter, helpers).swap_remove(0)
+}
+
+/// At the two filter points a program is per-update or per-route, on one
+/// line before the update-group verdict.
+#[test]
+fn sharing_fixtures_say_why() {
+    let inbound = InsertionPoint::BgpInboundFilter;
+    let lines = verdict_lines("per_route_prefix.s", inbound, &["get_prefix", "next"]);
+    assert_eq!(lines[0], "per_route_prefix.s: per-route: grants get_prefix");
+    let outbound = InsertionPoint::BgpOutboundFilter;
+    let lines = verdict_lines("groupable_flags.s", outbound, &["get_peer_info", "next"]);
+    assert_eq!(
+        lines[1],
+        "groupable_flags.s: per-update: grants neither get_prefix nor a side effect"
+    );
+    let helpers = ["get_peer_info", "ctx_shared_get", "next"];
+    let lines = verdict_lines("per_peer_shared.s", outbound, &helpers);
+    assert_eq!(lines[1], "per_peer_shared.s: per-route: grants ctx_shared_get");
+    // ⑤ runs once per batch already: no such line.
+    let lines = verdict_lines("groupable_flags.s", InsertionPoint::BgpEncodeMessage, &helpers);
+    assert!(lines.iter().all(|l| !l.contains("per-update") && !l.contains("per-route")));
 }
 
 #[test]

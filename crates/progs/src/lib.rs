@@ -370,6 +370,40 @@ mod tests {
         assert_eq!(fields(&igp_filter::manifest(), outbound), ["type"]);
     }
 
+    /// Which shipped filters one run answers for every route of an UPDATE
+    /// with: those granted neither `get_prefix` nor a side-effecting
+    /// helper. A grant added to one of the first five multiplies its runs
+    /// by the NLRI per UPDATE, so it must show up here as a diff.
+    #[test]
+    fn shipped_filters_run_once_per_update_unless_granted_the_prefix() {
+        use xbgp_core::InsertionPoint::{BgpInboundFilter, BgpOutboundFilter};
+        let manifests = [
+            route_reflect::manifest(),
+            geoloc::manifest(None),
+            igp_filter::manifest(),
+            origin_validation::manifest(),
+            valley_free::manifest(&[], "10.0.0.0/8".parse().unwrap()),
+            fault_inject::manifest(3),
+        ];
+        let (mut per_update, mut per_route) = (Vec::new(), Vec::new());
+        for e in manifests.iter().flat_map(|m| &m.extensions) {
+            if ![BgpInboundFilter, BgpOutboundFilter].contains(&e.insertion_point) {
+                continue;
+            }
+            let mut alone = Manifest::new();
+            alone.push(e.clone());
+            match Vmm::from_manifest(&alone).unwrap().prefix_free(e.insertion_point) {
+                true => per_update.push(e.name.as_str()),
+                false => per_route.push(e.name.as_str()),
+            }
+        }
+        assert_eq!(
+            per_update,
+            ["rr_inbound", "rr_outbound", "geoloc_inbound", "geoloc_outbound", "export_igp"]
+        );
+        assert_eq!(per_route, ["rov_check", "valley_free", "fault_inject"]);
+    }
+
     // ----- §3.1 Listing 1 -----
 
     #[test]

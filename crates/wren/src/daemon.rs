@@ -11,10 +11,10 @@ use crate::rtable::{RTable, Rte, SrcId, TableChange};
 use netsim::NodeCtx;
 use rpki::{RoaHashTable, RoaTable, RovState};
 use std::rc::Rc;
-use xbgp_core::api::{NextHopInfo, PeerInfo, PeerType};
+use xbgp_core::api::PeerType;
 use xbgp_driver::export::{Dest, Exporter, UpdateGroups};
 use xbgp_driver::host::{roa_hash_table, BgpDaemon, Host, RouteEngine, RouteSource};
-use xbgp_driver::xbgp_glue::Rejected;
+use xbgp_driver::xbgp_glue::{InboundFilter, Rejected};
 use xbgp_obs::trace::pack_prefix;
 use xbgp_obs::Snapshot;
 use xbgp_rib::{push_rib_gauges, DirtySet, NodeId, RibCounters};
@@ -146,13 +146,13 @@ impl WrenEngine {
         }
 
         let shared = Rc::new(eattrs);
-        let filter = host.inbound_views(ch, &*shared);
+        let mut filter = host.inbound_filter(ch, &shared);
         for net in &upd.nlri {
             host.stats.counters.prefixes_rx += 1;
             if let Some(t) = host.hooks.vmm.tracer_mut() {
                 t.begin_route(pack_prefix(net.addr(), net.len()));
             }
-            self.install_one(host, ch, *net, &shared, filter);
+            self.install_one(host, ch, *net, &shared, filter.as_mut());
             // Every `begin_route` is matched here, whichever way the
             // route left `install_one`: a leaked scope would let the next
             // route's events inherit this route's attribution.
@@ -171,33 +171,30 @@ impl WrenEngine {
         Ok(())
     }
 
-    /// One NLRI through ② `BGP_INBOUND_FILTER` (when `filter` carries the
-    /// peer and nexthop views, i.e. an extension is attached), native
-    /// origin validation, the table and propagation.
+    /// One NLRI through ② `BGP_INBOUND_FILTER` (when an extension is
+    /// attached there), native origin validation, the table and
+    /// propagation.
     fn install_one(
         &mut self,
         host: &mut Host,
         ch: usize,
         net: Ipv4Prefix,
         shared: &Rc<EaList>,
-        filter: Option<(PeerInfo, NextHopInfo)>,
+        filter: Option<&mut InboundFilter<Rc<EaList>>>,
     ) {
-        let mut route_attrs = Rc::clone(shared);
-        if let Some(views) = filter {
-            match host.inbound_filter(views, net, &**shared) {
-                Ok(Some(modified)) => route_attrs = Rc::new(modified),
-                Ok(None) => {}
-                Err(Rejected) => {
-                    // Drop any previously accepted route from this channel
-                    // and re-export inline (inside the route's trace scope,
-                    // so the decision is attributed).
-                    let (change, removed) = self.table.withdraw(net, SrcId::Channel(ch));
-                    self.rib_counters.withdrawals += u64::from(removed);
-                    let at = self.changed_at(&net, change);
-                    return self.propagate_inline(host, net, at, change);
-                }
+        let route_attrs = match filter.map(|f| f.admit(host, net, Rc::new)) {
+            None => Rc::clone(shared),
+            Some(Ok(attrs)) => attrs,
+            Some(Err(Rejected)) => {
+                // Drop any previously accepted route from this channel and
+                // re-export inline (inside the route's trace scope, so the
+                // decision is attributed).
+                let (change, removed) = self.table.withdraw(net, SrcId::Channel(ch));
+                self.rib_counters.withdrawals += u64::from(removed);
+                let at = self.changed_at(&net, change);
+                return self.propagate_inline(host, net, at, change);
             }
-        }
+        };
 
         // Native origin validation (hash table; tags, never drops).
         let rov = self.roa.as_ref().map(|table| {

@@ -9,6 +9,7 @@ use bgp_wren::WrenEngine;
 use common::{p, sim_with_nodes, MS, SEC};
 use xbgp_asm::assemble_with_symbols;
 use xbgp_core::api::abi_symbols;
+use xbgp_core::vmm::QUARANTINE_THRESHOLD;
 use xbgp_core::{ExtensionSpec, InsertionPoint, Manifest};
 use xbgp_driver::host::{BgpDaemon, RouteEngine};
 use xbgp_driver::{Daemon, DaemonSpec};
@@ -20,34 +21,61 @@ fn ext(name: &str, point: InsertionPoint, helpers: &[&str], src: &str) -> Extens
     ExtensionSpec::from_program(name, name, point, helpers, &prog)
 }
 
-/// Run a 2-router chain with the given manifest on the receiver; return
-/// (received prefixes count, receiver daemon logs, xbgp stats).
+/// How router 1 sends its 20 routes to router 2.
+#[derive(Clone, Copy)]
+enum Feed {
+    /// One UPDATE each: every route has its own next hop, which the iBGP
+    /// session carries unchanged, so no two share an attribute set and a
+    /// ② chain runs once per route.
+    UpdatePerRoute,
+    /// One UPDATE of 20 NLRI over eBGP, where every route leaves router 1
+    /// with the same attributes.
+    OneUpdate,
+}
+
+/// A 2-router chain: router 1 originates 20 routes, router 2 (engine `E`,
+/// with metrics on) receives them with `manifest` loaded. Returns the
+/// simulator, run to quiescence, and router 2's node.
+fn two_routers<E: RouteEngine>(manifest: Manifest, feed: Feed) -> (netsim::Sim, netsim::NodeId) {
+    let (mut sim, n) = sim_with_nodes(2);
+    let link = sim.connect(n[0], n[1], MS);
+    let (asn_b, next_hop): (u32, fn(u32) -> u32) = match feed {
+        Feed::UpdatePerRoute => (65001, |i| 100 + i),
+        Feed::OneUpdate => (65002, |_| 1),
+    };
+    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(link, 2, asn_b);
+    cfg_a.originate = (0..20).map(|i| (p(&format!("10.{i}.0.0/16")), next_hop(i))).collect();
+    let mut cfg_b = DaemonSpec::new(asn_b, 2).neighbor(link, 1, 65001);
+    cfg_b.xbgp = Some(manifest);
+    cfg_b.metrics = true;
+    sim.replace_node(n[0], Box::new(BgpDaemon::<E>::new(cfg_a)));
+    sim.replace_node(n[1], Box::new(BgpDaemon::<E>::new(cfg_b)));
+    sim.run_until(5 * SEC);
+    (sim, n[1])
+}
+
+/// Run the 2-router chain with the given manifest on the receiver, one
+/// UPDATE per route; return (received prefixes count, receiver daemon
+/// logs, xbgp stats).
 fn run_with_manifest(
     manifest: Manifest,
 ) -> (usize, Vec<String>, Vec<xbgp_core::vmm::ExtensionStats>) {
-    let (mut sim, n) = sim_with_nodes(2);
-    let link = sim.connect(n[0], n[1], MS);
-    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
-    cfg_a.originate = (0..20).map(|i| (p(&format!("10.{i}.0.0/16")), 1)).collect();
-    let mut cfg_b = DaemonSpec::new(65002, 2).neighbor(link, 1, 65001);
-    cfg_b.xbgp = Some(manifest);
-    sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_a)));
-    sim.replace_node(n[1], Box::new(FirDaemon::new(cfg_b)));
-    sim.run_until(5 * SEC);
-    let d: &FirDaemon = sim.node_ref(n[1]);
+    let (mut sim, n) = two_routers::<FirEngine>(manifest, Feed::UpdatePerRoute);
+    let d: &FirDaemon = sim.node_ref(n);
+    assert_eq!(d.counters().updates_rx, 20, "one UPDATE per route");
     (d.loc_rib_len(), d.host.logs.clone(), d.xbgp_stats())
+}
+
+/// The wild pointer: dereferences unmapped memory on every run.
+fn wild_pointer() -> ExtensionSpec {
+    let src = "lddw r1, 0x7777777777\nldxb r0, [r1]\nexit";
+    ext("wild_pointer", InsertionPoint::BgpInboundFilter, &[], src)
 }
 
 #[test]
 fn out_of_bounds_extension_falls_back_to_native() {
     let mut m = Manifest::new();
-    m.push(ext(
-        "wild_pointer",
-        InsertionPoint::BgpInboundFilter,
-        &[],
-        // Dereference unmapped memory on every route.
-        "lddw r1, 0x7777777777\nldxb r0, [r1]\nexit",
-    ));
+    m.push(wild_pointer());
     let (routes, logs, stats) = run_with_manifest(m);
     assert_eq!(routes, 20, "all routes still accepted natively");
     assert!(
@@ -71,23 +99,9 @@ fn faults_surface_in_the_daemon_metrics_snapshot() {
     // the per-point error counter and per-extension counters must account
     // for every aborted run while routing continues natively.
     let mut m = Manifest::new();
-    m.push(ext(
-        "wild_pointer",
-        InsertionPoint::BgpInboundFilter,
-        &[],
-        "lddw r1, 0x7777777777\nldxb r0, [r1]\nexit",
-    ));
-    let (mut sim, n) = sim_with_nodes(2);
-    let link = sim.connect(n[0], n[1], MS);
-    let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
-    cfg_a.originate = (0..20).map(|i| (p(&format!("10.{i}.0.0/16")), 1)).collect();
-    let mut cfg_b = DaemonSpec::new(65002, 2).neighbor(link, 1, 65001);
-    cfg_b.xbgp = Some(m);
-    cfg_b.metrics = true;
-    sim.replace_node(n[0], Box::new(FirDaemon::new(cfg_a)));
-    sim.replace_node(n[1], Box::new(FirDaemon::new(cfg_b)));
-    sim.run_until(5 * SEC);
-    let d: &FirDaemon = sim.node_ref(n[1]);
+    m.push(wild_pointer());
+    let (mut sim, n) = two_routers::<FirEngine>(m, Feed::UpdatePerRoute);
+    let d: &FirDaemon = sim.node_ref(n);
     assert_eq!(d.loc_rib_len(), 20, "all routes still accepted natively");
 
     let snap = d.metrics_snapshot();
@@ -98,10 +112,10 @@ fn faults_surface_in_the_daemon_metrics_snapshot() {
     let runs = snap
         .counter_value("xbgp_vmm_runs_total", labels)
         .expect("per-point run counter present");
-    // Each dispatched chain run faulted until the breaker quarantined the
-    // extension; the remaining routes of the batch ran an empty chain.
-    assert_eq!(errors, u64::from(xbgp_core::vmm::QUARANTINE_THRESHOLD));
-    assert!(runs >= 20, "every route still consulted the VMM: {runs}");
+    // One UPDATE per route: each run faulted until the breaker quarantined
+    // the extension, and the later UPDATEs found nothing attached at ②.
+    assert_eq!(errors, u64::from(QUARANTINE_THRESHOLD));
+    assert_eq!(runs, errors, "every run the VMM was asked for faulted");
     assert_eq!(
         snap.counter_value("xbgp_vmm_quarantines_total", &[("daemon", "bgp-fir")]),
         Some(1),
@@ -116,6 +130,36 @@ fn faults_surface_in_the_daemon_metrics_snapshot() {
         .histogram_value("xbgp_vmm_run_latency_ns", labels)
         .expect("latency histogram present");
     assert_eq!(lat.count, errors);
+}
+
+/// One UPDATE of 20 NLRI under an always-faulting ② that is prefix-free.
+/// A faulting run is never shared, so each of the first
+/// `QUARANTINE_THRESHOLD` NLRI runs the chain and faults, as it would
+/// without sharing; the breaker then empties the chain, and its one clean
+/// fallback answers for the other 16. Every route is installed natively.
+#[test]
+fn faults_are_not_shared_between_the_nlri_of_an_update() {
+    fn check<E: RouteEngine>() {
+        let mut m = Manifest::new();
+        m.push(wild_pointer());
+        let (mut sim, n) = two_routers::<E>(m, Feed::OneUpdate);
+        let d: &BgpDaemon<E> = sim.node_ref(n);
+        let what = E::KIND.slug();
+        assert_eq!(d.counters().updates_rx, 1, "{what}");
+        assert_eq!(d.loc_rib_len(), 20, "{what}: all routes installed natively");
+        let threshold = u64::from(QUARANTINE_THRESHOLD);
+        let stats = d.xbgp_stats();
+        assert_eq!((stats[0].runs, stats[0].errors), (threshold, threshold), "{what}");
+        assert!(stats[0].quarantined, "{what}");
+        let snap = d.metrics_snapshot();
+        let point = [("point", InsertionPoint::BgpInboundFilter.name())];
+        let counter = |name| snap.counter_value(name, &point).expect(name);
+        assert_eq!(counter("xbgp_vmm_errors_total"), threshold, "{what}");
+        assert_eq!(counter("xbgp_vmm_runs_total"), threshold + 1, "{what}: then one fallback");
+        assert_eq!(counter("xbgp_daemon_shared_verdicts_total"), 20 - threshold - 1, "{what}");
+    }
+    check::<FirEngine>();
+    check::<WrenEngine>();
 }
 
 #[test]
@@ -133,15 +177,14 @@ fn faulty_extension_does_not_poison_healthy_chain_members() {
     // crasher aborts the chain (falls back to native), but the healthy one
     // keeps working when it runs first.
     let healthy = ext("accept_all", InsertionPoint::BgpInboundFilter, &["next"], "call next\nexit");
-    let crasher = ext(
+    let mut m = Manifest::new();
+    m.push(healthy);
+    m.push(ext(
         "crasher",
         InsertionPoint::BgpInboundFilter,
         &[],
         "lddw r1, 0x7777777777\nldxb r0, [r1]\nexit",
-    );
-    let mut m = Manifest::new();
-    m.push(healthy);
-    m.push(crasher);
+    ));
     let (routes, _, stats) = run_with_manifest(m);
     assert_eq!(routes, 20);
     let healthy_stats = stats.iter().find(|s| s.name == "accept_all").unwrap();

@@ -16,9 +16,16 @@
 //! of the engine's trie and a group transforms an UPDATE's attributes
 //! once. The forced-singleton daemon shares that code, so the memo's
 //! edge cases are also held against what the peers must end up holding.
+//!
+//! A second knob-free oracle holds the filter points' shared verdicts:
+//! the same daemon with one more program first at ② and at ④, which only
+//! calls `next()` but is granted `get_prefix`, so both chains run once per
+//! route again. Memoised ≡ forced-per-route, byte for byte, on both
+//! engines and under both policies.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+use igp::IgpNetwork;
 use netsim::{LinkId, NodeDriver};
 use routegen::churn::{churn_rounds, ChurnSpec};
 use routegen::{generate, to_updates, Route, TableSpec};
@@ -27,7 +34,7 @@ use xbgp_core::api::abi_symbols;
 use xbgp_core::{ExtensionSpec, InsertionPoint, Manifest};
 use xbgp_harness::dut::{build, DaemonSpec, Dut, DutNode};
 use xbgp_obs::Snapshot;
-use xbgp_progs::route_reflect;
+use xbgp_progs::{igp_filter, origin_validation, route_reflect, valley_free};
 use xbgp_wire::attr::Origin;
 use xbgp_wire::{AsPath, Capability, Ipv4Prefix, Message, OpenMsg, PathAttr, UpdateMsg};
 
@@ -66,6 +73,10 @@ enum Step {
     Up(usize),
     Down(usize),
     Send(usize, UpdateMsg),
+    /// The IGP metric from the DUT to the router with this address becomes
+    /// this. A run with such a step has an IGP, which links the DUT to
+    /// every router named in one at metric 1 until then.
+    Metric(u32, u32),
 }
 
 fn send_all(from: usize, updates: Vec<UpdateMsg>) -> impl Iterator<Item = Step> {
@@ -81,17 +92,25 @@ enum Policy {
     RrExtension,
 }
 
+/// A program of its own group, assembled from `src`.
+fn program(name: &str, point: InsertionPoint, helpers: &[&str], src: &str) -> ExtensionSpec {
+    let prog = assemble_with_symbols(src, &abi_symbols()).expect("test program assembles");
+    ExtensionSpec::from_program(name, name, point, helpers, &prog)
+}
+
 /// The program that forces groups of one without changing a verdict.
 fn router_id_probe() -> ExtensionSpec {
     let src = "call get_peer_info\nldxw r1, [r0+PEER_INFO_OFF_ROUTER_ID]\ncall next\nexit";
-    let prog = assemble_with_symbols(src, &abi_symbols()).expect("probe assembles");
-    ExtensionSpec::from_program(
-        "router_id_probe",
-        "router_id_probe",
-        InsertionPoint::BgpOutboundFilter,
-        &["get_peer_info", "next"],
-        &prog,
-    )
+    let helpers = ["get_peer_info", "next"];
+    program("router_id_probe", InsertionPoint::BgpOutboundFilter, &helpers, src)
+}
+
+/// The program that forces a filter point back to one run per route
+/// without changing a verdict: it only calls `next()`, but it is granted
+/// `get_prefix`, so the chain it joins is not prefix-free.
+fn per_route_probe(point: InsertionPoint) -> ExtensionSpec {
+    let name = format!("per_route_probe_{}", point.name());
+    program(&name, point, &["get_prefix", "next"], "call next\nexit")
 }
 
 fn spec(peers: &[Peer], policy: Policy, singletons: bool, extra: &[ExtensionSpec]) -> DaemonSpec {
@@ -145,6 +164,13 @@ impl Outcome {
             .counter_value("xbgp_vmm_runs_total", &[("point", point.name())])
             .expect("per-point run counter")
     }
+
+    /// Routes a filter point answered with a verdict shared from a run.
+    fn shared(&self, point: InsertionPoint) -> u64 {
+        self.snapshot
+            .counter_value("xbgp_daemon_shared_verdicts_total", &[("point", point.name())])
+            .expect("per-point shared-verdict counter")
+    }
 }
 
 fn run(dut: Dut, peers: &[Peer], policy: Policy, singletons: bool, steps: &[Step]) -> Outcome {
@@ -160,7 +186,22 @@ fn run_with(
     steps: &[Step],
     extra: &[ExtensionSpec],
 ) -> Outcome {
-    let spec = spec(peers, policy, singletons, extra);
+    let mut spec = spec(peers, policy, singletons, extra);
+    let linked: BTreeSet<u32> = steps
+        .iter()
+        .filter_map(|s| match s {
+            Step::Metric(to, _) => Some(*to),
+            _ => None,
+        })
+        .collect();
+    let igp = (!linked.is_empty()).then(|| {
+        let mut net = IgpNetwork::new();
+        for to in linked {
+            net.add_link(DUT_ID, to, 1);
+        }
+        igp::shared(net)
+    });
+    spec.igp = igp.clone();
     let mut drv = NodeDriver::new(Box::new(build(dut, spec)), peers.len());
     drv.start(0);
     let mut now = 1_000;
@@ -186,6 +227,10 @@ fn run_with(
                     .encode(peers[*i].width())
                     .expect("stimulus encodes");
                 drv.deliver(now, LinkId(*i), &frame);
+            }
+            Step::Metric(to, metric) => {
+                let igp = igp.as_ref().expect("a run with a metric step has an IGP");
+                igp.borrow_mut().set_metric(DUT_ID, *to, *metric);
             }
         }
     }
@@ -233,6 +278,18 @@ fn held(frames: &[Vec<u8>], width: usize) -> BTreeMap<Ipv4Prefix, Vec<Vec<u8>>> 
     held
 }
 
+/// Two runs sent every peer the same frames, in the same order, and ended
+/// with the same Loc-RIB.
+fn same_output(what: &str, a: &Outcome, b: &Outcome) {
+    for (link, (fa, fb)) in a.streams.iter().zip(&b.streams).enumerate() {
+        assert_eq!(fa.len(), fb.len(), "{what}: frames to peer {link}");
+        for (k, (x, y)) in fa.iter().zip(fb).enumerate() {
+            assert_eq!(x, y, "{what}: frame {k} to peer {link}");
+        }
+    }
+    assert_eq!(a.loc_rib, b.loc_rib, "{what}: Loc-RIB");
+}
+
 /// The whole oracle for one scenario: grouped ≡ forced-singleton per
 /// byte under both policies and on both engines, reflection programs ≡
 /// native reflection per prefix, fir ≡ wren per byte. Hands back the
@@ -253,7 +310,7 @@ fn check_with(
         match s {
             Step::Up(i) => up[*i] = true,
             Step::Down(i) => up[*i] = false,
-            Step::Send(..) => {}
+            Step::Send(..) | Step::Metric(..) => {}
         }
         up
     });
@@ -271,13 +328,7 @@ fn check_with(
                 established,
                 "{what}: the probe forces one group per established peer"
             );
-            for (link, (g, s)) in grouped.streams.iter().zip(&single.streams).enumerate() {
-                assert_eq!(g.len(), s.len(), "{what}: frames to peer {link}");
-                for (k, (gf, sf)) in g.iter().zip(s).enumerate() {
-                    assert_eq!(gf, sf, "{what}: frame {k} to peer {link}");
-                }
-            }
-            assert_eq!(grouped.loc_rib, single.loc_rib, "{what}: Loc-RIB");
+            same_output(&what, &grouped, &single);
             assert_eq!(
                 grouped.gauge("xbgp_daemon_adj_rib_out_size"),
                 single.gauge("xbgp_daemon_adj_rib_out_size"),
@@ -497,7 +548,9 @@ fn member_flaps_mid_stream() {
 fn work_counters_do_not_scale_with_peers() {
     let peers: Vec<Peer> = (0..5).map(|i| Peer::ibgp(1 + i, true)).collect();
     let mut steps: Vec<Step> = (0..peers.len()).map(Step::Up).collect();
-    steps.extend(send_all(0, to_updates(&table(200, 5), 1, Some(100))));
+    let updates = to_updates(&table(200, 5), 1, Some(100));
+    let f = updates.len() as u64;
+    steps.extend(send_all(0, updates));
     for dut in [Dut::Fir, Dut::Wren] {
         for policy in [Policy::Native, Policy::RrExtension] {
             let out = run(dut, &peers, policy, false, &steps);
@@ -513,9 +566,10 @@ fn work_counters_do_not_scale_with_peers() {
                 out.snapshot.gauge_value("xbgp_daemon_update_group_members", &[("group", "0")]);
             assert_eq!(members, Some(5), "{what}");
             if policy == Policy::RrExtension {
-                let best_changes = counter("xbgp_rib_best_changes_total");
-                assert_eq!(best_changes, 200, "{what}");
-                assert_eq!(out.runs(InsertionPoint::BgpOutboundFilter), best_changes, "{what}");
+                assert_eq!(counter("xbgp_rib_best_changes_total"), 200, "{what}");
+                // One group, and ④ runs once per (attributes, source) in
+                // it: once per UPDATE of the table.
+                assert_eq!(out.runs(InsertionPoint::BgpOutboundFilter), f, "{what}");
                 assert_eq!(out.runs(InsertionPoint::BgpEncodeMessage), encoded, "{what}");
             }
         }
@@ -526,7 +580,8 @@ fn work_counters_do_not_scale_with_peers() {
 /// A table transfer of N NLRI in F UPDATEs is N descents of the engine's
 /// trie — announce, decide and commit share one — and F attribute
 /// transforms per group that is owed the routes, because the NLRI of one
-/// UPDATE share an attribute handle and a source.
+/// UPDATE share an attribute handle and a source. For the same reason the
+/// reflection programs cost F ② runs and F ④ runs per such group.
 #[test]
 fn a_route_is_one_descent_and_an_update_one_transform_per_group() {
     // The feeder's own group has nobody else in it (no verdict, no
@@ -553,8 +608,54 @@ fn a_route_is_one_descent_and_an_update_one_transform_per_group() {
             assert_eq!(counter("xbgp_rib_descents_total"), n, "{what}: descents");
             assert_eq!(counter("xbgp_daemon_export_transforms_total"), 2 * f, "{what}: transforms");
             if policy == Policy::RrExtension {
-                // ④ is not memoised: it still sees every route, per group.
-                assert_eq!(out.runs(InsertionPoint::BgpOutboundFilter), 2 * n, "{what}");
+                // Both reflection filters are prefix-free: ② runs once per
+                // UPDATE, ④ once per UPDATE per group that is owed it, and
+                // every other route is answered by a shared verdict.
+                let inbound = InsertionPoint::BgpInboundFilter;
+                let outbound = InsertionPoint::BgpOutboundFilter;
+                assert_eq!(out.runs(inbound), f, "{what}: ② runs");
+                assert_eq!(out.runs(outbound), 2 * f, "{what}: ④ runs");
+                assert_eq!(out.runs(inbound) + out.shared(inbound), n, "{what}: ② answers");
+                assert_eq!(out.runs(outbound) + out.shared(outbound), 2 * n, "{what}: ④ answers");
+            }
+        }
+    }
+}
+
+/// The shipped ② filters that are granted `get_prefix` still run once per
+/// route on the same multi-NLRI table, alone and in front of the
+/// reflection chain: no verdict is shared, whatever path a run takes
+/// (`valley_free` without its tables never reaches its `get_prefix` call,
+/// and still runs N times).
+#[test]
+fn prefix_reading_filters_run_once_per_route() {
+    let mut peers = vec![Peer::ibgp(1, false)];
+    peers.extend((0..4).map(|i| Peer::ibgp(10 + i, true)));
+    peers.extend((0..2).map(|i| Peer::ebgp(30 + i, 65010 + i)));
+    let updates = to_updates(&table(300, 17), 1, Some(100));
+    let (n, f) = (300, updates.len() as u64);
+    assert!(f < n, "UPDATEs carry several NLRI each");
+    let mut steps: Vec<Step> = (0..peers.len()).map(Step::Up).collect();
+    steps.extend(send_all(0, updates));
+    let dc: Ipv4Prefix = "10.255.0.0/16".parse().unwrap();
+    let filters = [
+        ("rov_check", origin_validation::extension()),
+        ("valley_free", valley_free::manifest(&[], dc).extensions.remove(0)),
+    ];
+    let inbound = InsertionPoint::BgpInboundFilter;
+    for (name, filter) in filters {
+        for dut in [Dut::Fir, Dut::Wren] {
+            for policy in [Policy::Native, Policy::RrExtension] {
+                let out =
+                    run_with(dut, &peers, policy, false, &steps, std::slice::from_ref(&filter));
+                let what = format!("{name} {dut:?} {policy:?}");
+                let ext_runs = out.snapshot.counter_value(
+                    "xbgp_vmm_extension_runs_total",
+                    &[("extension", name), ("point", inbound.name())],
+                );
+                assert_eq!(ext_runs, Some(n), "{what}: {name} runs");
+                assert_eq!(out.runs(inbound), n, "{what}: ② runs");
+                assert_eq!(out.shared(inbound), 0, "{what}: ② shared");
             }
         }
     }
@@ -583,14 +684,8 @@ fn odd_prefix_tagger() -> ExtensionSpec {
     pass:
         call next
         exit";
-    let prog = assemble_with_symbols(src, &abi_symbols()).expect("tagger assembles");
-    ExtensionSpec::from_program(
-        "odd_prefix_tagger",
-        "odd_prefix_tagger",
-        InsertionPoint::BgpInboundFilter,
-        &["get_prefix", "set_attr", "next"],
-        &prog,
-    )
+    let helpers = ["get_prefix", "set_attr", "next"];
+    program("odd_prefix_tagger", InsertionPoint::BgpInboundFilter, &helpers, src)
 }
 
 /// What the peer on a link holds after its stream, attributes decoded.
@@ -676,4 +771,183 @@ fn transform_memo_edge_cases() {
         assert!(!attrs.iter().any(|a| matches!(a, PathAttr::OriginatorId(_))));
     }
     assert_eq!(path(&held[&p("10.30.2.0/24")]), Some(AsPath::sequence(vec![DUT_AS, 64910, 2])));
+}
+
+/// Memoised ≡ forced-per-route for one scenario, under both policies and
+/// on both engines: the daemon with `extra` loaded sends every peer the
+/// same frames and ends with the same Loc-RIB as the same daemon with a
+/// [`per_route_probe`] first at ② and ④. Where the memoised daemon has a
+/// chain at a filter point, its runs and shared verdicts there add up to
+/// the forced daemon's runs, which shares none. `also` gets each pair,
+/// memoised first, for the scenario's own checks.
+fn check_memo(
+    name: &str,
+    peers: &[Peer],
+    steps: &[Step],
+    extra: &[ExtensionSpec],
+    also: impl Fn(&str, Dut, Policy, &Outcome, &Outcome),
+) {
+    let points = [InsertionPoint::BgpInboundFilter, InsertionPoint::BgpOutboundFilter];
+    let mut forcing: Vec<ExtensionSpec> = points.into_iter().map(per_route_probe).collect();
+    forcing.extend_from_slice(extra);
+    for dut in [Dut::Fir, Dut::Wren] {
+        for policy in [Policy::Native, Policy::RrExtension] {
+            let memo = run_with(dut, peers, policy, false, steps, extra);
+            let forced = run_with(dut, peers, policy, false, steps, &forcing);
+            let what = format!("{name} {dut:?} {policy:?}");
+            same_output(&what, &memo, &forced);
+            for p in points {
+                let at = format!("{what}: {}", p.name());
+                assert_eq!(forced.shared(p), 0, "{at}: the probe makes every route run");
+                if memo.runs(p) > 0 {
+                    assert_eq!(memo.runs(p) + memo.shared(p), forced.runs(p), "{at}: answers");
+                }
+            }
+            also(&what, dut, policy, &memo, &forced);
+        }
+    }
+}
+
+/// The reflection chain (②, ④ and ⑤) over a table, a second source, a
+/// reflection loop that ② rejects whole, one attribute set from a client
+/// and a non-client decided alternately in one flush (the source decides
+/// ④'s verdict towards non-clients), and churn.
+#[test]
+fn memoised_reflection_chain_is_per_route_on_the_wire() {
+    let mut peers = vec![Peer::ibgp(1, false), Peer::ibgp(2, true)];
+    peers.extend((0..3).map(|i| Peer::ibgp(10 + i, true)));
+    peers.push(Peer::ibgp(20, false));
+    peers.push(Peer::ebgp(30, 65010));
+    let t = table(300, 31);
+    let mut steps: Vec<Step> = (0..peers.len()).map(Step::Up).collect();
+    steps.extend(send_all(0, to_updates(&t, 1, Some(100))));
+    steps.extend(send_all(1, to_updates(&t[100..200], 2, Some(100))));
+    let mut looped = announce(vec![64950], 2, &["10.40.0.0/24", "10.40.1.0/24", "10.40.2.0/24"]);
+    looped.attrs.push(PathAttr::OriginatorId(DUT_ID));
+    steps.push(Step::Send(1, looped));
+    let quad = ["10.50.0.0/16", "10.51.0.0/16", "10.52.0.0/16", "10.53.0.0/16"];
+    steps.push(Step::Send(2, announce(vec![64960], 9, &quad)));
+    steps.push(Step::Send(0, announce(vec![64961, 64962], 9, &[quad[0], quad[2]])));
+    steps.push(Step::Send(1, announce(vec![64961, 64962], 9, &[quad[1], quad[3]])));
+    steps.push(Step::Send(2, withdraw(&quad)));
+    for round in churn_rounds(&t, &ChurnSpec::new(9, 4)) {
+        steps.extend(send_all(0, round.to_updates(1, Some(100))));
+    }
+    check_memo("rr", &peers, &steps, &[], |what, _, policy, memo, _| {
+        if policy == Policy::RrExtension {
+            assert!(memo.shared(InsertionPoint::BgpInboundFilter) > 0, "{what}: ② shared");
+            assert!(memo.shared(InsertionPoint::BgpOutboundFilter) > 0, "{what}: ④ shared");
+        }
+    });
+}
+
+/// A prefix-free ② that rewrites every route: the UPDATE's rewritten set
+/// is made once and its one handle shared by every NLRI, so a group
+/// transforms it once per UPDATE — per route when every route runs ②
+/// and wren allocates each rewrite on its own — and the frames do not
+/// change.
+#[test]
+fn memoised_rewrite_is_one_handle_per_update() {
+    let src = r"
+        stb [r10-8], 0xfd
+        stb [r10-7], 0xe8
+        stb [r10-6], 0
+        stb [r10-5], 1
+        mov r1, ATTR_COMMUNITIES
+        mov r2, ATTR_FLAGS_OPT_TRANS
+        mov r3, r10
+        sub r3, 8
+        mov r4, 4
+        call set_attr
+        call next
+        exit";
+    let tagger = program("tagger", InsertionPoint::BgpInboundFilter, &["set_attr", "next"], src);
+    let mut peers: Vec<Peer> = (0..4).map(|i| Peer::ibgp(1 + i, true)).collect();
+    peers.push(Peer::ebgp(30, 65010));
+    let updates = to_updates(&table(300, 41), 1, Some(100));
+    let (n, f) = (300, updates.len() as u64);
+    let mut steps: Vec<Step> = (0..peers.len()).map(Step::Up).collect();
+    steps.extend(send_all(0, updates));
+    check_memo("rewrite", &peers, &steps, &[tagger], |what, dut, _, memo, forced| {
+        let transforms =
+            |o: &Outcome| o.snapshot.counter_sum("xbgp_daemon_export_transforms_total");
+        // The clients' group and the eBGP group are owed every route.
+        assert_eq!(transforms(memo), 2 * f, "{what}");
+        let per_route = if dut == Dut::Wren { 2 * n } else { 2 * f };
+        assert_eq!(transforms(forced), per_route, "{what}");
+        let held = advertised(&memo.streams[4]);
+        assert_eq!(held.len(), 300, "{what}");
+        let tag = PathAttr::Communities(vec![0xfde8_0001]);
+        assert!(held.values().all(|attrs| attrs.contains(&tag)), "{what}: every route tagged");
+    });
+}
+
+/// A prefix-free ② that rejects every route with an INCOMPLETE origin,
+/// over two sources and churn: a shared reject withdraws what each NLRI
+/// had installed, as a run per route does.
+#[test]
+fn memoised_reject_is_per_route_on_the_wire() {
+    let src = r"
+        mov r1, ATTR_ORIGIN
+        mov r2, r10
+        sub r2, 8
+        mov r3, 1
+        call get_attr
+        jeq r0, -1, pass
+        ldxb r6, [r10-8]
+        jne r6, 2, pass
+        mov r0, FILTER_REJECT
+        exit
+    pass:
+        call next
+        exit";
+    let rejecter =
+        program("incomplete", InsertionPoint::BgpInboundFilter, &["get_attr", "next"], src);
+    let mut peers = vec![Peer::ibgp(1, true), Peer::ibgp(2, true)];
+    peers.extend((0..2).map(|i| Peer::ibgp(10 + i, true)));
+    peers.push(Peer::ebgp(30, 65010));
+    let t = table(300, 43);
+    assert!(t.iter().any(|r| r.origin == Origin::Incomplete), "something to reject");
+    let mut steps: Vec<Step> = (0..peers.len()).map(Step::Up).collect();
+    steps.extend(send_all(1, to_updates(&t[..150], 2, Some(100))));
+    steps.extend(send_all(0, to_updates(&t, 1, Some(100))));
+    for round in churn_rounds(&t, &ChurnSpec::new(11, 4)) {
+        steps.extend(send_all(0, round.to_updates(1, Some(100))));
+    }
+    check_memo("reject", &peers, &steps, &[rejecter], |what, _, _, memo, _| {
+        let rejects = memo.snapshot.counter_sum("xbgp_daemon_filter_rejects_total");
+        assert!(rejects > 0, "{what}: ② rejected");
+        assert!(memo.shared(InsertionPoint::BgpInboundFilter) > 0, "{what}: ② shared");
+    });
+}
+
+/// §3.1's IGP-cost filter at ④ reads the nexthop's metric, which changes
+/// between events. Three UPDATEs with one attribute set (one handle in
+/// fir) from one source: the metric rises past the filter's bound after
+/// the first and falls back after the second. A ④ verdict kept past its
+/// flush would let the second through to the eBGP peers.
+#[test]
+fn memoised_outbound_verdict_does_not_outlive_its_flush() {
+    let peers = [
+        Peer::ibgp(1, false),
+        Peer::ibgp(10, true),
+        Peer::ebgp(30, 65010),
+        Peer::ebgp(31, 65020),
+    ];
+    let mut steps: Vec<Step> = (0..peers.len()).map(Step::Up).collect();
+    steps.push(Step::Send(0, announce(vec![64900], 9, &["10.1.0.0/16", "10.2.0.0/16"])));
+    steps.push(Step::Metric(9, 2000));
+    steps.push(Step::Send(0, announce(vec![64900], 9, &["10.3.0.0/16"])));
+    steps.push(Step::Metric(9, 5));
+    steps.push(Step::Send(0, announce(vec![64900], 9, &["10.4.0.0/16"])));
+    let filter = igp_filter::extension();
+    check_memo("igp", &peers, &steps, &[filter], |what, _, policy, memo, _| {
+        let p = |s: &str| s.parse::<Ipv4Prefix>().unwrap();
+        if policy == Policy::Native {
+            assert_eq!(advertised(&memo.streams[1]).len(), 4, "{what}: iBGP is not filtered");
+            let held: Vec<Ipv4Prefix> = advertised(&memo.streams[2]).into_keys().collect();
+            assert_eq!(held, [p("10.1.0.0/16"), p("10.2.0.0/16"), p("10.4.0.0/16")], "{what}");
+        }
+        assert!(memo.shared(InsertionPoint::BgpOutboundFilter) > 0, "{what}: ④ shared");
+    });
 }
