@@ -3,8 +3,10 @@
 //! [`routegen::churn`] storm, against the full-recompute decision
 //! baseline.
 //!
-//! All quantities are virtual (DUT-CPU-accounted) measurements from
-//! [`xbgp_harness::churn::run`], so they are meaningful on a single-core
+//! All quantities are virtual (DUT-CPU-accounted) measurements from the
+//! Fig. 3 chain's churn phase ([`xbgp_harness::churn`]), with shards run
+//! back-to-back ([`ExecMode::Inline`]) so each shard's CPU accounting
+//! stays uncontended and the figures are meaningful on a single-core
 //! build host: updates/sec divides churn-phase routing updates by
 //! churn-phase DUT CPU-seconds, and convergence is virtual ns from the
 //! last churn round leaving the feeder to the DUT's last best-path
@@ -27,9 +29,10 @@
 //! `CHURN_BENCH_ROUNDS` (default 12).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use routegen::churn::ChurnSpec;
 use std::io::Write;
-use xbgp_harness::churn::{run, ChurnRunSpec};
-use xbgp_harness::fig3::{Dut, UseCase};
+use xbgp_harness::fig3::{Dut, Fig3Spec, UseCase};
+use xbgp_harness::shard::{run_fig3_sharded, ExecMode};
 
 fn routes() -> usize {
     std::env::var("CHURN_BENCH_ROUTES")
@@ -79,17 +82,18 @@ fn emit_json_line(name: &str, value: f64) {
     }
 }
 
-fn spec(dut: Dut, extension: bool, shards: usize) -> ChurnRunSpec {
-    let mut s = ChurnRunSpec::new(dut, UseCase::OriginValidation, routes(), 1);
-    s.extension = extension;
-    s.shards = shards;
-    s.churn.rounds = rounds();
-    s
+fn spec(dut: Dut, extension: bool, shards: usize) -> Fig3Spec {
+    Fig3Spec {
+        extension,
+        shards,
+        churn: Some(ChurnSpec::new(1, rounds())),
+        ..Fig3Spec::new(dut, UseCase::OriginValidation, routes(), 1)
+    }
 }
 
 /// Run one cell, print+emit its figures, return updates/sec.
-fn cell(label: &str, s: &ChurnRunSpec) -> f64 {
-    let out = run(s);
+fn cell(label: &str, s: &Fig3Spec) -> f64 {
+    let out = run_fig3_sharded(s, ExecMode::Inline).merged;
     assert_eq!(
         out.oracle_mismatches, 0,
         "{label}: incremental Loc-RIB diverged from the full-recompute oracle"
@@ -97,16 +101,16 @@ fn cell(label: &str, s: &ChurnRunSpec) -> f64 {
     println!(
         "churn/{label:<42} {:>12.0} updates/s  (cpu {:>9.3} ms, convergence {:>9.3} ms, \
          {} updates, {} best changes)",
-        out.updates_per_sec,
+        out.updates_per_sec(),
         out.churn_cpu_ns as f64 / 1e6,
         out.convergence_ns as f64 / 1e6,
         out.updates_applied,
         out.best_changes,
     );
-    emit_json_line(&format!("churn/updates_per_sec/{label}"), out.updates_per_sec);
+    emit_json_line(&format!("churn/updates_per_sec/{label}"), out.updates_per_sec());
     emit_json_line(&format!("churn/cpu_ns/{label}"), out.churn_cpu_ns as f64);
     emit_json_line(&format!("churn/convergence_ns/{label}"), out.convergence_ns as f64);
-    out.updates_per_sec
+    out.updates_per_sec()
 }
 
 fn bench(_c: &mut Criterion) {
@@ -132,8 +136,7 @@ fn bench(_c: &mut Criterion) {
     for dut in [Dut::Fir, Dut::Wren] {
         let d = dut_slug(dut);
         let incremental = cell(&format!("{d}_native/shards_1_again"), &spec(dut, false, 1));
-        let mut base = spec(dut, false, 1);
-        base.full_recompute = true;
+        let base = Fig3Spec { full_recompute: true, ..spec(dut, false, 1) };
         let full = cell(&format!("{d}_full_recompute/shards_1"), &base);
         let ratio = incremental / full.max(1e-9);
         println!("churn/speedup/{d}: incremental {ratio:.2}x full-recompute updates/s");

@@ -40,16 +40,9 @@ fn shard_counts() -> Vec<usize> {
 
 fn spec(dut: Dut, extension: bool, routes: usize, shards: usize) -> Fig3Spec {
     Fig3Spec {
-        dut,
-        use_case: UseCase::OriginValidation,
         extension,
-        routes,
-        seed: 1,
-        metrics: false,
         shards,
-        rib_dump: false,
-        trace_sample: 0,
-        profile: false,
+        ..Fig3Spec::new(dut, UseCase::OriginValidation, routes, 1)
     }
 }
 

@@ -17,16 +17,8 @@ fn bench(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::new(dut.name(), label), &extension, |b, &extension| {
                 b.iter(|| {
                     let out = run(&Fig3Spec {
-                        dut,
-                        use_case: UseCase::OriginValidation,
                         extension,
-                        routes: ROUTES,
-                        seed: 99,
-                        metrics: false,
-                        shards: 1,
-                        rib_dump: false,
-                        trace_sample: 0,
-                        profile: false,
+                        ..Fig3Spec::new(dut, UseCase::OriginValidation, ROUTES, 99)
                     });
                     assert_eq!(out.prefixes_delivered, ROUTES);
                     black_box(out.elapsed_ns)

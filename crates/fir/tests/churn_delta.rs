@@ -105,17 +105,10 @@ impl netsim::Node for Scripted {
     }
 }
 
-struct Placeholder;
-impl netsim::Node for Placeholder {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// One DUT with one or two scripted eBGP peers.
 fn dut_with_scripted(scripts: Vec<Vec<Vec<Vec<u8>>>>) -> (Sim, netsim::NodeId) {
     let mut sim = Sim::new(SimConfig::default());
-    let dut = sim.add_node(Box::new(Placeholder));
+    let dut = sim.reserve_node();
     let mut cfg = DaemonSpec::new(65001, 1);
     for (i, steps) in scripts.into_iter().enumerate() {
         let peer_addr = 9 + i as u32;

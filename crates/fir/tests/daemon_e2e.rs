@@ -20,22 +20,14 @@ fn two_router_setup(
 ) -> (Sim, netsim::NodeId, netsim::NodeId) {
     let mut sim = Sim::new(SimConfig::default());
     // Reserve node ids first so link ids are known before configs.
-    let a = sim.add_node(Box::new(Placeholder));
-    let b = sim.add_node(Box::new(Placeholder));
+    let a = sim.reserve_node();
+    let b = sim.reserve_node();
     let link = sim.connect(a, b, MS);
     let cfg_a = a_cfg(DaemonSpec::new(65001, 1).neighbor(link, 2, 65002));
     let cfg_b = b_cfg(DaemonSpec::new(65002, 2).neighbor(link, 1, 65001));
     sim.replace_node(a, Box::new(FirDaemon::new(cfg_a)));
     sim.replace_node(b, Box::new(FirDaemon::new(cfg_b)));
     (sim, a, b)
-}
-
-/// Stand-in node used while wiring topologies (replaced before start).
-struct Placeholder;
-impl netsim::Node for Placeholder {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[test]
@@ -67,9 +59,9 @@ fn ebgp_session_establishes_and_propagates_a_route() {
 fn withdrawal_propagates_on_link_failure_between_three_routers() {
     // a —— dut —— c : a originates; link a—dut dies; c must lose the route.
     let mut sim = Sim::new(SimConfig::default());
-    let a = sim.add_node(Box::new(Placeholder));
-    let dut = sim.add_node(Box::new(Placeholder));
-    let c = sim.add_node(Box::new(Placeholder));
+    let a = sim.reserve_node();
+    let dut = sim.reserve_node();
+    let c = sim.reserve_node();
     let l1 = sim.connect(a, dut, MS);
     let l2 = sim.connect(dut, c, MS);
     let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(l1, 2, 65002);
@@ -103,10 +95,10 @@ fn ibgp_routes_are_not_reflected_without_rr() {
     // up --eBGP-- dut --iBGP-- x --iBGP-- y : y must NOT get the route
     // (x does not reflect iBGP-learned routes), while x does get it.
     let mut sim = Sim::new(SimConfig::default());
-    let up = sim.add_node(Box::new(Placeholder));
-    let x = sim.add_node(Box::new(Placeholder));
-    let dut = sim.add_node(Box::new(Placeholder));
-    let y = sim.add_node(Box::new(Placeholder));
+    let up = sim.reserve_node();
+    let x = sim.reserve_node();
+    let dut = sim.reserve_node();
+    let y = sim.reserve_node();
     let l_up = sim.connect(up, dut, MS);
     let l_x = sim.connect(dut, x, MS);
     let l_y = sim.connect(x, y, MS);
@@ -135,9 +127,9 @@ fn ibgp_routes_are_not_reflected_without_rr() {
 fn native_route_reflection_reflects_with_originator_and_cluster_list() {
     // up --iBGP(client)-- rr --iBGP(client)-- down, native RR on the rr.
     let mut sim = Sim::new(SimConfig::default());
-    let up = sim.add_node(Box::new(Placeholder));
-    let rr = sim.add_node(Box::new(Placeholder));
-    let down = sim.add_node(Box::new(Placeholder));
+    let up = sim.reserve_node();
+    let rr = sim.reserve_node();
+    let down = sim.reserve_node();
     let l_up = sim.connect(up, rr, MS);
     let l_down = sim.connect(rr, down, MS);
 
@@ -167,9 +159,9 @@ fn reflection_loop_prevention_by_originator_id() {
     // ORIGINATOR_ID/CLUSTER_LIST checks; assert the route converges and
     // the client does not reimport its own route.
     let mut sim = Sim::new(SimConfig::default());
-    let client = sim.add_node(Box::new(Placeholder));
-    let rr1 = sim.add_node(Box::new(Placeholder));
-    let rr2 = sim.add_node(Box::new(Placeholder));
+    let client = sim.reserve_node();
+    let rr1 = sim.reserve_node();
+    let rr2 = sim.reserve_node();
     let l1 = sim.connect(client, rr1, MS);
     let l2 = sim.connect(rr1, rr2, MS);
     let l3 = sim.connect(rr2, client, MS);
@@ -233,9 +225,9 @@ fn native_origin_validation_tags_routes_with_the_trie() {
 fn ebgp_loop_detection_drops_looping_paths() {
     // a(65001) → dut(65002) → c(65001): c sees its own ASN and drops.
     let mut sim = Sim::new(SimConfig::default());
-    let a = sim.add_node(Box::new(Placeholder));
-    let dut = sim.add_node(Box::new(Placeholder));
-    let c = sim.add_node(Box::new(Placeholder));
+    let a = sim.reserve_node();
+    let dut = sim.reserve_node();
+    let c = sim.reserve_node();
     let l1 = sim.connect(a, dut, MS);
     let l2 = sim.connect(dut, c, MS);
     let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(l1, 2, 65002);
@@ -254,10 +246,10 @@ fn best_path_selection_prefers_shorter_as_path_across_peers() {
     // dut hears 10.0.0.0/8 from two eBGP peers; peer a's path is shorter
     // after a re-advertisement chain (b's path goes through one extra AS).
     let mut sim = Sim::new(SimConfig::default());
-    let a = sim.add_node(Box::new(Placeholder));
-    let b = sim.add_node(Box::new(Placeholder));
-    let mid = sim.add_node(Box::new(Placeholder));
-    let dut = sim.add_node(Box::new(Placeholder));
+    let a = sim.reserve_node();
+    let b = sim.reserve_node();
+    let mid = sim.reserve_node();
+    let dut = sim.reserve_node();
     let l_a_dut = sim.connect(a, dut, MS);
     let l_a_mid = sim.connect(a, mid, MS);
     let l_mid_b = sim.connect(mid, b, MS);
@@ -359,7 +351,7 @@ fn hold_timer_expiry_tears_down_a_silent_session() {
     let mut sim = Sim::new(SimConfig::default());
     let mute =
         sim.add_node(Box::new(Mute { reader: xbgp_wire::MsgReader::new(), sent_keepalive: false }));
-    let dut = sim.add_node(Box::new(Placeholder));
+    let dut = sim.reserve_node();
     let link = sim.connect(mute, dut, MS);
     let cfg = DaemonSpec::new(65001, 1).neighbor(link, 9, 65009);
     sim.replace_node(dut, Box::new(FirDaemon::new(cfg)));

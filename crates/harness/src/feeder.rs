@@ -6,7 +6,17 @@
 //! feeder's own CPU cost out of the measurement loop.
 
 use netsim::{LinkId, Node, NodeCtx};
-use xbgp_wire::{Message, MsgReader, MsgType, OpenMsg};
+use xbgp_wire::{Message, MsgReader, MsgType, OpenMsg, UpdateMsg};
+
+/// Encode UPDATEs into the complete wire frames a [`Feeder`] sends. The
+/// frames are plain bytes, so a workload can be encoded on one thread and
+/// replayed on another.
+pub fn encode_frames(updates: Vec<UpdateMsg>) -> Vec<Vec<u8>> {
+    updates
+        .into_iter()
+        .map(|u| Message::Update(u).encode(4).expect("update encodes"))
+        .collect()
+}
 
 /// Upstream feeder node.
 pub struct Feeder {
@@ -188,10 +198,7 @@ mod tests {
         // Feeder wired straight to a sink: the sink must receive the whole
         // table (sanity for both measurement endpoints).
         let routes = routegen::generate(&TableSpec::new(500, 1));
-        let frames: Vec<Vec<u8>> = to_updates(&routes, 0x0a00_0001, Some(100))
-            .into_iter()
-            .map(|u| Message::Update(u).encode(4).unwrap())
-            .collect();
+        let frames = encode_frames(to_updates(&routes, 0x0a00_0001, Some(100)));
         let mut sim = Sim::new(SimConfig::default());
         let f = sim.add_node(Box::new(Feeder::new(65001, 1, frames)));
         let s = sim.add_node(Box::new(Sink::new(65001, 2)));
@@ -210,23 +217,13 @@ mod tests {
     #[test]
     fn churn_rounds_replay_on_the_round_timer() {
         let routes = routegen::generate(&TableSpec::new(300, 2));
-        let frames: Vec<Vec<u8>> = to_updates(&routes, 0x0a00_0001, None)
-            .into_iter()
-            .map(|u| Message::Update(u).encode(4).unwrap())
-            .collect();
+        let frames = encode_frames(to_updates(&routes, 0x0a00_0001, None));
         let spec = routegen::churn::ChurnSpec::new(4, 5);
         let rounds = routegen::churn::churn_rounds(&routes, &spec);
         let n_rounds = rounds.len();
         let total = routegen::churn::total_updates(&rounds);
-        let round_frames: Vec<Vec<Vec<u8>>> = rounds
-            .iter()
-            .map(|r| {
-                r.to_updates(0x0a00_0001, None)
-                    .into_iter()
-                    .map(|u| Message::Update(u).encode(4).unwrap())
-                    .collect()
-            })
-            .collect();
+        let round_frames: Vec<Vec<Vec<u8>>> =
+            rounds.iter().map(|r| encode_frames(r.to_updates(0x0a00_0001, None))).collect();
         let mut sim = Sim::new(SimConfig::default());
         let f = sim.add_node(Box::new(Feeder::new(65001, 1, frames).with_churn(
             round_frames,

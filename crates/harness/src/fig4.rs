@@ -6,8 +6,9 @@
 //! and an extension run per seed, and reports the boxplot of per-seed
 //! relative impacts — the quantity on the paper's y-axis.
 
-use crate::fig3::{self, Dut, Fig3Spec, UseCase};
+use crate::fig3::{self, Dut, Fig3Outcome, Fig3Spec, UseCase};
 use crate::stats::{relative_impact_pct, summarize, Summary};
+use routegen::churn::ChurnSpec;
 use xbgp_obs::trace::TraceDump;
 use xbgp_obs::Snapshot;
 
@@ -38,7 +39,7 @@ pub struct Fig4Config {
     /// medians churn-phase CPU ns, and every run self-checks against the
     /// full-recompute oracle. The spec's `seed` is replaced by the
     /// per-run seed so pairs stay seed-matched.
-    pub churn: Option<routegen::churn::ChurnSpec>,
+    pub churn: Option<ChurnSpec>,
 }
 
 impl Default for Fig4Config {
@@ -90,67 +91,37 @@ pub fn fig4_cell(dut: Dut, use_case: UseCase, cfg: &Fig4Config) -> Fig4Cell {
     let mut extensions = Vec::with_capacity(cfg.runs);
     let mut metrics = None;
     let mut trace = None;
+    // Table mode compares table-load time, churn mode churn-phase DUT CPU.
+    let measure = |o: &Fig3Outcome| match cfg.churn {
+        None => o.elapsed_ns as f64,
+        Some(_) => o.churn_cpu_ns as f64,
+    };
     for i in 0..cfg.runs {
         let seed = cfg.seed + i as u64;
-        if let Some(churn) = cfg.churn {
-            // Churn mode: pair native and extension steady-state runs on
-            // the same seed and compare churn-phase DUT CPU.
-            let mk = |extension: bool| crate::churn::ChurnRunSpec {
-                dut,
-                use_case,
+        let run = |extension: bool| {
+            fig3::run(&Fig3Spec {
                 extension,
-                routes: cfg.routes,
-                seed,
+                metrics: cfg.metrics,
                 shards: cfg.shards,
-                full_recompute: false,
-                check_oracle: true,
-                churn: routegen::churn::ChurnSpec { seed, ..churn },
-                round_interval_ns: 200_000_000,
-            };
-            let native = crate::churn::run(&mk(false));
-            let ext = crate::churn::run(&mk(true));
-            assert_eq!(native.oracle_mismatches, 0, "native churn run diverged from oracle");
-            assert_eq!(ext.oracle_mismatches, 0, "extension churn run diverged from oracle");
-            assert_eq!(native.updates_applied, ext.updates_applied, "same stream");
-            natives.push(native.churn_cpu_ns as f64);
-            extensions.push(ext.churn_cpu_ns as f64);
-            impacts.push(relative_impact_pct(native.churn_cpu_ns as f64, ext.churn_cpu_ns as f64));
-            if cfg.metrics {
-                metrics = Some(ext.metrics.with_labels(&[("use_case", use_case.slug())]));
-            }
-            continue;
-        }
-        let native = fig3::run(&Fig3Spec {
-            dut,
-            use_case,
-            extension: false,
-            routes: cfg.routes,
-            seed,
-            metrics: cfg.metrics,
-            shards: cfg.shards,
-            rib_dump: false,
-            trace_sample: cfg.trace_sample,
-            profile: cfg.profile,
-        });
-        let ext = fig3::run(&Fig3Spec {
-            dut,
-            use_case,
-            extension: true,
-            routes: cfg.routes,
-            seed,
-            metrics: cfg.metrics,
-            shards: cfg.shards,
-            rib_dump: false,
-            trace_sample: cfg.trace_sample,
-            profile: cfg.profile,
-        });
+                trace_sample: cfg.trace_sample,
+                profile: cfg.profile,
+                // The churn stream follows the run's seed, so pairs stay
+                // seed-matched.
+                churn: cfg.churn.map(|c| ChurnSpec { seed, ..c }),
+                ..Fig3Spec::new(dut, use_case, cfg.routes, seed)
+            })
+        };
+        let (native, ext) = (run(false), run(true));
         assert_eq!(
             native.prefixes_delivered, ext.prefixes_delivered,
             "both variants must deliver the same table"
         );
-        natives.push(native.elapsed_ns as f64);
-        extensions.push(ext.elapsed_ns as f64);
-        impacts.push(relative_impact_pct(native.elapsed_ns as f64, ext.elapsed_ns as f64));
+        assert_eq!(native.updates_applied, ext.updates_applied, "same churn stream");
+        assert_eq!(native.oracle_mismatches, 0, "native run diverged from the oracle");
+        assert_eq!(ext.oracle_mismatches, 0, "extension run diverged from the oracle");
+        natives.push(measure(&native));
+        extensions.push(measure(&ext));
+        impacts.push(relative_impact_pct(measure(&native), measure(&ext)));
         if let Some(snap) = ext.metrics {
             metrics = Some(snap.with_labels(&[("use_case", use_case.slug())]));
         }
@@ -235,4 +206,29 @@ pub fn render(report: &Fig4Report) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn churn_mode_forwards_trace_profile_and_metrics() {
+        let cfg = Fig4Config {
+            routes: 200,
+            runs: 1,
+            metrics: true,
+            trace_sample: 1,
+            profile: true,
+            churn: Some(ChurnSpec::new(1, 3)),
+            ..Fig4Config::default()
+        };
+        let cell = fig4_cell(Dut::Fir, UseCase::OriginValidation, &cfg);
+        let trace = cell.trace.expect("tracing requested");
+        assert!(!trace.events.is_empty(), "the extension run traced no route");
+        let snap = cell.metrics.expect("metrics requested");
+        for series in ["xbgp_vmm_run_latency_ns", "xbgp_prof_fuel"] {
+            assert!(snap.metrics.iter().any(|m| m.name == series), "{series} missing");
+        }
+    }
 }

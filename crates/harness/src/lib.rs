@@ -3,16 +3,21 @@
 //! Regenerates every quantitative artifact of the paper:
 //!
 //! * [`fig1`] — the CDF of IETF standardization delays (Fig. 1),
-//! * [`fig3`] — the measurement testbed (Fig. 3): a feeder, a device under
-//!   test, and a sink on a simulated chain, with CPU accounting turned on
-//!   so extension-vs-native compute differences surface as virtual-time
-//!   deltas,
+//! * [`fig3`] — the measurement testbed (Fig. 3): a [`feeder`], a device
+//!   under test ([`dut`]) and a [`sink`] on a simulated chain, with CPU
+//!   accounting turned on so extension-vs-native compute differences
+//!   surface as virtual-time deltas. The one chain runs table loads and,
+//!   given a churn stream, steady-state churn ([`churn`]),
+//! * [`shard`] — the one prefix-hash partition and the one merge behind
+//!   every sharded run,
 //! * [`fig4`] — the relative-performance experiment (Fig. 4) over both
 //!   daemons and both use cases,
+//! * [`scenario`] — declarative multi-router networks (the Fig. 5
+//!   failure scenarios, churn storms, fault injection),
 //! * [`stats`] — run statistics (boxplot summaries) shared by the
 //!   binaries and benches.
 //!
-//! Binaries: `fig1`, `fig4`, `fig5_scenarios`, `loc_table`.
+//! Binaries: `fig1`, `fig4`, `fig5_scenarios`, `loc_table`, `xbgp-sim`.
 
 pub mod churn;
 pub mod dut;
@@ -25,7 +30,6 @@ pub mod shard;
 pub mod sink;
 pub mod stats;
 
-pub use churn::{ChurnOutcome, ChurnRunSpec};
 pub use dut::{build, Daemon, DaemonSpec, DutNode};
 pub use feeder::Feeder;
 pub use fig3::{Dut, Fig3Outcome, Fig3Spec, UseCase};

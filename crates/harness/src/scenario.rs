@@ -39,6 +39,7 @@
 //! silently ignored.
 
 use crate::dut::{build, DaemonSpec, Dut, DutNode};
+use crate::feeder::encode_frames;
 use netsim::{LinkId, NodeId, Sim, SimConfig};
 use std::collections::HashMap;
 use xbgp_core::Manifest;
@@ -651,13 +652,6 @@ fn build_manifest(spec: &ExtensionSpecJson) -> Result<Manifest, String> {
     }
 }
 
-struct Placeholder;
-impl netsim::Node for Placeholder {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// Run a scenario to completion with default observability options.
 pub fn run(scenario: &Scenario) -> Result<ScenarioReport, String> {
     run_with_options(scenario, &RunOptions::default())
@@ -678,7 +672,7 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
     let mut by_name: HashMap<String, (usize, NodeId)> = HashMap::new();
     let mut nodes = Vec::new();
     for (i, r) in scenario.routers.iter().enumerate() {
-        let id = sim.add_node(Box::new(Placeholder));
+        let id = sim.reserve_node();
         if by_name.insert(r.name.clone(), (i, id)).is_some() {
             return Err(format!("duplicate router name `{}`", r.name));
         }
@@ -724,24 +718,15 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
                 c.feed
             ));
         }
-        let mut table = routegen::generate(&routegen::TableSpec::new(c.routes, c.seed));
-        let mut rounds = routegen::churn::churn_rounds(&table, &c.spec());
-        if let Some((k, m)) = c.shard {
-            table.retain(|r| crate::shard::shard_of(&r.prefix, m) == k);
-            for round in &mut rounds {
-                round.withdrawals.retain(|p| crate::shard::shard_of(p, m) == k);
-                round.announcements.retain(|r| crate::shard::shard_of(&r.prefix, m) == k);
-            }
-        }
-        let enc = |u: xbgp_wire::UpdateMsg| {
-            xbgp_wire::Message::Update(u).encode(4).expect("update encodes")
+        let table = routegen::generate(&routegen::TableSpec::new(c.routes, c.seed));
+        let rounds = routegen::churn::churn_rounds(&table, &c.spec());
+        let (table, rounds) = match c.shard {
+            Some((k, m)) => crate::shard::partition(&table, &rounds, m).swap_remove(k),
+            None => (table, rounds),
         };
-        let frames: Vec<Vec<u8>> =
-            routegen::to_updates(&table, FEEDER_ADDR, None).into_iter().map(enc).collect();
-        let round_frames: Vec<Vec<Vec<u8>>> = rounds
-            .iter()
-            .map(|r| r.to_updates(FEEDER_ADDR, None).into_iter().map(enc).collect())
-            .collect();
+        let frames = encode_frames(routegen::to_updates(&table, FEEDER_ADDR, None));
+        let round_frames: Vec<Vec<Vec<u8>>> =
+            rounds.iter().map(|r| encode_frames(r.to_updates(FEEDER_ADDR, None))).collect();
         let n_rounds = round_frames.len();
         let f = sim.add_node(Box::new(
             crate::feeder::Feeder::new(FEEDER_ASN, FEEDER_ADDR, frames).with_churn(

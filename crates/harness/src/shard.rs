@@ -1,32 +1,26 @@
 //! Prefix-sharded multi-worker route processing.
 //!
-//! BGP best-route selection is independent per prefix, so a table load
-//! splits cleanly into shards by prefix hash: each shard worker owns a
-//! complete, self-contained copy of the pipeline — simulator, feeder,
-//! a `FirDaemon`/`WrenDaemon` instance and its own `Vmm` with the
-//! extension bytecode loaded. Nothing `Rc`-based ever crosses a thread:
-//! workers receive only `Send` inputs (wire-format UPDATE frame batches,
-//! the shared ROA slice, the manifest with `Arc`'d bytecode) over mpsc
-//! channels and return only `Send` outputs (per-shard counters, metric
-//! [`Snapshot`]s, wire-encoded Loc-RIB dumps). This keeps the
-//! single-threaded daemon internals untouched — per-shard ownership
-//! instead of shared-state locking.
-//!
-//! `N = 1` never enters this module ([`crate::fig3::run`] dispatches here
-//! only for `shards > 1`), so a single-shard run is the reference
-//! sequential path, byte for byte.
+//! BGP best-route selection is independent per prefix, so a workload —
+//! the table and every churn round replayed against it — splits cleanly
+//! into shards by prefix hash. [`partition`] is the one splitter: sharded
+//! Fig. 3 runs, sharded scenario churn feeds and the TCP selftest's
+//! sessions all cut their workload with it. Each Fig. 3 shard worker owns
+//! a complete, self-contained copy of the pipeline — simulator, feeder, a
+//! `FirDaemon`/`WrenDaemon` instance and its own `Vmm` with the extension
+//! bytecode loaded — built by [`crate::fig3`]'s one chain. Nothing
+//! `Rc`-based ever crosses a thread: workers borrow only plain data (their
+//! routes and rounds, the shared ROA slice) and return only `Send`
+//! outputs (counters, metric [`Snapshot`]s, wire-encoded Loc-RIB dumps).
+//! This keeps the single-threaded daemon internals untouched — per-shard
+//! ownership instead of shared-state locking.
 
 use crate::fig3::{self, Fig3Outcome, Fig3Spec, UseCase};
 use crate::stats::{summarize_weighted, Summary};
+use routegen::churn::{churn_rounds, ChurnRound};
 use routegen::{Route, TableSpec};
-use std::sync::mpsc;
 use xbgp_obs::trace::TraceDump;
 use xbgp_obs::Snapshot;
 use xbgp_wire::Ipv4Prefix;
-
-/// UPDATE frames per mpsc message when feeding a worker. Batching
-/// amortizes channel overhead: one send moves ~64 × 4 KiB of wire data.
-const FRAME_BATCH: usize = 64;
 
 /// Which shard owns `prefix`, out of `shards`.
 ///
@@ -43,30 +37,52 @@ pub fn shard_of(prefix: &Ipv4Prefix, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// Split a workload into per-shard route lists by prefix hash, preserving
-/// the original order within each shard (attribute-sharing runs stay
-/// intact, so UPDATE packing keeps working per shard).
-pub fn split_routes(routes: &[Route], shards: usize) -> Vec<Vec<Route>> {
-    let mut out: Vec<Vec<Route>> =
-        (0..shards).map(|_| Vec::with_capacity(routes.len() / shards + 1)).collect();
+/// Split a workload — a route table plus the churn rounds replayed
+/// against it — into `shards` slices by prefix hash. Order is preserved
+/// within each slice (attribute-sharing runs stay intact, so UPDATE
+/// packing keeps working per shard), and every slice carries one round
+/// per input round, possibly empty, so round timing is the same for every
+/// shard count. Callers derive the rounds from the *full* table before
+/// splitting, so every shard count replays the same logical stream.
+pub fn partition(
+    routes: &[Route],
+    rounds: &[ChurnRound],
+    shards: usize,
+) -> Vec<(Vec<Route>, Vec<ChurnRound>)> {
+    let mut parts: Vec<(Vec<Route>, Vec<ChurnRound>)> = (0..shards)
+        .map(|_| {
+            (
+                Vec::with_capacity(routes.len() / shards + 1),
+                vec![ChurnRound::default(); rounds.len()],
+            )
+        })
+        .collect();
     for r in routes {
-        out[shard_of(&r.prefix, shards)].push(r.clone());
+        parts[shard_of(&r.prefix, shards)].0.push(r.clone());
     }
-    out
+    for (i, round) in rounds.iter().enumerate() {
+        for p in &round.withdrawals {
+            parts[shard_of(p, shards)].1[i].withdrawals.push(*p);
+        }
+        for r in &round.announcements {
+            parts[shard_of(&r.prefix, shards)].1[i].announcements.push(r.clone());
+        }
+    }
+    parts
 }
 
 /// How shard workers execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// One scoped OS thread per non-empty shard — the runtime
-    /// configuration.
+    /// configuration, and what [`fig3::run`] uses for `shards > 1`.
     Threads,
     /// Shards run back-to-back on the calling thread. Identical code and
     /// results (each shard's simulation is self-contained), but each
-    /// shard's CPU accounting runs uncontended — benches use this to
-    /// measure per-shard virtual time on hosts with fewer hardware
-    /// threads than shards, where preemption would inflate the
-    /// wall-clock-sampled CPU charges.
+    /// shard's CPU accounting runs uncontended — [`fig3::run`] uses this
+    /// for one shard, and the ablation benches to measure per-shard
+    /// virtual time on hosts with fewer hardware threads than shards,
+    /// where preemption would inflate the wall-clock-sampled CPU charges.
     Inline,
 }
 
@@ -103,84 +119,46 @@ impl ShardedRun {
     }
 }
 
-/// Run a Fig. 3 workload split across `spec.shards` workers.
+/// Run a Fig. 3 workload split across `spec.shards` workers (one chain
+/// when `shards <= 1`).
 ///
-/// The parent generates the full table and the full ROA set once (both
-/// are functions of the complete table and the seed — see
-/// [`fig3::make_roas`]), splits the routes by prefix hash, pre-encodes
-/// each shard's UPDATE frames, and streams them to the workers in
-/// batches. Each worker builds its entire pipeline locally and reports
-/// one [`ShardOutcome`] back over the result channel.
+/// The parent generates the full table, its churn stream and its ROA set
+/// once (all are functions of the complete table and the seed — see
+/// `fig3::make_roas`), then [`partition`]s the table and the rounds.
+/// Each non-empty slice runs through the Fig. 3 chain, and the outcomes
+/// merge field by field into [`ShardedRun::merged`].
 pub fn run_fig3_sharded(spec: &Fig3Spec, mode: ExecMode) -> ShardedRun {
-    let shards = spec.shards.max(1);
     let table = routegen::generate(&TableSpec::new(spec.routes, spec.seed));
+    let rounds = spec.churn.map(|c| churn_rounds(&table, &c)).unwrap_or_default();
     let roas =
         (spec.use_case == UseCase::OriginValidation).then(|| fig3::make_roas(&table, spec.seed));
-    let parts = split_routes(&table, shards);
-    drop(table);
+    let parts = partition(&table, &rounds, spec.shards.max(1));
+    drop((table, rounds));
 
     let roas = roas.as_deref();
-    let mut results: Vec<ShardOutcome> = match mode {
-        ExecMode::Inline => parts
-            .iter()
-            .enumerate()
-            .filter(|(_, routes)| !routes.is_empty())
-            .map(|(k, routes)| {
-                let frames = fig3::encode_frames(spec, routes);
-                let outcome = fig3::run_frames(spec, frames, routes.len(), roas, k as u32);
-                ShardOutcome { shard: k, routes: routes.len(), outcome }
-            })
-            .collect(),
-        ExecMode::Threads => {
-            let (out_tx, out_rx) = mpsc::channel::<ShardOutcome>();
-            let mut live = 0usize;
-            std::thread::scope(|scope| {
-                let mut feeds = Vec::new();
-                for (k, routes) in parts.iter().enumerate() {
-                    if routes.is_empty() {
-                        continue;
-                    }
-                    live += 1;
-                    let (in_tx, in_rx) = mpsc::channel::<Vec<Vec<u8>>>();
-                    let out_tx = out_tx.clone();
-                    let spec = *spec;
-                    let expected = routes.len();
-                    scope.spawn(move || {
-                        // Drain the batched wire-format UPDATE feed, then
-                        // run the complete shard-local pipeline. All
-                        // non-`Send` state (daemon, VMM, interning
-                        // tables) is born and dies on this thread.
-                        let mut frames = Vec::new();
-                        for batch in in_rx {
-                            frames.extend(batch);
-                        }
-                        let outcome = fig3::run_frames(&spec, frames, expected, roas, k as u32);
-                        let _ = out_tx.send(ShardOutcome { shard: k, routes: expected, outcome });
-                    });
-                    feeds.push((in_tx, routes));
-                }
-                drop(out_tx);
-                // Feed every worker its shard's frames in batches.
-                for (in_tx, routes) in feeds {
-                    for batch in fig3::encode_frames(spec, routes).chunks(FRAME_BATCH) {
-                        in_tx.send(batch.to_vec()).expect("worker alive until feed closes");
-                    }
-                    // Dropping in_tx closes the feed; the worker starts.
-                }
-                out_rx.iter().take(live).collect()
-            })
-        }
+    let run = |k: usize, (routes, rounds): &(Vec<Route>, Vec<ChurnRound>)| ShardOutcome {
+        shard: k,
+        routes: routes.len(),
+        outcome: fig3::run_chain(spec, routes, rounds, roas, k as u32),
     };
-    results.sort_by_key(|r| r.shard);
-    ShardedRun { merged: merge_outcomes(spec, &results), shards: results }
+    let live = parts.iter().enumerate().filter(|(_, (routes, _))| !routes.is_empty());
+    let shards: Vec<ShardOutcome> = match mode {
+        ExecMode::Inline => live.map(|(k, part)| run(k, part)).collect(),
+        ExecMode::Threads => std::thread::scope(|scope| {
+            let workers: Vec<_> = live.map(|(k, part)| scope.spawn(move || run(k, part))).collect();
+            workers.into_iter().map(|w| w.join().expect("shard worker panicked")).collect()
+        }),
+    };
+    ShardedRun { merged: merge(&shards), shards }
 }
 
 /// Merge per-shard outcomes into one figure-level outcome:
 ///
-/// * `elapsed_ns` — the **max** across shards. Shards run concurrently,
-///   each on its own (virtual) core, so the table load completes when
-///   the slowest shard does.
-/// * `prefixes_delivered` / `dut_cpu_ns` — sums.
+/// * `elapsed_ns`, `churn_cpu_ns`, `convergence_ns` — the **max** across
+///   shards. Shards run concurrently, each on its own (virtual) core, so
+///   a phase completes when the slowest shard does.
+/// * `prefixes_delivered`, `dut_cpu_ns`, `updates_applied`,
+///   `best_changes`, `oracle_mismatches` — sums.
 /// * `metrics` — snapshots merged with [`Snapshot::merge`], which sums
 ///   matching counters, gauges and histogram buckets, so totals match
 ///   what one daemon over the whole workload would report.
@@ -188,34 +166,32 @@ pub fn run_fig3_sharded(spec: &Fig3Spec, mode: ExecMode) -> ShardedRun {
 ///   the prefix space, so the union is the whole table.
 /// * `trace` — per-shard flight-recorder dumps merged into one timeline
 ///   ([`TraceDump::merge`] orders by virtual timestamp, then shard).
-fn merge_outcomes(spec: &Fig3Spec, results: &[ShardOutcome]) -> Fig3Outcome {
-    let mut merged = Fig3Outcome {
-        elapsed_ns: 0,
-        prefixes_delivered: 0,
-        dut_cpu_ns: 0,
-        metrics: spec.metrics.then(Snapshot::new),
-        loc_rib: spec.rib_dump.then(Vec::new),
-        trace: None,
-    };
-    for r in results {
-        merged.elapsed_ns = merged.elapsed_ns.max(r.outcome.elapsed_ns);
-        merged.prefixes_delivered += r.outcome.prefixes_delivered;
-        merged.dut_cpu_ns += r.outcome.dut_cpu_ns;
-        if let (Some(acc), Some(snap)) = (merged.metrics.as_mut(), r.outcome.metrics.as_ref()) {
-            acc.merge(snap.clone()).expect("shards share the bucket layout");
+fn merge(shards: &[ShardOutcome]) -> Fig3Outcome {
+    let mut acc = Fig3Outcome::default();
+    let mut dumps = Vec::new();
+    for o in shards.iter().map(|s| &s.outcome) {
+        acc.elapsed_ns = acc.elapsed_ns.max(o.elapsed_ns);
+        acc.churn_cpu_ns = acc.churn_cpu_ns.max(o.churn_cpu_ns);
+        acc.convergence_ns = acc.convergence_ns.max(o.convergence_ns);
+        acc.prefixes_delivered += o.prefixes_delivered;
+        acc.dut_cpu_ns += o.dut_cpu_ns;
+        acc.updates_applied += o.updates_applied;
+        acc.best_changes += o.best_changes;
+        acc.oracle_mismatches += o.oracle_mismatches;
+        if let Some(snap) = &o.metrics {
+            let merged = acc.metrics.get_or_insert_with(Snapshot::new);
+            merged.merge(snap.clone()).expect("shards share the bucket layout");
         }
-        if let (Some(acc), Some(rib)) = (merged.loc_rib.as_mut(), r.outcome.loc_rib.as_ref()) {
-            acc.extend(rib.iter().cloned());
+        if let Some(rib) = &o.loc_rib {
+            acc.loc_rib.get_or_insert_with(Vec::new).extend(rib.iter().cloned());
         }
+        dumps.extend(o.trace.clone());
     }
-    if let Some(rib) = merged.loc_rib.as_mut() {
+    if let Some(rib) = acc.loc_rib.as_mut() {
         rib.sort();
     }
-    let dumps: Vec<TraceDump> = results.iter().filter_map(|r| r.outcome.trace.clone()).collect();
-    if !dumps.is_empty() {
-        merged.trace = Some(TraceDump::merge(dumps));
-    }
-    merged
+    acc.trace = (!dumps.is_empty()).then(|| TraceDump::merge(dumps));
+    acc
 }
 
 #[cfg(test)]
@@ -237,31 +213,34 @@ mod tests {
     #[test]
     fn split_preserves_every_route_exactly_once() {
         let table = routegen::generate(&TableSpec::new(1000, 3));
-        let parts = split_routes(&table, 4);
+        let rounds = churn_rounds(&table, &routegen::churn::ChurnSpec::new(3, 4));
+        let parts = partition(&table, &rounds, 4);
         assert_eq!(parts.len(), 4);
-        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), table.len());
-        for (k, part) in parts.iter().enumerate() {
-            for r in part {
-                assert_eq!(shard_of(&r.prefix, 4), k);
+        assert_eq!(parts.iter().map(|(r, _)| r.len()).sum::<usize>(), table.len());
+        for (k, (routes, part_rounds)) in parts.iter().enumerate() {
+            assert!(routes.iter().all(|r| shard_of(&r.prefix, 4) == k));
+            assert_eq!(part_rounds.len(), rounds.len(), "one slice per round");
+            for round in part_rounds {
+                assert!(round.withdrawals.iter().all(|p| shard_of(p, 4) == k));
+                assert!(round.announcements.iter().all(|r| shard_of(&r.prefix, 4) == k));
             }
         }
+        // Every round's updates land in exactly one slice.
+        for (i, round) in rounds.iter().enumerate() {
+            let n: usize = parts.iter().map(|(_, r)| r[i].update_count()).sum();
+            assert_eq!(n, round.update_count());
+        }
         // A hash split of 1000 routes should not be pathologically skewed.
-        assert!(parts.iter().all(|p| (150..=350).contains(&p.len())));
+        assert!(parts.iter().all(|(r, _)| (150..=350).contains(&r.len())));
     }
 
     #[test]
     fn threads_and_inline_modes_agree() {
         let spec = Fig3Spec {
-            dut: Dut::Fir,
-            use_case: UseCase::OriginValidation,
             extension: true,
-            routes: 300,
-            seed: 11,
-            metrics: false,
             shards: 3,
             rib_dump: true,
-            trace_sample: 0,
-            profile: false,
+            ..Fig3Spec::new(Dut::Fir, UseCase::OriginValidation, 300, 11)
         };
         let threaded = run_fig3_sharded(&spec, ExecMode::Threads);
         let inline = run_fig3_sharded(&spec, ExecMode::Inline);
@@ -281,12 +260,9 @@ mod tests {
             shard,
             routes,
             outcome: Fig3Outcome {
-                elapsed_ns: 0,
                 prefixes_delivered: routes,
                 dut_cpu_ns: cpu,
-                metrics: None,
-                loc_rib: None,
-                trace: None,
+                ..Fig3Outcome::default()
             },
         };
         // Three big shards at 10 ns/route, one tiny straggler at 100.
@@ -306,16 +282,10 @@ mod tests {
     #[test]
     fn sharded_traces_merge_in_timeline_order() {
         let spec = Fig3Spec {
-            dut: Dut::Fir,
-            use_case: UseCase::OriginValidation,
             extension: true,
-            routes: 200,
-            seed: 5,
-            metrics: false,
             shards: 3,
-            rib_dump: false,
             trace_sample: 1,
-            profile: false,
+            ..Fig3Spec::new(Dut::Fir, UseCase::OriginValidation, 200, 5)
         };
         let run = run_fig3_sharded(&spec, ExecMode::Inline);
         let dump = run.merged.trace.as_ref().expect("tracing on");

@@ -3,21 +3,23 @@
 //! round) the incremental Loc-RIB must be byte-identical to a
 //! from-scratch decision pass — on both daemons, sequential and sharded,
 //! native and extension, and with the fault-injection probe trapping
-//! mid-chain.
+//! mid-chain — and a sharded storm must leave the same Loc-RIB, byte for
+//! byte, as the sequential one.
 
-use xbgp_harness::churn::{run, ChurnRunSpec};
-use xbgp_harness::fig3::{Dut, UseCase};
+use routegen::churn::ChurnSpec;
+use xbgp_harness::fig3::{run, Dut, Fig3Spec, UseCase};
 use xbgp_harness::scenario::{parse, run_sharded};
 
 const ROUTES: usize = 300;
 const SEED: u64 = 11;
 
-fn spec(dut: Dut, extension: bool, shards: usize) -> ChurnRunSpec {
-    let mut s = ChurnRunSpec::new(dut, UseCase::OriginValidation, ROUTES, SEED);
-    s.extension = extension;
-    s.shards = shards;
-    s.churn.rounds = 6;
-    s
+fn spec(dut: Dut, extension: bool, shards: usize) -> Fig3Spec {
+    Fig3Spec {
+        extension,
+        shards,
+        churn: Some(ChurnSpec::new(SEED, 6)),
+        ..Fig3Spec::new(dut, UseCase::OriginValidation, ROUTES, SEED)
+    }
 }
 
 #[test]
@@ -25,17 +27,23 @@ fn every_cell_matches_the_oracle_and_absorbs_the_same_stream() {
     // {fir, wren} × {native, ext} × {1, 4 shards}.
     for dut in [Dut::Fir, Dut::Wren] {
         for extension in [false, true] {
-            let mut absorbed = None;
+            let mut sequential = None;
             for shards in [1, 4] {
                 let ctx = format!("{} / ext={extension} / shards={shards}", dut.name());
                 let out = run(&spec(dut, extension, shards));
                 assert_eq!(out.oracle_mismatches, 0, "{ctx}: oracle diverged");
                 assert!(out.best_changes > 0, "{ctx}: the storm moved no best path");
+                let rib = out.loc_rib.expect("a churn run returns its Loc-RIB");
+                assert_eq!(rib.len(), ROUTES, "{ctx}: the restore round rebuilds the table");
                 // Shard counts see the same logical stream, so the
-                // absorbed-update count is invariant.
-                match absorbed {
-                    None => absorbed = Some(out.updates_applied),
-                    Some(n) => assert_eq!(out.updates_applied, n, "{ctx}: stream differs"),
+                // absorbed-update count and the final Loc-RIB bytes are
+                // invariant.
+                match &sequential {
+                    None => sequential = Some((out.updates_applied, rib)),
+                    Some((n, seq_rib)) => {
+                        assert_eq!(out.updates_applied, *n, "{ctx}: stream differs");
+                        assert!(rib == *seq_rib, "{ctx}: Loc-RIB differs from shards=1");
+                    }
                 }
             }
         }

@@ -18,13 +18,6 @@ const SEC: u64 = 1_000_000_000;
 const MS: u64 = 1_000_000;
 const ROUTES: usize = 12;
 
-struct Placeholder;
-impl netsim::Node for Placeholder {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 struct DutOutcome {
     loc_rib: Vec<(Ipv4Prefix, Vec<u8>)>,
     stats: Vec<xbgp_core::vmm::ExtensionStats>,
@@ -35,8 +28,8 @@ struct DutOutcome {
 /// engine `E`, which optionally runs `manifest` at its insertion points.
 fn run_engine<E: RouteEngine>(manifest: Option<Manifest>, metrics: bool) -> DutOutcome {
     let mut sim = Sim::new(SimConfig::default());
-    let origin = sim.add_node(Box::new(Placeholder));
-    let dut = sim.add_node(Box::new(Placeholder));
+    let origin = sim.reserve_node();
+    let dut = sim.reserve_node();
     let link = sim.connect(origin, dut, MS);
 
     let mut cfg_origin = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);

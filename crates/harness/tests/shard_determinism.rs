@@ -16,16 +16,10 @@ const SEED: u64 = 42;
 
 fn spec(dut: Dut, use_case: UseCase, extension: bool, shards: usize) -> Fig3Spec {
     Fig3Spec {
-        dut,
-        use_case,
         extension,
-        routes: ROUTES,
-        seed: SEED,
-        metrics: false,
         shards,
         rib_dump: true,
-        trace_sample: 0,
-        profile: false,
+        ..Fig3Spec::new(dut, use_case, ROUTES, SEED)
     }
 }
 

@@ -67,20 +67,13 @@ impl netsim::Node for Origin3 {
     }
 }
 
-struct Placeholder;
-impl netsim::Node for Placeholder {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 /// Run one DUT behind `Origin3` with the period-2 fault probe and full
 /// route sampling; return its trace dump.
 fn run_dut(dut_kind: Dut) -> TraceDump {
     let mut sim = Sim::new(SimConfig::default());
     let origin =
         sim.add_node(Box::new(Origin3 { reader: xbgp_wire::MsgReader::new(), sent: false }));
-    let dut = sim.add_node(Box::new(Placeholder));
+    let dut = sim.reserve_node();
     let link = sim.connect(origin, dut, MS);
     let mut cfg = DaemonSpec::new(65001, 1).neighbor(link, 9, 65009);
     cfg.trace = Some(TraceConfig { sample_every: 1, ..TraceConfig::default() });

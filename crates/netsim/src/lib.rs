@@ -222,6 +222,27 @@ mod tests {
     }
 
     #[test]
+    fn a_filled_reservation_runs_the_replacement() {
+        let mut sim = Sim::new(SimConfig::default());
+        let a = sim.reserve_node();
+        let b = sim.add_node(Box::new(Echo { received: Vec::new() }));
+        sim.connect(a, b, 500);
+        sim.replace_node(a, Box::new(Pinger { link: None, got: Vec::new(), timer_fired_at: None }));
+        sim.run_until_idle(10_000_000);
+        assert_eq!(sim.node_ref::<Pinger>(a).got.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved but never filled")]
+    fn starting_with_an_unfilled_reservation_panics() {
+        let mut sim = Sim::new(SimConfig::default());
+        let a = sim.reserve_node();
+        let b = sim.add_node(Box::new(Echo { received: Vec::new() }));
+        sim.connect(a, b, 500);
+        sim.run_until(1_000);
+    }
+
+    #[test]
     fn identical_runs_are_deterministic() {
         // Two simulations built identically must produce identical event
         // outcomes (timestamps included) — the property every experiment

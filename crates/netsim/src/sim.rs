@@ -31,6 +31,16 @@ pub trait Node {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// The stand-in behind [`Sim::reserve_node`]; the simulator refuses to
+/// start while one is still in place.
+struct Reserved;
+
+impl Node for Reserved {
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 /// Simulator tuning.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimConfig {
@@ -198,10 +208,18 @@ impl Sim {
         id
     }
 
-    /// Replace a node's behaviour. Used while wiring topologies: link ids
-    /// must exist before daemon configurations that reference them can be
-    /// built, so harnesses add placeholders first and swap in the real
-    /// daemons before the simulation starts.
+    /// Reserve a node slot to fill later with [`Sim::replace_node`]. Link
+    /// ids must exist before the daemon configurations that reference them
+    /// can be built, so topologies reserve their routers, connect them,
+    /// and fill each slot before the simulation starts. Starting with a
+    /// slot still reserved panics.
+    pub fn reserve_node(&mut self) -> NodeId {
+        assert!(!self.started, "cannot reserve a node after the simulation started");
+        self.add_node(Box::new(Reserved))
+    }
+
+    /// Replace a node's behaviour (typically a [`Sim::reserve_node`] slot)
+    /// before the simulation starts.
     pub fn replace_node(&mut self, id: NodeId, node: Box<dyn Node>) {
         assert!(!self.started, "cannot replace a node after the simulation started");
         self.nodes[id.0].node = node;
@@ -280,6 +298,10 @@ impl Sim {
         }
         self.started = true;
         for i in 0..self.nodes.len() {
+            assert!(
+                !self.nodes[i].node.as_any_mut().is::<Reserved>(),
+                "node {i} was reserved but never filled with replace_node"
+            );
             self.push(0, EventKind::Start(NodeId(i)));
         }
     }

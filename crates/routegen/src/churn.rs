@@ -90,7 +90,7 @@ impl ChurnSpec {
 
 /// One batch of churn: withdrawals first, then announcements, exactly the
 /// order [`ChurnRound::to_updates`] encodes them in.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChurnRound {
     pub withdrawals: Vec<Ipv4Prefix>,
     pub announcements: Vec<Route>,

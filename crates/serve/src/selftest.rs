@@ -25,10 +25,10 @@ use routegen::churn::{churn_rounds, total_updates, ChurnRound, ChurnSpec};
 use routegen::{to_updates, Route, TableSpec};
 use xbgp_driver::{DaemonSpec, Dut, DutNode};
 use xbgp_harness::churn::dump_diff;
-use xbgp_harness::shard::shard_of;
+use xbgp_harness::feeder::encode_frames;
+use xbgp_harness::shard::partition;
 use xbgp_harness::Feeder;
-use xbgp_obs::{HistogramSnapshot, MetricValue};
-use xbgp_wire::Message;
+use xbgp_obs::HistogramSnapshot;
 
 use crate::client::{self, ClientPlan};
 use crate::server::{ServeConfig, Server};
@@ -48,9 +48,6 @@ pub struct SelftestSpec {
     pub shards: usize,
     /// Wall-clock gap between churn rounds per client; `None` = blast.
     pub round_gap: Option<Duration>,
-    /// Skip the netsim reference replay (bench cells reuse the parity
-    /// machinery but only need the oracle check).
-    pub check_parity: bool,
 }
 
 impl SelftestSpec {
@@ -63,7 +60,6 @@ impl SelftestSpec {
             seed: 42,
             shards: 1,
             round_gap: None,
-            check_parity: true,
         }
     }
 }
@@ -80,7 +76,7 @@ pub struct SelftestOutcome {
     /// Best-path changes across shard cores.
     pub best_changes: u64,
     /// Loc-RIB entries differing from the netsim feeder replay
-    /// (only populated when `check_parity`; 0 = byte-identical).
+    /// (0 = byte-identical).
     pub parity_mismatches: usize,
     /// Loc-RIB entries differing from the daemons' own full-recompute
     /// oracle (0 = byte-identical).
@@ -104,52 +100,12 @@ impl SelftestOutcome {
     }
 }
 
-/// Split `rounds` into per-session slices by prefix hash, mirroring the
-/// sharded-churn split in [`xbgp_harness::churn`].
-fn split_rounds(rounds: &[ChurnRound], sessions: usize) -> Vec<Vec<ChurnRound>> {
-    (0..sessions)
-        .map(|k| {
-            rounds
-                .iter()
-                .map(|round| ChurnRound {
-                    withdrawals: round
-                        .withdrawals
-                        .iter()
-                        .filter(|p| shard_of(p, sessions) == k)
-                        .copied()
-                        .collect(),
-                    announcements: round
-                        .announcements
-                        .iter()
-                        .filter(|r| shard_of(&r.prefix, sessions) == k)
-                        .cloned()
-                        .collect(),
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn encode_all(updates: Vec<xbgp_wire::UpdateMsg>) -> Vec<Vec<u8>> {
-    updates
-        .into_iter()
-        .map(|u| Message::Update(u).encode(4).expect("update encodes"))
-        .collect()
-}
-
 /// Run one selftest. Panics only on harness bugs (thread failures); all
 /// protocol-level divergence is reported in the outcome.
 pub fn run(spec: &SelftestSpec) -> SelftestOutcome {
     let table = routegen::generate(&TableSpec::new(spec.routes, spec.seed));
     let rounds = churn_rounds(&table, &ChurnSpec::new(spec.seed, spec.rounds));
     let expected_updates = table.len() as u64 + total_updates(&rounds);
-
-    // Per-session slices: initial table and every round, by prefix hash.
-    let mut tables: Vec<Vec<Route>> = vec![Vec::new(); spec.sessions];
-    for r in &table {
-        tables[shard_of(&r.prefix, spec.sessions)].push(r.clone());
-    }
-    let session_rounds = split_rounds(&rounds, spec.sessions);
 
     let server = Server::start(ServeConfig {
         shards: spec.shards,
@@ -161,10 +117,11 @@ pub fn run(spec: &SelftestSpec) -> SelftestOutcome {
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
     let mut clients = Vec::new();
-    for (k, routes) in tables.into_iter().enumerate() {
+    // Per-session slices: initial table and every round, by prefix hash.
+    for (k, (routes, rounds)) in partition(&table, &rounds, spec.sessions).into_iter().enumerate() {
         let plan = ClientPlan {
-            initial: encode_all(to_updates(&routes, 1, None)),
-            rounds: session_rounds[k].iter().map(|r| encode_all(r.to_updates(1, None))).collect(),
+            initial: encode_frames(to_updates(&routes, 1, None)),
+            rounds: rounds.iter().map(|r| encode_frames(r.to_updates(1, None))).collect(),
             round_gap: spec.round_gap,
         };
         let stop = Arc::clone(&stop);
@@ -195,16 +152,7 @@ pub fn run(spec: &SelftestSpec) -> SelftestOutcome {
     let established = server.established_sessions();
     let serve_rib = server.loc_rib();
     let oracle_mismatches = dump_diff(&serve_rib, &server.oracle_loc_rib());
-    let snapshot = server.snapshot();
-    let best_changes = snapshot
-        .metrics
-        .iter()
-        .filter(|m| m.name == "xbgp_rib_best_changes_total")
-        .map(|m| match m.value {
-            MetricValue::Counter(n) => n,
-            _ => 0,
-        })
-        .sum();
+    let best_changes = server.snapshot().counter_sum("xbgp_rib_best_changes_total");
     let latency = server.latency();
     let rejected = server.rejected();
 
@@ -215,12 +163,8 @@ pub fn run(spec: &SelftestSpec) -> SelftestOutcome {
     }
     server.shutdown();
 
-    let parity_mismatches = if spec.check_parity {
-        let ref_rib = reference_loc_rib(spec, &table, &rounds, expected_updates);
-        dump_diff(&serve_rib, &ref_rib)
-    } else {
-        0
-    };
+    let ref_rib = reference_loc_rib(spec, &table, &rounds, expected_updates);
+    let parity_mismatches = dump_diff(&serve_rib, &ref_rib);
 
     SelftestOutcome {
         established,
@@ -246,9 +190,9 @@ fn reference_loc_rib(
     expected_updates: u64,
 ) -> Vec<(xbgp_wire::Ipv4Prefix, Vec<u8>)> {
     const SEC: u64 = 1_000_000_000;
-    let frames = encode_all(to_updates(table, 1, None));
+    let frames = encode_frames(to_updates(table, 1, None));
     let round_frames: Vec<Vec<Vec<u8>>> =
-        rounds.iter().map(|r| encode_all(r.to_updates(1, None))).collect();
+        rounds.iter().map(|r| encode_frames(r.to_updates(1, None))).collect();
 
     let mut sim = Sim::new(SimConfig { cpu_accounting: false });
     let f = sim.add_node(Box::new(Feeder::new(65001, 1, frames).with_churn(
@@ -256,7 +200,7 @@ fn reference_loc_rib(
         5 * SEC,
         SEC,
     )));
-    let d = sim.add_node(Box::new(Placeholder));
+    let d = sim.reserve_node();
     let l_up = sim.connect(f, d, 100_000);
     let dspec = DaemonSpec::new(65002, 2).neighbor(l_up, 1, 65001);
     sim.replace_node(d, Box::new(xbgp_harness::dut::build(spec.dut, dspec)));
@@ -278,11 +222,4 @@ fn reference_loc_rib(
         "reference absorbed a different stream"
     );
     sim.node_mut::<DutNode>(d).0.loc_rib_dump()
-}
-
-struct Placeholder;
-impl netsim::Node for Placeholder {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }

@@ -13,18 +13,11 @@ fn p(s: &str) -> Ipv4Prefix {
 const MS: u64 = 1_000_000;
 const SEC: u64 = 1_000_000_000;
 
-struct Placeholder;
-impl netsim::Node for Placeholder {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 #[test]
 fn ebgp_session_and_route_propagation() {
     let mut sim = Sim::new(SimConfig::default());
-    let a = sim.add_node(Box::new(Placeholder));
-    let b = sim.add_node(Box::new(Placeholder));
+    let a = sim.reserve_node();
+    let b = sim.reserve_node();
     let link = sim.connect(a, b, MS);
     let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
     cfg_a.originate = vec![(p("10.1.0.0/16"), 1)];
@@ -46,9 +39,9 @@ fn ebgp_session_and_route_propagation() {
 #[test]
 fn withdrawal_on_upstream_failure() {
     let mut sim = Sim::new(SimConfig::default());
-    let a = sim.add_node(Box::new(Placeholder));
-    let dut = sim.add_node(Box::new(Placeholder));
-    let c = sim.add_node(Box::new(Placeholder));
+    let a = sim.reserve_node();
+    let dut = sim.reserve_node();
+    let c = sim.reserve_node();
     let l1 = sim.connect(a, dut, MS);
     let l2 = sim.connect(dut, c, MS);
     let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(l1, 2, 65002);
@@ -70,9 +63,9 @@ fn withdrawal_on_upstream_failure() {
 #[test]
 fn native_route_reflection_with_hash_representation() {
     let mut sim = Sim::new(SimConfig::default());
-    let up = sim.add_node(Box::new(Placeholder));
-    let rr = sim.add_node(Box::new(Placeholder));
-    let down = sim.add_node(Box::new(Placeholder));
+    let up = sim.reserve_node();
+    let rr = sim.reserve_node();
+    let down = sim.reserve_node();
     let l_up = sim.connect(up, rr, MS);
     let l_down = sim.connect(rr, down, MS);
 
@@ -98,9 +91,9 @@ fn native_route_reflection_with_hash_representation() {
 #[test]
 fn ibgp_routes_not_reflected_without_rr() {
     let mut sim = Sim::new(SimConfig::default());
-    let up = sim.add_node(Box::new(Placeholder));
-    let mid = sim.add_node(Box::new(Placeholder));
-    let down = sim.add_node(Box::new(Placeholder));
+    let up = sim.reserve_node();
+    let mid = sim.reserve_node();
+    let down = sim.reserve_node();
     let l1 = sim.connect(up, mid, MS);
     let l2 = sim.connect(mid, down, MS);
     let mut cfg_up = DaemonSpec::new(65009, 9).neighbor(l1, 2, 65000);
@@ -128,8 +121,8 @@ fn ibgp_routes_not_reflected_without_rr() {
 #[test]
 fn native_origin_validation_uses_hash_table_and_tags() {
     let mut sim = Sim::new(SimConfig::default());
-    let a = sim.add_node(Box::new(Placeholder));
-    let b = sim.add_node(Box::new(Placeholder));
+    let a = sim.reserve_node();
+    let b = sim.reserve_node();
     let link = sim.connect(a, b, MS);
     let mut cfg_a = DaemonSpec::new(65001, 1).neighbor(link, 2, 65002);
     cfg_a.originate = vec![(p("10.1.0.0/16"), 1), (p("10.2.0.0/16"), 1), (p("10.3.0.0/16"), 1)];
@@ -157,10 +150,10 @@ fn best_route_is_head_of_preference_ordered_list() {
     // dut hears the same net from two eBGP neighbors with different path
     // lengths; the table keeps both, best first.
     let mut sim = Sim::new(SimConfig::default());
-    let a = sim.add_node(Box::new(Placeholder));
-    let b = sim.add_node(Box::new(Placeholder));
-    let mid = sim.add_node(Box::new(Placeholder));
-    let dut = sim.add_node(Box::new(Placeholder));
+    let a = sim.reserve_node();
+    let b = sim.reserve_node();
+    let mid = sim.reserve_node();
+    let dut = sim.reserve_node();
     let l_a_dut = sim.connect(a, dut, MS);
     let l_a_mid = sim.connect(a, mid, MS);
     let l_mid_b = sim.connect(mid, b, MS);
@@ -198,10 +191,10 @@ fn withdraw_triggered_reannouncement_is_flushed_immediately() {
     // sit until an unrelated event). Topology: two origins announce the
     // same net to a middle router; the preferred origin then withdraws.
     let mut sim = Sim::new(SimConfig::default());
-    let a = sim.add_node(Box::new(Placeholder));
-    let b = sim.add_node(Box::new(Placeholder));
-    let mid = sim.add_node(Box::new(Placeholder));
-    let down = sim.add_node(Box::new(Placeholder));
+    let a = sim.reserve_node();
+    let b = sim.reserve_node();
+    let mid = sim.reserve_node();
+    let down = sim.reserve_node();
     let la = sim.connect(a, mid, MS);
     let lb = sim.connect(b, mid, MS);
     let ld = sim.connect(mid, down, MS);

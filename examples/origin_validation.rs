@@ -15,30 +15,9 @@ use xbgp_harness::stats::relative_impact_pct;
 fn main() {
     println!("origin validation: native vs extension (5000 routes, 75% valid, one seed)\n");
     for dut in [Dut::Fir, Dut::Wren] {
-        let native = run(&Fig3Spec {
-            dut,
-            use_case: UseCase::OriginValidation,
-            extension: false,
-            routes: 5_000,
-            seed: 42,
-            metrics: false,
-            shards: 1,
-            rib_dump: false,
-            trace_sample: 0,
-            profile: false,
-        });
-        let ext = run(&Fig3Spec {
-            dut,
-            use_case: UseCase::OriginValidation,
-            extension: true,
-            routes: 5_000,
-            seed: 42,
-            metrics: false,
-            shards: 1,
-            rib_dump: false,
-            trace_sample: 0,
-            profile: false,
-        });
+        let spec = Fig3Spec::new(dut, UseCase::OriginValidation, 5_000, 42);
+        let native = run(&spec);
+        let ext = run(&Fig3Spec { extension: true, ..spec });
         assert_eq!(native.prefixes_delivered, 5_000, "validation never discards");
         assert_eq!(ext.prefixes_delivered, 5_000);
         println!(

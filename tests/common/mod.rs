@@ -10,19 +10,10 @@ pub fn p(s: &str) -> Ipv4Prefix {
     s.parse().unwrap()
 }
 
-/// Stand-in node used while wiring topologies; must be replaced before the
-/// simulation starts.
-pub struct Placeholder;
-
-impl netsim::Node for Placeholder {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// A simulator plus `n` placeholder nodes.
+/// A simulator plus `n` reserved node slots, each to be filled with
+/// `replace_node` before the simulation starts.
 pub fn sim_with_nodes(n: usize) -> (Sim, Vec<NodeId>) {
     let mut sim = Sim::new(SimConfig::default());
-    let nodes = (0..n).map(|_| sim.add_node(Box::new(Placeholder))).collect();
+    let nodes = (0..n).map(|_| sim.reserve_node()).collect();
     (sim, nodes)
 }
