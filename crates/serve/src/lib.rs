@@ -16,7 +16,7 @@
 //!   hold-timer enforcement, NOTIFY-and-close on malformed input), a
 //!   capped outbound buffer and a paced inbound side
 //!   ([`server::INGRESS_RATE`]).
-//! * [`io`] — what that loop and the test client are built from: the
+//! * [`io`] — what that loop and [`peer`] are built from: the
 //!   `poll` shim (the workspace's one `unsafe` block), the waker, the
 //!   outbound buffer, the per-session read budget, and the nonblocking
 //!   connection pump.
@@ -26,19 +26,22 @@
 //!   come back as one buffer per session per flush.
 //! * [`split`] — cuts UPDATE frames along prefix-hash shard boundaries
 //!   without re-encoding attribute bytes.
-//! * [`client`] — loopback test peers; [`selftest`] — end-to-end parity
-//!   harness (TCP Loc-RIB ≡ netsim-replay Loc-RIB ≡ oracle);
-//!   [`bench`] — the peer-scaling grid behind `BENCH_peer_scaling.json`.
+//! * [`peer`] — a loopback BGP peer on the same connection pump, pumped
+//!   by hand: any number of them run on one thread, so the load adds no
+//!   thread beside the server's. The serve tests and the selftest drive
+//!   it.
+//! * [`selftest`] — end-to-end parity harness (TCP Loc-RIB ≡
+//!   netsim-replay Loc-RIB ≡ oracle, and every peer holds the Loc-RIB
+//!   minus its own slice); `xbgp-serve bench` runs it over a grid of
+//!   session counts and round gaps for `BENCH_peer_scaling.json`.
 
-pub mod bench;
-pub mod client;
 pub mod daemon_core;
 pub mod io;
+pub mod peer;
 pub mod selftest;
 pub mod server;
 pub mod split;
 
-pub use client::{ClientOutcome, ClientPlan};
 pub use selftest::{SelftestOutcome, SelftestSpec};
 pub use server::{ServeConfig, Server};
 pub use split::split_update;

@@ -2,10 +2,10 @@
 //! peers.
 //!
 //! ```text
-//! xbgp-serve selftest [--dut fir|wren|both] [--sessions N] [--routes N]
-//!                     [--rounds N] [--shards N] [--seed N] [--gap-ms N]
-//!                     [--json PATH]
-//! xbgp-serve bench    [--out PATH]
+//! xbgp-serve selftest [--dut fir|wren|both] [--sessions N,..] [--gap-ms N,..]
+//!                     [--routes N] [--rounds N] [--shards N] [--seed N]
+//!                     [--json PATH] [--date D]
+//! xbgp-serve bench    (the same, --out PATH for --json)
 //! xbgp-serve serve    [--dut fir|wren] [--port P] [--sessions N]
 //!                     [--shards N]
 //! ```
@@ -13,7 +13,6 @@
 use std::time::Duration;
 
 use xbgp_driver::Dut;
-use xbgp_serve::bench;
 use xbgp_serve::selftest::{self, SelftestOutcome, SelftestSpec};
 use xbgp_serve::server::{ServeConfig, Server};
 
@@ -22,8 +21,11 @@ fn main() {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let rest = &args[1.min(args.len())..];
     let code = match cmd {
-        "selftest" => cmd_selftest(rest),
-        "bench" => cmd_bench(rest),
+        "selftest" => cmd_runs(&args, "64", "0", flag(rest, "--json")),
+        "bench" => {
+            let out = flag(rest, "--out").unwrap_or_else(|| "BENCH_peer_scaling.json".into());
+            cmd_runs(&args, "8,64,256", "0,100", Some(out))
+        }
         "serve" => cmd_serve(rest),
         "help" | "--help" | "-h" => {
             eprint!("{}", USAGE);
@@ -41,16 +43,18 @@ const USAGE: &str = "\
 usage: xbgp-serve <command> [options]
 
 commands:
-  selftest   run N loopback TCP peers against a daemon, check Loc-RIB
-             parity vs the netsim replay and the full-recompute oracle
-             --dut fir|wren|both (both)   --sessions N (64)
+  selftest   run N loopback TCP peers from one thread against a daemon,
+             check Loc-RIB parity vs the netsim replay and the
+             full-recompute oracle, and each peer's exports
+             --dut fir|wren|both (both)   --sessions N,.. (64)
              --routes N (2000)            --rounds N (6)
              --shards N (1)               --seed N (42)
-             --gap-ms N (0 = blast)       --json PATH (write summary)
-  bench      run the peer-scaling grid, write BENCH_peer_scaling.json
-             --out PATH (BENCH_peer_scaling.json)
-             env: PEER_BENCH_SESSIONS, PEER_BENCH_GAPS_MS,
-                  PEER_BENCH_ROUTES, PEER_BENCH_ROUNDS
+             --gap-ms N,.. (0 = blast)    --json PATH (write the runs)
+             --date D (recorded in the JSON)
+             one run per dut x sessions x gap
+  bench      the selftest over the peer-scaling grid: the same options,
+             --sessions (8,64,256)  --gap-ms (0,100)
+             --out PATH (BENCH_peer_scaling.json) in place of --json
   serve      hold a daemon open for external BGP speakers on loopback
              --dut fir|wren (fir)         --port P (1790)
              --sessions N (256)           --shards N (1)
@@ -60,138 +64,117 @@ fn flag(rest: &[String], name: &str) -> Option<String> {
     rest.iter().position(|a| a == name).and_then(|i| rest.get(i + 1)).cloned()
 }
 
+fn parse<T: std::str::FromStr>(name: &str, v: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    v.trim().parse().unwrap_or_else(|e| {
+        eprintln!("bad value for {name}: {e}");
+        std::process::exit(2);
+    })
+}
+
 fn flag_parse<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> T
 where
     T::Err: std::fmt::Display,
 {
-    match flag(rest, name) {
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("bad value for {name}: {e}");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
+    flag(rest, name).map_or(default, |v| parse(name, &v))
+}
+
+/// A comma-separated flag value, or `default`.
+fn flag_list(rest: &[String], name: &str, default: &str) -> Vec<u64> {
+    flag(rest, name)
+        .as_deref()
+        .unwrap_or(default)
+        .split(',')
+        .map(|v| parse(name, v))
+        .collect()
 }
 
 fn parse_duts(rest: &[String]) -> Vec<Dut> {
     match flag(rest, "--dut").as_deref() {
         None | Some("both") => vec![Dut::Fir, Dut::Wren],
-        Some(s) => match s.parse() {
-            Ok(d) => vec![d],
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
+        Some(s) => vec![parse("--dut", s)],
     }
 }
 
-fn cmd_selftest(rest: &[String]) -> i32 {
-    let duts = parse_duts(rest);
-    let sessions = flag_parse(rest, "--sessions", 64usize);
-    let gap_ms = flag_parse(rest, "--gap-ms", 0u64);
-    let mut outcomes: Vec<(Dut, SelftestSpec, SelftestOutcome)> = Vec::new();
+/// `selftest` and `bench`: one [`selftest::run`] per dut × sessions ×
+/// gap, one JSON row each to `out`. Exits 1 unless every run passed.
+fn cmd_runs(args: &[String], sessions: &str, gaps: &str, out: Option<String>) -> i32 {
+    let rest = &args[1..];
+    let mut base = SelftestSpec::new(Dut::Fir, 0);
+    base.routes = flag_parse(rest, "--routes", base.routes);
+    base.rounds = flag_parse(rest, "--rounds", base.rounds);
+    base.shards = flag_parse(rest, "--shards", base.shards);
+    base.seed = flag_parse(rest, "--seed", base.seed);
+    let mut rows = Vec::new();
     let mut ok = true;
-    for dut in duts {
-        let mut spec = SelftestSpec::new(dut, sessions);
-        spec.routes = flag_parse(rest, "--routes", spec.routes);
-        spec.rounds = flag_parse(rest, "--rounds", spec.rounds);
-        spec.shards = flag_parse(rest, "--shards", spec.shards);
-        spec.seed = flag_parse(rest, "--seed", spec.seed);
-        spec.round_gap = (gap_ms > 0).then(|| Duration::from_millis(gap_ms));
-        eprintln!(
-            "selftest: dut={} sessions={} routes={} rounds={} shards={}",
-            dut.slug(),
-            spec.sessions,
-            spec.routes,
-            spec.rounds,
-            spec.shards
-        );
-        let out = selftest::run(&spec);
-        let passed = out.passed(&spec);
-        eprintln!(
-            "  established={}/{} updates={} best_changes={} parity_mismatches={} \
-             oracle_mismatches={} p99_latency_us={} elapsed_ms={} -> {}",
-            out.established,
-            spec.sessions,
-            out.updates_applied,
-            out.best_changes,
-            out.parity_mismatches,
-            out.oracle_mismatches,
-            out.latency.quantile(0.99) / 1_000,
-            out.elapsed.as_millis(),
-            if passed { "PASS" } else { "FAIL" }
-        );
-        ok &= passed;
-        outcomes.push((dut, spec, out));
+    for dut in parse_duts(rest) {
+        for &n in &flag_list(rest, "--sessions", sessions) {
+            for &gap_ms in &flag_list(rest, "--gap-ms", gaps) {
+                let round_gap = (gap_ms > 0).then(|| Duration::from_millis(gap_ms));
+                let spec = SelftestSpec { dut, sessions: n as usize, round_gap, ..base };
+                eprintln!("selftest: dut={} sessions={n} gap={gap_ms}ms", dut.slug());
+                let run = selftest::run(&spec);
+                let row = json_row(&spec, &run);
+                eprintln!("  {row} -> {}", if run.passed(&spec) { "PASS" } else { "FAIL" });
+                ok &= run.passed(&spec);
+                rows.push(row);
+            }
+        }
     }
-    if let Some(path) = flag(rest, "--json") {
-        let json = selftest_json(&outcomes);
+    if let Some(path) = out {
+        let json = format!(
+            "{{\n  \"command\": \"xbgp-serve {}\",\n  \"date\": \"{}\",\n  \"note\": \
+             \"latency = socket read to RIB applied (xbgp-obs histogram, ns); updates_per_sec = \
+             updates / elapsed; gap_ms = per-peer pause between churn rounds\",\n  \
+             \"runs\": [\n    {}\n  ]\n}}\n",
+            args.join(" "),
+            flag(rest, "--date").unwrap_or_else(|| "unknown".into()),
+            rows.join(",\n    ")
+        );
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("cannot write {path}: {e}");
             return 1;
         }
     }
-    if ok {
-        0
-    } else {
-        1
-    }
+    i32::from(!ok)
 }
 
-/// jq-friendly summary: one object per dut under `"runs"`.
-fn selftest_json(outcomes: &[(Dut, SelftestSpec, SelftestOutcome)]) -> String {
-    let mut s = String::from("{\n  \"runs\": [\n");
-    for (i, (dut, spec, out)) in outcomes.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"dut\": \"{}\", \"sessions\": {}, \"established\": {}, \"routes\": {}, \
-             \"rounds\": {}, \"shards\": {}, \"updates\": {}, \"best_changes\": {}, \
-             \"parity_mismatches\": {}, \"oracle_mismatches\": {}, \"loc_rib_len\": {}, \
-             \"p50_latency_ns\": {}, \"p99_latency_ns\": {}, \"elapsed_ms\": {}, \
-             \"rejected\": {}, \"passed\": {}}}{}\n",
-            dut.slug(),
-            spec.sessions,
-            out.established,
-            spec.routes,
-            spec.rounds,
-            spec.shards,
-            out.updates_applied,
-            out.best_changes,
-            out.parity_mismatches,
-            out.oracle_mismatches,
-            out.loc_rib_len,
-            out.latency.quantile(0.50),
-            out.latency.quantile(0.99),
-            out.elapsed.as_millis(),
-            out.rejected,
-            out.passed(spec),
-            if i + 1 == outcomes.len() { "" } else { "," },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-fn cmd_bench(rest: &[String]) -> i32 {
-    let out_path = flag(rest, "--out").unwrap_or_else(|| "BENCH_peer_scaling.json".into());
-    let date = flag(rest, "--date").unwrap_or_else(|| "unknown".into());
-    let cells = bench::run_grid();
-    let json = bench::to_json(&cells, &date);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("cannot write {out_path}: {e}");
-        return 1;
-    }
-    eprintln!("wrote {} cells to {out_path}", cells.len());
-    0
+/// One run as one line of JSON.
+fn json_row(spec: &SelftestSpec, run: &SelftestOutcome) -> String {
+    format!(
+        "{{\"dut\": \"{}\", \"sessions\": {}, \"established\": {}, \"routes\": {}, \
+         \"rounds\": {}, \"shards\": {}, \"gap_ms\": {}, \"updates\": {}, \
+         \"updates_per_sec\": {:.1}, \"best_changes\": {}, \"parity_mismatches\": {}, \
+         \"oracle_mismatches\": {}, \"export_mismatches\": {}, \"early_closes\": {}, \
+         \"loc_rib_len\": {}, \"p50_latency_ns\": {}, \"p99_latency_ns\": {}, \
+         \"elapsed_ms\": {}, \"rejected\": {}, \"passed\": {}}}",
+        spec.dut.slug(),
+        spec.sessions,
+        run.established,
+        spec.routes,
+        spec.rounds,
+        spec.shards,
+        spec.round_gap.unwrap_or_default().as_millis(),
+        run.updates_applied,
+        run.updates_applied as f64 / run.elapsed.as_secs_f64().max(1e-9),
+        run.best_changes,
+        run.parity_mismatches,
+        run.oracle_mismatches,
+        run.export_mismatches,
+        run.early_closes,
+        run.loc_rib_len,
+        run.latency.quantile(0.50),
+        run.latency.quantile(0.99),
+        run.elapsed.as_millis(),
+        run.rejected,
+        run.passed(spec),
+    )
 }
 
 fn cmd_serve(rest: &[String]) -> i32 {
-    let dut: Dut = flag(rest, "--dut").map_or(Dut::Fir, |s| {
-        s.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    });
+    let dut = flag_parse(rest, "--dut", Dut::Fir);
     let mut cfg = ServeConfig::new(dut, flag_parse(rest, "--sessions", 256usize));
     cfg.shards = flag_parse(rest, "--shards", 1usize);
     cfg.bind_port = flag_parse(rest, "--port", 1790u16);

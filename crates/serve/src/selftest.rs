@@ -1,14 +1,16 @@
 //! End-to-end loopback selftest: the acceptance harness for the TCP
 //! runtime.
 //!
-//! N real TCP clients each own a prefix-hash slice of a generated table
-//! and of every churn round, handshake against [`crate::server::Server`],
-//! blast their slices, and hold their sessions open. When the daemons
-//! have absorbed exactly the logical stream, the combined serve Loc-RIB
-//! must be **byte-identical** to the same stream replayed through the
-//! netsim [`xbgp_harness::Feeder`] — the virtual-time harness every other
-//! figure in this repo trusts — and to the daemons' own full-recompute
-//! oracle.
+//! N [`Peer`]s, all driven from the calling thread, each own a
+//! prefix-hash slice of a generated table and of every churn round,
+//! handshake against [`crate::server::Server`], blast their slices, and
+//! hold their sessions open. When the daemons have absorbed exactly the
+//! logical stream, the combined serve Loc-RIB must be **byte-identical**
+//! to the same stream replayed through the netsim
+//! [`xbgp_harness::Feeder`] — the virtual-time harness every other figure
+//! in this repo trusts — and to the daemons' own full-recompute oracle.
+//! Once every export has arrived, each peer must hold exactly that
+//! Loc-RIB minus its own slice (split horizon).
 //!
 //! Prefix-partitioning the sessions is what makes the comparison exact:
 //! TCP only guarantees order per connection, but each prefix lives on
@@ -16,8 +18,7 @@
 //! single-feeder replay, and best-path selection is independent per
 //! prefix.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use netsim::{Sim, SimConfig};
@@ -26,12 +27,20 @@ use routegen::{to_updates, Route, TableSpec};
 use xbgp_driver::{DaemonSpec, Dut, DutNode};
 use xbgp_harness::churn::dump_diff;
 use xbgp_harness::feeder::encode_frames;
-use xbgp_harness::shard::partition;
+use xbgp_harness::shard::{partition, shard_of};
 use xbgp_harness::Feeder;
 use xbgp_obs::HistogramSnapshot;
 
-use crate::client::{self, ClientPlan};
+use crate::peer::{pump_until, Peer};
 use crate::server::{ServeConfig, Server};
+
+/// A peer's plan is handed to its connection while the connection holds
+/// less than this.
+const LOW_WATER: usize = 64 * 1024;
+
+/// How long the stream, and then the exports, may take before the run
+/// reports what arrived.
+const STALL: Duration = Duration::from_secs(600);
 
 /// One selftest description.
 #[derive(Debug, Clone, Copy)]
@@ -46,7 +55,7 @@ pub struct SelftestSpec {
     pub seed: u64,
     /// Shard cores inside the server.
     pub shards: usize,
-    /// Wall-clock gap between churn rounds per client; `None` = blast.
+    /// Wall-clock gap between churn rounds per peer; `None` = blast.
     pub round_gap: Option<Duration>,
 }
 
@@ -81,6 +90,12 @@ pub struct SelftestOutcome {
     /// Loc-RIB entries differing from the daemons' own full-recompute
     /// oracle (0 = byte-identical).
     pub oracle_mismatches: usize,
+    /// Prefixes, summed over peers, that a peer holds and should not or
+    /// should hold and does not: each should hold the Loc-RIB minus its
+    /// own slice.
+    pub export_mismatches: usize,
+    /// Sessions that closed before the run finished.
+    pub early_closes: usize,
     /// Loc-RIB size after the run.
     pub loc_rib_len: usize,
     /// Socket-to-RIB propagation latency (ns).
@@ -97,11 +112,51 @@ impl SelftestOutcome {
             && self.updates_applied == self.expected_updates
             && self.parity_mismatches == 0
             && self.oracle_mismatches == 0
+            && self.export_mismatches == 0
+            && self.early_closes == 0
     }
 }
 
-/// Run one selftest. Panics only on harness bugs (thread failures); all
-/// protocol-level divergence is reported in the outcome.
+/// What one peer still has to send: the rest of the stage under way,
+/// the churn rounds after it, and when the next round may start.
+struct Plan {
+    frames: VecDeque<Vec<u8>>,
+    rounds: VecDeque<Vec<Vec<u8>>>,
+    next_round: Instant,
+}
+
+impl Plan {
+    /// Hand an established `peer` whole frames until it holds
+    /// [`LOW_WATER`], starting the next round once this one is handed
+    /// over and `gap` has passed since it started. True once everything
+    /// is with TCP.
+    fn top_up(&mut self, peer: &mut Peer, gap: Option<Duration>) -> bool {
+        // One write for the lot, not one per frame.
+        let mut batch = Vec::new();
+        while peer.established && peer.backlog() + batch.len() < LOW_WATER {
+            if let Some(frame) = self.frames.pop_front() {
+                batch.extend_from_slice(&frame);
+            } else if !self.rounds.is_empty() && Instant::now() >= self.next_round {
+                self.frames = self.rounds.pop_front().unwrap_or_default().into();
+                self.next_round = Instant::now() + gap.unwrap_or_default();
+            } else {
+                break;
+            }
+        }
+        if !batch.is_empty() {
+            peer.send(&batch);
+        }
+        peer.established && self.frames.is_empty() && self.rounds.is_empty() && peer.backlog() == 0
+    }
+}
+
+/// The session is over, for whatever reason.
+fn down(peer: &Peer) -> bool {
+    peer.gone || peer.closed.is_some()
+}
+
+/// Run one selftest on the calling thread. Panics only on harness bugs;
+/// all protocol-level divergence is reported in the outcome.
 pub fn run(spec: &SelftestSpec) -> SelftestOutcome {
     let table = routegen::generate(&TableSpec::new(spec.routes, spec.seed));
     let rounds = churn_rounds(&table, &ChurnSpec::new(spec.seed, spec.rounds));
@@ -112,55 +167,59 @@ pub fn run(spec: &SelftestSpec) -> SelftestOutcome {
         ..ServeConfig::new(spec.dut, spec.sessions)
     })
     .expect("bind loopback server");
-    let addr = server.addr();
 
-    let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
-    let mut clients = Vec::new();
+    let mut peers = Vec::new();
+    let mut plans = Vec::new();
     // Per-session slices: initial table and every round, by prefix hash.
     for (k, (routes, rounds)) in partition(&table, &rounds, spec.sessions).into_iter().enumerate() {
-        let plan = ClientPlan {
-            initial: encode_frames(to_updates(&routes, 1, None)),
+        peers.push(Peer::connect(server.addr(), 1000 + k as u32).expect("connect to the server"));
+        plans.push(Plan {
+            frames: encode_frames(to_updates(&routes, 1, None)).into(),
             rounds: rounds.iter().map(|r| encode_frames(r.to_updates(1, None))).collect(),
-            round_gap: spec.round_gap,
-        };
-        let stop = Arc::clone(&stop);
-        clients.push(
-            std::thread::Builder::new()
-                .name(format!("xbgp-client-{k}"))
-                .stack_size(256 * 1024)
-                .spawn(move || client::run(addr, 65001, 1000 + k as u32, plan, &stop))
-                .expect("spawn client"),
-        );
+            next_round: started,
+        });
     }
+    let mut peers: Vec<&mut Peer> = peers.iter_mut().collect();
 
-    // Wait until the daemons have absorbed exactly the logical stream.
-    // Counter queries are barriers behind all frames already fanned in.
-    let deadline = Instant::now() + Duration::from_secs(600);
-    loop {
-        let got = server.counters().routing_updates_rx();
-        if got >= expected_updates {
-            assert_eq!(got, expected_updates, "absorbed more updates than the stream carries");
-            break;
+    // Until the daemons have absorbed exactly the logical stream. Counter
+    // queries are barriers behind all frames already fanned in, so they
+    // wait until every plan is with TCP.
+    pump_until(&mut peers, STALL, |peers| {
+        let mut sent = true;
+        for (peer, plan) in peers.iter_mut().zip(&mut plans) {
+            sent &= plan.top_up(peer, spec.round_gap);
         }
-        assert!(Instant::now() < deadline, "stream stalled: {got}/{expected_updates} updates");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+        peers.iter().any(|p| down(p))
+            || sent && server.counters().routing_updates_rx() >= expected_updates
+    });
     let elapsed = started.elapsed();
+    // Then until every UPDATE the daemons sent has arrived.
+    pump_until(&mut peers, STALL, |peers| {
+        let rx: usize = peers.iter().map(|p| p.updates_rx).sum();
+        peers.iter().any(|p| down(p)) || rx as u64 >= server.counters().updates_tx
+    });
 
-    // Sessions still up (clients hold until stop), RIBs quiescent.
     let established = server.established_sessions();
+    let updates_applied = server.counters().routing_updates_rx();
     let serve_rib = server.loc_rib();
     let oracle_mismatches = dump_diff(&serve_rib, &server.oracle_loc_rib());
     let best_changes = server.snapshot().counter_sum("xbgp_rib_best_changes_total");
     let latency = server.latency();
     let rejected = server.rejected();
-
-    stop.store(true, Ordering::SeqCst);
-    for c in clients {
-        let outcome = c.join().expect("client thread").expect("client io");
-        assert!(!outcome.closed_early, "client session closed before the run finished");
-    }
+    let export_mismatches = peers
+        .iter()
+        .enumerate()
+        .map(|(k, peer)| {
+            let expected: BTreeSet<_> = serve_rib
+                .iter()
+                .map(|(p, _)| *p)
+                .filter(|p| shard_of(p, spec.sessions) != k)
+                .collect();
+            peer.rib.symmetric_difference(&expected).count()
+        })
+        .sum();
+    let early_closes = peers.iter().filter(|p| down(p)).count();
     server.shutdown();
 
     let ref_rib = reference_loc_rib(spec, &table, &rounds, expected_updates);
@@ -168,11 +227,13 @@ pub fn run(spec: &SelftestSpec) -> SelftestOutcome {
 
     SelftestOutcome {
         established,
-        updates_applied: expected_updates,
+        updates_applied,
         expected_updates,
         best_changes,
         parity_mismatches,
         oracle_mismatches,
+        export_mismatches,
+        early_closes,
         loc_rib_len: serve_rib.len(),
         latency,
         elapsed,

@@ -6,20 +6,21 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{announce, pump, pump_until, Peer};
+use common::{announce, PATIENCE};
 use xbgp_driver::Dut;
 use xbgp_harness::churn::dump_diff;
+use xbgp_serve::peer::{pump, pump_until, Peer};
 use xbgp_serve::{ServeConfig, Server};
 
 #[test]
 fn exports_flow_while_a_peer_streams_an_update_every_millisecond() {
     const UPDATES: u32 = 300;
     let server = Server::start(ServeConfig::new(Dut::Fir, 2)).expect("bind loopback server");
-    let mut a = Peer::connect(server.addr(), 101);
-    let mut b = Peer::connect(server.addr(), 102);
-    pump_until(&mut [&mut a, &mut b], "both sessions are established", |p| {
+    let mut a = Peer::connect(server.addr(), 101).unwrap();
+    let mut b = Peer::connect(server.addr(), 102).unwrap();
+    assert!(pump_until(&mut [&mut a, &mut b], PATIENCE, |p| {
         p.iter().all(|p| p.established) && server.established_sessions() == 2
-    });
+    }));
 
     // A sends one single-prefix UPDATE per millisecond; between sends the
     // test thread sleeps in poll over both sockets, reading B's as soon as
@@ -44,9 +45,10 @@ fn exports_flow_while_a_peer_streams_an_update_every_millisecond() {
         .expect("B received an export before A sent its last update, not only after the stream");
     assert!(seen < UPDATES - 1);
 
-    pump_until(&mut [&mut a, &mut b], "B holds every prefix A announced", |p| {
+    // Until B holds every prefix A announced.
+    assert!(pump_until(&mut [&mut a, &mut b], PATIENCE, |p| {
         p[1].rib.len() == UPDATES as usize
-    });
+    }));
     assert_eq!(server.loc_rib().len(), UPDATES as usize);
     assert_eq!(dump_diff(&server.loc_rib(), &server.oracle_loc_rib()), 0);
     drop((a, b));

@@ -8,9 +8,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use common::{announce, prefix, pump_until, Peer, PATIENCE};
+use common::{announce, prefix, PATIENCE};
 use xbgp_driver::Dut;
 use xbgp_harness::churn::dump_diff;
+use xbgp_serve::peer::{pump_until, Peer};
 use xbgp_serve::server::{INGRESS_BURST, INGRESS_RATE};
 use xbgp_serve::{ServeConfig, Server};
 use xbgp_wire::attr::Origin;
@@ -38,20 +39,21 @@ fn a_peer_that_never_reads_stalls_nobody_and_does_not_outlive_shutdown() {
     const COMMUNITIES: usize = 800;
 
     let server = Server::start(ServeConfig::new(Dut::Fir, 3)).expect("bind loopback server");
-    let mut mute = Peer::connect(server.addr(), 101);
-    let mut blaster = Peer::connect(server.addr(), 102);
-    let mut reader = Peer::connect(server.addr(), 103);
-    pump_until(&mut [&mut mute, &mut blaster, &mut reader], "three sessions establish", |p| {
+    let mut mute = Peer::connect(server.addr(), 101).unwrap();
+    let mut blaster = Peer::connect(server.addr(), 102).unwrap();
+    let mut reader = Peer::connect(server.addr(), 103).unwrap();
+    assert!(pump_until(&mut [&mut mute, &mut blaster, &mut reader], PATIENCE, |p| {
         p.iter().all(|p| p.established) && server.established_sessions() == 3
-    });
+    }));
 
     // From here on `mute` is never pumped again.
     for i in 0..UPDATES {
         blaster.send(&announce(i, COMMUNITIES));
     }
-    pump_until(&mut [&mut blaster, &mut reader], "the reader holds the whole table", |p| {
+    // Until the reader holds the whole table.
+    assert!(pump_until(&mut [&mut blaster, &mut reader], PATIENCE, |p| {
         p[1].rib.len() == UPDATES as usize
-    });
+    }));
     assert!(!reader.gone && reader.closed.is_none());
     assert_eq!(server.established_sessions(), 3, "the mute peer is slow, not dead");
     assert_oracle(&server, (0..UPDATES).map(prefix));
@@ -77,14 +79,12 @@ fn a_table_dump_is_read_at_the_ingress_rate_and_a_bystander_passes_it() {
     const BYSTANDER: u32 = 5000;
 
     let server = Server::start(ServeConfig::new(Dut::Fir, 3)).expect("bind loopback server");
-    let mut dumper = Peer::connect(server.addr(), 101);
-    let mut bystander = Peer::connect(server.addr(), 102);
-    let mut observer = Peer::connect(server.addr(), 103);
-    pump_until(
-        &mut [&mut dumper, &mut bystander, &mut observer],
-        "three sessions establish",
-        |p| p.iter().all(|p| p.established) && server.established_sessions() == 3,
-    );
+    let mut dumper = Peer::connect(server.addr(), 101).unwrap();
+    let mut bystander = Peer::connect(server.addr(), 102).unwrap();
+    let mut observer = Peer::connect(server.addr(), 103).unwrap();
+    assert!(pump_until(&mut [&mut dumper, &mut bystander, &mut observer], PATIENCE, |p| {
+        p.iter().all(|p| p.established) && server.established_sessions() == 3
+    }));
 
     let started = Instant::now();
     let mut dumped = 0;
@@ -96,18 +96,16 @@ fn a_table_dump_is_read_at_the_ingress_rate_and_a_bystander_passes_it() {
     bystander.send(&announce(BYSTANDER, 0));
 
     let peers = &mut [&mut dumper, &mut bystander, &mut observer];
-    pump_until(peers, "the observer holds the bystander's route", |p| {
-        p[2].rib.contains(&prefix(BYSTANDER))
-    });
+    // Until the observer holds the bystander's route.
+    assert!(pump_until(peers, PATIENCE, |p| p[2].rib.contains(&prefix(BYSTANDER))));
     assert!(
         observer.rib.len() < UPDATES as usize,
         "the bystander's update waited for the whole dump"
     );
 
     let peers = &mut [&mut dumper, &mut bystander, &mut observer];
-    pump_until(peers, "the observer holds the whole dump", |p| {
-        p[2].rib.len() == UPDATES as usize + 1
-    });
+    // Until the observer holds the whole dump.
+    assert!(pump_until(peers, PATIENCE, |p| p[2].rib.len() == UPDATES as usize + 1));
     let paced = (dumped - INGRESS_BURST) as f64 / INGRESS_RATE as f64;
     assert!(
         started.elapsed().as_secs_f64() >= paced,
@@ -124,14 +122,12 @@ fn a_table_dump_is_read_at_the_ingress_rate_and_a_bystander_passes_it() {
 #[test]
 fn a_reset_after_half_an_update_withdraws_exactly_that_peers_routes() {
     let server = Server::start(ServeConfig::new(Dut::Fir, 3)).expect("bind loopback server");
-    let mut doomed = Peer::connect(server.addr(), 101);
-    let mut steady = Peer::connect(server.addr(), 102);
-    let mut observer = Peer::connect(server.addr(), 103);
-    pump_until(
-        &mut [&mut doomed, &mut steady, &mut observer],
-        "three sessions establish",
-        |p| p.iter().all(|p| p.established) && server.established_sessions() == 3,
-    );
+    let mut doomed = Peer::connect(server.addr(), 101).unwrap();
+    let mut steady = Peer::connect(server.addr(), 102).unwrap();
+    let mut observer = Peer::connect(server.addr(), 103).unwrap();
+    assert!(pump_until(&mut [&mut doomed, &mut steady, &mut observer], PATIENCE, |p| {
+        p.iter().all(|p| p.established) && server.established_sessions() == 3
+    }));
 
     for i in 0..50 {
         doomed.send(&announce(i, 0));
@@ -142,25 +138,20 @@ fn a_reset_after_half_an_update_withdraws_exactly_that_peers_routes() {
     // the exports waiting in its receive queue turn its close into a
     // reset.
     assert_eq!(doomed.backlog(), 0);
-    pump_until(
-        &mut [&mut steady, &mut observer],
-        "the observer holds both peers' routes",
-        |p| p[1].rib.len() == 100,
-    );
+    // Until the observer holds both peers' routes.
+    assert!(pump_until(&mut [&mut steady, &mut observer], PATIENCE, |p| p[1].rib.len() == 100));
 
     let half = announce(77, 0);
     doomed.send(&half[..half.len() / 2]);
     drop(doomed);
 
-    pump_until(
-        &mut [&mut steady, &mut observer],
-        "the doomed peer's routes are withdrawn",
-        |p| p[1].rib.len() == 50,
-    );
+    // Until the doomed peer's routes are withdrawn.
+    assert!(pump_until(&mut [&mut steady, &mut observer], PATIENCE, |p| p[1].rib.len() == 50));
     assert!((0..50).all(|i| observer.rib.contains(&prefix(1000 + i))));
-    pump_until(&mut [&mut steady, &mut observer], "the daemon sees two sessions", |_| {
+    // Until the daemon sees two sessions.
+    assert!(pump_until(&mut [&mut steady, &mut observer], PATIENCE, |_| {
         server.established_sessions() == 2
-    });
+    }));
     assert!(steady.closed.is_none() && !steady.gone);
     assert_oracle(&server, (0..50).map(|i| prefix(1000 + i)));
     drop((steady, observer));
@@ -175,27 +166,26 @@ fn a_silent_peers_hold_timer_fires_and_withdraws_its_routes() {
     let mut cfg = ServeConfig::new(Dut::Fir, 2);
     cfg.hold_time_secs = 3;
     let server = Server::start(cfg).expect("bind loopback server");
-    let mut silent = Peer::connect(server.addr(), 101);
-    let mut observer = Peer::connect(server.addr(), 102);
-    pump_until(&mut [&mut silent, &mut observer], "two sessions establish", |p| {
+    let mut silent = Peer::connect(server.addr(), 101).unwrap();
+    let mut observer = Peer::connect(server.addr(), 102).unwrap();
+    assert!(pump_until(&mut [&mut silent, &mut observer], PATIENCE, |p| {
         p.iter().all(|p| p.established) && server.established_sessions() == 2
-    });
+    }));
     for i in 0..10 {
         silent.send(&announce(i, 0));
         observer.send(&announce(1000 + i, 0));
     }
-    pump_until(&mut [&mut observer], "the observer holds the silent peer's routes", |p| {
-        p[0].rib.len() == 10
-    });
+    // Until the observer holds the silent peer's routes.
+    assert!(pump_until(&mut [&mut observer], PATIENCE, |p| p[0].rib.len() == 10));
 
     // `silent` is not pumped: no KEEPALIVE leaves it. The observer keeps
     // answering the server's.
     let quiet_since = Instant::now();
-    pump_until(&mut [&mut observer], "the silent peer's routes are withdrawn", |p| {
-        p[0].rib.is_empty()
-    });
+    // Until the silent peer's routes are withdrawn.
+    assert!(pump_until(&mut [&mut observer], PATIENCE, |p| p[0].rib.is_empty()));
     assert!(quiet_since.elapsed() >= Duration::from_secs(2), "not before the hold time");
-    pump_until(&mut [&mut silent], "the silent peer reads why", |p| p[0].closed.is_some());
+    // Until the silent peer reads why.
+    assert!(pump_until(&mut [&mut silent], PATIENCE, |p| p[0].closed.is_some()));
     assert_eq!(silent.closed, Some(CloseReason::PeerNotification { code: 4, subcode: 0 }));
     assert!(observer.closed.is_none() && !observer.gone);
     assert_oracle(&server, (0..10).map(|i| prefix(1000 + i)));
@@ -207,14 +197,13 @@ fn a_silent_peers_hold_timer_fires_and_withdraws_its_routes() {
 #[test]
 fn a_connection_beyond_max_sessions_gets_cease_connection_rejected() {
     let server = Server::start(ServeConfig::new(Dut::Fir, 2)).expect("bind loopback server");
-    let mut first = Peer::connect(server.addr(), 101);
-    let mut second = Peer::connect(server.addr(), 102);
-    let mut extra = Peer::connect(server.addr(), 103);
-    pump_until(
-        &mut [&mut first, &mut second, &mut extra],
-        "the third connection is over",
-        |p| p[2].closed.is_some() || p[2].gone,
-    );
+    let mut first = Peer::connect(server.addr(), 101).unwrap();
+    let mut second = Peer::connect(server.addr(), 102).unwrap();
+    let mut extra = Peer::connect(server.addr(), 103).unwrap();
+    // Until the third connection is over.
+    assert!(pump_until(&mut [&mut first, &mut second, &mut extra], PATIENCE, |p| {
+        p[2].closed.is_some() || p[2].gone
+    }));
     assert_eq!(
         extra.closed,
         Some(CloseReason::PeerNotification { code: 6, subcode: 5 }),
@@ -222,17 +211,14 @@ fn a_connection_beyond_max_sessions_gets_cease_connection_rejected() {
     );
     assert_eq!(server.rejected(), 1);
 
-    pump_until(&mut [&mut first, &mut second], "the two admitted sessions establish", |p| {
+    assert!(pump_until(&mut [&mut first, &mut second], PATIENCE, |p| {
         p.iter().all(|p| p.established) && server.established_sessions() == 2
-    });
+    }));
     for i in 0..10 {
         first.send(&announce(i, 0));
     }
-    pump_until(
-        &mut [&mut first, &mut second],
-        "the second peer holds the first's routes",
-        |p| p[1].rib.len() == 10,
-    );
+    // Until the second peer holds the first's routes.
+    assert!(pump_until(&mut [&mut first, &mut second], PATIENCE, |p| p[1].rib.len() == 10));
     assert_oracle(&server, (0..10).map(prefix));
     drop((first, second));
     server.shutdown();
@@ -304,15 +290,16 @@ fn a_two_octet_peers_updates_are_decoded_and_its_exports_encoded_two_octets_wide
     for dut in [Dut::Fir, Dut::Wren] {
         let server = Server::start(ServeConfig::new(dut, 2)).expect("bind loopback server");
         let mut old = TwoOctetPeer::establish(&server, 101);
-        let mut bystander = Peer::connect(server.addr(), 102);
-        pump_until(&mut [&mut bystander], "both sessions are established", |p| {
+        let mut bystander = Peer::connect(server.addr(), 102).unwrap();
+        assert!(pump_until(&mut [&mut bystander], PATIENCE, |p| {
             p[0].established && server.established_sessions() == 2
-        });
+        }));
 
         old.send(&update(path(&[65001, 100, 200]), 1, 2));
-        pump_until(&mut [&mut bystander], "the bystander holds the two-octet peer's route", |p| {
+        // Until the bystander holds the two-octet peer's route.
+        assert!(pump_until(&mut [&mut bystander], PATIENCE, |p| {
             p[0].rib.contains(&prefix(1))
-        });
+        }));
         assert_oracle(&server, [prefix(1)].into_iter());
         let attrs = xbgp_wire::attr::decode_attrs(&server.loc_rib()[0].1, 4).unwrap();
         assert!(attrs.contains(&PathAttr::AsPath(AsPath::sequence(vec![65001, 100, 200]))));
@@ -342,40 +329,45 @@ fn a_two_octet_peers_updates_are_decoded_and_its_exports_encoded_two_octets_wide
 fn a_session_the_daemon_ends_is_closed_at_the_socket_and_its_slot_reused() {
     for dut in [Dut::Fir, Dut::Wren] {
         let server = Server::start(ServeConfig::new(dut, 2)).expect("bind loopback server");
-        let mut faulty = Peer::connect(server.addr(), 101);
-        let mut observer = Peer::connect(server.addr(), 102);
-        pump_until(&mut [&mut faulty, &mut observer], "two sessions establish", |p| {
+        let mut faulty = Peer::connect(server.addr(), 101).unwrap();
+        let mut observer = Peer::connect(server.addr(), 102).unwrap();
+        assert!(pump_until(&mut [&mut faulty, &mut observer], PATIENCE, |p| {
             p.iter().all(|p| p.established) && server.established_sessions() == 2
-        });
+        }));
         faulty.send(&announce(1, 0));
-        pump_until(&mut [&mut faulty, &mut observer], "the observer holds the route", |p| {
+        // Until the observer holds the route.
+        assert!(pump_until(&mut [&mut faulty, &mut observer], PATIENCE, |p| {
             p[1].rib.contains(&prefix(1))
-        });
+        }));
 
         // Decodes — the edge lets it through — but cannot be applied.
         let mut no_next_hop = path(&[65001]);
         no_next_hop.retain(|a| !matches!(a, PathAttr::NextHop(_)));
         faulty.send(&update(no_next_hop, 2, 4));
-        pump_until(&mut [&mut faulty, &mut observer], "the connection is closed", |p| p[0].gone);
+        // Until the connection is closed.
+        assert!(pump_until(&mut [&mut faulty, &mut observer], PATIENCE, |p| p[0].gone));
         assert_eq!(
             faulty.closed,
             Some(CloseReason::PeerNotification { code: 3, subcode: 3 }),
             "{dut:?}: NOTIFICATION missing well-known attribute, then end of stream"
         );
-        pump_until(&mut [&mut observer], "the faulty peer's route is withdrawn", |p| {
+        // Until the faulty peer's route is withdrawn.
+        assert!(pump_until(&mut [&mut observer], PATIENCE, |p| {
             p[0].rib.is_empty() && server.established_sessions() == 1
-        });
+        }));
 
         // Both slots were taken: were the slot not freed, this connection
         // would be refused.
-        let mut next = Peer::connect(server.addr(), 103);
-        pump_until(&mut [&mut next, &mut observer], "the freed slot is taken", |p| {
+        let mut next = Peer::connect(server.addr(), 103).unwrap();
+        // Until the freed slot is taken.
+        assert!(pump_until(&mut [&mut next, &mut observer], PATIENCE, |p| {
             p[0].established && server.established_sessions() == 2
-        });
+        }));
         next.send(&announce(3, 0));
-        pump_until(&mut [&mut next, &mut observer], "the observer holds the new route", |p| {
+        // Until the observer holds the new route.
+        assert!(pump_until(&mut [&mut next, &mut observer], PATIENCE, |p| {
             p[1].rib.contains(&prefix(3))
-        });
+        }));
         assert!(next.closed.is_none() && observer.closed.is_none());
         assert_oracle(&server, [prefix(3)].into_iter());
         assert_eq!(server.rejected(), 0);
@@ -391,17 +383,18 @@ fn counters_of_two_shards_merge_every_field() {
     let mut cfg = ServeConfig::new(Dut::Fir, 2);
     cfg.shards = 2;
     let server = Server::start(cfg).expect("bind loopback server");
-    let mut sender = Peer::connect(server.addr(), 101);
-    let mut receiver = Peer::connect(server.addr(), 102);
-    pump_until(&mut [&mut sender, &mut receiver], "two sessions establish", |p| {
+    let mut sender = Peer::connect(server.addr(), 101).unwrap();
+    let mut receiver = Peer::connect(server.addr(), 102).unwrap();
+    assert!(pump_until(&mut [&mut sender, &mut receiver], PATIENCE, |p| {
         p.iter().all(|p| p.established) && server.established_sessions() == 2
-    });
+    }));
     for i in 0..40 {
         sender.send(&announce(i, 0));
     }
-    pump_until(&mut [&mut sender, &mut receiver], "the receiver holds all 40", |p| {
+    // Until the receiver holds all 40.
+    assert!(pump_until(&mut [&mut sender, &mut receiver], PATIENCE, |p| {
         p[1].rib.len() == 40
-    });
+    }));
     let c = server.counters();
     assert_eq!(c.sessions_established, 2, "not once per shard");
     assert_eq!((c.prefixes_rx, c.prefixes_tx), (40, 40));

@@ -1,6 +1,7 @@
 //! Tier-1 loopback integration tests: small enough for CI, end-to-end
 //! enough to pin the whole runtime — real TCP handshakes, the mpsc fan-in,
-//! and byte-identical Loc-RIB parity against the netsim replay.
+//! byte-identical Loc-RIB parity against the netsim replay, and every
+//! export arriving.
 
 use xbgp_driver::Dut;
 use xbgp_serve::selftest::{run, SelftestSpec};
@@ -22,6 +23,7 @@ fn eight_sessions_match_netsim_replay_fir() {
     assert_eq!(out.updates_applied, out.expected_updates);
     assert_eq!(out.parity_mismatches, 0, "TCP Loc-RIB ≡ netsim-replay Loc-RIB");
     assert_eq!(out.oracle_mismatches, 0, "incremental ≡ full-recompute oracle");
+    assert_eq!(out.export_mismatches, 0, "every peer holds the Loc-RIB minus its own slice");
     assert!(out.best_changes > 0);
     assert!(out.loc_rib_len > 0);
     assert!(out.latency.count > 0, "every UPDATE frame lands in the latency histogram");
@@ -34,6 +36,7 @@ fn eight_sessions_match_netsim_replay_wren() {
     assert_eq!(out.established, 8);
     assert_eq!(out.parity_mismatches, 0);
     assert_eq!(out.oracle_mismatches, 0);
+    assert_eq!(out.export_mismatches, 0);
     assert!(out.best_changes > 0);
 }
 
@@ -44,6 +47,7 @@ fn sharded_cores_preserve_parity() {
     assert_eq!(out.established, 6);
     assert_eq!(out.parity_mismatches, 0, "prefix-split UPDATEs reassemble the same Loc-RIB");
     assert_eq!(out.oracle_mismatches, 0);
+    assert_eq!(out.export_mismatches, 0, "each core exports its slice to every other peer");
 }
 
 #[test]
@@ -53,4 +57,5 @@ fn paced_rounds_preserve_parity() {
     let out = run(&spec);
     assert_eq!(out.established, 4);
     assert_eq!(out.parity_mismatches, 0);
+    assert_eq!(out.export_mismatches, 0);
 }
