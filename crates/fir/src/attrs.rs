@@ -8,7 +8,8 @@
 //! is therefore *work* — the representational gap the paper calls out for
 //! FRRouting.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use xbgp_wire::attr::{encode_attr_tlv, validate_neutral, AttrCode, AttrFlags, Origin};
 use xbgp_wire::{AsPath, PathAttr, WireError};
@@ -253,30 +254,80 @@ impl FirAttrs {
     }
 }
 
+/// Hasher of the intern map's keys, which are already the keyed hash of
+/// a set: it hands the `u64` through, so growing the map moves stored
+/// hashes and never hashes a set again.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the intern map is keyed by u64 only")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// FRR-style attribute interning (hash-consing) table.
 ///
 /// `intern` returns a shared pointer to the canonical copy of an attribute
-/// set; identical sets share storage. The table never shrinks during a
-/// session, like FRR's `attrhash` between `bgp_attr_unintern` sweeps —
-/// adequate for the experiment lifetimes here.
-#[derive(Debug, Default)]
-pub struct AttrInternTable {
-    table: HashMap<Rc<FirAttrs>, ()>,
+/// set; identical sets share storage. Like FRR's `attrhash` (`lib/hash.c`
+/// keeps each bucket's hash key), every set is stored beside its hash: the
+/// map is keyed by that `u64`, and a set whose hash equals a different
+/// stored set's goes to `collided`. The hash is SipHash keyed per table
+/// (`S`, `RandomState` outside tests), because attribute bytes come from
+/// peers. The table never shrinks during a session, like FRR's `attrhash`
+/// between `bgp_attr_unintern` sweeps — adequate for the experiment
+/// lifetimes here.
+#[derive(Debug)]
+pub struct AttrInternTable<S = RandomState> {
+    state: S,
+    table: HashMap<u64, Rc<FirAttrs>, BuildHasherDefault<PassThrough>>,
+    /// Full-hash collisions: `(hash, set)` of every set whose hash was
+    /// already taken in `table` by a different set.
+    collided: Vec<(u64, Rc<FirAttrs>)>,
 }
 
 impl AttrInternTable {
     pub fn new() -> AttrInternTable {
-        AttrInternTable::default()
+        AttrInternTable::with_state(RandomState::new())
     }
+}
 
+impl Default for AttrInternTable {
+    fn default() -> AttrInternTable {
+        AttrInternTable::new()
+    }
+}
+
+impl<S> AttrInternTable<S> {
+    fn with_state(state: S) -> AttrInternTable<S> {
+        AttrInternTable { state, table: HashMap::default(), collided: Vec::new() }
+    }
+}
+
+impl<S: BuildHasher> AttrInternTable<S> {
     /// Intern a set, returning the canonical shared copy. The set is
-    /// hashed once, hit or miss.
+    /// hashed once, hit or miss, and a hit allocates nothing.
     pub fn intern(&mut self, attrs: FirAttrs) -> Rc<FirAttrs> {
-        match self.table.entry(Rc::new(attrs)) {
-            Entry::Occupied(e) => Rc::clone(e.key()),
-            Entry::Vacant(e) => {
-                let rc = Rc::clone(e.key());
-                e.insert(());
+        let hash = self.state.hash_one(&attrs);
+        match self.table.entry(hash) {
+            Entry::Vacant(e) => Rc::clone(e.insert(Rc::new(attrs))),
+            Entry::Occupied(e) if **e.get() == attrs => Rc::clone(e.get()),
+            Entry::Occupied(_) => {
+                if let Some((_, rc)) =
+                    self.collided.iter().find(|(h, rc)| *h == hash && **rc == attrs)
+                {
+                    return Rc::clone(rc);
+                }
+                let rc = Rc::new(attrs);
+                self.collided.push((hash, Rc::clone(&rc)));
                 rc
             }
         }
@@ -284,11 +335,11 @@ impl AttrInternTable {
 
     /// Number of distinct attribute sets interned.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.table.len() + self.collided.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.len() == 0
     }
 }
 
@@ -406,5 +457,45 @@ mod tests {
         let c = table.intern(different);
         assert!(!Rc::ptr_eq(&a, &c));
         assert_eq!(table.len(), 2);
+
+        // A hit still returns the first intern after the map has grown
+        // several times over.
+        for lp in 0..1_000 {
+            table.intern(FirAttrs { local_pref: Some(lp), ..FirAttrs::default() });
+        }
+        assert!(Rc::ptr_eq(&table.intern(FirAttrs::from_wire(&sample()).unwrap()), &a));
+        assert_eq!(table.len(), 1_002);
+    }
+
+    /// Sends every set to hash 0.
+    #[derive(Default)]
+    struct Constant;
+
+    impl Hasher for Constant {
+        fn write(&mut self, _: &[u8]) {}
+
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn full_hash_collisions_keep_distinct_sets_distinct() {
+        let mut table = AttrInternTable::with_state(BuildHasherDefault::<Constant>::default());
+        let sets: Vec<FirAttrs> = (0..4)
+            .map(|med| FirAttrs { med: Some(med), ..FirAttrs::from_wire(&sample()).unwrap() })
+            .collect();
+        let first: Vec<Rc<FirAttrs>> = sets.iter().map(|s| table.intern(s.clone())).collect();
+        assert_eq!(table.len(), 4, "sets on the side list count");
+        assert_eq!(table.collided.len(), 3);
+        for (s, rc) in sets.iter().zip(&first) {
+            assert_eq!(**rc, *s);
+        }
+        // Identical sets still share one `Rc`, in the map and on the side
+        // list alike, and nothing new is stored.
+        for (s, rc) in sets.iter().zip(&first) {
+            assert!(Rc::ptr_eq(&table.intern(s.clone()), rc));
+        }
+        assert_eq!(table.len(), 4);
     }
 }

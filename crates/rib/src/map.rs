@@ -32,16 +32,17 @@ const NONE: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeId(u32);
 
+/// One node's place in the trie: 16 bytes, all a descent reads. Its
+/// value lives at the same index of [`PrefixMap`]'s `values`.
 #[derive(Debug, Clone)]
-struct Node<V> {
+struct Node {
     key: Ipv4Prefix,
-    value: Option<V>,
     child: [u32; 2],
 }
 
-impl<V> Node<V> {
-    fn leaf(key: Ipv4Prefix, value: Option<V>) -> Node<V> {
-        Node { key, value, child: [NONE, NONE] }
+impl Node {
+    fn leaf(key: Ipv4Prefix) -> Node {
+        Node { key, child: [NONE, NONE] }
     }
 
     fn child_count(&self) -> usize {
@@ -61,10 +62,13 @@ fn bit(addr: u32, pos: u8) -> usize {
 /// Nodes live in an arena `Vec` with a free list; indices are stable
 /// across unrelated inserts/removes. The root is the implicit
 /// `0.0.0.0/0` node at index 0 (it holds a value only if the default
-/// route itself is inserted).
+/// route itself is inserted). Values live in a parallel array under the
+/// node's index, so a descent touches keys and children only; a freed
+/// index always holds `None` there.
 #[derive(Debug, Clone)]
 pub struct PrefixMap<V> {
-    nodes: Vec<Node<V>>,
+    nodes: Vec<Node>,
+    values: Vec<Option<V>>,
     free: Vec<u32>,
     len: usize,
     /// Walks from the root so far: the exact work counter behind
@@ -76,7 +80,8 @@ pub struct PrefixMap<V> {
 impl<V> Default for PrefixMap<V> {
     fn default() -> PrefixMap<V> {
         PrefixMap {
-            nodes: vec![Node::leaf(Ipv4Prefix::DEFAULT, None)],
+            nodes: vec![Node::leaf(Ipv4Prefix::DEFAULT)],
+            values: vec![None],
             free: Vec::new(),
             len: 0,
             descents: Cell::new(0),
@@ -115,17 +120,23 @@ impl<V> PrefixMap<V> {
     /// Drop every entry, keeping the allocation.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.nodes.push(Node::leaf(Ipv4Prefix::DEFAULT, None));
+        self.nodes.push(Node::leaf(Ipv4Prefix::DEFAULT));
+        self.values.clear();
+        self.values.push(None);
         self.free.clear();
         self.len = 0;
     }
 
-    fn alloc(&mut self, node: Node<V>) -> u32 {
+    /// A valueless node for `key`: a freed index if there is one (its
+    /// value slot is already `None`), else a new one at the end.
+    fn alloc(&mut self, key: Ipv4Prefix) -> u32 {
         if let Some(i) = self.free.pop() {
-            self.nodes[i as usize] = node;
+            assert!(self.values[i as usize].is_none(), "a freed trie node kept its value");
+            self.nodes[i as usize] = Node::leaf(key);
             i
         } else {
-            self.nodes.push(node);
+            self.nodes.push(Node::leaf(key));
+            self.values.push(None);
             (self.nodes.len() - 1) as u32
         }
     }
@@ -147,7 +158,7 @@ impl<V> PrefixMap<V> {
             let b = bit(key.addr(), node_key.len());
             let c = self.nodes[cur as usize].child[b];
             if c == NONE {
-                let leaf = self.alloc(Node::leaf(key, None));
+                let leaf = self.alloc(key);
                 self.nodes[cur as usize].child[b] = leaf;
                 return NodeId(leaf);
             }
@@ -158,7 +169,7 @@ impl<V> PrefixMap<V> {
             }
             if key.covers(&child_key) {
                 // `key` sits between `cur` and its child: splice it in.
-                let n = self.alloc(Node::leaf(key, None));
+                let n = self.alloc(key);
                 self.nodes[n as usize].child[bit(child_key.addr(), key.len())] = c;
                 self.nodes[cur as usize].child[b] = n;
                 return NodeId(n);
@@ -168,8 +179,8 @@ impl<V> PrefixMap<V> {
                 .min(key.len())
                 .min(child_key.len());
             debug_assert!(common > node_key.len());
-            let branch = self.alloc(Node::leaf(Ipv4Prefix::new(key.addr(), common), None));
-            let leaf = self.alloc(Node::leaf(key, None));
+            let branch = self.alloc(Ipv4Prefix::new(key.addr(), common));
+            let leaf = self.alloc(key);
             self.nodes[branch as usize].child[bit(key.addr(), common)] = leaf;
             self.nodes[branch as usize].child[bit(child_key.addr(), common)] = c;
             self.nodes[cur as usize].child[b] = branch;
@@ -180,7 +191,7 @@ impl<V> PrefixMap<V> {
     /// Insert or replace; returns the previous value if any.
     pub fn insert(&mut self, key: Ipv4Prefix, value: V) -> Option<V> {
         let NodeId(i) = self.entry(key);
-        let old = self.nodes[i as usize].value.replace(value);
+        let old = self.values[i as usize].replace(value);
         if old.is_none() {
             self.len += 1;
         }
@@ -195,7 +206,7 @@ impl<V> PrefixMap<V> {
         loop {
             let node = &self.nodes[cur as usize];
             if node.key == *key {
-                return node.value.is_some().then_some(NodeId(cur));
+                return self.values[cur as usize].is_some().then_some(NodeId(cur));
             }
             if !node.key.covers(key) {
                 return None;
@@ -210,17 +221,17 @@ impl<V> PrefixMap<V> {
     /// The value at a live handle; `None` for an [`PrefixMap::entry`]
     /// node nothing was stored at yet.
     pub fn at(&self, id: NodeId) -> Option<&V> {
-        self.nodes[id.0 as usize].value.as_ref()
+        self.values[id.0 as usize].as_ref()
     }
 
     pub fn at_mut(&mut self, id: NodeId) -> Option<&mut V> {
-        self.nodes[id.0 as usize].value.as_mut()
+        self.values[id.0 as usize].as_mut()
     }
 
     /// The value at a live handle, storing `default()` first if there is
     /// none.
     pub fn at_or_insert_with(&mut self, id: NodeId, default: impl FnOnce() -> V) -> &mut V {
-        let value = &mut self.nodes[id.0 as usize].value;
+        let value = &mut self.values[id.0 as usize];
         if value.is_none() {
             self.len += 1;
         }
@@ -271,16 +282,17 @@ impl<V> PrefixMap<V> {
             depth += 1;
             cur = c;
         }
-        let old = self.nodes[cur as usize].value.take();
+        let old = self.values[cur as usize].take();
         if old.is_some() {
             self.len -= 1;
         }
         // Cleanup pass: at most two structural fixes (the removed node,
-        // then a parent branch left with a single child).
+        // then a parent branch left with a single child). Only nodes
+        // without a value are freed.
         let mut target = cur;
         while target != 0 {
             let node = &self.nodes[target as usize];
-            if node.value.is_some() || node.child_count() == 2 {
+            if self.values[target as usize].is_some() || node.child_count() == 2 {
                 break;
             }
             depth -= 1;
@@ -328,9 +340,8 @@ impl<V> PrefixMap<V> {
             if c0 != NONE {
                 stack.push(c0);
             }
-            let key = self.nodes[i as usize].key;
-            if let Some(v) = self.nodes[i as usize].value.as_mut() {
-                f(key, v);
+            if let Some(v) = self.values[i as usize].as_mut() {
+                f(self.nodes[i as usize].key, v);
             }
         }
     }
@@ -355,7 +366,7 @@ impl<'a, V> Iterator for Iter<'a, V> {
             if node.child[0] != NONE {
                 self.stack.push(node.child[0]);
             }
-            if let Some(v) = node.value.as_ref() {
+            if let Some(v) = self.map.values[i as usize].as_ref() {
                 return Some((node.key, v));
             }
         }
@@ -528,6 +539,27 @@ mod tests {
         assert_eq!(m.remove(&p("172.16.0.0/12")), None);
         assert!(m.nodes.len() - m.free.len() < live);
         assert_eq!(m.len(), 68);
+    }
+
+    #[test]
+    fn a_recycled_index_starts_without_a_value() {
+        let mut m = PrefixMap::new();
+        m.insert(p("10.0.0.0/16"), 1);
+        m.insert(p("10.1.0.0/16"), 2);
+        m.insert(p("192.168.0.0/16"), 3);
+        let freed = m.find(&p("10.0.0.0/16")).unwrap();
+        assert_eq!(m.remove(&p("10.0.0.0/16")), Some(1));
+        assert!(m.free.contains(&freed.0));
+        // Diverging from 192.168/16 needs a branch and a leaf: the two
+        // indices the remove freed, the leaf getting the removed entry's.
+        let id = m.entry(p("172.16.0.0/12"));
+        assert_eq!(id, freed);
+        assert!(m.free.is_empty());
+        assert_eq!(m.at(id), None, "no value survives in a recycled slot");
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.find(&p("172.16.0.0/12")), None);
+        assert_eq!(m.get(&p("10.0.0.0/16")), None);
+        assert_eq!(m.keys().collect::<Vec<_>>(), vec![p("10.1.0.0/16"), p("192.168.0.0/16")]);
     }
 
     proptest! {

@@ -379,11 +379,23 @@ impl PathAttr {
         }
     }
 
-    /// Encode the full TLV (flags, code, length, body).
+    /// Encode the full TLV (flags, code, length, body) straight into
+    /// `out`: the header goes first with a one-octet length placeholder,
+    /// which is patched once the body is written. A body over 255 octets
+    /// is promoted to the extended length form in place, so the bytes
+    /// equal [`encode_attr_tlv`]'s over a separately encoded body.
     pub fn encode(&self, out: &mut Vec<u8>, asn_width: usize) {
-        let mut body = Vec::new();
-        self.encode_body(&mut body, asn_width);
-        encode_attr_tlv(out, self.flags(), self.code(), &body);
+        let at = out.len();
+        out.extend_from_slice(&[self.flags().0 & !AttrFlags::EXT_LEN, self.code(), 0]);
+        self.encode_body(out, asn_width);
+        let len = out.len() - at - 3;
+        if len > 255 {
+            out[at] |= AttrFlags::EXT_LEN;
+            out.insert(at + 3, 0);
+            out[at + 2..at + 4].copy_from_slice(&(len as u16).to_be_bytes());
+        } else {
+            out[at + 2] = len as u8;
+        }
     }
 
     /// Decode one attribute from a raw view.
@@ -838,7 +850,62 @@ mod tests {
         ]
     }
 
+    /// A variable-length attribute (`kind` picks Unknown, COMMUNITIES,
+    /// CLUSTER_LIST or AS_PATH) whose body is `target` octets long, or as
+    /// close below it as the variant's granularity allows.
+    fn sized_attr(kind: u8, target: usize, asn_width: usize, fill: u32) -> PathAttr {
+        match kind {
+            0 => PathAttr::Unknown {
+                flags: AttrFlags::OPT_TRANS,
+                code: 66,
+                value: vec![fill as u8; target],
+            },
+            1 => PathAttr::Communities(vec![fill; target / 4]),
+            2 => PathAttr::ClusterList(vec![fill; target / 4]),
+            _ => {
+                // Segments of at most 255 ASNs, 2 + n × width octets each.
+                let mut segments = Vec::new();
+                let mut left = target;
+                while left >= 2 + asn_width {
+                    let n = ((left - 2) / asn_width).min(255);
+                    segments.push(AsSegment::Sequence(vec![fill; n]));
+                    left -= 2 + n * asn_width;
+                }
+                PathAttr::AsPath(AsPath { segments })
+            }
+        }
+    }
+
     proptest! {
+        /// The in-place encoder is byte-identical to `encode_attr_tlv`
+        /// over a separately encoded body, for every variant at both ASN
+        /// widths and on both sides of the extended-length boundary, when
+        /// appending to a buffer that already holds bytes.
+        #[test]
+        fn prop_encode_in_place_equals_tlv_over_body(
+            attr in arb_attr(),
+            far in 560usize..640,
+            fill: u32,
+        ) {
+            for width in [2usize, 4] {
+                let mut attrs = vec![attr.clone()];
+                for kind in 0..4 {
+                    for target in [254, 255, 256, far] {
+                        attrs.push(sized_attr(kind, target, width, fill));
+                    }
+                }
+                for a in attrs {
+                    let mut body = Vec::new();
+                    a.encode_body(&mut body, width);
+                    let mut want = vec![0xee];
+                    encode_attr_tlv(&mut want, a.flags(), a.code(), &body);
+                    let mut got = vec![0xee];
+                    a.encode(&mut got, width);
+                    prop_assert_eq!(got, want, "{:?} at width {}", a.code(), width);
+                }
+            }
+        }
+
         #[test]
         fn prop_attr_round_trip(attr in arb_attr()) {
             prop_assert_eq!(round_trip(attr.clone()), attr);

@@ -173,21 +173,6 @@ impl UpdateMsg {
         UpdateMsg { withdrawn, attrs: Vec::new(), nlri: Vec::new() }
     }
 
-    fn encode_body(&self, out: &mut Vec<u8>, asn_width: usize) {
-        let mut wd = Vec::new();
-        for p in &self.withdrawn {
-            p.encode(&mut wd);
-        }
-        out.extend_from_slice(&(wd.len() as u16).to_be_bytes());
-        out.extend_from_slice(&wd);
-        let attrs = encode_attrs(&self.attrs, asn_width);
-        out.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
-        out.extend_from_slice(&attrs);
-        for p in &self.nlri {
-            p.encode(out);
-        }
-    }
-
     /// Decode an UPDATE body. `asn_width` reflects the session's 4-octet-AS
     /// negotiation.
     pub fn decode_body(buf: &[u8], asn_width: usize) -> Result<UpdateMsg, WireError> {
@@ -211,7 +196,9 @@ impl UpdateMsg {
 
     /// Encode a complete UPDATE frame whose attribute section additionally
     /// carries `extra_attr_tlvs` — pre-encoded raw attribute TLVs written
-    /// by xBGP extensions at the encode-message insertion point.
+    /// by xBGP extensions at the encode-message insertion point. Frames
+    /// are built by [`encode_update`]; this staged body is the
+    /// independent reference its proptest compares against.
     pub fn encode_with_extra(
         &self,
         extra_attr_tlvs: &[u8],
@@ -271,7 +258,8 @@ pub fn encode_update(
         let len = (out.len() - at - 2) as u16;
         out[at..at + 2].copy_from_slice(&len.to_be_bytes());
     }
-    let mut out = Vec::with_capacity(HEADER_LEN + 64 + extra_attr_tlvs.len() + 5 * nlri.len());
+    let prefixes = withdrawn.len() + nlri.len();
+    let mut out = Vec::with_capacity(HEADER_LEN + 64 + extra_attr_tlvs.len() + 5 * prefixes);
     out.extend_from_slice(&[0xff; 16]);
     out.extend_from_slice(&[0, 0, MsgType::Update as u8]);
     let wd_at = out.len();
@@ -344,12 +332,15 @@ impl Message {
         }
     }
 
-    /// Encode the full message including the 19-octet header.
+    /// Encode the full message including the 19-octet header. An UPDATE
+    /// is written by [`encode_update`], the one UPDATE writer.
     pub fn encode(&self, asn_width: usize) -> Result<Vec<u8>, WireError> {
         let mut body = Vec::new();
         match self {
             Message::Open(o) => o.encode_body(&mut body),
-            Message::Update(u) => u.encode_body(&mut body, asn_width),
+            Message::Update(u) => {
+                return encode_update(&u.withdrawn, &u.attrs, &[], &u.nlri, asn_width)
+            }
             Message::Notification(n) => {
                 body.push(n.code);
                 body.push(n.subcode);
