@@ -141,11 +141,6 @@ pub struct DaemonSpec {
     pub trace: Option<TraceConfig>,
     /// Enable the VM execution profiler.
     pub profile: bool,
-    /// Run the full-recompute decision baseline instead of incremental
-    /// delta recomputation: every net is re-decided after each UPDATE
-    /// batch. Byte-identical outcomes — it exists as the ablation
-    /// baseline of the churn benchmarks.
-    pub full_recompute: bool,
 }
 
 impl DaemonSpec {
@@ -168,7 +163,6 @@ impl DaemonSpec {
             metrics: false,
             trace: None,
             profile: false,
-            full_recompute: false,
         }
     }
 

@@ -285,14 +285,8 @@ impl FirEngine {
     }
 
     /// Re-decide every prefix the current batch touched, in prefix
-    /// order. Under `full_recompute` (the ablation baseline) every net
-    /// in the store is re-decided instead.
+    /// order.
     fn drain_dirty(&mut self, host: &mut Host) {
-        if host.spec.full_recompute {
-            for (prefix, _) in self.rib.iter_nets() {
-                self.dirty.mark(prefix);
-            }
-        }
         if self.dirty.is_empty() {
             return;
         }

@@ -24,13 +24,13 @@
 //! CPU-hours); add `--churn-rounds 20` for the churn-mode variant.
 
 use routegen::churn::ChurnSpec;
-use xbgp_harness::fig3::{Dut, UseCase};
+use xbgp_harness::fig3::{Dut, Fig3Spec, UseCase};
 use xbgp_harness::fig4::{fig4_cell, paper_reference, Fig4Config};
 use xbgp_obs::{export, Snapshot};
 
-fn churn_of(cfg: &mut Fig4Config) -> &mut ChurnSpec {
-    let seed = cfg.seed;
-    cfg.churn.get_or_insert_with(|| ChurnSpec::new(seed, 12))
+fn churn_of(spec: &mut Fig3Spec) -> &mut ChurnSpec {
+    let seed = spec.seed;
+    spec.churn.get_or_insert_with(|| ChurnSpec::new(seed, 12))
 }
 
 fn per_mille(args: &[String], i: usize) -> u32 {
@@ -47,6 +47,7 @@ fn per_mille(args: &[String], i: usize) -> u32 {
 
 fn main() {
     let mut cfg = Fig4Config::default();
+    let spec = &mut cfg.spec;
     let mut duts = vec![Dut::Fir, Dut::Wren];
     let mut cases = vec![UseCase::RouteReflection, UseCase::OriginValidation];
     let mut metrics_out: Option<String> = None;
@@ -67,50 +68,56 @@ fn main() {
             })
         };
         match args[i].as_str() {
-            "--routes" => cfg.routes = parse_num(i) as usize,
-            "--runs" => cfg.runs = parse_num(i) as usize,
-            "--seed" => cfg.seed = parse_num(i),
+            "--routes" => spec.routes = parse_num(i) as usize,
+            "--runs" => {
+                cfg.runs = parse_num(i) as usize;
+                if cfg.runs == 0 {
+                    xbgp_obs::error!("--runs must be at least 1");
+                    std::process::exit(2);
+                }
+            }
+            "--seed" => spec.seed = parse_num(i),
             "--shards" => {
-                cfg.shards = parse_num(i) as usize;
-                if cfg.shards == 0 {
+                spec.shards = parse_num(i) as usize;
+                if spec.shards == 0 {
                     xbgp_obs::error!("--shards must be at least 1");
                     std::process::exit(2);
                 }
             }
             "--metrics-out" => {
-                cfg.metrics = true;
+                spec.metrics = true;
                 metrics_out = Some(need(i).to_string());
             }
             "--trace-out" => {
                 trace_out = Some(need(i).to_string());
             }
             "--trace-sample" => {
-                cfg.trace_sample = parse_num(i);
-                if cfg.trace_sample == 0 {
+                spec.trace_sample = parse_num(i);
+                if spec.trace_sample == 0 {
                     xbgp_obs::error!("--trace-sample must be at least 1");
                     std::process::exit(2);
                 }
             }
             "--profile" => {
-                cfg.profile = true;
+                spec.profile = true;
                 i += 1;
                 continue;
             }
             "--churn-rounds" => {
                 let n = parse_num(i) as usize;
-                cfg.churn.get_or_insert_with(|| ChurnSpec::new(cfg.seed, n)).rounds = n;
+                churn_of(spec).rounds = n;
             }
             "--churn-withdraw" => {
-                churn_of(&mut cfg).withdraw_per_mille = per_mille(&args, i);
+                churn_of(spec).withdraw_per_mille = per_mille(&args, i);
             }
             "--churn-reannounce" => {
-                churn_of(&mut cfg).reannounce_per_mille = per_mille(&args, i);
+                churn_of(spec).reannounce_per_mille = per_mille(&args, i);
             }
             "--churn-flap" => {
-                churn_of(&mut cfg).flap_per_mille = per_mille(&args, i);
+                churn_of(spec).flap_per_mille = per_mille(&args, i);
             }
             "--churn-flap-period" => {
-                churn_of(&mut cfg).flap_period = parse_num(i) as usize;
+                churn_of(spec).flap_period = parse_num(i) as usize;
             }
             "--use-case" => {
                 cases = match need(i) {
@@ -141,24 +148,27 @@ fn main() {
         }
         i += 2;
     }
-    if trace_out.is_some() && cfg.trace_sample == 0 {
-        cfg.trace_sample = 1;
+    if trace_out.is_some() && spec.trace_sample == 0 {
+        spec.trace_sample = 1;
     }
 
     println!(
         "# Fig. 4 — {} routes, {} paired runs per cell (seed {}, {} shard{})",
-        cfg.routes,
+        cfg.spec.routes,
         cfg.runs,
-        cfg.seed,
-        cfg.shards,
-        if cfg.shards == 1 { "" } else { "s" }
+        cfg.spec.seed,
+        cfg.spec.shards,
+        if cfg.spec.shards == 1 { "" } else { "s" }
     );
     let mut merged = Snapshot::default();
     let mut traces = Vec::new();
     for dut in &duts {
         for case in &cases {
             xbgp_obs::info!("running {} / {} ...", dut.name(), case.name());
-            let cell = fig4_cell(*dut, *case, &cfg);
+            let cell = fig4_cell(&Fig4Config {
+                spec: Fig3Spec { dut: *dut, use_case: *case, ..cfg.spec },
+                ..cfg
+            });
             println!("\n{} / {}", dut.name(), case.name());
             println!("  impact: {}", xbgp_harness::stats::render(&cell.summary));
             println!(

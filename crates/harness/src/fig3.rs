@@ -11,7 +11,7 @@
 use crate::churn::dump_diff;
 use crate::dut::{build, DaemonSpec, DutNode};
 use crate::feeder::{encode_frames, Feeder};
-use crate::shard::{run_fig3_sharded, ExecMode};
+use crate::shard;
 use crate::sink::Sink;
 use netsim::{NodeId, Sim, SimConfig};
 use routegen::churn::{total_updates, ChurnRound, ChurnSpec};
@@ -81,9 +81,6 @@ pub struct Fig3Spec {
     /// Replay this churn stream against the loaded table (see
     /// [`crate::churn`]); `None` measures the table load only.
     pub churn: Option<ChurnSpec>,
-    /// Re-decide with a full recompute per batch instead of dirty-prefix
-    /// deltas (the baseline of the churn ablation).
-    pub full_recompute: bool,
 }
 
 impl Fig3Spec {
@@ -102,7 +99,6 @@ impl Fig3Spec {
             trace_sample: 0,
             profile: false,
             churn: None,
-            full_recompute: false,
         }
     }
 }
@@ -173,14 +169,10 @@ pub(crate) fn make_roas(routes: &[Route], seed: u64) -> Vec<Roa> {
 }
 
 /// Run one Fig. 3 experiment: one chain on the calling thread, or one
-/// per shard on its own thread when `spec.shards > 1`.
+/// per shard on its own thread when `spec.shards > 1`, merged into one
+/// outcome.
 pub fn run(spec: &Fig3Spec) -> Fig3Outcome {
-    let mode = if spec.shards > 1 {
-        ExecMode::Threads
-    } else {
-        ExecMode::Inline
-    };
-    run_fig3_sharded(spec, mode).merged
+    shard::merge(shard::run_shards(spec))
 }
 
 /// Run one feeder → DUT → sink chain: load `routes`, and with a churn
@@ -238,7 +230,6 @@ pub(crate) fn run_chain(
         shard,
     });
     dspec.profile = spec.profile;
-    dspec.full_recompute = spec.full_recompute;
     sim.replace_node(d, Box::new(build(spec.dut, dspec)));
 
     // Table load: run in bounded virtual-time chunks until the sink has

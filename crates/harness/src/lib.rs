@@ -15,7 +15,7 @@
 //! * [`scenario`] — declarative multi-router networks (the Fig. 5
 //!   failure scenarios, churn storms, fault injection),
 //! * [`stats`] — run statistics (boxplot summaries) shared by the
-//!   binaries and benches.
+//!   binaries and examples.
 //!
 //! Binaries: `fig1`, `fig4`, `fig5_scenarios`, `loc_table`, `xbgp-sim`.
 
@@ -33,7 +33,7 @@ pub mod stats;
 pub use dut::{build, Daemon, DaemonSpec, DutNode};
 pub use feeder::Feeder;
 pub use fig3::{Dut, Fig3Outcome, Fig3Spec, UseCase};
-pub use fig4::{fig4_run, Fig4Config, Fig4Report};
+pub use fig4::Fig4Config;
 pub use sink::Sink;
 
 /// Insertion-point names for trace export, indexed by `TraceEvent::point`

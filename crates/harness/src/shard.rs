@@ -15,7 +15,6 @@
 //! ownership instead of shared-state locking.
 
 use crate::fig3::{self, Fig3Outcome, Fig3Spec, UseCase};
-use crate::stats::{summarize_weighted, Summary};
 use routegen::churn::{churn_rounds, ChurnRound};
 use routegen::{Route, TableSpec};
 use xbgp_obs::trace::TraceDump;
@@ -71,63 +70,16 @@ pub fn partition(
     parts
 }
 
-/// How shard workers execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One scoped OS thread per non-empty shard — the runtime
-    /// configuration, and what [`fig3::run`] uses for `shards > 1`.
-    Threads,
-    /// Shards run back-to-back on the calling thread. Identical code and
-    /// results (each shard's simulation is self-contained), but each
-    /// shard's CPU accounting runs uncontended — [`fig3::run`] uses this
-    /// for one shard, and the ablation benches to measure per-shard
-    /// virtual time on hosts with fewer hardware threads than shards,
-    /// where preemption would inflate the wall-clock-sampled CPU charges.
-    Inline,
-}
-
-/// One worker's result plus enough context to weight aggregates.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    pub shard: usize,
-    /// Routes this shard actually processed (shards rarely divide
-    /// evenly; aggregate statistics weight by this).
-    pub routes: usize,
-    pub outcome: Fig3Outcome,
-}
-
-/// A sharded Fig. 3 run: the merged outcome plus per-shard detail.
-#[derive(Debug, Clone)]
-pub struct ShardedRun {
-    pub merged: Fig3Outcome,
-    /// Per-shard outcomes, sorted by shard index; empty shards omitted.
-    pub shards: Vec<ShardOutcome>,
-}
-
-impl ShardedRun {
-    /// Per-route DUT CPU cost summary across shards, weighted by the
-    /// routes each shard actually processed (an uneven last shard
-    /// contributes proportionally, not as a full peer).
-    pub fn per_route_cpu_summary(&self) -> Summary {
-        let values: Vec<f64> = self
-            .shards
-            .iter()
-            .map(|s| s.outcome.dut_cpu_ns as f64 / s.routes.max(1) as f64)
-            .collect();
-        let weights: Vec<u64> = self.shards.iter().map(|s| s.routes as u64).collect();
-        summarize_weighted(&values, &weights).expect("one weight per shard by construction")
-    }
-}
-
-/// Run a Fig. 3 workload split across `spec.shards` workers (one chain
-/// when `shards <= 1`).
+/// Run a Fig. 3 workload split across `spec.shards` workers and return
+/// each non-empty shard's index and outcome, in shard order. One shard
+/// runs on the calling thread; more run on one scoped thread each.
+/// [`fig3::run`] [`merge`]s the result.
 ///
 /// The parent generates the full table, its churn stream and its ROA set
 /// once (all are functions of the complete table and the seed — see
 /// `fig3::make_roas`), then [`partition`]s the table and the rounds.
-/// Each non-empty slice runs through the Fig. 3 chain, and the outcomes
-/// merge field by field into [`ShardedRun::merged`].
-pub fn run_fig3_sharded(spec: &Fig3Spec, mode: ExecMode) -> ShardedRun {
+/// Each non-empty slice runs through the Fig. 3 chain.
+pub(crate) fn run_shards(spec: &Fig3Spec) -> Vec<(usize, Fig3Outcome)> {
     let table = routegen::generate(&TableSpec::new(spec.routes, spec.seed));
     let rounds = spec.churn.map(|c| churn_rounds(&table, &c)).unwrap_or_default();
     let roas =
@@ -136,20 +88,17 @@ pub fn run_fig3_sharded(spec: &Fig3Spec, mode: ExecMode) -> ShardedRun {
     drop((table, rounds));
 
     let roas = roas.as_deref();
-    let run = |k: usize, (routes, rounds): &(Vec<Route>, Vec<ChurnRound>)| ShardOutcome {
-        shard: k,
-        routes: routes.len(),
-        outcome: fig3::run_chain(spec, routes, rounds, roas, k as u32),
+    let run = |k: usize, (routes, rounds): &(Vec<Route>, Vec<ChurnRound>)| {
+        (k, fig3::run_chain(spec, routes, rounds, roas, k as u32))
     };
     let live = parts.iter().enumerate().filter(|(_, (routes, _))| !routes.is_empty());
-    let shards: Vec<ShardOutcome> = match mode {
-        ExecMode::Inline => live.map(|(k, part)| run(k, part)).collect(),
-        ExecMode::Threads => std::thread::scope(|scope| {
-            let workers: Vec<_> = live.map(|(k, part)| scope.spawn(move || run(k, part))).collect();
-            workers.into_iter().map(|w| w.join().expect("shard worker panicked")).collect()
-        }),
-    };
-    ShardedRun { merged: merge(&shards), shards }
+    if spec.shards <= 1 {
+        return live.map(|(k, part)| run(k, part)).collect();
+    }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = live.map(|(k, part)| scope.spawn(move || run(k, part))).collect();
+        workers.into_iter().map(|w| w.join().expect("shard worker panicked")).collect()
+    })
 }
 
 /// Merge per-shard outcomes into one figure-level outcome:
@@ -166,10 +115,10 @@ pub fn run_fig3_sharded(spec: &Fig3Spec, mode: ExecMode) -> ShardedRun {
 ///   the prefix space, so the union is the whole table.
 /// * `trace` — per-shard flight-recorder dumps merged into one timeline
 ///   ([`TraceDump::merge`] orders by virtual timestamp, then shard).
-fn merge(shards: &[ShardOutcome]) -> Fig3Outcome {
+pub(crate) fn merge(shards: Vec<(usize, Fig3Outcome)>) -> Fig3Outcome {
     let mut acc = Fig3Outcome::default();
     let mut dumps = Vec::new();
-    for o in shards.iter().map(|s| &s.outcome) {
+    for (_, o) in shards {
         acc.elapsed_ns = acc.elapsed_ns.max(o.elapsed_ns);
         acc.churn_cpu_ns = acc.churn_cpu_ns.max(o.churn_cpu_ns);
         acc.convergence_ns = acc.convergence_ns.max(o.convergence_ns);
@@ -178,14 +127,14 @@ fn merge(shards: &[ShardOutcome]) -> Fig3Outcome {
         acc.updates_applied += o.updates_applied;
         acc.best_changes += o.best_changes;
         acc.oracle_mismatches += o.oracle_mismatches;
-        if let Some(snap) = &o.metrics {
+        if let Some(snap) = o.metrics {
             let merged = acc.metrics.get_or_insert_with(Snapshot::new);
-            merged.merge(snap.clone()).expect("shards share the bucket layout");
+            merged.merge(snap).expect("shards share the bucket layout");
         }
-        if let Some(rib) = &o.loc_rib {
-            acc.loc_rib.get_or_insert_with(Vec::new).extend(rib.iter().cloned());
+        if let Some(rib) = o.loc_rib {
+            acc.loc_rib.get_or_insert_with(Vec::new).extend(rib);
         }
-        dumps.extend(o.trace.clone());
+        dumps.extend(o.trace);
     }
     if let Some(rib) = acc.loc_rib.as_mut() {
         rib.sort();
@@ -235,51 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn threads_and_inline_modes_agree() {
-        let spec = Fig3Spec {
-            extension: true,
-            shards: 3,
-            rib_dump: true,
-            ..Fig3Spec::new(Dut::Fir, UseCase::OriginValidation, 300, 11)
-        };
-        let threaded = run_fig3_sharded(&spec, ExecMode::Threads);
-        let inline = run_fig3_sharded(&spec, ExecMode::Inline);
-        assert_eq!(threaded.merged.prefixes_delivered, 300);
-        assert_eq!(inline.merged.prefixes_delivered, 300);
-        assert_eq!(threaded.merged.loc_rib, inline.merged.loc_rib);
-        let (t, i): (Vec<_>, Vec<_>) = (
-            threaded.shards.iter().map(|s| (s.shard, s.routes)).collect(),
-            inline.shards.iter().map(|s| (s.shard, s.routes)).collect(),
-        );
-        assert_eq!(t, i);
-    }
-
-    #[test]
-    fn per_route_summary_weights_by_shard_size() {
-        let mk = |shard: usize, routes: usize, cpu: u64| ShardOutcome {
-            shard,
-            routes,
-            outcome: Fig3Outcome {
-                prefixes_delivered: routes,
-                dut_cpu_ns: cpu,
-                ..Fig3Outcome::default()
-            },
-        };
-        // Three big shards at 10 ns/route, one tiny straggler at 100.
-        let run = ShardedRun {
-            merged: mk(0, 0, 0).outcome,
-            shards: vec![mk(0, 300, 3000), mk(1, 300, 3000), mk(2, 300, 3000), mk(3, 10, 1000)],
-        };
-        let s = run.per_route_cpu_summary();
-        // Unweighted mean would be (10+10+10+100)/4 = 32.5; weighting by
-        // routes keeps the straggler's influence proportional.
-        let expect = (3000.0 * 3.0 + 1000.0) / 910.0;
-        assert!((s.mean - expect).abs() < 1e-9, "mean {} vs {}", s.mean, expect);
-        assert_eq!(s.median, 10.0);
-        assert_eq!(s.max, 100.0);
-    }
-
-    #[test]
     fn sharded_traces_merge_in_timeline_order() {
         let spec = Fig3Spec {
             extension: true,
@@ -287,8 +191,9 @@ mod tests {
             trace_sample: 1,
             ..Fig3Spec::new(Dut::Fir, UseCase::OriginValidation, 200, 5)
         };
-        let run = run_fig3_sharded(&spec, ExecMode::Inline);
-        let dump = run.merged.trace.as_ref().expect("tracing on");
+        let outcomes = run_shards(&spec);
+        let merged = merge(outcomes.clone());
+        let dump = merged.trace.as_ref().expect("tracing on");
         assert!(!dump.events.is_empty());
         // Timeline order: virtual timestamps never go backwards.
         assert!(dump.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
@@ -298,9 +203,9 @@ mod tests {
             dump.events.iter().map(|e| e.shard()).collect();
         assert!(shards.len() > 1, "expected multi-shard trace, got {shards:?}");
         // Trace ids from different shards never collide.
-        for s in &run.shards {
-            let d = s.outcome.trace.as_ref().expect("per-shard dump kept");
-            assert!(d.events.iter().all(|e| e.shard() == s.shard as u32), "shard {}", s.shard);
+        for (k, outcome) in &outcomes {
+            let d = outcome.trace.as_ref().expect("per-shard dump kept");
+            assert!(d.events.iter().all(|e| e.shard() == *k as u32), "shard {k}");
         }
     }
 }

@@ -14,8 +14,7 @@ pub struct Summary {
 }
 
 /// An empty sample has no quantiles. Surfaced as an explicit error
-/// (matching the [`WeightMismatch`] convention) instead of a silent
-/// all-zero summary: a figure cell with zero completed runs is a harness
+/// instead of a silent all-zero summary: a figure cell with zero completed runs is a harness
 /// bug the caller must attribute, not a boxplot collapsed onto zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmptySample;
@@ -62,81 +61,6 @@ pub fn summarize(values: &[f64]) -> Result<Summary, EmptySample> {
         q3: quantile(&sorted, 0.75).expect("non-empty"),
         max: *sorted.last().expect("non-empty"),
         mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-    })
-}
-
-/// Mismatched `summarize_weighted` inputs: every value needs exactly one
-/// weight. Surfaced as an explicit error (not a panic) so aggregation
-/// callers can attribute the bad input to its source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WeightMismatch {
-    pub values: usize,
-    pub weights: usize,
-}
-
-impl fmt::Display for WeightMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "weighted summary needs one weight per value: got {} value(s), {} weight(s)",
-            self.values, self.weights
-        )
-    }
-}
-
-impl std::error::Error for WeightMismatch {}
-
-/// Weighted five-number summary: each value counts `weight` times, as if
-/// the sample were expanded into a multiset (quantiles are type-7 over
-/// that expansion; the mean is weight-averaged). Zero-weight entries are
-/// dropped; mismatched slice lengths are a [`WeightMismatch`] error.
-///
-/// The shard aggregation path weights per-shard figures by the routes
-/// each shard *actually* processed: when `routes % shards != 0` the last
-/// shard is smaller, and an unweighted summary would let it skew
-/// per-route statistics as if it were a full-size peer.
-pub fn summarize_weighted(values: &[f64], weights: &[u64]) -> Result<Summary, WeightMismatch> {
-    if values.len() != weights.len() {
-        return Err(WeightMismatch { values: values.len(), weights: weights.len() });
-    }
-    let mut pairs: Vec<(f64, u64)> = values
-        .iter()
-        .copied()
-        .zip(weights.iter().copied())
-        .filter(|&(_, w)| w > 0)
-        .collect();
-    if pairs.is_empty() {
-        return Ok(Summary { min: 0.0, q1: 0.0, median: 0.0, q3: 0.0, max: 0.0, mean: 0.0 });
-    }
-    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaNs in measurements"));
-    let total: u64 = pairs.iter().map(|&(_, w)| w).sum();
-    // Value at index `i` of the expanded, sorted multiset.
-    let at = |i: u64| -> f64 {
-        let mut cum = 0u64;
-        for &(v, w) in &pairs {
-            cum += w;
-            if i < cum {
-                return v;
-            }
-        }
-        pairs.last().expect("non-empty").0
-    };
-    let q = |q: f64| -> f64 {
-        if total == 1 {
-            return pairs[0].0;
-        }
-        let pos = q * (total - 1) as f64;
-        let (lo, hi) = (pos.floor() as u64, pos.ceil() as u64);
-        let frac = pos - lo as f64;
-        at(lo) + (at(hi) - at(lo)) * frac
-    };
-    Ok(Summary {
-        min: pairs[0].0,
-        q1: q(0.25),
-        median: q(0.5),
-        q3: q(0.75),
-        max: pairs.last().expect("non-empty").0,
-        mean: pairs.iter().map(|&(v, w)| v * w as f64).sum::<f64>() / total as f64,
     })
 }
 
@@ -212,55 +136,5 @@ mod tests {
         assert_eq!(relative_impact_pct(0.0, 120.0), 0.0);
         assert_eq!(relative_impact_pct(f64::NAN, 120.0), 0.0);
         assert_eq!(relative_impact_pct(100.0, f64::INFINITY), 0.0);
-    }
-
-    #[test]
-    fn unit_weights_match_unweighted_summary() {
-        let vals = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(summarize_weighted(&vals, &[1; 5]).unwrap(), summarize(&vals).unwrap());
-    }
-
-    #[test]
-    fn mismatched_lengths_are_an_error_not_a_panic() {
-        let err = summarize_weighted(&[1.0, 2.0], &[1]).unwrap_err();
-        assert_eq!(err, WeightMismatch { values: 2, weights: 1 });
-        assert!(err.to_string().contains("2 value(s), 1 weight(s)"), "{err}");
-    }
-
-    #[test]
-    fn weighted_summary_equals_expanded_multiset() {
-        // Four shards of a 910-route table: three full shards of 300 and
-        // an uneven last shard of 10 (the edge case: routes don't divide
-        // evenly by shards).
-        let vals = [10.0, 12.0, 11.0, 100.0];
-        let weights = [300u64, 300, 300, 10];
-        let mut expanded = Vec::new();
-        for (&v, &w) in vals.iter().zip(&weights) {
-            expanded.extend(std::iter::repeat_n(v, w as usize));
-        }
-        let w = summarize_weighted(&vals, &weights).unwrap();
-        let e = summarize(&expanded).unwrap();
-        for (a, b) in [
-            (w.min, e.min),
-            (w.q1, e.q1),
-            (w.median, e.median),
-            (w.q3, e.q3),
-            (w.max, e.max),
-            (w.mean, e.mean),
-        ] {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        // And the straggler must NOT pull the median/mean as a full peer:
-        // an unweighted summary would put the mean at 33.25.
-        assert!(w.mean < 12.0, "weighted mean {}", w.mean);
-    }
-
-    #[test]
-    fn zero_weights_are_dropped() {
-        let s = summarize_weighted(&[1.0, 99.0], &[5, 0]).unwrap();
-        assert_eq!(s.max, 1.0);
-        assert_eq!(s.mean, 1.0);
-        let empty = summarize_weighted(&[], &[]).unwrap();
-        assert_eq!(empty.mean, 0.0);
     }
 }

@@ -329,7 +329,7 @@ impl<V> PrefixMap<V> {
 
     /// In-order traversal with mutable access to each value. An iterator
     /// version would need unsafe self-borrowing; a visitor is enough for
-    /// the daemons (full-table resorts and feed paths).
+    /// the daemons (source flushes and feed paths).
     pub fn for_each_mut(&mut self, mut f: impl FnMut(Ipv4Prefix, &mut V)) {
         let mut stack = vec![0u32];
         while let Some(i) = stack.pop() {

@@ -242,40 +242,24 @@ impl WrenEngine {
     /// marked dirty is re-exported from its current best route (or
     /// withdrawn when gone), in prefix order. Inline NLRI processing
     /// unmarks nets it already re-exported, so each net is propagated at
-    /// most once per batch. Under `full_recompute` this additionally
-    /// degrades to the ablation baseline: resort and re-propagate every
-    /// net in the table.
+    /// most once per batch.
     fn drain_dirty(&mut self, host: &mut Host) {
-        if !self.dirty.is_empty() {
-            let batch = self.dirty.drain_ordered();
-            self.rib_counters.delta_batch_size.observe(batch.len() as u64);
-            for net in batch {
-                // The mark means the net's head changed; whether it is a
-                // re-announce or a withdrawal falls out of the current
-                // table state (propagation reads only the current best,
-                // so `BestChanged` vs `NetGone` steer the same arm).
-                let at = self.table.find(&net);
-                let change = match at {
-                    None => TableChange::NetGone,
-                    Some(_) => TableChange::BestChanged,
-                };
-                self.propagate(host, net, at, change);
-            }
+        if self.dirty.is_empty() {
+            return;
         }
-        if host.spec.full_recompute {
-            self.full_resort_sweep(host);
-        }
-    }
-
-    /// The full-recompute ablation baseline: re-run the comparator over
-    /// every net in the table and propagate any head changes. With the
-    /// strict total preference order and the stable resort this is
-    /// byte-identical to the incremental path — it exists only to
-    /// measure what the delta engine saves.
-    fn full_resort_sweep(&mut self, host: &mut Host) {
-        for net in self.table.net_keys() {
-            let change = self.table.resort(&net, &mut |a, b| rte_better(host, a, b));
-            self.propagate(host, net, self.changed_at(&net, change), change);
+        let batch = self.dirty.drain_ordered();
+        self.rib_counters.delta_batch_size.observe(batch.len() as u64);
+        for net in batch {
+            // The mark means the net's head changed; whether it is a
+            // re-announce or a withdrawal falls out of the current
+            // table state (propagation reads only the current best,
+            // so `BestChanged` vs `NetGone` steer the same arm).
+            let at = self.table.find(&net);
+            let change = match at {
+                None => TableChange::NetGone,
+                Some(_) => TableChange::BestChanged,
+            };
+            self.propagate(host, net, at, change);
         }
     }
 

@@ -185,12 +185,6 @@ impl RTable {
         self.nets.iter().filter_map(|(net, list)| list.first().map(|r| (net, r)))
     }
 
-    /// All nets, in prefix order (the full-recompute sweep, which
-    /// changes lists as it goes).
-    pub fn net_keys(&self) -> Vec<Ipv4Prefix> {
-        self.nets.keys().collect()
-    }
-
     /// Iterate `(net, routes best first)` in prefix order.
     pub fn iter_nets(&self) -> impl Iterator<Item = (Ipv4Prefix, &[Rte])> {
         self.nets.iter().map(|(net, list)| (net, list.as_slice()))
@@ -208,30 +202,6 @@ impl RTable {
 
     pub fn is_empty(&self) -> bool {
         self.nets.is_empty()
-    }
-
-    /// Re-sort one net after preference inputs changed (e.g. IGP metrics).
-    pub fn resort(
-        &mut self,
-        net: &Ipv4Prefix,
-        better: &mut dyn FnMut(&Rte, &Rte) -> bool,
-    ) -> TableChange {
-        let Some(list) = self.nets.get_mut(net) else {
-            return TableChange::NoBestChange;
-        };
-        let old_best = list.first().map(|r| r.src);
-        // Stable selection sort by the strict predicate.
-        let mut sorted: Vec<Rte> = Vec::with_capacity(list.len());
-        for rte in list.drain(..) {
-            let pos = sorted.iter().position(|s| better(&rte, s)).unwrap_or(sorted.len());
-            sorted.insert(pos, rte);
-        }
-        *list = sorted;
-        if list.first().map(|r| r.src) != old_best {
-            TableChange::BestChanged
-        } else {
-            TableChange::NoBestChange
-        }
     }
 }
 
@@ -355,34 +325,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.route_len(), 0);
         assert_eq!(t.flush_src(SrcId::Channel(0)), vec![], "flush of empty table is a no-op");
-    }
-
-    #[test]
-    fn resort_reorders_after_predicate_change() {
-        let mut t = RTable::new();
-        let net: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
-        t.update(net, rte(0, 2), &mut shorter);
-        t.update(net, rte(1, 4), &mut shorter);
-        // Invert the predicate: longer is better now.
-        let mut longer = |a: &Rte, b: &Rte| a.eattrs.as_path_hops() > b.eattrs.as_path_hops();
-        assert_eq!(t.resort(&net, &mut longer), TableChange::BestChanged);
-        assert_eq!(t.best(&net).unwrap().src, SrcId::Channel(1));
-        assert_eq!(t.resort(&net, &mut longer), TableChange::NoBestChange);
-    }
-
-    #[test]
-    fn resort_is_stable_and_handles_missing_nets() {
-        let mut t = RTable::new();
-        let net: Ipv4Prefix = "10.0.0.0/8".parse().unwrap();
-        let missing: Ipv4Prefix = "172.16.0.0/12".parse().unwrap();
-        assert_eq!(t.resort(&missing, &mut shorter), TableChange::NoBestChange);
-        // Equal-length paths: stable resort keeps insertion order, so the
-        // head must not flip between equally-preferred routes.
-        t.update(net, rte(0, 3), &mut shorter);
-        t.update(net, rte(1, 3), &mut shorter);
-        let head = t.best(&net).unwrap().src;
-        assert_eq!(t.resort(&net, &mut shorter), TableChange::NoBestChange);
-        assert_eq!(t.best(&net).unwrap().src, head);
     }
 
     #[test]
