@@ -35,7 +35,7 @@ use crate::api::{self, helper, InsertionPoint};
 use crate::host::{HostApi, HostError, HostOp};
 use crate::manifest::Manifest;
 use crate::policy::OnFault;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -153,6 +153,11 @@ struct Extension {
     /// Per-run wall-clock latency in nanoseconds. Only populated when the
     /// VMM's metrics are enabled (timing costs two clock reads per run).
     latency: Histogram,
+    /// Fuel consumed per run (metrics-enabled runs only), read from the
+    /// [`RunMetrics`] the metered run already returns.
+    ///
+    /// [`RunMetrics`]: xbgp_vm::interp::RunMetrics
+    fuel: Histogram,
     /// Pooled sandbox: stack, ephemeral heap and (swapped-in) shared
     /// regions stay mapped across runs so an invocation costs no
     /// allocation. The stack is re-zeroed fully and the heap up to the
@@ -172,27 +177,18 @@ struct Extension {
     trace_ext: u16,
 }
 
-/// Per-extension and per-helper execution profile, accumulated only while
-/// [`Vmm::enable_profile`] is active. The interpreter hot path is
-/// untouched: fuel histograms reuse the [`RunMetrics`] the metered run
-/// already returns, and helper latency is timed in the dispatcher — the
-/// one place every helper call already funnels through.
-///
-/// [`RunMetrics`]: xbgp_vm::interp::RunMetrics
-#[derive(Default)]
-struct VmProfiler {
-    /// Fuel consumed per run, per extension (parallel to `Vmm::exts`).
-    fuel: Vec<Histogram>,
-    /// Helper id → invocation count.
-    helper_calls: BTreeMap<u32, u64>,
-    /// Helper id → cumulative nanoseconds spent in the helper.
-    helper_ns: BTreeMap<u32, u64>,
-    /// Per-point total extension-run nanoseconds (indexed by
-    /// [`point_index`]); VM time is this minus the helper share.
-    point_total_ns: [u64; 5],
-    /// Per-point nanoseconds attributed to helper calls.
-    point_helper_ns: [u64; 5],
+/// Calls and cumulative nanoseconds of one helper, indexed by helper id
+/// in [`Vmm::helpers`] (ids are dense from 1; slot 0 stays empty).
+/// Filled by the dispatcher — the one place every helper call already
+/// funnels through — only when metrics are on.
+#[derive(Default, Clone, Copy)]
+struct HelperTotals {
+    calls: u64,
+    ns: u64,
 }
+
+/// Slots in [`Vmm::helpers`]: one per helper id.
+const HELPER_SLOTS: usize = helper::TABLE.len() + 1;
 
 #[derive(Default)]
 struct SharedMeta {
@@ -246,6 +242,10 @@ struct PointMetrics {
     aborts: u64,
     /// End-to-end chain latency in nanoseconds (metrics-enabled runs only).
     latency: Histogram,
+    /// Nanoseconds the point's extensions spent inside helper calls
+    /// (metrics-enabled runs only). The rest of the extensions' latency
+    /// is VM time.
+    helper_ns: u64,
 }
 
 /// Dense index of an insertion point into per-point tables.
@@ -359,10 +359,14 @@ pub struct Vmm {
     commit_faults: u64,
     /// Per-point outcome counters, indexed by [`point_index`].
     points: [PointMetrics; 5],
-    /// When set, runs are timed (two `Instant` reads per chain), outcome
-    /// and instruction counters accumulate, and the latency histograms
-    /// fill in. Off by default so the hot path pays a single branch.
+    /// When set, every layer of a run gets one clock: the chain, each
+    /// extension and each helper call are timed, outcome, instruction
+    /// and helper counters accumulate, and the latency and fuel
+    /// histograms fill in. Off by default so the hot path pays a single
+    /// branch.
     metrics_enabled: bool,
+    /// Per-helper call and nanosecond totals (metrics-enabled runs only).
+    helpers: [HelperTotals; HELPER_SLOTS],
     /// Reusable marshalling buffer lent to the helper dispatcher, so
     /// variable-length helper transfers (`get_attr` etc.) allocate at most
     /// once over the VMM's lifetime instead of once per call.
@@ -370,8 +374,6 @@ pub struct Vmm {
     /// Route-scoped flight recorder ([`Vmm::enable_trace`]); `None` keeps
     /// the hot path to a handful of predictable is-some branches.
     tracer: Option<Box<Tracer>>,
-    /// Execution profiler ([`Vmm::enable_profile`]); `None` by default.
-    profiler: Option<Box<VmProfiler>>,
 }
 
 impl Vmm {
@@ -389,9 +391,9 @@ impl Vmm {
             commit_faults: 0,
             points: Default::default(),
             metrics_enabled: false,
+            helpers: [HelperTotals::default(); HELPER_SLOTS],
             scratch: Vec::new(),
             tracer: None,
-            profiler: None,
         };
         for spec in &manifest.extensions {
             let prog = spec
@@ -470,6 +472,7 @@ impl Vmm {
                     helper_calls: 0,
                     insns_retired: 0,
                     latency: Histogram::new(),
+                    fuel: Histogram::new(),
                     mem,
                     heap_watermark: 0,
                     ri_stack,
@@ -562,10 +565,7 @@ impl Vmm {
             }
             return VmmOutcome::Fallback;
         }
-        let chain_start = self.metrics_enabled.then(Instant::now);
-        // Timing also runs while profiling: the per-point VM/helper time
-        // breakdown needs the run's wall clock even if metrics are off.
-        let timing = self.metrics_enabled || self.profiler.is_some();
+        let chain_start = track.then(Instant::now);
         if let Some(t) = self.tracer.as_deref_mut() {
             t.record(TraceKind::PointEnter, pi as u8, NO_EXT, chain_len as u64, 0);
         }
@@ -598,8 +598,8 @@ impl Vmm {
 
             // The per-invocation policy: manifest overrides, VMM defaults.
             let cfg = VmConfig { fuel: ext.fuel_override.unwrap_or(self.vm_config.fuel) };
-            let ext_start = timing.then(Instant::now);
-            let (outcome, heap_used, metrics) = {
+            let ext_start = track.then(Instant::now);
+            let (outcome, heap_used, helper_ns, metrics) = {
                 let mut dispatcher = Dispatcher {
                     host,
                     xtra: &self.xtra,
@@ -608,7 +608,9 @@ impl Vmm {
                     txn: &mut txn,
                     heap_used: 0,
                     tracer: self.tracer.as_deref_mut(),
-                    prof: self.profiler.as_deref_mut(),
+                    metrics: track,
+                    helpers: &mut self.helpers,
+                    helper_ns: 0,
                     pi,
                     ext_tid: ext.trace_ext,
                 };
@@ -616,7 +618,7 @@ impl Vmm {
                 // disjoint fields of the extension.
                 let (outcome, metrics) =
                     ext.prog.run_metered(cfg, &mut ext.mem, &mut dispatcher, &[]);
-                (outcome, dispatcher.heap_used, metrics)
+                (outcome, dispatcher.heap_used, dispatcher.helper_ns, metrics)
             };
 
             // Swap the shared space back regardless of outcome.
@@ -628,21 +630,12 @@ impl Vmm {
             }
             ext.heap_watermark = heap_used;
             ext.runs += 1;
-            if track {
+            if let Some(start) = ext_start {
+                ext.latency.observe(start.elapsed().as_nanos() as u64);
+                ext.fuel.observe(metrics.fuel_consumed);
                 ext.helper_calls += metrics.helper_calls;
                 ext.insns_retired += metrics.insns_retired;
-            }
-            if let Some(start) = ext_start {
-                let ns = start.elapsed().as_nanos() as u64;
-                if self.metrics_enabled {
-                    ext.latency.observe(ns);
-                }
-                if let Some(p) = self.profiler.as_deref_mut() {
-                    p.point_total_ns[pi] += ns;
-                }
-            }
-            if let Some(p) = self.profiler.as_deref_mut() {
-                p.fuel[idx].observe(metrics.fuel_consumed);
+                self.points[pi].helper_ns += helper_ns;
             }
             match outcome {
                 Ok(ExecOutcome::Return(v)) => {
@@ -834,16 +827,12 @@ impl Vmm {
     }
 
     /// Enable metrics: subsequent runs collect per-point outcome counters,
-    /// per-extension helper/instruction counters, and latency histograms
-    /// (two clock reads per chain run). Off by default so an untracked
-    /// VMM's hot path pays a single predictable branch.
+    /// per-extension helper/instruction counters and fuel histograms, and
+    /// one clock per layer — the chain, each extension, each helper call.
+    /// Off by default so an untracked VMM's hot path pays a single
+    /// predictable branch.
     pub fn enable_metrics(&mut self) {
         self.metrics_enabled = true;
-    }
-
-    /// Whether run timing is enabled (see [`Vmm::enable_metrics`]).
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics_enabled
     }
 
     /// Attach a route-scoped flight recorder. Every loaded extension's
@@ -877,21 +866,6 @@ impl Vmm {
         self.tracer.as_deref_mut().map(Tracer::take_dump)
     }
 
-    /// Turn on the execution profiler: per-extension fuel histograms,
-    /// per-helper call counts and latency attribution, and a per-point
-    /// VM-vs-helper time breakdown, all exported by
-    /// [`Vmm::metrics_snapshot`] as `xbgp_prof_*` series. Costs nothing
-    /// when off — the interpreter's metered loop is unchanged, and the
-    /// dispatcher's fast path is a single is-none branch.
-    pub fn enable_profile(&mut self) {
-        if self.profiler.is_none() {
-            self.profiler = Some(Box::new(VmProfiler {
-                fuel: (0..self.exts.len()).map(|_| Histogram::new()).collect(),
-                ..VmProfiler::default()
-            }));
-        }
-    }
-
     /// Point-in-time snapshot of every VMM metric:
     ///
     /// * `xbgp_vmm_runs_total{point}` and its outcome split
@@ -902,16 +876,19 @@ impl Vmm {
     /// * `xbgp_vmm_quarantines_total` and `xbgp_vmm_commit_faults_total`
     ///   (unlabelled), plus a per-extension
     ///   `xbgp_vmm_extension_quarantined` 0/1 gauge-as-counter;
-    /// * `xbgp_vmm_run_latency_ns{point}` histograms (timing enabled only);
     /// * per-extension `xbgp_vmm_extension_runs_total` /
     ///   `..._errors_total` / `..._fallbacks_total` /
-    ///   `..._helper_calls_total` / `..._insns_total` and
-    ///   `xbgp_vmm_extension_latency_ns`, labelled
+    ///   `..._helper_calls_total` / `..._insns_total`, labelled
     ///   `{extension,point}`;
-    /// * with the profiler on ([`Vmm::enable_profile`]): `xbgp_prof_fuel`
-    ///   histograms `{extension,point}`, `xbgp_prof_helper_calls_total` /
-    ///   `xbgp_prof_helper_ns_total` `{helper}`, and per-point
-    ///   `xbgp_prof_point_vm_ns_total` / `xbgp_prof_point_helper_ns_total`.
+    /// * with metrics on ([`Vmm::enable_metrics`]), one series per clock:
+    ///   `xbgp_vmm_run_latency_ns{point}` (the chain),
+    ///   `xbgp_vmm_extension_latency_ns{extension,point}` (each
+    ///   extension) and `xbgp_prof_helper_calls_total` /
+    ///   `xbgp_prof_helper_ns_total` `{helper}` (each helper, once
+    ///   called); plus `xbgp_prof_fuel{extension,point}` histograms and
+    ///   the per-point split of extension time into
+    ///   `xbgp_prof_point_helper_ns_total` and `xbgp_prof_point_vm_ns_total`
+    ///   (the point's extension latency sum minus its helper share).
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut s = Snapshot::new();
         for point in InsertionPoint::ALL {
@@ -939,33 +916,29 @@ impl Vmm {
             s.push_counter("xbgp_vmm_extension_quarantined", &labels, u64::from(e.quarantined));
             if self.metrics_enabled {
                 s.push_histogram("xbgp_vmm_extension_latency_ns", &labels, e.latency.snapshot());
+                s.push_histogram("xbgp_prof_fuel", &labels, e.fuel.snapshot());
             }
         }
-        if let Some(p) = &self.profiler {
-            for ((point, e), fuel) in self.exts.iter().zip(&p.fuel) {
-                s.push_histogram(
-                    "xbgp_prof_fuel",
-                    &[("extension", e.name.as_str()), ("point", point.name())],
-                    fuel.snapshot(),
-                );
-            }
-            for (&id, &n) in &p.helper_calls {
-                let name = helper::name_of(id).unwrap_or("unknown");
-                s.push_counter("xbgp_prof_helper_calls_total", &[("helper", name)], n);
-            }
-            for (&id, &ns) in &p.helper_ns {
-                let name = helper::name_of(id).unwrap_or("unknown");
-                s.push_counter("xbgp_prof_helper_ns_total", &[("helper", name)], ns);
+        if self.metrics_enabled {
+            for (id, h) in self.helpers.iter().enumerate().filter(|(_, h)| h.calls > 0) {
+                let labels = [("helper", helper::name_of(id as u32).unwrap_or("unknown"))];
+                s.push_counter("xbgp_prof_helper_calls_total", &labels, h.calls);
+                s.push_counter("xbgp_prof_helper_ns_total", &labels, h.ns);
             }
             for point in InsertionPoint::ALL {
-                let i = point_index(point);
                 let labels = [("point", point.name())];
-                let helper_ns = p.point_helper_ns[i];
+                let helper_ns = self.points[point_index(point)].helper_ns;
+                let ext_ns: u64 = self
+                    .exts
+                    .iter()
+                    .filter(|(p, _)| *p == point)
+                    .map(|(_, e)| e.latency.snapshot().sum)
+                    .sum();
                 s.push_counter("xbgp_prof_point_helper_ns_total", &labels, helper_ns);
                 s.push_counter(
                     "xbgp_prof_point_vm_ns_total",
                     &labels,
-                    p.point_total_ns[i].saturating_sub(helper_ns),
+                    ext_ns.saturating_sub(helper_ns),
                 );
             }
         }
@@ -988,9 +961,14 @@ struct Dispatcher<'a> {
     /// Flight recorder, present only while tracing is enabled: helper
     /// calls and staged mutations become route-scoped events.
     tracer: Option<&'a mut Tracer>,
-    /// Profiler accumulators, present only while profiling is enabled.
-    prof: Option<&'a mut VmProfiler>,
-    /// Insertion-point index of the running chain (event/profile labels).
+    /// Metrics are on: time every helper call into `helpers` and
+    /// `helper_ns`.
+    metrics: bool,
+    /// The VMM's per-helper totals (see [`HelperTotals`]).
+    helpers: &'a mut [HelperTotals; HELPER_SLOTS],
+    /// Nanoseconds this run spent in helper calls (metrics on only).
+    helper_ns: u64,
+    /// Insertion-point index of the running chain (event labels).
     pi: usize,
     /// Interned trace-name id of the running extension.
     ext_tid: u16,
@@ -1045,19 +1023,21 @@ impl HelperDispatcher for Dispatcher<'_> {
         args: [u64; 5],
         mem: &mut MemoryMap,
     ) -> Result<HelperOutcome, VmError> {
-        // Fast path: neither tracing nor profiling — one predictable
+        // Fast path: neither tracing nor metrics — one predictable
         // branch, then straight into the helper switch. The interpreter's
         // metered loop above this is untouched either way.
-        if self.prof.is_none() && self.tracer.is_none() {
+        if !self.metrics && self.tracer.is_none() {
             return self.dispatch(id, args, mem);
         }
-        let t0 = self.prof.is_some().then(Instant::now);
+        let t0 = self.metrics.then(Instant::now);
         let out = self.dispatch(id, args, mem);
         let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        if let Some(p) = self.prof.as_deref_mut() {
-            *p.helper_calls.entry(id).or_insert(0) += 1;
-            *p.helper_ns.entry(id).or_insert(0) += ns;
-            p.point_helper_ns[self.pi] += ns;
+        if self.metrics {
+            self.helper_ns += ns;
+            if let Some(h) = self.helpers.get_mut(id as usize) {
+                h.calls += 1;
+                h.ns += ns;
+            }
         }
         if let Some(t) = self.tracer.as_deref_mut() {
             if t.route_active() {
@@ -1514,9 +1494,14 @@ mod tests {
             &["next"],
             "call next\nexit",
         )]);
-        assert!(!vmm.metrics_enabled());
+        let labels = [("point", "bgp_inbound_filter")];
+        assert!(
+            vmm.metrics_snapshot()
+                .histogram_value("xbgp_vmm_run_latency_ns", &labels)
+                .is_none(),
+            "no clock series before metrics are enabled"
+        );
         vmm.enable_metrics();
-        assert!(vmm.metrics_enabled());
         let mut host = MockHost::default();
         for _ in 0..3 {
             assert_eq!(vmm.run(InsertionPoint::BgpInboundFilter, &mut host), VmmOutcome::Fallback);
@@ -1529,7 +1514,6 @@ mod tests {
         assert_eq!(stats[0].insns_retired, 3);
 
         let s = vmm.metrics_snapshot();
-        let labels = [("point", "bgp_inbound_filter")];
         assert_eq!(
             s.histogram_value("xbgp_vmm_run_latency_ns", &labels)
                 .expect("latency histogram present when metrics are enabled")
@@ -2500,44 +2484,72 @@ done:   mov r0, r6
         assert!(on.stats()[0].insns_retired > 0, "metrics were actually recorded");
     }
 
+    /// Metrics give each layer of a run one clock — the chain, each
+    /// extension, each helper call — and the `xbgp_prof_*` series are
+    /// derived from those clocks, not from clocks of their own.
     #[test]
     fn profiler_exports_fuel_and_helper_series() {
-        let mut vmm = load(vec![spec(
-            "writer",
-            InsertionPoint::BgpInboundFilter,
-            &["add_attr"],
-            STAGE_THEN_VALUE,
-        )]);
-        vmm.enable_profile();
+        let mut vmm = load(vec![
+            spec("writer", InsertionPoint::BgpInboundFilter, &["add_attr"], STAGE_THEN_VALUE),
+            spec("ret7", InsertionPoint::BgpDecision, &[], "mov r0, 7\nexit"),
+        ]);
+        vmm.enable_metrics();
         let mut host = MockHost::default();
         for _ in 0..4 {
             assert_eq!(vmm.run(InsertionPoint::BgpInboundFilter, &mut host), VmmOutcome::Value(1));
+            vmm.run(InsertionPoint::BgpDecision, &mut host);
         }
         let s = vmm.metrics_snapshot();
         assert_eq!(
             s.counter_value("xbgp_prof_helper_calls_total", &[("helper", "add_attr")]),
             Some(4)
         );
+        let helper_ns = s
+            .counter_value("xbgp_prof_helper_ns_total", &[("helper", "add_attr")])
+            .expect("latency attributed per helper");
         assert!(
-            s.counter_value("xbgp_prof_helper_ns_total", &[("helper", "add_attr")])
-                .is_some(),
-            "latency attributed per helper"
+            s.find("xbgp_prof_helper_calls_total", &[("helper", "get_attr")]).is_none(),
+            "only called helpers are exported"
         );
-        let fuel = s
-            .histogram_value("xbgp_prof_fuel", &[("extension", "writer")])
-            .expect("per-extension fuel histogram");
-        assert_eq!(fuel.count, 4);
-        // STAGE_THEN_VALUE retires 9 instructions per run.
-        assert_eq!(fuel.sum, 4 * 9);
-        let inbound = [("point", "bgp_inbound_filter")];
-        assert!(s.counter_value("xbgp_prof_point_helper_ns_total", &inbound).is_some());
-        assert!(s.counter_value("xbgp_prof_point_vm_ns_total", &inbound).is_some());
+        assert_eq!(
+            s.counter_sum("xbgp_prof_helper_calls_total"),
+            s.counter_sum("xbgp_vmm_extension_helper_calls_total"),
+            "the dispatcher and the interpreter count the same calls"
+        );
 
-        // Profiling off: no xbgp_prof_* series in the snapshot.
-        let vmm = load(vec![spec("w", InsertionPoint::BgpInboundFilter, &[], "mov r0, 1\nexit")]);
-        assert!(vmm
-            .metrics_snapshot()
-            .counter_value("xbgp_prof_helper_calls_total", &[])
-            .is_none());
+        for (ext, point) in [("writer", "bgp_inbound_filter"), ("ret7", "bgp_decision")] {
+            let labels = [("point", point)];
+            let ext_ns = s
+                .histogram_value("xbgp_vmm_extension_latency_ns", &[("extension", ext)])
+                .expect("per-extension latency")
+                .sum;
+            let vm = s.counter_value("xbgp_prof_point_vm_ns_total", &labels).unwrap();
+            let helper = s.counter_value("xbgp_prof_point_helper_ns_total", &labels).unwrap();
+            assert_eq!(vm + helper, ext_ns, "{point}: VM + helper time is the extension clock");
+            let fuel = s
+                .histogram_value("xbgp_prof_fuel", &[("extension", ext)])
+                .expect("per-extension fuel histogram");
+            let runs = s.counter_value("xbgp_vmm_extension_runs_total", &[("extension", ext)]);
+            assert_eq!(Some(fuel.count), runs, "{ext}: one fuel sample per run");
+        }
+        assert_eq!(
+            s.counter_value("xbgp_prof_point_helper_ns_total", &[("point", "bgp_inbound_filter")]),
+            Some(helper_ns),
+            "one helper at the point: its time is the point's helper time"
+        );
+        // STAGE_THEN_VALUE retires 9 instructions per run.
+        let fuel = s.histogram_value("xbgp_prof_fuel", &[("extension", "writer")]).unwrap();
+        assert_eq!(fuel.sum, 4 * 9);
+
+        // Metrics off: no xbgp_prof_* series in the snapshot.
+        let mut vmm = load(vec![spec(
+            "writer",
+            InsertionPoint::BgpInboundFilter,
+            &["add_attr"],
+            STAGE_THEN_VALUE,
+        )]);
+        vmm.run(InsertionPoint::BgpInboundFilter, &mut MockHost::default());
+        let s = vmm.metrics_snapshot();
+        assert!(!s.metrics.iter().any(|m| m.name.starts_with("xbgp_prof_")));
     }
 }

@@ -24,12 +24,11 @@ use crate::{Daemon, DaemonCounters, DaemonSpec, Dut, NeighborDecl};
 use netsim::{LinkId, Node, NodeCtx};
 use rpki::{RoaHashTable, RoaTable};
 use std::any::Any;
-use std::time::Instant;
 use xbgp_core::api::{self, InsertionPoint, NextHopInfo, PeerInfo, PeerType};
 use xbgp_core::vmm::ExtensionStats;
 use xbgp_core::{HostApi, Vmm, VmmOutcome};
-use xbgp_obs::trace::{pack_prefix, TraceConfig, TraceDump, TraceKind, NO_EXT, NO_POINT};
-use xbgp_obs::{Histogram, Snapshot};
+use xbgp_obs::trace::{pack_prefix, TraceDump, TraceKind, NO_EXT, NO_POINT};
+use xbgp_obs::Snapshot;
 use xbgp_wire::msg::encode_update;
 use xbgp_wire::{
     Ipv4Prefix, PathAttr, Session, SessionConfig, SessionEvent, SessionState, UpdateMsg, WireError,
@@ -156,11 +155,6 @@ impl HostStats {
     }
 }
 
-/// Dense index of an insertion point into the hook-latency table.
-fn pindex(p: InsertionPoint) -> usize {
-    InsertionPoint::ALL.iter().position(|q| *q == p).expect("point in ALL")
-}
-
 /// A filter point's answer on one route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Verdict {
@@ -171,29 +165,16 @@ pub struct Verdict {
     pub shareable: bool,
 }
 
-/// The insertion-point runner: the VMM plus the hook-site latency
-/// histograms. A field of its own inside [`Host`] so a point
-/// ([`crate::xbgp_glue`]) can run while its execution context borrows the
-/// host's other fields (`logs`, `ext_rib_adds`, `xbgp_rov`, `spec.xtra`).
+/// The insertion-point runner: the VMM and the mapping of its outcomes
+/// to filter and decision answers. A field of its own inside [`Host`] so
+/// a point ([`crate::xbgp_glue`]) can run while its execution context
+/// borrows the host's other fields (`logs`, `ext_rib_adds`, `xbgp_rov`,
+/// `spec.xtra`).
 pub struct Hooks {
     pub vmm: Vmm,
-    /// Wall-clock nanoseconds around each insertion-point run — a
-    /// superset of the VMM's own chain timing. Filled only when VMM
-    /// timing is on.
-    hook_ns: [Histogram; 5],
 }
 
 impl Hooks {
-    /// Run the chain attached to `point`, timing it when metrics are on.
-    pub fn run(&mut self, point: InsertionPoint, hctx: &mut dyn HostApi) -> VmmOutcome {
-        let t0 = self.vmm.metrics_enabled().then(Instant::now);
-        let outcome = self.vmm.run(point, hctx);
-        if let Some(t0) = t0 {
-            self.hook_ns[pindex(point)].observe(t0.elapsed().as_nanos() as u64);
-        }
-        outcome
-    }
-
     /// Run a filter point and map its outcome to accept/reject: an
     /// extension's verdict is final, no verdict defers to `native`, and a
     /// filter that aborted fails closed rather than widen policy. A run in
@@ -208,7 +189,7 @@ impl Hooks {
         native: impl FnOnce() -> bool,
     ) -> Verdict {
         let faults = self.vmm.faults(point);
-        let accept = match self.run(point, hctx) {
+        let accept = match self.vmm.run(point, hctx) {
             VmmOutcome::Value(v) if v != api::FILTER_REJECT => {
                 stats.xbgp_accepted += 1;
                 true
@@ -243,7 +224,7 @@ impl Hooks {
     /// The point has a sound native answer, so fallback and abort both
     /// return `None` and the caller runs the RFC 4271 comparison.
     pub fn run_decision(&mut self, hctx: &mut dyn HostApi, stats: &mut HostStats) -> Option<bool> {
-        match self.run(InsertionPoint::BgpDecision, hctx) {
+        match self.vmm.run(InsertionPoint::BgpDecision, hctx) {
             VmmOutcome::Value(v) => {
                 stats.xbgp_decisions += 1;
                 Some(v == api::DECISION_PREFER_NEW)
@@ -284,16 +265,13 @@ impl Host {
         if let Some(tc) = spec.trace {
             vmm.enable_trace(tc);
         }
-        if spec.profile {
-            vmm.enable_profile();
-        }
         let xbgp_rov = spec.xbgp_roas.as_deref().map(roa_hash_table);
         let neighbors: Vec<Neighbor> =
             spec.neighbors.iter().map(|d| Neighbor::new(*d, &spec)).collect();
         Host {
             spec,
             neighbors,
-            hooks: Hooks { vmm, hook_ns: Default::default() },
+            hooks: Hooks { vmm },
             xbgp_rov,
             ext_rib_adds: Vec::new(),
             stats: HostStats::default(),
@@ -512,23 +490,6 @@ impl<E: RouteEngine> BgpDaemon<E> {
         BgpDaemon { host, engine }
     }
 
-    /// Turn on timing instrumentation at runtime (same effect as
-    /// [`DaemonSpec::metrics`]).
-    pub fn enable_metrics(&mut self) {
-        self.host.hooks.vmm.enable_metrics();
-    }
-
-    /// Attach a route-scoped flight recorder at runtime (same effect as
-    /// [`DaemonSpec::trace`]).
-    pub fn enable_trace(&mut self, cfg: TraceConfig) {
-        self.host.hooks.vmm.enable_trace(cfg);
-    }
-
-    /// Turn on the VM execution profiler at runtime.
-    pub fn enable_profile(&mut self) {
-        self.host.hooks.vmm.enable_profile();
-    }
-
     /// xBGP per-extension statistics.
     pub fn xbgp_stats(&self) -> Vec<ExtensionStats> {
         self.host.hooks.vmm.stats()
@@ -537,11 +498,6 @@ impl<E: RouteEngine> BgpDaemon<E> {
     /// Read a block from an extension program's persistent memory.
     pub fn xbgp_shared_read(&self, group: &str, key: u64) -> Option<Vec<u8>> {
         self.host.hooks.vmm.shared_read(group, key)
-    }
-
-    /// The most recent extension fault, formatted, if any.
-    pub fn xbgp_last_error(&self) -> Option<String> {
-        self.host.hooks.vmm.last_error().map(|(n, e)| format!("{n}: {e}"))
     }
 
     fn flush(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -760,12 +716,6 @@ impl<E: RouteEngine> Daemon for BgpDaemon<E> {
         let up = self.host.neighbors.iter().filter(|n| n.is_established()).count();
         s.push_gauge("xbgp_daemon_sessions_up", &[], up as i64);
         self.engine.push_gauges(&mut s);
-        if self.host.hooks.vmm.metrics_enabled() {
-            for p in InsertionPoint::ALL {
-                let h = self.host.hooks.hook_ns[pindex(p)].snapshot();
-                s.push_histogram("xbgp_daemon_hook_ns", &[("point", p.name())], h);
-            }
-        }
         s.merge(self.host.hooks.vmm.metrics_snapshot())
             .expect("daemon and VMM share the bucket layout");
         s.with_labels(&[("daemon", &format!("bgp-{}", E::KIND.slug()))])
@@ -1080,10 +1030,7 @@ mod tests {
         ext.on_fault = on_fault;
         let mut manifest = Manifest::new();
         manifest.push(ext);
-        Hooks {
-            vmm: Vmm::from_manifest(&manifest).unwrap(),
-            hook_ns: Default::default(),
-        }
+        Hooks { vmm: Vmm::from_manifest(&manifest).unwrap() }
     }
 
     /// `(verdict, native policy consultations, stats)` of one filter run.

@@ -133,14 +133,13 @@ pub struct DaemonSpec {
     pub default_local_pref: u32,
     /// Static key → value data exposed to extensions via `get_xtra`.
     pub xtra: Vec<(String, Vec<u8>)>,
-    /// Enable timing instrumentation: hook-site and VMM latency
-    /// histograms fill in (two clock reads per hook). Counters are
-    /// collected regardless.
+    /// Enable the VMM's instrumentation: outcome, instruction and helper
+    /// counters, fuel histograms, and one clock per layer of a run (the
+    /// chain, each extension, each helper call). The daemon's own
+    /// counters are collected regardless.
     pub metrics: bool,
     /// Route-scoped tracing configuration.
     pub trace: Option<TraceConfig>,
-    /// Enable the VM execution profiler.
-    pub profile: bool,
 }
 
 impl DaemonSpec {
@@ -162,7 +161,6 @@ impl DaemonSpec {
             xtra: Vec::new(),
             metrics: false,
             trace: None,
-            profile: false,
         }
     }
 

@@ -308,7 +308,7 @@ impl Host {
         }
         let (base, hooks, ..) = self.enter(self.peer_info(idx));
         let mut hctx = XbgpCtx { args: &[raw_body], attrs: Access::Mut(attrs), ..base };
-        let _ = hooks.run(point, &mut hctx);
+        let _ = hooks.vmm.run(point, &mut hctx);
     }
 
     /// ② for the NLRI of one UPDATE from neighbor `idx` whose attributes
@@ -406,7 +406,7 @@ impl Host {
             out_buf: Some(extra),
             ..base
         };
-        let _ = hooks.run(point, &mut hctx);
+        let _ = hooks.vmm.run(point, &mut hctx);
     }
 }
 

@@ -4,17 +4,18 @@
 //! Usage: fig4 [--routes N] [--runs N] [--seed N] [--shards N]
 //!             [--use-case rr|ov|all] [--dut fir|wren|all]
 //!             [--metrics-out FILE] [--trace-out FILE] [--trace-sample N]
-//!             [--profile]
 //!             [--churn-rounds N] [--churn-withdraw N‰] [--churn-reannounce N‰]
 //!             [--churn-flap N‰] [--churn-flap-period N]
 //!
 //! `--metrics-out` enables DUT instrumentation and writes the merged
-//! metrics snapshot of every cell's extension run as a JSON document.
+//! metrics snapshot of every cell's extension run as a JSON document:
+//! the VMM counters, the `xbgp_prof_fuel` histograms and one clock per
+//! layer of a run (chain, extension, helper call). Only extension cells
+//! pay for those clocks — native cells run no chain — so read Fig. 4
+//! impacts from a run without `--metrics-out`.
 //! `--trace-out` attaches a route-scoped flight recorder to every run and
 //! writes the merged per-cell trace timelines as JSONL; `--trace-sample N`
 //! traces 1 route in N (default 1 when `--trace-out` is given).
-//! `--profile` enables the per-extension VM profiler (`xbgp_prof_*`
-//! series in the metrics snapshot).
 //! `--churn-rounds N` switches every cell to steady-state churn mode
 //! (impact on churn-phase DUT CPU instead of one-shot transfer time; see
 //! `xbgp_harness::churn`); the other `--churn-*` flags tune the storm.
@@ -97,11 +98,6 @@ fn main() {
                     xbgp_obs::error!("--trace-sample must be at least 1");
                     std::process::exit(2);
                 }
-            }
-            "--profile" => {
-                spec.profile = true;
-                i += 1;
-                continue;
             }
             "--churn-rounds" => {
                 let n = parse_num(i) as usize;

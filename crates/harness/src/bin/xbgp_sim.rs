@@ -2,7 +2,7 @@
 //!
 //! Usage: xbgp-sim <scenario.json> [--shards N] [--metrics-out FILE]
 //!                 [--log-level LEVEL] [--fault-rate R]
-//!                 [--trace-out FILE] [--trace-sample N] [--profile]
+//!                 [--trace-out FILE] [--trace-sample N]
 //!                 [--churn-feed ROUTER] [--churn-routes N] [--churn-rounds N]
 //!                 [--churn-seed N] [--churn-withdraw N‰] [--churn-reannounce N‰]
 //!                 [--churn-flap N‰] [--churn-flap-period N] [--churn-roa-sweep N‰]
@@ -10,7 +10,10 @@
 //!
 //! See `xbgp_harness::scenario` for the document format. Exit code 0 when
 //! every `expect_route` check passes, 1 otherwise. `--metrics-out` writes
-//! the final per-router metrics snapshot as a JSON document. `--shards N`
+//! the final per-router metrics snapshot as a JSON document; every router
+//! runs with metrics on, so it holds the VMM counters, the
+//! `xbgp_prof_fuel` histograms and one clock per layer of a run (chain,
+//! extension, helper call). `--shards N`
 //! splits originated prefixes across N replica simulations on worker
 //! threads (see `xbgp_harness::shard`); `--shards 1` is the sequential
 //! path. `--fault-rate R` (in `[0, 1]`) overrides the scenario's
@@ -23,9 +26,7 @@
 //! router and writes the merged timeline: Chrome/Perfetto `trace_event`
 //! JSON when FILE ends in `.chrome.json`, JSONL (one event or postmortem
 //! per line) otherwise. `--trace-sample N` traces 1 route in N (default 1
-//! — every route — when `--trace-out` is given). `--profile` turns on the
-//! per-extension VM profiler; its `xbgp_prof_*` series land in the
-//! `--metrics-out` snapshot.
+//! — every route — when `--trace-out` is given).
 //!
 //! The `--churn-*` family overrides (or, with `--churn-feed`, creates)
 //! the scenario's `churn` section: a synthetic upstream blasts a
@@ -45,7 +46,6 @@ fn main() -> ExitCode {
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut trace_sample = 0u64;
-    let mut profile = false;
     let mut shards = 1usize;
     let mut fault_rate: Option<f64> = None;
     let mut churn_feed: Option<String> = None;
@@ -133,10 +133,6 @@ fn main() -> ExitCode {
                 trace_sample = n;
                 i += 2;
             }
-            "--profile" => {
-                profile = true;
-                i += 1;
-            }
             "--fault-rate" => {
                 let Some(r) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) else {
                     xbgp_obs::error!("--fault-rate needs a number in [0, 1]");
@@ -172,7 +168,7 @@ fn main() -> ExitCode {
     let Some(path) = scenario_path else {
         xbgp_obs::error!(
             "usage: xbgp-sim <scenario.json> [--shards N] [--metrics-out FILE] \
-             [--fault-rate R] [--trace-out FILE] [--trace-sample N] [--profile] \
+             [--fault-rate R] [--trace-out FILE] [--trace-sample N] \
              [--churn-feed ROUTER] [--churn-routes N] [--churn-rounds N] \
              [--churn-seed N] [--churn-withdraw N] [--churn-reannounce N] \
              [--churn-flap N] [--churn-flap-period N] [--churn-roa-sweep N] \
@@ -235,7 +231,7 @@ fn main() -> ExitCode {
             c.check_oracle = true;
         }
     }
-    let opts = RunOptions { trace_sample, profile, shard_base: 0 };
+    let opts = RunOptions { trace_sample, shard_base: 0 };
     match xbgp_harness::scenario::run_sharded_with_options(&scenario, shards, &opts) {
         Ok(report) => {
             println!("scenario: {}", report.name);

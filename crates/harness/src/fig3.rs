@@ -62,8 +62,9 @@ pub struct Fig3Spec {
     pub routes: usize,
     /// Workload seed (table and ROAs; the churn stream has its own).
     pub seed: u64,
-    /// Enable the DUT's timing instrumentation and return its metrics
-    /// snapshot in the outcome.
+    /// Enable the DUT's instrumentation ([`DaemonSpec::metrics`]: counters,
+    /// fuel histograms and one clock per layer of an extension run) and
+    /// return its metrics snapshot in the outcome.
     pub metrics: bool,
     /// Prefix-hash shards to split the workload across (see
     /// [`crate::shard`]). `0` and `1` both mean one chain on the calling
@@ -75,9 +76,6 @@ pub struct Fig3Spec {
     /// Route-scoped tracing: sample 1 route in this many through the
     /// DUT's flight recorder (0 = tracing off).
     pub trace_sample: u64,
-    /// Enable the DUT's VM execution profiler (`xbgp_prof_*` series in
-    /// the metrics snapshot).
-    pub profile: bool,
     /// Replay this churn stream against the loaded table (see
     /// [`crate::churn`]); `None` measures the table load only.
     pub churn: Option<ChurnSpec>,
@@ -97,7 +95,6 @@ impl Fig3Spec {
             shards: 1,
             rib_dump: false,
             trace_sample: 0,
-            profile: false,
             churn: None,
         }
     }
@@ -229,7 +226,6 @@ pub(crate) fn run_chain(
         capacity: 0,
         shard,
     });
-    dspec.profile = spec.profile;
     sim.replace_node(d, Box::new(build(spec.dut, dspec)));
 
     // Table load: run in bounded virtual-time chunks until the sink has

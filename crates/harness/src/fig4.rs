@@ -20,7 +20,7 @@ pub struct Fig4Config {
     /// pick the cell. A pair overrides only `extension` and the seed:
     /// pair `i` uses `spec.seed + i`, and the churn stream follows it, so
     /// pairs stay seed-matched. Every other field (metrics, shards,
-    /// tracing, profiler) applies to both variants, keeping the pairing
+    /// tracing) applies to both variants, keeping the pairing
     /// symmetric.
     ///
     /// With `spec.churn` set, each pair measures steady-state churn (see
@@ -137,7 +137,6 @@ mod tests {
             spec: Fig3Spec {
                 metrics: true,
                 trace_sample: 1,
-                profile: true,
                 churn: Some(ChurnSpec::new(1, 3)),
                 ..Fig3Spec::new(Dut::Fir, UseCase::OriginValidation, 200, 1)
             },

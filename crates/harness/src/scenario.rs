@@ -579,9 +579,6 @@ pub struct RunOptions {
     /// Trace 1 route in this many through every router's flight recorder
     /// (0 = tracing off).
     pub trace_sample: u64,
-    /// Enable every router's VM execution profiler (`xbgp_prof_*`
-    /// series in the metrics snapshot).
-    pub profile: bool,
     /// Trace-id namespace base: router `i` records under shard
     /// `(shard_base << 8) | i`, so per-router timelines from sharded
     /// replicas stay attributable after the merge.
@@ -597,7 +594,8 @@ pub struct ScenarioReport {
     /// Final `(router, table size)` summary.
     pub tables: Vec<(String, usize)>,
     /// Merged final metrics of every router, each tagged with a
-    /// `router` label on top of its `daemon` label.
+    /// `router` label on top of its `daemon` label. Every router runs
+    /// with [`DaemonSpec::metrics`] on, so the VMM series are complete.
     pub metrics: xbgp_obs::Snapshot,
     /// Every router's flight-recorder dump merged into one timeline
     /// (when [`RunOptions::trace_sample`] is set).
@@ -812,7 +810,7 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
         dspec.igp = shared_igp.clone();
         dspec.xtra = xtra;
         dspec.trace = trace_cfg(idx);
-        dspec.profile = opts.profile;
+        dspec.metrics = true;
         sim.replace_node(node, Box::new(build(dut, dspec)));
     }
 
@@ -1089,6 +1087,17 @@ mod tests {
         // peer's tables shrink.
         let peer_table = report.tables.iter().find(|(n, _)| n == "peer").unwrap();
         assert_eq!(peer_table.1, 0);
+        // Every router runs with metrics on, so the chain-run counter
+        // splits exactly into its outcomes.
+        let m = &report.metrics;
+        let runs = m.counter_sum("xbgp_vmm_runs_total");
+        assert!(runs > 0, "VMM chain runs are counted");
+        assert_eq!(
+            runs,
+            m.counter_sum("xbgp_vmm_values_total")
+                + m.counter_sum("xbgp_vmm_fallbacks_total")
+                + m.counter_sum("xbgp_vmm_errors_total")
+        );
     }
 
     #[test]
@@ -1218,7 +1227,7 @@ mod tests {
         .expect("fixture present");
         let mut scenario = parse(&json).expect("parses");
         scenario.fault_rate = 1.0;
-        let opts = RunOptions { trace_sample: 1, profile: true, ..Default::default() };
+        let opts = RunOptions { trace_sample: 1, ..Default::default() };
         let report = run_with_options(&scenario, &opts).expect("runs");
         assert!(report.all_passed(), "{:?}", report.checks);
 
@@ -1256,10 +1265,10 @@ mod tests {
         let fault = pm.events.iter().rev().find(|e| e.kind == TraceKind::Fault);
         assert_eq!(fault.map(|e| e.a), pm.pc, "context fault matches the pc");
 
-        // The profiler ran alongside: xbgp_prof_* series are exported.
+        // Metrics ran alongside: the xbgp_prof_* series are exported.
         assert!(
             report.metrics.metrics.iter().any(|m| m.name.starts_with("xbgp_prof_")),
-            "profiler series exported"
+            "per-layer series exported"
         );
 
         // The merged multi-router dump round-trips through JSONL.

@@ -5,19 +5,18 @@
 //! first-class telemetry, so this crate provides the substrate every layer
 //! reports through:
 //!
-//! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]): lock-free atomic
-//!   primitives. Histograms use log2 buckets — one `fetch_add` per
-//!   observation, constant memory, good-enough latency quantiles.
-//! * **Registry** ([`Registry`]): name+labels → metric handles. The lock is
-//!   taken only at registration and snapshot time; the hot path touches
-//!   pre-registered `Arc` handles only.
-//! * **Snapshots** ([`Snapshot`]): a point-in-time copy of every metric,
-//!   buildable either from a registry or directly from ad-hoc counters
-//!   (how the VMM exports without paying registry costs per run).
+//! * **Histograms** ([`Histogram`]): lock-free log2 buckets — one
+//!   `fetch_add` per observation, constant memory, good-enough latency
+//!   quantiles.
+//! * **Snapshots** ([`Snapshot`]): a point-in-time copy of every metric.
+//!   Each component keeps plain integer counters and histograms of its
+//!   own and pushes them with [`Snapshot::push_counter`] /
+//!   [`Snapshot::push_gauge`] / [`Snapshot::push_histogram`] on demand,
+//!   so the hot path pays an increment, never a lookup; shard snapshots
+//!   combine with [`Snapshot::merge`].
 //! * **Exporters** ([`export::to_prometheus`], [`export::to_json`]): the
 //!   Prometheus text exposition format (with a line parser for round-trip
 //!   tests) and a JSON document.
-//! * **Span timers** ([`SpanTimer`]): scoped RAII timers feeding histograms.
 //! * **Logging facade** ([`logging`], [`error!`], [`warn!`], [`info!`],
 //!   [`debug!`], [`trace!`]): level-filtered, host-pluggable sink replacing
 //!   the ad-hoc `eprintln!` calls that used to be scattered across crates.
@@ -34,10 +33,8 @@ pub mod json;
 pub mod logging;
 pub mod metrics;
 pub mod registry;
-pub mod span;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MergeError, HISTOGRAM_BUCKETS};
-pub use registry::{Metric, MetricValue, Registry, Snapshot};
-pub use span::SpanTimer;
+pub use metrics::{Histogram, HistogramSnapshot, MergeError, HISTOGRAM_BUCKETS};
+pub use registry::{Metric, MetricValue, Snapshot};
 pub use trace::{Postmortem, TraceConfig, TraceDump, TraceEvent, TraceKind, Tracer};

@@ -1,64 +1,17 @@
-//! Lock-free metric primitives: counters, gauges, log2-bucket histograms.
+//! Lock-free log2-bucket histograms.
 //!
-//! All types are updated through `&self` with relaxed atomics — safe to
-//! share via `Arc` across threads, free of locks on the hot path. Relaxed
-//! ordering is deliberate: metrics need eventual visibility, not
-//! synchronisation edges.
+//! A [`Histogram`] is updated through `&self` with relaxed atomics — safe
+//! to share via `Arc` across threads, free of locks on the hot path.
+//! Relaxed ordering is deliberate: metrics need eventual visibility, not
+//! synchronisation edges. Counters and gauges are plain integers kept by
+//! each component and pushed into a [`crate::Snapshot`] on demand.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of histogram buckets. Bucket `i` (for `i ≥ 1`) counts values
 /// needing exactly `i` significant bits, i.e. `v ∈ [2^(i-1), 2^i)`;
 /// bucket 0 counts zeros; the last bucket absorbs everything ≥ 2^62.
 pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// Monotonically increasing event count.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A value that can go up and down (RIB sizes, session counts).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    #[inline]
-    pub fn set(&self, value: i64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Log2-bucket histogram for latency-style values (typically nanoseconds).
 ///
@@ -122,7 +75,7 @@ impl Histogram {
 }
 
 /// Why two snapshots refused to merge. Carries the metric name when the
-/// registry layer knows it (ad-hoc merges leave it empty).
+/// snapshot layer knows it (bare histogram merges leave it empty).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeError {
     /// The two histograms have different bucket layouts; summing them
@@ -138,8 +91,8 @@ pub enum MergeError {
 }
 
 impl MergeError {
-    /// Attach the metric name (the registry knows it, callers of the bare
-    /// snapshot merge usually don't).
+    /// Attach the metric name ([`crate::Snapshot::merge`] knows it;
+    /// callers of the bare histogram merge usually don't).
     pub fn with_metric(mut self, name: &str) -> MergeError {
         match &mut self {
             MergeError::BucketCountMismatch { metric, .. }
@@ -270,19 +223,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-
-        let g = Gauge::new();
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
-    }
-
-    #[test]
     fn bucket_index_is_log2() {
         assert_eq!(Histogram::bucket_index(0), 0);
         assert_eq!(Histogram::bucket_index(1), 1);
@@ -364,8 +304,8 @@ mod tests {
         );
         // Nothing was truncated-into: the receiver is untouched.
         assert_eq!(a.count, 64);
-        let named = err.with_metric("xbgp_hook_ns");
-        assert!(named.to_string().contains("xbgp_hook_ns"));
+        let named = err.with_metric("xbgp_run_ns");
+        assert!(named.to_string().contains("xbgp_run_ns"));
     }
 
     #[test]

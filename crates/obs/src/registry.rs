@@ -1,92 +1,19 @@
-//! Metric registry and point-in-time snapshots.
+//! Point-in-time metric snapshots.
 //!
-//! The registry's mutex guards only the name → handle map; callers
-//! register once, keep the returned `Arc`, and update through atomics.
-//! Snapshots can also be assembled directly ([`Snapshot::push_counter`]
-//! and friends) by components that keep plain integer counters and only
-//! materialise metrics on demand — the VMM does this so its hot path pays
-//! a `u64` increment, not a map lookup.
+//! Components keep plain integer counters and [`Histogram`]s of their
+//! own and materialise metrics on demand with [`Snapshot::push_counter`]
+//! and friends — the VMM does this so its hot path pays a `u64`
+//! increment, not a map lookup.
+//!
+//! [`Histogram`]: crate::Histogram
 
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MergeError};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use crate::metrics::{HistogramSnapshot, MergeError};
 
 /// Label set: ordered `(key, value)` pairs.
 pub type Labels = Vec<(String, String)>;
 
 fn labels_of(pairs: &[(&str, &str)]) -> Labels {
     pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
-    name: String,
-    labels: Labels,
-}
-
-enum Slot {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-/// Get-or-register store of named metrics.
-#[derive(Default)]
-pub struct Registry {
-    slots: Mutex<BTreeMap<Key, Slot>>,
-}
-
-impl Registry {
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Get or create the counter `name{labels}`. Panics if the name+labels
-    /// pair is already registered as a different metric type.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let key = Key { name: name.to_string(), labels: labels_of(labels) };
-        let mut slots = self.slots.lock().unwrap();
-        match slots.entry(key).or_insert_with(|| Slot::Counter(Arc::new(Counter::new()))) {
-            Slot::Counter(c) => Arc::clone(c),
-            _ => panic!("metric `{name}` already registered with a different type"),
-        }
-    }
-
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let key = Key { name: name.to_string(), labels: labels_of(labels) };
-        let mut slots = self.slots.lock().unwrap();
-        match slots.entry(key).or_insert_with(|| Slot::Gauge(Arc::new(Gauge::new()))) {
-            Slot::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric `{name}` already registered with a different type"),
-        }
-    }
-
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let key = Key { name: name.to_string(), labels: labels_of(labels) };
-        let mut slots = self.slots.lock().unwrap();
-        match slots.entry(key).or_insert_with(|| Slot::Histogram(Arc::new(Histogram::new()))) {
-            Slot::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric `{name}` already registered with a different type"),
-        }
-    }
-
-    /// Copy every registered metric's current value.
-    pub fn snapshot(&self) -> Snapshot {
-        let slots = self.slots.lock().unwrap();
-        let metrics = slots
-            .iter()
-            .map(|(key, slot)| Metric {
-                name: key.name.clone(),
-                labels: key.labels.clone(),
-                value: match slot {
-                    Slot::Counter(c) => MetricValue::Counter(c.get()),
-                    Slot::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                },
-            })
-            .collect();
-        Snapshot { metrics }
-    }
 }
 
 /// One exported metric sample.
@@ -256,22 +183,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn register_update_snapshot() {
-        let r = Registry::new();
-        let runs = r.counter("runs_total", &[("point", "decision")]);
-        let rib = r.gauge("rib_size", &[]);
-        let lat = r.histogram("latency_ns", &[]);
-        runs.add(3);
-        rib.set(100);
-        lat.observe(500);
-
-        let s = r.snapshot();
-        assert_eq!(s.counter_value("runs_total", &[("point", "decision")]), Some(3));
-        assert_eq!(s.gauge_value("rib_size", &[]), Some(100));
-        assert_eq!(s.histogram_value("latency_ns", &[]).unwrap().count, 1);
-    }
-
-    #[test]
     fn counter_sum_totals_across_label_sets() {
         let mut s = Snapshot::new();
         s.push_counter("rollbacks", &[("point", "inbound_filter")], 3);
@@ -279,24 +190,6 @@ mod tests {
         s.push_gauge("rollbacks", &[("point", "bogus")], 100); // wrong kind: ignored
         assert_eq!(s.counter_sum("rollbacks"), 5);
         assert_eq!(s.counter_sum("never_registered"), 0);
-    }
-
-    #[test]
-    fn registration_is_idempotent() {
-        let r = Registry::new();
-        let a = r.counter("x", &[]);
-        let b = r.counter("x", &[]);
-        a.inc();
-        b.inc();
-        assert_eq!(r.snapshot().counter_value("x", &[]), Some(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "different type")]
-    fn type_conflict_panics() {
-        let r = Registry::new();
-        let _ = r.counter("x", &[]);
-        let _ = r.gauge("x", &[]);
     }
 
     #[test]
@@ -320,19 +213,18 @@ mod tests {
     fn merge_sums_matching_counters_gauges_and_histograms() {
         // Two "shards" each observe part of a workload; merging their
         // snapshots must equal one snapshot of the whole workload.
-        let whole = Registry::new();
-        let shard_a = Registry::new();
-        let shard_b = Registry::new();
-        for (i, r) in [&shard_a, &shard_b, &whole, &whole].iter().enumerate() {
-            let n = (i % 2 + 1) as u64 * 10; // a: 10, b: 20, whole: 10+20
-            r.counter("updates_total", &[("point", "inbound")]).add(n);
-            r.gauge("rib_size", &[]).add(n as i64);
-            r.histogram("latency_ns", &[]).observe(n);
-        }
-
-        let mut merged = shard_a.snapshot();
-        merged.merge(shard_b.snapshot()).unwrap();
-        let expect = whole.snapshot();
+        let shard = |values: &[u64]| {
+            let h = crate::Histogram::new();
+            values.iter().for_each(|&v| h.observe(v));
+            let mut s = Snapshot::new();
+            s.push_counter("updates_total", &[("point", "inbound")], values.iter().sum());
+            s.push_gauge("rib_size", &[], values.iter().sum::<u64>() as i64);
+            s.push_histogram("latency_ns", &[], h.snapshot());
+            s
+        };
+        let mut merged = shard(&[10]);
+        merged.merge(shard(&[20])).unwrap();
+        let expect = shard(&[10, 20]);
         assert_eq!(
             merged.counter_value("updates_total", &[("point", "inbound")]),
             expect.counter_value("updates_total", &[("point", "inbound")]),
@@ -371,39 +263,20 @@ mod tests {
     fn merge_surfaces_bucket_mismatch_with_metric_name() {
         let mut a = Snapshot::new();
         a.push_histogram(
-            "hook_ns",
+            "run_ns",
             &[],
             HistogramSnapshot { buckets: vec![1; 64], count: 64, sum: 64 },
         );
         let mut b = Snapshot::new();
         b.push_histogram(
-            "hook_ns",
+            "run_ns",
             &[],
             HistogramSnapshot { buckets: vec![1; 8], count: 8, sum: 8 },
         );
         let err = a.merge(b).unwrap_err();
         assert_eq!(
             err,
-            MergeError::BucketCountMismatch { metric: "hook_ns".into(), left: 64, right: 8 }
+            MergeError::BucketCountMismatch { metric: "run_ns".into(), left: 64, right: 8 }
         );
-    }
-
-    #[test]
-    fn handles_are_usable_across_threads() {
-        let r = Registry::new();
-        let c = r.counter("t", &[]);
-        let mut joins = Vec::new();
-        for _ in 0..4 {
-            let c = Arc::clone(&c);
-            joins.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    c.inc();
-                }
-            }));
-        }
-        for j in joins {
-            j.join().unwrap();
-        }
-        assert_eq!(c.get(), 4000);
     }
 }

@@ -60,7 +60,7 @@ pub const NO_EXT: u16 = u16::MAX;
 /// | `Decode`      | packed prefix               | 0                        |
 /// | `PointEnter`  | chain length                | 0                        |
 /// | `PointExit`   | outcome (0 val/1 fb/2 abrt) | 0                        |
-/// | `HelperCall`  | helper id                   | latency ns (if profiled) |
+/// | `HelperCall`  | helper id                   | latency ns (with metrics on) |
 /// | `TxnStage`    | op (1 set/2 add/3 rm/4 buf/5 rib) | attr code / 0      |
 /// | `TxnCommit`   | staged op count             | 0                        |
 /// | `TxnRollback` | staged op count             | 0                        |

@@ -14,7 +14,7 @@ use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use xbgp_wire::msg::deframe;
+use xbgp_wire::msg::{deframe, update_sections};
 use xbgp_wire::{CloseReason, Ipv4Prefix, SessionConfig, SessionEvent};
 
 use crate::io::{wait, Conn, PollFd, ReadStatus, READ_CHUNK};
@@ -99,12 +99,11 @@ impl Peer {
                     self.updates_rx += 1;
                     // The FSM validated the frame: its section lengths hold.
                     let (_, body) = deframe(&frame).expect("a whole frame");
-                    let wd = 2 + usize::from(u16::from_be_bytes([body[0], body[1]]));
-                    let nlri = wd + 2 + usize::from(u16::from_be_bytes([body[wd], body[wd + 1]]));
-                    for p in Ipv4Prefix::decode_run(&body[2..wd]).expect("withdrawn routes") {
+                    let (wd, _, nlri) = update_sections(body).expect("UPDATE sections");
+                    for p in Ipv4Prefix::decode_run(wd).expect("withdrawn routes") {
                         self.rib.remove(&p);
                     }
-                    self.rib.extend(Ipv4Prefix::decode_run(&body[nlri..]).expect("NLRI"));
+                    self.rib.extend(Ipv4Prefix::decode_run(nlri).expect("NLRI"));
                 }
                 SessionEvent::Closed(reason) => self.closed = Some(reason),
                 SessionEvent::Send(_) => {}

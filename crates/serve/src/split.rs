@@ -8,7 +8,7 @@
 //! Only the withdrawn-routes and NLRI prefix runs are re-packed.
 
 use xbgp_harness::shard::shard_of;
-use xbgp_wire::msg::{deframe, frame};
+use xbgp_wire::msg::{deframe, frame, update_sections};
 use xbgp_wire::{Ipv4Prefix, MsgType, WireError};
 
 /// Cut one complete UPDATE frame into per-shard frames. Entry `k` is the
@@ -24,22 +24,9 @@ pub fn split_update(frame_bytes: &[u8], shards: usize) -> Result<Vec<Option<Vec<
     }
     let (ty, body) = deframe(frame_bytes)?;
     debug_assert_eq!(ty, MsgType::Update, "only UPDATE frames are sharded");
-
-    if body.len() < 2 {
-        return Err(WireError::Truncated { what: "UPDATE withdrawn length" });
-    }
-    let wd_len = usize::from(u16::from_be_bytes([body[0], body[1]]));
-    if body.len() < 2 + wd_len + 2 {
-        return Err(WireError::Truncated { what: "UPDATE withdrawn routes" });
-    }
-    let withdrawn = Ipv4Prefix::decode_run(&body[2..2 + wd_len])?;
-    let at = 2 + wd_len;
-    let attr_len = usize::from(u16::from_be_bytes([body[at], body[at + 1]]));
-    if body.len() < at + 2 + attr_len {
-        return Err(WireError::Truncated { what: "UPDATE path attributes" });
-    }
-    let attrs_raw = &body[at + 2..at + 2 + attr_len];
-    let nlri = Ipv4Prefix::decode_run(&body[at + 2 + attr_len..])?;
+    let (withdrawn, attrs_raw, nlri) = update_sections(body)?;
+    let withdrawn = Ipv4Prefix::decode_run(withdrawn)?;
+    let nlri = Ipv4Prefix::decode_run(nlri)?;
 
     let mut wd_parts: Vec<Vec<Ipv4Prefix>> = vec![Vec::new(); shards];
     let mut nlri_parts: Vec<Vec<Ipv4Prefix>> = vec![Vec::new(); shards];

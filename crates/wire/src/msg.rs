@@ -176,22 +176,12 @@ impl UpdateMsg {
     /// Decode an UPDATE body. `asn_width` reflects the session's 4-octet-AS
     /// negotiation.
     pub fn decode_body(buf: &[u8], asn_width: usize) -> Result<UpdateMsg, WireError> {
-        if buf.len() < 2 {
-            return Err(WireError::Truncated { what: "UPDATE withdrawn length" });
-        }
-        let wd_len = usize::from(u16::from_be_bytes([buf[0], buf[1]]));
-        if buf.len() < 2 + wd_len + 2 {
-            return Err(WireError::Truncated { what: "UPDATE withdrawn routes" });
-        }
-        let withdrawn = Ipv4Prefix::decode_run(&buf[2..2 + wd_len])?;
-        let at = 2 + wd_len;
-        let attr_len = usize::from(u16::from_be_bytes([buf[at], buf[at + 1]]));
-        if buf.len() < at + 2 + attr_len {
-            return Err(WireError::Truncated { what: "UPDATE path attributes" });
-        }
-        let attrs = decode_attrs(&buf[at + 2..at + 2 + attr_len], asn_width)?;
-        let nlri = Ipv4Prefix::decode_run(&buf[at + 2 + attr_len..])?;
-        Ok(UpdateMsg { withdrawn, attrs, nlri })
+        let (withdrawn, attrs, nlri) = update_sections(buf)?;
+        Ok(UpdateMsg {
+            withdrawn: Ipv4Prefix::decode_run(withdrawn)?,
+            attrs: decode_attrs(attrs, asn_width)?,
+            nlri: Ipv4Prefix::decode_run(nlri)?,
+        })
     }
 
     /// Encode a complete UPDATE frame whose attribute section additionally
@@ -224,20 +214,29 @@ impl UpdateMsg {
     /// Raw byte range of the path-attribute section inside an UPDATE body,
     /// used by the xBGP neutral message view.
     pub fn attr_section(body: &[u8]) -> Result<&[u8], WireError> {
-        if body.len() < 2 {
-            return Err(WireError::Truncated { what: "UPDATE withdrawn length" });
-        }
-        let wd_len = usize::from(u16::from_be_bytes([body[0], body[1]]));
-        let at = 2 + wd_len;
-        if body.len() < at + 2 {
-            return Err(WireError::Truncated { what: "UPDATE attribute length" });
-        }
-        let attr_len = usize::from(u16::from_be_bytes([body[at], body[at + 1]]));
-        if body.len() < at + 2 + attr_len {
-            return Err(WireError::Truncated { what: "UPDATE path attributes" });
-        }
-        Ok(&body[at + 2..at + 2 + attr_len])
+        update_sections(body).map(|(_, attrs, _)| attrs)
     }
+}
+
+/// `(withdrawn routes, path attributes, NLRI)` of one UPDATE body.
+pub type UpdateSections<'a> = (&'a [u8], &'a [u8], &'a [u8]);
+
+/// Split an UPDATE body into its three sections — withdrawn routes, path
+/// attributes, NLRI — without parsing any of them. The one place the
+/// two section lengths of RFC 4271 §4.3 are checked against the body: a
+/// length that runs past the end is [`WireError::Truncated`].
+#[inline]
+pub fn update_sections(body: &[u8]) -> Result<UpdateSections<'_>, WireError> {
+    let len_at = |at: usize, what: &'static str| match body.get(at..at + 2) {
+        Some(&[hi, lo]) => Ok(at + 2 + usize::from(u16::from_be_bytes([hi, lo]))),
+        _ => Err(WireError::Truncated { what }),
+    };
+    let attrs_at = len_at(0, "UPDATE withdrawn length")?;
+    let nlri_at = len_at(attrs_at, "UPDATE withdrawn routes")?;
+    if body.len() < nlri_at {
+        return Err(WireError::Truncated { what: "UPDATE path attributes" });
+    }
+    Ok((&body[2..attrs_at], &body[attrs_at + 2..nlri_at], &body[nlri_at..]))
 }
 
 /// Encode a complete UPDATE frame from borrowed parts into one buffer:
@@ -550,14 +549,32 @@ mod tests {
 
     #[test]
     fn attr_section_finds_attribute_bytes() {
-        let u = UpdateMsg::announce(
-            vec![PathAttr::Origin(Origin::Egp)],
-            vec!["203.0.113.0/24".parse().unwrap()],
-        );
+        let u = UpdateMsg {
+            withdrawn: vec!["10.9.0.0/16".parse().unwrap()],
+            ..UpdateMsg::announce(
+                vec![PathAttr::Origin(Origin::Egp)],
+                vec!["203.0.113.0/24".parse().unwrap()],
+            )
+        };
         let buf = Message::Update(u).encode(4).unwrap();
         let body = &buf[HEADER_LEN..];
         let attrs = UpdateMsg::attr_section(body).unwrap();
         assert_eq!(attrs, &[0x40, 1, 1, 1][..]); // ORIGIN=EGP TLV
+        let (wd, attrs, nlri) = update_sections(body).unwrap();
+        assert_eq!(wd, &[16, 10, 9][..]);
+        assert_eq!(attrs, &[0x40, 1, 1, 1][..]);
+        assert_eq!(nlri, &[24, 203, 0, 113][..]);
+        // Cut anywhere before the NLRI, a section length runs past the
+        // end; cut inside the NLRI, the sections still split.
+        let nlri_at = body.len() - nlri.len();
+        for cut in 0..body.len() {
+            let r = update_sections(&body[..cut]);
+            if cut < nlri_at {
+                assert!(matches!(r, Err(WireError::Truncated { .. })), "cut at {cut}");
+            } else {
+                assert!(r.is_ok(), "cut at {cut}");
+            }
+        }
     }
 
     #[test]
