@@ -3,18 +3,16 @@
 //! Usage: xbgp-sim <scenario.json> [--shards N] [--metrics-out FILE]
 //!                 [--log-level LEVEL] [--fault-rate R]
 //!                 [--trace-out FILE] [--trace-sample N]
-//!                 [--churn-feed ROUTER] [--churn-routes N] [--churn-rounds N]
-//!                 [--churn-seed N] [--churn-withdraw N‰] [--churn-reannounce N‰]
-//!                 [--churn-flap N‰] [--churn-flap-period N] [--churn-roa-sweep N‰]
-//!                 [--churn-hunt-depth N] [--churn-interval-ms N] [--check-oracle]
 //!
-//! See `xbgp_harness::scenario` for the document format. Exit code 0 when
-//! every `expect_route` check passes, 1 otherwise. `--metrics-out` writes
-//! the final per-router metrics snapshot as a JSON document; every router
-//! runs with metrics on, so it holds the VMM counters, the
-//! `xbgp_prof_fuel` histograms and one clock per layer of a run (chain,
-//! extension, helper call). `--shards N`
-//! splits originated prefixes across N replica simulations on worker
+//! See `xbgp_harness::scenario` for the document format; a churn storm is
+//! the document's `churn` section. Exit code 0 when every check passes
+//! (each `expect_route`, and with a `churn` section one full-recompute
+//! oracle row per router), 1 otherwise, 2 on a usage or document error.
+//! `--metrics-out` writes the final per-router metrics snapshot as a JSON
+//! document; every router runs with metrics on, so it holds the VMM
+//! counters, the `xbgp_prof_fuel` histograms and one clock per layer of a
+//! run (chain, extension, helper call). `--shards N` splits originated
+//! prefixes and the churn stream across N replica simulations on worker
 //! threads (see `xbgp_harness::shard`); `--shards 1` is the sequential
 //! path. `--fault-rate R` (in `[0, 1]`) overrides the scenario's
 //! `fault_rate`: every router gets the `fault_inject` probe, which traps
@@ -27,14 +25,6 @@
 //! JSON when FILE ends in `.chrome.json`, JSONL (one event or postmortem
 //! per line) otherwise. `--trace-sample N` traces 1 route in N (default 1
 //! — every route — when `--trace-out` is given).
-//!
-//! The `--churn-*` family overrides (or, with `--churn-feed`, creates)
-//! the scenario's `churn` section: a synthetic upstream blasts a
-//! generated table at the named router, then replays a seeded storm of
-//! withdraw/re-announce rounds, flaps, ROA sweeps and path-hunting
-//! cascades. `--check-oracle` forces the end-of-run Loc-RIB comparison
-//! against the full-recompute oracle (a mismatch fails the run like any
-//! missed `expect_route`). Per-mille flags take 0–1000.
 
 use std::process::ExitCode;
 use xbgp_harness::scenario::RunOptions;
@@ -48,51 +38,9 @@ fn main() -> ExitCode {
     let mut trace_sample = 0u64;
     let mut shards = 1usize;
     let mut fault_rate: Option<f64> = None;
-    let mut churn_feed: Option<String> = None;
-    let mut churn_over: Vec<(&'static str, u64)> = Vec::new();
-    let mut check_oracle = false;
     let mut i = 0;
     while i < args.len() {
-        // Numeric --churn-* overrides share one parse path.
-        let churn_key = match args[i].as_str() {
-            "--churn-routes" => Some("routes"),
-            "--churn-rounds" => Some("rounds"),
-            "--churn-seed" => Some("seed"),
-            "--churn-withdraw" => Some("withdraw_per_mille"),
-            "--churn-reannounce" => Some("reannounce_per_mille"),
-            "--churn-flap" => Some("flap_per_mille"),
-            "--churn-flap-period" => Some("flap_period"),
-            "--churn-roa-sweep" => Some("roa_sweep_per_mille"),
-            "--churn-hunt-depth" => Some("path_hunt_depth"),
-            "--churn-interval-ms" => Some("interval_ms"),
-            _ => None,
-        };
-        if let Some(key) = churn_key {
-            let Some(n) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                xbgp_obs::error!("{} needs a non-negative number", args[i]);
-                return ExitCode::from(2);
-            };
-            if key.ends_with("per_mille") && n > 1000 {
-                xbgp_obs::error!("{} is per-mille, must be <= 1000", args[i]);
-                return ExitCode::from(2);
-            }
-            churn_over.push((key, n));
-            i += 2;
-            continue;
-        }
         match args[i].as_str() {
-            "--churn-feed" => {
-                let Some(name) = args.get(i + 1) else {
-                    xbgp_obs::error!("missing value after --churn-feed");
-                    return ExitCode::from(2);
-                };
-                churn_feed = Some(name.clone());
-                i += 2;
-            }
-            "--check-oracle" => {
-                check_oracle = true;
-                i += 1;
-            }
             "--shards" => {
                 let Some(n) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
                     xbgp_obs::error!("--shards needs a positive number");
@@ -168,11 +116,7 @@ fn main() -> ExitCode {
     let Some(path) = scenario_path else {
         xbgp_obs::error!(
             "usage: xbgp-sim <scenario.json> [--shards N] [--metrics-out FILE] \
-             [--fault-rate R] [--trace-out FILE] [--trace-sample N] \
-             [--churn-feed ROUTER] [--churn-routes N] [--churn-rounds N] \
-             [--churn-seed N] [--churn-withdraw N] [--churn-reannounce N] \
-             [--churn-flap N] [--churn-flap-period N] [--churn-roa-sweep N] \
-             [--churn-hunt-depth N] [--churn-interval-ms N] [--check-oracle]"
+             [--log-level LEVEL] [--fault-rate R] [--trace-out FILE] [--trace-sample N]"
         );
         return ExitCode::from(2);
     };
@@ -196,42 +140,7 @@ fn main() -> ExitCode {
     if let Some(r) = fault_rate {
         scenario.fault_rate = r;
     }
-    if let Some(feed) = churn_feed {
-        match &mut scenario.churn {
-            Some(c) => c.feed = feed,
-            None => {
-                scenario.churn = Some(xbgp_harness::scenario::ChurnSection::new(&feed, 10_000));
-            }
-        }
-    }
-    if !churn_over.is_empty() || check_oracle {
-        let Some(c) = scenario.churn.as_mut() else {
-            xbgp_obs::error!(
-                "--churn-*/--check-oracle need a `churn` section in the scenario \
-                 or --churn-feed ROUTER"
-            );
-            return ExitCode::from(2);
-        };
-        for (key, n) in churn_over {
-            match key {
-                "routes" => c.routes = n as usize,
-                "rounds" => c.rounds = n as usize,
-                "seed" => c.seed = n,
-                "withdraw_per_mille" => c.withdraw_per_mille = n as u32,
-                "reannounce_per_mille" => c.reannounce_per_mille = n as u32,
-                "flap_per_mille" => c.flap_per_mille = n as u32,
-                "flap_period" => c.flap_period = n as usize,
-                "roa_sweep_per_mille" => c.roa_sweep_per_mille = n as u32,
-                "path_hunt_depth" => c.path_hunt_depth = n as usize,
-                "interval_ms" => c.interval_ms = n,
-                _ => unreachable!("key list is closed"),
-            }
-        }
-        if check_oracle {
-            c.check_oracle = true;
-        }
-    }
-    let opts = RunOptions { trace_sample, shard_base: 0 };
+    let opts = RunOptions { trace_sample, ..RunOptions::default() };
     match xbgp_harness::scenario::run_sharded_with_options(&scenario, shards, &opts) {
         Ok(report) => {
             println!("scenario: {}", report.name);

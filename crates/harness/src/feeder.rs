@@ -3,10 +3,24 @@
 //! Speaks just enough BGP to establish a session, then blasts a
 //! pre-encoded routing table at the device under test — the role the
 //! RIS-fed FRRouting upstream plays in the paper. Pre-encoding keeps the
-//! feeder's own CPU cost out of the measurement loop.
+//! feeder's own CPU cost out of the measurement loop. Churn rounds loaded
+//! into it replay on a fixed timer, and [`replay_rounds`] is the one way
+//! a harness runs such a replay to its end.
 
-use netsim::{LinkId, Node, NodeCtx};
+use netsim::{LinkId, Node, NodeCtx, NodeId, Sim};
 use xbgp_wire::{Message, MsgReader, MsgType, OpenMsg, UpdateMsg};
+
+const SEC: u64 = 1_000_000_000;
+
+/// Virtual-time gap between churn rounds.
+const ROUND_INTERVAL_NS: u64 = 200_000_000;
+
+/// Virtual time a replay runs after its last round, so the final
+/// (restore) round converges everywhere before anyone reads a RIB.
+const SETTLE_NS: u64 = 60 * SEC;
+
+/// Virtual time by which every round must have been sent.
+const STALL_NS: u64 = 1_000_000 * SEC;
 
 /// Encode UPDATEs into the complete wire frames a [`Feeder`] sends. The
 /// frames are plain bytes, so a workload can be encoded on one thread and
@@ -16,6 +30,26 @@ pub fn encode_frames(updates: Vec<UpdateMsg>) -> Vec<Vec<u8>> {
         .into_iter()
         .map(|u| Message::Update(u).encode(4).expect("update encodes"))
         .collect()
+}
+
+/// Run `sim` until the feeder at `f` has sent every churn round loaded
+/// with [`Feeder::load_rounds`], then settle so the last round converges.
+/// Every churn replay in the workspace — the Fig. 3 churn phase, a
+/// scenario's `churn` section, the TCP selftest's reference — ends here.
+pub fn replay_rounds(sim: &mut Sim, f: NodeId) -> Result<(), String> {
+    loop {
+        let feeder = sim.node_ref::<Feeder>(f);
+        let (sent, total) = (feeder.rounds_sent, feeder.rounds.len());
+        if sent >= total {
+            break;
+        }
+        if sim.now() >= STALL_NS {
+            return Err(format!("churn rounds stalled: {sent}/{total} sent"));
+        }
+        sim.run_until(sim.now() + 30 * SEC);
+    }
+    sim.run_until(sim.now() + SETTLE_NS);
+    Ok(())
 }
 
 /// Upstream feeder node.
@@ -29,23 +63,14 @@ pub struct Feeder {
     established: bool,
     /// Virtual time the first UPDATE was handed to the link.
     pub first_sent: Option<u64>,
-    pub frames_sent: u64,
-    /// Pre-encoded churn rounds replayed on a timer after the blast.
+    /// Pre-encoded churn rounds, replayed every `ROUND_INTERVAL_NS`
+    /// from the first keepalive tick after they are loaded.
     rounds: Vec<Vec<Vec<u8>>>,
-    next_round: usize,
-    /// Virtual-time gap between churn rounds.
-    round_interval_ns: u64,
-    /// Delay between the blast and the first churn round, leaving the DUT
-    /// time to converge on the initial table.
-    round_start_delay_ns: u64,
+    /// Rounds handed to the link so far (the index of the next one).
+    pub rounds_sent: usize,
     /// Virtual time the most recent churn round was handed to the link —
     /// the convergence-time baseline for that round.
     pub last_round_sent: Option<u64>,
-    pub rounds_sent: usize,
-    /// `false` until the harness calls [`Feeder::load_rounds`] (manual
-    /// mode) or the blast goes out (auto mode).
-    armed: bool,
-    auto_start: bool,
 }
 
 /// Timer token for the churn-round clock (keepalives use token 1).
@@ -62,47 +87,23 @@ impl Feeder {
             frames,
             established: false,
             first_sent: None,
-            frames_sent: 0,
             rounds: Vec::new(),
-            next_round: 0,
-            round_interval_ns: 0,
-            round_start_delay_ns: 0,
-            last_round_sent: None,
             rounds_sent: 0,
-            armed: false,
-            auto_start: false,
+            last_round_sent: None,
         }
     }
 
-    /// Schedule pre-encoded churn `rounds` after the blast: the first
-    /// round fires `start_delay_ns` after the table is sent, subsequent
-    /// rounds every `interval_ns`.
-    pub fn with_churn(
-        mut self,
-        rounds: Vec<Vec<Vec<u8>>>,
-        start_delay_ns: u64,
-        interval_ns: u64,
-    ) -> Feeder {
+    /// Load pre-encoded churn `rounds`, which arms them: the first round
+    /// goes out on the first keepalive tick after the session is up
+    /// (≤30 s of virtual time later), the rest every 200 ms
+    /// (`ROUND_INTERVAL_NS`). A harness that samples quiescent baselines
+    /// (CPU, update counters) loads the rounds *after* sampling them, so
+    /// the baseline window is delimited by construction; one that does
+    /// not loads them when it builds the feeder. [`replay_rounds`] then
+    /// runs the replay to its end.
+    pub fn load_rounds(&mut self, rounds: Vec<Vec<Vec<u8>>>) {
         self.rounds = rounds;
-        self.round_start_delay_ns = start_delay_ns;
-        self.round_interval_ns = interval_ns;
-        self.auto_start = true;
-        self
-    }
-
-    /// Load pre-encoded churn `rounds` into a running feeder and arm them
-    /// in one step: the first round goes out on the next keepalive tick
-    /// (≤30 s of virtual time later), subsequent rounds every
-    /// `interval_ns`. Harnesses call this at storm time, *after* sampling
-    /// their quiescent baselines (CPU, update counters) — so the baseline
-    /// window is delimited by construction, not by a separate arming
-    /// call that is easy to forget.
-    pub fn load_rounds(&mut self, rounds: Vec<Vec<Vec<u8>>>, interval_ns: u64) {
-        self.rounds = rounds;
-        self.round_interval_ns = interval_ns;
-        self.next_round = 0;
         self.rounds_sent = 0;
-        self.armed = true;
     }
 
     fn blast(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -113,26 +114,18 @@ impl Feeder {
         for f in &self.frames {
             ctx.send(link, f);
         }
-        self.frames_sent += self.frames.len() as u64;
         self.frames.clear();
-        if !self.rounds.is_empty() && self.auto_start {
-            self.armed = true;
-            ctx.set_timer(self.round_start_delay_ns, ROUND_TIMER);
-        }
     }
 
     fn send_round(&mut self, ctx: &mut NodeCtx<'_>) {
         let link = self.link.expect("started");
-        let round = &self.rounds[self.next_round];
-        for f in round {
+        for f in &self.rounds[self.rounds_sent] {
             ctx.send(link, f);
         }
-        self.frames_sent += round.len() as u64;
         self.last_round_sent = Some(ctx.now());
-        self.next_round += 1;
         self.rounds_sent += 1;
-        if self.next_round < self.rounds.len() {
-            ctx.set_timer(self.round_interval_ns, ROUND_TIMER);
+        if self.rounds_sent < self.rounds.len() {
+            ctx.set_timer(ROUND_INTERVAL_NS, ROUND_TIMER);
         }
     }
 }
@@ -166,7 +159,7 @@ impl Node for Feeder {
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
         if token == ROUND_TIMER {
-            if self.next_round < self.rounds.len() {
+            if self.rounds_sent < self.rounds.len() {
                 self.send_round(ctx);
             }
             return;
@@ -174,8 +167,8 @@ impl Node for Feeder {
         if let Some(link) = self.link {
             ctx.send(link, &Message::Keepalive.encode(4).expect("encodes"));
             ctx.set_timer(30_000_000_000, 1);
-            // Manually-armed churn kicks off from the keepalive clock.
-            if self.armed && self.established && self.rounds_sent == 0 && !self.rounds.is_empty() {
+            // Loaded churn kicks off from the keepalive clock.
+            if self.established && self.rounds_sent == 0 && !self.rounds.is_empty() {
                 self.send_round(ctx);
             }
         }
@@ -190,7 +183,7 @@ impl Node for Feeder {
 mod tests {
     use super::*;
     use crate::sink::Sink;
-    use netsim::{Sim, SimConfig};
+    use netsim::SimConfig;
     use routegen::{to_updates, TableSpec};
 
     #[test]
@@ -224,20 +217,21 @@ mod tests {
         let total = routegen::churn::total_updates(&rounds);
         let round_frames: Vec<Vec<Vec<u8>>> =
             rounds.iter().map(|r| encode_frames(r.to_updates(0x0a00_0001, None))).collect();
+        let mut feeder = Feeder::new(65001, 1, frames);
+        feeder.load_rounds(round_frames);
         let mut sim = Sim::new(SimConfig::default());
-        let f = sim.add_node(Box::new(Feeder::new(65001, 1, frames).with_churn(
-            round_frames,
-            1_000_000_000,
-            500_000_000,
-        )));
+        let f = sim.add_node(Box::new(feeder));
         let s = sim.add_node(Box::new(Sink::new(65001, 2)));
         sim.connect(f, s, 1000);
-        sim.run_until(60_000_000_000);
+        replay_rounds(&mut sim, f).expect("every round replays");
 
         let feeder: &Feeder = sim.node_ref(f);
         assert_eq!(feeder.rounds_sent, n_rounds, "every round replayed");
+        // The first round waits for the first keepalive tick (30 s), the
+        // rest follow on the round timer.
         let last = feeder.last_round_sent.expect("rounds sent");
-        assert!(last >= feeder.first_sent.unwrap() + 1_000_000_000);
+        assert_eq!(last, 30 * SEC + (n_rounds as u64 - 1) * ROUND_INTERVAL_NS);
+        assert!(feeder.first_sent.unwrap() < 30 * SEC, "the table goes out first");
         let sink: &Sink = sim.node_ref(s);
         // The sink saw the churn traffic: all withdrawals arrived, and the
         // final state covers the whole table again (restore round).

@@ -10,7 +10,7 @@
 
 use crate::churn::dump_diff;
 use crate::dut::{build, DaemonSpec, DutNode};
-use crate::feeder::{encode_frames, Feeder};
+use crate::feeder::{encode_frames, replay_rounds, Feeder};
 use crate::shard;
 use crate::sink::Sink;
 use netsim::{NodeId, Sim, SimConfig};
@@ -148,9 +148,6 @@ impl Fig3Outcome {
 /// ROA validity mix of §3.4 ("75% of the injected prefixes as valid").
 pub const VALID_FRACTION: f64 = 0.75;
 
-/// Virtual-time gap between churn rounds.
-const ROUND_INTERVAL_NS: u64 = 200_000_000;
-
 const SEC: u64 = 1_000_000_000;
 
 /// Build the full-table ROA set for a workload. Must always be derived
@@ -276,8 +273,8 @@ pub(crate) fn run_chain(
 }
 
 /// The churn phase of [`run_chain`], against a loaded table: settle,
-/// sample baselines at quiescence, replay every round, settle again so
-/// the final (restore) round converges, and record the deltas.
+/// sample baselines at quiescence, replay every round to convergence
+/// ([`replay_rounds`]), and record the deltas.
 fn churn_phase(
     sim: &mut Sim,
     f: NodeId,
@@ -294,17 +291,8 @@ fn churn_phase(
 
     // Loading the rounds arms them in the same call.
     let round_frames = rounds.iter().map(|r| encode_frames(r.to_updates(1, local_pref))).collect();
-    sim.node_mut::<Feeder>(f).load_rounds(round_frames, ROUND_INTERVAL_NS);
-    let mut deadline = sim.now();
-    loop {
-        deadline += 120 * SEC;
-        sim.run_until(deadline);
-        if sim.node_ref::<Feeder>(f).rounds_sent >= rounds.len() {
-            break;
-        }
-        assert!(deadline < 2_000_000 * SEC, "churn rounds stalled");
-    }
-    sim.run_until(sim.now() + 60 * SEC);
+    sim.node_mut::<Feeder>(f).load_rounds(round_frames);
+    replay_rounds(sim, f).expect("churn replay");
 
     out.churn_cpu_ns = sim.cpu_time(d) - c0;
     out.updates_applied = updates_rx(sim) - u0;

@@ -12,12 +12,13 @@
 //!   every sharded run,
 //! * [`fig4`] — the relative-performance experiment (Fig. 4) over both
 //!   daemons and both use cases,
-//! * [`scenario`] — declarative multi-router networks (the Fig. 5
-//!   failure scenarios, churn storms, fault injection),
+//! * [`scenario`] — declarative multi-router networks, the one topology
+//!   format: the Fig. 5 Clos configurations, churn storms and fault
+//!   injection are documents under `scenarios/`,
 //! * [`stats`] — run statistics (boxplot summaries) shared by the
 //!   binaries and examples.
 //!
-//! Binaries: `fig1`, `fig4`, `fig5_scenarios`, `loc_table`, `xbgp-sim`.
+//! Binaries: `fig1`, `fig4`, `loc_table`, `xbgp-sim`.
 
 pub mod churn;
 pub mod dut;

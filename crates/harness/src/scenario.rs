@@ -39,14 +39,16 @@
 //! silently ignored.
 
 use crate::dut::{build, DaemonSpec, Dut, DutNode};
-use crate::feeder::encode_frames;
+use crate::feeder::{encode_frames, replay_rounds, Feeder};
 use netsim::{LinkId, NodeId, Sim, SimConfig};
+use routegen::churn::ChurnSpec;
 use std::collections::HashMap;
 use xbgp_core::Manifest;
 use xbgp_obs::json::Value;
 use xbgp_obs::trace::{TraceConfig, TraceDump};
+use xbgp_wire::attr::decode_attrs;
 use xbgp_wire::prefix::parse_addr;
-use xbgp_wire::Ipv4Prefix;
+use xbgp_wire::{Ipv4Prefix, PathAttr};
 
 const SEC: u64 = 1_000_000_000;
 
@@ -60,7 +62,8 @@ pub struct Scenario {
     pub events: Vec<Event>,
     /// Optional churn workload: a synthetic upstream feeder blasts a
     /// generated table at one router, then replays a seeded churn stream
-    /// (withdraw storms, flaps, ROA sweeps, path hunting) in timed rounds.
+    /// (withdraw storms, flaps, ROA sweeps, path hunting) in timed rounds
+    /// and checks every router against its full-recompute oracle.
     pub churn: Option<ChurnSection>,
     /// Virtual time to run after the last event (seconds). Default 10.
     pub settle_secs: u64,
@@ -152,77 +155,25 @@ pub struct ExpectRoute {
     pub router: String,
     pub prefix: String,
     pub present: bool,
+    /// With `present`: the best route's AS_PATH must also read exactly
+    /// these ASNs, nearest first.
+    pub as_path: Option<Vec<u32>>,
 }
 
-/// Churn workload description (see [`routegen::churn`] for the stream
-/// semantics). A synthetic feeder peers eBGP (AS 64999, 10.255.255.254)
-/// with the named router, blasts `routes` generated prefixes, and — once
-/// `start_secs` have passed after the blast — replays the churn rounds
-/// every `interval_ms`. All rates are integer per-mille.
+/// Churn workload description. A synthetic feeder peers eBGP (AS 64999,
+/// 10.255.255.254) with the named router, blasts `routes` generated
+/// prefixes, and replays the churn rounds of `spec` (see
+/// [`routegen::churn`] for the stream semantics) on the
+/// [`Feeder::load_rounds`] clock. The document's churn keys besides
+/// `feed` and `routes` are `spec`'s fields, defaulting to
+/// `ChurnSpec::new(1, 8)`; all rates are integer per-mille.
 #[derive(Debug, Clone)]
 pub struct ChurnSection {
     /// Router (by name) the feeder peers with.
     pub feed: String,
-    /// Initial table size.
+    /// Initial table size (the table derives from `spec.seed`).
     pub routes: usize,
-    /// Stream seed (table and churn derive from it).
-    pub seed: u64,
-    /// Storm rounds (a final restore round is appended automatically).
-    pub rounds: usize,
-    pub withdraw_per_mille: u32,
-    pub reannounce_per_mille: u32,
-    pub flap_per_mille: u32,
-    pub flap_period: usize,
-    pub roa_sweep_per_mille: u32,
-    pub path_hunt_depth: usize,
-    /// Virtual-time gap between rounds (default 200).
-    pub interval_ms: u64,
-    /// Delay between blast and the first round (default 5).
-    pub start_secs: u64,
-    /// After the last round, compare every router's incremental Loc-RIB
-    /// against its full-recompute oracle and report a check per router
-    /// (default true).
-    pub check_oracle: bool,
-    /// Internal `(replica, shards)` filter set by [`run_sharded`]: the
-    /// replica feeds only the prefixes it owns, from a stream always
-    /// derived from the full table. Not part of the JSON format.
-    pub shard: Option<(usize, usize)>,
-}
-
-impl ChurnSection {
-    /// A churn section with the documented defaults (the values a JSON
-    /// section gets when it names only `feed` and `routes`).
-    pub fn new(feed: &str, routes: usize) -> ChurnSection {
-        ChurnSection {
-            feed: feed.to_string(),
-            routes,
-            seed: 1,
-            rounds: 8,
-            withdraw_per_mille: 100,
-            reannounce_per_mille: 500,
-            flap_per_mille: 50,
-            flap_period: 4,
-            roa_sweep_per_mille: 20,
-            path_hunt_depth: 2,
-            interval_ms: 200,
-            start_secs: 5,
-            check_oracle: true,
-            shard: None,
-        }
-    }
-
-    fn spec(&self) -> routegen::churn::ChurnSpec {
-        routegen::churn::ChurnSpec {
-            seed: self.seed,
-            rounds: self.rounds,
-            withdraw_per_mille: self.withdraw_per_mille,
-            reannounce_per_mille: self.reannounce_per_mille,
-            flap_per_mille: self.flap_per_mille,
-            flap_period: self.flap_period,
-            roa_sweep_per_mille: self.roa_sweep_per_mille,
-            path_hunt_depth: self.path_hunt_depth,
-        }
-    }
+    pub spec: ChurnSpec,
 }
 
 // ---------------------------------------------------------------------------
@@ -519,33 +470,33 @@ impl ChurnSection {
                 "flap_period",
                 "roa_sweep_per_mille",
                 "path_hunt_depth",
-                "interval_ms",
-                "start_secs",
-                "check_oracle",
             ],
         )?;
-        let per_mille = |key: &str, default: u64| -> Result<u32, String> {
-            let n = u64_field_or(v, ctx, key, default)?;
+        let mut spec = ChurnSpec::new(1, 8);
+        let count = |key: &str, field: &mut usize| -> Result<(), String> {
+            *field = u64_field_or(v, ctx, key, *field as u64)? as usize;
+            Ok(())
+        };
+        count("rounds", &mut spec.rounds)?;
+        count("flap_period", &mut spec.flap_period)?;
+        count("path_hunt_depth", &mut spec.path_hunt_depth)?;
+        let per_mille = |key: &str, field: &mut u32| -> Result<(), String> {
+            let n = u64_field_or(v, ctx, key, u64::from(*field))?;
             if n > 1000 {
                 return Err(format!("{ctx}: `{key}` is per-mille, must be ≤ 1000 (got {n})"));
             }
-            Ok(n as u32)
+            *field = n as u32;
+            Ok(())
         };
+        per_mille("withdraw_per_mille", &mut spec.withdraw_per_mille)?;
+        per_mille("reannounce_per_mille", &mut spec.reannounce_per_mille)?;
+        per_mille("flap_per_mille", &mut spec.flap_per_mille)?;
+        per_mille("roa_sweep_per_mille", &mut spec.roa_sweep_per_mille)?;
+        spec.seed = u64_field_or(v, ctx, "seed", spec.seed)?;
         Ok(ChurnSection {
             feed: str_field(v, ctx, "feed")?,
             routes: u64_field(v, ctx, "routes")? as usize,
-            seed: u64_field_or(v, ctx, "seed", 1)?,
-            rounds: u64_field_or(v, ctx, "rounds", 8)? as usize,
-            withdraw_per_mille: per_mille("withdraw_per_mille", 100)?,
-            reannounce_per_mille: per_mille("reannounce_per_mille", 500)?,
-            flap_per_mille: per_mille("flap_per_mille", 50)?,
-            flap_period: u64_field_or(v, ctx, "flap_period", 4)? as usize,
-            roa_sweep_per_mille: per_mille("roa_sweep_per_mille", 20)?,
-            path_hunt_depth: u64_field_or(v, ctx, "path_hunt_depth", 2)? as usize,
-            interval_ms: u64_field_or(v, ctx, "interval_ms", 200)?,
-            start_secs: u64_field_or(v, ctx, "start_secs", 5)?,
-            check_oracle: bool_field_or(v, ctx, "check_oracle", true)?,
-            shard: None,
+            spec,
         })
     }
 }
@@ -559,30 +510,49 @@ impl LinkRef {
 
 impl ExpectRoute {
     fn from_value(v: &Value, ctx: &str) -> Result<ExpectRoute, String> {
-        check_fields(v, ctx, &["router", "prefix", "present"])?;
+        check_fields(v, ctx, &["router", "prefix", "present", "as_path"])?;
+        let present = v
+            .get("present")
+            .and_then(Value::as_bool)
+            .ok_or_else(|| format!("{ctx}: `present` must be a boolean"))?;
+        let as_path = match v.get("as_path") {
+            None | Some(Value::Null) => None,
+            Some(_) if !present => {
+                return Err(format!("{ctx}: `as_path` needs `present: true`"));
+            }
+            Some(arr) => Some(
+                arr.as_array()
+                    .ok_or_else(|| format!("{ctx}: `as_path` must be an array of ASNs"))?
+                    .iter()
+                    .map(|n| n.as_u64().and_then(|n| u32::try_from(n).ok()))
+                    .collect::<Option<Vec<u32>>>()
+                    .ok_or_else(|| format!("{ctx}: `as_path` entries must be ASNs"))?,
+            ),
+        };
         Ok(ExpectRoute {
             router: str_field(v, ctx, "router")?,
             prefix: str_field(v, ctx, "prefix")?,
-            present: v
-                .get("present")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| format!("{ctx}: `present` must be a boolean"))?,
+            present,
+            as_path,
         })
     }
 }
 
-/// Runtime observability knobs for a scenario run, beyond what the
-/// document itself describes (operator flags on `xbgp-sim`, not scenario
+/// How to run a scenario, beyond what the document itself describes
+/// (operator flags on `xbgp-sim` and the replica split, not scenario
 /// content).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Trace 1 route in this many through every router's flight recorder
     /// (0 = tracing off).
     pub trace_sample: u64,
-    /// Trace-id namespace base: router `i` records under shard
-    /// `(shard_base << 8) | i`, so per-router timelines from sharded
-    /// replicas stay attributable after the merge.
-    pub shard_base: u32,
+    /// This run is replica `k` of `shards` ([`run_sharded`] sets it;
+    /// `shards <= 1` runs the whole scenario). The replica's churn feeder
+    /// sends only the prefixes it owns, from a stream always derived from
+    /// the full table, and its router `i` records trace ids under shard
+    /// `(k << 8) | i`, so per-router timelines from sharded replicas stay
+    /// attributable after the merge.
+    pub shard: (usize, usize),
 }
 
 /// Outcome of a scenario run.
@@ -662,7 +632,7 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
         (opts.trace_sample > 0).then_some(TraceConfig {
             sample_every: opts.trace_sample,
             capacity: 0,
-            shard: (opts.shard_base << 8) | router_idx as u32,
+            shard: ((opts.shard.0 as u32) << 8) | router_idx as u32,
         })
     };
 
@@ -687,6 +657,13 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
     for l in &scenario.links {
         let (_, na) = *by_name.get(&l.a).ok_or(format!("unknown router `{}`", l.a))?;
         let (_, nb) = *by_name.get(&l.b).ok_or(format!("unknown router `{}`", l.b))?;
+        if l.a == l.b {
+            return Err(format!("link {}–{} connects a router to itself", l.a, l.b));
+        }
+        // A second a–b link would shadow the first in `find_link`.
+        if link_ids.contains_key(&(l.a.clone(), l.b.clone())) {
+            return Err(format!("duplicate link {}–{}", l.a, l.b));
+        }
         let id = sim.connect(na, nb, l.latency_us * 1_000);
         link_ids.insert((l.a.clone(), l.b.clone()), id);
         link_ids.insert((l.b.clone(), l.a.clone()), id);
@@ -701,12 +678,13 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
     };
 
     // Churn feeder: a synthetic upstream peering eBGP with the feed
-    // router. The stream is always generated over the full table, then
-    // filtered to this replica's prefixes, so every shard count replays
-    // the same logical churn.
+    // router, its rounds loaded (and so armed) from the start. The stream
+    // is always generated over the full table, then filtered to this
+    // replica's prefixes, so every shard count replays the same logical
+    // churn.
     const FEEDER_ASN: u32 = 64_999;
     const FEEDER_ADDR: u32 = 0x0aff_fffe; // 10.255.255.254
-    let mut churn_feed: Option<(NodeId, LinkId, usize)> = None;
+    let mut churn_feed: Option<(NodeId, LinkId)> = None;
     if let Some(c) = &scenario.churn {
         let (fi, feed_node) =
             *by_name.get(&c.feed).ok_or(format!("churn: unknown router `{}`", c.feed))?;
@@ -716,25 +694,25 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
                 c.feed
             ));
         }
-        let table = routegen::generate(&routegen::TableSpec::new(c.routes, c.seed));
-        let rounds = routegen::churn::churn_rounds(&table, &c.spec());
-        let (table, rounds) = match c.shard {
-            Some((k, m)) => crate::shard::partition(&table, &rounds, m).swap_remove(k),
-            None => (table, rounds),
+        let table = routegen::generate(&routegen::TableSpec::new(c.routes, c.spec.seed));
+        let rounds = routegen::churn::churn_rounds(&table, &c.spec);
+        let (table, rounds) = match opts.shard {
+            (k, shards) if shards > 1 => {
+                crate::shard::partition(&table, &rounds, shards).swap_remove(k)
+            }
+            _ => (table, rounds),
         };
-        let frames = encode_frames(routegen::to_updates(&table, FEEDER_ADDR, None));
-        let round_frames: Vec<Vec<Vec<u8>>> =
-            rounds.iter().map(|r| encode_frames(r.to_updates(FEEDER_ADDR, None))).collect();
-        let n_rounds = round_frames.len();
-        let f = sim.add_node(Box::new(
-            crate::feeder::Feeder::new(FEEDER_ASN, FEEDER_ADDR, frames).with_churn(
-                round_frames,
-                c.start_secs * SEC,
-                c.interval_ms * 1_000_000,
-            ),
-        ));
+        let mut feeder = Feeder::new(
+            FEEDER_ASN,
+            FEEDER_ADDR,
+            encode_frames(routegen::to_updates(&table, FEEDER_ADDR, None)),
+        );
+        feeder.load_rounds(
+            rounds.iter().map(|r| encode_frames(r.to_updates(FEEDER_ADDR, None))).collect(),
+        );
+        let f = sim.add_node(Box::new(feeder));
         let l = sim.connect(f, feed_node, 100_000);
-        churn_feed = Some((f, l, n_rounds));
+        churn_feed = Some((f, l));
     }
 
     // IGP.
@@ -797,7 +775,7 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
                 dspec.neighbor(*link, peer_addr, peer_asn)
             };
         }
-        if let Some((_, l, _)) = churn_feed {
+        if let Some((_, l)) = churn_feed {
             if scenario.churn.as_ref().is_some_and(|c| c.feed == r.name) {
                 dspec = dspec.neighbor(l, FEEDER_ADDR, FEEDER_ASN);
             }
@@ -818,10 +796,16 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
     let mut checks = Vec::new();
     let mut events: Vec<&Event> = scenario.events.iter().collect();
     events.sort_by_key(|e| e.at_secs);
-    let has_route = |sim: &mut Sim, router: &str, prefix: &str| -> Result<bool, String> {
-        let (_, node) = *by_name.get(router).ok_or(format!("unknown router `{router}`"))?;
-        let p: Ipv4Prefix = prefix.parse()?;
-        Ok(sim.node_ref::<DutNode>(node).0.has_best_route(&p))
+    // Does `e.router` hold a best route for `e.prefix` (over `e.as_path`,
+    // when given)?
+    let route_matches = |sim: &mut Sim, e: &ExpectRoute| -> Result<bool, String> {
+        let (_, node) = *by_name.get(&e.router).ok_or(format!("unknown router `{}`", e.router))?;
+        let p: Ipv4Prefix = e.prefix.parse()?;
+        let d = &sim.node_ref::<DutNode>(node).0;
+        Ok(match &e.as_path {
+            None => d.has_best_route(&p) == e.present,
+            Some(want) => best_as_path(&d.loc_rib_dump(), &p).as_ref() == Some(want),
+        })
     };
     let mut last = 0u64;
     for ev in events {
@@ -846,52 +830,41 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
             }
         }
         if let Some(e) = &ev.expect_route {
-            let got = has_route(&mut sim, &e.router, &e.prefix)?;
+            let via = match &e.as_path {
+                Some(path) => format!(" via AS path {path:?}"),
+                None => String::new(),
+            };
             checks.push((
                 format!(
-                    "t={}s: {} {} {}",
+                    "t={}s: {} {} {}{via}",
                     ev.at_secs,
                     e.router,
                     if e.present { "has" } else { "does not have" },
                     e.prefix
                 ),
-                got == e.present,
+                route_matches(&mut sim, e)?,
             ));
         }
     }
     sim.run_until((last + scenario.settle_secs) * SEC);
 
-    // Churn epilogue: run until every round has been replayed, settle so
-    // the final (restore) round converges, then pin correctness — each
-    // router's incremental Loc-RIB must be byte-identical to its
-    // full-recompute oracle. Oracle results join the check list, so a
-    // divergence fails the scenario like any missed `expect_route`.
-    if let Some((f, _, n_rounds)) = churn_feed {
-        let mut deadline = sim.now();
-        loop {
-            if sim.node_ref::<crate::feeder::Feeder>(f).rounds_sent >= n_rounds {
-                break;
-            }
-            deadline += 30 * SEC;
-            if deadline > 1_000_000 * SEC {
-                return Err("churn rounds stalled".to_string());
-            }
-            sim.run_until(deadline);
-        }
-        let settle = sim.now() + scenario.settle_secs.max(5) * SEC;
-        sim.run_until(settle);
-        if scenario.churn.as_ref().is_some_and(|c| c.check_oracle) {
-            for (i, r) in scenario.routers.iter().enumerate() {
-                let diff = {
-                    let d = sim.node_mut::<DutNode>(nodes[i]);
-                    let incremental = d.0.loc_rib_dump();
-                    crate::churn::dump_diff(&incremental, &d.0.oracle_loc_rib_dump())
-                };
-                checks.push((
-                    format!("churn oracle: {} incremental Loc-RIB matches full recompute", r.name),
-                    diff == 0,
-                ));
-            }
+    // Churn epilogue: replay every round to convergence, then pin
+    // correctness — each router's incremental Loc-RIB must be
+    // byte-identical to its full-recompute oracle. Oracle results join the
+    // check list, so a divergence fails the scenario like any missed
+    // `expect_route`.
+    if let Some((f, _)) = churn_feed {
+        replay_rounds(&mut sim, f)?;
+        for (i, r) in scenario.routers.iter().enumerate() {
+            let diff = {
+                let d = sim.node_mut::<DutNode>(nodes[i]);
+                let incremental = d.0.loc_rib_dump();
+                crate::churn::dump_diff(&incremental, &d.0.oracle_loc_rib_dump())
+            };
+            checks.push((
+                format!("churn oracle: {} incremental Loc-RIB matches full recompute", r.name),
+                diff == 0,
+            ));
         }
     }
 
@@ -915,6 +888,16 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
     Ok(ScenarioReport { name: scenario.name.clone(), checks, tables, metrics, trace })
 }
 
+/// The AS_PATH of the best route to `prefix` in a Loc-RIB dump
+/// (`Daemon::loc_rib_dump`), nearest ASN first.
+fn best_as_path(rib: &[(Ipv4Prefix, Vec<u8>)], prefix: &Ipv4Prefix) -> Option<Vec<u32>> {
+    let i = rib.binary_search_by_key(prefix, |(p, _)| *p).ok()?;
+    decode_attrs(&rib[i].1, 4).ok()?.into_iter().find_map(|a| match a {
+        PathAttr::AsPath(path) => Some(path.asns().collect()),
+        _ => None,
+    })
+}
+
 /// Run a scenario with its originated prefixes split across `shards`
 /// replica simulations.
 ///
@@ -932,9 +915,10 @@ pub fn run_sharded(scenario: &Scenario, shards: usize) -> Result<ScenarioReport,
     run_sharded_with_options(scenario, shards, &RunOptions::default())
 }
 
-/// [`run_sharded`] with observability options. Each replica records
-/// trace ids under its own shard namespace (`shard_base = k`), so the
-/// merged timeline stays attributable to both replica and router.
+/// [`run_sharded`] with observability options. Each replica runs with
+/// [`RunOptions::shard`] set to `(k, shards)`, so it feeds its own churn
+/// slice and its trace ids stay attributable to both replica and router
+/// in the merged timeline.
 pub fn run_sharded_with_options(
     scenario: &Scenario,
     shards: usize,
@@ -962,30 +946,24 @@ pub fn run_sharded_with_options(
                     e.expect_route = None;
                 }
             }
-            if let Some(c) = &mut s.churn {
-                c.shard = Some((k, shards));
-            }
             s
         })
         .collect();
 
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::scope(|scope| {
-        for (k, replica) in replicas.iter().enumerate() {
-            let tx = tx.clone();
-            let opts = RunOptions { shard_base: k as u32, ..*opts };
-            scope.spawn(move || {
-                let _ = tx.send((k, run_with_options(replica, &opts)));
-            });
-        }
-    });
-    drop(tx);
-    let mut collected: Vec<(usize, Result<ScenarioReport, String>)> = rx.iter().collect();
-    collected.sort_by_key(|(k, _)| *k);
-    let mut reports = Vec::with_capacity(shards);
-    for (_, r) in collected {
-        reports.push(r?);
-    }
+    let mut reports = std::thread::scope(|scope| {
+        let workers: Vec<_> = replicas
+            .iter()
+            .enumerate()
+            .map(|(k, replica)| {
+                let opts = RunOptions { shard: (k, shards), ..*opts };
+                scope.spawn(move || run_with_options(replica, &opts))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("scenario replica panicked"))
+            .collect::<Result<Vec<_>, String>>()
+    })?;
 
     // Each replica evaluated its own checks in timeline order; replay the
     // original (sorted) timeline and pull every check from its owner so
@@ -1043,44 +1021,36 @@ pub fn parse(json: &str) -> Result<Scenario, String> {
 mod tests {
     use super::*;
 
-    const LISTING1: &str = r#"{
-        "name": "listing1-demo",
-        "routers": [
-            { "name": "london", "implementation": "fir", "asn": 65000,
-              "router_id": "10.0.0.1", "originate": ["203.0.113.0/24"] },
-            { "name": "berlin", "implementation": "fir", "asn": 65000,
-              "router_id": "10.0.0.3",
-              "extensions": { "preset": "igp_filter" } },
-            { "name": "peer", "implementation": "wren", "asn": 65009,
-              "router_id": "10.0.0.9" }
-        ],
-        "links": [
-            { "a": "london", "b": "berlin" },
-            { "a": "berlin", "b": "peer" }
-        ],
-        "igp": {
-            "members": ["london", "berlin", "amsterdam-stub", "newyork-stub"],
-            "links": [
-                { "a": "london", "b": "berlin", "metric": 10 }
-            ]
-        },
-        "events": [
-            { "at_secs": 5,
-              "expect_route": { "router": "peer", "prefix": "203.0.113.0/24", "present": true } },
-            { "at_secs": 10, "fail_igp_link": { "a": "london", "b": "berlin" } },
-            { "at_secs": 11, "flap_link": { "a": "london", "b": "berlin" } },
-            { "at_secs": 60,
-              "expect_route": { "router": "peer", "prefix": "203.0.113.0/24", "present": false } }
-        ]
-    }"#;
+    /// A committed document under `scenarios/`.
+    fn document(file: &str) -> Scenario {
+        let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
+        let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        parse(&json).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    #[test]
+    fn every_committed_document_passes() {
+        // Each scenario under scenarios/ parses, checks something, and
+        // passes every check: the Fig. 5 fabrics, Listing 1, the route
+        // reflector, the fault and churn fixtures.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .expect("scenarios/ present")
+            .map(|e| e.expect("readable entry").file_name().into_string().expect("UTF-8 name"))
+            .filter(|f| f.ends_with(".json"))
+            .collect();
+        files.sort();
+        assert!(files.len() >= 7, "{files:?}");
+        for file in files {
+            let report = run(&document(&file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert!(!report.checks.is_empty(), "{file} checks nothing");
+            assert!(report.all_passed(), "{file}: {:?}", report.checks);
+        }
+    }
 
     #[test]
     fn listing1_scenario_runs_and_passes() {
-        // The igp members list includes stub names that are not BGP
-        // routers — resolve only real ones.
-        let mut scenario = parse(LISTING1).expect("parses");
-        scenario.igp.as_mut().unwrap().members.retain(|m| !m.ends_with("-stub"));
-        let report = run(&scenario).expect("runs");
+        let report = run(&document("listing1_igp_filter.json")).expect("runs");
         assert_eq!(report.checks.len(), 2);
         assert!(report.all_passed(), "{:?}", report.checks);
         // After the IGP failure London is unreachable, so berlin's and
@@ -1098,6 +1068,56 @@ mod tests {
                 + m.counter_sum("xbgp_vmm_fallbacks_total")
                 + m.counter_sum("xbgp_vmm_errors_total")
         );
+    }
+
+    #[test]
+    fn as_path_rows_compare_the_best_path() {
+        // The valley path L10 takes after the double failure, and a wrong
+        // one: the row passes only on the exact path.
+        let mut scenario = document("fig5_valley_free.json");
+        let row = scenario.events.iter_mut().rev().find_map(|e| e.expect_route.as_mut());
+        let row = row.expect("post-failure row");
+        assert_eq!(row.as_path.as_deref(), Some(&[65202, 65102, 65201, 65104][..]));
+        row.as_path = Some(vec![65202, 65103, 65201, 65104]);
+        let report = run(&scenario).expect("runs");
+        let (desc, ok) = report.checks.last().unwrap();
+        assert!(!ok && desc.contains("via AS path"), "{desc}");
+
+        let err = parse(
+            r#"{"name": "x", "routers": [], "links": [], "events": [ { "at_secs": 1,
+                 "expect_route": { "router": "a", "prefix": "10.0.0.0/8",
+                                   "present": false, "as_path": [1] } } ] }"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("as_path"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_and_self_links_are_rejected() {
+        let base = r#"{
+            "name": "links",
+            "routers": [
+                { "name": "a", "implementation": "fir", "asn": 65001,
+                  "router_id": "10.0.0.1", "originate": ["10.1.0.0/16"] },
+                { "name": "b", "implementation": "wren", "asn": 65002,
+                  "router_id": "10.0.0.2" }
+            ],
+            "links": [ LINKS ],
+            "events": [
+                { "at_secs": 6, "fail_link": { "a": "a", "b": "b" } },
+                { "at_secs": 20, "expect_route": { "router": "b", "prefix": "10.1.0.0/16", "present": false } }
+            ]
+        }"#;
+        let run_links = |links: &str| run(&parse(&base.replace("LINKS", links)).unwrap());
+        assert!(run_links(r#"{ "a": "a", "b": "b" }"#).unwrap().all_passed());
+        for (links, pair) in [
+            (r#"{ "a": "a", "b": "b" }, { "a": "a", "b": "b" }"#, "a–b"),
+            (r#"{ "a": "a", "b": "b" }, { "a": "b", "b": "a" }"#, "b–a"),
+            (r#"{ "a": "a", "b": "b" }, { "a": "a", "b": "a" }"#, "a–a"),
+        ] {
+            let err = run_links(links).unwrap_err();
+            assert!(err.contains(pair), "{links}: {err}");
+        }
     }
 
     #[test]
@@ -1286,15 +1306,10 @@ mod tests {
         // edge), replays the storm, and every router's incremental
         // Loc-RIB must match its full-recompute oracle — sequentially and
         // sharded, with fault injection live.
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../scenarios/churn_storm.json"
-        ))
-        .expect("fixture present");
-        let mut scenario = parse(&json).expect("parses");
+        let mut scenario = document("churn_storm.json");
         let churn = scenario.churn.as_mut().unwrap();
         churn.routes = 500;
-        churn.rounds = 6;
+        churn.spec.rounds = 6;
         for shards in [1, 2] {
             let report = run_sharded(&scenario, shards).expect("runs");
             assert!(report.all_passed(), "shards={shards}: {:?}", report.checks);
@@ -1322,9 +1337,18 @@ mod tests {
         assert!(err.contains("widthdraw_per_mille"), "{err}");
         let err = parse(&base.replace("CHURN", "\"withdraw_per_mille\": 1500")).unwrap_err();
         assert!(err.contains("per-mille"), "{err}");
+        for gone in ["interval_ms", "start_secs"] {
+            let err = parse(&base.replace("CHURN", &format!("\"{gone}\": 1"))).unwrap_err();
+            assert!(err.contains(gone), "{err}");
+        }
         let ok = parse(&base.replace("CHURN", "\"withdraw_per_mille\": 200")).unwrap();
-        assert_eq!(ok.churn.as_ref().unwrap().withdraw_per_mille, 200);
-        assert_eq!(ok.churn.as_ref().unwrap().reannounce_per_mille, 500, "default");
+        let spec = ok.churn.as_ref().unwrap().spec;
+        assert_eq!(spec.withdraw_per_mille, 200);
+        assert_eq!(
+            ChurnSpec { withdraw_per_mille: 500, ..spec },
+            ChurnSpec { withdraw_per_mille: 500, ..ChurnSpec::new(1, 8) },
+            "every other key defaults"
+        );
     }
 
     #[test]

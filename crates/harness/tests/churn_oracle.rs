@@ -64,7 +64,7 @@ fn fault_injection_churn_stays_oracle_clean() {
     assert!(scenario.fault_rate > 0.0, "fixture must keep fault injection live");
     let churn = scenario.churn.as_mut().unwrap();
     churn.routes = 400;
-    churn.rounds = 5;
+    churn.spec.rounds = 5;
     for shards in [1, 4] {
         let report = run_sharded(&scenario, shards).expect("scenario runs");
         assert!(report.all_passed(), "shards={shards}: {:?}", report.checks);

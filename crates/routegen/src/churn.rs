@@ -43,7 +43,7 @@ use xbgp_wire::{Ipv4Prefix, UpdateMsg};
 
 /// Parameters of a churn stream. All rates are integer per-mille so the
 /// stream is a pure function of the spec (no float rounding drift).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnSpec {
     /// RNG seed — same seed (and table), same stream.
     pub seed: u64,

@@ -26,7 +26,7 @@ use routegen::churn::{churn_rounds, total_updates, ChurnRound, ChurnSpec};
 use routegen::{to_updates, Route, TableSpec};
 use xbgp_driver::{DaemonSpec, Dut, DutNode};
 use xbgp_harness::churn::dump_diff;
-use xbgp_harness::feeder::encode_frames;
+use xbgp_harness::feeder::{encode_frames, replay_rounds};
 use xbgp_harness::shard::{partition, shard_of};
 use xbgp_harness::Feeder;
 use xbgp_obs::HistogramSnapshot;
@@ -250,33 +250,17 @@ fn reference_loc_rib(
     rounds: &[ChurnRound],
     expected_updates: u64,
 ) -> Vec<(xbgp_wire::Ipv4Prefix, Vec<u8>)> {
-    const SEC: u64 = 1_000_000_000;
-    let frames = encode_frames(to_updates(table, 1, None));
-    let round_frames: Vec<Vec<Vec<u8>>> =
-        rounds.iter().map(|r| encode_frames(r.to_updates(1, None))).collect();
+    let mut feeder = Feeder::new(65001, 1, encode_frames(to_updates(table, 1, None)));
+    feeder.load_rounds(rounds.iter().map(|r| encode_frames(r.to_updates(1, None))).collect());
 
     let mut sim = Sim::new(SimConfig { cpu_accounting: false });
-    let f = sim.add_node(Box::new(Feeder::new(65001, 1, frames).with_churn(
-        round_frames,
-        5 * SEC,
-        SEC,
-    )));
+    let f = sim.add_node(Box::new(feeder));
     let d = sim.reserve_node();
     let l_up = sim.connect(f, d, 100_000);
     let dspec = DaemonSpec::new(65002, 2).neighbor(l_up, 1, 65001);
     sim.replace_node(d, Box::new(xbgp_harness::dut::build(spec.dut, dspec)));
 
-    let mut deadline = 0u64;
-    loop {
-        deadline += 120 * SEC;
-        sim.run_until(deadline);
-        let got = sim.node_mut::<DutNode>(d).0.counters().routing_updates_rx();
-        if got >= expected_updates {
-            break;
-        }
-        assert!(deadline < 1_000_000 * SEC, "reference replay stalled: {got}/{expected_updates}");
-    }
-    sim.run_until(sim.now() + 60 * SEC);
+    replay_rounds(&mut sim, f).expect("reference replay");
     assert_eq!(
         sim.node_mut::<DutNode>(d).0.counters().routing_updates_rx(),
         expected_updates,

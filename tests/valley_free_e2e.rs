@@ -1,6 +1,9 @@
 //! §3.3 / Fig. 5 — BGP in the datacenter.
 //!
-//! Reproduces the paper's argument end-to-end on a 2-level Clos fabric:
+//! Reproduces the paper's argument end-to-end on a 2-level Clos fabric,
+//! described by the three `scenarios/fig5_*.json` documents (two spines
+//! S1/S2, four leaves L10–L13, every leaf wired to both spines; L13
+//! originates the internal 10.13.0.0/16, S1 the external 192.0.2.0/24):
 //!
 //! * With the classic **same-AS-number trick** (spines share one ASN,
 //!   leaf pairs share ASNs), the double link failure L10–S1 and L13–S2
@@ -10,158 +13,83 @@
 //!   operation still forbids valleys for external prefixes, but the
 //!   surviving valley path to an *internal* prefix is accepted, so the
 //!   fabric stays connected after the double failure.
+//!
+//! Each test runs one document and pins the `expect_route` rows that
+//! carry its part of the argument, by their report line.
 
-mod common;
+use xbgp_harness::scenario::{self, ScenarioReport};
 
-use bgp_fir::FirDaemon;
-use common::{p, sim_with_nodes, MS, SEC};
-use netsim::{LinkId, NodeId, Sim};
-use xbgp_driver::DaemonSpec;
-use xbgp_progs::valley_free;
-
-/// Node indices in the Clos arrays.
-const S1: usize = 0;
-const S2: usize = 1;
-const L10: usize = 2;
-const L11: usize = 3;
-const L12: usize = 4;
-const L13: usize = 5;
-
-struct Clos {
-    sim: Sim,
-    nodes: Vec<NodeId>,
-    /// `links[(leaf, spine)]`.
-    l10_s1: LinkId,
-    l13_s2: LinkId,
+fn run(file: &str) -> ScenarioReport {
+    let path = format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
+    let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let doc = scenario::parse(&json).unwrap_or_else(|e| panic!("{path}: {e}"));
+    scenario::run(&doc).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
-/// Build the fabric: every leaf connects to both spines. A prefix inside
-/// the DC (10.13.0.0/16, as if from a ToR below L13) is originated at L13;
-/// an external prefix (192.0.2.0/24) is originated at S1 (its transit).
-/// `asns[i]` gives each router's AS number; `xbgp` enables the filter.
-fn build(asns: [u32; 6], xbgp: bool) -> Clos {
-    let (mut sim, nodes) = sim_with_nodes(6);
-    let ids: [u32; 6] = [201, 202, 110, 111, 112, 113]; // router ids
-    let mut links = vec![];
-    // (leaf, spine) in a fixed order.
-    for leaf in [L10, L11, L12, L13] {
-        for spine in [S1, S2] {
-            links.push(((leaf, spine), sim.connect(nodes[leaf], nodes[spine], MS)));
-        }
+/// The check reported as `line` exists and passed.
+fn assert_check(report: &ScenarioReport, line: &str, why: &str) {
+    match report.checks.iter().find(|(d, _)| d == line) {
+        Some((_, ok)) => assert!(ok, "{why}: `{line}` failed"),
+        None => panic!("no check `{line}` in {:?}", report.checks),
     }
-    let link = |a: usize, b: usize| -> LinkId {
-        links
-            .iter()
-            .find(|((l, s), _)| (*l == a && *s == b) || (*l == b && *s == a))
-            .expect("link exists")
-            .1
-    };
-
-    // The valley-free manifest: (below, above) ASN pairs for every
-    // leaf-spine adjacency, only meaningful in the distinct-ASN setup.
-    let pairs: Vec<(u32, u32)> = [L10, L11, L12, L13]
-        .iter()
-        .flat_map(|&leaf| [(asns[leaf], asns[S1]), (asns[leaf], asns[S2])])
-        .collect();
-    let manifest = valley_free::manifest(&pairs, p("10.0.0.0/8"));
-
-    for i in 0..6 {
-        let mut cfg = DaemonSpec::new(asns[i], ids[i]);
-        let neighbors: Vec<usize> = if i == S1 || i == S2 {
-            vec![L10, L11, L12, L13]
-        } else {
-            vec![S1, S2]
-        };
-        for nb in neighbors {
-            cfg = cfg.neighbor(link(i, nb), ids[nb], asns[nb]);
-        }
-        if i == L13 {
-            cfg.originate = vec![(p("10.13.0.0/16"), ids[L13])];
-        }
-        if i == S1 {
-            cfg.originate = vec![(p("192.0.2.0/24"), ids[S1])];
-        }
-        if xbgp {
-            cfg.xbgp = Some(manifest.clone());
-        }
-        sim.replace_node(nodes[i], Box::new(FirDaemon::new(cfg)));
-    }
-    let l10_s1 = link(L10, S1);
-    let l13_s2 = link(L13, S2);
-    Clos { sim, nodes, l10_s1, l13_s2 }
-}
-
-fn has_prefix(sim: &mut Sim, node: NodeId, prefix: &str) -> bool {
-    sim.node_ref::<FirDaemon>(node).engine.best_route(&p(prefix)).is_some()
 }
 
 #[test]
 fn same_asn_trick_partitions_after_double_failure() {
     // Paper config: S1 = S2 = AS 65200; L10 = L11 = AS 65100;
     // L12 = L13 = AS 65110.
-    let mut c = build([65200, 65200, 65100, 65100, 65110, 65110], false);
-    c.sim.run_until(20 * SEC);
-    assert!(
-        has_prefix(&mut c.sim, c.nodes[L10], "10.13.0.0/16"),
-        "healthy fabric: L10 reaches the prefix below L13"
+    let r = run("fig5_same_asn.json");
+    assert_check(
+        &r,
+        "t=20s: l10 has 10.13.0.0/16",
+        "healthy fabric: L10 reaches the prefix below L13",
     );
-
-    // Fail L10–S1 and L13–S2 (the paper's double failure).
-    c.sim.set_link_up(c.l10_s1, false);
-    c.sim.set_link_up(c.l13_s2, false);
-    c.sim.run_until(60 * SEC);
-    assert!(
-        !has_prefix(&mut c.sim, c.nodes[L10], "10.13.0.0/16"),
-        "same-ASN loop detection kills the surviving valley path: partition"
+    // After L10–S1 and L13–S2 fail (the paper's double failure):
+    assert_check(
+        &r,
+        "t=120s: l10 does not have 10.13.0.0/16",
+        "same-ASN loop detection kills the surviving valley path: partition",
     );
+    assert!(r.all_passed(), "{:?}", r.checks);
 }
 
 #[test]
 fn xbgp_filter_keeps_connectivity_after_double_failure() {
     // Distinct ASNs everywhere + the valley-free extension.
-    let mut c = build([65201, 65202, 65101, 65102, 65103, 65104], true);
-    c.sim.run_until(20 * SEC);
-    assert!(has_prefix(&mut c.sim, c.nodes[L10], "10.13.0.0/16"));
-
-    c.sim.set_link_up(c.l10_s1, false);
-    c.sim.set_link_up(c.l13_s2, false);
-    c.sim.run_until(60 * SEC);
-    assert!(
-        has_prefix(&mut c.sim, c.nodes[L10], "10.13.0.0/16"),
-        "the valley path survives for an internal destination"
+    let r = run("fig5_valley_free.json");
+    assert_check(&r, "t=20s: l10 has 10.13.0.0/16", "healthy fabric");
+    // The valley path survives for an internal destination, and it really
+    // is a valley L10 → S2 → L11 → S1 → L13: the router-id tiebreak picks
+    // L11 as S2's best among the two equal leaf paths.
+    assert_check(
+        &r,
+        "t=120s: l10 has 10.13.0.0/16 via AS path [65202, 65102, 65201, 65104]",
+        "the valley path survives for an internal destination",
     );
-    // Verify it really is a valley path L10 → S2 → (L11|L12) → S1 → L13;
-    // the router-id tiebreak picks L11 as S2's best among the two equal
-    // leaf paths.
-    {
-        let d: &FirDaemon = c.sim.node_ref(c.nodes[L10]);
-        let path: Vec<u32> =
-            d.engine.best_route(&p("10.13.0.0/16")).unwrap().attrs.as_path.asns().collect();
-        assert_eq!(path, vec![65202, 65102, 65201, 65104]);
-    }
+    assert!(r.all_passed(), "{:?}", r.checks);
 }
 
 #[test]
 fn xbgp_filter_blocks_valleys_for_external_prefixes() {
     // Healthy fabric, distinct ASNs + filter: the external prefix
-    // originated at S1 must reach the leaves directly (down move) but no
-    // leaf-transited valley copy may reach S2. S2 still gets it via... no
-    // path: S2's only sources are the leaves, all valleys. S2 must NOT
-    // have the external prefix; leaves must.
-    let mut c = build([65201, 65202, 65101, 65102, 65103, 65104], true);
-    c.sim.run_until(20 * SEC);
-    for leaf in [L10, L11, L12, L13] {
-        assert!(
-            has_prefix(&mut c.sim, c.nodes[leaf], "192.0.2.0/24"),
-            "leaf {leaf} receives the external prefix from above"
+    // originated at S1 must reach the leaves directly (down move), but no
+    // leaf-transited valley copy may reach S2 — its only sources are the
+    // leaves, all valleys.
+    let r = run("fig5_valley_free.json");
+    for leaf in ["l10", "l11", "l12", "l13"] {
+        assert_check(
+            &r,
+            &format!("t=20s: {leaf} has 192.0.2.0/24"),
+            "a leaf receives the external prefix from above",
         );
     }
-    assert!(
-        !has_prefix(&mut c.sim, c.nodes[S2], "192.0.2.0/24"),
-        "S2 must not accept the external prefix through a leaf valley"
+    assert_check(
+        &r,
+        "t=20s: s2 does not have 192.0.2.0/24",
+        "S2 must not accept the external prefix through a leaf valley",
     );
     // The internal prefix, by contrast, does reach S2 through the fabric.
-    assert!(has_prefix(&mut c.sim, c.nodes[S2], "10.13.0.0/16"));
+    assert_check(&r, "t=20s: s2 has 10.13.0.0/16", "internal prefix reaches S2");
 }
 
 #[test]
@@ -169,10 +97,11 @@ fn without_filter_distinct_asns_leak_valleys() {
     // Control experiment: distinct ASNs but no xBGP filter → the external
     // prefix leaks to S2 through a leaf (a valley), which is exactly what
     // operators must prevent.
-    let mut c = build([65201, 65202, 65101, 65102, 65103, 65104], false);
-    c.sim.run_until(20 * SEC);
-    assert!(
-        has_prefix(&mut c.sim, c.nodes[S2], "192.0.2.0/24"),
-        "no filter, no same-ASN trick: the valley is accepted"
+    let r = run("fig5_no_filter.json");
+    assert_check(
+        &r,
+        "t=20s: s2 has 192.0.2.0/24",
+        "no filter, no same-ASN trick: the valley is accepted",
     );
+    assert!(r.all_passed(), "{:?}", r.checks);
 }
