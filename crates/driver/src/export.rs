@@ -51,7 +51,7 @@ use xbgp_core::api::{
     InsertionPoint, PeerInfo, PeerType, PEER_INFO_OFF_FLAGS, PEER_INFO_OFF_TYPE, PEER_INFO_SIZE,
 };
 use xbgp_obs::Snapshot;
-use xbgp_wire::{Ipv4Prefix, PathAttr};
+use xbgp_wire::Ipv4Prefix;
 
 /// What the members of one group have in common, as the export path
 /// sees a destination.
@@ -78,8 +78,9 @@ pub fn native_export(spec: &DaemonSpec, dest: &Dest, src: &RouteSource) -> bool 
 }
 
 /// The representation-specific half of export: how an engine rewrites
-/// its attributes for a session type and puts them on the wire. The two
-/// outbound insertion points run over [`AttrStore`], in the host.
+/// its attributes for a session type. The two outbound insertion points
+/// run over [`AttrStore`], in the host, and the rewritten attributes go
+/// into the frame through [`AttrStore::write_attrs`].
 pub trait Exporter {
     /// The engine's shared attribute handle. Equality decides whether an
     /// advertisement changed; equality and hash group a flush's
@@ -95,8 +96,6 @@ pub trait Exporter {
         attrs: &Self::Attrs,
         src: &RouteSource,
     ) -> Self::Attrs;
-
-    fn to_wire(attrs: &Self::Attrs) -> Vec<PathAttr>;
 }
 
 /// The neighbor address split horizon keeps a route from, if any.
@@ -170,11 +169,13 @@ impl<A> Change<A> {
 }
 
 /// Announcements of one flush that share attributes and source: one
-/// UPDATE, modulo NLRI chunking.
-struct Batch<'a, A> {
-    attrs: &'a A,
+/// UPDATE, modulo NLRI chunking. Its NLRI are `len` prefixes of
+/// [`Projection::nlri`] from `start`.
+struct Batch<A> {
+    attrs: A,
     source: RouteSource,
-    prefixes: Vec<Ipv4Prefix>,
+    start: usize,
+    len: usize,
 }
 
 /// How many batches a projection finds by comparing before it builds a
@@ -182,48 +183,133 @@ struct Batch<'a, A> {
 /// dump or a session flush holds thousands.
 const PROBE: usize = 8;
 
-/// What `log` owes one class of members (see [`Change::owed`]):
-/// withdrawals in log order, then batches in first-seen order.
-///
-/// An announcement finds its batch by handle equality: the NLRI of one
-/// UPDATE share a transformed handle ([`Group::evaluate`]), and `==` on a
-/// shared pointer is one pointer comparison when they do. Up to [`PROBE`]
-/// batches are searched that way; the content hash is only paid past
-/// that.
-fn project<A: Eq + Hash>(
-    log: &[Change<A>],
-    who: Option<u32>,
-) -> (Vec<Ipv4Prefix>, Vec<Batch<'_, A>>) {
-    let mut withdrawals = Vec::new();
-    let mut batches: Vec<Batch<'_, A>> = Vec::new();
-    // Holds every batch once there are more than `PROBE`, none before.
-    let mut index: HashMap<(&A, RouteSource), usize> = HashMap::new();
-    for c in log {
-        match (c.owed(who), &c.new) {
-            (Owed::Announce, Some((attrs, src))) => {
-                let found = if batches.len() <= PROBE {
-                    batches.iter().position(|b| b.source == *src && b.attrs == attrs)
-                } else {
-                    if index.is_empty() {
-                        let all = batches.iter().enumerate();
-                        index.extend(all.map(|(i, b)| ((b.attrs, b.source), i)));
-                    }
-                    index.get(&(attrs, *src)).copied()
-                };
-                let at = found.unwrap_or_else(|| {
-                    if !index.is_empty() {
-                        index.insert((attrs, *src), batches.len());
-                    }
-                    batches.push(Batch { attrs, source: *src, prefixes: Vec::new() });
-                    batches.len() - 1
-                });
-                batches[at].prefixes.push(c.prefix);
-            }
-            (Owed::Withdraw, _) => withdrawals.push(c.prefix),
-            _ => {}
+/// What a log owes one class of members (see [`Change::owed`]), in
+/// buffers every flush of every group reuses: a flush allocates nothing
+/// once they have grown to its size.
+struct Projection<A> {
+    /// In log order.
+    withdrawals: Vec<Ipv4Prefix>,
+    /// In first-seen order.
+    batches: Vec<Batch<A>>,
+    /// The NLRI of every batch, batch after batch, each in log order.
+    nlri: Vec<Ipv4Prefix>,
+    /// `(batch, prefix)` of every owed announcement, in log order.
+    owed: Vec<(usize, Ipv4Prefix)>,
+    /// Holds every batch once there are more than [`PROBE`], none before.
+    index: HashMap<(A, RouteSource), usize>,
+    /// The raw TLVs ⑤ appends to one batch's UPDATE.
+    extra: Vec<u8>,
+}
+
+impl<A: Clone + Eq + Hash> Projection<A> {
+    fn new() -> Projection<A> {
+        Projection {
+            withdrawals: Vec::new(),
+            batches: Vec::new(),
+            nlri: Vec::new(),
+            owed: Vec::new(),
+            index: HashMap::new(),
+            extra: Vec::new(),
         }
     }
-    (withdrawals, batches)
+
+    /// Project `log` for the class of `who`: withdrawals in log order,
+    /// then batches in first-seen order.
+    ///
+    /// An announcement finds its batch by handle equality: the NLRI of
+    /// one UPDATE share a transformed handle ([`Group::evaluate`]), and
+    /// `==` on a shared pointer is one pointer comparison when they do. Up
+    /// to [`PROBE`] batches are searched that way; the content hash is
+    /// only paid past that.
+    fn project(&mut self, log: &[Change<A>], who: Option<u32>) {
+        self.clear();
+        for c in log {
+            match (c.owed(who), &c.new) {
+                (Owed::Announce, Some((attrs, src))) => {
+                    let at = self.batch_of(attrs, src);
+                    self.batches[at].len += 1;
+                    self.owed.push((at, c.prefix));
+                }
+                (Owed::Withdraw, _) => self.withdrawals.push(c.prefix),
+                _ => {}
+            }
+        }
+        let mut start = 0;
+        for b in &mut self.batches {
+            (b.start, b.len, start) = (start, 0, start + b.len);
+        }
+        self.nlri.resize(start, Ipv4Prefix::DEFAULT);
+        for &(at, prefix) in &self.owed {
+            let b = &mut self.batches[at];
+            self.nlri[b.start + b.len] = prefix;
+            b.len += 1;
+        }
+    }
+
+    fn batch_of(&mut self, attrs: &A, src: &RouteSource) -> usize {
+        let found = if self.batches.len() <= PROBE {
+            self.batches.iter().position(|b| b.source == *src && b.attrs == *attrs)
+        } else {
+            if self.index.is_empty() {
+                let all = self.batches.iter().enumerate();
+                self.index.extend(all.map(|(i, b)| ((b.attrs.clone(), b.source), i)));
+            }
+            self.index.get(&(attrs.clone(), *src)).copied()
+        };
+        found.unwrap_or_else(|| {
+            if !self.index.is_empty() {
+                self.index.insert((attrs.clone(), *src), self.batches.len());
+            }
+            self.batches
+                .push(Batch { attrs: attrs.clone(), source: *src, start: 0, len: 0 });
+            self.batches.len() - 1
+        })
+    }
+
+    /// Empty every buffer, keeping its capacity; no attribute handle
+    /// outlives the projection that took it.
+    fn clear(&mut self) {
+        self.withdrawals.clear();
+        self.batches.clear();
+        self.nlri.clear();
+        self.owed.clear();
+        self.index.clear();
+    }
+}
+
+impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> Projection<A> {
+    /// Send what `log` owes the members `to`, all in one class (see
+    /// [`Projection::project`]): ⑤ runs once per batch, and each frame is
+    /// written straight from the batch's stored attributes.
+    fn send(
+        &mut self,
+        dest: &Dest,
+        host: &mut Host,
+        ctx: &mut NodeCtx<'_>,
+        log: &[Change<A>],
+        who: Option<u32>,
+        to: &[usize],
+    ) {
+        self.project(log, who);
+        host.send_withdrawals(ctx, to, &self.withdrawals);
+        for b in &self.batches {
+            let nlri = &self.nlri[b.start..b.start + b.len];
+            self.extra.clear();
+            host.encode_message(dest, &*b.attrs, &b.source, nlri[0], &mut self.extra);
+            let attrs = |out: &mut Vec<u8>, width| b.attrs.write_attrs(out, width);
+            host.send_announce(ctx, to, attrs, &self.extra, nlri);
+        }
+        self.clear();
+    }
+}
+
+/// The buffers of [`UpdateGroups::flush`], kept from flush to flush.
+struct Scratch<A> {
+    proj: Projection<A>,
+    /// Members named as a source in the log being flushed.
+    named: Vec<u32>,
+    /// Members the log does not name: one class, one projection.
+    rest: Vec<usize>,
 }
 
 struct Group<A> {
@@ -352,55 +438,34 @@ impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> Group<A> {
         self.log.push(change);
     }
 
-    /// Send what `log` owes the members `to`, all in one class (see
-    /// [`project`]).
-    fn send<X: Exporter<Attrs = A>>(
-        dest: &Dest,
-        host: &mut Host,
-        ctx: &mut NodeCtx<'_>,
-        log: &[Change<A>],
-        who: Option<u32>,
-        to: &[usize],
-    ) {
-        let (withdrawals, batches) = project(log, who);
-        host.send_withdrawals(ctx, to, &withdrawals);
-        let mut extra = Vec::new();
-        for b in batches {
-            extra.clear();
-            host.encode_message(dest, &**b.attrs, &b.source, b.prefixes[0], &mut extra);
-            host.send_announce(ctx, to, &X::to_wire(b.attrs), &extra, &b.prefixes);
-        }
-    }
-
-    fn flush<X: Exporter<Attrs = A>>(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
+    fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>, scratch: &mut Scratch<A>) {
         self.verdict = None;
+        let Scratch { proj, named, rest } = scratch;
         for (idx, dump) in std::mem::take(&mut self.dumps) {
             if let Some(m) = self.members.iter().find(|m| m.idx == idx) {
-                Self::send::<X>(&self.dest, host, ctx, &dump, Some(m.addr), &[idx]);
+                proj.send(&self.dest, host, ctx, &dump, Some(m.addr), &[idx]);
             }
         }
         if self.log.is_empty() {
             return;
         }
-        let log = std::mem::take(&mut self.log);
-        let mut named: Vec<u32> = log
-            .iter()
-            .flat_map(|c| c.old.iter().chain(c.new.iter().map(|(_, src)| src)))
-            .filter_map(horizon)
-            .collect();
+        named.clear();
+        let sources = self.log.iter().flat_map(|c| c.old.iter().chain(c.new.iter().map(|n| &n.1)));
+        named.extend(sources.filter_map(horizon));
         named.sort_unstable();
         named.dedup();
-        let mut rest = Vec::with_capacity(self.members.len());
+        rest.clear();
         for m in &self.members {
             if named.binary_search(&m.addr).is_ok() {
-                Self::send::<X>(&self.dest, host, ctx, &log, Some(m.addr), &[m.idx]);
+                proj.send(&self.dest, host, ctx, &self.log, Some(m.addr), &[m.idx]);
             } else {
                 rest.push(m.idx);
             }
         }
         if !rest.is_empty() {
-            Self::send::<X>(&self.dest, host, ctx, &log, None, &rest);
+            proj.send(&self.dest, host, ctx, &self.log, None, rest);
         }
+        self.log.clear();
     }
 
     /// Routes advertised, summed over members.
@@ -428,6 +493,7 @@ pub struct UpdateGroups<A> {
     /// Live groups, in founding order. A group exists while it has
     /// members.
     groups: Vec<Group<A>>,
+    scratch: Scratch<A>,
 }
 
 impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> UpdateGroups<A> {
@@ -436,6 +502,7 @@ impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> UpdateGroups<A> {
         UpdateGroups {
             read_mask: host.hooks.vmm.peer_read_mask(&points),
             groups: Vec::new(),
+            scratch: Scratch { proj: Projection::new(), named: Vec::new(), rest: Vec::new() },
         }
     }
 
@@ -533,9 +600,9 @@ impl<A: Clone + Eq + Hash + Deref<Target: AttrStore>> UpdateGroups<A> {
     }
 
     /// Send everything queued since the last flush.
-    pub fn flush<X: Exporter<Attrs = A>>(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
+    pub fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
         for g in &mut self.groups {
-            g.flush::<X>(host, ctx);
+            g.flush(host, ctx, &mut self.scratch);
         }
     }
 
@@ -616,12 +683,17 @@ mod tests {
 
     fn owed(log: &[Change<&'static str>], who: Option<u32>) -> Owed {
         let n = |p: &Ipv4Prefix| p.addr() >> 8;
-        let (wd, batches) = project(log, who);
-        let batches = batches
+        let mut proj = Projection::new();
+        proj.project(log, who);
+        let batches = proj
+            .batches
             .iter()
-            .map(|b| (*b.attrs, b.source.peer_addr, b.prefixes.iter().map(n).collect()))
+            .map(|b| {
+                let nlri = &proj.nlri[b.start..b.start + b.len];
+                (b.attrs, b.source.peer_addr, nlri.iter().map(n).collect())
+            })
             .collect();
-        (wd.iter().map(n).collect(), batches)
+        (proj.withdrawals.iter().map(n).collect(), batches)
     }
 
     #[test]

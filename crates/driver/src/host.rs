@@ -29,10 +29,9 @@ use xbgp_core::vmm::ExtensionStats;
 use xbgp_core::{HostApi, Vmm, VmmOutcome};
 use xbgp_obs::trace::{pack_prefix, TraceDump, TraceKind, NO_EXT, NO_POINT};
 use xbgp_obs::Snapshot;
-use xbgp_wire::msg::encode_update;
+use xbgp_wire::msg::{encode_update_into, UpdateLayout, UpdateView};
 use xbgp_wire::{
-    Ipv4Prefix, PathAttr, Session, SessionConfig, SessionEvent, SessionState, UpdateMsg, WireError,
-    HEADER_LEN,
+    Ipv4Prefix, Session, SessionConfig, SessionEvent, SessionState, WireError, HEADER_LEN,
 };
 
 /// `to=` label values of `xbgp_daemon_fsm_transitions_total`, indexed by
@@ -249,6 +248,9 @@ pub struct Host {
     pub logs: Vec<String>,
     /// Virtual time of the event being handled.
     pub now: u64,
+    /// The UPDATE frame being written: every outgoing UPDATE is encoded
+    /// here, copied to its neighbors, and the buffer kept for the next.
+    frame: Vec<u8>,
 }
 
 impl Host {
@@ -277,6 +279,7 @@ impl Host {
             stats: HostStats::default(),
             logs: Vec::new(),
             now: 0,
+            frame: Vec::new(),
         }
     }
 
@@ -343,29 +346,31 @@ impl Host {
         }
     }
 
-    /// Encode one UPDATE and send it to every neighbor in `to`, which
-    /// share one ASN width (they are members of one update-group). A
-    /// frame that does not encode is logged per neighbor, not sent and
+    /// Encode one UPDATE into the host's frame buffer and send it to every
+    /// neighbor in `to`, which share one ASN width (they are members of
+    /// one update-group); `attrs` writes the attribute TLVs at that width.
+    /// A frame that does not encode is logged per neighbor, not sent and
     /// not counted.
     fn send_update(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         to: &[usize],
         withdrawn: &[Ipv4Prefix],
-        attrs: &[PathAttr],
+        attrs: impl FnOnce(&mut Vec<u8>, usize),
         extra: &[u8],
         nlri: &[Ipv4Prefix],
     ) {
         let width = self.neighbors[to[0]].asn_width();
-        match encode_update(withdrawn, attrs, extra, nlri, width) {
-            Ok(frame) => {
+        let attrs = |out: &mut Vec<u8>| attrs(out, width);
+        match encode_update_into(&mut self.frame, withdrawn, attrs, extra, nlri) {
+            Ok(()) => {
                 let c = &mut self.stats.counters;
                 c.updates_encoded += 1;
                 c.updates_tx += to.len() as u64;
                 c.withdrawals_tx += (withdrawn.len() * to.len()) as u64;
                 c.prefixes_tx += (nlri.len() * to.len()) as u64;
                 for &q in to {
-                    ctx.send(self.neighbors[q].decl.link, &frame);
+                    ctx.send(self.neighbors[q].decl.link, &self.frame);
                 }
             }
             Err(e) => {
@@ -385,24 +390,26 @@ impl Host {
         prefixes: &[Ipv4Prefix],
     ) {
         for chunk in prefixes.chunks(800) {
-            self.send_update(ctx, to, chunk, &[], &[], &[]);
+            self.send_update(ctx, to, chunk, |_, _| {}, &[], &[]);
         }
     }
 
     /// Frame and send one attribute set's announcements to the neighbors
     /// `to`, at most 700 NLRI per UPDATE (under the 4096-byte frame).
+    /// `attrs` writes the set's TLVs for a session of the width it is
+    /// given (an engine's [`crate::xbgp_glue::AttrStore::write_attrs`]);
     /// `extra` is the raw attribute TLVs the ⑤ `BGP_ENCODE_MESSAGE`
     /// extensions appended.
     pub fn send_announce(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         to: &[usize],
-        attrs: &[PathAttr],
+        attrs: impl Fn(&mut Vec<u8>, usize),
         extra: &[u8],
         prefixes: &[Ipv4Prefix],
     ) {
         for chunk in prefixes.chunks(700) {
-            self.send_update(ctx, to, &[], attrs, extra, chunk);
+            self.send_update(ctx, to, &[], &attrs, extra, chunk);
         }
     }
 
@@ -451,17 +458,14 @@ pub trait RouteEngine: Sized + 'static {
     /// routes and export state, re-decide what it contributed to.
     fn session_down(&mut self, host: &mut Host, idx: usize);
 
-    /// Apply one UPDATE from neighbor `idx`. `raw_body` is the message
-    /// body as received (argument 0 of ① `BGP_RECEIVE_MESSAGE`). An `Err`
-    /// makes the host send the matching NOTIFICATION and tear the
-    /// session down; whatever the engine queued first is still flushed.
-    fn update(
-        &mut self,
-        host: &mut Host,
-        idx: usize,
-        upd: UpdateMsg,
-        raw_body: &[u8],
-    ) -> Result<(), WireError>;
+    /// Apply one UPDATE from neighbor `idx`, as the session validated it:
+    /// the engine parses its stored attributes from `upd.attr_section()`,
+    /// and `upd.body()` is the message body as received (argument 0 of ①
+    /// `BGP_RECEIVE_MESSAGE`). An `Err` makes the host send the matching
+    /// NOTIFICATION and tear the session down; whatever the engine queued
+    /// first is still flushed.
+    fn update(&mut self, host: &mut Host, idx: usize, upd: UpdateView<'_>)
+        -> Result<(), WireError>;
 
     /// Send everything queued
     /// ([`crate::export::UpdateGroups::flush`]).
@@ -519,8 +523,8 @@ impl<E: RouteEngine> BgpDaemon<E> {
             self.on_event(ctx, idx, event, None);
         }
         let now = ctx.now();
-        while let Some((event, update)) = self.host.with_session(idx, |s| s.step(now)) {
-            self.on_event(ctx, idx, event, update);
+        while let Some((event, layout)) = self.host.with_session(idx, |s| s.step(now)) {
+            self.on_event(ctx, idx, event, layout);
         }
         let n = &mut self.host.neighbors[idx];
         if let Some(due) = n.session.next_deadline() {
@@ -539,14 +543,15 @@ impl<E: RouteEngine> BgpDaemon<E> {
         ctx: &mut NodeCtx<'_>,
         idx: usize,
         event: SessionEvent,
-        update: Option<UpdateMsg>,
+        layout: Option<UpdateLayout>,
     ) {
         match event {
             SessionEvent::Send(frame) => ctx.send(self.host.neighbors[idx].decl.link, &frame),
             SessionEvent::Established { .. } => self.establish(ctx, idx),
             SessionEvent::Update(frame) => {
-                let update = update.expect("a stepped UPDATE comes with its decode");
-                self.handle_update(ctx, idx, update, &frame[HEADER_LEN..]);
+                let layout = layout.expect("a stepped UPDATE comes with its layout");
+                self.handle_update(ctx, idx, layout.view(&frame[HEADER_LEN..]));
+                self.host.neighbors[idx].session.recycle(frame);
             }
             SessionEvent::Closed(reason) => {
                 self.host.logs.push(format!("neighbor {idx}: {reason}"));
@@ -574,18 +579,18 @@ impl<E: RouteEngine> BgpDaemon<E> {
         self.flush(ctx);
     }
 
-    fn handle_update(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, upd: UpdateMsg, body: &[u8]) {
+    fn handle_update(&mut self, ctx: &mut NodeCtx<'_>, idx: usize, upd: UpdateView<'_>) {
         let host = &mut self.host;
         host.stats.counters.updates_rx += 1;
         host.stats.counters.first_update_rx.get_or_insert(host.now);
-        host.stats.counters.withdrawals_rx += upd.withdrawn.len() as u64;
+        host.stats.counters.withdrawals_rx += upd.withdrawn().len() as u64;
         // Trace-id allocation happens at UPDATE ingest, before any route
         // is parsed, so every downstream event carries the same scope.
         if let Some(t) = host.hooks.vmm.tracer_mut() {
             t.set_now(host.now);
-            t.on_ingest(idx as u64, upd.nlri.len() as u64);
+            t.on_ingest(idx as u64, upd.nlri().len() as u64);
         }
-        match self.engine.update(&mut self.host, idx, upd, body) {
+        match self.engine.update(&mut self.host, idx, upd) {
             Ok(()) => self.flush(ctx),
             // The session decoded it, the engine cannot apply it: the
             // NOTIFICATION goes out now, and the session's next step is
@@ -754,7 +759,7 @@ mod tests {
     use xbgp_asm::assemble_with_symbols;
     use xbgp_core::host::MockHost;
     use xbgp_core::{ExtensionSpec, Manifest, OnFault};
-    use xbgp_wire::{Message, NotificationMsg, OpenMsg};
+    use xbgp_wire::{Message, NotificationMsg, OpenMsg, PathAttr, UpdateMsg};
 
     fn neighbor(asn: u32) -> Neighbor {
         let decl = NeighborDecl { link: LinkId(0), addr: 9, asn, rr_client: false };
@@ -785,19 +790,14 @@ mod tests {
         fn originate(&mut self, _: &mut Host) {}
         fn session_up(&mut self, _: &mut Host, _: usize) {}
         fn session_down(&mut self, _: &mut Host, _: usize) {}
-        fn update(
-            &mut self,
-            _: &mut Host,
-            _: usize,
-            _: UpdateMsg,
-            _: &[u8],
-        ) -> Result<(), WireError> {
+        fn update(&mut self, _: &mut Host, _: usize, _: UpdateView<'_>) -> Result<(), WireError> {
             Ok(())
         }
         fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
             host.send_withdrawals(ctx, &[0], &std::mem::take(&mut self.withdrawals));
             let nlri = std::mem::take(&mut self.announcements);
-            host.send_announce(ctx, &[0], &[PathAttr::NextHop(1)], &self.extra, &nlri);
+            let next_hop = |out: &mut Vec<u8>, width| PathAttr::NextHop(1).encode(out, width);
+            host.send_announce(ctx, &[0], next_hop, &self.extra, &nlri);
         }
         fn loc_rib_len(&self) -> usize {
             0

@@ -29,8 +29,9 @@
 //!   [`host::RouteEngine`] trait `bgp-fir` and `bgp-wren` implement.
 //! * [`export`] — update-groups: the Adj-RIB-Out, the ④/⑤ runs and the
 //!   UPDATE batching, shared by every peer the export path cannot tell
-//!   apart ([`export::UpdateGroups`], over the [`export::Exporter`] hooks
-//!   an engine implements for its attribute type).
+//!   apart ([`export::UpdateGroups`], over the [`export::Exporter`]
+//!   transform an engine implements for its attribute type, and its
+//!   [`xbgp_glue::AttrStore::write_attrs`] into the frame).
 //! * [`xbgp_glue`] — the xBGP execution context, its one `HostApi`
 //!   implementation and one [`host::Host`] method per insertion point,
 //!   over the [`xbgp_glue::AttrStore`] view an engine gives of its

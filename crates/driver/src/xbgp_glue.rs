@@ -28,19 +28,21 @@ use rpki::{RoaHashTable, RoaTable};
 use std::ops::Deref;
 use xbgp_core::api::{self, InsertionPoint, NextHopInfo, PeerInfo};
 use xbgp_core::{HostApi, HostError, HostOp};
-use xbgp_wire::attr::{encode_attrs, validate_neutral};
-use xbgp_wire::{Ipv4Prefix, PathAttr};
+use xbgp_wire::attr::validate_neutral;
+use xbgp_wire::Ipv4Prefix;
 
 /// One route's attributes as the xBGP API sees them. Payloads are in
 /// network byte order. The contract both engines keep (and
 /// `tests/repr_parity.rs` checks one against the other):
 ///
-/// * the natively modelled codes (1–5, 8–10) carry their canonical flags
+/// * the natively modelled codes (1–10) carry their canonical flags
 ///   (`AttrCode::canonical_flags`) whatever flags they were stored with;
 ///   any other code keeps the flags it was given;
 /// * a payload [`validate_neutral`] refuses is not stored, and the
 ///   attributes are as they were;
-/// * an empty COMMUNITIES or CLUSTER_LIST is the attribute's absence.
+/// * an empty COMMUNITIES or CLUSTER_LIST is the attribute's absence;
+/// * the modelled codes, and only they, are advertised natively
+///   ([`AttrStore::write_attrs`]).
 pub trait AttrStore: Clone {
     /// Append the payload of `code` to `out` and return its flags; `None`
     /// (and `out` untouched) when the route does not carry it.
@@ -57,6 +59,20 @@ pub trait AttrStore: Clone {
 
     /// NEXT_HOP, host byte order (0 when malformed).
     fn nexthop(&self) -> u32;
+
+    /// Write the attributes the route advertises natively — the modelled
+    /// codes present, in code order, canonical flags — as TLVs straight
+    /// into `out`, an outgoing frame on a session `asn_width` octets wide.
+    /// Other codes leave only through ⑤ `BGP_ENCODE_MESSAGE`.
+    fn write_attrs(&self, out: &mut Vec<u8>, asn_width: usize);
+
+    /// [`AttrStore::write_attrs`] at width 4 into a section of its own:
+    /// the neutral form ③ reads and `loc_rib_dump` compares.
+    fn attr_section(&self) -> Vec<u8> {
+        let mut section = Vec::new();
+        self.write_attrs(&mut section, 4);
+        section
+    }
 }
 
 /// How an insertion point exposes the route's attributes.
@@ -328,19 +344,14 @@ impl Host {
 
     /// ③ `BGP_DECISION`: `Some(prefer_new)` when an extension chose
     /// between the candidate (`new`, learned from `src`) and the current
-    /// best, whose wire attributes are argument 0 (`best` is only asked
-    /// for with an extension attached). `None`: run the native RFC 4271
+    /// `best`, whose neutral attribute section is argument 0 (written only
+    /// with an extension attached). `None`: run the native RFC 4271
     /// comparison.
-    pub fn decision<A: AttrStore>(
-        &mut self,
-        new: &A,
-        src: &RouteSource,
-        best: impl FnOnce() -> Vec<PathAttr>,
-    ) -> Option<bool> {
+    pub fn decision<A: AttrStore>(&mut self, new: &A, src: &RouteSource, best: &A) -> Option<bool> {
         if !self.attached(InsertionPoint::BgpDecision) {
             return None;
         }
-        let best_wire = encode_attrs(&best(), 4);
+        let best_wire = best.attr_section();
         let nexthop = Some(self.nexthop_info(new.nexthop()));
         let peer = PeerInfo { flags: 0, ..self.source_info(src) };
         let (base, hooks, stats, _) = self.enter(peer);
@@ -440,6 +451,11 @@ mod tests {
         }
         fn nexthop(&self) -> u32 {
             0
+        }
+        fn write_attrs(&self, out: &mut Vec<u8>, _: usize) {
+            for (code, flags, value) in &self.0 {
+                xbgp_wire::attr::encode_attr_tlv(out, xbgp_wire::AttrFlags(*flags), *code, value);
+            }
         }
     }
 

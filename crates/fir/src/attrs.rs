@@ -1,17 +1,24 @@
 //! FIR's internal attribute representation: parsed, host-order, interned.
 //!
-//! This mirrors FRRouting's `struct attr` + `attrhash`: attributes are
-//! decoded once into host-order fields, and identical attribute sets are
-//! shared through an intern table so a 724k-route table stores each
-//! distinct set exactly once. Conversion to/from the neutral
-//! network-byte-order form (`to_wire` / `from_wire` / `neutral_payload`)
-//! is therefore *work* — the representational gap the paper calls out for
-//! FRRouting.
+//! This mirrors FRRouting's `struct attr` + `attrhash`: a validated
+//! UPDATE's attribute section is parsed once, straight from the wire,
+//! into host-order fields ([`FirAttrs::parse_section`], FRR's
+//! `bgp_attr_parse`), and identical attribute sets are shared through an
+//! intern table so a 724k-route table stores each distinct set exactly
+//! once. Going back out, the fields are written straight into the frame
+//! ([`FirAttrs::write_attrs`], FRR's `bgp_packet_attribute`). Conversion
+//! to and from the neutral network-byte-order form is therefore *work* on
+//! every xBGP access (`neutral_payload_into` / `set_neutral`) — the
+//! representational gap the paper calls out for FRRouting. The typed
+//! `from_wire` / `to_wire` are adapters over the parser and the writer.
 
 use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::rc::Rc;
-use xbgp_wire::attr::{encode_attr_tlv, validate_neutral, AttrCode, AttrFlags, Origin};
+use xbgp_wire::attr::{
+    check_attrs, encode_attrs, encode_tlv_with, stored_attrs, stored_flags, validate_neutral,
+    AttrCode, Origin, RawAttrIter,
+};
 use xbgp_wire::{AsPath, PathAttr, WireError};
 
 /// One fully parsed, host-order attribute set.
@@ -23,6 +30,11 @@ pub struct FirAttrs {
     pub next_hop: u32,
     pub med: Option<u32>,
     pub local_pref: Option<u32>,
+    pub atomic_aggregate: bool,
+    /// AGGREGATOR's `(asn, router id)`, boxed like FRR's old
+    /// `attr_extra`: few routes carry it, and without it a set is no
+    /// larger than before the field.
+    pub aggregator: Option<Box<(u32, u32)>>,
     pub communities: Vec<u32>,
     pub originator_id: Option<u32>,
     pub cluster_list: Vec<u32>,
@@ -42,6 +54,8 @@ impl Default for FirAttrs {
             next_hop: 0,
             med: None,
             local_pref: None,
+            atomic_aggregate: false,
+            aggregator: None,
             communities: Vec::new(),
             originator_id: None,
             cluster_list: Vec::new(),
@@ -51,34 +65,34 @@ impl Default for FirAttrs {
 }
 
 impl FirAttrs {
-    /// Parse a neutral (typed) attribute vector into the host
-    /// representation. Unknown attributes land in `extra`.
-    pub fn from_wire(attrs: &[PathAttr]) -> Result<FirAttrs, WireError> {
+    /// Parse the attribute section of an UPDATE validated at `asn_width`
+    /// into the host representation, one attribute at a time in the
+    /// stored form [`stored_attrs`] defines; what a field does not model
+    /// lands in `extra`. Checks the RFC 4271 mandatory attributes.
+    pub fn parse_section(section: &[u8], asn_width: usize) -> Result<FirAttrs, WireError> {
         let mut a = FirAttrs::default();
-        let mut have_origin = false;
-        let mut have_next_hop = false;
-        for attr in attrs {
-            match attr {
+        let (mut have_origin, mut have_next_hop) = (false, false);
+        for raw in stored_attrs(section) {
+            match PathAttr::from_valid(&raw, asn_width) {
                 PathAttr::Origin(o) => {
-                    a.origin = *o;
+                    a.origin = o;
                     have_origin = true;
                 }
-                PathAttr::AsPath(p) => a.as_path = p.clone(),
+                PathAttr::AsPath(p) => a.as_path = p,
                 PathAttr::NextHop(nh) => {
-                    a.next_hop = *nh;
+                    a.next_hop = nh;
                     have_next_hop = true;
                 }
-                PathAttr::Med(m) => a.med = Some(*m),
-                PathAttr::LocalPref(lp) => a.local_pref = Some(*lp),
-                PathAttr::AtomicAggregate | PathAttr::Aggregator { .. } => {
-                    // Accepted and ignored: not relevant to any experiment.
+                PathAttr::Med(m) => a.med = Some(m),
+                PathAttr::LocalPref(lp) => a.local_pref = Some(lp),
+                PathAttr::AtomicAggregate => a.atomic_aggregate = true,
+                PathAttr::Aggregator { asn, router_id } => {
+                    a.aggregator = Some(Box::new((asn, router_id)))
                 }
-                PathAttr::Communities(cs) => a.communities = cs.clone(),
-                PathAttr::OriginatorId(id) => a.originator_id = Some(*id),
-                PathAttr::ClusterList(cl) => a.cluster_list = cl.clone(),
-                PathAttr::Unknown { flags, code, value } => {
-                    a.extra.push((*code, flags.0, value.clone()))
-                }
+                PathAttr::Communities(cs) => a.communities = cs,
+                PathAttr::OriginatorId(id) => a.originator_id = Some(id),
+                PathAttr::ClusterList(cl) => a.cluster_list = cl,
+                PathAttr::Unknown { flags, code, value } => a.extra.push((code, flags.0, value)),
             }
         }
         if !have_origin {
@@ -90,31 +104,36 @@ impl FirAttrs {
         Ok(a)
     }
 
-    /// Serialize the natively understood attributes back to the neutral
-    /// form (used when building outgoing UPDATEs). `extra` attributes are
-    /// deliberately *not* included — see the field documentation.
+    /// Parse a neutral (typed) attribute vector: [`FirAttrs::parse_section`]
+    /// over the attributes' 4-octet encoding.
+    pub fn from_wire(attrs: &[PathAttr]) -> Result<FirAttrs, WireError> {
+        let section = encode_attrs(attrs, 4);
+        check_attrs(&section, 4)?;
+        FirAttrs::parse_section(&section, 4)
+    }
+
+    /// Write the natively modelled attributes (codes 1–10, in code order,
+    /// canonical flags) straight into an outgoing frame for a session
+    /// `asn_width` octets wide. `extra` attributes are deliberately *not*
+    /// written — see the field documentation.
+    pub fn write_attrs(&self, out: &mut Vec<u8>, asn_width: usize) {
+        for code in (1..=10).filter(|&code| self.has_neutral(code)) {
+            encode_tlv_with(out, stored_flags(code, 0), code, |out| match code {
+                2 => self.as_path.encode_body(out, asn_width),
+                _ => {
+                    self.neutral_payload_into(code, out);
+                }
+            });
+        }
+    }
+
+    /// The natively modelled attributes in the neutral typed form:
+    /// [`FirAttrs::write_attrs`] at width 4, decoded.
     pub fn to_wire(&self) -> Vec<PathAttr> {
-        let mut out = vec![
-            PathAttr::Origin(self.origin),
-            PathAttr::AsPath(self.as_path.clone()),
-            PathAttr::NextHop(self.next_hop),
-        ];
-        if let Some(m) = self.med {
-            out.push(PathAttr::Med(m));
-        }
-        if let Some(lp) = self.local_pref {
-            out.push(PathAttr::LocalPref(lp));
-        }
-        if !self.communities.is_empty() {
-            out.push(PathAttr::Communities(self.communities.clone()));
-        }
-        if let Some(id) = self.originator_id {
-            out.push(PathAttr::OriginatorId(id));
-        }
-        if !self.cluster_list.is_empty() {
-            out.push(PathAttr::ClusterList(self.cluster_list.clone()));
-        }
-        out
+        let mut section = Vec::new();
+        self.write_attrs(&mut section, 4);
+        let attrs = RawAttrIter::new(&section).map_while(Result::ok);
+        attrs.map(|raw| PathAttr::from_valid(&raw, 4)).collect()
     }
 
     /// xBGP `get_attr`: produce the attribute payload for `code` in
@@ -132,56 +151,33 @@ impl FirAttrs {
     /// absent-attribute paths bail out before appending, so `body` is
     /// untouched on `None`.
     pub fn neutral_payload_into(&self, code: u8, body: &mut Vec<u8>) -> Option<u8> {
-        let flags = match code {
-            1 => {
-                body.push(self.origin as u8);
-                AttrFlags::WELL_KNOWN.0
-            }
-            2 => {
-                self.as_path.encode_body(body, 4);
-                AttrFlags::WELL_KNOWN.0
-            }
-            3 => {
-                body.extend_from_slice(&self.next_hop.to_be_bytes());
-                AttrFlags::WELL_KNOWN.0
-            }
-            4 => {
-                body.extend_from_slice(&self.med?.to_be_bytes());
-                AttrCode::Med.canonical_flags().0
-            }
-            5 => {
-                body.extend_from_slice(&self.local_pref?.to_be_bytes());
-                AttrFlags::WELL_KNOWN.0
-            }
-            8 => {
-                if self.communities.is_empty() {
-                    return None;
-                }
-                for c in &self.communities {
-                    body.extend_from_slice(&c.to_be_bytes());
-                }
-                AttrCode::Communities.canonical_flags().0
-            }
-            9 => {
-                body.extend_from_slice(&self.originator_id?.to_be_bytes());
-                AttrCode::OriginatorId.canonical_flags().0
-            }
-            10 => {
-                if self.cluster_list.is_empty() {
-                    return None;
-                }
-                for c in &self.cluster_list {
-                    body.extend_from_slice(&c.to_be_bytes());
-                }
-                AttrCode::ClusterList.canonical_flags().0
-            }
-            other => {
-                let (_, flags, value) = self.extra.iter().find(|(c, _, _)| *c == other)?;
-                body.extend_from_slice(value);
-                *flags
-            }
+        let Some(modelled) = AttrCode::from_u8(code) else {
+            let (_, flags, value) = self.extra.iter().find(|(c, _, _)| *c == code)?;
+            body.extend_from_slice(value);
+            return Some(*flags);
         };
-        Some(flags)
+        let words = |ws: &[u32], body: &mut Vec<u8>| {
+            ws.iter().for_each(|w| body.extend_from_slice(&w.to_be_bytes()));
+        };
+        match modelled {
+            AttrCode::Origin => body.push(self.origin as u8),
+            AttrCode::AsPath => self.as_path.encode_body(body, 4),
+            AttrCode::NextHop => body.extend_from_slice(&self.next_hop.to_be_bytes()),
+            AttrCode::Med => body.extend_from_slice(&self.med?.to_be_bytes()),
+            AttrCode::LocalPref => body.extend_from_slice(&self.local_pref?.to_be_bytes()),
+            AttrCode::AtomicAggregate => self.atomic_aggregate.then_some(())?,
+            AttrCode::Aggregator => {
+                let (asn, router_id) = *self.aggregator.as_deref()?;
+                words(&[asn, router_id], body);
+            }
+            AttrCode::Communities if !self.communities.is_empty() => words(&self.communities, body),
+            AttrCode::ClusterList if !self.cluster_list.is_empty() => {
+                words(&self.cluster_list, body)
+            }
+            AttrCode::Communities | AttrCode::ClusterList => return None,
+            AttrCode::OriginatorId => body.extend_from_slice(&self.originator_id?.to_be_bytes()),
+        }
+        Some(modelled.canonical_flags().0)
     }
 
     /// Does this attribute set carry `code`? Existence check without
@@ -191,6 +187,8 @@ impl FirAttrs {
             1..=3 => true,
             4 => self.med.is_some(),
             5 => self.local_pref.is_some(),
+            6 => self.atomic_aggregate,
+            7 => self.aggregator.is_some(),
             8 => !self.communities.is_empty(),
             9 => self.originator_id.is_some(),
             10 => !self.cluster_list.is_empty(),
@@ -212,6 +210,8 @@ impl FirAttrs {
             3 => self.next_hop = be32(value),
             4 => self.med = Some(be32(value)),
             5 => self.local_pref = Some(be32(value)),
+            6 => self.atomic_aggregate = true,
+            7 => self.aggregator = Some(Box::new((be32(value), be32(&value[4..])))),
             8 => self.communities = value.chunks_exact(4).map(be32).collect(),
             9 => self.originator_id = Some(be32(value)),
             10 => self.cluster_list = value.chunks_exact(4).map(be32).collect(),
@@ -235,22 +235,14 @@ impl FirAttrs {
         match code {
             4 => self.med = None,
             5 => self.local_pref = None,
+            6 => self.atomic_aggregate = false,
+            7 => self.aggregator = None,
             8 => self.communities.clear(),
             9 => self.originator_id = None,
             10 => self.cluster_list.clear(),
             other => self.extra.retain(|(c, _, _)| *c != other),
         }
         true
-    }
-
-    /// Encode the `extra` attributes as raw TLVs (what a native FRR cannot
-    /// do — used only by tests comparing against extension-written output).
-    pub fn encode_extra_tlvs(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for (code, flags, value) in &self.extra {
-            encode_attr_tlv(&mut out, AttrFlags(*flags), *code, value);
-        }
-        out
     }
 }
 
@@ -346,6 +338,7 @@ impl<S: BuildHasher> AttrInternTable<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbgp_wire::AttrFlags;
 
     fn sample() -> Vec<PathAttr> {
         vec![
@@ -393,8 +386,8 @@ mod tests {
         assert_eq!(parsed.extra, vec![(66, AttrFlags::OPT_TRANS.0, vec![1, 2, 3])]);
         // Native encoding drops them (FRR pre-modification behaviour).
         assert!(parsed.to_wire().iter().all(|a| !matches!(a, PathAttr::Unknown { .. })));
-        // But the raw TLV encoder (for extension comparison) has them.
-        assert!(!parsed.encode_extra_tlvs().is_empty());
+        // But `get_attr` still reads them.
+        assert_eq!(parsed.neutral_payload(66), Some((AttrFlags::OPT_TRANS.0, vec![1, 2, 3])));
     }
 
     #[test]

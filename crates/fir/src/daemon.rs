@@ -13,12 +13,12 @@ use std::rc::Rc;
 use xbgp_core::api::{InsertionPoint, PeerType};
 use xbgp_driver::export::{Dest, Exporter, UpdateGroups};
 use xbgp_driver::host::{BgpDaemon, Host, RouteEngine};
-use xbgp_driver::xbgp_glue::{InboundFilter, Rejected};
+use xbgp_driver::xbgp_glue::{AttrStore, InboundFilter, Rejected};
 use xbgp_obs::trace::pack_prefix;
 use xbgp_obs::Snapshot;
 use xbgp_rib::{push_rib_gauges, DirtySet, NodeId, RibCounters};
-use xbgp_wire::attr::encode_attrs;
-use xbgp_wire::{Ipv4Prefix, PathAttr, UpdateMsg, WireError};
+use xbgp_wire::msg::UpdateView;
+use xbgp_wire::{Ipv4Prefix, WireError};
 
 /// The FIR BGP daemon. See the crate documentation.
 pub type FirDaemon = BgpDaemon<FirEngine>;
@@ -75,10 +75,9 @@ impl FirEngine {
         host: &mut Host,
         idx: usize,
         mut attrs: FirAttrs,
-        nlri: &[Ipv4Prefix],
-        raw_body: &[u8],
+        upd: UpdateView<'_>,
     ) {
-        host.receive_message(idx, raw_body, &mut attrs); // ①
+        host.receive_message(idx, upd.body(), &mut attrs); // ①
         let peer_type = host.neighbors[idx].peer_type();
 
         // Sender-side loop detection: drop silently (RFC 4271 §9.1.2,
@@ -106,14 +105,14 @@ impl FirEngine {
         let mut filter = host.inbound_filter(idx, &shared);
         let slot = peer_slot(idx);
 
-        for prefix in nlri {
+        for prefix in upd.nlri() {
             host.stats.counters.prefixes_rx += 1;
             // One sampling decision per route; a sampled route records
             // its whole decode → decision → propagate path.
             if let Some(t) = host.hooks.vmm.tracer_mut() {
                 t.begin_route(pack_prefix(prefix.addr(), prefix.len()));
             }
-            self.install_one(host, slot, *prefix, &shared, source, filter.as_mut());
+            self.install_one(host, slot, prefix, &shared, source, filter.as_mut());
             // Every `begin_route` is matched here, whichever way the
             // route left `install_one`: a leaked scope would let the next
             // route's events inherit this route's attribution.
@@ -181,7 +180,7 @@ impl FirEngine {
     /// Is `candidate` preferred over `best`? Consults the ③ BGP_DECISION
     /// insertion point before the native RFC 4271 comparison.
     fn better(host: &mut Host, candidate: &RibEntry, best: &RibEntry) -> bool {
-        host.decision(&*candidate.attrs, &candidate.source, || best.attrs.to_wire())
+        host.decision(&*candidate.attrs, &candidate.source, &*best.attrs)
             .unwrap_or_else(|| Self::native_better(host, candidate, best))
     }
 
@@ -381,10 +380,6 @@ impl Exporter for FirExport<'_> {
         }
         self.intern.intern(a)
     }
-
-    fn to_wire(attrs: &Rc<FirAttrs>) -> Vec<PathAttr> {
-        attrs.to_wire()
-    }
 }
 
 impl RouteEngine for FirEngine {
@@ -446,8 +441,7 @@ impl RouteEngine for FirEngine {
         &mut self,
         host: &mut Host,
         idx: usize,
-        upd: UpdateMsg,
-        raw_body: &[u8],
+        upd: UpdateView<'_>,
     ) -> Result<(), WireError> {
         // Withdrawals first (RFC 4271 §3.1 ordering within an UPDATE).
         // Each removal only *marks* its prefix; the batched re-decision
@@ -457,19 +451,19 @@ impl RouteEngine for FirEngine {
         // see `delta_safe`) is not marked at all.
         let slot = peer_slot(idx);
         let delta_safe = Self::delta_safe(host);
-        for prefix in &upd.withdrawn {
-            if let Some((_, best_slot)) = self.rib.remove(prefix, slot) {
+        for prefix in upd.withdrawn() {
+            if let Some((_, best_slot)) = self.rib.remove(&prefix, slot) {
                 self.rib_counters.withdrawals += 1;
                 if !delta_safe || best_slot.is_none() || best_slot == Some(slot) {
-                    self.dirty.mark(*prefix);
+                    self.dirty.mark(prefix);
                 }
             }
         }
-        let parsed = if upd.nlri.is_empty() {
+        let parsed = if upd.nlri().len() == 0 {
             Ok(())
         } else {
-            FirAttrs::from_wire(&upd.attrs)
-                .map(|attrs| self.install_routes(host, idx, attrs, &upd.nlri, raw_body))
+            FirAttrs::parse_section(upd.attr_section(), upd.asn_width())
+                .map(|attrs| self.install_routes(host, idx, attrs, upd))
         };
         // The deferred withdrawal decisions are committed even when the
         // attributes were malformed and the session is about to go down.
@@ -478,7 +472,7 @@ impl RouteEngine for FirEngine {
     }
 
     fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
-        self.out.flush::<FirExport>(host, ctx);
+        self.out.flush(host, ctx);
     }
 
     fn loc_rib_len(&self) -> usize {
@@ -494,10 +488,7 @@ impl RouteEngine for FirEngine {
     /// implementation-neutral, so per-shard dumps can cross threads and
     /// be compared byte-for-byte against a sequential run's dump.
     fn loc_rib_dump(&self) -> Vec<(Ipv4Prefix, Vec<u8>)> {
-        self.rib
-            .iter_best()
-            .map(|(p, e)| (p, encode_attrs(&e.attrs.to_wire(), 4)))
-            .collect()
+        self.rib.iter_best().map(|(p, e)| (p, e.attrs.attr_section())).collect()
     }
 
     /// Full-recompute oracle: re-derive every net's best route from the
@@ -510,7 +501,7 @@ impl RouteEngine for FirEngine {
         for (prefix, net) in self.rib.iter_nets() {
             if let Some(i) = Self::scan_best(host, net) {
                 let (_, e) = &net.candidates()[i];
-                out.push((prefix, encode_attrs(&e.attrs.to_wire(), 4)));
+                out.push((prefix, e.attrs.attr_section()));
             }
         }
         out

@@ -5,7 +5,8 @@
 //! where that structure matters to xBGP (DESIGN.md §1):
 //!
 //! * **Host-order, fully parsed attributes** ([`attrs::FirAttrs`]): every
-//!   received attribute is decoded into typed host-order fields and the
+//!   received attribute is parsed from the wire into typed host-order
+//!   fields (and converted back into each outgoing frame), and the
 //!   resulting attribute sets are **interned** in a hash-consing table
 //!   (FRR's `attrhash`). The xBGP glue must therefore *convert* between
 //!   this representation and the neutral network-byte-order form on every

@@ -32,4 +32,8 @@ impl AttrStore for FirAttrs {
     fn nexthop(&self) -> u32 {
         self.next_hop
     }
+
+    fn write_attrs(&self, out: &mut Vec<u8>, asn_width: usize) {
+        FirAttrs::write_attrs(self, out, asn_width)
+    }
 }

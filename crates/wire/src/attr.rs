@@ -3,11 +3,16 @@
 //! Two levels of access are provided, matching how xBGP programs and host
 //! implementations see attributes:
 //!
-//! * [`PathAttr`] — fully decoded, typed attributes used by the daemons'
-//!   neutral boundary.
-//! * [`RawAttr`] / [`RawAttrIter`] — zero-copy views over the wire bytes,
-//!   used by the xBGP `get_attr` helper so extension code can read
-//!   attributes in network byte order without the host parsing them first.
+//! * [`PathAttr`] — fully decoded, typed attributes: what tests, the route
+//!   generator and the daemons' typed adapters (`from_wire` / `to_wire`)
+//!   speak. The per-route path never builds them.
+//! * [`RawAttr`] / [`RawAttrIter`] — zero-copy views over the wire bytes.
+//!   Over them sit the one attribute validator ([`check_attr`], run on
+//!   every UPDATE by `msg::UpdateView::parse`), the section parser both
+//!   engines store from ([`stored_attrs`] and
+//!   [`RawAttr::stored_payload_into`]) and the writer of stored
+//!   attributes ([`encode_stored`], over the one TLV writer
+//!   [`encode_tlv_with`]).
 
 use crate::error::WireError;
 use std::fmt;
@@ -69,6 +74,23 @@ pub enum AttrCode {
 }
 
 impl AttrCode {
+    /// The modelled attribute with type code `code`, if any.
+    pub fn from_u8(code: u8) -> Option<AttrCode> {
+        Some(match code {
+            1 => AttrCode::Origin,
+            2 => AttrCode::AsPath,
+            3 => AttrCode::NextHop,
+            4 => AttrCode::Med,
+            5 => AttrCode::LocalPref,
+            6 => AttrCode::AtomicAggregate,
+            7 => AttrCode::Aggregator,
+            8 => AttrCode::Communities,
+            9 => AttrCode::OriginatorId,
+            10 => AttrCode::ClusterList,
+            _ => return None,
+        })
+    }
+
     /// Canonical flag octet for this attribute type (without EXT_LEN).
     pub fn canonical_flags(self) -> AttrFlags {
         match self {
@@ -226,42 +248,87 @@ impl AsPath {
         }
     }
 
-    /// Decode the attribute body with the given ASN width.
-    pub fn decode_body(mut buf: &[u8], asn_width: usize) -> Result<AsPath, WireError> {
+    /// Check an attribute body at the given ASN width without building
+    /// anything: every segment is a SET or a SEQUENCE whose ASNs fit in
+    /// the body. What [`AsPath::decode_body`] accepts, with the same error.
+    pub fn check_body(mut buf: &[u8], asn_width: usize) -> Result<(), WireError> {
         // A hard check, not a debug_assert: with any other width the octet
-        // arithmetic below would index out of bounds on untrusted input.
+        // arithmetic of every AS_PATH reader would index out of bounds on
+        // untrusted input.
         if asn_width != 2 && asn_width != 4 {
             return Err(WireError::MalformedAsPath);
         }
-        let mut segments = Vec::new();
         while !buf.is_empty() {
-            if buf.len() < 2 {
+            let [ty, count, ..] = *buf else {
+                return Err(WireError::MalformedAsPath);
+            };
+            let end = 2 + usize::from(count) * asn_width;
+            if buf.len() < end || !(ty == 1 || ty == 2) {
                 return Err(WireError::MalformedAsPath);
             }
-            let ty = buf[0];
-            let count = usize::from(buf[1]);
-            let body_len = count * asn_width;
-            if buf.len() < 2 + body_len {
-                return Err(WireError::MalformedAsPath);
-            }
-            let mut asns = Vec::with_capacity(count);
-            for i in 0..count {
-                let off = 2 + i * asn_width;
-                let a = if asn_width == 4 {
-                    u32::from_be_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
-                } else {
-                    u32::from(u16::from_be_bytes([buf[off], buf[off + 1]]))
-                };
-                asns.push(a);
-            }
-            segments.push(match ty {
-                1 => AsSegment::Set(asns),
-                2 => AsSegment::Sequence(asns),
-                _ => return Err(WireError::MalformedAsPath),
-            });
-            buf = &buf[2 + body_len..];
+            buf = &buf[end..];
         }
-        Ok(AsPath { segments })
+        Ok(())
+    }
+
+    /// Decode the attribute body with the given ASN width.
+    pub fn decode_body(buf: &[u8], asn_width: usize) -> Result<AsPath, WireError> {
+        AsPath::check_body(buf, asn_width)?;
+        Ok(AsPath::from_valid(buf, asn_width))
+    }
+
+    /// Build from a body [`AsPath::check_body`] accepted. Never panics:
+    /// on a body it refused, the result is some path, not an error.
+    /// The segment list is sized exactly: a parsed path is what an
+    /// interned attribute set keeps.
+    fn from_valid(buf: &[u8], asn_width: usize) -> AsPath {
+        let mut path = Vec::with_capacity(segments(buf, asn_width).count());
+        path.extend(segments(buf, asn_width).map(|(ty, asns)| {
+            let asns = asns.collect();
+            if ty == 1 {
+                AsSegment::Set(asns)
+            } else {
+                AsSegment::Sequence(asns)
+            }
+        }));
+        AsPath { segments: path }
+    }
+}
+
+/// The segments of an AS_PATH body at `asn_width` (2 or 4): `(segment
+/// type, ASNs)`. Stops at the first segment that does not fit, so it
+/// never reads past the body.
+fn segments(
+    mut buf: &[u8],
+    asn_width: usize,
+) -> impl Iterator<Item = (u8, impl ExactSizeIterator<Item = u32> + '_)> + '_ {
+    std::iter::from_fn(move || {
+        let [ty, count, ..] = *buf else { return None };
+        let body = buf.get(2..2 + usize::from(count) * asn_width)?;
+        buf = &buf[2 + body.len()..];
+        let asns = body.chunks_exact(asn_width.max(1)).map(|a| match *a {
+            [hi, lo] => u32::from(u16::from_be_bytes([hi, lo])),
+            [a, b, c, d] => u32::from_be_bytes([a, b, c, d]),
+            _ => 0,
+        });
+        Some((ty, asns))
+    })
+}
+
+/// Append the AS_PATH body `payload`, whose ASNs are `from` octets wide,
+/// with its ASNs `to` octets wide: widening on the way in from a 2-octet
+/// session, narrowing on the way out to one (an ASN over 65535 becomes
+/// 65535, as [`AsPath::encode_body`] writes it).
+fn transcode_as_path(payload: &[u8], from: usize, to: usize, out: &mut Vec<u8>) {
+    for (ty, asns) in segments(payload, from) {
+        out.extend_from_slice(&[ty, asns.len() as u8]);
+        for a in asns {
+            if to == 4 {
+                out.extend_from_slice(&a.to_be_bytes());
+            } else {
+                out.extend_from_slice(&(a.min(u32::from(u16::MAX)) as u16).to_be_bytes());
+            }
+        }
     }
 }
 
@@ -380,93 +447,116 @@ impl PathAttr {
     }
 
     /// Encode the full TLV (flags, code, length, body) straight into
-    /// `out`: the header goes first with a one-octet length placeholder,
-    /// which is patched once the body is written. A body over 255 octets
-    /// is promoted to the extended length form in place, so the bytes
-    /// equal [`encode_attr_tlv`]'s over a separately encoded body.
+    /// `out` ([`encode_tlv_with`]).
     pub fn encode(&self, out: &mut Vec<u8>, asn_width: usize) {
-        let at = out.len();
-        out.extend_from_slice(&[self.flags().0 & !AttrFlags::EXT_LEN, self.code(), 0]);
-        self.encode_body(out, asn_width);
-        let len = out.len() - at - 3;
-        if len > 255 {
-            out[at] |= AttrFlags::EXT_LEN;
-            out.insert(at + 3, 0);
-            out[at + 2..at + 4].copy_from_slice(&(len as u16).to_be_bytes());
-        } else {
-            out[at + 2] = len as u8;
-        }
+        encode_tlv_with(out, self.flags().0, self.code(), |out| self.encode_body(out, asn_width));
     }
 
-    /// Decode one attribute from a raw view.
+    /// Decode one attribute from a raw view: [`check_attr`], then
+    /// [`PathAttr::from_valid`].
     pub fn decode(raw: &RawAttr<'_>, asn_width: usize) -> Result<PathAttr, WireError> {
-        let code = raw.code;
+        check_attr(raw, asn_width)?;
+        Ok(PathAttr::from_valid(raw, asn_width))
+    }
+
+    /// Build the typed attribute from one [`check_attr`] accepted — an
+    /// attribute of a validated UPDATE needs no second check. Never
+    /// panics: on an attribute the check refuses, the result is some
+    /// attribute, not an error.
+    pub fn from_valid(raw: &RawAttr<'_>, asn_width: usize) -> PathAttr {
         let v = raw.value;
-        let fixed = |want: usize| -> Result<(), WireError> {
-            if v.len() == want {
-                Ok(())
-            } else {
-                Err(WireError::AttributeLength { code, len: v.len() })
-            }
+        let be32 = |at: usize| match v.get(at..at + 4) {
+            Some(&[a, b, c, d]) => u32::from_be_bytes([a, b, c, d]),
+            _ => 0,
         };
-        let be32 = |b: &[u8]| u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
-        Ok(match code {
-            1 => {
-                fixed(1)?;
-                PathAttr::Origin(Origin::from_u8(v[0])?)
-            }
-            2 => PathAttr::AsPath(AsPath::decode_body(v, asn_width)?),
-            3 => {
-                fixed(4)?;
-                PathAttr::NextHop(be32(v))
-            }
-            4 => {
-                fixed(4)?;
-                PathAttr::Med(be32(v))
-            }
-            5 => {
-                fixed(4)?;
-                PathAttr::LocalPref(be32(v))
-            }
-            6 => {
-                fixed(0)?;
-                PathAttr::AtomicAggregate
-            }
+        let words = || (0..v.len() / 4).map(|i| be32(4 * i)).collect();
+        match raw.code {
+            1 => PathAttr::Origin(
+                v.first().and_then(|&o| Origin::from_u8(o).ok()).unwrap_or(Origin::Igp),
+            ),
+            2 => PathAttr::AsPath(AsPath::from_valid(v, asn_width)),
+            3 => PathAttr::NextHop(be32(0)),
+            4 => PathAttr::Med(be32(0)),
+            5 => PathAttr::LocalPref(be32(0)),
+            6 => PathAttr::AtomicAggregate,
             7 => {
-                // 4-octet-AS form: 4 + 4; legacy form: 2 + 4.
-                match v.len() {
-                    8 => PathAttr::Aggregator { asn: be32(&v[0..4]), router_id: be32(&v[4..8]) },
-                    6 => PathAttr::Aggregator {
-                        asn: u32::from(u16::from_be_bytes([v[0], v[1]])),
-                        router_id: be32(&v[2..6]),
-                    },
-                    len => return Err(WireError::AttributeLength { code, len }),
-                }
+                let (asn, router_id) = aggregator(v);
+                PathAttr::Aggregator { asn, router_id }
             }
-            8 => {
-                if !v.len().is_multiple_of(4) {
-                    return Err(WireError::AttributeLength { code, len: v.len() });
-                }
-                PathAttr::Communities(v.chunks_exact(4).map(be32).collect())
-            }
-            9 => {
-                fixed(4)?;
-                PathAttr::OriginatorId(be32(v))
-            }
-            10 => {
-                if !v.len().is_multiple_of(4) {
-                    return Err(WireError::AttributeLength { code, len: v.len() });
-                }
-                PathAttr::ClusterList(v.chunks_exact(4).map(be32).collect())
-            }
-            _ => PathAttr::Unknown {
+            8 => PathAttr::Communities(words()),
+            9 => PathAttr::OriginatorId(be32(0)),
+            10 => PathAttr::ClusterList(words()),
+            code => PathAttr::Unknown {
                 // EXT_LEN is a property of the encoding, not of the
                 // attribute; strip it so round-tripping is stable.
                 flags: AttrFlags(raw.flags.0 & !AttrFlags::EXT_LEN),
                 code,
                 value: v.to_vec(),
             },
-        })
+        }
+    }
+}
+
+/// AGGREGATOR's `(asn, router id)` from either form of its payload: the
+/// 4-octet-AS form (4 + 4) or the legacy one (2 + 4).
+fn aggregator(v: &[u8]) -> (u32, u32) {
+    let be = |b: &[u8]| b.iter().fold(0u32, |acc, &x| acc << 8 | u32::from(x));
+    match v.len() {
+        6 => (be(&v[..2]), be(&v[2..])),
+        8 => (be(&v[..4]), be(&v[4..])),
+        _ => (0, 0),
+    }
+}
+
+/// Check one attribute's body against its type code: what
+/// [`PathAttr::decode`] accepts, with the same [`WireError`]. Codes this
+/// codec does not model carry any body.
+pub fn check_attr(raw: &RawAttr<'_>, asn_width: usize) -> Result<(), WireError> {
+    let (code, len) = (raw.code, raw.value.len());
+    let ok = match code {
+        1 if len == 1 => return Origin::from_u8(raw.value[0]).map(|_| ()),
+        2 => return AsPath::check_body(raw.value, asn_width),
+        3..=5 | 9 => len == 4,
+        6 => len == 0,
+        7 => len == 8 || len == 6,
+        8 | 10 => len.is_multiple_of(4),
+        1 => false,
+        _ => true,
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(WireError::AttributeLength { code, len })
+    }
+}
+
+/// Check a packed attribute section: every TLV is whole and
+/// [`check_attr`] accepts it. The first error [`decode_attrs`] would
+/// meet is returned. Allocates nothing.
+pub fn check_attrs(section: &[u8], asn_width: usize) -> Result<(), WireError> {
+    for raw in RawAttrIter::new(section) {
+        check_attr(&raw?, asn_width)?;
+    }
+    Ok(())
+}
+
+/// Write one attribute TLV straight into `out`: the header goes first
+/// with a one-octet length placeholder, `body` appends the payload, and
+/// the length is patched. A payload over 255 octets is promoted to the
+/// extended length form in place, so the bytes equal
+/// [`encode_attr_tlv`]'s over a separately written payload. The one TLV
+/// writer under [`PathAttr::encode`] and both engines' attribute writers.
+pub fn encode_tlv_with(out: &mut Vec<u8>, flags: u8, code: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[flags & !AttrFlags::EXT_LEN, code, 0]);
+    body(out);
+    let len = out.len() - at - 3;
+    if len > 255 {
+        out[at] |= AttrFlags::EXT_LEN;
+        out.insert(at + 3, 0);
+        out[at + 2..at + 4].copy_from_slice(&(len as u16).to_be_bytes());
+    } else {
+        out[at + 2] = len as u8;
     }
 }
 
@@ -570,11 +660,69 @@ pub fn encode_attrs(attrs: &[PathAttr], asn_width: usize) -> Vec<u8> {
     out
 }
 
+/// The attributes of a validated section as a route stores them, in
+/// section order — the one section parser under both engines' stored
+/// forms:
+///
+/// * of several attributes with one type code, the first is kept and the
+///   rest are discarded (RFC 7606 §3(g));
+/// * an empty COMMUNITIES or CLUSTER_LIST is the attribute's absence and
+///   is not yielded;
+/// * flags are [`stored_flags`] with EXT_LEN cleared: the length form is
+///   a property of the encoding, re-picked when the attribute is written.
+///
+/// Payloads are borrowed as they arrived; [`RawAttr::stored_payload_into`]
+/// gives the neutral form. A section that is not whole ends the walk.
+pub fn stored_attrs(section: &[u8]) -> impl Iterator<Item = RawAttr<'_>> {
+    // Bit `code`: an attribute with that code was met.
+    let mut seen = [0u64; 4];
+    RawAttrIter::new(section).map_while(Result::ok).filter_map(move |mut raw| {
+        let (word, bit) = (usize::from(raw.code / 64), 1u64 << (raw.code % 64));
+        let first = seen[word] & bit == 0;
+        seen[word] |= bit;
+        if !first || (matches!(raw.code, 8 | 10) && raw.value.is_empty()) {
+            return None;
+        }
+        raw.flags = AttrFlags(stored_flags(raw.code, raw.flags.0 & !AttrFlags::EXT_LEN));
+        Some(raw)
+    })
+}
+
+impl RawAttr<'_> {
+    /// Append the payload of an attribute of a section validated at
+    /// `asn_width` in the neutral form a route stores and `get_attr`
+    /// hands out: AS_PATH with 4-octet ASNs whatever width it arrived at,
+    /// AGGREGATOR in its 8-octet form, any other payload as it is.
+    pub fn stored_payload_into(&self, asn_width: usize, out: &mut Vec<u8>) {
+        match self.code {
+            2 if asn_width == 2 => transcode_as_path(self.value, 2, 4, out),
+            7 if self.value.len() == 6 => {
+                out.extend_from_slice(&[0, 0]);
+                out.extend_from_slice(self.value);
+            }
+            _ => out.extend_from_slice(self.value),
+        }
+    }
+}
+
+/// Write a stored attribute — a neutral `payload`, as
+/// [`RawAttr::stored_payload_into`] made it — as one TLV for a session
+/// `asn_width` octets wide: AS_PATH narrowed on a 2-octet session, the
+/// length form picked by length. The bytes equal decoding the payload at
+/// width 4 and [`PathAttr::encode`]-ing it at `asn_width`.
+pub fn encode_stored(out: &mut Vec<u8>, code: u8, flags: u8, payload: &[u8], asn_width: usize) {
+    encode_tlv_with(out, flags, code, |out| match code {
+        2 if asn_width == 2 => transcode_as_path(payload, 4, 2, out),
+        _ => out.extend_from_slice(payload),
+    });
+}
+
 /// Would `value`, a network-byte-order payload, convert into attribute
 /// `code`? The stage-time check behind xBGP `set_attr`: the VMM's host
 /// context calls it before buffering the write, and every attribute store
 /// refuses what it refuses, so a later commit cannot fail on a malformed
-/// payload and no two hosts disagree on what they accept. Codes the
+/// payload and no two hosts disagree on what they accept. A payload is in
+/// the neutral form (4-octet ASNs, the 8-octet AGGREGATOR). Codes the
 /// daemons do not model natively carry any payload. Reasons have no
 /// `attribute {code}:` prefix; the caller wraps them in a typed error.
 pub fn validate_neutral(code: u8, value: &[u8]) -> Result<(), String> {
@@ -591,9 +739,11 @@ pub fn validate_neutral(code: u8, value: &[u8]) -> Result<(), String> {
             Origin::from_u8(value[0]).map_err(|e| e.to_string())?;
         }
         2 => {
-            AsPath::decode_body(value, 4).map_err(|e| e.to_string())?;
+            AsPath::check_body(value, 4).map_err(|e| e.to_string())?;
         }
         3..=5 | 9 => need(4)?,
+        6 => need(0)?,
+        7 => need(8)?,
         8 | 10 if !value.len().is_multiple_of(4) => {
             return Err("payload not a multiple of 4".into());
         }
@@ -604,21 +754,10 @@ pub fn validate_neutral(code: u8, value: &[u8]) -> Result<(), String> {
 
 /// The flag octet a route keeps for `code` when a caller hands it
 /// `flags`: RFC 4271 and RFC 1997/4456 fix the flags of the attributes
-/// both daemons model (1–5, 8–10), so those are canonical whatever was
+/// both daemons model (1–10), so those are canonical whatever was
 /// passed; any other code keeps `flags`.
 pub fn stored_flags(code: u8, flags: u8) -> u8 {
-    let code = match code {
-        1 => AttrCode::Origin,
-        2 => AttrCode::AsPath,
-        3 => AttrCode::NextHop,
-        4 => AttrCode::Med,
-        5 => AttrCode::LocalPref,
-        8 => AttrCode::Communities,
-        9 => AttrCode::OriginatorId,
-        10 => AttrCode::ClusterList,
-        _ => return flags,
-    };
-    code.canonical_flags().0
+    AttrCode::from_u8(code).map_or(flags, |c| c.canonical_flags().0)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! BGP message framing and the four RFC 4271 message types.
 
-use crate::attr::{decode_attrs, encode_attrs, PathAttr};
+use crate::attr::{check_attrs, encode_attrs, PathAttr, RawAttr, RawAttrIter};
 use crate::capability::Capability;
 use crate::error::WireError;
 use crate::prefix::Ipv4Prefix;
@@ -174,14 +174,10 @@ impl UpdateMsg {
     }
 
     /// Decode an UPDATE body. `asn_width` reflects the session's 4-octet-AS
-    /// negotiation.
+    /// negotiation. The owned form of [`UpdateView::parse`]: it accepts
+    /// exactly what the view accepts, with the same error.
     pub fn decode_body(buf: &[u8], asn_width: usize) -> Result<UpdateMsg, WireError> {
-        let (withdrawn, attrs, nlri) = update_sections(buf)?;
-        Ok(UpdateMsg {
-            withdrawn: Ipv4Prefix::decode_run(withdrawn)?,
-            attrs: decode_attrs(attrs, asn_width)?,
-            nlri: Ipv4Prefix::decode_run(nlri)?,
-        })
+        UpdateView::parse(buf, asn_width).map(|view| view.to_msg())
     }
 
     /// Encode a complete UPDATE frame whose attribute section additionally
@@ -239,43 +235,181 @@ pub fn update_sections(body: &[u8]) -> Result<UpdateSections<'_>, WireError> {
     Ok((&body[2..attrs_at], &body[attrs_at + 2..nlri_at], &body[nlri_at..]))
 }
 
-/// Encode a complete UPDATE frame from borrowed parts into one buffer:
-/// the header and the two section lengths are written as placeholders
-/// and patched once the bytes behind them are known, so nothing is
-/// staged in a temporary. Byte-identical to building an [`UpdateMsg`]
-/// and calling [`UpdateMsg::encode_with_extra`], the same
-/// [`WireError::TooLong`] included; this is the export path's encoder,
-/// which frames one attribute set for many chunks of NLRI.
-pub fn encode_update(
+/// Where the sections of one validated UPDATE body lie and how many
+/// prefixes each run holds. Only [`UpdateView::parse`] makes one, so a
+/// layout is proof that its body passed; [`UpdateLayout::view`] puts it
+/// back over that body without checking it again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UpdateLayout {
+    len: usize,
+    attrs_at: usize,
+    nlri_at: usize,
+    withdrawn: usize,
+    nlri: usize,
+    asn_width: usize,
+}
+
+impl UpdateLayout {
+    /// The view of `body`, the UPDATE body this layout was found in.
+    /// Panics when `body` cannot be that body (its length differs).
+    pub fn view(self, body: &[u8]) -> UpdateView<'_> {
+        assert_eq!(body.len(), self.len, "a layout views the body it was found in");
+        UpdateView { body, layout: self }
+    }
+}
+
+/// A validated UPDATE body, borrowed: the withdrawn routes, the path
+/// attribute section and the NLRI, each where it lies in the frame. The
+/// one UPDATE validator is [`UpdateView::parse`]; the session runs it on
+/// every UPDATE it lets through, and the host hands the view on as it is,
+/// so nothing behind the session decodes or checks the body again.
+#[derive(Debug, Clone, Copy)]
+pub struct UpdateView<'a> {
+    body: &'a [u8],
+    layout: UpdateLayout,
+}
+
+impl<'a> UpdateView<'a> {
+    /// Validate an UPDATE body in one pass that allocates nothing: the
+    /// two section lengths ([`update_sections`]), every withdrawn prefix,
+    /// every attribute TLV and its body against its code
+    /// ([`crate::attr::check_attr`]), every NLRI prefix — in that order,
+    /// so the first error is the one a full decode would meet.
+    pub fn parse(body: &'a [u8], asn_width: usize) -> Result<UpdateView<'a>, WireError> {
+        let (withdrawn, attrs, nlri) = update_sections(body)?;
+        let withdrawn_count = check_prefixes(withdrawn)?;
+        check_attrs(attrs, asn_width)?;
+        let nlri_count = check_prefixes(nlri)?;
+        let layout = UpdateLayout {
+            len: body.len(),
+            attrs_at: 2 + withdrawn.len() + 2,
+            nlri_at: body.len() - nlri.len(),
+            withdrawn: withdrawn_count,
+            nlri: nlri_count,
+            asn_width,
+        };
+        Ok(UpdateView { body, layout })
+    }
+
+    pub fn layout(&self) -> UpdateLayout {
+        self.layout
+    }
+
+    /// The whole body, as received.
+    pub fn body(&self) -> &'a [u8] {
+        self.body
+    }
+
+    /// AS-number width the body was validated at.
+    pub fn asn_width(&self) -> usize {
+        self.layout.asn_width
+    }
+
+    pub fn withdrawn(&self) -> Prefixes<'a> {
+        let l = &self.layout;
+        Prefixes { buf: &self.body[2..l.attrs_at - 2], left: l.withdrawn }
+    }
+
+    /// The path attribute section, every TLV of it whole and valid.
+    pub fn attr_section(&self) -> &'a [u8] {
+        &self.body[self.layout.attrs_at..self.layout.nlri_at]
+    }
+
+    /// The attribute TLVs, in section order.
+    pub fn attrs(&self) -> impl Iterator<Item = RawAttr<'a>> {
+        RawAttrIter::new(self.attr_section()).map_while(Result::ok)
+    }
+
+    pub fn nlri(&self) -> Prefixes<'a> {
+        Prefixes {
+            buf: &self.body[self.layout.nlri_at..],
+            left: self.layout.nlri,
+        }
+    }
+
+    /// The owned, typed form: what [`UpdateMsg::decode_body`] returns.
+    pub fn to_msg(&self) -> UpdateMsg {
+        let width = self.asn_width();
+        UpdateMsg {
+            withdrawn: self.withdrawn().collect(),
+            attrs: self.attrs().map(|raw| PathAttr::from_valid(&raw, width)).collect(),
+            nlri: self.nlri().collect(),
+        }
+    }
+}
+
+/// Check a packed run of prefixes occupying exactly `run` and count
+/// them: what [`Ipv4Prefix::decode_run`] accepts, with the same error.
+fn check_prefixes(mut run: &[u8]) -> Result<usize, WireError> {
+    let mut n = 0;
+    while !run.is_empty() {
+        let (_, used) = Ipv4Prefix::decode(run)?;
+        run = &run[used..];
+        n += 1;
+    }
+    Ok(n)
+}
+
+/// The prefixes of a validated run, decoded as they are walked.
+#[derive(Debug, Clone)]
+pub struct Prefixes<'a> {
+    buf: &'a [u8],
+    left: usize,
+}
+
+impl Iterator for Prefixes<'_> {
+    type Item = Ipv4Prefix;
+
+    fn next(&mut self) -> Option<Ipv4Prefix> {
+        let (p, used) = Ipv4Prefix::decode(self.buf).ok()?;
+        self.buf = &self.buf[used..];
+        self.left = self.left.saturating_sub(1);
+        Some(p)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Prefixes<'_> {}
+
+/// Encode a complete UPDATE frame from borrowed parts into `out`, which
+/// is cleared first and holds the frame on `Ok`. The header and the two
+/// section lengths are written as placeholders and patched once the bytes
+/// behind them are known, so nothing is staged in a temporary; `attrs`
+/// writes the attribute TLVs in place (an engine's stored attributes, or
+/// typed ones), and `extra_attr_tlvs` follows them. Byte-identical to
+/// building an [`UpdateMsg`] and calling [`UpdateMsg::encode_with_extra`]
+/// over the same attributes, the same [`WireError::TooLong`] included.
+/// The one UPDATE writer: the export path frames into a buffer it keeps.
+pub fn encode_update_into(
+    out: &mut Vec<u8>,
     withdrawn: &[Ipv4Prefix],
-    attrs: &[PathAttr],
+    attrs: impl FnOnce(&mut Vec<u8>),
     extra_attr_tlvs: &[u8],
     nlri: &[Ipv4Prefix],
-    asn_width: usize,
-) -> Result<Vec<u8>, WireError> {
+) -> Result<(), WireError> {
     fn patch_len(out: &mut [u8], at: usize) {
         let len = (out.len() - at - 2) as u16;
         out[at..at + 2].copy_from_slice(&len.to_be_bytes());
     }
-    let prefixes = withdrawn.len() + nlri.len();
-    let mut out = Vec::with_capacity(HEADER_LEN + 64 + extra_attr_tlvs.len() + 5 * prefixes);
+    out.clear();
     out.extend_from_slice(&[0xff; 16]);
     out.extend_from_slice(&[0, 0, MsgType::Update as u8]);
     let wd_at = out.len();
     out.extend_from_slice(&[0, 0]);
     for p in withdrawn {
-        p.encode(&mut out);
+        p.encode(out);
     }
-    patch_len(&mut out, wd_at);
+    patch_len(out, wd_at);
     let attrs_at = out.len();
     out.extend_from_slice(&[0, 0]);
-    for a in attrs {
-        a.encode(&mut out, asn_width);
-    }
+    attrs(out);
     out.extend_from_slice(extra_attr_tlvs);
-    patch_len(&mut out, attrs_at);
+    patch_len(out, attrs_at);
     for p in nlri {
-        p.encode(&mut out);
+        p.encode(out);
     }
     // A frame within the limit has sections well under 64 KiB, so the
     // patched lengths above cannot have truncated.
@@ -284,6 +418,21 @@ pub fn encode_update(
     }
     let total = out.len() as u16;
     out[16..18].copy_from_slice(&total.to_be_bytes());
+    Ok(())
+}
+
+/// [`encode_update_into`] a fresh buffer, over typed attributes.
+pub fn encode_update(
+    withdrawn: &[Ipv4Prefix],
+    attrs: &[PathAttr],
+    extra_attr_tlvs: &[u8],
+    nlri: &[Ipv4Prefix],
+    asn_width: usize,
+) -> Result<Vec<u8>, WireError> {
+    let prefixes = withdrawn.len() + nlri.len();
+    let mut out = Vec::with_capacity(HEADER_LEN + 64 + extra_attr_tlvs.len() + 5 * prefixes);
+    let attrs = |out: &mut Vec<u8>| attrs.iter().for_each(|a| a.encode(out, asn_width));
+    encode_update_into(&mut out, withdrawn, attrs, extra_attr_tlvs, nlri)?;
     Ok(out)
 }
 
@@ -461,9 +610,16 @@ impl MsgReader {
     /// `Ok(None)` if more bytes are needed, or `Err` if the stream is
     /// unsynchronized (bad marker / absurd length) and must be reset.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+        let mut frame = Vec::new();
+        Ok(self.next_frame_into(&mut frame)?.then_some(frame))
+    }
+
+    /// [`MsgReader::next_frame`] into `out`, cleared first, instead of a
+    /// fresh buffer: `Ok(true)` when a frame is in `out`.
+    pub fn next_frame_into(&mut self, out: &mut Vec<u8>) -> Result<bool, WireError> {
         let avail = &self.buf[self.cursor..];
         if avail.len() < HEADER_LEN {
-            return Ok(None);
+            return Ok(false);
         }
         if avail[..16] != [0xff; 16] {
             return Err(WireError::BadMarker);
@@ -473,19 +629,62 @@ impl MsgReader {
             return Err(WireError::BadLength(len as u16));
         }
         if avail.len() < len {
-            return Ok(None);
+            return Ok(false);
         }
-        let frame = avail[..len].to_vec();
+        out.clear();
+        out.extend_from_slice(&avail[..len]);
         self.cursor += len;
-        Ok(Some(frame))
+        Ok(true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::{AsPath, Origin};
+    use crate::attr::{decode_attrs, AsPath, AsSegment, AttrFlags, Origin};
     use proptest::prelude::*;
+
+    /// The typed decode of an UPDATE body section by section, as it was
+    /// written before the view: the reference the one validator is held
+    /// to.
+    fn staged_decode(body: &[u8], asn_width: usize) -> Result<UpdateMsg, WireError> {
+        let (withdrawn, attrs, nlri) = update_sections(body)?;
+        Ok(UpdateMsg {
+            withdrawn: Ipv4Prefix::decode_run(withdrawn)?,
+            attrs: decode_attrs(attrs, asn_width)?,
+            nlri: Ipv4Prefix::decode_run(nlri)?,
+        })
+    }
+
+    fn arb_prefixes() -> impl Strategy<Value = Vec<Ipv4Prefix>> {
+        proptest::collection::vec((any::<u32>(), 0u8..=32), 0..12)
+            .prop_map(|v| v.into_iter().map(|(a, l)| Ipv4Prefix::new(a, l)).collect())
+    }
+
+    /// Attributes of every modelled kind, and unknown codes — among them
+    /// modelled codes with a payload of any length, which a decode may
+    /// refuse.
+    fn arb_update_attr() -> impl Strategy<Value = PathAttr> {
+        let asns = || proptest::collection::vec(any::<u32>(), 0..6);
+        prop_oneof![
+            (0u8..3).prop_map(|o| PathAttr::Origin(Origin::from_u8(o).unwrap())),
+            proptest::collection::vec(
+                prop_oneof![asns().prop_map(AsSegment::Sequence), asns().prop_map(AsSegment::Set)],
+                0..3
+            )
+            .prop_map(|segments| PathAttr::AsPath(AsPath { segments })),
+            any::<u32>().prop_map(PathAttr::NextHop),
+            any::<u32>().prop_map(PathAttr::Med),
+            Just(PathAttr::AtomicAggregate),
+            (any::<u32>(), any::<u32>())
+                .prop_map(|(asn, router_id)| PathAttr::Aggregator { asn, router_id }),
+            asns().prop_map(PathAttr::Communities),
+            asns().prop_map(PathAttr::ClusterList),
+            (any::<u8>(), any::<u8>(), proptest::collection::vec(any::<u8>(), 0..10)).prop_map(
+                |(flags, code, value)| PathAttr::Unknown { flags: AttrFlags(flags), code, value }
+            ),
+        ]
+    }
 
     fn round_trip(m: Message) -> Message {
         let buf = m.encode(4).unwrap();
@@ -742,11 +941,53 @@ mod tests {
             );
         }
 
+        /// One validator: on generated UPDATE bodies and byte-mutated
+        /// ones, decoded at both widths, the view accepts exactly what the
+        /// section-by-section typed decode accepts, fails with the same
+        /// error, and its owned form, runs and section equal the decode.
+        #[test]
+        fn prop_view_accepts_exactly_what_the_typed_decode_accepts(
+            withdrawn in arb_prefixes(),
+            attrs in proptest::collection::vec(arb_update_attr(), 0..8),
+            nlri in arb_prefixes(),
+            flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+            four_octet in any::<bool>(),
+        ) {
+            let encode_width = if four_octet { 4 } else { 2 };
+            let u = UpdateMsg { withdrawn, attrs, nlri };
+            let frame = encode_update(&u.withdrawn, &u.attrs, &[], &u.nlri, encode_width).unwrap();
+            let mut body = frame[HEADER_LEN..].to_vec();
+            for (pos, val) in flips {
+                let n = body.len();
+                body[pos % n] = val;
+            }
+            for width in [2, 4] {
+                let want = staged_decode(&body, width);
+                prop_assert_eq!(UpdateMsg::decode_body(&body, width), want.clone());
+                match (UpdateView::parse(&body, width), want) {
+                    (Ok(view), Ok(msg)) => {
+                        prop_assert_eq!(view.withdrawn().len(), msg.withdrawn.len());
+                        prop_assert_eq!(view.nlri().len(), msg.nlri.len());
+                        prop_assert_eq!(view.attr_section(), UpdateMsg::attr_section(&body).unwrap());
+                        prop_assert_eq!(view.body(), &body[..]);
+                        let again = view.layout().view(&body);
+                        prop_assert_eq!(again.to_msg(), msg.clone());
+                        prop_assert_eq!(view.to_msg(), msg);
+                    }
+                    (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                    (got, want) => prop_assert!(false, "view {:?} vs decode {:?}", got, want),
+                }
+            }
+        }
+
         #[test]
         fn prop_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = Message::decode(&data, 4);
             let _ = UpdateMsg::decode_body(&data, 4);
             let _ = UpdateMsg::decode_body(&data, 2);
+            if let Ok(view) = UpdateView::parse(&data, 4) {
+                let _ = view.to_msg();
+            }
             let _ = UpdateMsg::attr_section(&data);
             let _ = OpenMsg::decode_body(&data);
             let _ = deframe(&data);

@@ -8,8 +8,8 @@
 //! pure state machine:
 //!
 //! * no I/O — byte chunks go in via [`Session::on_bytes`] (or
-//!   [`Session::push`] + [`Session::step`], which also hands over the
-//!   decoded UPDATE), frames to write come back as
+//!   [`Session::push`] + [`Session::step`], which also hands over where
+//!   the validated UPDATE's sections lie), frames to write come back as
 //!   [`SessionEvent::Send`];
 //! * no clock — every entry point takes `now_ns`, and the caller drives
 //!   liveness by calling [`Session::tick`] at (or after)
@@ -23,7 +23,9 @@
 //! the state, per RFC 4271 §6.6.
 
 use crate::error::WireError;
-use crate::msg::{deframe, Message, MsgReader, MsgType, NotificationMsg, OpenMsg, UpdateMsg};
+use crate::msg::{
+    deframe, Message, MsgReader, MsgType, NotificationMsg, OpenMsg, UpdateLayout, UpdateView,
+};
 
 /// Static description of one session endpoint.
 #[derive(Debug, Clone)]
@@ -129,6 +131,9 @@ pub struct Session {
     peer_router_id: u32,
     /// The `Closed` owed after the NOTIFICATION that was just handed out.
     closing: Option<CloseReason>,
+    /// The buffer the next frame is read into: a handled frame handed
+    /// back ([`Session::recycle`]), or empty.
+    spare: Vec<u8>,
 }
 
 impl Session {
@@ -144,6 +149,7 @@ impl Session {
             peer_asn: 0,
             peer_router_id: 0,
             closing: None,
+            spare: Vec::new(),
         }
     }
 
@@ -222,17 +228,21 @@ impl Session {
     }
 
     /// The next event the buffered input produces, if any; call until
-    /// `None`. An [`SessionEvent::Update`] comes with the decode that
-    /// validated it, so a caller that applies the UPDATE need not decode
-    /// the frame again.
-    pub fn step(&mut self, now_ns: u64) -> Option<(SessionEvent, Option<UpdateMsg>)> {
+    /// `None`. An [`SessionEvent::Update`] comes with the layout of the
+    /// validated body ([`UpdateLayout::view`] over the frame's body), so
+    /// a caller that applies the UPDATE need not check it again.
+    pub fn step(&mut self, now_ns: u64) -> Option<(SessionEvent, Option<UpdateLayout>)> {
         if let Some(reason) = self.closing.take() {
             return Some((SessionEvent::Closed(reason), None));
         }
         while !matches!(self.state, SessionState::Idle | SessionState::Closed) {
-            let out = match self.reader.next_frame() {
-                Ok(Some(frame)) => self.handle_frame(now_ns, frame),
-                Ok(None) => return None,
+            let mut frame = std::mem::take(&mut self.spare);
+            let out = match self.reader.next_frame_into(&mut frame) {
+                Ok(true) => self.handle_frame(now_ns, frame),
+                Ok(false) => {
+                    self.spare = frame;
+                    return None;
+                }
                 Err(e) => Some((self.fail(&e), None)),
             };
             if out.is_some() {
@@ -240,6 +250,12 @@ impl Session {
             }
         }
         None
+    }
+
+    /// Hand back the frame of a [`SessionEvent::Update`] once it is
+    /// applied: the next frame is read into it, not into a fresh buffer.
+    pub fn recycle(&mut self, frame: Vec<u8>) {
+        self.spare = frame;
     }
 
     /// Drive timers: hold-timer enforcement and the KEEPALIVE cadence.
@@ -306,7 +322,7 @@ impl Session {
         &mut self,
         now_ns: u64,
         frame: Vec<u8>,
-    ) -> Option<(SessionEvent, Option<UpdateMsg>)> {
+    ) -> Option<(SessionEvent, Option<UpdateLayout>)> {
         let (ty, body) = match deframe(&frame) {
             Ok(x) => x,
             Err(e) => return Some((self.fail(&e), None)),
@@ -348,8 +364,11 @@ impl Session {
             (SessionState::Established, MsgType::Update) => {
                 // Full-body validation: nothing behind this session sees
                 // an UPDATE it could not decode.
-                return Some(match UpdateMsg::decode_body(body, self.asn_width) {
-                    Ok(update) => (SessionEvent::Update(frame), Some(update)),
+                return Some(match UpdateView::parse(body, self.asn_width) {
+                    Ok(view) => {
+                        let layout = view.layout();
+                        (SessionEvent::Update(frame), Some(layout))
+                    }
                     Err(e) => (self.fail(&e), None),
                 });
             }
@@ -372,6 +391,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::UpdateMsg;
     use proptest::prelude::*;
 
     fn cfg(asn: u32, id: u32) -> SessionConfig {
@@ -711,10 +731,10 @@ mod tests {
             }
         }
 
-        /// `on_bytes` is `push` + `step` with the decodes dropped: on any
+        /// `on_bytes` is `push` + `step` with the layouts dropped: on any
         /// stream the two report the same events in the same order, every
-        /// `Update` — and nothing else — comes with a decode, and that
-        /// decode is the frame's.
+        /// `Update` — and nothing else — comes with a layout, and the view
+        /// it puts over the frame's body is that body's decode.
         #[test]
         fn on_bytes_and_step_agree_event_for_event(
             pos in 0usize..200,
@@ -739,7 +759,8 @@ mod tests {
                     match &event {
                         SessionEvent::Update(frame) => {
                             let body = &frame[crate::HEADER_LEN..];
-                            prop_assert_eq!(update, Some(UpdateMsg::decode_body(body, 4).unwrap()));
+                            let view = update.map(|layout| layout.view(body).to_msg());
+                            prop_assert_eq!(view, Some(UpdateMsg::decode_body(body, 4).unwrap()));
                         }
                         _ => prop_assert_eq!(update, None),
                     }

@@ -14,12 +14,13 @@ use std::rc::Rc;
 use xbgp_core::api::PeerType;
 use xbgp_driver::export::{Dest, Exporter, UpdateGroups};
 use xbgp_driver::host::{roa_hash_table, BgpDaemon, Host, RouteEngine, RouteSource};
-use xbgp_driver::xbgp_glue::{InboundFilter, Rejected};
+use xbgp_driver::xbgp_glue::{AttrStore, InboundFilter, Rejected};
 use xbgp_obs::trace::pack_prefix;
 use xbgp_obs::Snapshot;
 use xbgp_rib::{push_rib_gauges, DirtySet, NodeId, RibCounters};
-use xbgp_wire::attr::encode_attrs;
-use xbgp_wire::{Ipv4Prefix, PathAttr, UpdateMsg, WireError};
+use xbgp_wire::attr::{AttrFlags, Origin};
+use xbgp_wire::msg::UpdateView;
+use xbgp_wire::{Ipv4Prefix, WireError};
 
 /// The WREN BGP daemon. See the crate documentation.
 pub type WrenDaemon = BgpDaemon<WrenEngine>;
@@ -59,12 +60,10 @@ fn best_eligible<'a>(host: &Host, routes: &'a [Rte]) -> Option<(&'a Rc<EaList>, 
 }
 
 fn local_rte(host: &Host, nexthop: u32) -> Rte {
-    let eattrs = EaList::from_wire(&[
-        xbgp_wire::PathAttr::Origin(xbgp_wire::attr::Origin::Igp),
-        xbgp_wire::PathAttr::AsPath(xbgp_wire::AsPath::empty()),
-        xbgp_wire::PathAttr::NextHop(nexthop),
-    ])
-    .expect("local attrs well-formed");
+    let mut eattrs = EaList::new();
+    eattrs.set(1, AttrFlags::WELL_KNOWN.0, &[Origin::Igp as u8]);
+    eattrs.set(2, AttrFlags::WELL_KNOWN.0, &[]);
+    eattrs.set_next_hop(nexthop);
     Rte {
         src: SrcId::Local,
         src_addr: host.spec.router_id,
@@ -78,10 +77,9 @@ fn local_rte(host: &Host, nexthop: u32) -> Rte {
 
 /// Preference with the ③ BGP_DECISION point consulted first.
 fn rte_better(host: &mut Host, a: &Rte, b: &Rte) -> bool {
-    host.decision(&*a.eattrs, &a.source(), || b.eattrs.to_wire())
-        .unwrap_or_else(|| {
-            rte_better_native(a, b, host.spec.default_local_pref, &|nh| host.igp_metric(nh))
-        })
+    host.decision(&*a.eattrs, &a.source(), &*b.eattrs).unwrap_or_else(|| {
+        rte_better_native(a, b, host.spec.default_local_pref, &|nh| host.igp_metric(nh))
+    })
 }
 
 impl WrenEngine {
@@ -126,11 +124,10 @@ impl WrenEngine {
         &mut self,
         host: &mut Host,
         ch: usize,
-        upd: &UpdateMsg,
-        raw_body: &[u8],
+        upd: UpdateView<'_>,
     ) -> Result<(), WireError> {
-        let mut eattrs = EaList::from_wire(&upd.attrs)?;
-        host.receive_message(ch, raw_body, &mut eattrs); // ①
+        let mut eattrs = EaList::parse_section(upd.attr_section(), upd.asn_width())?;
+        host.receive_message(ch, upd.body(), &mut eattrs); // ①
 
         // Loop prevention: drop silently.
         let ibgp = host.neighbors[ch].ibgp;
@@ -147,12 +144,12 @@ impl WrenEngine {
 
         let shared = Rc::new(eattrs);
         let mut filter = host.inbound_filter(ch, &shared);
-        for net in &upd.nlri {
+        for net in upd.nlri() {
             host.stats.counters.prefixes_rx += 1;
             if let Some(t) = host.hooks.vmm.tracer_mut() {
                 t.begin_route(pack_prefix(net.addr(), net.len()));
             }
-            self.install_one(host, ch, *net, &shared, filter.as_mut());
+            self.install_one(host, ch, net, &shared, filter.as_mut());
             // Every `begin_route` is matched here, whichever way the
             // route left `install_one`: a leaked scope would let the next
             // route's events inherit this route's attribution.
@@ -312,14 +309,14 @@ impl Exporter for WrenExport {
         eattrs: &Rc<EaList>,
         src: &RouteSource,
     ) -> Rc<EaList> {
-        let mut out = (**eattrs).clone();
+        let mut out = eattrs.clone_for_export();
         if dest.ibgp {
             if out.local_pref().is_none() {
                 out.set_local_pref(host.spec.default_local_pref);
             }
             if host.spec.native_rr && !src.local && src.peer_type == PeerType::Ibgp {
                 if out.originator_id().is_none() {
-                    out.set(9, 0x80, src.peer_addr.to_be_bytes().to_vec());
+                    out.set(9, 0x80, &src.peer_addr.to_be_bytes());
                 }
                 out.cluster_list_prepend(host.cluster_id());
             }
@@ -332,10 +329,6 @@ impl Exporter for WrenExport {
             out.unset(10);
         }
         Rc::new(out)
-    }
-
-    fn to_wire(eattrs: &Rc<EaList>) -> Vec<PathAttr> {
-        eattrs.to_wire()
     }
 }
 
@@ -384,15 +377,9 @@ impl RouteEngine for WrenEngine {
         }
     }
 
-    fn update(
-        &mut self,
-        host: &mut Host,
-        ch: usize,
-        upd: UpdateMsg,
-        raw_body: &[u8],
-    ) -> Result<(), WireError> {
-        for net in &upd.withdrawn {
-            let (change, removed) = self.table.withdraw(*net, SrcId::Channel(ch));
+    fn update(&mut self, host: &mut Host, ch: usize, upd: UpdateView<'_>) -> Result<(), WireError> {
+        for net in upd.withdrawn() {
+            let (change, removed) = self.table.withdraw(net, SrcId::Channel(ch));
             self.rib_counters.withdrawals += u64::from(removed);
             // Defer the re-export: mark the net and propagate once per
             // batch at drain time. Propagation only reads the *current*
@@ -400,13 +387,13 @@ impl RouteEngine for WrenEngine {
             // one batch collapses to a single export decision. Non-best
             // removals need nothing at all.
             if change != TableChange::NoBestChange {
-                self.dirty.mark(*net);
+                self.dirty.mark(net);
             }
         }
-        let parsed = if upd.nlri.is_empty() {
+        let parsed = if upd.nlri().len() == 0 {
             Ok(())
         } else {
-            self.install_routes(host, ch, &upd, raw_body)
+            self.install_routes(host, ch, upd)
         };
         // However the NLRI half ended — installed, dropped by loop
         // detection or malformed — the withdraw loop is owed its
@@ -416,7 +403,7 @@ impl RouteEngine for WrenEngine {
     }
 
     fn flush(&mut self, host: &mut Host, ctx: &mut NodeCtx<'_>) {
-        self.out.flush::<WrenExport>(host, ctx);
+        self.out.flush(host, ctx);
     }
 
     fn loc_rib_len(&self) -> usize {
@@ -432,10 +419,7 @@ impl RouteEngine for WrenEngine {
     /// implementation-neutral, so per-shard dumps can cross threads and
     /// be compared byte-for-byte against a sequential run's dump.
     fn loc_rib_dump(&self) -> Vec<(Ipv4Prefix, Vec<u8>)> {
-        self.table
-            .iter_best()
-            .map(|(n, r)| (n, encode_attrs(&r.eattrs.to_wire(), 4)))
-            .collect()
+        self.table.iter_best().map(|(n, r)| (n, r.eattrs.attr_section())).collect()
     }
 
     /// From-scratch Loc-RIB recomputation — the churn oracle. For every
@@ -455,7 +439,7 @@ impl RouteEngine for WrenEngine {
                 }
             }
             if let Some(b) = best {
-                out.push((net, encode_attrs(&b.eattrs.to_wire(), 4)));
+                out.push((net, b.eattrs.attr_section()));
             }
         }
         out

@@ -4,10 +4,12 @@
 //! (its sibling is `bgp-fir`). Where FIR parses everything into host-order
 //! structs, WREN follows BIRD's design choices (DESIGN.md §1):
 //!
-//! * **Wire-order `ea_list` attributes** ([`ealist::EaList`]): attributes
-//!   are stored as a flat, code-sorted list of raw network-byte-order
-//!   payloads, decoded lazily by typed accessors. The xBGP glue is
-//!   therefore almost free — `get_attr` hands out the stored bytes, and
+//! * **Wire-order `ea_list` attributes** ([`ealist::EaList`]): an UPDATE's
+//!   attribute section is copied into one block of raw network-byte-order
+//!   payloads behind a small code-sorted index, decoded lazily by typed
+//!   accessors and written back into outgoing frames as they are. The
+//!   xBGP glue is therefore almost free — `get_attr` hands out the stored
+//!   bytes, and
 //!   BIRD's "flexible API to manage BGP attributes" maps directly onto
 //!   `set_attr`/`add_attr` (the paper: "xBGP simply extends this API").
 //! * **Hash-based native origin validation** ([`rpki::RoaHashTable`]):

@@ -8,8 +8,8 @@
 //! reports the xBGP integration was almost free ("BIRD includes a
 //! flexible API to manage BGP attributes. xBGP simply extends this
 //! API"). WREN reproduces that: `get_attr` copies the stored payload
-//! bytes out, `set_attr` copies them in — no representation conversion,
-//! unlike FIR. All that is added is what keeps the two stores
+//! bytes out, `set_attr` copies them in, and export writes them into the
+//! frame — no representation conversion, unlike FIR. All that is added is what keeps the two stores
 //! indistinguishable to a program: the shared payload check, canonical
 //! flags, and no empty COMMUNITIES / CLUSTER_LIST.
 
@@ -20,7 +20,7 @@ use xbgp_wire::attr::{stored_flags, validate_neutral};
 impl AttrStore for EaList {
     fn attr_into(&self, code: u8, out: &mut Vec<u8>) -> Option<u8> {
         let ea = self.get(code)?;
-        out.extend_from_slice(&ea.raw);
+        out.extend_from_slice(ea.raw);
         Some(ea.flags)
     }
 
@@ -33,7 +33,7 @@ impl AttrStore for EaList {
         if matches!(code, 8 | 10) && value.is_empty() {
             self.unset(code);
         } else {
-            self.set(code, stored_flags(code, flags), value.to_vec());
+            self.set(code, stored_flags(code, flags), value);
         }
         Ok(())
     }
@@ -44,5 +44,9 @@ impl AttrStore for EaList {
 
     fn nexthop(&self) -> u32 {
         self.next_hop().unwrap_or(0)
+    }
+
+    fn write_attrs(&self, out: &mut Vec<u8>, asn_width: usize) {
+        EaList::write_attrs(self, out, asn_width)
     }
 }
