@@ -32,8 +32,8 @@ pub struct ExtensionSpec {
     /// any call outside this list.
     pub helpers: Vec<String>,
     /// Bytecode, hex-encoded 8-byte slots on the wire. Held behind an
-    /// `Arc` so cloning a manifest for each shard's VMM shares one copy
-    /// of the raw bytes instead of duplicating every program.
+    /// `Arc` so cloning a manifest for each VMM built from it shares one
+    /// copy of the raw bytes instead of duplicating every program.
     pub bytecode: Arc<[u8]>,
     /// Per-invocation fuel budget. `None` uses the VMM-wide default.
     pub fuel: Option<u64>,

@@ -48,9 +48,9 @@ use xbgp_vm::{
 use xbgp_wire::Ipv4Prefix;
 
 /// Process-wide count of verify+pre-decode passes ([`verify_and_load_with`]
-/// calls). Loading a program is the expensive, once-per-VMM step; sharded
-/// deployments use this counter to prove each shard's VMM verified every
-/// program exactly once — per shard, never per batch of routes.
+/// calls). Loading a program is the expensive, once-per-VMM step; tests
+/// use this counter to prove a run verifies every program exactly once,
+/// never once per batch of routes.
 static VERIFY_LOADS: AtomicU64 = AtomicU64::new(0);
 
 /// Total verify+pre-decode passes performed by this process so far.
@@ -1329,7 +1329,7 @@ mod tests {
 
     #[test]
     fn verify_load_counter_counts_per_vmm_not_per_run() {
-        // One manifest, four VMMs (the per-shard pattern): each load pays
+        // One manifest, four VMMs: each load pays
         // one verify+pre-decode per extension; runs pay none.
         let mut m = Manifest::new();
         m.push(spec("a", InsertionPoint::BgpInboundFilter, &[], "mov r0, 1\nexit"));
@@ -1349,8 +1349,8 @@ mod tests {
 
     #[test]
     fn manifest_clones_share_bytecode_storage() {
-        // The shard path clones one manifest per worker; the Arc'd
-        // bytecode must be shared, not duplicated.
+        // A manifest cloned for each VMM built from it shares its Arc'd
+        // bytecode, not duplicated.
         let mut m = Manifest::new();
         m.push(spec("a", InsertionPoint::BgpInboundFilter, &[], "mov r0, 1\nexit"));
         let clone = m.clone();

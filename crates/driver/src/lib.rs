@@ -3,12 +3,11 @@
 //! Both BGP implementations in this workspace (`bgp-fir` and `bgp-wren`)
 //! are single-threaded [`netsim::Node`]s: wire frames in, wire frames
 //! out, plus timers. Historically every front-end that drove them — the
-//! Fig. 3 harness, the shard workers, the scenario runner, the churn
-//! bench — carried its own pair of fir-vs-wren match arms, and the two
-//! daemons themselves each carried a copy of everything that does not
-//! depend on how routes are stored: a config struct, a neighbor FSM,
-//! timers, stats, hook timing, UPDATE framing, a `Node` impl and a
-//! `Daemon` impl. This crate is where all of that exists once, so the
+//! Fig. 3 harness, the scenario runner, the churn bench — carried its
+//! own pair of fir-vs-wren match arms, and the two daemons themselves
+//! each carried a copy of everything that does not depend on how routes
+//! are stored: a config struct, a neighbor FSM, timers, stats, hook
+//! timing, UPDATE framing, a `Node` impl and a `Daemon` impl. This crate is where all of that exists once, so the
 //! deterministic sim feeder and the `xbgp-serve` socket runtime are two
 //! transports over one API and the two daemons are two route engines
 //! under one host:

@@ -1,7 +1,7 @@
 //! Regenerate Fig. 4: relative performance impact of extension bytecode
 //! versus native code, per implementation and use case.
 //!
-//! Usage: fig4 [--routes N] [--runs N] [--seed N] [--shards N]
+//! Usage: fig4 [--routes N] [--runs N] [--seed N]
 //!             [--use-case rr|ov|all] [--dut fir|wren|all]
 //!             [--metrics-out FILE] [--trace-out FILE] [--trace-sample N]
 //!             [--churn-rounds N] [--churn-withdraw N‰] [--churn-reannounce N‰]
@@ -78,13 +78,6 @@ fn main() {
                 }
             }
             "--seed" => spec.seed = parse_num(i),
-            "--shards" => {
-                spec.shards = parse_num(i) as usize;
-                if spec.shards == 0 {
-                    xbgp_obs::error!("--shards must be at least 1");
-                    std::process::exit(2);
-                }
-            }
             "--metrics-out" => {
                 spec.metrics = true;
                 metrics_out = Some(need(i).to_string());
@@ -149,12 +142,8 @@ fn main() {
     }
 
     println!(
-        "# Fig. 4 — {} routes, {} paired runs per cell (seed {}, {} shard{})",
-        cfg.spec.routes,
-        cfg.runs,
-        cfg.spec.seed,
-        cfg.spec.shards,
-        if cfg.spec.shards == 1 { "" } else { "s" }
+        "# Fig. 4 — {} routes, {} paired runs per cell (seed {})",
+        cfg.spec.routes, cfg.runs, cfg.spec.seed
     );
     let mut merged = Snapshot::default();
     let mut traces = Vec::new();

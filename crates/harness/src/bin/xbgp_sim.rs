@@ -1,6 +1,6 @@
 //! xbgp-sim — run a declarative network scenario.
 //!
-//! Usage: xbgp-sim <scenario.json> [--shards N] [--metrics-out FILE]
+//! Usage: xbgp-sim <scenario.json> [--metrics-out FILE]
 //!                 [--log-level LEVEL] [--fault-rate R]
 //!                 [--trace-out FILE] [--trace-sample N]
 //!
@@ -11,14 +11,11 @@
 //! `--metrics-out` writes the final per-router metrics snapshot as a JSON
 //! document; every router runs with metrics on, so it holds the VMM
 //! counters, the `xbgp_prof_fuel` histograms and one clock per layer of a
-//! run (chain, extension, helper call). `--shards N` splits originated
-//! prefixes and the churn stream across N replica simulations on worker
-//! threads (see `xbgp_harness::shard`); `--shards 1` is the sequential
-//! path. `--fault-rate R` (in `[0, 1]`) overrides the scenario's
-//! `fault_rate`: every router gets the `fault_inject` probe, which traps
-//! mid-chain after staging host mutations on roughly that fraction of
-//! inbound runs — a live check that transactional rollback holds under
-//! the scenario's real workload.
+//! run (chain, extension, helper call). `--fault-rate R` (in `[0, 1]`)
+//! overrides the scenario's `fault_rate`: every router gets the
+//! `fault_inject` probe, which traps mid-chain after staging host
+//! mutations on roughly that fraction of inbound runs — a live check that
+//! transactional rollback holds under the scenario's real workload.
 //!
 //! `--trace-out FILE` attaches a route-scoped flight recorder to every
 //! router and writes the merged timeline: Chrome/Perfetto `trace_event`
@@ -36,23 +33,10 @@ fn main() -> ExitCode {
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut trace_sample = 0u64;
-    let mut shards = 1usize;
     let mut fault_rate: Option<f64> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--shards" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                    xbgp_obs::error!("--shards needs a positive number");
-                    return ExitCode::from(2);
-                };
-                if n == 0 {
-                    xbgp_obs::error!("--shards must be at least 1");
-                    return ExitCode::from(2);
-                }
-                shards = n;
-                i += 2;
-            }
             "--metrics-out" => {
                 let Some(path) = args.get(i + 1) else {
                     xbgp_obs::error!("missing value after --metrics-out");
@@ -115,8 +99,8 @@ fn main() -> ExitCode {
     }
     let Some(path) = scenario_path else {
         xbgp_obs::error!(
-            "usage: xbgp-sim <scenario.json> [--shards N] [--metrics-out FILE] \
-             [--log-level LEVEL] [--fault-rate R] [--trace-out FILE] [--trace-sample N]"
+            "usage: xbgp-sim <scenario.json> [--metrics-out FILE] [--log-level LEVEL] \
+             [--fault-rate R] [--trace-out FILE] [--trace-sample N]"
         );
         return ExitCode::from(2);
     };
@@ -140,8 +124,7 @@ fn main() -> ExitCode {
     if let Some(r) = fault_rate {
         scenario.fault_rate = r;
     }
-    let opts = RunOptions { trace_sample, ..RunOptions::default() };
-    match xbgp_harness::scenario::run_sharded_with_options(&scenario, shards, &opts) {
+    match xbgp_harness::scenario::run_with_options(&scenario, &RunOptions { trace_sample }) {
         Ok(report) => {
             println!("scenario: {}", report.name);
             for (desc, ok) in &report.checks {

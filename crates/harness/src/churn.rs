@@ -19,9 +19,7 @@
 //! point after the final (restore) round, the DUT's incremental Loc-RIB
 //! must be byte-identical to a from-scratch decision pass over its
 //! Adj-RIB-In ([`xbgp_driver::Daemon::oracle_loc_rib_dump`]); every churn
-//! run checks it ([`dump_diff`]). Sharded runs split the table and every
-//! round with [`crate::shard::partition`] and self-check each replica —
-//! the invariant is per-RIB, not per-deployment.
+//! run checks it ([`dump_diff`]).
 
 use xbgp_wire::Ipv4Prefix;
 
@@ -75,20 +73,6 @@ mod tests {
             assert!(out.updates_per_sec() > 0.0);
             assert_eq!(out.oracle_mismatches, 0, "{}: incremental ≡ oracle", dut.name());
         }
-    }
-
-    #[test]
-    fn sharded_churn_self_checks_each_replica() {
-        let spec = Fig3Spec {
-            shards: 4,
-            ..churn(Dut::Fir, UseCase::OriginValidation, 400, 9, 5)
-        };
-        let out = run(&spec);
-        let single = run(&Fig3Spec { shards: 1, ..spec });
-        assert_eq!(out.updates_applied, single.updates_applied, "same logical stream");
-        assert_eq!(out.oracle_mismatches, 0);
-        assert_eq!(single.oracle_mismatches, 0);
-        assert!(out.best_changes > 0);
     }
 
     #[test]

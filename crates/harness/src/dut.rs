@@ -1,8 +1,7 @@
 //! The single fir-vs-wren construction site.
 //!
-//! Every front-end in the workspace — the Fig. 3 chain, the shard
-//! workers, the scenario runner, the churn bench, and the `xbgp-serve`
-//! socket runtime — describes the daemon it wants as an
+//! Every front-end in the workspace — the Fig. 3 chain, the scenario
+//! runner, and the `xbgp-serve` socket runtime — describes the daemon it wants as an
 //! [`xbgp_driver::DaemonSpec`] and calls [`build`]. Both daemons are the
 //! shared host `xbgp_driver::host::BgpDaemon<E>` around their own route
 //! engine and take the spec as it is, so the match below only picks `E`:

@@ -5,17 +5,14 @@
 //! One chain serves every Fig. 3 measurement: the one-shot table load
 //! behind Fig. 4 and, when the spec carries a [`ChurnSpec`], the
 //! steady-state churn phase that follows it (see [`crate::churn`]).
-//! Sharded runs split the workload with [`crate::shard`] and run this
-//! same chain once per shard.
 
 use crate::churn::dump_diff;
 use crate::dut::{build, DaemonSpec, DutNode};
 use crate::feeder::{encode_frames, replay_rounds, Feeder};
-use crate::shard;
 use crate::sink::Sink;
 use netsim::{NodeId, Sim, SimConfig};
-use routegen::churn::{total_updates, ChurnRound, ChurnSpec};
-use routegen::{to_updates, Route};
+use routegen::churn::{churn_rounds, total_updates, ChurnRound, ChurnSpec};
+use routegen::{to_updates, Route, TableSpec};
 use rpki::Roa;
 use xbgp_obs::trace::{TraceConfig, TraceDump};
 use xbgp_obs::Snapshot;
@@ -66,12 +63,8 @@ pub struct Fig3Spec {
     /// fuel histograms and one clock per layer of an extension run) and
     /// return its metrics snapshot in the outcome.
     pub metrics: bool,
-    /// Prefix-hash shards to split the workload across (see
-    /// [`crate::shard`]). `0` and `1` both mean one chain on the calling
-    /// thread.
-    pub shards: usize,
     /// Collect the DUT's final Loc-RIB contents in the outcome (the
-    /// determinism tests compare these across shard counts).
+    /// determinism tests compare these across runs).
     pub rib_dump: bool,
     /// Route-scoped tracing: sample 1 route in this many through the
     /// DUT's flight recorder (0 = tracing off).
@@ -82,8 +75,7 @@ pub struct Fig3Spec {
 }
 
 impl Fig3Spec {
-    /// A sequential, native, uninstrumented table load of `routes`
-    /// prefixes.
+    /// A native, uninstrumented table load of `routes` prefixes.
     pub fn new(dut: Dut, use_case: UseCase, routes: usize, seed: u64) -> Fig3Spec {
         Fig3Spec {
             dut,
@@ -92,7 +84,6 @@ impl Fig3Spec {
             routes,
             seed,
             metrics: false,
-            shards: 1,
             rib_dump: false,
             trace_sample: 0,
             churn: None,
@@ -100,8 +91,7 @@ impl Fig3Spec {
     }
 }
 
-/// Measured outcome of one run. A sharded run merges its per-shard
-/// outcomes field by field (see [`crate::shard`]).
+/// Measured outcome of one run.
 #[derive(Debug, Clone, Default)]
 pub struct Fig3Outcome {
     /// Paper metric: virtual ns between the upstream's first announcement
@@ -150,38 +140,37 @@ pub const VALID_FRACTION: f64 = 0.75;
 
 const SEC: u64 = 1_000_000_000;
 
-/// Build the full-table ROA set for a workload. Must always be derived
-/// from the *complete* table: `routegen::make_roas` draws one RNG value
-/// per route, so the set only reproduces when generated over the same
-/// route list — and trie validation consults covering ROAs, so every
-/// shard needs the whole set regardless of which prefixes it owns.
-pub(crate) fn make_roas(routes: &[Route], seed: u64) -> Vec<Roa> {
+/// Build the table's ROA set: `routegen::make_roas` draws one RNG value
+/// per route, so the set is a function of the whole table and the seed.
+fn make_roas(routes: &[Route], seed: u64) -> Vec<Roa> {
     routegen::make_roas(routes, VALID_FRACTION, seed)
         .into_iter()
         .map(|e| Roa::new(e.prefix, e.max_len, e.asn))
         .collect()
 }
 
-/// Run one Fig. 3 experiment: one chain on the calling thread, or one
-/// per shard on its own thread when `spec.shards > 1`, merged into one
-/// outcome.
+/// Run one Fig. 3 experiment on the calling thread: generate the table,
+/// its churn stream and (origin validation only) its ROA set, then run
+/// the chain once. An empty table measures nothing and returns the
+/// default outcome.
 pub fn run(spec: &Fig3Spec) -> Fig3Outcome {
-    shard::merge(shard::run_shards(spec))
+    let table = routegen::generate(&TableSpec::new(spec.routes, spec.seed));
+    if table.is_empty() {
+        return Fig3Outcome::default();
+    }
+    let rounds = spec.churn.map(|c| churn_rounds(&table, &c)).unwrap_or_default();
+    let roas = (spec.use_case == UseCase::OriginValidation).then(|| make_roas(&table, spec.seed));
+    run_chain(spec, &table, &rounds, roas.as_deref())
 }
 
 /// Run one feeder → DUT → sink chain: load `routes`, and with a churn
-/// spec replay `rounds` against the loaded table. `roas` is the
-/// full-table ROA set (origin validation only); `shard` namespaces the
-/// flight recorder's trace ids so merged multi-worker timelines stay
-/// attributable. Every input is plain data and all `Rc`-based daemon
-/// state is built inside this call and never leaves it, so a shard
-/// worker thread runs it as is.
-pub(crate) fn run_chain(
+/// spec replay `rounds` against the loaded table. `roas` is the table's
+/// ROA set (origin validation only).
+fn run_chain(
     spec: &Fig3Spec,
     routes: &[Route],
     rounds: &[ChurnRound],
     roas: Option<&[Roa]>,
-    shard: u32,
 ) -> Fig3Outcome {
     let ibgp = spec.use_case == UseCase::RouteReflection;
     let local_pref = ibgp.then_some(100);
@@ -221,7 +210,7 @@ pub(crate) fn run_chain(
     dspec.trace = (spec.trace_sample > 0).then_some(TraceConfig {
         sample_every: spec.trace_sample,
         capacity: 0,
-        shard,
+        shard: 0,
     });
     sim.replace_node(d, Box::new(build(spec.dut, dspec)));
 

@@ -19,9 +19,8 @@ pub struct Fig4Config {
     /// The run both variants of every pair make; `dut` and `use_case`
     /// pick the cell. A pair overrides only `extension` and the seed:
     /// pair `i` uses `spec.seed + i`, and the churn stream follows it, so
-    /// pairs stay seed-matched. Every other field (metrics, shards,
-    /// tracing) applies to both variants, keeping the pairing
-    /// symmetric.
+    /// pairs stay seed-matched. Every other field (metrics, tracing)
+    /// applies to both variants, keeping the pairing symmetric.
     ///
     /// With `spec.churn` set, each pair measures steady-state churn (see
     /// [`crate::churn`]) instead of one-shot table transfer: the impact

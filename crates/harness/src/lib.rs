@@ -8,8 +8,6 @@
 //!   accounting turned on so extension-vs-native compute differences
 //!   surface as virtual-time deltas. The one chain runs table loads and,
 //!   given a churn stream, steady-state churn ([`churn`]),
-//! * [`shard`] — the one prefix-hash partition and the one merge behind
-//!   every sharded run,
 //! * [`fig4`] — the relative-performance experiment (Fig. 4) over both
 //!   daemons and both use cases,
 //! * [`scenario`] — declarative multi-router networks, the one topology
@@ -27,7 +25,6 @@ pub mod fig1;
 pub mod fig3;
 pub mod fig4;
 pub mod scenario;
-pub mod shard;
 pub mod sink;
 pub mod stats;
 

@@ -539,20 +539,13 @@ impl ExpectRoute {
 }
 
 /// How to run a scenario, beyond what the document itself describes
-/// (operator flags on `xbgp-sim` and the replica split, not scenario
-/// content).
+/// (operator flags on `xbgp-sim`, not scenario content).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
     /// Trace 1 route in this many through every router's flight recorder
-    /// (0 = tracing off).
+    /// (0 = tracing off). Router `i` records trace ids under namespace
+    /// `i`, so per-router timelines stay attributable after the merge.
     pub trace_sample: u64,
-    /// This run is replica `k` of `shards` ([`run_sharded`] sets it;
-    /// `shards <= 1` runs the whole scenario). The replica's churn feeder
-    /// sends only the prefixes it owns, from a stream always derived from
-    /// the full table, and its router `i` records trace ids under shard
-    /// `(k << 8) | i`, so per-router timelines from sharded replicas stay
-    /// attributable after the merge.
-    pub shard: (usize, usize),
 }
 
 /// Outcome of a scenario run.
@@ -632,7 +625,7 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
         (opts.trace_sample > 0).then_some(TraceConfig {
             sample_every: opts.trace_sample,
             capacity: 0,
-            shard: ((opts.shard.0 as u32) << 8) | router_idx as u32,
+            shard: router_idx as u32,
         })
     };
 
@@ -678,10 +671,7 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
     };
 
     // Churn feeder: a synthetic upstream peering eBGP with the feed
-    // router, its rounds loaded (and so armed) from the start. The stream
-    // is always generated over the full table, then filtered to this
-    // replica's prefixes, so every shard count replays the same logical
-    // churn.
+    // router, its rounds loaded (and so armed) from the start.
     const FEEDER_ASN: u32 = 64_999;
     const FEEDER_ADDR: u32 = 0x0aff_fffe; // 10.255.255.254
     let mut churn_feed: Option<(NodeId, LinkId)> = None;
@@ -696,12 +686,6 @@ pub fn run_with_options(scenario: &Scenario, opts: &RunOptions) -> Result<Scenar
         }
         let table = routegen::generate(&routegen::TableSpec::new(c.routes, c.spec.seed));
         let rounds = routegen::churn::churn_rounds(&table, &c.spec);
-        let (table, rounds) = match opts.shard {
-            (k, shards) if shards > 1 => {
-                crate::shard::partition(&table, &rounds, shards).swap_remove(k)
-            }
-            _ => (table, rounds),
-        };
         let mut feeder = Feeder::new(
             FEEDER_ASN,
             FEEDER_ADDR,
@@ -898,119 +882,6 @@ fn best_as_path(rib: &[(Ipv4Prefix, Vec<u8>)], prefix: &Ipv4Prefix) -> Option<Ve
     })
 }
 
-/// Run a scenario with its originated prefixes split across `shards`
-/// replica simulations.
-///
-/// BGP propagation is independent per prefix over a fixed topology, so a
-/// scenario shards the same way a table load does (see [`crate::shard`]):
-/// replica `k` runs the full topology and the full failure timeline but
-/// originates only the prefixes whose [`crate::shard::shard_of`] hash is
-/// `k`, and each `expect_route` check is evaluated in the replica owning
-/// its prefix. Each replica's complete state lives on its own worker
-/// thread; only the `Send` [`ScenarioReport`]s come back. The merged
-/// report has checks reassembled in timeline order, per-router table
-/// sizes summed, and metric snapshots merged (matching counters sum).
-/// `shards <= 1` is exactly [`run`].
-pub fn run_sharded(scenario: &Scenario, shards: usize) -> Result<ScenarioReport, String> {
-    run_sharded_with_options(scenario, shards, &RunOptions::default())
-}
-
-/// [`run_sharded`] with observability options. Each replica runs with
-/// [`RunOptions::shard`] set to `(k, shards)`, so it feeds its own churn
-/// slice and its trace ids stay attributable to both replica and router
-/// in the merged timeline.
-pub fn run_sharded_with_options(
-    scenario: &Scenario,
-    shards: usize,
-    opts: &RunOptions,
-) -> Result<ScenarioReport, String> {
-    if shards <= 1 {
-        return run_with_options(scenario, opts);
-    }
-    let owner = |prefix: &str| -> usize {
-        match prefix.parse::<Ipv4Prefix>() {
-            Ok(p) => crate::shard::shard_of(&p, shards),
-            // Unparseable prefixes go to replica 0, whose own run()
-            // surfaces the error.
-            Err(_) => 0,
-        }
-    };
-    let replicas: Vec<Scenario> = (0..shards)
-        .map(|k| {
-            let mut s = scenario.clone();
-            for r in &mut s.routers {
-                r.originate.retain(|p| owner(p) == k);
-            }
-            for e in &mut s.events {
-                if e.expect_route.as_ref().is_some_and(|x| owner(&x.prefix) != k) {
-                    e.expect_route = None;
-                }
-            }
-            s
-        })
-        .collect();
-
-    let mut reports = std::thread::scope(|scope| {
-        let workers: Vec<_> = replicas
-            .iter()
-            .enumerate()
-            .map(|(k, replica)| {
-                let opts = RunOptions { shard: (k, shards), ..*opts };
-                scope.spawn(move || run_with_options(replica, &opts))
-            })
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("scenario replica panicked"))
-            .collect::<Result<Vec<_>, String>>()
-    })?;
-
-    // Each replica evaluated its own checks in timeline order; replay the
-    // original (sorted) timeline and pull every check from its owner so
-    // the merged list reads exactly like a sequential run's.
-    let mut queues: Vec<std::collections::VecDeque<(String, bool)>> =
-        reports.iter_mut().map(|r| std::mem::take(&mut r.checks).into()).collect();
-    let mut events: Vec<&Event> = scenario.events.iter().collect();
-    events.sort_by_key(|e| e.at_secs);
-    let mut checks = Vec::new();
-    for ev in events {
-        if let Some(x) = &ev.expect_route {
-            if let Some(c) = queues[owner(&x.prefix)].pop_front() {
-                checks.push(c);
-            }
-        }
-    }
-    // Churn-oracle checks are not tied to timeline events: every replica
-    // self-checks its own RIBs, and the merged report ANDs the verdicts
-    // per description (the invariant is per-RIB, so all must hold).
-    let mut oracle_checks: Vec<(String, bool)> = Vec::new();
-    for q in &mut queues {
-        while let Some((desc, ok)) = q.pop_front() {
-            match oracle_checks.iter_mut().find(|(d, _)| *d == desc) {
-                Some(e) => e.1 &= ok,
-                None => oracle_checks.push((desc, ok)),
-            }
-        }
-    }
-    checks.extend(oracle_checks);
-
-    let mut tables = std::mem::take(&mut reports[0].tables);
-    for r in &reports[1..] {
-        for (acc, (name, n)) in tables.iter_mut().zip(&r.tables) {
-            debug_assert_eq!(&acc.0, name);
-            acc.1 += n;
-        }
-    }
-    let mut metrics = xbgp_obs::Snapshot::default();
-    let mut dumps = Vec::new();
-    for r in reports {
-        metrics.merge(r.metrics).expect("replicas share the bucket layout");
-        dumps.extend(r.trace);
-    }
-    let trace = (opts.trace_sample > 0).then(|| TraceDump::merge(dumps));
-    Ok(ScenarioReport { name: scenario.name.clone(), checks, tables, metrics, trace })
-}
-
 /// Parse a scenario document from JSON.
 pub fn parse(json: &str) -> Result<Scenario, String> {
     let doc = Value::parse(json)?;
@@ -1163,11 +1034,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scenario_matches_sequential_run() {
-        // Several prefixes spread across shards, with checks on each, so
-        // every replica owns some of the work.
+    fn multi_prefix_scenario_passes_every_check() {
+        // Several prefixes each way, with a check on each and one on a
+        // prefix nobody originates.
         let json = r#"{
-            "name": "sharded",
+            "name": "multi_prefix",
             "routers": [
                 { "name": "a", "implementation": "fir", "asn": 65001,
                   "router_id": "10.0.0.1",
@@ -1184,14 +1055,10 @@ mod tests {
                 { "at_secs": 5, "expect_route": { "router": "b", "prefix": "10.7.0.0/16", "present": false } }
             ]
         }"#;
-        let scenario = parse(json).unwrap();
-        let seq = run(&scenario).unwrap();
-        for shards in [1, 2, 4] {
-            let sharded = run_sharded(&scenario, shards).unwrap();
-            assert_eq!(sharded.checks, seq.checks, "shards={shards}");
-            assert_eq!(sharded.tables, seq.tables, "shards={shards}");
-            assert!(sharded.all_passed());
-        }
+        let report = run(&parse(json).unwrap()).unwrap();
+        assert!(report.all_passed(), "{:?}", report.checks);
+        assert_eq!(report.checks.len(), 5);
+        assert!(report.tables.iter().all(|(_, n)| *n == 5), "{:?}", report.tables);
     }
 
     #[test]
@@ -1247,7 +1114,7 @@ mod tests {
         .expect("fixture present");
         let mut scenario = parse(&json).expect("parses");
         scenario.fault_rate = 1.0;
-        let opts = RunOptions { trace_sample: 1, ..Default::default() };
+        let opts = RunOptions { trace_sample: 1 };
         let report = run_with_options(&scenario, &opts).expect("runs");
         assert!(report.all_passed(), "{:?}", report.checks);
 
@@ -1300,29 +1167,27 @@ mod tests {
     }
 
     #[test]
-    fn churn_storm_fixture_passes_oracle_sequential_and_sharded() {
+    fn churn_storm_fixture_passes_oracle() {
         // The committed fixture, scaled down for test time: the feeder
         // blasts a table at the FIR dut (which re-exports to the WREN
         // edge), replays the storm, and every router's incremental
-        // Loc-RIB must match its full-recompute oracle — sequentially and
-        // sharded, with fault injection live.
+        // Loc-RIB must match its full-recompute oracle, with fault
+        // injection live.
         let mut scenario = document("churn_storm.json");
         let churn = scenario.churn.as_mut().unwrap();
         churn.routes = 500;
         churn.spec.rounds = 6;
-        for shards in [1, 2] {
-            let report = run_sharded(&scenario, shards).expect("runs");
-            assert!(report.all_passed(), "shards={shards}: {:?}", report.checks);
-            let oracle_checks =
-                report.checks.iter().filter(|(d, _)| d.starts_with("churn oracle")).count();
-            assert_eq!(oracle_checks, 2, "one oracle verdict per router");
-            // The churn counters made it into the merged metrics.
-            assert!(report.metrics.counter_sum("xbgp_rib_best_changes_total") > 0);
-            assert!(report.metrics.counter_sum("xbgp_rib_withdrawals_total") > 0);
-            // The feed router ends holding its peer's prefix + the table.
-            let dut = report.tables.iter().find(|(n, _)| n == "dut").unwrap();
-            assert_eq!(dut.1, 501, "restore round converged, shards={shards}");
-        }
+        let report = run(&scenario).expect("runs");
+        assert!(report.all_passed(), "{:?}", report.checks);
+        let oracle_checks =
+            report.checks.iter().filter(|(d, _)| d.starts_with("churn oracle")).count();
+        assert_eq!(oracle_checks, 2, "one oracle verdict per router");
+        // The churn counters made it into the merged metrics.
+        assert!(report.metrics.counter_sum("xbgp_rib_best_changes_total") > 0);
+        assert!(report.metrics.counter_sum("xbgp_rib_withdrawals_total") > 0);
+        // The feed router ends holding its peer's prefix + the table.
+        let dut = report.tables.iter().find(|(n, _)| n == "dut").unwrap();
+        assert_eq!(dut.1, 501, "restore round converged");
     }
 
     #[test]

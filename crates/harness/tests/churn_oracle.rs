@@ -1,22 +1,19 @@
 //! The churn engine's correctness contract, end to end: after a full
 //! storm (withdraw waves, flaps, ROA sweeps, path hunting, restore
 //! round) the incremental Loc-RIB must be byte-identical to a
-//! from-scratch decision pass — on both daemons, sequential and sharded,
-//! native and extension, and with the fault-injection probe trapping
-//! mid-chain — and a sharded storm must leave the same Loc-RIB, byte for
-//! byte, as the sequential one.
+//! from-scratch decision pass — on both daemons, native and extension,
+//! and with the fault-injection probe trapping mid-chain.
 
 use routegen::churn::ChurnSpec;
 use xbgp_harness::fig3::{run, Dut, Fig3Spec, UseCase};
-use xbgp_harness::scenario::{parse, run_sharded};
+use xbgp_harness::scenario::{parse, run as run_scenario};
 
 const ROUTES: usize = 300;
 const SEED: u64 = 11;
 
-fn spec(dut: Dut, extension: bool, shards: usize) -> Fig3Spec {
+fn spec(dut: Dut, extension: bool) -> Fig3Spec {
     Fig3Spec {
         extension,
-        shards,
         churn: Some(ChurnSpec::new(SEED, 6)),
         ..Fig3Spec::new(dut, UseCase::OriginValidation, ROUTES, SEED)
     }
@@ -24,27 +21,20 @@ fn spec(dut: Dut, extension: bool, shards: usize) -> Fig3Spec {
 
 #[test]
 fn every_cell_matches_the_oracle_and_absorbs_the_same_stream() {
-    // {fir, wren} × {native, ext} × {1, 4 shards}.
+    // {fir, wren} × {native, ext}.
+    let mut first = None;
     for dut in [Dut::Fir, Dut::Wren] {
         for extension in [false, true] {
-            let mut sequential = None;
-            for shards in [1, 4] {
-                let ctx = format!("{} / ext={extension} / shards={shards}", dut.name());
-                let out = run(&spec(dut, extension, shards));
-                assert_eq!(out.oracle_mismatches, 0, "{ctx}: oracle diverged");
-                assert!(out.best_changes > 0, "{ctx}: the storm moved no best path");
-                let rib = out.loc_rib.expect("a churn run returns its Loc-RIB");
-                assert_eq!(rib.len(), ROUTES, "{ctx}: the restore round rebuilds the table");
-                // Shard counts see the same logical stream, so the
-                // absorbed-update count and the final Loc-RIB bytes are
-                // invariant.
-                match &sequential {
-                    None => sequential = Some((out.updates_applied, rib)),
-                    Some((n, seq_rib)) => {
-                        assert_eq!(out.updates_applied, *n, "{ctx}: stream differs");
-                        assert!(rib == *seq_rib, "{ctx}: Loc-RIB differs from shards=1");
-                    }
-                }
+            let ctx = format!("{} / ext={extension}", dut.name());
+            let out = run(&spec(dut, extension));
+            assert_eq!(out.oracle_mismatches, 0, "{ctx}: oracle diverged");
+            assert!(out.best_changes > 0, "{ctx}: the storm moved no best path");
+            let rib = out.loc_rib.expect("a churn run returns its Loc-RIB");
+            assert_eq!(rib.len(), ROUTES, "{ctx}: the restore round rebuilds the table");
+            // Every cell replays the same logical stream.
+            match first {
+                None => first = Some(out.updates_applied),
+                Some(n) => assert_eq!(out.updates_applied, n, "{ctx}: stream differs"),
             }
         }
     }
@@ -65,12 +55,9 @@ fn fault_injection_churn_stays_oracle_clean() {
     let churn = scenario.churn.as_mut().unwrap();
     churn.routes = 400;
     churn.spec.rounds = 5;
-    for shards in [1, 4] {
-        let report = run_sharded(&scenario, shards).expect("scenario runs");
-        assert!(report.all_passed(), "shards={shards}: {:?}", report.checks);
-        let oracle_checks =
-            report.checks.iter().filter(|(d, _)| d.starts_with("churn oracle")).count();
-        assert_eq!(oracle_checks, 2, "one oracle verdict per router");
-        assert!(report.metrics.counter_sum("xbgp_rib_best_changes_total") > 0);
-    }
+    let report = run_scenario(&scenario).expect("scenario runs");
+    assert!(report.all_passed(), "{:?}", report.checks);
+    let oracle_checks = report.checks.iter().filter(|(d, _)| d.starts_with("churn oracle")).count();
+    assert_eq!(oracle_checks, 2, "one oracle verdict per router");
+    assert!(report.metrics.counter_sum("xbgp_rib_best_changes_total") > 0);
 }

@@ -40,7 +40,7 @@ fn fault_smoke_at_full_rate_is_identical_across_two_runs() {
     let mut scenario = parse(&json).expect("parses");
     scenario.fault_rate = 1.0;
 
-    let opts = RunOptions { trace_sample: 1, ..RunOptions::default() };
+    let opts = RunOptions { trace_sample: 1 };
     let run = || run_with_options(&scenario, &opts).expect("scenario runs");
     let first = run();
     let second = run();

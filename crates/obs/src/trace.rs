@@ -19,8 +19,8 @@
 //! * **Deterministic sampling.** Route sampling is 1-in-N by a per-shard
 //!   route counter (`route_seq % N == 0`), not by hashing or randomness:
 //!   the same workload traces the same routes on every run, and the
-//!   decision is independent of the shard's trace-id base so sharded and
-//!   sequential runs sample equivalently.
+//!   decision is independent of the recorder's trace-id base, so every
+//!   namespace samples the same way.
 //! * **Monotonic trace ids.** A trace id is allocated at UPDATE ingest:
 //!   `((shard + 1) << TRACE_SHARD_SHIFT) | ingest_seq`. Ids are strictly
 //!   increasing within a shard and globally unique across shards, so they
@@ -171,7 +171,7 @@ pub fn unpack_prefix(packed: u64) -> (u32, u8) {
 }
 
 /// Tracer configuration. `Copy` so harness spec structs that embed it can
-/// stay `Copy` across shard-thread spawns.
+/// stay `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Trace 1 route in `sample_every`; 0 disables tracing entirely.

@@ -23,8 +23,8 @@
 //! ([`churn::ChurnSpec::withdraw_per_mille`] /
 //! [`churn::ChurnSpec::reannounce_per_mille`]) and the flap period
 //! ([`churn::ChurnSpec::flap_period`]) are seeded parameters of the spec:
-//! same spec, same stream, so every engine/daemon/shard combination in the
-//! `ablation_churn` bench replays the identical byte sequence.
+//! same spec, same stream, so every daemon and variant replays the
+//! identical byte sequence.
 
 pub mod churn;
 

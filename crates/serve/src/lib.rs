@@ -24,8 +24,9 @@
 //!   `NodeDriver`, owning a disjoint prefix slice; the I/O thread fans
 //!   validated UPDATE frames in over mpsc channels, best-path changes
 //!   come back as one buffer per session per flush.
-//! * [`split`] — cuts UPDATE frames along prefix-hash shard boundaries
-//!   without re-encoding attribute bytes.
+//! * [`split`] — the prefix hash that gives each shard core its prefixes
+//!   ([`split::shard_of`]), and the cut of UPDATE frames along those
+//!   boundaries without re-encoding attribute bytes.
 //! * [`peer`] — a loopback BGP peer on the same connection pump, pumped
 //!   by hand: any number of them run on one thread, so the load adds no
 //!   thread beside the server's. The serve tests and the selftest drive

@@ -81,6 +81,15 @@ where
     flag(rest, name).map_or(default, |v| parse(name, &v))
 }
 
+/// `n`, a count of sessions or cores; exits 2 naming `name` when it is 0.
+fn at_least_one(name: &str, n: u64) -> usize {
+    if n == 0 {
+        eprintln!("{name} must be at least 1");
+        std::process::exit(2);
+    }
+    n as usize
+}
+
 /// A comma-separated flag value, or `default`.
 fn flag_list(rest: &[String], name: &str, default: &str) -> Vec<u64> {
     flag(rest, name)
@@ -105,15 +114,19 @@ fn cmd_runs(args: &[String], sessions: &str, gaps: &str, out: Option<String>) ->
     let mut base = SelftestSpec::new(Dut::Fir, 0);
     base.routes = flag_parse(rest, "--routes", base.routes);
     base.rounds = flag_parse(rest, "--rounds", base.rounds);
-    base.shards = flag_parse(rest, "--shards", base.shards);
+    base.shards = at_least_one("--shards", flag_parse(rest, "--shards", base.shards as u64));
     base.seed = flag_parse(rest, "--seed", base.seed);
+    let sessions: Vec<usize> = flag_list(rest, "--sessions", sessions)
+        .into_iter()
+        .map(|n| at_least_one("--sessions", n))
+        .collect();
     let mut rows = Vec::new();
     let mut ok = true;
     for dut in parse_duts(rest) {
-        for &n in &flag_list(rest, "--sessions", sessions) {
+        for &n in &sessions {
             for &gap_ms in &flag_list(rest, "--gap-ms", gaps) {
                 let round_gap = (gap_ms > 0).then(|| Duration::from_millis(gap_ms));
-                let spec = SelftestSpec { dut, sessions: n as usize, round_gap, ..base };
+                let spec = SelftestSpec { dut, sessions: n, round_gap, ..base };
                 eprintln!("selftest: dut={} sessions={n} gap={gap_ms}ms", dut.slug());
                 let run = selftest::run(&spec);
                 let row = json_row(&spec, &run);
@@ -175,8 +188,9 @@ fn json_row(spec: &SelftestSpec, run: &SelftestOutcome) -> String {
 
 fn cmd_serve(rest: &[String]) -> i32 {
     let dut = flag_parse(rest, "--dut", Dut::Fir);
-    let mut cfg = ServeConfig::new(dut, flag_parse(rest, "--sessions", 256usize));
-    cfg.shards = flag_parse(rest, "--shards", 1usize);
+    let mut cfg =
+        ServeConfig::new(dut, at_least_one("--sessions", flag_parse(rest, "--sessions", 256)));
+    cfg.shards = at_least_one("--shards", flag_parse(rest, "--shards", 1));
     cfg.bind_port = flag_parse(rest, "--port", 1790u16);
     let server = match Server::start(cfg) {
         Ok(s) => s,

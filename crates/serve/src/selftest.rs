@@ -27,12 +27,12 @@ use routegen::{to_updates, Route, TableSpec};
 use xbgp_driver::{DaemonSpec, Dut, DutNode};
 use xbgp_harness::churn::dump_diff;
 use xbgp_harness::feeder::{encode_frames, replay_rounds};
-use xbgp_harness::shard::{partition, shard_of};
 use xbgp_harness::Feeder;
 use xbgp_obs::HistogramSnapshot;
 
 use crate::peer::{pump_until, Peer};
 use crate::server::{ServeConfig, Server};
+use crate::split::shard_of;
 
 /// A peer's plan is handed to its connection while the connection holds
 /// less than this.
@@ -46,7 +46,7 @@ const STALL: Duration = Duration::from_secs(600);
 #[derive(Debug, Clone, Copy)]
 pub struct SelftestSpec {
     pub dut: Dut,
-    /// Concurrent TCP sessions.
+    /// Concurrent TCP sessions (at least 1).
     pub sessions: usize,
     /// Initial table size (split across sessions by prefix hash).
     pub routes: usize,
@@ -148,6 +148,39 @@ impl Plan {
         }
         peer.established && self.frames.is_empty() && self.rounds.is_empty() && peer.backlog() == 0
     }
+}
+
+/// Split a workload — a route table plus the churn rounds replayed
+/// against it — into `n` per-session slices by prefix hash. Order is
+/// preserved within each slice (attribute-sharing runs stay intact, so
+/// UPDATE packing keeps working per session), and every slice carries one
+/// round per input round, possibly empty, so round timing is the same for
+/// every session count.
+fn partition(
+    routes: &[Route],
+    rounds: &[ChurnRound],
+    n: usize,
+) -> Vec<(Vec<Route>, Vec<ChurnRound>)> {
+    let mut parts: Vec<(Vec<Route>, Vec<ChurnRound>)> = (0..n)
+        .map(|_| {
+            (
+                Vec::with_capacity(routes.len() / n + 1),
+                vec![ChurnRound::default(); rounds.len()],
+            )
+        })
+        .collect();
+    for r in routes {
+        parts[shard_of(&r.prefix, n)].0.push(r.clone());
+    }
+    for (i, round) in rounds.iter().enumerate() {
+        for p in &round.withdrawals {
+            parts[shard_of(p, n)].1[i].withdrawals.push(*p);
+        }
+        for r in &round.announcements {
+            parts[shard_of(&r.prefix, n)].1[i].announcements.push(r.clone());
+        }
+    }
+    parts
 }
 
 /// The session is over, for whatever reason.
@@ -267,4 +300,33 @@ fn reference_loc_rib(
         "reference absorbed a different stream"
     );
     sim.node_mut::<DutNode>(d).0.loc_rib_dump()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn split_preserves_every_route_exactly_once() {
+        let table = routegen::generate(&TableSpec::new(1000, 3));
+        let rounds = churn_rounds(&table, &ChurnSpec::new(3, 4));
+        let parts = partition(&table, &rounds, 4);
+        assert_eq!(parts.len(), 4);
+        assert_eq!(parts.iter().map(|(r, _)| r.len()).sum::<usize>(), table.len());
+        for (k, (routes, part_rounds)) in parts.iter().enumerate() {
+            assert!(routes.iter().all(|r| shard_of(&r.prefix, 4) == k));
+            assert_eq!(part_rounds.len(), rounds.len(), "one slice per round");
+            for round in part_rounds {
+                assert!(round.withdrawals.iter().all(|p| shard_of(p, 4) == k));
+                assert!(round.announcements.iter().all(|r| shard_of(&r.prefix, 4) == k));
+            }
+        }
+        // Every round's updates land in exactly one slice.
+        for (i, round) in rounds.iter().enumerate() {
+            let n: usize = parts.iter().map(|(_, r)| r[i].update_count()).sum();
+            assert_eq!(n, round.update_count());
+        }
+        // A hash split of 1000 routes should not be pathologically skewed.
+        assert!(parts.iter().all(|(r, _)| (150..=350).contains(&r.len())));
+    }
 }

@@ -1,15 +1,30 @@
 //! Split UPDATE frames across prefix-hash shards.
 //!
-//! Best-route selection is independent per prefix, so an UPDATE that
-//! touches prefixes owned by different shard cores can be cut into one
-//! frame per core. The attribute section is copied **verbatim** — the
-//! split must never re-encode attributes, because the Loc-RIB parity
-//! checks compare attribute bytes across transports and shard counts.
-//! Only the withdrawn-routes and NLRI prefix runs are re-packed.
+//! Best-route selection is independent per prefix, so each shard core
+//! owns the prefixes [`shard_of`] assigns it, and an UPDATE that touches
+//! prefixes owned by different cores can be cut into one frame per core.
+//! The attribute section is copied **verbatim** — the split must never
+//! re-encode attributes, because the Loc-RIB parity checks compare
+//! attribute bytes across transports and shard counts. Only the
+//! withdrawn-routes and NLRI prefix runs are re-packed.
 
-use xbgp_harness::shard::shard_of;
 use xbgp_wire::msg::{deframe, frame, update_sections};
 use xbgp_wire::{Ipv4Prefix, MsgType, WireError};
+
+/// Which shard owns `prefix`, out of `shards` (at least 1).
+///
+/// FNV-1a over the prefix address and length: cheap, platform-stable,
+/// and a pure function of the prefix — ownership does not depend on
+/// arrival order, which is what makes shard placement deterministic.
+pub fn shard_of(prefix: &Ipv4Prefix, shards: usize) -> usize {
+    debug_assert!(shards > 0);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in prefix.addr().to_be_bytes().into_iter().chain([prefix.len()]) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h % shards as u64) as usize
+}
 
 /// Cut one complete UPDATE frame into per-shard frames. Entry `k` is the
 /// frame for shard `k`, or `None` when the UPDATE touches none of its
@@ -71,6 +86,17 @@ mod tests {
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
+    }
+
+    #[test]
+    fn shard_of_is_stable_and_in_range() {
+        let q = p("203.0.113.0/24");
+        for shards in 1..=8 {
+            let k = shard_of(&q, shards);
+            assert!(k < shards);
+            assert_eq!(k, shard_of(&q, shards), "pure function of the prefix");
+        }
+        assert_eq!(shard_of(&q, 1), 0);
     }
 
     #[test]
