@@ -1,9 +1,10 @@
 //! Two-pass assembler.
 
-use crate::Symbols;
+use crate::{slots, Slot, Symbols};
 use std::collections::HashMap;
 use std::fmt;
 use xbgp_vm::insn::{op, Insn, Program};
+use xbgp_vm::isa::{Form, Imm, ISA};
 
 /// An assembly error with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +47,8 @@ enum OffExpr {
 struct Line {
     source_line: usize,
     mnemonic: String,
+    /// Index in [`ISA`] of the first row named `mnemonic`.
+    first: usize,
     operands: Vec<Operand>,
 }
 
@@ -138,117 +141,14 @@ fn strip_comment(line: &str) -> &str {
     &line[..end]
 }
 
-/// How many slots a mnemonic occupies.
-fn slot_count(mnemonic: &str) -> usize {
-    if mnemonic == "lddw" {
-        2
-    } else {
-        1
-    }
-}
-
-struct MnemonicInfo {
-    /// Base opcode without the SRC bit (which depends on operand kind).
-    kind: MnKind,
-}
-
-enum MnKind {
-    /// ALU op with reg/imm source. `(op_bits, is64)`
-    Alu(u8, bool),
-    /// NEG: unary.
-    Neg(bool),
-    /// Byte swap: `(width, to_big_endian)`.
-    End(i32, bool),
-    /// Conditional jump `(op_bits, is64)`.
-    Jcond(u8, bool),
-    Ja,
-    Call,
-    Exit,
-    /// `ldx` with size bits.
-    Ldx(u8),
-    /// `stx` with size bits.
-    Stx(u8),
-    /// `st` (immediate store) with size bits.
-    St(u8),
-    Lddw,
-}
-
-fn mnemonic_info(m: &str) -> Option<MnemonicInfo> {
-    use MnKind::*;
-    let kind = match m {
-        "add" => Alu(op::ALU_ADD, true),
-        "sub" => Alu(op::ALU_SUB, true),
-        "mul" => Alu(op::ALU_MUL, true),
-        "div" => Alu(op::ALU_DIV, true),
-        "or" => Alu(op::ALU_OR, true),
-        "and" => Alu(op::ALU_AND, true),
-        "lsh" => Alu(op::ALU_LSH, true),
-        "rsh" => Alu(op::ALU_RSH, true),
-        "mod" => Alu(op::ALU_MOD, true),
-        "xor" => Alu(op::ALU_XOR, true),
-        "mov" => Alu(op::ALU_MOV, true),
-        "arsh" => Alu(op::ALU_ARSH, true),
-        "add32" => Alu(op::ALU_ADD, false),
-        "sub32" => Alu(op::ALU_SUB, false),
-        "mul32" => Alu(op::ALU_MUL, false),
-        "div32" => Alu(op::ALU_DIV, false),
-        "or32" => Alu(op::ALU_OR, false),
-        "and32" => Alu(op::ALU_AND, false),
-        "lsh32" => Alu(op::ALU_LSH, false),
-        "rsh32" => Alu(op::ALU_RSH, false),
-        "mod32" => Alu(op::ALU_MOD, false),
-        "xor32" => Alu(op::ALU_XOR, false),
-        "mov32" => Alu(op::ALU_MOV, false),
-        "arsh32" => Alu(op::ALU_ARSH, false),
-        "neg" => Neg(true),
-        "neg32" => Neg(false),
-        "be16" => End(16, true),
-        "be32" => End(32, true),
-        "be64" => End(64, true),
-        "le16" => End(16, false),
-        "le32" => End(32, false),
-        "le64" => End(64, false),
-        "jeq" => Jcond(op::JMP_JEQ, true),
-        "jgt" => Jcond(op::JMP_JGT, true),
-        "jge" => Jcond(op::JMP_JGE, true),
-        "jlt" => Jcond(op::JMP_JLT, true),
-        "jle" => Jcond(op::JMP_JLE, true),
-        "jset" => Jcond(op::JMP_JSET, true),
-        "jne" => Jcond(op::JMP_JNE, true),
-        "jsgt" => Jcond(op::JMP_JSGT, true),
-        "jsge" => Jcond(op::JMP_JSGE, true),
-        "jslt" => Jcond(op::JMP_JSLT, true),
-        "jsle" => Jcond(op::JMP_JSLE, true),
-        "jeq32" => Jcond(op::JMP_JEQ, false),
-        "jgt32" => Jcond(op::JMP_JGT, false),
-        "jge32" => Jcond(op::JMP_JGE, false),
-        "jlt32" => Jcond(op::JMP_JLT, false),
-        "jle32" => Jcond(op::JMP_JLE, false),
-        "jset32" => Jcond(op::JMP_JSET, false),
-        "jne32" => Jcond(op::JMP_JNE, false),
-        "jsgt32" => Jcond(op::JMP_JSGT, false),
-        "jsge32" => Jcond(op::JMP_JSGE, false),
-        "jslt32" => Jcond(op::JMP_JSLT, false),
-        "jsle32" => Jcond(op::JMP_JSLE, false),
-        "ja" => Ja,
-        "call" => Call,
-        "exit" => Exit,
-        "ldxb" => Ldx(op::SIZE_B),
-        "ldxh" => Ldx(op::SIZE_H),
-        "ldxw" => Ldx(op::SIZE_W),
-        "ldxdw" => Ldx(op::SIZE_DW),
-        "stxb" => Stx(op::SIZE_B),
-        "stxh" => Stx(op::SIZE_H),
-        "stxw" => Stx(op::SIZE_W),
-        "stxdw" => Stx(op::SIZE_DW),
-        "stb" => St(op::SIZE_B),
-        "sth" => St(op::SIZE_H),
-        "stw" => St(op::SIZE_W),
-        "stdw" => St(op::SIZE_DW),
-        "lddw" => Lddw,
-        _ => return None,
-    };
-    Some(MnemonicInfo { kind })
+/// Whether `operands` have the shape `form` takes.
+fn fits(form: Form, operands: &[Operand]) -> bool {
+    slots(form).count() == operands.len()
+        && slots(form).zip(operands).all(|(slot, opnd)| match slot {
+            Slot::Dst | Slot::Src => matches!(opnd, Operand::Reg(_)),
+            Slot::Imm | Slot::Off => matches!(opnd, Operand::Imm(_) | Operand::Name(_)),
+            Slot::MemDst | Slot::MemSrc => matches!(opnd, Operand::Mem(..)),
+        })
 }
 
 /// Assemble with an empty external symbol table.
@@ -318,11 +218,11 @@ pub fn assemble_with_symbols(src: &str, external: &Symbols) -> Result<Program, A
                 .map(|t| parse_operand(t, lineno))
                 .collect::<Result<Vec<_>, _>>()?
         };
-        if mnemonic_info(&mnemonic).is_none() {
+        let Some(first) = ISA.iter().position(|r| r.name == mnemonic) else {
             return err(lineno, format!("unknown mnemonic `{mnemonic}`"));
-        }
-        pc += slot_count(&mnemonic);
-        lines.push(Line { source_line: lineno, mnemonic, operands });
+        };
+        pc += if ISA[first].opcode == op::LDDW { 2 } else { 1 };
+        lines.push(Line { source_line: lineno, mnemonic, first, operands });
     }
 
     // Pass 2: encode.
@@ -339,7 +239,14 @@ pub fn assemble_with_symbols(src: &str, external: &Symbols) -> Result<Program, A
 
     for line in &lines {
         let ln = line.source_line;
-        let info = mnemonic_info(&line.mnemonic).expect("validated in pass 1");
+        // A name has one row, or a constant-operand row and then a
+        // register-operand one: take the row the operands fit, else the
+        // first, whose shape the errors below then describe.
+        let row = ISA[line.first..]
+            .iter()
+            .filter(|r| r.name == line.mnemonic)
+            .find(|r| fits(r.form, &line.operands))
+            .unwrap_or(&ISA[line.first]);
         let cur_pc = insns.len();
         // Resolve a jump-target operand to a relative i16 offset.
         let jump_off = |opnd: &Operand| -> Result<i16, AsmError> {
@@ -404,111 +311,35 @@ pub fn assemble_with_symbols(src: &str, external: &Symbols) -> Result<Program, A
                 _ => err(ln, "expected `[reg+off]`"),
             }
         };
-        let want = |n: usize| -> Result<(), AsmError> {
-            if line.operands.len() == n {
-                Ok(())
-            } else {
-                err(
-                    ln,
-                    format!(
-                        "`{}` takes {n} operand(s), got {}",
-                        line.mnemonic,
-                        line.operands.len()
-                    ),
-                )
-            }
-        };
-
-        match info.kind {
-            MnKind::Alu(opb, is64) => {
-                want(2)?;
-                let cls = if is64 { op::CLS_ALU64 } else { op::CLS_ALU };
-                let dst = reg_of(&line.operands[0])?;
-                match &line.operands[1] {
-                    Operand::Reg(src) => {
-                        insns.push(Insn::new(cls | opb | op::SRC_X, dst, *src, 0, 0))
-                    }
-                    other => {
-                        let imm = imm32_of(other)?;
-                        insns.push(Insn::new(cls | opb | op::SRC_K, dst, 0, 0, imm));
-                    }
+        let want = slots(row.form).count();
+        if line.operands.len() != want {
+            return err(
+                ln,
+                format!("`{}` takes {want} operand(s), got {}", line.mnemonic, line.operands.len()),
+            );
+        }
+        let mut insn = Insn::new(row.opcode, 0, 0, 0, 0);
+        let mut hi = None;
+        for (slot, opnd) in slots(row.form).zip(&line.operands) {
+            match slot {
+                Slot::Dst => insn.dst = reg_of(opnd)?,
+                Slot::Src => insn.src = reg_of(opnd)?,
+                Slot::Imm if row.opcode == op::LDDW => {
+                    let v = imm_of(opnd)? as u64;
+                    insn.imm = v as u32 as i32;
+                    hi = Some(Insn::new(0, 0, 0, 0, (v >> 32) as u32 as i32));
                 }
-            }
-            MnKind::Neg(is64) => {
-                want(1)?;
-                let cls = if is64 { op::CLS_ALU64 } else { op::CLS_ALU };
-                insns.push(Insn::new(cls | op::ALU_NEG, reg_of(&line.operands[0])?, 0, 0, 0));
-            }
-            MnKind::End(width, to_be) => {
-                want(1)?;
-                let src_bit = if to_be { op::SRC_X } else { op::SRC_K };
-                insns.push(Insn::new(
-                    op::CLS_ALU | op::ALU_END | src_bit,
-                    reg_of(&line.operands[0])?,
-                    0,
-                    0,
-                    width,
-                ));
-            }
-            MnKind::Jcond(opb, is64) => {
-                want(3)?;
-                let cls = if is64 { op::CLS_JMP } else { op::CLS_JMP32 };
-                let dst = reg_of(&line.operands[0])?;
-                let off = jump_off(&line.operands[2])?;
-                match &line.operands[1] {
-                    Operand::Reg(src) => {
-                        insns.push(Insn::new(cls | opb | op::SRC_X, dst, *src, off, 0))
-                    }
-                    other => {
-                        let imm = imm32_of(other)?;
-                        insns.push(Insn::new(cls | opb | op::SRC_K, dst, 0, off, imm));
-                    }
-                }
-            }
-            MnKind::Ja => {
-                want(1)?;
-                let off = jump_off(&line.operands[0])?;
-                insns.push(Insn::new(op::CLS_JMP | op::JMP_JA, 0, 0, off, 0));
-            }
-            MnKind::Call => {
-                want(1)?;
-                let id = imm_of(&line.operands[0])?;
-                let id32 = u32::try_from(id).map_err(|_| AsmError {
-                    line: ln,
-                    message: format!("helper id {id} invalid"),
-                })?;
-                insns.push(Insn::new(op::CLS_JMP | op::JMP_CALL, 0, 0, 0, id32 as i32));
-            }
-            MnKind::Exit => {
-                want(0)?;
-                insns.push(Insn::new(op::CLS_JMP | op::JMP_EXIT, 0, 0, 0, 0));
-            }
-            MnKind::Ldx(size) => {
-                want(2)?;
-                let dst = reg_of(&line.operands[0])?;
-                let (src, off) = mem_of(&line.operands[1])?;
-                insns.push(Insn::new(op::CLS_LDX | size | op::MODE_MEM, dst, src, off, 0));
-            }
-            MnKind::Stx(size) => {
-                want(2)?;
-                let (dst, off) = mem_of(&line.operands[0])?;
-                let src = reg_of(&line.operands[1])?;
-                insns.push(Insn::new(op::CLS_STX | size | op::MODE_MEM, dst, src, off, 0));
-            }
-            MnKind::St(size) => {
-                want(2)?;
-                let (dst, off) = mem_of(&line.operands[0])?;
-                let imm = imm32_of(&line.operands[1])?;
-                insns.push(Insn::new(op::CLS_ST | size | op::MODE_MEM, dst, 0, off, imm));
-            }
-            MnKind::Lddw => {
-                want(2)?;
-                let dst = reg_of(&line.operands[0])?;
-                let v = imm_of(&line.operands[1])? as u64;
-                insns.push(Insn::new(op::LDDW, dst, 0, 0, v as u32 as i32));
-                insns.push(Insn::new(0, 0, 0, 0, (v >> 32) as u32 as i32));
+                Slot::Imm => insn.imm = imm32_of(opnd)?,
+                Slot::Off => insn.offset = jump_off(opnd)?,
+                Slot::MemDst => (insn.dst, insn.offset) = mem_of(opnd)?,
+                Slot::MemSrc => (insn.src, insn.offset) = mem_of(opnd)?,
             }
         }
+        if let Imm::Width(w) = row.form.imm {
+            insn.imm = w;
+        }
+        insns.push(insn);
+        insns.extend(hi);
     }
     Ok(Program::new(insns))
 }

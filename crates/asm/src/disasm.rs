@@ -1,69 +1,19 @@
 //! Disassembler: renders a program back into assembler-compatible text.
 //!
 //! The output of [`disassemble`] reassembles to identical bytecode, which
-//! the round-trip tests rely on.
+//! the round-trip tests rely on. Names and operand shapes come from the
+//! ISA table, as in the assembler.
 
+use crate::{slots, Slot};
+use std::fmt::Write;
 use xbgp_vm::insn::{op, Program};
+use xbgp_vm::isa;
 
-fn alu_name(opb: u8) -> &'static str {
-    match opb {
-        op::ALU_ADD => "add",
-        op::ALU_SUB => "sub",
-        op::ALU_MUL => "mul",
-        op::ALU_DIV => "div",
-        op::ALU_OR => "or",
-        op::ALU_AND => "and",
-        op::ALU_LSH => "lsh",
-        op::ALU_RSH => "rsh",
-        op::ALU_MOD => "mod",
-        op::ALU_XOR => "xor",
-        op::ALU_MOV => "mov",
-        op::ALU_ARSH => "arsh",
-        _ => "?",
-    }
-}
-
-fn jmp_name(opb: u8) -> &'static str {
-    match opb {
-        op::JMP_JEQ => "jeq",
-        op::JMP_JGT => "jgt",
-        op::JMP_JGE => "jge",
-        op::JMP_JLT => "jlt",
-        op::JMP_JLE => "jle",
-        op::JMP_JSET => "jset",
-        op::JMP_JNE => "jne",
-        op::JMP_JSGT => "jsgt",
-        op::JMP_JSGE => "jsge",
-        op::JMP_JSLT => "jslt",
-        op::JMP_JSLE => "jsle",
-        _ => "?",
-    }
-}
-
-fn size_suffix(opcode: u8) -> &'static str {
-    match opcode & op::SIZE_MASK {
-        op::SIZE_B => "b",
-        op::SIZE_H => "h",
-        op::SIZE_W => "w",
-        _ => "dw",
-    }
-}
-
-fn mem_operand(reg: u8, off: i16) -> String {
+fn mem_operand(out: &mut String, reg: u8, off: i16) -> std::fmt::Result {
     if off == 0 {
-        format!("[r{reg}]")
-    } else if off > 0 {
-        format!("[r{reg}+{off}]")
+        write!(out, "[r{reg}]")
     } else {
-        format!("[r{reg}{off}]")
-    }
-}
-
-fn signed_off(off: i16) -> String {
-    if off >= 0 {
-        format!("+{off}")
-    } else {
-        format!("{off}")
+        write!(out, "[r{reg}{off:+}]")
     }
 }
 
@@ -74,73 +24,29 @@ pub fn disassemble(prog: &Program) -> String {
     let mut pc = 0;
     while pc < insns.len() {
         let i = insns[pc];
-        let cls = i.class();
-        let line = match cls {
-            op::CLS_ALU | op::CLS_ALU64 => {
-                let suffix = if cls == op::CLS_ALU64 { "" } else { "32" };
-                let opb = i.opcode & op::ALU_OP_MASK;
-                match opb {
-                    op::ALU_NEG => format!("neg{suffix} r{}", i.dst),
-                    op::ALU_END => {
-                        let dir = if i.opcode & op::SRC_X != 0 { "be" } else { "le" };
-                        format!("{dir}{} r{}", i.imm, i.dst)
-                    }
-                    _ => {
-                        if i.opcode & op::SRC_X != 0 {
-                            format!("{}{suffix} r{}, r{}", alu_name(opb), i.dst, i.src)
-                        } else {
-                            format!("{}{suffix} r{}, {}", alu_name(opb), i.dst, i.imm)
-                        }
-                    }
-                }
-            }
-            op::CLS_JMP | op::CLS_JMP32 => {
-                let suffix = if cls == op::CLS_JMP { "" } else { "32" };
-                let opb = i.opcode & op::ALU_OP_MASK;
-                match opb {
-                    op::JMP_JA => format!("ja {}", signed_off(i.offset)),
-                    op::JMP_CALL => format!("call {}", i.imm as u32),
-                    op::JMP_EXIT => "exit".to_string(),
-                    _ => {
-                        if i.opcode & op::SRC_X != 0 {
-                            format!(
-                                "{}{suffix} r{}, r{}, {}",
-                                jmp_name(opb),
-                                i.dst,
-                                i.src,
-                                signed_off(i.offset)
-                            )
-                        } else {
-                            format!(
-                                "{}{suffix} r{}, {}, {}",
-                                jmp_name(opb),
-                                i.dst,
-                                i.imm,
-                                signed_off(i.offset)
-                            )
-                        }
-                    }
-                }
-            }
-            op::CLS_LD => {
-                // lddw pair.
-                let hi = insns.get(pc + 1).map(|h| h.imm as u32).unwrap_or(0);
-                let v = u64::from(i.imm as u32) | (u64::from(hi) << 32);
-                pc += 1;
-                format!("lddw r{}, {:#x}", i.dst, v)
-            }
-            op::CLS_LDX => {
-                format!("ldx{} r{}, {}", size_suffix(i.opcode), i.dst, mem_operand(i.src, i.offset))
-            }
-            op::CLS_STX => {
-                format!("stx{} {}, r{}", size_suffix(i.opcode), mem_operand(i.dst, i.offset), i.src)
-            }
-            op::CLS_ST => {
-                format!("st{} {}, {}", size_suffix(i.opcode), mem_operand(i.dst, i.offset), i.imm)
-            }
-            _ => format!("; unknown opcode {:#04x}", i.opcode),
+        let Some(row) = isa::lookup(i.opcode, i.imm) else {
+            let _ = writeln!(out, "; unknown opcode {:#04x}", i.opcode);
+            pc += 1;
+            continue;
         };
-        out.push_str(&line);
+        out.push_str(row.name);
+        for (k, slot) in slots(row.form).enumerate() {
+            out.push_str(if k == 0 { " " } else { ", " });
+            let _ = match slot {
+                Slot::Dst => write!(out, "r{}", i.dst),
+                Slot::Src => write!(out, "r{}", i.src),
+                Slot::Imm if row.opcode == op::LDDW => {
+                    // The second slot carries the upper half.
+                    pc += 1;
+                    let hi = insns.get(pc).map_or(0, |h| h.imm as u32);
+                    write!(out, "{:#x}", u64::from(i.imm as u32) | (u64::from(hi) << 32))
+                }
+                Slot::Imm => write!(out, "{}", i.imm),
+                Slot::Off => write!(out, "{:+}", i.offset),
+                Slot::MemDst => mem_operand(&mut out, i.dst, i.offset),
+                Slot::MemSrc => mem_operand(&mut out, i.src, i.offset),
+            };
+        }
         out.push('\n');
         pc += 1;
     }

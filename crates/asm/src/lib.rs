@@ -39,6 +39,44 @@ pub use asm::{assemble, assemble_with_symbols, AsmError};
 pub use disasm::disassemble;
 
 use std::collections::HashMap;
+use xbgp_vm::isa::{Dst, Form, Imm, Off};
+
+/// One operand position in the text of an instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// `rD`
+    Dst,
+    /// `rS`
+    Src,
+    /// A constant or symbol (`lddw`'s is 64-bit).
+    Imm,
+    /// A jump: label or `+N`.
+    Off,
+    /// `[rD+off]`, a store's destination.
+    MemDst,
+    /// `[rS+off]`, a load's source.
+    MemSrc,
+}
+
+/// The operands an instruction takes in source order, from what its form
+/// reads: `ldxw r0, [r1+4]`, `stxw [r10-8], r1`, `stb [r10-1], 7`, and
+/// otherwise `dst`, then `src` or `imm`, then the jump (`jeq r1, 5, out`).
+fn slots(f: Form) -> impl Iterator<Item = Slot> {
+    let on = |s: Slot, present: bool| present.then_some(s);
+    let list = match f.off {
+        Off::Mem if f.dst.writes() => [Some(Slot::Dst), Some(Slot::MemSrc), None, None],
+        Off::Mem => {
+            [Some(Slot::MemDst), Some(if f.src { Slot::Src } else { Slot::Imm }), None, None]
+        }
+        _ => [
+            on(Slot::Dst, f.dst != Dst::Unused),
+            on(Slot::Src, f.src),
+            on(Slot::Imm, f.imm == Imm::Operand),
+            on(Slot::Off, f.off == Off::Jump),
+        ],
+    };
+    list.into_iter().flatten()
+}
 
 /// A symbol table mapping names (helper functions, ABI constants) to
 /// numeric values for use as immediates or call targets.
@@ -57,12 +95,13 @@ where
 mod tests {
     use super::*;
     use xbgp_vm::insn::{build, op};
-    use xbgp_vm::{ExecOutcome, MemoryMap, NoHelpers, Vm};
+    use xbgp_vm::{ExecOutcome, LoadedProgram, MemoryMap, NoHelpers, VmConfig};
 
     fn run(src: &str) -> u64 {
         let prog = assemble(src).expect("assembles");
         let mut mem = MemoryMap::new();
-        match Vm::new(&prog).run(&mut mem, &mut NoHelpers, &[]).unwrap() {
+        let lp = LoadedProgram::load(&prog);
+        match lp.run(VmConfig::default(), &mut mem, &mut NoHelpers, &[]).unwrap() {
             ExecOutcome::Return(v) => v,
             ExecOutcome::Next => panic!("unexpected next"),
         }

@@ -359,6 +359,24 @@ mod tests {
         }
     }
 
+    /// DESIGN.md §7 lists the helpers by name, in id order; it must list
+    /// exactly the ones in [`helper::TABLE`].
+    #[test]
+    fn design_section_7_lists_the_helper_table() {
+        let design = include_str!("../../../DESIGN.md");
+        let start = design.find("\n## 7.").expect("DESIGN.md has a section 7");
+        let section = &design[start + 1..];
+        let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+        let listed: Vec<&str> = section
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .filter(|w| w.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'))
+            .collect();
+        let table: Vec<&str> = helper::TABLE.iter().map(|(n, _)| *n).collect();
+        assert_eq!(listed, table);
+    }
+
     #[test]
     fn peer_info_layout_matches_offsets() {
         let pi = PeerInfo {

@@ -778,28 +778,45 @@ mod disasm_round_trip {
     use super::*;
     use xbgp_asm::disassemble;
 
+    /// Every shipped program, with the FNV-1a digest of its bytecode.
+    fn shipped() -> [(&'static str, String, u64); 11] {
+        [
+            ("export_igp", igp_filter::SOURCE.into(), 0xef8b_78f9_22a9_3ea4),
+            ("geoloc_recv", geoloc::SRC_RECV.into(), 0x426f_aa71_d865_7c7e),
+            ("geoloc_inbound", geoloc::SRC_INBOUND.into(), 0xdbc5_4a87_e99f_2a23),
+            ("geoloc_out", geoloc::SRC_OUTBOUND.into(), 0x0a0f_726b_f4fe_e171),
+            ("geoloc_encode", geoloc::SRC_ENCODE.into(), 0x2d4e_12ab_e3ed_c409),
+            ("rr_inbound", route_reflect::SRC_INBOUND.into(), 0x7e20_5907_88fe_8049),
+            ("rr_outbound", route_reflect::SRC_OUTBOUND.into(), 0x0f56_58b2_1f4d_c48d),
+            ("rr_encode", route_reflect::SRC_ENCODE.into(), 0x0e3a_5af9_abf6_e938),
+            ("valley_free", valley_free::SOURCE.into(), 0x7a82_4dab_e0dc_7f27),
+            ("rov_check", origin_validation::SOURCE.into(), 0x4ad1_a264_4719_da33),
+            ("fault_inject", fault_inject::source(3), 0x739c_a0c0_a05a_46f3),
+        ]
+    }
+
     /// Every bundled program disassembles to text that reassembles to the
     /// identical bytecode — the `xbgp-as -d` / `xbgp-as` loop is lossless.
     #[test]
     fn all_bundled_programs_survive_disassembly() {
-        let sources = [
-            igp_filter::SOURCE,
-            geoloc::SRC_RECV,
-            geoloc::SRC_INBOUND,
-            geoloc::SRC_OUTBOUND,
-            geoloc::SRC_ENCODE,
-            route_reflect::SRC_INBOUND,
-            route_reflect::SRC_OUTBOUND,
-            route_reflect::SRC_ENCODE,
-            valley_free::SOURCE,
-            origin_validation::SOURCE,
-        ];
-        for (i, src) in sources.iter().enumerate() {
-            let prog = assemble(src);
+        for (name, src, _) in shipped() {
+            let prog = assemble(&src);
             let text = disassemble(&prog);
             let back = xbgp_asm::assemble(&text)
-                .unwrap_or_else(|e| panic!("program {i} disassembly reassembles: {e}"));
-            assert_eq!(prog.to_bytes(), back.to_bytes(), "program {i} bytecode differs");
+                .unwrap_or_else(|e| panic!("{name} disassembly reassembles: {e}"));
+            assert_eq!(prog.to_bytes(), back.to_bytes(), "{name} bytecode differs");
+        }
+    }
+
+    /// The assembler emits the same bytes for every shipped program as it
+    /// did before it read the ISA table.
+    #[test]
+    fn shipped_bytecode_is_pinned() {
+        for (name, src, digest) in shipped() {
+            let fnv = assemble(&src).to_bytes().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!(fnv, digest, "{name}: {fnv:#018x}");
         }
     }
 }

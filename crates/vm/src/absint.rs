@@ -47,7 +47,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use crate::insn::{mnemonic, Program};
+use crate::insn::{mnemonic, op, Program};
+use crate::isa::{self, Form, Imm, Off};
 use crate::prep::{elide, DInsn, DOp, LoadedProgram};
 use crate::verify::VerifyError;
 use crate::{STACK_BASE, STACK_SIZE};
@@ -598,56 +599,32 @@ enum Ck {
     Set,
 }
 
-/// `(condition, is_32bit, is_imm)` for conditional jumps; `None` otherwise.
+/// The ISA form of a decoded op; `None` for `DivZero` and `Trap`, which
+/// read and write nothing.
+fn form(op: DOp) -> Option<Form> {
+    isa::row_of(op).map(|r| r.form)
+}
+
+/// `(condition, is_32bit, is_imm)` for conditional jumps (jumps that read
+/// `dst`); `None` otherwise.
 fn branch_parts(op: DOp) -> Option<(Ck, bool, bool)> {
-    use DOp::*;
-    Some(match op {
-        Jeq64Imm => (Ck::Eq, false, true),
-        Jeq64Reg => (Ck::Eq, false, false),
-        Jeq32Imm => (Ck::Eq, true, true),
-        Jeq32Reg => (Ck::Eq, true, false),
-        Jne64Imm => (Ck::Ne, false, true),
-        Jne64Reg => (Ck::Ne, false, false),
-        Jne32Imm => (Ck::Ne, true, true),
-        Jne32Reg => (Ck::Ne, true, false),
-        Jgt64Imm => (Ck::Gt, false, true),
-        Jgt64Reg => (Ck::Gt, false, false),
-        Jgt32Imm => (Ck::Gt, true, true),
-        Jgt32Reg => (Ck::Gt, true, false),
-        Jge64Imm => (Ck::Ge, false, true),
-        Jge64Reg => (Ck::Ge, false, false),
-        Jge32Imm => (Ck::Ge, true, true),
-        Jge32Reg => (Ck::Ge, true, false),
-        Jlt64Imm => (Ck::Lt, false, true),
-        Jlt64Reg => (Ck::Lt, false, false),
-        Jlt32Imm => (Ck::Lt, true, true),
-        Jlt32Reg => (Ck::Lt, true, false),
-        Jle64Imm => (Ck::Le, false, true),
-        Jle64Reg => (Ck::Le, false, false),
-        Jle32Imm => (Ck::Le, true, true),
-        Jle32Reg => (Ck::Le, true, false),
-        Jsgt64Imm => (Ck::Sgt, false, true),
-        Jsgt64Reg => (Ck::Sgt, false, false),
-        Jsgt32Imm => (Ck::Sgt, true, true),
-        Jsgt32Reg => (Ck::Sgt, true, false),
-        Jsge64Imm => (Ck::Sge, false, true),
-        Jsge64Reg => (Ck::Sge, false, false),
-        Jsge32Imm => (Ck::Sge, true, true),
-        Jsge32Reg => (Ck::Sge, true, false),
-        Jslt64Imm => (Ck::Slt, false, true),
-        Jslt64Reg => (Ck::Slt, false, false),
-        Jslt32Imm => (Ck::Slt, true, true),
-        Jslt32Reg => (Ck::Slt, true, false),
-        Jsle64Imm => (Ck::Sle, false, true),
-        Jsle64Reg => (Ck::Sle, false, false),
-        Jsle32Imm => (Ck::Sle, true, true),
-        Jsle32Reg => (Ck::Sle, true, false),
-        Jset64Imm => (Ck::Set, false, true),
-        Jset64Reg => (Ck::Set, false, false),
-        Jset32Imm => (Ck::Set, true, true),
-        Jset32Reg => (Ck::Set, true, false),
+    let row = isa::row_of(op).filter(|r| r.form.off == Off::Jump && r.form.dst.reads())?;
+    let ck = match row.opcode & op::ALU_OP_MASK {
+        op::JMP_JEQ => Ck::Eq,
+        op::JMP_JNE => Ck::Ne,
+        op::JMP_JGT => Ck::Gt,
+        op::JMP_JGE => Ck::Ge,
+        op::JMP_JLT => Ck::Lt,
+        op::JMP_JLE => Ck::Le,
+        op::JMP_JSGT => Ck::Sgt,
+        op::JMP_JSGE => Ck::Sge,
+        op::JMP_JSLT => Ck::Slt,
+        op::JMP_JSLE => Ck::Sle,
+        op::JMP_JSET => Ck::Set,
         _ => return None,
-    })
+    };
+    let is32 = row.opcode & op::CLS_MASK == op::CLS_JMP32;
+    Some((ck, is32, row.form.imm == Imm::Operand))
 }
 
 fn invert(ck: Ck) -> Option<Ck> {
@@ -1103,82 +1080,35 @@ fn step_call(st: &mut State, ins: &DInsn, pc: usize, opts: &AnalysisOptions) {
 
 /// Width in bytes of a memory access op, with `true` for stores.
 fn mem_parts(op: DOp) -> Option<(i64, bool)> {
-    use DOp::*;
-    Some(match op {
-        LdxB => (1, false),
-        LdxH => (2, false),
-        LdxW => (4, false),
-        LdxDw => (8, false),
-        StB | StxB => (1, true),
-        StH | StxH => (2, true),
-        StW | StxW => (4, true),
-        StDw | StxDw => (8, true),
-        _ => return None,
-    })
+    let row = isa::row_of(op).filter(|r| r.form.off == Off::Mem)?;
+    Some((i64::from(isa::access_size(row.opcode)), !row.form.dst.writes()))
 }
 
 /// Registers read by an instruction, as a bitmask, for uninit detection.
 /// `Call` is deliberately empty (argument arity is unknown — fail open).
 fn uses_mask(ins: &DInsn) -> u16 {
-    use DOp::*;
-    let d = 1u16 << ins.dst;
-    let s = 1u16 << ins.src;
-    match ins.op {
-        Mov64Imm | Mov32Imm | LdDw | Ja | Call | Trap | DivZero => 0,
-        Mov64Reg | Mov32Reg => s,
-        Exit => 1, // r0
-        LdxDw | LdxW | LdxH | LdxB => s,
-        StDw | StW | StH | StB => d,
-        StxDw | StxW | StxH | StxB => d | s,
-        op if branch_parts(op).is_some() => {
-            if branch_parts(op).is_some_and(|(_, _, imm)| imm) {
-                d
-            } else {
-                d | s
-            }
-        }
-        // Remaining ALU/byteswap forms read dst, reg forms also read src.
-        Add64Reg | Sub64Reg | Mul64Reg | Div64Reg | Mod64Reg | Or64Reg | And64Reg | Xor64Reg
-        | Lsh64Reg | Rsh64Reg | Arsh64Reg | Add32Reg | Sub32Reg | Mul32Reg | Div32Reg
-        | Mod32Reg | Or32Reg | And32Reg | Xor32Reg | Lsh32Reg | Rsh32Reg | Arsh32Reg => d | s,
-        _ => d,
+    if ins.op == DOp::Exit {
+        return 1; // r0
     }
+    form(ins.op).map_or(0, |f| {
+        let d = if f.dst.reads() { 1u16 << ins.dst } else { 0 };
+        let s = if f.src { 1u16 << ins.src } else { 0 };
+        d | s
+    })
 }
 
 /// Register defined by an instruction (excluding `Call`'s clobbers).
 fn def_reg(ins: &DInsn) -> Option<u8> {
-    use DOp::*;
-    match ins.op {
-        StDw | StW | StH | StB | StxDw | StxW | StxH | StxB | Ja | Exit | Trap | DivZero => None,
-        op if branch_parts(op).is_some() => None,
-        Call => Some(0),
-        _ => Some(ins.dst),
+    if ins.op == DOp::Call {
+        return Some(0);
     }
+    form(ins.op).filter(|f| f.dst.writes()).map(|_| ins.dst)
 }
 
-/// Whether a def is side-effect-free (safe to call "dead" in lint output).
+/// Whether a def is side-effect-free (safe to call "dead" in lint
+/// output): loads can fault and calls have effects.
 fn pure_def(op: DOp) -> bool {
-    use DOp::*;
-    !matches!(
-        op,
-        LdxDw
-            | LdxW
-            | LdxH
-            | LdxB
-            | Call
-            | StDw
-            | StW
-            | StH
-            | StB
-            | StxDw
-            | StxW
-            | StxH
-            | StxB
-            | Ja
-            | Exit
-            | Trap
-            | DivZero
-    ) && branch_parts(op).is_none()
+    form(op).is_some_and(|f| f.dst.writes() && f.off != Off::Mem)
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@
 
 use std::fmt;
 
+pub use crate::isa::mnemonic;
+
 /// Opcode class and operation constants (mirrors `linux/bpf.h`).
 pub mod op {
     // Instruction classes (low 3 bits).
@@ -137,220 +139,6 @@ impl fmt::Display for Insn {
             self.offset,
             self.imm
         )
-    }
-}
-
-/// Assembler mnemonic for an opcode byte, or `"?"` for anything outside the
-/// implemented ISA. Diagnostics (verifier errors, lint output, runtime
-/// postmortems) use this so operators never have to decode raw bytes.
-pub fn mnemonic(opcode: u8) -> &'static str {
-    let w32 = opcode & op::CLS_MASK == op::CLS_ALU || opcode & op::CLS_MASK == op::CLS_JMP32;
-    match opcode & op::CLS_MASK {
-        op::CLS_LD if opcode == op::LDDW => "lddw",
-        op::CLS_LD => "?",
-        op::CLS_LDX if opcode & op::MODE_MASK == op::MODE_MEM => match opcode & op::SIZE_MASK {
-            op::SIZE_B => "ldxb",
-            op::SIZE_H => "ldxh",
-            op::SIZE_W => "ldxw",
-            _ => "ldxdw",
-        },
-        op::CLS_ST if opcode & op::MODE_MASK == op::MODE_MEM => match opcode & op::SIZE_MASK {
-            op::SIZE_B => "stb",
-            op::SIZE_H => "sth",
-            op::SIZE_W => "stw",
-            _ => "stdw",
-        },
-        op::CLS_STX if opcode & op::MODE_MASK == op::MODE_MEM => match opcode & op::SIZE_MASK {
-            op::SIZE_B => "stxb",
-            op::SIZE_H => "stxh",
-            op::SIZE_W => "stxw",
-            _ => "stxdw",
-        },
-        op::CLS_ALU | op::CLS_ALU64 => match opcode & op::ALU_OP_MASK {
-            op::ALU_ADD => {
-                if w32 {
-                    "add32"
-                } else {
-                    "add"
-                }
-            }
-            op::ALU_SUB => {
-                if w32 {
-                    "sub32"
-                } else {
-                    "sub"
-                }
-            }
-            op::ALU_MUL => {
-                if w32 {
-                    "mul32"
-                } else {
-                    "mul"
-                }
-            }
-            op::ALU_DIV => {
-                if w32 {
-                    "div32"
-                } else {
-                    "div"
-                }
-            }
-            op::ALU_OR => {
-                if w32 {
-                    "or32"
-                } else {
-                    "or"
-                }
-            }
-            op::ALU_AND => {
-                if w32 {
-                    "and32"
-                } else {
-                    "and"
-                }
-            }
-            op::ALU_LSH => {
-                if w32 {
-                    "lsh32"
-                } else {
-                    "lsh"
-                }
-            }
-            op::ALU_RSH => {
-                if w32 {
-                    "rsh32"
-                } else {
-                    "rsh"
-                }
-            }
-            op::ALU_NEG => {
-                if w32 {
-                    "neg32"
-                } else {
-                    "neg"
-                }
-            }
-            op::ALU_MOD => {
-                if w32 {
-                    "mod32"
-                } else {
-                    "mod"
-                }
-            }
-            op::ALU_XOR => {
-                if w32 {
-                    "xor32"
-                } else {
-                    "xor"
-                }
-            }
-            op::ALU_MOV => {
-                if w32 {
-                    "mov32"
-                } else {
-                    "mov"
-                }
-            }
-            op::ALU_ARSH => {
-                if w32 {
-                    "arsh32"
-                } else {
-                    "arsh"
-                }
-            }
-            op::ALU_END => {
-                if opcode & op::SRC_X != 0 {
-                    "be"
-                } else {
-                    "le"
-                }
-            }
-            _ => "?",
-        },
-        op::CLS_JMP | op::CLS_JMP32 => match opcode & op::ALU_OP_MASK {
-            op::JMP_JA if !w32 => "ja",
-            op::JMP_CALL if !w32 => "call",
-            op::JMP_EXIT if !w32 => "exit",
-            op::JMP_JEQ => {
-                if w32 {
-                    "jeq32"
-                } else {
-                    "jeq"
-                }
-            }
-            op::JMP_JNE => {
-                if w32 {
-                    "jne32"
-                } else {
-                    "jne"
-                }
-            }
-            op::JMP_JGT => {
-                if w32 {
-                    "jgt32"
-                } else {
-                    "jgt"
-                }
-            }
-            op::JMP_JGE => {
-                if w32 {
-                    "jge32"
-                } else {
-                    "jge"
-                }
-            }
-            op::JMP_JLT => {
-                if w32 {
-                    "jlt32"
-                } else {
-                    "jlt"
-                }
-            }
-            op::JMP_JLE => {
-                if w32 {
-                    "jle32"
-                } else {
-                    "jle"
-                }
-            }
-            op::JMP_JSET => {
-                if w32 {
-                    "jset32"
-                } else {
-                    "jset"
-                }
-            }
-            op::JMP_JSGT => {
-                if w32 {
-                    "jsgt32"
-                } else {
-                    "jsgt"
-                }
-            }
-            op::JMP_JSGE => {
-                if w32 {
-                    "jsge32"
-                } else {
-                    "jsge"
-                }
-            }
-            op::JMP_JSLT => {
-                if w32 {
-                    "jslt32"
-                } else {
-                    "jslt"
-                }
-            }
-            op::JMP_JSLE => {
-                if w32 {
-                    "jsle32"
-                } else {
-                    "jsle"
-                }
-            }
-            _ => "?",
-        },
-        _ => "?",
     }
 }
 

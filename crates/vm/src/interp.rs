@@ -6,7 +6,6 @@
 //! per-instruction work here is one match on a flat discriminant.
 
 use crate::error::VmError;
-use crate::insn::Program;
 use crate::mem::{ElideCtx, MemoryMap, Region, RegionKind};
 use crate::prep::{elide, DOp, LoadedProgram};
 use crate::{STACK_BASE, STACK_SIZE};
@@ -86,7 +85,7 @@ impl Default for VmConfig {
     }
 }
 
-/// Per-run execution metrics, reported by [`Vm::run_metered`].
+/// Per-run execution metrics, reported by [`LoadedProgram::run_metered`].
 ///
 /// Counting costs nothing on the interpreter hot path: instructions are
 /// already metered by the fuel counter, so `insns_retired` falls out of
@@ -540,47 +539,6 @@ impl LoadedProgram {
     }
 }
 
-/// The virtual machine: a pre-decoded program plus configuration. The
-/// memory map travels separately so the VMM can prepare it per invocation.
-pub struct Vm {
-    prog: LoadedProgram,
-    config: VmConfig,
-}
-
-impl Vm {
-    /// Pre-decode and wrap a (verified) program. Run [`crate::verify`]
-    /// first: the decoder is total, but only verification proves the
-    /// program free of trap instructions and invalid jumps.
-    pub fn new(prog: &Program) -> Vm {
-        Vm { prog: LoadedProgram::load(prog), config: VmConfig::default() }
-    }
-
-    pub fn with_config(prog: &Program, config: VmConfig) -> Vm {
-        Vm { prog: LoadedProgram::load(prog), config }
-    }
-
-    /// Execute the program. See [`LoadedProgram::run`].
-    pub fn run(
-        &self,
-        mem: &mut MemoryMap,
-        helpers: &mut dyn HelperDispatcher,
-        args: &[u64],
-    ) -> Result<ExecOutcome, VmError> {
-        self.prog.run(self.config, mem, helpers, args)
-    }
-
-    /// Execute the program and report [`RunMetrics`] alongside the outcome.
-    /// See [`LoadedProgram::run_metered`].
-    pub fn run_metered(
-        &self,
-        mem: &mut MemoryMap,
-        helpers: &mut dyn HelperDispatcher,
-        args: &[u64],
-    ) -> (Result<ExecOutcome, VmError>, RunMetrics) {
-        self.prog.run_metered(self.config, mem, helpers, args)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,7 +557,7 @@ mod tests {
     ) -> Result<ExecOutcome, VmError> {
         let prog = Program::new(insns);
         let mut mem = MemoryMap::new();
-        Vm::new(&prog).run(&mut mem, helpers, args)
+        LoadedProgram::load(&prog).run(VmConfig::default(), &mut mem, helpers, args)
     }
 
     fn ret(insns: Vec<Insn>) -> u64 {
@@ -812,9 +770,12 @@ mod tests {
     fn infinite_loop_is_stopped_by_fuel() {
         let prog = Program::new(vec![build::ja(-1)]);
         let mut mem = MemoryMap::new();
-        let vm = Vm::with_config(&prog, VmConfig { fuel: 1000 });
+        let lp = LoadedProgram::load(&prog);
         // The back-edge that trips the check is the jump at slot 0.
-        assert_eq!(vm.run(&mut mem, &mut NoHelpers, &[]), Err(VmError::FuelExhausted { pc: 0 }));
+        assert_eq!(
+            lp.run(VmConfig { fuel: 1000 }, &mut mem, &mut NoHelpers, &[]),
+            Err(VmError::FuelExhausted { pc: 0 })
+        );
     }
 
     #[test]
@@ -949,7 +910,9 @@ mod tests {
             0xc0a8_0101u32.to_be_bytes().to_vec(), // 192.168.1.1 in NBO
             false,
         ));
-        let out = Vm::new(&prog).run(&mut mem, &mut NoHelpers, &[crate::HOST_BUF_BASE]).unwrap();
+        let out = LoadedProgram::load(&prog)
+            .run(VmConfig::default(), &mut mem, &mut NoHelpers, &[crate::HOST_BUF_BASE])
+            .unwrap();
         assert_eq!(out, ExecOutcome::Return(0xc0a8_0101));
     }
 
@@ -964,7 +927,12 @@ mod tests {
             build::exit(),
         ]);
         let mut mem = MemoryMap::new();
-        let (out, m) = Vm::new(&prog).run_metered(&mut mem, &mut Doubler, &[]);
+        let (out, m) = LoadedProgram::load(&prog).run_metered(
+            VmConfig::default(),
+            &mut mem,
+            &mut Doubler,
+            &[],
+        );
         assert!(matches!(out, Ok(ExecOutcome::Return(_))));
         assert_eq!(m.insns_retired, 4);
         assert_eq!(m.helper_calls, 2);
@@ -976,7 +944,12 @@ mod tests {
         let [lo, hi] = build::lddw(0, 7);
         let prog = Program::new(vec![lo, hi, build::exit()]);
         let mut mem = MemoryMap::new();
-        let (out, m) = Vm::new(&prog).run_metered(&mut mem, &mut NoHelpers, &[]);
+        let (out, m) = LoadedProgram::load(&prog).run_metered(
+            VmConfig::default(),
+            &mut mem,
+            &mut NoHelpers,
+            &[],
+        );
         assert_eq!(out, Ok(ExecOutcome::Return(7)));
         assert_eq!(m.insns_retired, 2, "lddw retires as one instruction");
     }
@@ -985,8 +958,8 @@ mod tests {
     fn run_metered_reports_full_fuel_on_exhaustion() {
         let prog = Program::new(vec![build::ja(-1)]);
         let mut mem = MemoryMap::new();
-        let vm = Vm::with_config(&prog, VmConfig { fuel: 123 });
-        let (out, m) = vm.run_metered(&mut mem, &mut NoHelpers, &[]);
+        let lp = LoadedProgram::load(&prog);
+        let (out, m) = lp.run_metered(VmConfig { fuel: 123 }, &mut mem, &mut NoHelpers, &[]);
         assert_eq!(out, Err(VmError::FuelExhausted { pc: 0 }));
         assert_eq!(m.fuel_consumed, 123);
         assert_eq!(m.insns_retired, 123);
@@ -1000,8 +973,8 @@ mod tests {
         // overshooting by exactly its own length.
         let prog = Program::new(vec![build::mov_imm(0, 9), build::exit()]);
         let mut mem = MemoryMap::new();
-        let vm = Vm::with_config(&prog, VmConfig { fuel: 0 });
-        let (out, m) = vm.run_metered(&mut mem, &mut NoHelpers, &[]);
+        let lp = LoadedProgram::load(&prog);
+        let (out, m) = lp.run_metered(VmConfig { fuel: 0 }, &mut mem, &mut NoHelpers, &[]);
         assert_eq!(out, Ok(ExecOutcome::Return(9)));
         assert_eq!(m.insns_retired, 2);
     }
@@ -1012,8 +985,8 @@ mod tests {
         // run for free: the call site enforces the budget.
         let prog = Program::new(vec![build::call(1), build::exit()]);
         let mut mem = MemoryMap::new();
-        let vm = Vm::with_config(&prog, VmConfig { fuel: 0 });
-        let (out, _) = vm.run_metered(&mut mem, &mut Doubler, &[]);
+        let lp = LoadedProgram::load(&prog);
+        let (out, _) = lp.run_metered(VmConfig { fuel: 0 }, &mut mem, &mut Doubler, &[]);
         assert_eq!(out, Err(VmError::FuelExhausted { pc: 0 }));
     }
 
@@ -1030,8 +1003,8 @@ mod tests {
             let p = Program::new(insns);
             verify(&p, &helpers).unwrap();
             let mut mem = MemoryMap::new();
-            let vm = Vm::with_config(&p, VmConfig { fuel: 100 });
-            match vm.run(&mut mem, &mut NoHelpers, &[]) {
+            let lp = LoadedProgram::load(&p);
+            match lp.run(VmConfig { fuel: 100 }, &mut mem, &mut NoHelpers, &[]) {
                 Ok(_) | Err(VmError::FuelExhausted { .. }) => {}
                 other => panic!("unexpected: {other:?}"),
             }

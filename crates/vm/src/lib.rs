@@ -6,7 +6,9 @@
 //!
 //! * **Full BPF ISA**: 64/32-bit ALU, conditional jumps (JMP and JMP32
 //!   classes), byte/half/word/double-word loads and stores, `lddw`,
-//!   byte-swap (`END`) instructions, helper calls and `exit`.
+//!   byte-swap (`END`) instructions, helper calls and `exit`, all written
+//!   down once in [`isa::ISA`], which the verifier, the loader, the
+//!   abstract interpreter and the assembler read.
 //! * **Static verifier** ([`verify`]): jump-target validation, opcode
 //!   validation, register bounds, constant div/mod-by-zero rejection,
 //!   helper-id whitelisting, `lddw` pairing, and guaranteed absence of
@@ -32,6 +34,7 @@ pub mod absint;
 pub mod error;
 pub mod insn;
 pub mod interp;
+pub mod isa;
 pub mod mem;
 pub mod prep;
 pub mod verify;
@@ -41,7 +44,7 @@ pub use absint::{
 };
 pub use error::VmError;
 pub use insn::{Insn, Program};
-pub use interp::{ExecOutcome, HelperDispatcher, NoHelpers, RunMetrics, Vm, VmConfig};
+pub use interp::{ExecOutcome, HelperDispatcher, NoHelpers, RunMetrics, VmConfig};
 pub use mem::{MemoryMap, Region, RegionKind};
 pub use prep::LoadedProgram;
 pub use verify::{verify, verify_and_load, verify_and_load_with, VerifyError};

@@ -13,16 +13,20 @@
 //!   branch is an index assignment with no arithmetic or range check,
 //! * immediates are sign-extended once.
 //!
-//! Decoding is *total*: a slot the ISA does not cover decodes to
-//! [`DOp::Trap`], which raises [`crate::VmError::BadInstruction`] when (and
-//! only when) it is reached. Verified programs never contain one — running
-//! [`crate::verify`] first proves every `DOp` is a real operation and every
-//! jump target is in range, which is what lets the interpreter elide the
-//! per-step checks. Each decoded instruction keeps its original slot index
-//! (`slot`) so faults still report program counters in slot units, matching
-//! the verifier's diagnostics.
+//! Decoding is *total* by construction: it goes through the one ISA table
+//! ([`crate::isa::ISA`]), and a slot with no row there — or whose form
+//! reads a register outside r0..r10 — decodes to [`DOp::Trap`], which
+//! raises [`crate::VmError::BadInstruction`] when (and only when) it is
+//! reached. The verifier rejects exactly the slots with no row, so
+//! verified programs never contain one — running [`crate::verify`] first
+//! proves every `DOp` is a real operation and every jump target is in
+//! range, which is what lets the interpreter elide the per-step checks.
+//! Each decoded instruction keeps its original slot index (`slot`) so
+//! faults still report program counters in slot units, matching the
+//! verifier's diagnostics.
 
 use crate::insn::{op, Insn, Program};
+use crate::isa::{self, Dst, Imm, Off};
 
 /// Fully decoded operation. One variant per (operation, width, operand
 /// source) combination, so the interpreter's dispatch is a single jump.
@@ -174,6 +178,8 @@ pub(crate) struct DInsn {
     pub imm: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<DInsn>() == 24);
+
 /// Proof-bit layout of [`DInsn::flags`], written by the abstract
 /// interpreter and consumed by the execution loop in [`crate::interp`].
 pub(crate) mod elide {
@@ -221,15 +227,6 @@ pub struct LoadedProgram {
     pub(crate) watched: crate::absint::WatchedReads,
 }
 
-fn pick4(is64: bool, use_src: bool, i64v: DOp, r64v: DOp, i32v: DOp, r32v: DOp) -> DOp {
-    match (is64, use_src) {
-        (true, false) => i64v,
-        (true, true) => r64v,
-        (false, false) => i32v,
-        (false, true) => r32v,
-    }
-}
-
 fn decode_slot(insn: Insn, slot: u32, hi_imm: Option<i32>, resolve: impl Fn(i16) -> u32) -> DInsn {
     let trap = DInsn {
         op: DOp::Trap,
@@ -241,336 +238,40 @@ fn decode_slot(insn: Insn, slot: u32, hi_imm: Option<i32>, resolve: impl Fn(i16)
         slot,
         imm: 0,
     };
-    let imm = insn.imm as i64 as u64;
-    let cls = insn.opcode & op::CLS_MASK;
-    let use_src = insn.opcode & op::SRC_X != 0;
-    match cls {
-        op::CLS_ALU64 | op::CLS_ALU => {
-            let is64 = cls == op::CLS_ALU64;
-            if insn.dst > 10 || (use_src && insn.src > 10) {
-                return trap;
-            }
-            let dop = match insn.opcode & op::ALU_OP_MASK {
-                op::ALU_ADD => {
-                    pick4(is64, use_src, DOp::Add64Imm, DOp::Add64Reg, DOp::Add32Imm, DOp::Add32Reg)
-                }
-                op::ALU_SUB => {
-                    pick4(is64, use_src, DOp::Sub64Imm, DOp::Sub64Reg, DOp::Sub32Imm, DOp::Sub32Reg)
-                }
-                op::ALU_MUL => {
-                    pick4(is64, use_src, DOp::Mul64Imm, DOp::Mul64Reg, DOp::Mul32Imm, DOp::Mul32Reg)
-                }
-                op::ALU_DIV => {
-                    if !use_src && insn.imm == 0 {
-                        DOp::DivZero
-                    } else {
-                        pick4(
-                            is64,
-                            use_src,
-                            DOp::Div64Imm,
-                            DOp::Div64Reg,
-                            DOp::Div32Imm,
-                            DOp::Div32Reg,
-                        )
-                    }
-                }
-                op::ALU_MOD => {
-                    if !use_src && insn.imm == 0 {
-                        DOp::DivZero
-                    } else {
-                        pick4(
-                            is64,
-                            use_src,
-                            DOp::Mod64Imm,
-                            DOp::Mod64Reg,
-                            DOp::Mod32Imm,
-                            DOp::Mod32Reg,
-                        )
-                    }
-                }
-                op::ALU_OR => {
-                    pick4(is64, use_src, DOp::Or64Imm, DOp::Or64Reg, DOp::Or32Imm, DOp::Or32Reg)
-                }
-                op::ALU_AND => {
-                    pick4(is64, use_src, DOp::And64Imm, DOp::And64Reg, DOp::And32Imm, DOp::And32Reg)
-                }
-                op::ALU_XOR => {
-                    pick4(is64, use_src, DOp::Xor64Imm, DOp::Xor64Reg, DOp::Xor32Imm, DOp::Xor32Reg)
-                }
-                op::ALU_LSH => {
-                    pick4(is64, use_src, DOp::Lsh64Imm, DOp::Lsh64Reg, DOp::Lsh32Imm, DOp::Lsh32Reg)
-                }
-                op::ALU_RSH => {
-                    pick4(is64, use_src, DOp::Rsh64Imm, DOp::Rsh64Reg, DOp::Rsh32Imm, DOp::Rsh32Reg)
-                }
-                op::ALU_ARSH => pick4(
-                    is64,
-                    use_src,
-                    DOp::Arsh64Imm,
-                    DOp::Arsh64Reg,
-                    DOp::Arsh32Imm,
-                    DOp::Arsh32Reg,
-                ),
-                op::ALU_MOV => {
-                    pick4(is64, use_src, DOp::Mov64Imm, DOp::Mov64Reg, DOp::Mov32Imm, DOp::Mov32Reg)
-                }
-                op::ALU_NEG => {
-                    if is64 {
-                        DOp::Neg64
-                    } else {
-                        DOp::Neg32
-                    }
-                }
-                // The SRC bit selects to-big-endian (the common be16/32/64
-                // form on LE machines) vs to-little-endian.
-                op::ALU_END => match (insn.imm, use_src) {
-                    (16, true) => DOp::Be16,
-                    (32, true) => DOp::Be32,
-                    (64, true) => DOp::Be64,
-                    (16, false) => DOp::Le16,
-                    (32, false) => DOp::Le32,
-                    (64, false) => DOp::Le64,
-                    _ => return trap,
-                },
-                _ => return trap,
-            };
-            DInsn {
-                op: dop,
-                dst: insn.dst,
-                src: insn.src,
-                flags: 0,
-                off: 0,
-                target: 0,
-                slot,
-                imm,
-            }
-        }
-        op::CLS_JMP | op::CLS_JMP32 => {
-            let opb = insn.opcode & op::ALU_OP_MASK;
-            match opb {
-                op::JMP_EXIT => DInsn {
-                    op: DOp::Exit,
-                    dst: 0,
-                    src: 0,
-                    flags: 0,
-                    off: 0,
-                    target: 0,
-                    slot,
-                    imm: 0,
-                },
-                op::JMP_CALL => DInsn {
-                    op: DOp::Call,
-                    dst: 0,
-                    src: 0,
-                    flags: 0,
-                    off: 0,
-                    target: insn.imm as u32,
-                    slot,
-                    imm: 0,
-                },
-                op::JMP_JA => DInsn {
-                    op: DOp::Ja,
-                    dst: 0,
-                    src: 0,
-                    flags: 0,
-                    off: 0,
-                    target: resolve(insn.offset),
-                    slot,
-                    imm: 0,
-                },
-                _ => {
-                    let is64 = cls == op::CLS_JMP;
-                    if insn.dst > 10 || (use_src && insn.src > 10) {
-                        return trap;
-                    }
-                    let dop = match opb {
-                        op::JMP_JEQ => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jeq64Imm,
-                            DOp::Jeq64Reg,
-                            DOp::Jeq32Imm,
-                            DOp::Jeq32Reg,
-                        ),
-                        op::JMP_JNE => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jne64Imm,
-                            DOp::Jne64Reg,
-                            DOp::Jne32Imm,
-                            DOp::Jne32Reg,
-                        ),
-                        op::JMP_JGT => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jgt64Imm,
-                            DOp::Jgt64Reg,
-                            DOp::Jgt32Imm,
-                            DOp::Jgt32Reg,
-                        ),
-                        op::JMP_JGE => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jge64Imm,
-                            DOp::Jge64Reg,
-                            DOp::Jge32Imm,
-                            DOp::Jge32Reg,
-                        ),
-                        op::JMP_JLT => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jlt64Imm,
-                            DOp::Jlt64Reg,
-                            DOp::Jlt32Imm,
-                            DOp::Jlt32Reg,
-                        ),
-                        op::JMP_JLE => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jle64Imm,
-                            DOp::Jle64Reg,
-                            DOp::Jle32Imm,
-                            DOp::Jle32Reg,
-                        ),
-                        op::JMP_JSET => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jset64Imm,
-                            DOp::Jset64Reg,
-                            DOp::Jset32Imm,
-                            DOp::Jset32Reg,
-                        ),
-                        op::JMP_JSGT => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jsgt64Imm,
-                            DOp::Jsgt64Reg,
-                            DOp::Jsgt32Imm,
-                            DOp::Jsgt32Reg,
-                        ),
-                        op::JMP_JSGE => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jsge64Imm,
-                            DOp::Jsge64Reg,
-                            DOp::Jsge32Imm,
-                            DOp::Jsge32Reg,
-                        ),
-                        op::JMP_JSLT => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jslt64Imm,
-                            DOp::Jslt64Reg,
-                            DOp::Jslt32Imm,
-                            DOp::Jslt32Reg,
-                        ),
-                        op::JMP_JSLE => pick4(
-                            is64,
-                            use_src,
-                            DOp::Jsle64Imm,
-                            DOp::Jsle64Reg,
-                            DOp::Jsle32Imm,
-                            DOp::Jsle32Reg,
-                        ),
-                        _ => return trap,
-                    };
-                    DInsn {
-                        op: dop,
-                        dst: insn.dst,
-                        src: insn.src,
-                        flags: 0,
-                        off: 0,
-                        target: resolve(insn.offset),
-                        slot,
-                        imm,
-                    }
-                }
-            }
-        }
-        op::CLS_LD => {
-            if insn.opcode != op::LDDW || insn.dst > 10 {
-                return trap;
-            }
-            match hi_imm {
-                Some(hi) => DInsn {
-                    op: DOp::LdDw,
-                    dst: insn.dst,
-                    src: 0,
-                    flags: 0,
-                    off: 0,
-                    target: 0,
-                    slot,
-                    imm: u64::from(insn.imm as u32) | (u64::from(hi as u32) << 32),
-                },
-                // lddw in the very last slot: nothing to fuse with.
-                None => trap,
-            }
-        }
-        op::CLS_LDX => {
-            if insn.dst > 10 || insn.src > 10 {
-                return trap;
-            }
-            let dop = match insn.opcode & op::SIZE_MASK {
-                op::SIZE_W => DOp::LdxW,
-                op::SIZE_H => DOp::LdxH,
-                op::SIZE_B => DOp::LdxB,
-                _ => DOp::LdxDw,
-            };
-            DInsn {
-                op: dop,
-                dst: insn.dst,
-                src: insn.src,
-                flags: 0,
-                off: insn.offset,
-                target: 0,
-                slot,
-                imm,
-            }
-        }
-        op::CLS_ST => {
-            if insn.dst > 10 {
-                return trap;
-            }
-            let dop = match insn.opcode & op::SIZE_MASK {
-                op::SIZE_W => DOp::StW,
-                op::SIZE_H => DOp::StH,
-                op::SIZE_B => DOp::StB,
-                _ => DOp::StDw,
-            };
-            DInsn {
-                op: dop,
-                dst: insn.dst,
-                src: 0,
-                flags: 0,
-                off: insn.offset,
-                target: 0,
-                slot,
-                imm,
-            }
-        }
-        op::CLS_STX => {
-            if insn.dst > 10 || insn.src > 10 {
-                return trap;
-            }
-            let dop = match insn.opcode & op::SIZE_MASK {
-                op::SIZE_W => DOp::StxW,
-                op::SIZE_H => DOp::StxH,
-                op::SIZE_B => DOp::StxB,
-                _ => DOp::StxDw,
-            };
-            DInsn {
-                op: dop,
-                dst: insn.dst,
-                src: insn.src,
-                flags: 0,
-                off: insn.offset,
-                target: 0,
-                slot,
-                imm,
-            }
-        }
-        _ => trap,
+    let Some(row) = isa::lookup(insn.opcode, insn.imm) else {
+        return trap;
+    };
+    let f = row.form;
+    // Fields the form does not read decode to zero.
+    let dst = if f.dst == Dst::Unused { 0 } else { insn.dst };
+    let src = if f.src { insn.src } else { 0 };
+    if dst > 10 || src > 10 {
+        return trap;
     }
+    let mut op = row.op;
+    let mut imm = if f.imm == Imm::Operand {
+        insn.imm as i64 as u64
+    } else {
+        0
+    };
+    match op {
+        DOp::Div64Imm | DOp::Div32Imm | DOp::Mod64Imm | DOp::Mod32Imm if insn.imm == 0 => {
+            op = DOp::DivZero
+        }
+        DOp::LdDw => match hi_imm {
+            Some(hi) => imm = u64::from(insn.imm as u32) | (u64::from(hi as u32) << 32),
+            // lddw in the very last slot: nothing to fuse with.
+            None => return trap,
+        },
+        _ => {}
+    }
+    let target = match f.off {
+        Off::Jump => resolve(insn.offset),
+        _ if op == DOp::Call => insn.imm as u32,
+        _ => 0,
+    };
+    let off = if f.off == Off::Mem { insn.offset } else { 0 };
+    DInsn { op, dst, src, flags: 0, off, target, slot, imm }
 }
 
 impl LoadedProgram {
@@ -729,6 +430,29 @@ mod tests {
         let lp = LoadedProgram::load(&Program::new(vec![bogus, build::exit()]));
         assert_eq!(lp.code[0].op, DOp::Trap);
         assert_eq!(lp.code[0].dst, 0xff);
+    }
+
+    /// Slots the verifier rejects must not run: `jmp32` exit, `ldx` in a
+    /// non-MEM mode, and the reserved-bit encodings of `ja`, `call`,
+    /// `exit`, `neg` and the byte swaps.
+    #[test]
+    fn slots_outside_the_isa_decode_to_traps() {
+        for opcode in [0x96, 0x21, 0x0d, 0x8d, 0x9d, 0x8c, 0x8f, 0xd7, 0xdf] {
+            let slot = Insn::new(opcode, 0, 0, 0, 16);
+            let lp = LoadedProgram::load(&Program::new(vec![slot, build::exit()]));
+            assert_eq!(lp.code[0].op, DOp::Trap, "{opcode:#04x}");
+        }
+    }
+
+    /// A constant-operand ALU op does not read `src`, so a stray value
+    /// there neither traps nor reaches the analysis (it used to index
+    /// past the register file).
+    #[test]
+    fn unread_fields_decode_to_zero() {
+        let mov = Insn::new(op::CLS_ALU64 | op::ALU_MOV | op::SRC_K, 0, 15, 3, 1);
+        let prog = Program::new(vec![mov, build::exit()]);
+        let lp = crate::verify_and_load(&prog, &Default::default()).unwrap();
+        assert_eq!((lp.code[0].op, lp.code[0].src, lp.code[0].off), (DOp::Mov64Imm, 0, 0));
     }
 
     #[test]

@@ -3,12 +3,16 @@
 //! The checks are structural (the style of uBPF's verifier rather than the
 //! Linux kernel's symbolic one): they guarantee the interpreter can never
 //! leave the program text, execute an undefined opcode, touch an invalid
-//! register, or divide by a constant zero. Memory safety is enforced
+//! register, or divide by a constant zero. An opcode is defined when it has
+//! a row in [`crate::isa::ISA`]; the other checks follow the row's form
+//! (which registers it reads and writes, whether `off` is a jump or a
+//! memory displacement). Memory safety is enforced
 //! dynamically by [`crate::mem::MemoryMap`]; termination is enforced
 //! dynamically by the fuel budget.
 
 use crate::insn::{op, Program};
-use crate::prep::LoadedProgram;
+use crate::isa::{self, Off};
+use crate::prep::{DOp, LoadedProgram};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -135,54 +139,11 @@ impl std::error::Error for VerifyError {}
 /// Maximum program size in slots (same order as kernel eBPF's historic 4k).
 pub const MAX_INSNS: usize = 65_536;
 
-fn valid_alu_op(op_bits: u8) -> bool {
-    matches!(
-        op_bits,
-        op::ALU_ADD
-            | op::ALU_SUB
-            | op::ALU_MUL
-            | op::ALU_DIV
-            | op::ALU_OR
-            | op::ALU_AND
-            | op::ALU_LSH
-            | op::ALU_RSH
-            | op::ALU_NEG
-            | op::ALU_MOD
-            | op::ALU_XOR
-            | op::ALU_MOV
-            | op::ALU_ARSH
-            | op::ALU_END
-    )
-}
-
-fn valid_jmp_op(op_bits: u8, cls: u8) -> bool {
-    match op_bits {
-        op::JMP_JA | op::JMP_CALL | op::JMP_EXIT => cls == op::CLS_JMP,
-        op::JMP_JEQ
-        | op::JMP_JGT
-        | op::JMP_JGE
-        | op::JMP_JSET
-        | op::JMP_JNE
-        | op::JMP_JSGT
-        | op::JMP_JSGE
-        | op::JMP_JLT
-        | op::JMP_JLE
-        | op::JMP_JSLT
-        | op::JMP_JSLE => true,
-        _ => false,
-    }
-}
-
 /// Reject constant-offset frame accesses that can only fault: `r10` is
 /// fixed at load time, so `[r10+off, r10+off+size)` must sit inside the
 /// 512-byte frame `[r10-512, r10)`.
 fn check_frame_offset(pc: usize, insn: &crate::insn::Insn) -> Result<(), VerifyError> {
-    let size: i32 = match insn.opcode & op::SIZE_MASK {
-        op::SIZE_B => 1,
-        op::SIZE_H => 2,
-        op::SIZE_W => 4,
-        _ => 8,
-    };
+    let size = isa::access_size(insn.opcode) as i32;
     let off = i32::from(insn.offset);
     if off < -(crate::STACK_SIZE as i32) || off + size > 0 {
         return Err(VerifyError::OobStackAccess {
@@ -246,93 +207,48 @@ pub fn verify(prog: &Program, known_helpers: &HashSet<u32>) -> Result<(), Verify
         if is_lddw_hi[pc] {
             continue;
         }
-        let cls = insn.class();
-        match cls {
-            op::CLS_ALU | op::CLS_ALU64 => {
-                let opb = insn.opcode & op::ALU_OP_MASK;
-                if !valid_alu_op(opb) {
-                    return Err(VerifyError::BadOpcode { pc, opcode: insn.opcode });
-                }
-                check_dst_writable(pc, insn.dst)?;
-                if insn.opcode & op::SRC_X != 0 {
-                    check_reg(pc, insn.src)?;
-                }
-                if matches!(opb, op::ALU_DIV | op::ALU_MOD)
-                    && insn.opcode & op::SRC_X == 0
-                    && insn.imm == 0
-                {
-                    return Err(VerifyError::ConstDivByZero { pc });
-                }
-                if matches!(opb, op::ALU_LSH | op::ALU_RSH | op::ALU_ARSH)
-                    && insn.opcode & op::SRC_X == 0
-                {
-                    let width: i64 = if cls == op::CLS_ALU64 { 64 } else { 32 };
-                    if i64::from(insn.imm) >= width || insn.imm < 0 {
-                        return Err(VerifyError::BadShift { pc });
-                    }
-                }
-                if opb == op::ALU_END && !matches!(insn.imm, 16 | 32 | 64) {
-                    return Err(VerifyError::BadOpcode { pc, opcode: insn.opcode });
+        let Some(row) = isa::lookup(insn.opcode, insn.imm) else {
+            return Err(VerifyError::BadOpcode { pc, opcode: insn.opcode });
+        };
+        let f = row.form;
+        if f.off == Off::Jump {
+            let target = pc as i64 + 1 + i64::from(insn.offset);
+            if target < 0 || target >= insns.len() as i64 || is_lddw_hi[target as usize] {
+                return Err(VerifyError::BadJumpTarget { pc, target });
+            }
+        }
+        if f.dst.writes() {
+            check_dst_writable(pc, insn.dst)?;
+        } else if f.dst.reads() {
+            check_reg(pc, insn.dst)?;
+        }
+        if f.src {
+            check_reg(pc, insn.src)?;
+        }
+        match row.op {
+            DOp::Div64Imm | DOp::Div32Imm | DOp::Mod64Imm | DOp::Mod32Imm if insn.imm == 0 => {
+                return Err(VerifyError::ConstDivByZero { pc });
+            }
+            DOp::Lsh64Imm
+            | DOp::Lsh32Imm
+            | DOp::Rsh64Imm
+            | DOp::Rsh32Imm
+            | DOp::Arsh64Imm
+            | DOp::Arsh32Imm => {
+                let width: i64 = if insn.class() == op::CLS_ALU64 { 64 } else { 32 };
+                if i64::from(insn.imm) >= width || insn.imm < 0 {
+                    return Err(VerifyError::BadShift { pc });
                 }
             }
-            op::CLS_JMP | op::CLS_JMP32 => {
-                let opb = insn.opcode & op::ALU_OP_MASK;
-                if !valid_jmp_op(opb, cls) {
-                    return Err(VerifyError::BadOpcode { pc, opcode: insn.opcode });
-                }
-                match opb {
-                    op::JMP_CALL => {
-                        let helper = insn.imm as u32;
-                        if !known_helpers.contains(&helper) {
-                            return Err(VerifyError::UnknownHelper { pc, helper });
-                        }
-                    }
-                    op::JMP_EXIT => {}
-                    _ => {
-                        // JA and all conditionals: validate target.
-                        let target = pc as i64 + 1 + i64::from(insn.offset);
-                        if target < 0 || target >= insns.len() as i64 || is_lddw_hi[target as usize]
-                        {
-                            return Err(VerifyError::BadJumpTarget { pc, target });
-                        }
-                        if opb != op::JMP_JA {
-                            check_reg(pc, insn.dst)?;
-                            if insn.opcode & op::SRC_X != 0 {
-                                check_reg(pc, insn.src)?;
-                            }
-                        }
-                    }
-                }
+            DOp::Call if !known_helpers.contains(&(insn.imm as u32)) => {
+                return Err(VerifyError::UnknownHelper { pc, helper: insn.imm as u32 });
             }
-            op::CLS_LD => {
-                if insn.opcode != op::LDDW {
-                    return Err(VerifyError::BadOpcode { pc, opcode: insn.opcode });
-                }
-                check_dst_writable(pc, insn.dst)?;
-            }
-            op::CLS_LDX => {
-                if insn.opcode & op::MODE_MASK != op::MODE_MEM {
-                    return Err(VerifyError::BadOpcode { pc, opcode: insn.opcode });
-                }
-                check_dst_writable(pc, insn.dst)?;
-                check_reg(pc, insn.src)?;
-                if insn.src == 10 {
-                    check_frame_offset(pc, insn)?;
-                }
-            }
-            op::CLS_ST | op::CLS_STX => {
-                if insn.opcode & op::MODE_MASK != op::MODE_MEM {
-                    return Err(VerifyError::BadOpcode { pc, opcode: insn.opcode });
-                }
-                check_reg(pc, insn.dst)?;
-                if cls == op::CLS_STX {
-                    check_reg(pc, insn.src)?;
-                }
-                if insn.dst == 10 {
-                    check_frame_offset(pc, insn)?;
-                }
-            }
-            _ => unreachable!("class mask covers 0..=7"),
+            _ => {}
+        }
+        // The base register of a load is `src`, of a store `dst`.
+        let base = if f.dst.writes() { insn.src } else { insn.dst };
+        if f.off == Off::Mem && base == 10 {
+            check_frame_offset(pc, insn)?;
         }
     }
 
@@ -341,9 +257,8 @@ pub fn verify(prog: &Program, known_helpers: &HashSet<u32>) -> Result<(), Verify
     let last = insns.len() - 1;
     let last_real = if is_lddw_hi[last] { last - 1 } else { last };
     let li = &insns[last_real];
-    let terminal = li.class() == op::CLS_JMP
-        && matches!(li.opcode & op::ALU_OP_MASK, op::JMP_EXIT | op::JMP_JA)
-        && last_real == last;
+    let terminal = last_real == last
+        && isa::lookup(li.opcode, li.imm).is_some_and(|r| matches!(r.op, DOp::Exit | DOp::Ja));
     if !terminal {
         return Err(VerifyError::FallThrough);
     }
@@ -483,6 +398,21 @@ mod tests {
         // fuel budget bounds it at runtime.
         let prog = vec![build::mov_imm(0, 0), build::ja(-2)];
         assert_eq!(ok(prog), Ok(()));
+    }
+
+    /// Encodings that set a reserved bit of a defined instruction: the
+    /// source bit of `ja`, `call`, `exit` and `neg`, and byte swaps in the
+    /// `ALU64` class. They are not aliases: RFC 9669 defines `0xd7` as an
+    /// unconditional byte swap, and LLVM emits `0x8d` as `callx`.
+    #[test]
+    fn reserved_bit_encodings_are_rejected() {
+        for opcode in [0x0d, 0x8d, 0x9d, 0x8c, 0x8f, 0xd7, 0xdf] {
+            let prog = Program::new(vec![Insn::new(opcode, 1, 0, 0, 16), build::exit()]);
+            assert_eq!(
+                verify(&prog, &helpers(&[16])),
+                Err(VerifyError::BadOpcode { pc: 0, opcode })
+            );
+        }
     }
 
     #[test]
